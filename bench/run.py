@@ -7,19 +7,23 @@ cache of deltan carries over from an earlier round, and every round of a run
 repeats the same inputs.  ``--seconds`` sets the number of rounds,
 ``max(1, round(seconds / ROUND_S[workload]))``, so a run does a fixed count
 of operations and never stops on the clock; ``--seed`` fixes the inputs and
-their order.
+their order.  Each interpreter has a time limit scaled from its nominal
+time, so a run that is much slower than planned fails instead of hanging.
+
+Every time is scaled to a reference speed by the worker's calibration (see
+worker.Calibrator), because a shared machine runs the same work at speeds up
+to half as far apart again from one minute to the next.
 
 --trace 0 reports the end-to-end metrics.  setup_s is the median over
-SETUP_PROBES set-up-only interpreters and the rounds.  wall_s is the fastest
-round's timed section, and query_p50_ms / query_p90_ms are percentiles of
-each operation's fastest latency over the rounds: on a shared machine the
-slow side of a timing is mostly other tenants' load, and the fastest of a
-few repeats is the one that load disturbed least.  peak_rss_mb is the
-largest peak resident memory of a round.  --trace 1 runs a traced round
-between two untraced rounds, reports the per-layer metrics of the traced
-round plus trace.overhead_s (its wall_s minus the mean wall_s of the two
-untraced rounds), and writes the aggregated spans to .bench_out/.  The last
-line of standard output is the result object.
+SETUP_PROBES set-up-only interpreters, spread between the rounds, and the
+rounds themselves.  wall_s is the fastest round's timed section, and
+query_p50_ms / query_p90_ms are percentiles of each operation's fastest
+latency over the rounds.  peak_rss_mb is the largest peak resident memory of
+a round.  --trace 1 runs a traced round between two untraced rounds, reports
+the per-layer metrics of the traced round plus trace.overhead_s (its wall_s
+minus the mean wall_s of the two untraced rounds), and writes the aggregated
+spans, unscaled, to .bench_out/.  The last line of standard output is the
+result object.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import json
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
@@ -39,8 +42,13 @@ OUT_DIR = ROOT / ".bench_out"
 
 # nominal seconds of one round's timed section on a 2-CPU machine
 ROUND_S = {"verify-default": 13.0, "ring-ladder": 10.0, "cli-queries": 11.0}
-SETUP_PROBES = 7
-DEADLINE_S = 175.0
+SETUP_PROBES = 9
+# time limits: a round may take SLACK times its nominal time plus CHECK_S for
+# start-up and checks (TRACE_SLACK more when traced); a set-up probe PROBE_S
+SLACK = 2.5
+TRACE_SLACK = 1.5
+CHECK_S = 15.0
+PROBE_S = 5.0
 
 
 class BenchError(Exception):
@@ -51,20 +59,21 @@ class Runner:
     def __init__(self, workload, seed):
         self.workload = workload
         self.seed = seed
-        self.deadline = time.monotonic() + DEADLINE_S
 
     def round(self, mode):
         """One worker interpreter; returns its result object."""
-        remaining = self.deadline - time.monotonic()
-        if remaining <= 0:
-            raise BenchError("out of time before the run's rounds were done")
+        limit = PROBE_S
+        if mode != "setup":
+            limit = SLACK * ROUND_S[self.workload] + CHECK_S
+        if mode == "trace":
+            limit *= TRACE_SLACK
         cmd = [sys.executable, str(WORKER), "--workload", self.workload,
                "--seed", str(self.seed), "--mode", mode]
         try:
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                                  timeout=remaining)
+                                  timeout=limit)
         except subprocess.TimeoutExpired:
-            raise BenchError(f"{mode} round did not finish in time") from None
+            raise BenchError(f"{mode} round did not finish in {limit:.0f} s") from None
         if proc.returncode != 0:
             raise BenchError(f"{mode} round exited {proc.returncode}:\n{proc.stderr[-4000:]}")
         lines = proc.stdout.strip().splitlines()
@@ -79,8 +88,16 @@ def p90(values):
 
 def measure(runner, rounds):
     # the first interpreter also compiles bytecode, so its set-up is dropped
-    setups = [runner.round("setup")["setup_s"] for _ in range(SETUP_PROBES + 1)][1:]
-    results = [runner.round("run") for _ in range(rounds)]
+    runner.round("setup")
+    # set-up probes in rounds + 1 groups around the rounds, so that they do
+    # not all fall into one burst of the machine's load
+    groups = [SETUP_PROBES // (rounds + 1) + (k < SETUP_PROBES % (rounds + 1))
+              for k in range(rounds + 1)]
+    setups, results = [], []
+    for k, probes in enumerate(groups):
+        setups += [runner.round("setup")["setup_s"] for _ in range(probes)]
+        if k < rounds:
+            results.append(runner.round("run"))
     setups += [r["setup_s"] for r in results]
     fastest = [min(per_op) for per_op in zip(*(r["latencies_ms"] for r in results))]
     metrics = {

@@ -1,20 +1,21 @@
-"""Steadiness of the benchmark: two sets of repeated runs per workload.
+"""Steadiness of the benchmark: two sets of repeated runs of every workload.
 
-    python3 bench/steady.py                 # 2 sets x 10 runs of every workload
-    python3 bench/steady.py --runs 5 --sets 1 --workloads cli-queries
+    python3 bench/steady.py
 
-Runs the command of BENCHMARK.json one run at a time (never two at once: they
-would share the CPUs), each with another --seed: set k uses seeds
-k*1000+1 .. k*1000+runs.  For every end-to-end metric it prints, per set, the
-median, the quartiles and the spread (q3 - q1) / median, as
-statistics.quantiles(values, n=4) gives them, and whether the second set's
-median is within the metric's bound of the first set's.  Raw results go to
+Runs the command of BENCHMARK.json for every workload it names, one run at a
+time (never two at once: they would share the CPUs), RUNS times in each of
+SETS sets, each run with another --seed: set k uses seeds
+k*1000+1 .. k*1000+RUNS.  For every end-to-end metric it prints, per set,
+the median, the quartiles and the spread (q3 - q1) / median, as
+statistics.quantiles(values, n=4) gives them, and how far the second set's
+median lies from the first's, |m2 - m1| / m1.  It reports "steady" only if
+every run was correct with no failed operation, every spread is within the
+metric's bound, and every pair of medians is.  Raw results go to
 .bench_out/steady.json.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -22,6 +23,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RUNS = 10
+SETS = 2
 
 
 def run_once(config, workload, seed):
@@ -38,22 +41,15 @@ def summary(values):
     return q2, q1, q3, (q3 - q1) / q2
 
 
-def main(argv=None):
+def main():
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in config["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workloads", default=",".join(names))
-    args = parser.parse_args(argv)
-    bounds = {m["name"]: m for m in config["end_to_end"]}
     raw = {}
     ok = True
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in config["workloads"]):
         sets = []
-        for k in range(1, args.sets + 1):
+        for k in range(1, SETS + 1):
             results = []
-            for i in range(1, args.runs + 1):
+            for i in range(1, RUNS + 1):
                 result = run_once(config, workload, k * 1000 + i)
                 if not result["correct"] or result["failed"]:
                     ok = False
@@ -66,23 +62,22 @@ def main(argv=None):
             sets.append(results)
         raw[workload] = sets
         print(f"\n{workload}")
-        for name, spec in bounds.items():
+        for spec in config["end_to_end"]:
+            name, bound = spec["name"], spec["bound"]
             line = [f"  {name:14s}"]
             medians = []
             for results in sets:
                 med, q1, q3, spread = summary([r["metrics"][name]["value"] for r in results])
                 medians.append(med)
-                line.append(f"median {med:10.4f} [{q1:.4f}, {q3:.4f}] spread {spread:6.3f}")
-                if name != "setup_s" and spread > spec["bound"]:
-                    ok = False
-            if len(medians) > 1:
-                worse = (medians[1] - medians[0]) / medians[0]
-                if spec["better"] == "higher":
-                    worse = -worse
-                within = worse <= spec["bound"]
+                within = spread <= bound
                 ok = ok and within
-                line.append(f"second worse by {worse:+.3f} (bound {spec['bound']}): "
-                            f"{'ok' if within else 'OUT'}")
+                line.append(f"median {med:10.4f} [{q1:.4f}, {q3:.4f}] spread {spread:6.3f}"
+                            f"{'' if within else ' OUT'}")
+            apart = abs(medians[1] - medians[0]) / medians[0]
+            within = apart <= bound
+            ok = ok and within
+            line.append(f"medians apart {apart:.3f} (bound {bound}): "
+                        f"{'ok' if within else 'OUT'}")
             print(" | ".join(line))
     out = ROOT / ".bench_out"
     out.mkdir(exist_ok=True)

@@ -3,6 +3,7 @@
     python3 -m pytest bench/tests -q
 """
 
+import array
 import collections
 import itertools
 import sys
@@ -16,6 +17,7 @@ sys.path.insert(1, str(BENCH.parent / "src"))
 
 import spans  # noqa: E402
 import workloads  # noqa: E402
+import worker  # noqa: E402
 from worker import rule_expects  # noqa: E402
 
 
@@ -56,6 +58,23 @@ def test_self_time_subtracts_nested_children():
     assert agg.spans[("b.child", "a.outer")][:2] == [2, pytest.approx(5.5)]
     total_self = sum(s for _, s in by_name.values())
     assert total_self == pytest.approx(10.0)  # self times tile the root span
+
+
+# ---------------------------------------------------------------------------
+# calibration: an operation's speed is the mean of the samples nearest to it
+# ---------------------------------------------------------------------------
+
+def test_latency_speed_is_the_mean_of_the_nearest_samples():
+    cal = worker.Calibrator()
+    ref, k = worker.CAL_REF_S, worker.CAL_WINDOW
+    cal.samples = array.array("d", [ref * (i + 1) for i in range(20)])  # speeds 1..20
+    cal.done = [3 * (i + 1) for i in range(20)]  # sample i after 3(i+1) operations
+    speeds = cal.local_speeds(60)
+    for op in range(60):
+        first_after = op // 3
+        window = range(max(0, first_after - k) + 1, min(20, first_after + k) + 1)
+        assert speeds[op] == pytest.approx(sum(window) / len(window))
+    assert cal.speed() == pytest.approx(10.5)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +215,34 @@ def test_closed_forms():
     assert workloads.model_lattice_size(("P", 5, (1, 0, 1))) is None  # Z5 x Z5
     assert workloads.model_is_local(("P", 5, (1, 0, 1))) is False
     assert workloads.model_is_local(("P", 4, (0, 0, 1))) is True
+
+
+SMALL_MODELS = (
+    ("P", 2, (1, 0, 1)), ("P", 3, (2, 0, 1)), ("P", 4, (1, 1, 1)), ("P", 6, (5, 0, 1)),
+    ("P", 2, (1, 1, 0, 1)), ("I", ("Z", 4), ("Z", 4)), ("I", ("Z", 6), ("Z", 3)),
+    ("I", ("Z", 8), ("Z", 4)), ("I", ("Z", 9), ("Z", 3)),
+    ("I", ("P", 2, (1, 1, 1)), ("P", 2, (1, 1, 1))),
+    ("I", ("P", 2, (0, 0, 1)), ("P", 2, (0, 0, 1))),
+)
+
+
+@pytest.mark.parametrize("model", SMALL_MODELS, ids=repr)
+def test_ideal_count_matches_generator_closure(model):
+    elems, add, mul = workloads.model_arith(model)
+    zero = elems[0]
+    assert all(add(zero, x) == x for x in elems)
+    assert workloads.count_ideals(model) == len(_ideals(elems, add, mul, zero))
+
+
+def test_ideal_count_matches_closed_forms():
+    for n in range(2, 50):
+        assert workloads.count_ideals(("Z", n)) == workloads.tau(n)
+    for a, b in ((4, 6), (8, 9), (5, 7)):
+        assert workloads.count_ideals(("X", a, b)) == workloads.tau(a) * workloads.tau(b)
+    for entry in (("P", 2, 6), ("P", 5, 3)):
+        model = workloads.ladder_model(entry)
+        assert workloads.count_ideals(model) == workloads.model_lattice_size(model)
+    assert workloads.count_ideals(("P", 5, (1, 0, 1))) == 4  # Z5 x Z5
 
 
 def test_uninstall_restores_every_binding():

