@@ -7,13 +7,15 @@ and validated ring homomorphisms with ideal image/preimage transport.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (ConstructionError, CrossRingError, HomomorphismError,
                      InfiniteRingError, InvalidSpecError)
 from .ideals import (Ideal, _bits, _full_mask, _mk_ideal, enumerate_ideals,
                      integer_ideal)
-from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec,
-                    Ring, construct_ring, modular, register_ring)
+from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
+                    _additive_generators, _additive_on, _associative_on, _check_size,
+                    _group_failure, construct_ring, modular, register_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +59,6 @@ class Module:
         self._repr_fn = repr_fn
         self._cache = {}
         self.base_to_module = None  # base-ring index -> module index, when meaningful
-        self.neg = [None] * len(elements)
-        for i, row in enumerate(add):
-            for j, s in enumerate(row):
-                if s == zero:
-                    self.neg[i] = j
-                    break
         _check_module_axioms(self)
 
     @property
@@ -80,37 +76,18 @@ class Module:
 
 
 def _check_module_axioms(module):
-    ring = module.ring
-    n, m = ring.size, module.size
-    add, act = module.add, module.action
-    radd, rmul = ring.add, ring.mul
-    zero = module.zero_idx
-    for i in range(m):
-        if add[zero][i] != i:
-            raise ConstructionError(f"{module.key}: 0 is not an additive identity")
-        if module.neg[i] is None:
-            raise ConstructionError(f"{module.key}: missing additive inverse")
-        if act[ring.one_idx][i] != i:
-            raise ConstructionError(f"{module.key}: action is not unital")
-        for j in range(i, m):
-            if add[i][j] != add[j][i]:
-                raise ConstructionError(f"{module.key}: addition is not commutative")
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if add[add[i][j]][k] != add[i][add[j][k]]:
-                    raise ConstructionError(f"{module.key}: addition is not associative")
-    for r in range(n):
-        for i in range(m):
-            for j in range(m):
-                if act[r][add[i][j]] != add[act[r][i]][act[r][j]]:
-                    raise ConstructionError(f"{module.key}: action not additive in m")
-        for s in range(n):
-            for i in range(m):
-                if act[radd[r][s]][i] != add[act[r][i]][act[s][i]]:
-                    raise ConstructionError(f"{module.key}: action not additive in r")
-                if act[rmul[r][s]][i] != act[r][act[s][i]]:
-                    raise ConstructionError(f"{module.key}: action not associative")
+    """The module axioms, exactly, checking r(m+g), (r+h)m and (rh)m only on the
+    additive generators g of the module and h of the ring (see check_ring_axioms)."""
+    ring, add, act, size = module.ring, module.add, module.action, module.size
+    gens, rgens = (_additive_generators(t.add, t.zero_idx) for t in (module, ring))
+    columns = (list(map(itemgetter(m), act)) for m in range(size))
+    failure = (_group_failure(add, module.zero_idx, gens)
+               or act[ring.one_idx] != list(range(size)) and "action is not unital"
+               or not _additive_on(act, add, add, gens) and "action not additive in m"
+               or not _additive_on(columns, ring.add, add, rgens) and "action not additive in r"
+               or not _associative_on(act, ring.mul, rgens) and "action not associative")
+    if failure:
+        raise ConstructionError(f"{module.key}: {failure}")
 
 
 def make_module(ring, spec):
@@ -147,8 +124,9 @@ def make_module(ring, spec):
         m1 = make_module(ring, spec.left)
         m2 = make_module(ring, spec.right)
         s2 = m2.size
-        elems = [(a, b) for a in m1.elements for b in m2.elements]
         size = m1.size * s2
+        _check_size(f"{ring.key}(+){spec.key()}", size)
+        elems = [(a, b) for a in m1.elements for b in m2.elements]
         add = [[m1.add[i // s2][j // s2] * s2 + m2.add[i % s2][j % s2]
                 for j in range(size)] for i in range(size)]
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
@@ -528,6 +506,8 @@ def idealization(ring, module):
         return hit
     msize = module.size
     size = ring.size * msize
+    spec = IdealizationSpec(ring.spec, module.spec)
+    _check_size(spec.key(), size)
     elems = [(ring.elements[r], module.elements[m])
              for r in range(ring.size) for m in range(msize)]
     radd, rmul = ring.add, ring.mul
@@ -544,7 +524,6 @@ def idealization(ring, module):
     def pair_repr(p):
         return f"({rrepr(p[0])},{mrepr(p[1])})"
 
-    spec = IdealizationSpec(ring.spec, module.spec)
     izr = Ring(spec, elements=elems, add=add, mul=mul,
                zero=ring.zero_idx * msize + module.zero_idx,
                one=ring.one_idx * msize + module.zero_idx,

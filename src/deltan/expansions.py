@@ -73,8 +73,11 @@ class Expansion:
 
 def _validate_axioms(ring, table):
     lattice = enumerate_ideals(ring)
+    members = {I.mask for I in lattice}
     for I in lattice:
         v = table[I.mask]
+        if v not in members:
+            raise ExpansionAxiomError(f"the value at {I!r} is not an ideal of {ring.key}")
         if I.mask & ~v:
             raise ExpansionAxiomError(f"extensivity fails at {I!r} on {ring.key}")
     for I in lattice:

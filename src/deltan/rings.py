@@ -5,19 +5,28 @@ addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...).  The integer ring is symbolic: its
 "indices" are the integer values themselves and enumeration is refused.
 
-Every finite constructor runs a ring-axiom self check: exhaustive for sizes up
-to ``AXIOM_EXHAUSTIVE_LIMIT``, a seeded random sample of triples beyond that.
+Every finite constructor runs an exact ring-axiom self check in O(n^2 k) table
+lookups, k the size of a greedy additive generating set (see
+``check_ring_axioms``).  Table builders refuse, before allocating anything, a
+ring or module of more than ``MAX_RING_SIZE`` elements.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
-AXIOM_EXHAUSTIVE_LIMIT = 256
-AXIOM_SAMPLE_TRIPLES = 10000
+# the largest table-backed ring or module: Z64 x Z64; its two tables hold 2 * 4096^2 cells
+MAX_RING_SIZE = 4096
+
+
+def _check_size(key, size):
+    """Refuse a table of more than MAX_RING_SIZE elements before it is allocated."""
+    if size > MAX_RING_SIZE:
+        raise InvalidSpecError(f"{key} would have {size} elements; "
+                               f"table-backed rings and modules are limited to {MAX_RING_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +181,7 @@ class Ring:
     """A commutative ring with identity, finite (tables) or the symbolic integers."""
 
     def __init__(self, spec, *, elements=None, add=None, mul=None, zero=0, one=1,
-                 repr_fn=None, origin=None, check=True):
+                 repr_fn=None, origin=None):
         self.spec = spec
         self.key = spec.key()
         self.elements = elements
@@ -185,14 +194,8 @@ class Ring:
         self._cache = {}
         if elements is not None:
             self._index = {p: i for i, p in enumerate(elements)}
-            self.neg = [None] * len(elements)
-            for i, row in enumerate(add):
-                for j, s in enumerate(row):
-                    if s == zero:
-                        self.neg[i] = j
-                        break
-            if check:
-                check_ring_axioms(self)
+            check_ring_axioms(self)
+            self.neg = [row.index(zero) for row in add]
 
     # -- basic shape ----------------------------------------------------
 
@@ -407,6 +410,7 @@ def _build_modular(spec):
     n = spec.n
     if n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
+    _check_size(spec.key(), n)
     elems = list(range(n))
     add = [[(i + j) % n for j in elems] for i in elems]
     mul = [[(i * j) % n for j in elems] for i in elems]
@@ -420,6 +424,7 @@ def _build_poly_quotient(spec):
     modulus = spec.modulus
     d = len(modulus) - 1
     size = n ** d
+    _check_size(spec.key(), size)
     elems = []
     for i in range(size):
         v, digits = i, []
@@ -441,6 +446,7 @@ def _build_product(spec):
     if not (left.is_finite and right.is_finite):
         raise InvalidSpecError("product components must be finite rings")
     sr = right.size
+    _check_size(spec.key(), left.size * sr)
     elems = [(a, b) for a in left.elements for b in right.elements]
     la, ra = left.add, right.add
     lm, rm = left.mul, right.mul
@@ -466,44 +472,63 @@ def _build_product(spec):
 # axiom self-check
 # ---------------------------------------------------------------------------
 
-def check_ring_axioms(ring, exhaustive_limit=AXIOM_EXHAUSTIVE_LIMIT,
-                      samples=AXIOM_SAMPLE_TRIPLES):
-    """Verify the commutative-ring axioms on a finite ring; raise on violation.
+def check_ring_axioms(ring):
+    """Verify the commutative-ring axioms on a finite ring exactly; raise on violation.
 
-    Pair axioms (commutativity, identities, negation) are always exhaustive;
-    triple axioms (associativity, distributivity) are exhaustive up to
-    ``exhaustive_limit`` elements and checked on a seeded random sample beyond.
+    Pairs are checked exhaustively; (a+c)+b = a+(c+b), a(c+b) = ac+ab and
+    (ac)b = a(cb) for all a, b but only for c in a greedy additive generating
+    set G, in O(n^2 |G|).  That suffices: for each identity in turn, the c that
+    satisfy it for all a, b are closed under addition (Light's associativity
+    test; the others use associativity, then distributivity), so all c do.
     """
-    n = ring.size
-    add, mul = ring.add, ring.mul
-    zero, one = ring.zero_idx, ring.one_idx
-    if n < 2 or zero == one:
-        raise InvalidSpecError(f"{ring.key}: ring must have 0 != 1")
-    for i in range(n):
-        if add[zero][i] != i:
-            raise InvalidSpecError(f"{ring.key}: 0 is not an additive identity")
-        if mul[one][i] != i:
-            raise InvalidSpecError(f"{ring.key}: 1 is not a multiplicative identity")
-        if ring.neg[i] is None:
-            raise InvalidSpecError(f"{ring.key}: element {i} has no additive inverse")
-        for j in range(i, n):
-            if add[i][j] != add[j][i]:
-                raise InvalidSpecError(f"{ring.key}: addition is not commutative")
-            if mul[i][j] != mul[j][i]:
-                raise InvalidSpecError(f"{ring.key}: multiplication is not commutative")
-    if n <= exhaustive_limit:
-        triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
-    else:
-        rng = random.Random(ring.key)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
-    for a, b, c in triples:
-        if add[add[a][b]][c] != add[a][add[b][c]]:
-            raise InvalidSpecError(f"{ring.key}: addition is not associative")
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise InvalidSpecError(f"{ring.key}: multiplication is not associative")
-        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-            raise InvalidSpecError(f"{ring.key}: distributivity fails")
+    n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
+    gens = _additive_generators(add, zero)
+    failure = (zero == one and "ring must have 0 != 1"
+               or _group_failure(add, zero, gens)
+               or mul[one] != list(range(n)) and "1 is not a multiplicative identity"
+               or not _commutative(mul) and "multiplication is not commutative"
+               or not _additive_on(mul, add, add, gens) and "distributivity fails"
+               or not _associative_on(mul, mul, gens) and "multiplication is not associative")
+    if failure:
+        raise InvalidSpecError(f"{ring.key}: {failure}")
+
+
+def _additive_generators(add, zero):
+    """A greedy G such that every element is a sum (..(g1+g2)+..)+gj of generators."""
+    gens, reached = [], set()
+    for c in [i for i in range(len(add)) if i != zero] + [zero]:
+        if c not in reached:
+            gens.append(c)
+            reached, frontier = set(gens), gens
+            while frontier:
+                frontier = {add[x][g] for x in frontier for g in gens} - reached
+                reached |= frontier
+    return gens
+
+
+def _group_failure(add, zero, gens):
+    """Why (add, zero) is not an abelian group generated by gens, or a false value."""
+    return (add[zero] != list(range(len(add))) and "0 is not an additive identity"
+            or not all(zero in row for row in add) and "an element has no additive inverse"
+            or not _commutative(add) and "addition is not commutative"
+            or not _associative_on(add, add, gens) and "addition is not associative")
+
+
+def _commutative(table):
+    return all(list(map(itemgetter(i), table[i:])) == row[i:] for i, row in enumerate(table))
+
+
+def _associative_on(act, mul, gens):
+    """(x*g).y = x.(g.y) for all x, y and g in gens, ``.`` being ``act``."""
+    getters = [(g, itemgetter(*act[g])) for g in gens]
+    return all(tuple(act[row[g]]) == get(act_x)
+               for row, act_x in zip(mul, act) for g, get in getters)
+
+
+def _additive_on(maps, dom_add, cod_add, gens):
+    """f(g+x) = f(g)+f(x) for every map f (a list), all x and g in gens."""
+    getters = [(g, itemgetter(*dom_add[g])) for g in gens]
+    return all(get(f) == itemgetter(*f)(cod_add[f[g]]) for f in maps for g, get in getters)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ _BUILTIN = None
 
 
 def builtin_corpus():
-    """The deterministic default corpus (29 rings, catalogs attached)."""
+    """The deterministic default corpus (32 rings, catalogs attached)."""
     global _BUILTIN
     if _BUILTIN is None:
         _BUILTIN = Corpus(entries=tuple(

@@ -17,6 +17,13 @@ def test_ideals_infinite_backend(capsys):
     assert "not enumerated" in capsys.readouterr().err
 
 
+def test_oversized_rings_exit_2_before_allocating(capsys):
+    assert main(["ideals", "Z100000"]) == 2
+    assert main(["ideals", "Z10[x]/(x^9)"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("limited to 4096") == 2 and "Traceback" not in err
+
+
 def test_classify_z6_quasi_with_witness(capsys):
     assert main(["classify", "Z6", "(0)", "--delta", "d1"]) == 0
     out = capsys.readouterr().out
@@ -73,10 +80,9 @@ def test_verify_subset_and_json(tmp_path, capsys):
                                                     "audit-example-unit-ideal"]
 
 
-def test_verify_default_corpus_exits_zero(capsys):
-    rc = main(["verify"])
+def test_verify_default_corpus_exits_zero(default_verification):
+    rc, out, _ = default_verification
     assert rc == 0
-    out = capsys.readouterr().out
     assert "total failures: 0" in out
     assert "selftest" not in out
 

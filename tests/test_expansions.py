@@ -88,6 +88,10 @@ def test_axiom_validation_rejects_bad_table():
     bad2[zero_ideal(z8).mask] = two.mask
     with pytest.raises(ExpansionAxiomError):
         _validate_axioms(z8, bad2)
+    # extensive and monotone, but (0) goes to {0,1,3}, which is not an ideal
+    not_ideal = {I.mask: I.mask | 0b1011 for I in lattice}
+    with pytest.raises(ExpansionAxiomError, match="not an ideal"):
+        _validate_axioms(z6, not_ideal)
 
 
 def test_delta0_is_pointwise_minimum():

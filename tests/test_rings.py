@@ -1,13 +1,15 @@
 """Ring construction, arithmetic, enumeration, and classification."""
 
+import random
+
 import pytest
 
-from deltan import (CrossRingError, InfiniteRingError, InvalidSpecError,
-                    arithmetic, check_ring_axioms, classify_element,
-                    classify_ring, construct_ring, integers, modular,
-                    poly_quotient, product)
-from deltan.rings import ModularSpec
-from deltan.constructions import idealization, make_module
+from deltan import (ConstructionError, CrossRingError, InfiniteRingError,
+                    InvalidSpecError, arithmetic, check_ring_axioms,
+                    classify_element, classify_ring, construct_ring, integers,
+                    modular, poly_quotient, product)
+from deltan.rings import ModularSpec, Ring
+from deltan.constructions import Module, idealization, make_module
 
 
 def test_modular_sizes():
@@ -124,6 +126,15 @@ def test_invalid_specs():
         poly_quotient(product(modular(2), modular(2)).spec, [0, 1, 1])
 
 
+def test_size_guard_on_products_and_idealizations():
+    with pytest.raises(InvalidSpecError, match="limited to 4096"):
+        product(modular(128), modular(64))
+    with pytest.raises(InvalidSpecError, match="limited to 4096"):
+        idealization(modular(128), make_module(modular(128), "regular"))
+    with pytest.raises(InvalidSpecError, match="limited to 4096"):
+        make_module(modular(17), ("product", "regular", ("product", "regular", "regular")))
+
+
 def test_unit_leading_coefficient_normalizes():
     # 3x^2+1 over Z4: 3 is a unit, the modulus normalizes to x^2+3
     ring = poly_quotient(4, [1, 0, 3])
@@ -160,3 +171,233 @@ def test_element_payloads_are_canonical():
     assert a.payload == (2, 1, 3)
     with pytest.raises(InvalidSpecError):
         ring.from_payload((4, 0, 0))      # not reduced mod 4
+
+
+# ---------------------------------------------------------------------------
+# the exact axiom check against corrupted tables
+# ---------------------------------------------------------------------------
+
+def _z4_idealization():
+    z4 = modular(4)
+    return idealization(z4, make_module(z4, "regular")).ring
+
+
+# ring builder and the cell pair to corrupt, by name
+MUTATION_RINGS = {
+    "Z12": (lambda: modular(12), 5, 7),
+    "Z300": (lambda: modular(300), 17, 19),       # above 256 elements
+    "Z4[x]/(x^2)": (lambda: poly_quotient(4, [0, 0, 1]), 6, 9),
+    "Z2 x Z6": (lambda: product(modular(2), modular(6)), 4, 9),
+    "Z4(+)Z4": (_z4_idealization, 6, 11),
+}
+
+
+def _with_tables(ring, add, mul, zero=None, one=None):
+    return Ring(ring.spec, elements=list(range(len(add))), add=add, mul=mul,
+                zero=ring.zero_idx if zero is None else zero,
+                one=ring.one_idx if one is None else one)
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("build, a, b", MUTATION_RINGS.values(), ids=MUTATION_RINGS)
+def test_axiom_check_rejects_one_corrupted_cell_pair(build, a, b, table):
+    ring = build()
+    add = [row[:] for row in ring.add]
+    mul = [row[:] for row in ring.mul]
+    cells = add if table == "add" else mul
+    cells[a][b] = cells[b][a] = (cells[a][b] + 1) % ring.size
+    with pytest.raises(InvalidSpecError):
+        _with_tables(ring, add, mul)
+
+
+@pytest.mark.parametrize("table", ["add", "action"])
+@pytest.mark.parametrize("spec", ["regular", ("quotient", (0, 4))])
+def test_module_check_rejects_one_corrupted_cell_pair(spec, table):
+    z8 = modular(8)
+    module = make_module(z8, spec)
+    add = [row[:] for row in module.add]
+    action = [row[:] for row in module.action]
+    cells = add if table == "add" else action
+    cells[2][3] = cells[3][2] = (cells[2][3] + 1) % module.size
+    with pytest.raises(ConstructionError):
+        Module(z8, module.spec, module.elements, add, action, module.zero_idx, None)
+
+
+def test_module_check_rejects_action_not_additive_in_m():
+    # Z2 x Z2 on Z2^3 by (1,0).m = P(m), (0,1).m = m + P(m), with P fixing
+    # 1 and 2 and killing the rest: unital, additive in r and associative,
+    # but P(1) + P(2) != P(3)
+    r22 = product(modular(2), modular(2))
+    add = [[m ^ k for k in range(8)] for m in range(8)]
+    p = [m if m in (1, 2) else 0 for m in range(8)]
+    action = [[0] * 8, [m ^ p[m] for m in range(8)], p, list(range(8))]
+    assert not _is_module_n3(r22, add, action, 0)
+    with pytest.raises(ConstructionError, match="not additive in m"):
+        Module(r22, make_module(r22, "regular").spec, list(range(8)), add, action, 0, None)
+
+
+def test_axiom_checks_reject_structures_one_axiom_short():
+    # Z3 with a wrong element named 0 or 1
+    z3 = modular(3)
+    for zero, one, message in ((2, 1, "additive identity"), (0, 2, "multiplicative identity")):
+        assert not _is_ring_n3(z3.add, z3.mul, zero, one)
+        with pytest.raises(InvalidSpecError, match=message):
+            Ring(z3.spec, elements=z3.elements, add=z3.add, mul=z3.mul, zero=zero, one=one)
+    # the Boolean semiring ({0,1}, or, and): every ring axiom but additive inverses
+    add, mul = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+    assert not _is_ring_n3(add, mul, 0, 1)
+    with pytest.raises(InvalidSpecError, match="additive inverse"):
+        Ring(ModularSpec(2), elements=[0, 1], add=add, mul=mul)
+    # upper triangular 2x2 matrices over Z2, [[a,b],[0,c]] as 4a+2b+c: a ring,
+    # but not a commutative one
+    def matmul(i, j):
+        (a, b, c), (x, y, z) = (i >> 2, i >> 1 & 1, i & 1), (j >> 2, j >> 1 & 1, j & 1)
+        return (a & x) << 2 | ((a & y) ^ (b & z)) << 1 | (c & z)
+
+    add = [[i ^ j for j in range(8)] for i in range(8)]
+    mul = [[matmul(i, j) for j in range(8)] for i in range(8)]
+    assert not _is_ring_n3(add, mul, 0, 5)
+    with pytest.raises(InvalidSpecError, match="not commutative"):
+        Ring(ModularSpec(8), elements=list(range(8)), add=add, mul=mul, zero=0, one=5)
+    # Z4 acting on itself by zero: a module but for 1.m = m
+    z4 = modular(4)
+    action = [[0] * 4 for _ in range(4)]
+    assert not _is_module_n3(z4, z4.add, action, 0)
+    with pytest.raises(ConstructionError, match="not unital"):
+        Module(z4, make_module(z4, "regular").spec, z4.elements, z4.add, action, 0, None)
+
+
+def _is_abelian_group_n3(add, zero):
+    r = range(len(add))
+    return all(add[zero][a] == a and zero in add[a] for a in r) and all(
+        add[a][b] == add[b][a] and add[add[a][b]][c] == add[a][add[b][c]]
+        for a in r for b in r for c in r)
+
+
+def _is_ring_n3(add, mul, zero, one):
+    """Plain reference: every axiom on every pair and triple."""
+    r = range(len(add))
+    return (zero != one and _is_abelian_group_n3(add, zero)
+            and all(mul[one][a] == a for a in r)
+            and all(mul[a][b] == mul[b][a]
+                    and mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    and mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+                    for a in r for b in r for c in r))
+
+
+def _is_module_n3(ring, add, act, zero):
+    rr, mr = range(ring.size), range(len(add))
+    return (_is_abelian_group_n3(add, zero)
+            and all(act[ring.one_idx][m] == m for m in mr)
+            and all(act[r][add[m][k]] == add[act[r][m]][act[r][k]]
+                    for r in rr for m in mr for k in mr)
+            and all(act[ring.add[r][s]][m] == add[act[r][m]][act[s][m]]
+                    and act[ring.mul[r][s]][m] == act[r][act[s][m]]
+                    for r in rr for s in rr for m in mr))
+
+
+def _relabel(table, perm):
+    """The table of the same operation on the elements renamed by perm."""
+    out = [[None] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return out
+
+
+def _corrupt(rng, tables):
+    """Overwrite one or two cells; in a square table, a symmetric pair."""
+    for _ in range(rng.randint(1, 2)):
+        cells = rng.choice(tables)
+        a, b = rng.randrange(len(cells)), rng.randrange(len(cells[0]))
+        cells[a][b] = rng.randrange(len(cells[0]))
+        if len(cells) == len(cells[0]):
+            cells[b][a] = cells[a][b]
+
+
+def _bilinear_mul(rng, d):
+    """A random commutative unital bilinear product on Z2^d (elements as bit
+    masks, basis vector 1 the identity): distributive by construction, and
+    associative only sometimes."""
+    basis = {(0, j): 1 << j for j in range(d)}
+    for i in range(1, d):
+        for j in range(i, d):
+            basis[i, j] = rng.randrange(1 << d)
+    out = []
+    for a in range(1 << d):
+        row = []
+        for b in range(1 << d):
+            c = 0
+            for i in range(d):
+                for j in range(d):
+                    if a >> i & 1 and b >> j & 1:
+                        c ^= basis[min(i, j), max(i, j)]
+            row.append(c)
+        out.append(row)
+    return out
+
+
+SMALL_RINGS = [lambda: modular(12), lambda: modular(16), lambda: modular(15),
+               lambda: poly_quotient(2, [0, 0, 0, 0, 1]),
+               lambda: poly_quotient(2, [1, 1, 1]), lambda: poly_quotient(2, [0, 0, 1]),
+               lambda: product(modular(2), modular(2)),
+               lambda: product(modular(2), modular(8)), _z4_idealization]
+
+
+def test_axiom_check_agrees_with_n3_reference():
+    rng = random.Random(20211)
+    rings = [build() for build in SMALL_RINGS]
+    verdicts = {True: 0, False: 0}
+    for case in range(300):
+        ring = rng.choice(rings)
+        if case % 3 == 0:
+            mul, zero, one = _bilinear_mul(rng, rng.choice([2, 3, 4])), 0, 1
+            add = [[a ^ b for b in range(len(mul))] for a in range(len(mul))]
+        else:
+            perm = list(range(ring.size))
+            rng.shuffle(perm)
+            zero, one = perm[ring.zero_idx], perm[ring.one_idx]
+            add, mul = _relabel(ring.add, perm), _relabel(ring.mul, perm)
+            if rng.random() < 0.8:
+                _corrupt(rng, [add, mul])
+        expected = _is_ring_n3(add, mul, zero, one)
+        try:
+            _with_tables(ring, add, mul, zero, one)
+            accepted = True
+        except InvalidSpecError:
+            accepted = False
+        assert accepted == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 30
+
+
+def test_module_check_agrees_with_n3_reference():
+    rng = random.Random(20212)
+    z4, z8 = modular(4), modular(8)
+    modules = [make_module(z4, "regular"), make_module(z8, ("quotient", (0, 2, 4, 6))),
+               make_module(z4, ("product", "regular", ("quotient", (0, 2)))),
+               make_module(z8, ("quotient", (0, 4)))]
+    twisted = [make_module(poly_quotient(2, f), "regular") for f in ([0, 0, 1], [1, 1, 1])]
+    verdicts = {True: 0, False: 0}
+    for case in range(180):
+        module = rng.choice(twisted if case % 3 == 0 else modules)
+        add = [row[:] for row in module.add]
+        action = [row[:] for row in module.action]
+        if case % 3 == 0:
+            # r.m = phi(r)m for an additive phi with phi(1) = 1 and phi(x) random:
+            # additive in r and in m, associative only when phi is multiplicative
+            t = rng.randrange(4)
+            phi = [module.ring.add[i & 1][t if i & 2 else 0] for i in range(4)]
+            action = [module.ring.mul[phi[r]][:] for r in range(4)]
+        elif rng.random() < 0.8:
+            _corrupt(rng, [add, action])
+        expected = _is_module_n3(module.ring, add, action, module.zero_idx)
+        try:
+            Module(module.ring, module.spec, module.elements, add, action,
+                   module.zero_idx, None)
+            accepted = True
+        except ConstructionError:
+            accepted = False
+        assert accepted == expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 20

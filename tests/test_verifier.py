@@ -118,9 +118,9 @@ def test_every_claim_has_checker_and_metadata():
         assert claim.statement and claim.title and claim.quantifies
 
 
-def test_full_default_suite_has_zero_failures():
-    reports = run_claims()
+def test_full_default_suite_has_zero_failures(default_verification):
+    _, _, reports = default_verification
     assert len(reports) == len([c for c in CLAIMS if not c.self_test])
     for rep in reports:
-        assert rep.failed == 0, rep.claim_id
-        assert rep.holds + rep.hypothesis_not_met == rep.instances_checked
+        assert rep["failed"] == 0, rep["claim_id"]
+        assert rep["holds"] + rep["hypothesis_not_met"] == rep["instances_checked"]
