@@ -16,10 +16,10 @@ from .constructions import (enumerate_submodules, localize, preimage_ideal,
                             quotient_ring)
 from .expansions import (apply_expansion, delta0, delta1, delta_plus,
                          localization_value_collisions, profile_expansion)
-from .ideals import (_bits, _colon_mask, _full_mask, _mk_ideal, classify_ideal,
-                     enumerate_ideals, ideal_combine, ideal_from_generators,
-                     integer_ideal, nilradical, radical, special_sets,
-                     zero_ideal)
+from .ideals import (_bits, _colon_mask, _full_mask, _mk_ideal, _z_i_mask,
+                     classify_ideal, enumerate_ideals, ideal_combine,
+                     ideal_from_generators, integer_ideal, nilradical, radical,
+                     special_sets, zero_ideal)
 from .predicates import (delta_n_spectrum, delta_n_witness, is_delta_n_ideal,
                          is_delta_primary, is_n_ideal, n_ideal_witness)
 from .rings import classify_ring, modular, poly_quotient
@@ -900,12 +900,11 @@ def _check_loc_backward(ctx):
                         yield SKIP, None
                 continue
             rec = localize(ring, sset)
+            smask = sum(1 << i for i in sset.indices)
             for delta in entry.expansions:
                 ds = ctx.localized_expansion(delta, sset)
                 for I in _proper(ring):
-                    d_val = apply_expansion(delta, I)
-                    z_dI = special_sets(ring, d_val).z_i if d_val.is_proper else frozenset()
-                    if any(e.idx in sset.indices for e in z_dI):
+                    if _z_i_mask(ring, delta.table[I.mask]) & smask:
                         yield SKIP, None
                         continue
                     ext = rec.extend(I)

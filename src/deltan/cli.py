@@ -1,6 +1,7 @@
 """Command-line front end: inspect ideal lattices, classify ideals, run the verifier.
 
-Exit codes: 0 success, 1 at least one claim failure, 2 usage/parse/semantic error.
+Exit codes: 0 success, 1 at least one claim failure, 2 usage/parse/semantic error,
+3 internal error (an unexpected exception, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ import argparse
 import sys
 
 from .claims import CLAIMS_BY_ID
-from .errors import DeltanError, DslError, ImproperIdealError
+from .errors import DeltanError
 from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
                   parse_ideal_text, parse_spec, ring_to_dsl)
 from .ideals import classify_ideal, enumerate_ideals
@@ -140,15 +141,12 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ImproperIdealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DeltanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ class Expansion:
         self.recipe = recipe
         self.table = table  # mask -> mask over the finite lattice
         self.int_fn = int_fn  # n -> n closed form on ZZ
-        self._dn_cache = {}
         self._profile = None
 
     @property

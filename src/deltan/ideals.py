@@ -92,15 +92,24 @@ def _is_prime_power(n):
 
 
 class Ideal:
-    """An ideal of a specific ring, deduplicated by its canonical element set."""
+    """An ideal of a specific ring, deduplicated by its canonical element set.
 
-    __slots__ = ("ring", "gens", "mask", "n")
+    ``gens=None`` (finite rings only) defers the generators to their first use.
+    """
+
+    __slots__ = ("ring", "_gens", "mask", "n")
 
     def __init__(self, ring, gens, mask=None, n=None):
         self.ring = ring
-        self.gens = tuple(gens)
+        self._gens = None if gens is None else tuple(gens)
         self.mask = mask
         self.n = n
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = _greedy_gens(self.ring, self.mask)
+        return self._gens
 
     @property
     def is_finite(self):
@@ -173,8 +182,6 @@ def _greedy_gens(ring, mask):
 
 
 def _mk_ideal(ring, mask, gens=None):
-    if gens is None:
-        gens = _greedy_gens(ring, mask)
     return Ideal(ring, gens, mask=mask)
 
 
@@ -445,6 +452,26 @@ class IntegerSet:
         return f"IntegerSet({self.description})"
 
 
+def _meet_mask(ring, imask, cols):
+    """Mask of the r with rs in I for some s in cols."""
+    members = set(_bits(imask))
+    out = 0
+    for r, row in enumerate(ring.mul):
+        if not members.isdisjoint(map(row.__getitem__, cols)):
+            out |= 1 << r
+    return out
+
+
+def _z_i_mask(ring, imask):
+    """Z_I = {r : rs in I for some s outside I}, memoised per ring."""
+    cache = ring._cache.setdefault("zimask", {})
+    hit = cache.get(imask)
+    if hit is None:
+        outside = [s for s in range(ring.size) if not imask >> s & 1]
+        hit = cache[imask] = _meet_mask(ring, imask, outside)
+    return hit
+
+
 @dataclass(frozen=True)
 class SpecialSets:
     nilradical: Ideal
@@ -492,10 +519,7 @@ def special_sets(ring, I=None):
     regular = frozenset(
         Element(ring, r) for r in range(n)
         if not any(mul[r][s] == zero for s in range(n) if s != zero))
-    imask = I.mask
-    z_i = frozenset(
-        Element(ring, r) for r in range(n)
-        if any(imask >> mul[r][s] & 1 for s in range(n) if not (imask >> s & 1)))
+    z_i = frozenset(Element(ring, r) for r in _bits(_z_i_mask(ring, I.mask)))
     return SpecialSets(
         nilradical=nil,
         jacobson=_mk_ideal(ring, jac_mask),

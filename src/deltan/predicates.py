@@ -1,10 +1,14 @@
 """Ideal-class predicates: delta-primary, n-ideal, delta-n-ideal, spectra.
 
 A proper ideal I is delta-n when ab in I with a outside the nilradical forces
-b into delta(I).  Four equivalent decision methods are provided (they are
-asserted to agree by the verifier): the definition scan, the colon criterion
-((I:a) inside the nilradical for a outside delta(I)), the element/ideal form,
-and the ideal-pair form.  All finite decisions are exhaustive; the integer
+b into delta(I).  The production test is the paper's colon characterization:
+I is delta-n iff U(I) = union of (I:a) over a outside the nilradical lies in
+delta(I).  U(I) depends on the ring and I alone, so it is computed once per
+ideal and each (I, delta) decision is one mask AND; witnesses are extracted
+by the definition scan only when that AND fails.  Three independent decision
+methods (the colon criterion ((I:a) inside the nilradical for a outside
+delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
+against it by the verifier.  All finite decisions are exhaustive; the integer
 backend uses the exact closed criterion (nZ is delta-n iff n = 0 or
 delta(nZ) = ZZ, since n*1 lands in nZ with n outside the nilradical).
 """
@@ -14,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossRingError, ImproperIdealError
-from .ideals import (_bits, _colon_mask, _product_mask, enumerate_ideals,
-                     nilradical, zero_ideal)
+from .ideals import (_bits, _colon_mask, _meet_mask, _product_mask,
+                     enumerate_ideals, nilradical, zero_ideal)
 from .expansions import apply_expansion
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
@@ -34,6 +38,17 @@ def _nil_mask(ring):
     if hit is None:
         hit = nilradical(ring).mask
         ring._cache["nilmask"] = hit
+    return hit
+
+
+def _u_mask(ring, imask):
+    """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
+    cache = ring._cache.setdefault("umask", {})
+    hit = cache.get(imask)
+    if hit is None:
+        nil = _nil_mask(ring)
+        non_nil = [a for a in range(ring.size) if not nil >> a & 1]
+        hit = cache[imask] = _meet_mask(ring, imask, non_nil)
     return hit
 
 
@@ -111,7 +126,14 @@ def n_ideal_witness(I):
         if I.n == 0:
             return None
         return (ring.el(I.n), ring.el(1))
-    return _definition_witness(ring, I.mask, I.mask)
+    return _failure_witness(ring, I.mask, I.mask)
+
+
+def _failure_witness(ring, imask, dmask):
+    """None when U(I) lies in the target set, else the definition scan's witness."""
+    if _u_mask(ring, imask) & ~dmask == 0:
+        return None
+    return _definition_witness(ring, imask, dmask)
 
 
 def _definition_witness(ring, imask, dmask):
@@ -133,27 +155,26 @@ def _definition_witness(ring, imask, dmask):
 # ---------------------------------------------------------------------------
 
 def is_delta_n_ideal(I, delta, method="definition"):
-    """Decide the delta-n property by the requested method (default: definition)."""
+    """Decide the delta-n property by the requested method.
+
+    ``definition`` (the default) is the one-AND test U(I) <= delta(I).
+    """
     _guard(I, delta)
     if method not in DELTA_N_METHODS:
         raise ValueError(f"unknown decision method {method!r}")
     ring = I.ring
     if not ring.is_finite:
         return I.n == 0 or delta.int_fn(I.n) == 1
-    key = (I.mask, method)
-    hit = delta._dn_cache.get(key)
-    if hit is None:
-        hit = _decide(ring, I.mask, delta, method)
-        delta._dn_cache[key] = hit
-    return hit
+    dmask = delta.table[I.mask]
+    if method == "definition":
+        return _u_mask(ring, I.mask) & ~dmask == 0
+    return _decide(ring, I.mask, dmask, method)
 
 
-def _decide(ring, imask, delta, method):
-    dmask = delta.table[imask]
+def _decide(ring, imask, dmask, method):
+    """The three cross-check methods, each an independent exhaustive scan."""
     nil = _nil_mask(ring)
     n = ring.size
-    if method == "definition":
-        return _definition_witness(ring, imask, dmask) is None
     if method == "colon_criterion":
         for a in range(n):
             if not (dmask >> a & 1) and _colon_mask(ring, imask, a) & ~nil:
@@ -187,7 +208,7 @@ def delta_n_witness(I, delta):
         if I.n == 0 or delta.int_fn(I.n) == 1:
             return None
         return (ring.el(I.n), ring.el(1))
-    return _definition_witness(ring, I.mask, delta.table[I.mask])
+    return _failure_witness(ring, I.mask, delta.table[I.mask])
 
 
 def is_quasi_n_ideal(I):

@@ -144,13 +144,11 @@ def _poly_normalize(n, coeffs):
     if len(coeffs) < 2:
         raise InvalidSpecError("modulus must have degree >= 1")
     lead = coeffs[-1]
-    inv = None
-    for x in range(n):
-        if (lead * x) % n == 1:
-            inv = x
-            break
-    if inv is None:
-        raise InvalidSpecError(f"modulus leading coefficient {lead} is not a unit mod {n}")
+    try:
+        inv = pow(lead, -1, n)
+    except ValueError:
+        raise InvalidSpecError(
+            f"modulus leading coefficient {lead} is not a unit mod {n}") from None
     return tuple((c * inv) % n for c in coeffs)
 
 
@@ -433,8 +431,24 @@ def _build_poly_quotient(spec):
             v //= n
         elems.append(tuple(digits))
     index = {p: i for i, p in enumerate(elems)}
-    add = [[index[tuple((a[k] + b[k]) % n for k in range(d))] for b in elems] for a in elems]
-    mul = [[index[_poly_mul_reduce(a, b, n, modulus)] for b in elems] for a in elems]
+    # index i has digits (a_0, .., a_{d-1}) base n, so sums go digit by digit,
+    # and x*a shifts the low d-1 digits up and adds a_{d-1} * (x^d - modulus)
+    add = [list(range(size))]
+    for i in range(1, size):
+        lo, high = i % n, add[i // n]
+        add.append([(lo + j % n) % n + n * high[j // n] for j in range(size)])
+    top = n ** (d - 1)
+    wrap = [index[tuple(-c * m % n for m in modulus[:d])] for c in range(n)]
+    times_x = [add[i % top * n][wrap[i // top]] for i in range(size)]
+    mul = []
+    for a in range(size):
+        # Horner in b: a*b = a*b_0 + x*(a*b'), b' = (b - b_0)/x sitting at index b // n
+        row = [0] * size
+        for b in range(1, n):
+            row[b] = add[row[b - 1]][a]
+        for b in range(n, size):
+            row[b] = add[row[b % n]][times_x[row[b // n]]]
+        mul.append(row)
     one = index[tuple([1 % n] + [0] * (d - 1))]
     return Ring(spec, elements=elems, add=add, mul=mul, zero=0, one=one,
                 repr_fn=poly_repr)

@@ -20,8 +20,23 @@ def test_ideals_infinite_backend(capsys):
 def test_oversized_rings_exit_2_before_allocating(capsys):
     assert main(["ideals", "Z100000"]) == 2
     assert main(["ideals", "Z10[x]/(x^9)"]) == 2
+    assert main(["ideals", "Z10000000[x]/(2x+1)"]) == 2
     err = capsys.readouterr().err
     assert err.count("limited to 4096") == 2 and "Traceback" not in err
+    assert "leading coefficient 2 is not a unit mod 10000000" in err
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    import deltan.cli
+
+    def broken(args):
+        raise RuntimeError("table missing")
+
+    monkeypatch.setattr(deltan.cli, "_cmd_ideals", broken)
+    assert main(["ideals", "Z6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: table missing\n"
+    assert "Traceback" not in captured.out
 
 
 def test_classify_z6_quasi_with_witness(capsys):

@@ -299,3 +299,31 @@ def test_lattice_invariants(ring_factory):
             assert meet.issubset(I)
             assert I.issubset(ideal_combine("sum", I, J))
             assert radical(meet) == ideal_combine("intersect", radical(I), radical(J))
+
+
+def test_z_i_mask_matches_element_oracle():
+    from deltan.ideals import _bits, _z_i_mask
+    rings = [modular(n) for n in range(2, 17)] + [
+        poly_quotient(2, [0, 0, 1]), poly_quotient(2, [0, 0, 0, 1]),
+        poly_quotient(4, [0, 0, 1]), product(modular(2), modular(4))]
+    for ring in rings:
+        elems = ring.list_elements()
+        for I in enumerate_ideals(ring):
+            outside = [s for s in elems if not I.contains(s)]
+            oracle = {r.idx for r in elems if any(I.contains(r * s) for s in outside)}
+            assert set(_bits(_z_i_mask(ring, I.mask))) == oracle
+            assert {e.idx for e in special_sets(ring, I).z_i} == oracle
+
+
+def test_lattice_generators_are_built_on_first_repr(monkeypatch):
+    from deltan import ideals
+    from deltan.rings import ModularSpec, _build_modular
+    calls = []
+    greedy = ideals._greedy_gens
+    monkeypatch.setattr(ideals, "_greedy_gens",
+                        lambda ring, mask: calls.append(mask) or greedy(ring, mask))
+    ring = _build_modular(ModularSpec(12))
+    lattice = enumerate_ideals(ring)
+    assert calls == []
+    assert repr(lattice[2]) == "(4)" and repr(lattice[2]) == "(4)"
+    assert calls == [lattice[2].mask]

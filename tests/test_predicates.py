@@ -155,3 +155,21 @@ def test_quasi_n_iff_radical_n_ideal():
         for I in enumerate_ideals(ring):
             if I.is_proper:
                 assert is_quasi_n_ideal(I) == is_n_ideal(radical(I))
+
+
+def test_one_and_decision_matches_definition_scan():
+    from deltan.predicates import _definition_witness
+    checked = 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        for I in enumerate_ideals(ring):
+            if not I.is_proper:
+                continue
+            assert is_n_ideal(I) == (_definition_witness(ring, I.mask, I.mask) is None)
+            for delta in entry.expansions:
+                verdict = is_delta_n_ideal(I, delta)
+                assert verdict == (delta_n_witness(I, delta) is None)
+                scan = _definition_witness(ring, I.mask, delta.table[I.mask])
+                assert verdict == (scan is None)
+                checked += 1
+    assert checked > 1900

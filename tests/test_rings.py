@@ -401,3 +401,21 @@ def test_module_check_agrees_with_n3_reference():
         assert accepted == expected
         verdicts[expected] += 1
     assert min(verdicts.values()) >= 20
+
+
+def test_poly_quotient_tables_match_coefficient_arithmetic():
+    from deltan.rings import PolyQuotientSpec, _poly_mul_reduce
+    from deltan.verifier import builtin_corpus
+    rings = [e.ring for e in builtin_corpus().entries
+             if isinstance(e.ring.spec, PolyQuotientSpec)]
+    rings += [poly_quotient(2, [0] * 7 + [1]), poly_quotient(5, [0, 0, 0, 1]),
+              poly_quotient(3, [1, 2, 0, 1])]
+    assert len(rings) == 9
+    for ring in rings:
+        n, modulus = ring.spec.base.n, ring.spec.modulus
+        index = {p: i for i, p in enumerate(ring.elements)}
+        for i, a in enumerate(ring.elements):
+            assert ring.add[i] == [index[tuple((x + y) % n for x, y in zip(a, b))]
+                                   for b in ring.elements]
+            assert ring.mul[i] == [index[_poly_mul_reduce(a, b, n, modulus)]
+                                   for b in ring.elements]
