@@ -14,15 +14,18 @@ from . import constructions, ideals, predicates
 from .constructions import (enumerate_submodules, localize, preimage_ideal,
                             image_ideal, is_delta_gamma_homomorphism,
                             quotient_ring)
-from .expansions import (apply_expansion, delta0, delta1, delta_plus,
-                         localization_value_collisions, profile_expansion)
+from .expansions import (apply_expansion, compose_expansions, delta0, delta1,
+                         delta_plus, derive_idealization_expansion,
+                         derive_localized_expansion, derive_product_expansion,
+                         derive_quotient_expansion, localization_value_collisions,
+                         profile_expansion)
 from .ideals import (_bits, _colon_mask, _full_mask, _mk_ideal, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_combine,
                      ideal_from_generators, integer_ideal, nilradical, radical,
                      special_sets, zero_ideal)
 from .predicates import (delta_n_spectrum, delta_n_witness, is_delta_n_ideal,
                          is_delta_primary, is_n_ideal, n_ideal_witness)
-from .rings import classify_ring, modular, poly_quotient
+from .rings import classify_ring, memo, modular, poly_quotient
 
 
 HOLDS, SKIP, FAIL = "holds", "skip", "fail"
@@ -61,8 +64,9 @@ class Claim:
     notes: tuple = field(default_factory=tuple)
 
 
+@memo
 def _proper(ring):
-    return [I for I in enumerate_ideals(ring) if I.is_proper]
+    return tuple(I for I in enumerate_ideals(ring) if I.is_proper)
 
 
 def _dn(I, delta):
@@ -450,7 +454,7 @@ def _check_zero_divisor_quotient(ctx):
         rec = quotient_ring(ring, nil)
         qzero_divisors = special_sets(rec.ring).zero_divisors
         for delta in entry.expansions:
-            dq = ctx.quotient_expansion(delta, nil)
+            dq = derive_quotient_expansion(delta, nil)
             dq_nilpotents = apply_expansion(dq, zero_ideal(rec.ring))
             lhs = _dn(nil, delta)
             rhs = all(dq_nilpotents.contains(z) for z in sorted(qzero_divisors,
@@ -515,7 +519,7 @@ def _check_compose_n_ideal(ctx):
         ring = entry.ring
         for delta in entry.expansions:
             for gamma in entry.expansions:
-                comp = ctx.composition(delta, gamma)
+                comp = compose_expansions(delta, gamma)
                 for I in _proper(ring):
                     g_val = apply_expansion(gamma, I)
                     if g_val.is_proper and _dn(g_val, delta):
@@ -663,7 +667,7 @@ def _quotient_instances(ctx, entry):
     for J in _proper(ring):
         rec = quotient_ring(ring, J)
         for delta in entry.expansions:
-            dq = ctx.quotient_expansion(delta, J)
+            dq = derive_quotient_expansion(delta, J)
             for I in enumerate_ideals(ring):
                 if not I.is_proper or J.mask & ~I.mask:
                     continue
@@ -718,7 +722,7 @@ def _check_hom_preimage(ctx):
         if not f.is_injective():
             continue
         for delta, gamma in pairs:
-            if not ctx.dg_hom(f, delta, gamma):
+            if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
             for J in _proper(f.target):
@@ -742,7 +746,7 @@ def _check_hom_image(ctx):
             continue
         ker = f.kernel
         for delta, gamma in pairs:
-            if not ctx.dg_hom(f, delta, gamma):
+            if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
             for I in _proper(f.source):
@@ -770,7 +774,7 @@ def _check_hom_epi_pushforward(ctx):
             continue
         ker = f.kernel
         for delta, gamma in pairs:
-            if not ctx.dg_hom(f, delta, gamma):
+            if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
             for I in enumerate_ideals(f.source):
@@ -805,11 +809,11 @@ def _check_product_obstruction(ctx):
         ring = entry.ring
         if ring.spec.kind != "product":
             continue
-        left, right = ring._cache["components"]
+        _, left, right = ring.origin
         sr = right.size
         for d1 in ctx.catalog(left):
             for d2 in ctx.catalog(right):
-                dx = ctx.product_expansion(d1, d2)
+                dx = derive_product_expansion(d1, d2)
                 for I in _proper(ring):
                     m1 = m2 = 0
                     for idx in _bits(I.mask):
@@ -832,7 +836,7 @@ def _check_idealization_transfer(ctx):
         submods = enumerate_submodules(module)
         act = module.action
         for delta in base_catalog:
-            dplus = ctx.idealization_expansion(delta, module)
+            dplus = derive_idealization_expansion(delta, module)
             for I in _proper(base):
                 for N in submods:
                     if any(not N.contains_idx(act[a][m])
@@ -875,7 +879,7 @@ def _check_loc_forward(ctx):
             for i in sset.indices:
                 smask |= 1 << i
             for delta in entry.expansions:
-                ds = ctx.localized_expansion(delta, sset)
+                ds = derive_localized_expansion(delta, sset)
                 for I in _proper(ring):
                     if I.mask & smask or not _dn(I, delta):
                         yield SKIP, None
@@ -902,7 +906,7 @@ def _check_loc_backward(ctx):
             rec = localize(ring, sset)
             smask = sum(1 << i for i in sset.indices)
             for delta in entry.expansions:
-                ds = ctx.localized_expansion(delta, sset)
+                ds = derive_localized_expansion(delta, sset)
                 for I in _proper(ring):
                     if _z_i_mask(ring, delta.table[I.mask]) & smask:
                         yield SKIP, None
@@ -924,7 +928,7 @@ def _check_loc_regular_contract(ctx):
         sset = constructions.MultiplicativeSet(ring, tuple(regs))
         rec = localize(ring, sset)
         for delta in entry.expansions:
-            ds = ctx.localized_expansion(delta, sset)
+            ds = derive_localized_expansion(delta, sset)
             for K in _proper(rec.ring):
                 if _dn(K, ds):
                     con = rec.contract(K)

@@ -15,7 +15,7 @@ from .ideals import (Ideal, _bits, _full_mask, _mk_ideal, enumerate_ideals,
                      integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, construct_ring, modular, register_ring)
+                    _group_failure, construct_ring, memo, modular, register_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +71,12 @@ class Module:
     def element_repr(self, idx):
         return self._repr_fn(self.elements[idx]) if self._repr_fn else str(self.elements[idx])
 
+    def __eq__(self, other):
+        return isinstance(other, Module) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
     def __repr__(self):
         return f"Module({self.key})"
 
@@ -94,11 +100,11 @@ def make_module(ring, spec):
     """Build the regular module, a quotient module R/I, or a product of modules."""
     if not ring.is_finite:
         raise InfiniteRingError("modules are supported over finite rings only")
-    spec = _normalize_module_spec(ring, spec)
-    cache = ring._cache.setdefault("modules", {})
-    hit = cache.get(spec.key())
-    if hit is not None:
-        return hit
+    return _build_module(ring, _normalize_module_spec(ring, spec))
+
+
+@memo
+def _build_module(ring, spec):
     if isinstance(spec, RegularModuleSpec):
         module = Module(ring, spec, list(ring.elements),
                         [row[:] for row in ring.add],
@@ -121,8 +127,8 @@ def make_module(ring, spec):
                         qidx[repmap[ring.zero_idx]], ring._repr_fn)
         module.base_to_module = [qidx[repmap[i]] for i in range(ring.size)]
     elif isinstance(spec, ProductModuleSpec):
-        m1 = make_module(ring, spec.left)
-        m2 = make_module(ring, spec.right)
+        m1 = _build_module(ring, spec.left)
+        m2 = _build_module(ring, spec.right)
         s2 = m2.size
         size = m1.size * s2
         _check_size(f"{ring.key}(+){spec.key()}", size)
@@ -140,7 +146,6 @@ def make_module(ring, spec):
                         m1.zero_idx * s2 + m2.zero_idx, pair_repr)
     else:
         raise InvalidSpecError(f"unknown module spec {spec!r}")
-    cache[spec.key()] = module
     return module
 
 
@@ -207,11 +212,9 @@ class Submodule:
         return f"<{elems}>"
 
 
+@memo
 def enumerate_submodules(module):
     """All submodules: closure of the cyclic submodules under pairwise sum."""
-    cached = module._cache.get("submodules")
-    if cached is not None:
-        return cached
     add, act = module.add, module.action
     n = module.ring.size
 
@@ -242,10 +245,8 @@ def enumerate_submodules(module):
                     seen.add(s)
                     fresh.append(s)
         frontier = fresh
-    out = tuple(Submodule(module, m)
-                for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
-    module._cache["submodules"] = out
-    return out
+    return tuple(Submodule(module, m)
+                 for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +263,7 @@ class Homomorphism:
         self.mapping = mapping
         self.int_fn = int_fn
         self._kernel = kernel
+        self._cache = {}
         if mapping is not None and check:
             self._validate()
 
@@ -370,6 +372,7 @@ def preimage_ideal(f, K):
     return integer_ideal(f.source, d)
 
 
+@memo
 def is_delta_gamma_homomorphism(f, delta, gamma):
     """delta(f^{-1}(J)) = f^{-1}(gamma(J)) for every ideal J of the target."""
     if delta.ring.key != f.source.key or gamma.ring.key != f.target.key:
@@ -410,10 +413,11 @@ def quotient_ring(ring, J):
         proj = Homomorphism(ring, target, int_fn=lambda v, n=n: v % n,
                             kernel=integer_ideal(ring, n))
         return QuotientRecord(ring=target, projection=proj)
-    cache = ring._cache.setdefault("quotients", {})
-    hit = cache.get(J.mask)
-    if hit is not None:
-        return hit
+    return _finite_quotient(ring, J)
+
+
+@memo
+def _finite_quotient(ring, J):
     repmap = _coset_reps(ring, J.mask)
     reps = sorted(set(repmap))
     qidx = {r: k for k, r in enumerate(reps)}
@@ -428,9 +432,7 @@ def quotient_ring(ring, J):
     register_ring(qring)
     proj = Homomorphism(ring, qring, mapping=[qidx[repmap[i]] for i in range(ring.size)],
                         check=False)
-    rec = QuotientRecord(ring=qring, projection=proj)
-    cache[J.mask] = rec
-    return rec
+    return QuotientRecord(ring=qring, projection=proj)
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +496,13 @@ class IdealizationRecord:
         return tuple(out)
 
 
+@memo
 def idealization(ring, module):
     """The ring on pairs (r, m) with (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1)."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
     if module.ring.key != ring.key:
         raise CrossRingError("module is defined over a different ring")
-    cache = ring._cache.setdefault("idealizations", {})
-    hit = cache.get(module.key)
-    if hit is not None:
-        return hit
     msize = module.size
     size = ring.size * msize
     spec = IdealizationSpec(ring.spec, module.spec)
@@ -530,9 +529,7 @@ def idealization(ring, module):
                repr_fn=pair_repr)
     izr.origin = ("idealization", ring, module)
     register_ring(izr)
-    rec = IdealizationRecord(izr, ring, module)
-    cache[module.key] = rec
-    return rec
+    return IdealizationRecord(izr, ring, module)
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +590,17 @@ class LocalizationRecord:
         self.canonical = canonical
         self.kernel = kernel
         self.class_of = class_of  # (numerator idx, denominator idx) -> class idx
+        self._cache = {}
 
+    @memo
     def extend_mask(self, base_mask):
-        cache = self.ring._cache.setdefault("extmask", {})
-        hit = cache.get(base_mask)
-        if hit is None:
-            from .ideals import ideal_from_generators
-            gens = [Element(self.ring, self.canonical.mapping[i])
-                    for i in _bits(base_mask)]
-            hit = ideal_from_generators(self.ring, gens).mask
-            cache[base_mask] = hit
-        return hit
+        """S^-1 I = {i/s : i in I, s in S}, as a mask of the localization."""
+        class_of, s_list = self.class_of, self.sset.indices
+        out = 0
+        for i in _bits(base_mask):
+            for s in s_list:
+                out |= 1 << class_of[(i, s)]
+        return out
 
     def contract_mask(self, loc_mask):
         out = 0
@@ -623,6 +620,7 @@ class LocalizationRecord:
         return _mk_ideal(self.base, self.contract_mask(K.mask))
 
 
+@memo
 def localize(ring, sset):
     """S^{-1}R by exhaustive partitioning of R x S.
 
@@ -634,10 +632,6 @@ def localize(ring, sset):
         raise InfiniteRingError("localization is supported over finite rings only")
     if sset.ring.key != ring.key:
         raise CrossRingError("multiplicative set belongs to a different ring")
-    cache = ring._cache.setdefault("localizations", {})
-    hit = cache.get(sset.indices)
-    if hit is not None:
-        return hit
     n = ring.size
     add, mul, neg = ring.add, ring.mul, ring.neg
     zero = ring.zero_idx
@@ -687,10 +681,8 @@ def localize(ring, sset):
     canonical = Homomorphism(ring, lring,
                              mapping=[class_of[(i, ring.one_idx)] for i in range(n)],
                              check=False)
-    rec = LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker),
-                             class_of)
-    cache[sset.indices] = rec
-    return rec
+    return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker),
+                              class_of)
 
 
 # ---------------------------------------------------------------------------

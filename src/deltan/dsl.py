@@ -429,7 +429,7 @@ def bind_element(ring, ast):
     kind = ring.spec.kind
     if isinstance(ast, EPair):
         if kind == "product":
-            left, right = ring._cache["components"]
+            _, left, right = ring.origin
             a = bind_element(left, ast.left)
             b = bind_element(right, ast.right)
             return ring.from_payload((a.payload, b.payload))
@@ -569,7 +569,7 @@ def ring_to_dsl(ring):
     if spec.kind == "poly_quotient":
         return f"Z{spec.base.n}[x]/({poly_repr(spec.modulus, descending=True)})"
     if spec.kind == "product":
-        left, right = ring._cache["components"]
+        _, left, right = ring.origin
         return f"{ring_to_dsl(left)} x {ring_to_dsl(right)}"
     if spec.kind == "idealization":
         _, base, module = ring.origin

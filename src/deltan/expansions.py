@@ -16,6 +16,7 @@ from .errors import CrossRingError, ExpansionAxiomError
 from .ideals import (Ideal, _bits, _colon_mask, _full_mask, _mk_ideal,
                      _radical_mask, _radical_of_int, _sum_mask,
                      enumerate_ideals, integer_ideal)
+from .rings import memo
 
 
 class Expansion:
@@ -26,7 +27,7 @@ class Expansion:
         self.recipe = recipe
         self.table = table  # mask -> mask over the finite lattice
         self.int_fn = int_fn  # n -> n closed form on ZZ
-        self._profile = None
+        self._cache = {}
 
     @property
     def kind(self):
@@ -165,6 +166,7 @@ def delta_star(ring, P):
     return _finish(ring, ("delta_star", P), table)
 
 
+@memo
 def compose_expansions(outer, inner):
     """(outer o inner)(I) = outer(inner(I)); the axioms survive composition."""
     if outer.ring.key != inner.ring.key:
@@ -189,6 +191,7 @@ def apply_expansion(delta, I):
 # derived expansions on constructed rings
 # ---------------------------------------------------------------------------
 
+@memo
 def derive_quotient_expansion(delta, J):
     """Push delta to R/J: the value on K/J is delta(K)/J for the full preimage K."""
     from .constructions import quotient_ring
@@ -203,6 +206,7 @@ def derive_quotient_expansion(delta, J):
     return exp
 
 
+@memo
 def derive_product_expansion(d1, d2):
     """Componentwise expansion on R1 x R2 (every ideal of the product splits)."""
     from .rings import product
@@ -230,6 +234,7 @@ def derive_product_expansion(d1, d2):
     return _finish(ring, ("product_derived", d1, d2), table)
 
 
+@memo
 def derive_idealization_expansion(delta, module):
     """Expansion on R(+)M sending I(+)N to delta(I)(+)M.
 
@@ -256,6 +261,7 @@ def derive_idealization_expansion(delta, module):
     return _finish(ring, ("idealization_derived", delta), table)
 
 
+@memo
 def derive_localized_expansion(delta, sset):
     """Expansion on S^-1 R: contract, apply delta, extend.
 
@@ -309,6 +315,7 @@ class ExpansionProfile:
     witnesses: tuple  # (flag_name, description) pairs for the failing flags
 
 
+@memo
 def profile_expansion(delta):
     """Decide the five hypothesis flags (exhaustive tablewise on finite rings).
 
@@ -320,13 +327,9 @@ def profile_expansion(delta):
     fully literal quantifier those expansions make the existence
     characterization fail, so this is the reading the checks rely on.
     """
-    if delta._profile is not None:
-        return delta._profile
     ring = delta.ring
     if not ring.is_finite:
-        prof = _integer_profile(delta)
-        delta._profile = prof
-        return prof
+        return _integer_profile(delta)
     lattice = enumerate_ideals(ring)
     table = delta.table
     full = _full_mask(ring)
@@ -385,9 +388,7 @@ def profile_expansion(delta):
         if not colon:
             break
 
-    prof = ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
-    delta._profile = prof
-    return prof
+    return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
 
 
 _INT_PROFILE_BOUND = 240

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CrossRingError, InfiniteRingError
-from .rings import Element
+from .rings import Element, memo
 
 
 def _bits(mask):
@@ -251,20 +251,20 @@ def ideal_combine(op, I, J):
 
 
 def _sum_mask(ring, a, b):
-    cache = ring._cache.setdefault("summask", {})
-    key = (a, b) if a <= b else (b, a)
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = _add_close(ring, a, b)
-    return hit
+    return _sum_pair(ring, a, b) if a <= b else _sum_pair(ring, b, a)
+
+
+@memo
+def _sum_pair(ring, a, b):
+    return _add_close(ring, a, b)
 
 
 def _product_mask(ring, a, b):
-    cache = ring._cache.setdefault("prodmask", {})
-    key = (a, b) if a <= b else (b, a)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    return _product_pair(ring, a, b) if a <= b else _product_pair(ring, b, a)
+
+
+@memo
+def _product_pair(ring, a, b):
     mul = ring.mul
     prods = 1 << ring.zero_idx
     for i in _bits(a):
@@ -278,22 +278,17 @@ def _product_mask(ring, a, b):
         if nxt == cur:
             break
         cur = nxt
-    cache[key] = cur
     return cur
 
 
+@memo
 def _colon_mask(ring, imask, x):
-    cache = ring._cache.setdefault("colonmask", {})
-    key = (imask, x)
-    hit = cache.get(key)
-    if hit is None:
-        mul = ring.mul
-        hit = 0
-        for r in range(ring.size):
-            if imask >> mul[r][x] & 1:
-                hit |= 1 << r
-        cache[key] = hit
-    return hit
+    mul = ring.mul
+    out = 0
+    for r in range(ring.size):
+        if imask >> mul[r][x] & 1:
+            out |= 1 << r
+    return out
 
 
 def colon(I, divisor):
@@ -321,11 +316,8 @@ def colon(I, divisor):
     return _mk_ideal(ring, _colon_mask(ring, I.mask, divisor.idx))
 
 
+@memo
 def _radical_mask(ring, imask):
-    cache = ring._cache.setdefault("radmask", {})
-    hit = cache.get(imask)
-    if hit is not None:
-        return hit
     mul, n = ring.mul, ring.size
     out = 0
     for r in range(n):
@@ -335,7 +327,6 @@ def _radical_mask(ring, imask):
                 out |= 1 << r
                 break
             power = mul[power][r]
-    cache[imask] = out
     return out
 
 
@@ -351,6 +342,7 @@ def nilradical(ring):
     return radical(zero_ideal(ring))
 
 
+@memo
 def enumerate_ideals(ring):
     """The complete ideal lattice, ordered by (size, element set); cached per ring.
 
@@ -358,9 +350,6 @@ def enumerate_ideals(ring):
     """
     if not ring.is_finite:
         raise InfiniteRingError("integer ideals are parameterized by n, not enumerated")
-    cached = ring._cache.get("lattice")
-    if cached is not None:
-        return cached
     principals = sorted({_principal_mask(ring, g) for g in range(ring.size)})
     seen = {1 << ring.zero_idx}
     seen.update(principals)
@@ -374,9 +363,7 @@ def enumerate_ideals(ring):
                     seen.add(s)
                     fresh.append(s)
         frontier = fresh
-    lattice = tuple(_mk_ideal(ring, m) for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
-    ring._cache["lattice"] = lattice
-    return lattice
+    return tuple(_mk_ideal(ring, m) for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)
@@ -401,14 +388,14 @@ def classify_ideal(I):
             is_primary=proper and (n == 0 or _is_prime_power(n)),
             is_superfluous=n == 0,
         )
-    cache = ring._cache.setdefault("iclass", {})
-    hit = cache.get(I.mask)
-    if hit is not None:
-        return hit
+    return _ideal_class(ring, I.mask)
+
+
+@memo
+def _ideal_class(ring, imask):
     full = _full_mask(ring)
-    proper = I.mask != full
+    proper = imask != full
     mul, n = ring.mul, ring.size
-    imask = I.mask
     outside = [a for a in range(n) if not (imask >> a & 1)]
     prime = proper and all(not (imask >> mul[a][b] & 1) for a in outside for b in outside)
     radm = _radical_mask(ring, imask)
@@ -423,17 +410,12 @@ def classify_ideal(I):
         J.mask != full and J.mask != imask and imask & ~J.mask == 0 for J in lattice)
     superfluous = proper and all(
         _sum_mask(ring, imask, J.mask) != full for J in lattice if J.mask != full)
-    hit = IdealClass(proper, prime, maximal, primary, superfluous)
-    cache[I.mask] = hit
-    return hit
+    return IdealClass(proper, prime, maximal, primary, superfluous)
 
 
+@memo
 def maximal_ideals(ring):
-    cached = ring._cache.get("maximals")
-    if cached is None:
-        cached = tuple(I for I in enumerate_ideals(ring) if classify_ideal(I).is_maximal)
-        ring._cache["maximals"] = cached
-    return cached
+    return tuple(I for I in enumerate_ideals(ring) if classify_ideal(I).is_maximal)
 
 
 class IntegerSet:
@@ -462,14 +444,11 @@ def _meet_mask(ring, imask, cols):
     return out
 
 
+@memo
 def _z_i_mask(ring, imask):
     """Z_I = {r : rs in I for some s outside I}, memoised per ring."""
-    cache = ring._cache.setdefault("zimask", {})
-    hit = cache.get(imask)
-    if hit is None:
-        outside = [s for s in range(ring.size) if not imask >> s & 1]
-        hit = cache[imask] = _meet_mask(ring, imask, outside)
-    return hit
+    outside = [s for s in range(ring.size) if not imask >> s & 1]
+    return _meet_mask(ring, imask, outside)
 
 
 @dataclass(frozen=True)

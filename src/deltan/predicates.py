@@ -21,6 +21,7 @@ from .errors import CrossRingError, ImproperIdealError
 from .ideals import (_bits, _colon_mask, _meet_mask, _product_mask,
                      enumerate_ideals, nilradical, zero_ideal)
 from .expansions import apply_expansion
+from .rings import memo
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
 
@@ -33,36 +34,26 @@ def _guard(I, delta=None):
             "this ideal class is defined for proper ideals only; got the whole ring")
 
 
+@memo
 def _nil_mask(ring):
-    hit = ring._cache.get("nilmask")
-    if hit is None:
-        hit = nilradical(ring).mask
-        ring._cache["nilmask"] = hit
-    return hit
+    return nilradical(ring).mask
 
 
+@memo
 def _u_mask(ring, imask):
     """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
-    cache = ring._cache.setdefault("umask", {})
-    hit = cache.get(imask)
-    if hit is None:
-        nil = _nil_mask(ring)
-        non_nil = [a for a in range(ring.size) if not nil >> a & 1]
-        hit = cache[imask] = _meet_mask(ring, imask, non_nil)
-    return hit
+    nil = _nil_mask(ring)
+    non_nil = [a for a in range(ring.size) if not nil >> a & 1]
+    return _meet_mask(ring, imask, non_nil)
 
 
+@memo
 def _aj_mask(ring, a, jmask):
-    cache = ring._cache.setdefault("ajmask", {})
-    key = (a, jmask)
-    hit = cache.get(key)
-    if hit is None:
-        row = ring.mul[a]
-        hit = 0
-        for j in _bits(jmask):
-            hit |= 1 << row[j]
-        cache[key] = hit
-    return hit
+    row = ring.mul[a]
+    out = 0
+    for j in _bits(jmask):
+        out |= 1 << row[j]
+    return out
 
 
 # ---------------------------------------------------------------------------

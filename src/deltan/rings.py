@@ -13,6 +13,7 @@ ring or module of more than ``MAX_RING_SIZE`` elements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -20,6 +21,25 @@ from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
 # the largest table-backed ring or module: Z64 x Z64; its two tables hold 2 * 4096^2 cells
 MAX_RING_SIZE = 4096
+
+
+def memo(fn):
+    """Memoise ``fn(owner, *args)`` in ``owner._cache`` under the key ``(fn, *args)``.
+
+    Entries live on the owner object (a ring, module, expansion, ...), so two
+    owners never share them, even when their keys are equal.
+    """
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        key = (fn,) + args
+        try:
+            return owner._cache[key]
+        except KeyError:
+            pass
+        value = owner._cache[key] = fn(owner, *args)
+        return value
+
+    return cached
 
 
 def _check_size(key, size):
@@ -476,10 +496,8 @@ def _build_product(spec):
         return f"({left._repr_fn(p[0]) if left._repr_fn else p[0]}," \
                f"{right._repr_fn(p[1]) if right._repr_fn else p[1]})"
 
-    ring = Ring(spec, elements=elems, add=add, mul=mul, zero=zero, one=one,
-                repr_fn=pair_repr)
-    ring._cache["components"] = (left, right)
-    return ring
+    return Ring(spec, elements=elems, add=add, mul=mul, zero=zero, one=one,
+                repr_fn=pair_repr, origin=("product", left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +638,11 @@ def classify_ring(ring):
         return RingClass(is_field=False, is_integral_domain=True, is_reduced=True,
                          is_von_neumann_regular=False, is_boolean=False,
                          is_quasi_local=False, maximal_ideal=None)
-    cached = ring._cache.get("ring_class")
-    if cached is not None:
-        return cached
+    return _finite_ring_class(ring)
+
+
+@memo
+def _finite_ring_class(ring):
     n, mul, zero, one = ring.size, ring.mul, ring.zero_idx, ring.one_idx
     nonzero = [i for i in range(n) if i != zero]
     is_field = all(any(mul[a][x] == one for x in range(n)) for a in nonzero)
@@ -633,9 +653,9 @@ def classify_ring(ring):
     from . import ideals
     nil = ideals.nilradical(ring)
     is_reduced = nil.size == 1
-    maximals = [I for I in ideals.enumerate_ideals(ring) if ideals.classify_ideal(I).is_maximal]
+    maximals = ideals.maximal_ideals(ring)
     quasi_local = len(maximals) == 1
-    result = RingClass(
+    return RingClass(
         is_field=is_field,
         is_integral_domain=is_domain,
         is_reduced=is_reduced,
@@ -644,5 +664,3 @@ def classify_ring(ring):
         is_quasi_local=quasi_local,
         maximal_ideal=maximals[0] if quasi_local else None,
     )
-    ring._cache["ring_class"] = result
-    return result

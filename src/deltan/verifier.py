@@ -14,15 +14,12 @@ from dataclasses import dataclass
 
 from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, Witness
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
-                            is_delta_gamma_homomorphism, make_module,
-                            mult_closure, quotient_ring)
+                            make_module, mult_closure, quotient_ring)
 from .errors import UnknownClaimError
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
-                         delta_star, derive_idealization_expansion,
-                         derive_localized_expansion, derive_product_expansion,
-                         derive_quotient_expansion, full_expansion)
+                         delta_star, derive_quotient_expansion, full_expansion)
 from .ideals import enumerate_ideals, ideal_from_generators, nilradical
-from .rings import integers, modular, poly_quotient, product
+from .rings import integers, memo, modular, poly_quotient, product
 
 
 @dataclass(frozen=True)
@@ -36,22 +33,15 @@ class Corpus:
     entries: tuple
 
 
-_CATALOGS = {}
-
-
+@memo
 def catalog(ring):
     """The per-ring expansion catalog in deterministic order."""
-    hit = _CATALOGS.get(ring.key)
-    if hit is not None:
-        return hit
     lattice = enumerate_ideals(ring)
     out = [delta0(ring), delta1(ring), full_expansion(ring)]
     out.extend(delta_plus(ring, J) for J in lattice if J.is_proper)
     out.extend(delta_star(ring, P) for P in lattice if not P.is_zero)
     out.append(compose_expansions(delta1(ring), delta_plus(ring, nilradical(ring))))
-    hit = tuple(out)
-    _CATALOGS[ring.key] = hit
-    return hit
+    return tuple(out)
 
 
 def _corpus_rings():
@@ -112,13 +102,7 @@ class Context:
         self.corpus = corpus
         self.entries = corpus.entries
         self.zz = integers()
-        self._compose = {}
-        self._qexp = {}
-        self._pexp = {}
-        self._iexp = {}
-        self._lexp = {}
-        self._msets = {}
-        self._homs = None
+        self._cache = {}
 
     def catalog(self, ring):
         for entry in self.entries:
@@ -126,47 +110,10 @@ class Context:
                 return entry.expansions
         return catalog(ring)
 
-    def composition(self, delta, gamma):
-        key = (delta.ring.key, delta.name(), gamma.name())
-        hit = self._compose.get(key)
-        if hit is None:
-            hit = self._compose[key] = compose_expansions(delta, gamma)
-        return hit
-
-    def quotient_expansion(self, delta, J):
-        key = (delta.ring.key, delta.name(), J.mask)
-        hit = self._qexp.get(key)
-        if hit is None:
-            hit = self._qexp[key] = derive_quotient_expansion(delta, J)
-        return hit
-
-    def product_expansion(self, d1, d2):
-        key = (d1.ring.key, d1.name(), d2.ring.key, d2.name())
-        hit = self._pexp.get(key)
-        if hit is None:
-            hit = self._pexp[key] = derive_product_expansion(d1, d2)
-        return hit
-
-    def idealization_expansion(self, delta, module):
-        key = (delta.ring.key, delta.name(), module.key)
-        hit = self._iexp.get(key)
-        if hit is None:
-            hit = self._iexp[key] = derive_idealization_expansion(delta, module)
-        return hit
-
-    def localized_expansion(self, delta, sset):
-        key = (delta.ring.key, delta.name(), sset.indices)
-        hit = self._lexp.get(key)
-        if hit is None:
-            hit = self._lexp[key] = derive_localized_expansion(delta, sset)
-        return hit
-
+    @memo
     def mult_sets(self, ring):
         """Deterministic family: {1}, the units, and the closure of each
         non-unit non-nilpotent element (deduplicated)."""
-        hit = self._msets.get(ring.key)
-        if hit is not None:
-            return hit
         one = ring.one_idx
         n = ring.size
         units = sorted(a for a in range(n)
@@ -186,9 +133,7 @@ class Context:
             if closed.indices not in seen:
                 seen.add(closed.indices)
                 family.append(closed)
-        hit = tuple(family)
-        self._msets[ring.key] = hit
-        return hit
+        return tuple(family)
 
     def idealization_instances(self):
         out = []
@@ -200,6 +145,7 @@ class Context:
             out.append((idealization(base, module), self.catalog(base)))
         return out
 
+    @memo
     def hom_instances(self):
         """Family homomorphisms with their expansion-pair candidates.
 
@@ -207,8 +153,6 @@ class Context:
         with its quotient-derived expansion; the diagonal embedding of Z2 into
         Z2 x Z2 is scanned against the full catalog product.
         """
-        if self._homs is not None:
-            return self._homs
         out = []
         ring_keys = {e.ring.key for e in self.entries}
         for entry in self.entries:
@@ -220,7 +164,7 @@ class Context:
                 if not J.is_proper:
                     continue
                 rec = quotient_ring(ring, J)
-                pairs = tuple((d, self.quotient_expansion(d, J))
+                pairs = tuple((d, derive_quotient_expansion(d, J))
                               for d in entry.expansions)
                 out.append((rec.projection, pairs))
         if "Z2" in ring_keys and "prod(Z2,Z2)" in ring_keys:
@@ -233,18 +177,7 @@ class Context:
             pairs = tuple((d, g) for d in self.catalog(z2)
                           for g in self.catalog(z2xz2))
             out.append((diag, pairs))
-        self._homs = out
         return out
-
-    def dg_hom(self, f, delta, gamma):
-        cache = getattr(f, "_dg_cache", None)
-        if cache is None:
-            cache = f._dg_cache = {}
-        key = (delta.name(), gamma.name())
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = is_delta_gamma_homomorphism(f, delta, gamma)
-        return hit
 
 
 # ---------------------------------------------------------------------------

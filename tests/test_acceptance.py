@@ -9,6 +9,7 @@ from contextlib import contextmanager
 
 from deltan import (classify_ideal, classify_ring, delta_n_spectrum,
                     delta_n_witness, delta_plus, delta0, delta1,
+                    derive_product_expansion,
                     enumerate_ideals, ideal_from_generators, integer_ideal,
                     integers, is_delta_n_ideal, modular, nilradical,
                     poly_quotient, product, profile_expansion, radical,
@@ -128,11 +129,11 @@ def test_c06_product_obstruction():
         ctx = Context(builtin_corpus())
         for key in ("prod(Z2,Z2)", "prod(Z4,Z9)", "prod(Z2,Z4)"):
             ring = next(e.ring for e in ctx.entries if e.ring.key == key)
-            left, right = ring._cache["components"]
+            _, left, right = ring.origin
             sr = right.size
             for d1 in ctx.catalog(left):
                 for d2 in ctx.catalog(right):
-                    dx = ctx.product_expansion(d1, d2)
+                    dx = derive_product_expansion(d1, d2)
                     for I in delta_n_spectrum(ring, dx).all:
                         m1 = m2 = 0
                         for idx in _bits(I.mask):

@@ -96,7 +96,7 @@ def test_verify_subset_and_json(tmp_path, capsys):
 
 
 def test_verify_default_corpus_exits_zero(default_verification):
-    rc, out, _ = default_verification
+    rc, out, _, _ = default_verification
     assert rc == 0
     assert "total failures: 0" in out
     assert "selftest" not in out

@@ -12,6 +12,7 @@ from deltan import (ConstructionError, HomomorphismError, InfiniteRingError,
                     zero_ideal)
 from deltan.constructions import (MultiplicativeSet, enumerate_submodules,
                                   idealization)
+from deltan.verifier import Context, builtin_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,18 @@ def test_extend_contract():
     zero_ext = rec.extend(zero_ideal(z12))
     assert zero_ext.is_zero
     assert {e.idx for e in rec.contract(zero_ext).elements()} == {0, 3, 6, 9}
+    # S^-1 I = {i/s} equals the ideal generated by the canonical image of I,
+    # on every localization the default verification builds
+    ctx = Context(builtin_corpus())
+    checked = 0
+    for entry in ctx.entries:
+        for sset in ctx.mult_sets(entry.ring):
+            rec = localize(entry.ring, sset)
+            for I in enumerate_ideals(entry.ring):
+                image = [rec.canonical.apply(a) for a in I.elements()]
+                assert rec.extend_mask(I.mask) == ideal_from_generators(rec.ring, image).mask
+                checked += 1
+    assert checked == 826
 
 
 def test_multiplicative_set_validation():

@@ -8,7 +8,9 @@ from deltan import (ConstructionError, CrossRingError, InfiniteRingError,
                     InvalidSpecError, arithmetic, check_ring_axioms,
                     classify_element, classify_ring, construct_ring, integers,
                     modular, poly_quotient, product)
-from deltan.rings import ModularSpec, Ring
+from deltan.ideals import (_product_mask, _product_pair, _sum_mask, _sum_pair,
+                           enumerate_ideals)
+from deltan.rings import ModularSpec, Ring, _build_modular, memo
 from deltan.constructions import Module, idealization, make_module
 
 
@@ -28,6 +30,39 @@ def test_product_size():
 
 def test_construct_ring_is_cached():
     assert construct_ring(ModularSpec(6)) is construct_ring(ModularSpec(6))
+
+
+def test_memo_returns_the_stored_value_without_recomputing():
+    calls = []
+
+    @memo
+    def squares(ring, k):
+        calls.append(k)
+        return [ring.size * k]
+
+    z6 = modular(6)
+    first = squares(z6, 2)
+    assert squares(z6, 2) is first and calls == [2]
+    assert squares.__name__ == "squares"
+    assert enumerate_ideals(z6) is enumerate_ideals(z6)
+
+
+def test_memo_entries_stay_on_their_own_ring():
+    z6 = modular(6)
+    lattice = enumerate_ideals(z6)
+    twin = _build_modular(ModularSpec(6))  # same key, not interned
+    assert twin == z6 and twin is not z6
+    assert twin._cache == {}
+    assert [I.mask for I in enumerate_ideals(twin)] == [I.mask for I in lattice]
+    assert enumerate_ideals(twin) is not lattice
+
+
+def test_sum_and_product_keep_one_entry_per_unordered_pair():
+    ring = _build_modular(ModularSpec(12))
+    a, b = 1 << 0 | 1 << 4 | 1 << 8, 1 << 0 | 1 << 6
+    for op, pair in ((_sum_mask, _sum_pair), (_product_mask, _product_pair)):
+        assert op(ring, a, b) == op(ring, b, a)
+        assert [k for k in ring._cache if k[0] is pair.__wrapped__] == [(pair.__wrapped__, b, a)]
 
 
 def test_modular_arithmetic():

@@ -1,6 +1,8 @@
 """Corpus contents, claim runner behavior, reports, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +121,17 @@ def test_every_claim_has_checker_and_metadata():
 
 
 def test_full_default_suite_has_zero_failures(default_verification):
-    _, _, reports = default_verification
+    _, _, reports, _ = default_verification
     assert len(reports) == len([c for c in CLAIMS if not c.self_test])
     for rep in reports:
         assert rep["failed"] == 0, rep["claim_id"]
         assert rep["holds"] + rep["hypothesis_not_met"] == rep["instances_checked"]
+
+
+def test_default_report_is_byte_identical_to_the_committed_digest(default_verification):
+    """The default ``verify --json`` report is pinned by its SHA-256, so any
+    change that alters a count, a witness or the layout shows here."""
+    *_, text = default_verification
+    digest_file = Path(__file__).resolve().parents[1] / "bench" / "verify_default.sha256"
+    expected = digest_file.read_text(encoding="utf-8").split()[0]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
