@@ -19,7 +19,7 @@ from .expansions import (apply_expansion, compose_expansions, delta0, delta1,
                          derive_localized_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
                          profile_expansion)
-from .ideals import (_bits, _colon_mask, _full_mask, _mk_ideal, _z_i_mask,
+from .ideals import (_bits, _colon_mask, _mk_ideal, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_combine,
                      ideal_from_generators, integer_ideal, nilradical, radical,
                      special_sets, zero_ideal)
@@ -279,7 +279,7 @@ def _colon_hypothesis_at(ring, delta, I):
     """Per-ideal colon hypothesis: inclusion over x outside delta(I), and
     delta(I:x) proper over x outside I."""
     dmask = delta.table[I.mask]
-    full = _full_mask(ring)
+    full = ring.full_mask
     for x in range(ring.size):
         cx = _colon_mask(ring, I.mask, x)
         if not (dmask >> x & 1):
@@ -293,7 +293,7 @@ def _colon_hypothesis_at(ring, delta, I):
 def _check_colon_stable(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        full = _full_mask(ring)
+        full = ring.full_mask
         for delta in entry.expansions:
             table = delta.table
             is_radical = delta.kind == "delta1"
@@ -819,8 +819,8 @@ def _check_product_obstruction(ctx):
                     for idx in _bits(I.mask):
                         m1 |= 1 << (idx // sr)
                         m2 |= 1 << (idx % sr)
-                    if d1.table[m1] == _full_mask(left) and \
-                       d2.table[m2] == _full_mask(right):
+                    if d1.table[m1] == left.full_mask and \
+                       d2.table[m2] == right.full_mask:
                         yield SKIP, None
                         continue
                     if _dn(I, dx):

@@ -11,11 +11,12 @@ from operator import itemgetter
 
 from .errors import (ConstructionError, CrossRingError, HomomorphismError,
                      InfiniteRingError, InvalidSpecError)
-from .ideals import (Ideal, _bits, _full_mask, _mk_ideal, enumerate_ideals,
-                     integer_ideal)
+from .ideals import (Ideal, _add_close, _bits, _mask_of, _mk_ideal, _preimage_mask,
+                     enumerate_ideals, integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, construct_ring, memo, modular, register_ring)
+                    _group_failure, _join_tables, construct_ring, memo, modular,
+                    register_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def _build_module(ring, spec):
         mask = 0
         for i in spec.ideal_elems:
             mask |= 1 << i
-        if mask == _full_mask(ring):
+        if mask == ring.full_mask:
             raise ConstructionError("quotient by the whole ring gives the zero module")
         repmap = _coset_reps(ring, mask)
         reps = sorted(set(repmap))
@@ -133,8 +134,7 @@ def _build_module(ring, spec):
         size = m1.size * s2
         _check_size(f"{ring.key}(+){spec.key()}", size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
-        add = [[m1.add[i // s2][j // s2] * s2 + m2.add[i % s2][j % s2]
-                for j in range(size)] for i in range(size)]
+        add = _join_tables(m1.add, m2.add)
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
                    for i in range(size)] for r in range(ring.size)]
 
@@ -215,24 +215,9 @@ class Submodule:
 @memo
 def enumerate_submodules(module):
     """All submodules: closure of the cyclic submodules under pairwise sum."""
-    add, act = module.add, module.action
-    n = module.ring.size
-
-    def addclose(a_mask, b_mask):
-        out = 0
-        for i in _bits(a_mask):
-            row = add[i]
-            for j in _bits(b_mask):
-                out |= 1 << row[j]
-        return out
-
-    cyclic = set()
-    for m in range(module.size):
-        mask = 0
-        for r in range(n):
-            mask |= 1 << act[r][m]
-        cyclic.add(mask)
-    cyclic = sorted(cyclic)
+    act = module.action
+    cyclic = sorted({_mask_of(module.size, set(map(itemgetter(m), act)))
+                     for m in range(module.size)})
     seen = {1 << module.zero_idx}
     seen.update(cyclic)
     frontier = sorted(seen)
@@ -240,7 +225,7 @@ def enumerate_submodules(module):
         fresh = []
         for a in frontier:
             for c in cyclic:
-                s = addclose(a, c)
+                s = _add_close(module, a, c)
                 if s not in seen:
                     seen.add(s)
                     fresh.append(s)
@@ -294,11 +279,7 @@ class Homomorphism:
     @property
     def kernel(self):
         if self._kernel is None:
-            mask = 0
-            for i, v in enumerate(self.mapping):
-                if v == self.target.zero_idx:
-                    mask |= 1 << i
-            self._kernel = _mk_ideal(self.source, mask)
+            self._kernel = _mk_ideal(self.source, self.preimage_mask(1 << self.target.zero_idx))
         return self._kernel
 
     def is_surjective(self):
@@ -312,17 +293,10 @@ class Homomorphism:
         return len(set(self.mapping)) == self.source.size
 
     def image_mask(self, src_mask):
-        out = 0
-        for i in _bits(src_mask):
-            out |= 1 << self.mapping[i]
-        return out
+        return _mask_of(self.target.size, map(self.mapping.__getitem__, _bits(src_mask)))
 
     def preimage_mask(self, tgt_mask):
-        out = 0
-        for i, v in enumerate(self.mapping):
-            if tgt_mask >> v & 1:
-                out |= 1 << i
-        return out
+        return _preimage_mask(tgt_mask, self.mapping)
 
     def __repr__(self):
         return f"Homomorphism({self.source.key} -> {self.target.key})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CrossRingError, ExpansionAxiomError
-from .ideals import (Ideal, _bits, _colon_mask, _full_mask, _mk_ideal,
+from .ideals import (Ideal, _bits, _colon_mask, _mk_ideal,
                      _radical_mask, _radical_of_int, _sum_mask,
                      enumerate_ideals, integer_ideal)
 from .rings import memo
@@ -28,6 +28,7 @@ class Expansion:
         self.table = table  # mask -> mask over the finite lattice
         self.int_fn = int_fn  # n -> n closed form on ZZ
         self._cache = {}
+        self._key = None  # (ring key, name()), built on first comparison
 
     @property
     def kind(self):
@@ -57,12 +58,16 @@ class Expansion:
             return f"localization_derived(base={base.name()}, s=[{elems}])"
         raise ValueError(f"unknown expansion recipe {k!r}")
 
+    def key(self):
+        if self._key is None:
+            self._key = (self.ring.key, self.name())
+        return self._key
+
     def __eq__(self, other):
-        return (isinstance(other, Expansion) and other.ring.key == self.ring.key
-                and other.name() == self.name())
+        return isinstance(other, Expansion) and other.key() == self.key()
 
     def __hash__(self):
-        return hash((self.ring.key, self.name()))
+        return hash(self.key())
 
     def __repr__(self):
         return f"Expansion({self.name()} on {self.ring.key})"
@@ -131,7 +136,7 @@ def delta1(ring):
 def full_expansion(ring):
     if not ring.is_finite:
         return Expansion(ring, ("full",), int_fn=lambda n: 1)
-    full = _full_mask(ring)
+    full = ring.full_mask
     table = {I.mask: full for I in enumerate_ideals(ring)}
     return _finish(ring, ("full",), table)
 
@@ -159,7 +164,7 @@ def delta_star(ring, P):
     table = {}
     gens = P.gens or (ring.zero,)
     for I in enumerate_ideals(ring):
-        mask = _full_mask(ring)
+        mask = ring.full_mask
         for g in gens:
             mask &= _colon_mask(ring, I.mask, g.idx)
         table[I.mask] = mask
@@ -332,7 +337,7 @@ def profile_expansion(delta):
         return _integer_profile(delta)
     lattice = enumerate_ideals(ring)
     table = delta.table
-    full = _full_mask(ring)
+    full = ring.full_mask
     zero_mask = 1 << ring.zero_idx
     witnesses = []
 

@@ -10,45 +10,51 @@ ring), with closed-form arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from math import gcd
 
 from .errors import CrossRingError, InfiniteRingError
 from .rings import Element, memo
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+    """The indices of the set bits of ``mask``, ascending."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
-def _full_mask(ring):
-    return (1 << ring.size) - 1
+def _mask_of(size, indices):
+    """The bitmask of a collection of indices below ``size``, in O(size + len) time."""
+    digits = bytearray(b"0") * size
+    for i in indices:
+        digits[i] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def _add_close(ring, a_mask, b_mask):
-    """Elementwise sum {a+b} of two subgroup masks (already a subgroup)."""
+    """A + B for a subgroup A and any set B of a ring or module, as the union of
+    the cosets b + A.  A b already covered lies in an earlier coset b' + A, and
+    then b + A = b' + A because A is a subgroup, so it is skipped: the cost is
+    |A + B| lookups plus one pass over B, not |A| * |B|.
+    """
     add = ring.add
-    out = 0
-    for i in _bits(a_mask):
-        row = add[i]
-        for j in _bits(b_mask):
-            out |= 1 << row[j]
-    return out
+    a_bits = _bits(a_mask)
+    covered = set()
+    for b in _bits(b_mask):
+        if b not in covered:
+            covered.update(map(add[b].__getitem__, a_bits))
+    return _mask_of(ring.size, covered)
 
 
 def _principal_mask(ring, g):
-    mul = ring.mul
-    out = 0
-    row = mul[g]
-    for r in range(ring.size):
-        out |= 1 << row[r]
-    return out
+    return _mask_of(ring.size, set(ring.mul[g]))
+
+
+def _preimage_mask(imask, seq):
+    """Mask of the positions r with ``seq[r]`` in the set ``imask``."""
+    members = set(_bits(imask))
+    return _mask_of(len(seq), compress(count(), map(members.__contains__, seq)))
 
 
 def _radical_of_int(n):
@@ -123,8 +129,8 @@ class Ideal:
 
     @property
     def is_proper(self):
-        if self.is_finite:
-            return self.mask != _full_mask(self.ring)
+        if self.mask is not None:
+            return self.mask != self.ring.full_mask
         return self.n != 1
 
     @property
@@ -194,7 +200,7 @@ def zero_ideal(ring):
 def unit_ideal(ring):
     if not ring.is_finite:
         return Ideal(ring, (ring.el(1),), n=1)
-    return _mk_ideal(ring, _full_mask(ring))
+    return _mk_ideal(ring, ring.full_mask)
 
 
 def integer_ideal(ring, n):
@@ -265,30 +271,24 @@ def _product_mask(ring, a, b):
 
 @memo
 def _product_pair(ring, a, b):
+    """IJ: the pairwise products ij form an R-stable set (r(ij) = (ri)j), so IJ,
+    their additive closure, is the sum of their principal ideals."""
     mul = ring.mul
-    prods = 1 << ring.zero_idx
+    b_bits = _bits(b)
+    prods = set()
     for i in _bits(a):
-        row = mul[i]
-        for j in _bits(b):
-            prods |= 1 << row[j]
-    # close the pairwise products additively (they are already R-stable)
-    cur = prods
-    while True:
-        nxt = _add_close(ring, cur, cur)
-        if nxt == cur:
-            break
-        cur = nxt
-    return cur
+        prods.update(map(mul[i].__getitem__, b_bits))
+    out = 1 << ring.zero_idx
+    for p in prods:
+        if not out >> p & 1:
+            out = _add_close(ring, out, _principal_mask(ring, p))
+    return out
 
 
 @memo
 def _colon_mask(ring, imask, x):
-    mul = ring.mul
-    out = 0
-    for r in range(ring.size):
-        if imask >> mul[r][x] & 1:
-            out |= 1 << r
-    return out
+    # rx = xr, so (I : x) is the preimage of I under the row of x
+    return _preimage_mask(imask, ring.mul[x])
 
 
 def colon(I, divisor):
@@ -302,7 +302,7 @@ def colon(I, divisor):
             if m == 0:
                 return unit_ideal(ring)
             return integer_ideal(ring, n // gcd(n, m) if n else 0)
-        mask = _full_mask(ring)
+        mask = ring.full_mask
         for g in (divisor.gens or (ring.zero,)):
             mask &= _colon_mask(ring, I.mask, g.idx)
         return _mk_ideal(ring, mask)
@@ -317,21 +317,29 @@ def colon(I, divisor):
 
 
 @memo
+def _power_map(ring):
+    """r -> r^(2^k) for every element r, by k = (n - 1).bit_length() squarings,
+    the least k with 2^k >= n."""
+    mul = ring.mul
+    powers = list(range(ring.size))
+    for _ in range((ring.size - 1).bit_length()):
+        powers = [mul[r][r] for r in powers]
+    return powers
+
+
+@memo
 def _radical_mask(ring, imask):
-    mul, n = ring.mul, ring.size
-    out = 0
-    for r in range(n):
-        power = r
-        for _ in range(n):
-            if imask >> power & 1:
-                out |= 1 << r
-                break
-            power = mul[power][r]
-    return out
+    return _preimage_mask(imask, _power_map(ring))
 
 
 def radical(I):
-    """Elements with some positive power in I (exponent bound: the ring size)."""
+    """Elements with some positive power in I.
+
+    On a finite ring of n elements, r is in the radical iff r^(2^k) is in I for
+    the least k with 2^k >= n.  If r + I is nilpotent in R/I, its powers up to
+    its nilpotency index m are distinct and all but the last nonzero, so
+    m <= |R/I| <= n <= 2^k; and I absorbs every higher power of r.
+    """
     ring = I.ring
     if not ring.is_finite:
         return integer_ideal(ring, _radical_of_int(I.n))
@@ -346,12 +354,16 @@ def nilradical(ring):
 def enumerate_ideals(ring):
     """The complete ideal lattice, ordered by (size, element set); cached per ring.
 
-    Computed as the closure of all principal ideals under pairwise ideal sum.
+    Every proper ideal is the sum of the principal ideals of its elements, all
+    non-units, so the lattice is the closure of the non-unit principal ideals
+    under pairwise sum, plus the whole ring, which every unit generates.
     """
     if not ring.is_finite:
         raise InfiniteRingError("integer ideals are parameterized by n, not enumerated")
-    principals = sorted({_principal_mask(ring, g) for g in range(ring.size)})
-    seen = {1 << ring.zero_idx}
+    mul, one = ring.mul, ring.one_idx
+    principals = sorted({_principal_mask(ring, g) for g in range(ring.size)
+                         if one not in mul[g]})
+    seen = {1 << ring.zero_idx, ring.full_mask}
     seen.update(principals)
     frontier = sorted(seen)
     while frontier:
@@ -393,7 +405,7 @@ def classify_ideal(I):
 
 @memo
 def _ideal_class(ring, imask):
-    full = _full_mask(ring)
+    full = ring.full_mask
     proper = imask != full
     mul, n = ring.mul, ring.size
     outside = [a for a in range(n) if not (imask >> a & 1)]
@@ -489,7 +501,7 @@ def special_sets(ring, I=None):
         )
     mul, n, zero = ring.mul, ring.size, ring.zero_idx
     nil = nilradical(ring)
-    jac_mask = _full_mask(ring)
+    jac_mask = ring.full_mask
     for M in maximal_ideals(ring):
         jac_mask &= M.mask
     zero_div = frozenset(

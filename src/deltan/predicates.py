@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossRingError, ImproperIdealError
-from .ideals import (_bits, _colon_mask, _meet_mask, _product_mask,
+from .ideals import (_bits, _colon_mask, _mask_of, _meet_mask, _product_mask,
                      enumerate_ideals, nilradical, zero_ideal)
 from .expansions import apply_expansion
 from .rings import memo
@@ -49,11 +49,7 @@ def _u_mask(ring, imask):
 
 @memo
 def _aj_mask(ring, a, jmask):
-    row = ring.mul[a]
-    out = 0
-    for j in _bits(jmask):
-        out |= 1 << row[j]
-    return out
+    return _mask_of(ring.size, map(ring.mul[a].__getitem__, _bits(jmask)))
 
 
 # ---------------------------------------------------------------------------

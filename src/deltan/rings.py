@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
@@ -210,7 +211,9 @@ class Ring:
         self.origin = origin
         self._repr_fn = repr_fn
         self._cache = {}
+        self.full_mask = None  # the mask of every element, on finite rings
         if elements is not None:
+            self.full_mask = (1 << len(elements)) - 1
             self._index = {p: i for i, p in enumerate(elements)}
             check_ring_axioms(self)
             self.neg = [row.index(zero) for row in add]
@@ -430,8 +433,8 @@ def _build_modular(spec):
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
     _check_size(spec.key(), n)
     elems = list(range(n))
-    add = [[(i + j) % n for j in elems] for i in elems]
-    mul = [[(i * j) % n for j in elems] for i in elems]
+    add = [elems[i:] + elems[:i] for i in elems]
+    mul = [[elems[i * j % n] for j in elems] for i in elems]
     return Ring(spec, elements=elems, add=add, mul=mul, zero=0, one=1 % n, repr_fn=str)
 
 
@@ -451,12 +454,14 @@ def _build_poly_quotient(spec):
             v //= n
         elems.append(tuple(digits))
     index = {p: i for i, p in enumerate(elems)}
-    # index i has digits (a_0, .., a_{d-1}) base n, so sums go digit by digit,
-    # and x*a shifts the low d-1 digits up and adds a_{d-1} * (x^d - modulus)
-    add = [list(range(size))]
-    for i in range(1, size):
-        lo, high = i % n, add[i // n]
-        add.append([(lo + j % n) % n + n * high[j // n] for j in range(size)])
+    # index i has digits (a_0, .., a_{d-1}) base n, so the additive group is
+    # that of (Z_n)^d, with the low digit as the right factor; and x*a shifts
+    # the low d-1 digits up and adds a_{d-1} * (x^d - modulus)
+    digit = list(range(n))
+    digit_add = [digit[i:] + digit[:i] for i in digit]
+    add = digit_add
+    for _ in range(d - 1):
+        add = _join_tables(add, digit_add)
     top = n ** (d - 1)
     wrap = [index[tuple(-c * m % n for m in modulus[:d])] for c in range(n)]
     times_x = [add[i % top * n][wrap[i // top]] for i in range(size)]
@@ -474,6 +479,21 @@ def _build_poly_quotient(spec):
                 repr_fn=poly_repr)
 
 
+def _join_tables(left, right):
+    """The table of a product of two factor tables, index a * sr + b for (a, b).
+
+    Row (a, b) is the chain, over the cells c of left row a, of the block
+    [c * sr + e for e in right row b].  The n blocks are built once, and their
+    cells are taken from one list of ints, so no cell holds an int of its own.
+    """
+    sr = len(right)
+    idx = list(range(len(left) * sr))
+    segments = [idx[c:c + sr] for c in range(0, len(idx), sr)]
+    blocks = [[list(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
+    return [list(chain.from_iterable(map(block.__getitem__, lrow)))
+            for lrow in left for block in blocks]
+
+
 def _build_product(spec):
     left = construct_ring(spec.left)
     right = construct_ring(spec.right)
@@ -482,13 +502,8 @@ def _build_product(spec):
     sr = right.size
     _check_size(spec.key(), left.size * sr)
     elems = [(a, b) for a in left.elements for b in right.elements]
-    la, ra = left.add, right.add
-    lm, rm = left.mul, right.mul
-    size_l, size_r = left.size, right.size
-    add = [[la[i // sr][j // sr] * sr + ra[i % sr][j % sr]
-            for j in range(size_l * size_r)] for i in range(size_l * size_r)]
-    mul = [[lm[i // sr][j // sr] * sr + rm[i % sr][j % sr]
-            for j in range(size_l * size_r)] for i in range(size_l * size_r)]
+    add = _join_tables(left.add, right.add)
+    mul = _join_tables(left.mul, right.mul)
     zero = left.zero_idx * sr + right.zero_idx
     one = left.one_idx * sr + right.one_idx
 

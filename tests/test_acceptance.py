@@ -14,7 +14,7 @@ from deltan import (classify_ideal, classify_ring, delta_n_spectrum,
                     integers, is_delta_n_ideal, modular, nilradical,
                     poly_quotient, product, profile_expansion, radical,
                     zero_ideal, colon)
-from deltan.ideals import _bits, _full_mask
+from deltan.ideals import _bits
 from deltan.verifier import builtin_corpus, catalog, run_claims
 
 
@@ -139,8 +139,8 @@ def test_c06_product_obstruction():
                         for idx in _bits(I.mask):
                             m1 |= 1 << (idx // sr)
                             m2 |= 1 << (idx % sr)
-                        assert d1.table[m1] == _full_mask(left)
-                        assert d2.table[m2] == _full_mask(right)
+                        assert d1.table[m1] == left.full_mask
+                        assert d2.table[m2] == right.full_mask
 
 
 def test_c07_idealization_equivalence():

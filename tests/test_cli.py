@@ -123,3 +123,10 @@ def test_witness_cap_flag(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert out.count("witness:") == 1
+
+
+def test_ideals_of_a_1024_element_product(capsys):
+    assert main(["ideals", "Z32 x Z32"]) == 0
+    out = capsys.readouterr().out
+    assert "(36 ideals)" in out
+    assert out.count("generators") == 36

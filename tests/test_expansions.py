@@ -13,7 +13,6 @@ from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
 from deltan.expansions import _validate_axioms
-from deltan.ideals import _full_mask
 from deltan.verifier import builtin_corpus
 
 
@@ -218,7 +217,7 @@ def test_localized_expansion_unit_denominators():
 
 def test_every_catalog_expansion_validates():
     for entry in builtin_corpus().entries:
-        full = _full_mask(entry.ring)
+        full = entry.ring.full_mask
         for delta in entry.expansions:
             for I in enumerate_ideals(entry.ring):
                 v = delta.table[I.mask]

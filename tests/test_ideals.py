@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from deltan import (CrossRingError, InfiniteRingError, classify_ideal, colon,
                     enumerate_ideals, ideal_combine, ideal_contains,
                     ideal_from_generators, integer_ideal, integers, modular,
-                    poly_quotient, product, radical, special_sets,
+                    nilradical, poly_quotient, product, radical, special_sets,
                     unit_ideal, zero_ideal)
 
 
@@ -327,3 +327,100 @@ def test_lattice_generators_are_built_on_first_repr(monkeypatch):
     assert calls == []
     assert repr(lattice[2]) == "(4)" and repr(lattice[2]) == "(4)"
     assert calls == [lattice[2].mask]
+
+
+# ---------------------------------------------------------------------------
+# the mask kernels against plain references
+# ---------------------------------------------------------------------------
+
+def _index_set(ring, mask):
+    return {i for i in range(ring.size) if mask >> i & 1}
+
+
+def pair_sum_reference(ring, a, b):
+    """{a + b} over every pair, as an index set."""
+    return {ring.add[i][j] for i in a for j in b}
+
+
+def product_reference(ring, a, b):
+    """The pairwise products, closed under addition by a pair-loop fixpoint."""
+    cur = {ring.zero_idx} | {ring.mul[i][j] for i in a for j in b}
+    while True:
+        nxt = {ring.add[x][y] for x in cur for y in cur}
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def radical_reference(ring, a):
+    """r with some power in I, scanning r, r^2, ... until a power repeats."""
+    out = set()
+    for r in range(ring.size):
+        power, seen = r, set()
+        while power not in seen:
+            if power in a:
+                out.add(r)
+                break
+            seen.add(power)
+            power = ring.mul[power][r]
+    return out
+
+
+def _corpus_rings():
+    from deltan.verifier import builtin_corpus
+    return [entry.ring for entry in builtin_corpus().entries]
+
+
+def test_sum_and_product_kernels_match_the_pair_loop_on_the_corpus():
+    from deltan.ideals import _product_mask, _sum_mask
+    pairs = 0
+    for ring in _corpus_rings():
+        sets = [(I.mask, _index_set(ring, I.mask)) for I in enumerate_ideals(ring)]
+        for k, (a_mask, a) in enumerate(sets):
+            for b_mask, b in sets[k:]:
+                assert _index_set(ring, _sum_mask(ring, a_mask, b_mask)) == \
+                    pair_sum_reference(ring, a, b)
+                assert _index_set(ring, _product_mask(ring, a_mask, b_mask)) == \
+                    product_reference(ring, a, b)
+                pairs += 1
+    assert pairs == 588
+
+
+def test_radical_kernel_matches_the_power_scan():
+    from deltan.ideals import _radical_mask
+    rings = _corpus_rings() + [modular(1024), poly_quotient(2, [0] * 9 + [1])]
+    for ring in rings:
+        for I in enumerate_ideals(ring):
+            assert _index_set(ring, _radical_mask(ring, I.mask)) == \
+                radical_reference(ring, _index_set(ring, I.mask))
+
+
+def test_radical_needs_every_squaring():
+    # x has nilpotency index 9 in Z2[x]/(x^9), and 2 has index 10 in Z1024:
+    # r^(2^k) with 2^k < the index misses them in the nilradical
+    ring = poly_quotient(2, [0] * 9 + [1])
+    x = ring.from_payload((0, 1) + (0,) * 7)
+    assert (x ** 8).idx != ring.zero_idx and (x ** 9).idx == ring.zero_idx
+    assert nilradical(ring).contains(x)
+    z1024 = modular(1024)
+    assert (z1024.el(2) ** 9).idx != 0
+    assert nilradical(z1024).contains(z1024.el(2))
+
+
+def test_lattice_holds_every_principal_ideal():
+    # units generate the whole ring, so only non-unit principals are enumerated
+    for ring in _corpus_rings() + [product(modular(8), modular(9))]:
+        masks = {I.mask for I in enumerate_ideals(ring)}
+        for g in ring.list_elements():
+            principal = {ring.mul[g.idx][r] for r in range(ring.size)}
+            assert sum(1 << i for i in principal) in masks
+
+
+def test_bits_and_mask_of_are_inverse():
+    from deltan.ideals import _bits, _mask_of
+    assert _bits(0) == [] and _mask_of(5, []) == 0
+    for indices in ([0], [3], [1, 4, 70], list(range(0, 300, 7)), [299]):
+        mask = sum(1 << i for i in indices)
+        assert _bits(mask) == indices
+        assert _mask_of(300, indices) == mask
+        assert _mask_of(300, indices + indices[::-1]) == mask

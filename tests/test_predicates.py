@@ -7,7 +7,7 @@ from deltan import (ImproperIdealError, delta0, delta1, delta_plus,
                     enumerate_ideals, full_expansion, ideal_from_generators,
                     integer_ideal, integers, is_delta_n_ideal,
                     is_delta_primary, is_n_ideal, is_quasi_n_ideal, modular,
-                    nilradical, poly_quotient, unit_ideal, zero_ideal)
+                    nilradical, poly_quotient, product, unit_ideal, zero_ideal)
 from deltan.predicates import DELTA_N_METHODS, delta_primary_witness
 from deltan.verifier import builtin_corpus
 
@@ -173,3 +173,44 @@ def test_one_and_decision_matches_definition_scan():
                 assert verdict == (scan is None)
                 checked += 1
     assert checked > 1900
+
+
+# ---------------------------------------------------------------------------
+# the finite-ring rule, from the multiplication table alone
+# ---------------------------------------------------------------------------
+# A finite commutative ring is a product of local rings.  In a local one every
+# non-nilpotent element is a unit, so every proper ideal is delta-n for every
+# delta.  Otherwise it has an idempotent e other than 0 and 1, and e(1 - e) = 0
+# puts both e and 1 - e in delta(I): a proper I is delta-n iff delta(I) = R.
+
+def _is_local(ring):
+    """Local iff 0 and 1 are the only idempotents."""
+    return sum(ring.mul[e][e] == e for e in range(ring.size)) == 2
+
+
+def _rule_triples(ring, expansions):
+    local, whole = _is_local(ring), (1 << ring.size) - 1
+    for I in enumerate_ideals(ring):
+        if I.mask != whole:
+            for delta in expansions:
+                yield I, delta, local or delta.table[I.mask] == whole
+
+
+def test_finite_ring_rule_on_every_corpus_triple():
+    triples = 0
+    for entry in builtin_corpus().entries:
+        for I, delta, expected in _rule_triples(entry.ring, entry.expansions):
+            assert is_delta_n_ideal(I, delta) == expected, (entry.ring, I, delta)
+            triples += 1
+    assert triples == 1976
+
+
+def test_finite_ring_rule_on_the_small_ladder_rings():
+    from deltan.verifier import catalog
+    rings = [modular(64), poly_quotient(2, [0] * 6 + [1]), product(modular(8), modular(8)),
+             modular(128), poly_quotient(2, [0] * 7 + [1]), product(modular(11), modular(13)),
+             poly_quotient(5, [0, 0, 0, 1])]
+    assert [_is_local(r) for r in rings] == [True, True, False, True, True, False, True]
+    for ring in rings:
+        for I, delta, expected in _rule_triples(ring, catalog(ring)):
+            assert is_delta_n_ideal(I, delta) == expected, (ring, I, delta)

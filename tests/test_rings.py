@@ -454,3 +454,33 @@ def test_poly_quotient_tables_match_coefficient_arithmetic():
                                    for b in ring.elements]
             assert ring.mul[i] == [index[_poly_mul_reduce(a, b, n, modulus)]
                                    for b in ring.elements]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 11, 13, 300])
+def test_modular_tables_match_the_residue_formulas(n):
+    ring = modular(n)
+    assert ring.add == [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert ring.mul == [[(i * j) % n for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (8, 8), (11, 13)])
+def test_product_tables_match_the_pair_formula(a, b):
+    ring = product(modular(a), modular(b))
+    index = {p: i for i, p in enumerate(ring.elements)}
+    assert len(ring.elements) == a * b
+    for i, (x1, y1) in enumerate(ring.elements):
+        assert ring.add[i] == [index[((x1 + x2) % a, (y1 + y2) % b)]
+                               for x2, y2 in ring.elements]
+        assert ring.mul[i] == [index[((x1 * x2) % a, (y1 * y2) % b)]
+                               for x2, y2 in ring.elements]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: modular(300),
+    lambda: product(modular(17), modular(19)),
+    lambda: poly_quotient(17, [0, 0, 1]),
+], ids=["Z300", "Z17 x Z19", "Z17[x]/(x^2)"])
+def test_table_cells_share_one_int_per_element(build):
+    ring = build()
+    for table in (ring.add, ring.mul):
+        assert len({id(cell) for row in table for cell in row}) <= ring.size
