@@ -16,8 +16,7 @@ from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
 from .ideals import classify_ideal, enumerate_ideals
 from .expansions import apply_expansion
 from .predicates import (DELTA_N_METHODS, delta_n_witness, delta_primary_witness,
-                         is_delta_n_ideal, is_delta_primary, is_n_ideal,
-                         is_quasi_n_ideal, n_ideal_witness, quasi_n_witness)
+                         is_delta_n_ideal, n_ideal_witness, quasi_n_witness)
 from .verifier import builtin_corpus, load_corpus, render_json, render_text, run_claims
 
 
@@ -27,6 +26,11 @@ def _bool_row(label, value, witness=None):
         a, b = witness
         text += f"  (witness: a={a!r}, b={b!r})"
     print(text)
+
+
+def _witness_row(label, witness):
+    """The row of a flag that holds exactly when its witness is None."""
+    _bool_row(label, witness is None, witness)
 
 
 def _cmd_ideals(args):
@@ -56,14 +60,13 @@ def _cmd_classify(args):
         print("error: this ideal class is defined for proper ideals only; "
               "got the whole ring")
         return 2
-    _bool_row("n-ideal", is_n_ideal(ideal), n_ideal_witness(ideal))
-    _bool_row("quasi n-ideal", is_quasi_n_ideal(ideal), quasi_n_witness(ideal))
+    _witness_row("n-ideal", n_ideal_witness(ideal))
+    _witness_row("quasi n-ideal", quasi_n_witness(ideal))
     if args.delta:
         delta = bind_expansion(ring, parse_expansion_text(args.delta))
         print(f"expansion: {delta.name()}")
         print(f"delta(I): {apply_expansion(delta, ideal)!r}")
-        _bool_row("delta-primary", is_delta_primary(ideal, delta),
-                  delta_primary_witness(ideal, delta))
+        _witness_row("delta-primary", delta_primary_witness(ideal, delta))
         wit = delta_n_witness(ideal, delta)
         for method in DELTA_N_METHODS:
             value = is_delta_n_ideal(ideal, delta, method=method)

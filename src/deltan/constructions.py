@@ -292,9 +292,11 @@ class Homomorphism:
             return False
         return len(set(self.mapping)) == self.source.size
 
+    @memo
     def image_mask(self, src_mask):
         return _mask_of(self.target.size, map(self.mapping.__getitem__, _bits(src_mask)))
 
+    @memo
     def preimage_mask(self, tgt_mask):
         return _preimage_mask(tgt_mask, self.mapping)
 
@@ -577,11 +579,7 @@ class LocalizationRecord:
         return out
 
     def contract_mask(self, loc_mask):
-        out = 0
-        for i, v in enumerate(self.canonical.mapping):
-            if loc_mask >> v & 1:
-                out |= 1 << i
-        return out
+        return self.canonical.preimage_mask(loc_mask)
 
     def extend(self, I):
         if I.ring.key != self.base.key:

@@ -351,6 +351,30 @@ def nilradical(ring):
 
 
 @memo
+def _principal_columns(ring):
+    """{Ra: the least a generating it} over the non-units a, memoised per ring."""
+    one, columns = ring.one_idx, {}
+    for g, row in enumerate(ring.mul):
+        if one not in row:
+            columns.setdefault(_principal_mask(ring, g), g)
+    return columns
+
+
+def _columns_outside(ring, xmask):
+    """One column per principal ideal not inside the ideal X, and 1 for the units.
+
+    A meet over the a outside X needs only these.  (I : a) depends on Ra
+    alone: b = ta puts (I : a) inside (I : b), and a = t'b the reverse.  And a
+    lies outside X exactly when Ra does, since X is an ideal.  Every unit
+    generates R, which lies outside X unless X = R, and 1 stands for them all.
+    """
+    cols = [a for p, a in _principal_columns(ring).items() if p & ~xmask]
+    if not xmask >> ring.one_idx & 1:
+        cols.append(ring.one_idx)
+    return cols
+
+
+@memo
 def enumerate_ideals(ring):
     """The complete ideal lattice, ordered by (size, element set); cached per ring.
 
@@ -360,9 +384,7 @@ def enumerate_ideals(ring):
     """
     if not ring.is_finite:
         raise InfiniteRingError("integer ideals are parameterized by n, not enumerated")
-    mul, one = ring.mul, ring.one_idx
-    principals = sorted({_principal_mask(ring, g) for g in range(ring.size)
-                         if one not in mul[g]})
+    principals = sorted(_principal_columns(ring))
     seen = {1 << ring.zero_idx, ring.full_mask}
     seen.update(principals)
     frontier = sorted(seen)
@@ -459,8 +481,7 @@ def _meet_mask(ring, imask, cols):
 @memo
 def _z_i_mask(ring, imask):
     """Z_I = {r : rs in I for some s outside I}, memoised per ring."""
-    outside = [s for s in range(ring.size) if not imask >> s & 1]
-    return _meet_mask(ring, imask, outside)
+    return _meet_mask(ring, imask, _columns_outside(ring, imask))
 
 
 @dataclass(frozen=True)
@@ -499,22 +520,19 @@ def special_sets(ring, I=None):
             regular_elements=IntegerSet("all nonzero integers", lambda v: v != 0),
             z_i=z_i,
         )
-    mul, n, zero = ring.mul, ring.size, ring.zero_idx
-    nil = nilradical(ring)
     jac_mask = ring.full_mask
     for M in maximal_ideals(ring):
         jac_mask &= M.mask
-    zero_div = frozenset(
-        Element(ring, r) for r in range(n)
-        if any(mul[r][s] == zero for s in range(n) if s != zero))
-    regular = frozenset(
-        Element(ring, r) for r in range(n)
-        if not any(mul[r][s] == zero for s in range(n) if s != zero))
-    z_i = frozenset(Element(ring, r) for r in _bits(_z_i_mask(ring, I.mask)))
+    # the zero divisors are Z_(0), and the regular elements the rest of R
+    zdiv_mask = _z_i_mask(ring, 1 << ring.zero_idx)
     return SpecialSets(
-        nilradical=nil,
+        nilradical=nilradical(ring),
         jacobson=_mk_ideal(ring, jac_mask),
-        zero_divisors=zero_div,
-        regular_elements=regular,
-        z_i=z_i,
+        zero_divisors=_element_set(ring, zdiv_mask),
+        regular_elements=_element_set(ring, ring.full_mask & ~zdiv_mask),
+        z_i=_element_set(ring, _z_i_mask(ring, I.mask)),
     )
+
+
+def _element_set(ring, mask):
+    return frozenset(Element(ring, r) for r in _bits(mask))

@@ -8,9 +8,12 @@ ideal and each (I, delta) decision is one mask AND; witnesses are extracted
 by the definition scan only when that AND fails.  Three independent decision
 methods (the colon criterion ((I:a) inside the nilradical for a outside
 delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
-against it by the verifier.  All finite decisions are exhaustive; the integer
-backend uses the exact closed criterion (nZ is delta-n iff n = 0 or
-delta(nZ) = ZZ, since n*1 lands in nZ with n outside the nilradical).
+against it by the verifier.  delta-primary is decided the same way: the b
+that some a outside I sends into I form Z_I, so I is delta-primary iff
+Z_I <= delta(I), one AND against the memoised Z_I.  All finite decisions are
+exhaustive; the integer backend uses the exact closed criterion (nZ is
+delta-n iff n = 0 or delta(nZ) = ZZ, since n*1 lands in nZ with n outside the
+nilradical).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossRingError, ImproperIdealError
-from .ideals import (_bits, _colon_mask, _mask_of, _meet_mask, _product_mask,
-                     enumerate_ideals, nilradical, zero_ideal)
+from .ideals import (_bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
+                     _product_mask, _z_i_mask, enumerate_ideals, nilradical,
+                     zero_ideal)
 from .expansions import apply_expansion
 from .rings import memo
 
@@ -42,9 +46,7 @@ def _nil_mask(ring):
 @memo
 def _u_mask(ring, imask):
     """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
-    nil = _nil_mask(ring)
-    non_nil = [a for a in range(ring.size) if not nil >> a & 1]
-    return _meet_mask(ring, imask, non_nil)
+    return _meet_mask(ring, imask, _columns_outside(ring, _nil_mask(ring)))
 
 
 @memo
@@ -57,9 +59,16 @@ def _aj_mask(ring, a, jmask):
 # ---------------------------------------------------------------------------
 
 def is_delta_primary(I, delta):
-    """ab in I and a outside I force b into delta(I)."""
+    """ab in I and a outside I force b into delta(I).
+
+    The b that some a outside I sends into I form Z_I, by commutativity, so
+    on a finite ring this is the one AND Z_I <= delta(I).
+    """
     _guard(I, delta)
-    return delta_primary_witness(I, delta) is None
+    ring = I.ring
+    if not ring.is_finite:
+        return _int_primary_witness(ring, I.n, delta.int_fn(I.n)) is None
+    return _z_i_mask(ring, I.mask) & ~delta.table[I.mask] == 0
 
 
 def delta_primary_witness(I, delta):
@@ -67,24 +76,21 @@ def delta_primary_witness(I, delta):
     _guard(I, delta)
     ring = I.ring
     if not ring.is_finite:
-        n, d = I.n, delta.int_fn(I.n)
-        if n == 0 or d == 1:
-            return None
-        # primary fails iff some prime s of n is not divisible by d; then
-        # (n/s) * s lands in nZ with n/s outside nZ and s outside dZ
-        for s in sorted(_factor_exponents(n)):
-            if s % d != 0:
-                return (ring.el(n // s), ring.el(s))
-        return None
+        return _int_primary_witness(ring, I.n, delta.int_fn(I.n))
     imask, dmask = I.mask, delta.table[I.mask]
-    mul = ring.mul
-    for a in range(ring.size):
-        if imask >> a & 1:
-            continue
-        row = mul[a]
-        for b in range(ring.size):
-            if imask >> row[b] & 1 and not (dmask >> b & 1):
-                return (ring.el(a), ring.el(b))
+    if _z_i_mask(ring, imask) & ~dmask == 0:
+        return None
+    return _scan_witness(ring, imask, imask, dmask)
+
+
+def _int_primary_witness(ring, n, d):
+    if n == 0 or d == 1:
+        return None
+    # primary fails iff some prime s of n is not divisible by d; then
+    # (n/s) * s lands in nZ with n/s outside nZ and s outside dZ
+    for s in sorted(_factor_exponents(n)):
+        if s % d != 0:
+            return (ring.el(n // s), ring.el(s))
     return None
 
 
@@ -125,10 +131,15 @@ def _failure_witness(ring, imask, dmask):
 
 def _definition_witness(ring, imask, dmask):
     """First (a, b) with ab in I, a not nilpotent, b outside the target set."""
-    nil = _nil_mask(ring)
+    return _scan_witness(ring, _nil_mask(ring), imask, dmask)
+
+
+def _scan_witness(ring, skip, imask, dmask):
+    """First (a, b), a-major, with a outside ``skip``, ab in I and b outside the
+    target set."""
     mul = ring.mul
     for a in range(ring.size):
-        if nil >> a & 1:
+        if skip >> a & 1:
             continue
         row = mul[a]
         for b in range(ring.size):

@@ -280,3 +280,33 @@ def test_delta_gamma_integers_reduction():
     rec = quotient_ring(zz, integer_ideal(zz, 6))
     assert is_delta_gamma_homomorphism(rec.projection, delta1(zz), delta1(rec.ring))
     assert is_delta_gamma_homomorphism(rec.projection, delta0(zz), delta0(rec.ring))
+
+
+# ---------------------------------------------------------------------------
+# memoised ideal transport against plain loops
+# ---------------------------------------------------------------------------
+
+def _mask(indices):
+    return sum(1 << i for i in set(indices))
+
+
+def test_memoised_transport_matches_plain_loops_on_the_corpus():
+    ctx = Context(builtin_corpus())
+    records = [localize(entry.ring, sset)
+               for entry in ctx.entries for sset in ctx.mult_sets(entry.ring)]
+    family = [f for f, _ in ctx.hom_instances()]
+    assert (len(family), len(records)) == (157, 135)
+    homs = family + [rec.canonical for rec in records]
+    for _ in range(2):  # the second pass reads the memo
+        for f in homs:
+            f_map = f.mapping
+            for I in enumerate_ideals(f.source):
+                assert f.image_mask(I.mask) == _mask(f_map[i] for i in range(f.source.size)
+                                                      if I.mask >> i & 1)
+            for K in enumerate_ideals(f.target):
+                assert f.preimage_mask(K.mask) == _mask(i for i in range(f.source.size)
+                                                         if K.mask >> f_map[i] & 1)
+        for rec in records:
+            for K in enumerate_ideals(rec.ring):
+                assert rec.contract_mask(K.mask) == _mask(
+                    i for i, v in enumerate(rec.canonical.mapping) if K.mask >> v & 1)

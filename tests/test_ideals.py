@@ -424,3 +424,69 @@ def test_bits_and_mask_of_are_inverse():
         assert _bits(mask) == indices
         assert _mask_of(300, indices) == mask
         assert _mask_of(300, indices + indices[::-1]) == mask
+
+
+# ---------------------------------------------------------------------------
+# U(I) and Z_I on principal columns, against the full-column meet
+# ---------------------------------------------------------------------------
+
+def full_column_meet(ring, imask, xmask):
+    """{r : rs in I for some s outside X}, scanning every column s."""
+    members = _index_set(ring, imask)
+    outside = [s for s in range(ring.size) if not xmask >> s & 1]
+    return {r for r in range(ring.size)
+            if any(ring.mul[r][s] in members for s in outside)}
+
+
+def _small_ladder_rings():
+    return [modular(64), poly_quotient(2, [0] * 6 + [1]), product(modular(8), modular(8)),
+            modular(128), poly_quotient(2, [0] * 7 + [1]), product(modular(11), modular(13)),
+            poly_quotient(5, [0, 0, 0, 1])]
+
+
+def test_u_and_z_i_masks_match_the_full_column_meet():
+    from deltan.ideals import _z_i_mask
+    from deltan.predicates import _nil_mask, _u_mask
+    from deltan.verifier import catalog
+    checked = 0
+    for ring in _corpus_rings() + _small_ladder_rings():
+        masks = {I.mask for I in enumerate_ideals(ring)}
+        # every delta(I) is an ideal, R included, so the lattice holds them all
+        assert ring.full_mask in masks
+        assert all(mask in masks for delta in catalog(ring) for mask in delta.table.values())
+        nil = _nil_mask(ring)
+        for mask in masks:
+            assert _index_set(ring, _z_i_mask(ring, mask)) == full_column_meet(ring, mask, mask)
+            assert _index_set(ring, _u_mask(ring, mask)) == full_column_meet(ring, mask, nil)
+            checked += 1
+    assert checked == 210
+
+
+def test_one_column_per_principal_ideal_outside_the_ideal():
+    from deltan.ideals import _columns_outside
+    for ring in _corpus_rings() + [product(modular(8), modular(9))]:
+        one = ring.one_idx
+        principal = [frozenset(ring.mul[g]) for g in range(ring.size)]
+        for I in enumerate_ideals(ring):
+            members = _index_set(ring, I.mask)
+            cols = _columns_outside(ring, I.mask)
+            # the units are all stood for by 1, which is there iff I is proper
+            assert (one in cols) == I.is_proper
+            non_units = [a for a in cols if one not in principal[a]]
+            assert len(non_units) + (one in cols) == len(cols)
+            # each principal ideal not inside I once, by its least generator
+            expected = {}
+            for g in range(ring.size):
+                if one not in principal[g] and not principal[g] <= members:
+                    expected.setdefault(principal[g], g)
+            assert sorted(non_units) == sorted(expected.values())
+
+
+def test_zero_divisors_are_z_of_zero():
+    for ring in _corpus_rings() + [modular(128), product(modular(11), modular(13))]:
+        n, zero = ring.size, ring.zero_idx
+        zdiv = {r for r in range(n)
+                if any(ring.mul[r][s] == zero for s in range(n) if s != zero)}
+        rec = special_sets(ring)
+        assert {e.idx for e in rec.zero_divisors} == zdiv
+        assert {e.idx for e in rec.regular_elements} == set(range(n)) - zdiv

@@ -1,6 +1,10 @@
 """delta-primary, n-ideal, delta-n-ideal predicates and spectra."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltan import (ImproperIdealError, delta0, delta1, delta_plus,
                     delta_n_spectrum, delta_n_witness, delta_nilpotents,
@@ -214,3 +218,143 @@ def test_finite_ring_rule_on_the_small_ladder_rings():
     for ring in rings:
         for I, delta, expected in _rule_triples(ring, catalog(ring)):
             assert is_delta_n_ideal(I, delta) == expected, (ring, I, delta)
+
+
+# ---------------------------------------------------------------------------
+# delta-primary as one AND against Z_I
+# ---------------------------------------------------------------------------
+
+def primary_scan(ring, imask, dmask):
+    """First (a, b), a-major, with a outside I, ab in I and b outside delta(I)."""
+    for a in range(ring.size):
+        if imask >> a & 1:
+            continue
+        for b in range(ring.size):
+            if imask >> ring.mul[a][b] & 1 and not dmask >> b & 1:
+                return (a, b)
+    return None
+
+
+def _idx_pair(witness):
+    return None if witness is None else (witness[0].idx, witness[1].idx)
+
+
+def test_delta_primary_matches_the_plain_scan_on_every_corpus_triple():
+    triples = 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        for I in enumerate_ideals(ring):
+            if not I.is_proper:
+                continue
+            for delta in entry.expansions:
+                scan = primary_scan(ring, I.mask, delta.table[I.mask])
+                assert is_delta_primary(I, delta) == (scan is None), (ring, I, delta)
+                assert _idx_pair(delta_primary_witness(I, delta)) == scan
+                triples += 1
+    assert triples == 1976
+
+
+# ---------------------------------------------------------------------------
+# an element-level oracle: the definitions in plain Element arithmetic
+# ---------------------------------------------------------------------------
+
+def first_violation(elems, skip, inside, target):
+    """First (a, b) in enumeration order with a not in ``skip``, ab in
+    ``inside`` and b not in ``target``."""
+    for a in elems:
+        if a in skip:
+            continue
+        for b in elems:
+            if a * b in inside and b not in target:
+                return (a, b)
+    return None
+
+
+def test_decisions_and_witnesses_match_an_element_level_oracle():
+    from deltan import apply_expansion, n_ideal_witness
+    checked = 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        if ring.size > 16:
+            continue
+        elems = ring.list_elements()
+        zero = ring.zero
+        nilpotent = {a for a in elems if a ** len(elems) == zero}
+        for I in enumerate_ideals(ring):
+            if not I.is_proper:
+                continue
+            members = set(I.elements())
+            wit = first_violation(elems, nilpotent, members, members)
+            assert is_n_ideal(I) == (wit is None)
+            assert n_ideal_witness(I) == wit
+            for delta in entry.expansions:
+                target = set(apply_expansion(delta, I).elements())
+                wit = first_violation(elems, members, members, target)
+                assert is_delta_primary(I, delta) == (wit is None), (ring, I, delta)
+                assert delta_primary_witness(I, delta) == wit
+                wit = first_violation(elems, nilpotent, members, target)
+                assert is_delta_n_ideal(I, delta) == (wit is None), (ring, I, delta)
+                assert delta_n_witness(I, delta) == wit
+                checked += 1
+    assert checked == 712
+
+
+# ---------------------------------------------------------------------------
+# the finite-ring rule on generated rings of at most 64 elements
+# ---------------------------------------------------------------------------
+
+MAX_GENERATED = 64
+
+
+@st.composite
+def _atoms(draw, limit, first):
+    """(DSL text, a bound on its element count) of one ring atom of at most
+    ``limit`` >= 2 elements.  "(+)" binds to the whole product on its left, so
+    only the first atom may be an idealization."""
+    kinds = ["mod", "loc", "quot"] + (["poly"] if limit >= 4 else [])
+    kinds += ["idealization"] if first and limit >= 4 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "poly":
+        n = draw(st.sampled_from([k for k in (2, 3, 4, 5, 6, 8) if k * k <= limit]))
+        degree = draw(st.integers(2, max(d for d in range(2, 7) if n ** d <= limit)))
+        coeffs = draw(st.lists(st.integers(0, n - 1), min_size=degree, max_size=degree))
+        return f"Z{n}[x]/({coeffs + [1]})".replace(" ", ""), n ** degree
+    if kind == "idealization":
+        n = draw(st.integers(2, int(limit ** 0.5)))
+        return f"Z{n} (+) Z{n}", n * n
+    n = draw(st.integers(2, limit))
+    if kind == "loc":
+        # the powers of s form a multiplicative set; S^-1 Z_n has at most n elements
+        s = draw(st.integers(1, n - 1))
+        powers, p = [], 1
+        while p not in powers:
+            powers.append(p)
+            p = p * s % n
+        if 0 not in powers:
+            return f"loc(Z{n},{{{','.join(map(str, sorted(powers)))}}})", n
+    if kind == "quot":
+        k = draw(st.integers(0, n - 1))
+        if gcd(n, k) > 1:
+            return f"quot(Z{n},({k}))", gcd(n, k)
+    return f"Z{n}", n
+
+
+@st.composite
+def generated_rings(draw):
+    """A DSL product of atoms with at most MAX_GENERATED elements."""
+    text, size = draw(_atoms(MAX_GENERATED, True))
+    while size <= MAX_GENERATED // 2 and draw(st.booleans()):
+        atom, atom_size = draw(_atoms(MAX_GENERATED // size, False))
+        text, size = f"{text} x {atom}", size * atom_size
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_rings())
+def test_finite_ring_rule_on_generated_rings(text):
+    from deltan.dsl import bind_ring, parse_spec
+    from deltan.verifier import catalog
+    ring = bind_ring(parse_spec(text))
+    assert ring.size <= MAX_GENERATED
+    for I, delta, expected in _rule_triples(ring, catalog(ring)):
+        assert is_delta_n_ideal(I, delta) == expected, (text, I, delta)
