@@ -69,8 +69,7 @@ def _proper(ring):
     return tuple(I for I in enumerate_ideals(ring) if I.is_proper)
 
 
-def _dn(I, delta):
-    return is_delta_n_ideal(I, delta)
+_dn = is_delta_n_ideal
 
 
 def _wit(ring, delta=None, ideal=None, elements=None, detail=""):

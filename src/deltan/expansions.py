@@ -3,7 +3,9 @@
 An expansion assigns to every ideal I an ideal delta(I) with I <= delta(I),
 monotonically in I.  On finite rings an expansion is a precomputed table over
 the full ideal lattice, and both axioms are verified exhaustively at
-construction time.  On the integer ring the catalog kinds have closed forms
+construction time: extensivity at every ideal, monotonicity on the covering
+pairs of proper ideals, which implies it on all pairs (I <= J is a chain of
+covers).  On the integer ring the catalog kinds have closed forms
 on the parameter n of nZ.
 """
 
@@ -76,20 +78,47 @@ class Expansion:
         return apply_expansion(self, I)
 
 
+@memo
+def _lattice_covers(ring):
+    """(the lattice masks in lattice order, their set, the covering pairs
+    I < J of proper ideals), memoised per ring.
+
+    In a finite lattice I <= J is a chain of covers, all proper when J is, and
+    delta(I) <= R = delta(R) always, so an expansion that is monotone on these
+    pairs is monotone on all pairs.  The lattice is ordered by size, so the
+    strict supersets of I are visited by size: each one is a cover unless it
+    contains a cover already found.
+    """
+    masks = tuple(I.mask for I in enumerate_ideals(ring))
+    proper = masks[:-1]  # the whole ring comes last
+    # up[x]: bit y set iff proper[x] <= proper[y], which needs y >= x
+    up = [sum(1 << y for y, j in enumerate(proper[x:], x) if i & ~j == 0)
+          for x, i in enumerate(proper)]
+    covers = []
+    for x, i in enumerate(proper):
+        reach = 1 << x  # i and the proper ideals above a cover found so far
+        for y in _bits(up[x]):
+            if not reach >> y & 1:
+                covers.append((i, proper[y]))
+                reach |= up[y]
+    return masks, frozenset(masks), tuple(covers)
+
+
 def _validate_axioms(ring, table):
-    lattice = enumerate_ideals(ring)
-    members = {I.mask for I in lattice}
-    for I in lattice:
-        v = table[I.mask]
+    masks, members, covers = _lattice_covers(ring)
+    for m in masks:
+        v = table[m]
         if v not in members:
-            raise ExpansionAxiomError(f"the value at {I!r} is not an ideal of {ring.key}")
-        if I.mask & ~v:
-            raise ExpansionAxiomError(f"extensivity fails at {I!r} on {ring.key}")
-    for I in lattice:
-        for J in lattice:
-            if I.mask & ~J.mask == 0 and table[I.mask] & ~table[J.mask]:
-                raise ExpansionAxiomError(
-                    f"monotonicity fails at {I!r} <= {J!r} on {ring.key}")
+            raise ExpansionAxiomError(
+                f"the value at {_mk_ideal(ring, m)!r} is not an ideal of {ring.key}")
+        if m & ~v:
+            raise ExpansionAxiomError(
+                f"extensivity fails at {_mk_ideal(ring, m)!r} on {ring.key}")
+    for i, j in covers:
+        if table[i] & ~table[j]:
+            raise ExpansionAxiomError(
+                f"monotonicity fails at {_mk_ideal(ring, i)!r} <= "
+                f"{_mk_ideal(ring, j)!r} on {ring.key}")
 
 
 def _finish(ring, recipe, table):

@@ -8,19 +8,20 @@ ideal and each (I, delta) decision is one mask AND; witnesses are extracted
 by the definition scan only when that AND fails.  Three independent decision
 methods (the colon criterion ((I:a) inside the nilradical for a outside
 delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
-against it by the verifier.  delta-primary is decided the same way: the b
-that some a outside I sends into I form Z_I, so I is delta-primary iff
-Z_I <= delta(I), one AND against the memoised Z_I.  All finite decisions are
-exhaustive; the integer backend uses the exact closed criterion (nZ is
-delta-n iff n = 0 or delta(nZ) = ZZ, since n*1 lands in nZ with n outside the
-nilradical).
+against it by the verifier; their verdicts are memoised per (ring, I, delta(I),
+method), so each distinct input is scanned once.  delta-primary is decided the
+same way: the b that some a outside I sends into I form Z_I, so I is
+delta-primary iff Z_I <= delta(I), one AND against the memoised Z_I.  All
+finite decisions are exhaustive; the integer backend uses the exact closed
+criterion (nZ is delta-n iff n = 0 or delta(nZ) = ZZ, since n*1 lands in nZ
+with n outside the nilradical).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CrossRingError, ImproperIdealError
+from .errors import CrossRingError, ImproperIdealError, InfiniteRingError
 from .ideals import (_bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
                      _product_mask, _z_i_mask, enumerate_ideals, nilradical,
                      zero_ideal)
@@ -155,22 +156,31 @@ def _scan_witness(ring, skip, imask, dmask):
 def is_delta_n_ideal(I, delta, method="definition"):
     """Decide the delta-n property by the requested method.
 
-    ``definition`` (the default) is the one-AND test U(I) <= delta(I).
+    ``definition`` (the default) is the one-AND test U(I) <= delta(I).  It is
+    the hottest call of a verification, so a proper ideal of a finite ring
+    in the expansion's ring takes it after one key and one mask compare;
+    every other input goes through ``_guard`` and the method check.
     """
+    ring = I.ring
+    imask = I.mask
+    if (method == "definition" and imask is not None and imask != ring.full_mask
+            and delta.ring.key == ring.key):
+        return _u_mask(ring, imask) & ~delta.table[imask] == 0
     _guard(I, delta)
     if method not in DELTA_N_METHODS:
         raise ValueError(f"unknown decision method {method!r}")
-    ring = I.ring
-    if not ring.is_finite:
+    if imask is None:
         return I.n == 0 or delta.int_fn(I.n) == 1
-    dmask = delta.table[I.mask]
-    if method == "definition":
-        return _u_mask(ring, I.mask) & ~dmask == 0
-    return _decide(ring, I.mask, dmask, method)
+    return _decide(ring, imask, delta.table[imask], method)
 
 
+@memo
 def _decide(ring, imask, dmask, method):
-    """The three cross-check methods, each an independent exhaustive scan."""
+    """The three cross-check methods, each an independent exhaustive scan.
+
+    A verdict depends on (ring, I, delta(I), method) alone, so it is memoised
+    on exactly that key: each distinct input is scanned once.
+    """
     nil = _nil_mask(ring)
     n = ring.size
     if method == "colon_criterion":
@@ -235,7 +245,7 @@ class DeltaNSpectrum:
 def delta_n_spectrum(ring, delta):
     """All proper delta-n ideals plus the maximal members under inclusion."""
     if not ring.is_finite:
-        raise CrossRingError("spectra are enumerated on finite rings only")
+        raise InfiniteRingError("spectra are enumerated on finite rings only")
     if delta.ring.key != ring.key:
         raise CrossRingError("expansion lives on a different ring")
     members = tuple(I for I in enumerate_ideals(ring)

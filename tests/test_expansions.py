@@ -12,7 +12,7 @@ from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
                     zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import _validate_axioms
+from deltan.expansions import _lattice_covers, _validate_axioms
 from deltan.verifier import builtin_corpus
 
 
@@ -232,3 +232,119 @@ def test_expansion_serialization_deterministic():
     assert delta_plus(z12, two).name() == "delta_plus(gens=[2])"
     comp = compose_expansions(delta1(z12), delta_star(z12, two))
     assert comp.name() == "compose(delta1, delta_star(gens=[2]))"
+
+
+# ---------------------------------------------------------------------------
+# monotonicity on covering pairs against the all-pairs check
+# ---------------------------------------------------------------------------
+
+def all_pairs_failures(lattice, table):
+    """Every pair I <= J of lattice masks with delta(I) not inside delta(J)."""
+    return [(i, j) for i in lattice for j in lattice
+            if i & ~j == 0 and table[i] & ~table[j]]
+
+
+def _axioms_hold(ring, table):
+    try:
+        _validate_axioms(ring, table)
+    except ExpansionAxiomError:
+        return False
+    return True
+
+
+def proper_covers(ring):
+    """The pairs I < J of proper ideals with no ideal strictly between."""
+    proper = [I.mask for I in enumerate_ideals(ring) if I.is_proper]
+    return [(i, j) for i in proper for j in proper
+            if i != j and i & ~j == 0
+            and not any(k not in (i, j) and i & ~k == 0 and k & ~j == 0
+                        for k in proper)]
+
+
+def test_cover_list_is_the_covering_relation_of_the_proper_ideals():
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        masks, members, covers = _lattice_covers(ring)
+        assert masks == tuple(I.mask for I in enumerate_ideals(ring))
+        assert members == set(masks)
+        assert covers == tuple(proper_covers(ring)), ring
+
+
+def test_every_cover_pair_is_needed():
+    # delta(K) = R for the K above I other than J, and K elsewhere: extensive,
+    # valued in ideals, and monotone on every pair but I <= J, so a cover list
+    # without (I, J) accepts it
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        masks = [I.mask for I in enumerate_ideals(ring)]
+        for i, j in proper_covers(ring):
+            table = {k: ring.full_mask if i & ~k == 0 and k != j else k for k in masks}
+            assert all_pairs_failures(masks, table) == [(i, j)]
+            with pytest.raises(ExpansionAxiomError, match="monotonicity fails"):
+                _validate_axioms(ring, table)
+
+
+def test_cover_validation_matches_all_pairs_on_perturbed_corpus_tables():
+    # move one value of each catalog table to every other ideal above its
+    # argument, so the axioms other than monotonicity still hold
+    checked = rejected = 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        masks = [I.mask for I in enumerate_ideals(ring)]
+        for delta in entry.expansions:
+            assert _axioms_hold(ring, delta.table)
+            for k in masks:
+                for v in masks:
+                    if k & ~v or v == delta.table[k]:
+                        continue
+                    table = dict(delta.table)
+                    table[k] = v
+                    expected = not all_pairs_failures(masks, table)
+                    assert _axioms_hold(ring, table) == expected, (delta, k, v)
+                    checked += 1
+                    rejected += not expected
+    assert (checked, rejected) == (6628, 4826)
+
+
+# ---------------------------------------------------------------------------
+# the catalog tables rebuilt in plain Element arithmetic
+# ---------------------------------------------------------------------------
+
+def rebuild(delta, members, elems):
+    """delta applied to the element set ``members``, from the definitions."""
+    kind = delta.kind
+    if kind == "delta0":
+        return members
+    if kind == "delta1":
+        return frozenset(a for a in elems if a ** len(elems) in members)
+    if kind == "full":
+        return frozenset(elems)
+    if kind == "delta_plus":
+        J = delta.recipe[1].elements()
+        return frozenset(i + j for i in members for j in J)
+    if kind == "delta_star":
+        P = delta.recipe[1].elements()
+        return frozenset(r for r in elems if all(r * p in members for p in P))
+    if kind == "compose":
+        return rebuild(delta.recipe[1], rebuild(delta.recipe[2], members, elems), elems)
+    raise AssertionError(kind)
+
+
+def test_catalog_tables_match_an_element_level_oracle():
+    kinds, cells = set(), 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        if ring.size > 16:
+            continue
+        elems = ring.list_elements()
+        lattice = enumerate_ideals(ring)
+        for delta in entry.expansions:
+            kinds.add(delta.kind)
+            for I in lattice:
+                value = rebuild(delta, frozenset(I.elements()), elems)
+                assert frozenset(apply_expansion(delta, I).elements()) == value, \
+                    (ring, delta, I)
+                assert delta.table[I.mask] == sum(1 << a.idx for a in value)
+                cells += 1
+    assert kinds == {"delta0", "delta1", "full", "delta_plus", "delta_star", "compose"}
+    assert cells == 936

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltan import (ImproperIdealError, delta0, delta1, delta_plus,
+from deltan import (CrossRingError, ImproperIdealError, InfiniteRingError,
+                    delta0, delta1, delta_plus,
                     delta_n_spectrum, delta_n_witness, delta_nilpotents,
                     enumerate_ideals, full_expansion, ideal_from_generators,
                     integer_ideal, integers, is_delta_n_ideal,
@@ -101,6 +102,35 @@ def test_unknown_method_rejected():
         is_delta_n_ideal(zero_ideal(z6), delta0(z6), method="guess")
 
 
+@pytest.mark.parametrize("method", DELTA_N_METHODS)
+def test_guard_errors_in_order_on_every_method(method):
+    z4, z6, zz = modular(4), modular(6), integers()
+    for ring, other in ((z6, z4), (zz, z6), (z6, zz)):
+        delta = delta0(ring)
+        # an ideal of another ring, even that ring's whole ring or with an
+        # unknown method, is a cross-ring error first
+        for I in (zero_ideal(other), unit_ideal(other)):
+            for m in (method, "guess"):
+                with pytest.raises(CrossRingError):
+                    is_delta_n_ideal(I, delta, method=m)
+        # the whole ring is improper before the method is read
+        for m in (method, "guess"):
+            with pytest.raises(ImproperIdealError):
+                is_delta_n_ideal(unit_ideal(ring), delta, method=m)
+        assert is_delta_n_ideal(zero_ideal(ring), full_expansion(ring), method=method)
+        with pytest.raises(ValueError):
+            is_delta_n_ideal(zero_ideal(ring), delta, method="guess")
+
+
+def test_spectrum_on_integers_is_an_infinite_ring_error():
+    zz = integers()
+    with pytest.raises(InfiniteRingError, match="finite rings only"):
+        delta_n_spectrum(zz, delta0(zz))
+    z6 = modular(6)
+    with pytest.raises(CrossRingError):
+        delta_n_spectrum(z6, delta0(modular(4)))
+
+
 def test_spectrum_z8_delta0():
     z8 = modular(8)
     spec = delta_n_spectrum(z8, delta0(z8))
@@ -177,6 +207,82 @@ def test_one_and_decision_matches_definition_scan():
                 assert verdict == (scan is None)
                 checked += 1
     assert checked > 1900
+
+
+# ---------------------------------------------------------------------------
+# the three cross-check methods against scans kept here
+# ---------------------------------------------------------------------------
+
+def _mask(indices):
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+class FreshScan:
+    """The colon criterion, the element/ideal form and the ideal-pair form,
+    from the multiplication table and the lattice alone, with nothing kept
+    between decisions but the delta-free sets aJ and JK of one ring."""
+
+    def __init__(self, ring):
+        n, mul = ring.size, ring.mul
+        self.n, self.mul = n, mul
+        self.lattice = [I.mask for I in enumerate_ideals(ring)]
+        members = {J: [j for j in range(n) if J >> j & 1] for J in self.lattice}
+        nil = set()
+        for a in range(n):
+            p = a
+            for _ in range(n):
+                p = mul[p][a]
+            if p == ring.zero_idx:
+                nil.add(a)
+        self.nil = _mask(nil)
+        self.aj = {(a, J): _mask(mul[a][j] for j in members[J])
+                   for a in range(n) for J in self.lattice}
+        self.jk = {(J, K): _mask(mul[j][k] for j in members[J] for k in members[K])
+                   for J in self.lattice for K in self.lattice}
+
+    def colon_criterion(self, imask, dmask):
+        for a in range(self.n):
+            if dmask >> a & 1:
+                continue
+            colon = _mask(b for b in range(self.n) if imask >> self.mul[a][b] & 1)
+            if colon & ~self.nil:
+                return False
+        return True
+
+    def element_ideal(self, imask, dmask):
+        return not any(self.aj[a, J] & ~imask == 0 and J & ~dmask
+                       for a in range(self.n) if not self.nil >> a & 1
+                       for J in self.lattice)
+
+    def ideal_pairs(self, imask, dmask):
+        return not any(self.jk[J, K] & ~imask == 0 and J & ~self.nil and K & ~dmask
+                       for J in self.lattice for K in self.lattice)
+
+
+def test_memoised_cross_checks_match_a_fresh_scan_on_every_corpus_triple():
+    methods = [m for m in DELTA_N_METHODS if m != "definition"]
+    assert len(methods) == 3
+    triples = set()
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        scan = FreshScan(ring)
+        # either visiting order finds a memo that forgets delta(I): some
+        # (ring, I, method) then answers for an expansion it never saw
+        for order in (entry.expansions, entry.expansions[::-1]):
+            for delta in order:
+                for I in enumerate_ideals(ring):
+                    if not I.is_proper:
+                        continue
+                    dmask = delta.table[I.mask]
+                    for m in methods:
+                        expected = getattr(scan, m)(I.mask, dmask)
+                        assert is_delta_n_ideal(I, delta, method=m) == expected, \
+                            (ring, I, delta, m)
+                    triples.add((ring.key, I.mask, delta.name()))
+    assert len(triples) == 1976
 
 
 # ---------------------------------------------------------------------------

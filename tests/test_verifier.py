@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from deltan import UnknownClaimError, modular
+from deltan import (UnknownClaimError, delta0, delta1, delta_n_spectrum,
+                    enumerate_ideals, full_expansion, modular)
 from deltan.claims import CLAIMS
-from deltan.verifier import (builtin_corpus, catalog, claim_ids,
-                             find_counterexample, render_json, render_text,
-                             run_claims)
+from deltan.dsl import bind_ring, parse_spec
+from deltan.verifier import (Corpus, CorpusEntry, builtin_corpus, catalog,
+                             claim_ids, find_counterexample, render_json,
+                             render_text, run_claims)
 
 
 def test_corpus_contents():
@@ -135,3 +137,38 @@ def test_default_report_is_byte_identical_to_the_committed_digest(default_verifi
     digest_file = Path(__file__).resolve().parents[1] / "bench" / "verify_default.sha256"
     expected = digest_file.read_text(encoding="utf-8").split()[0]
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
+# ---------------------------------------------------------------------------
+# isomorphic constructions agree
+# ---------------------------------------------------------------------------
+
+# each pair with its (element count, lattice size, delta0 / delta1 / full
+# spectrum sizes)
+ISOMORPHIC_PAIRS = [("quot(Z12,(4))", "Z4", (4, 3, [2, 2, 2])),
+                    ("Z2 x Z3", "Z6", (6, 4, [0, 0, 3])),
+                    ("loc(Z6,{1,3})", "Z2", (2, 2, [1, 1, 1])),
+                    ("Z4 x Z9", "Z36", (36, 9, [0, 0, 8])),
+                    ("Z2 x Z2", "Z2[x]/(x^2+x)", (4, 4, [0, 0, 3]))]
+
+
+def _invariants(text):
+    """Element count, lattice size, delta0 / delta1 / full spectrum sizes, and
+    the per-claim counts of a one-ring corpus.  rem-product-obstruction is
+    left out: it quantifies over rings built as products only."""
+    ring = bind_ring(parse_spec(text))
+    spectra = [len(delta_n_spectrum(ring, d(ring)).all)
+               for d in (delta0, delta1, full_expansion)]
+    reports = run_claims(Corpus(entries=(CorpusEntry(ring, catalog(ring)),)))
+    counts = {r.claim_id: (r.instances_checked, r.holds, r.hypothesis_not_met, r.failed)
+              for r in reports if r.claim_id != "rem-product-obstruction"}
+    return (ring.size, len(enumerate_ideals(ring)), spectra), counts
+
+
+@pytest.mark.parametrize("left, right, expected", ISOMORPHIC_PAIRS)
+def test_isomorphic_constructions_have_equal_invariants(left, right, expected):
+    sizes, counts = _invariants(left)
+    assert sizes == expected
+    assert _invariants(right) == (sizes, counts)
+    assert len(counts) == len(claim_ids()) - 1
+    assert sum(c[0] for c in counts.values()) > 0
