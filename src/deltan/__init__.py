@@ -18,10 +18,10 @@ from .expansions import (Expansion, ExpansionProfile, apply_expansion,
                          derive_localized_expansion, derive_product_expansion,
                          derive_quotient_expansion, full_expansion,
                          make_expansion, profile_expansion)
-from .predicates import (DELTA_N_METHODS, DeltaNSpectrum, delta_n_spectrum,
-                         delta_n_witness, delta_nilpotents, is_delta_n_ideal,
-                         is_delta_primary, is_n_ideal, is_quasi_n_ideal,
-                         n_ideal_witness, quasi_n_witness)
+from .predicates import (DELTA_N_METHODS, DeltaNSpectrum, delta_n_masks,
+                         delta_n_spectrum, delta_n_witness, delta_nilpotents,
+                         is_delta_n_ideal, is_delta_primary, is_n_ideal,
+                         is_quasi_n_ideal, n_ideal_witness, quasi_n_witness)
 from .constructions import (Homomorphism, Module, MultiplicativeSet, Submodule,
                             enumerate_submodules, idealization, image_ideal,
                             is_delta_gamma_homomorphism, localize,

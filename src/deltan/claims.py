@@ -4,27 +4,32 @@ Each claim pairs a formal statement with a checker that quantifies over corpus
 instances and yields one verdict per instance: ``holds``, ``skip`` (hypothesis
 not met), or ``fail`` with a concrete witness.  Checkers are deterministic:
 corpus order, catalog order, lattice order, element order.
+
+Checkers work on masks.  A loop over one (ring, delta) reads
+``dn = predicates.delta_n_masks(delta)`` once and tests ``I.mask in dn``;
+values, images, preimages, extensions, sums and meets are read from the
+expansion tables, the maps' memoised masks and the mask kernels.  ``Ideal``
+objects are built only for the witness of a failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import constructions, ideals, predicates
-from .constructions import (enumerate_submodules, localize, preimage_ideal,
-                            image_ideal, is_delta_gamma_homomorphism,
+from . import constructions, predicates
+from .constructions import (enumerate_submodules, is_delta_gamma_homomorphism, localize,
                             quotient_ring)
-from .expansions import (apply_expansion, compose_expansions, delta0, delta1,
-                         delta_plus, derive_idealization_expansion,
-                         derive_localized_expansion, derive_product_expansion,
-                         derive_quotient_expansion, localization_value_collisions,
-                         profile_expansion)
-from .ideals import (_bits, _colon_mask, _mk_ideal, _z_i_mask,
-                     classify_ideal, enumerate_ideals, ideal_combine,
-                     ideal_from_generators, integer_ideal, nilradical, radical,
-                     special_sets, zero_ideal)
-from .predicates import (delta_n_spectrum, delta_n_witness, is_delta_n_ideal,
-                         is_delta_primary, is_n_ideal, n_ideal_witness)
+from .expansions import (compose_expansions, delta0, delta1, delta_plus,
+                         derive_idealization_expansion, derive_localized_expansion,
+                         derive_product_expansion, derive_quotient_expansion,
+                         localization_value_collisions, profile_expansion)
+from .ideals import (_bits, _colon_mask, _ideal_class, _mk_ideal, _principal_columns,
+                     _product_mask, _radical_mask, _sum_mask, _z_i_mask,
+                     classify_ideal, enumerate_ideals, ideal_from_generators,
+                     integer_ideal, nilradical, radical, special_sets, zero_ideal)
+from .predicates import (_n_masks, _nil_mask, delta_n_masks, delta_n_spectrum,
+                         delta_n_witness, is_delta_n_ideal, is_delta_primary,
+                         is_n_ideal, n_ideal_witness)
 from .rings import classify_ring, memo, modular, poly_quotient
 
 
@@ -72,6 +77,13 @@ def _proper(ring):
 _dn = is_delta_n_ideal
 
 
+def _by_expansion(ctx):
+    """(ring, delta, delta-n set of delta) for each corpus ring and expansion."""
+    for entry in ctx.entries:
+        for delta in entry.expansions:
+            yield entry.ring, delta, delta_n_masks(delta)
+
+
 def _wit(ring, delta=None, ideal=None, elements=None, detail=""):
     return Witness(
         ring=ring.key,
@@ -106,19 +118,16 @@ def _check_four_equivalents(ctx):
 
 
 def _check_subset_nilradical(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if apply_expansion(delta, I).is_proper and _dn(I, delta):
-                    if I.issubset(nil):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         detail="I is not inside sqrt(0)")
+    for ring, delta, dn in _by_expansion(ctx):
+        full, nil = ring.full_mask, _nil_mask(ring)
+        for I in _proper(ring):
+            if delta.table[I.mask] != full and I.mask in dn:
+                if I.mask & ~nil == 0:
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I, detail="I is not inside sqrt(0)")
+            else:
+                yield SKIP, None
 
 
 def _check_z6_counterexample(ctx):
@@ -136,19 +145,17 @@ def _check_z6_counterexample(ctx):
 
 
 def _check_primary_to_delta_n(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if I.issubset(nil) and is_delta_primary(I, delta):
-                    if _dn(I, delta):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         elements=_pair_repr(*delta_n_witness(I, delta)))
+    for ring, delta, dn in _by_expansion(ctx):
+        nil = _nil_mask(ring)
+        for I in _proper(ring):
+            if I.mask & ~nil == 0 and is_delta_primary(I, delta):
+                if I.mask in dn:
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I,
+                                     elements=_pair_repr(*delta_n_witness(I, delta)))
+            else:
+                yield SKIP, None
 
 
 def _check_nilradical_primary_iff(ctx):
@@ -190,50 +197,40 @@ def _check_integer_delta_plus(ctx):
 
 
 def _check_primary_iff_subset(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if apply_expansion(delta, I).is_proper and is_delta_primary(I, delta):
-                    if _dn(I, delta) == I.issubset(nil):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I)
+    for ring, delta, dn in _by_expansion(ctx):
+        full, nil = ring.full_mask, _nil_mask(ring)
+        for I in _proper(ring):
+            if delta.table[I.mask] != full and is_delta_primary(I, delta):
+                if (I.mask in dn) == (I.mask & ~nil == 0):
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I)
+            else:
+                yield SKIP, None
 
 
 def _check_prime_iff_nilradical(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if classify_ideal(I).is_prime and apply_expansion(delta, I).is_proper:
-                    if _dn(I, delta) == (I == nil):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I)
+    for ring, delta, dn in _by_expansion(ctx):
+        full, nil = ring.full_mask, _nil_mask(ring)
+        for I in _proper(ring):
+            if classify_ideal(I).is_prime and delta.table[I.mask] != full:
+                if (I.mask in dn) == (I.mask == nil):
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I)
+            else:
+                yield SKIP, None
 
 
 def _check_every_ideal_quasilocal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        lattice = enumerate_ideals(ring)
-        principal = []
-        seen = set()
-        for a in ring.list_elements():
-            P = ideal_from_generators(ring, [a])
-            if P.is_proper and P.mask not in seen:
-                seen.add(P.mask)
-                principal.append(P)
-        c1 = all(_dn(P, d) for d in entry.expansions for P in principal)
-        c2 = all(_dn(I, d) for d in entry.expansions for I in lattice if I.is_proper)
+        dns = [delta_n_masks(d) for d in entry.expansions]
+        # the non-unit principal ideals are the proper ones
+        c1 = all(p in dn for dn in dns for p in _principal_columns(ring))
+        c2 = all(I.mask in dn for dn in dns for I in _proper(ring))
         nil = nilradical(ring)
-        primes = [I for I in lattice if classify_ideal(I).is_prime]
+        primes = [I for I in enumerate_ideals(ring) if classify_ideal(I).is_prime]
         c3 = primes == [nil]
         rc = classify_ring(ring)
         c4 = rc.is_quasi_local and rc.maximal_ideal == nil
@@ -290,35 +287,31 @@ def _colon_hypothesis_at(ring, delta, I):
 
 
 def _check_colon_stable(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        full = ring.full_mask
-        for delta in entry.expansions:
-            table = delta.table
-            is_radical = delta.kind == "delta1"
-            for I in _proper(ring):
-                if not _dn(I, delta):
+    for ring, delta, dn in _by_expansion(ctx):
+        full, table = ring.full_mask, delta.table
+        is_radical = delta.kind == "delta1"
+        for I in _proper(ring):
+            if I.mask not in dn:
+                continue
+            dmask = table[I.mask]
+            for x in range(ring.size):
+                if dmask >> x & 1:
                     continue
-                dmask = table[I.mask]
-                for x in range(ring.size):
-                    if dmask >> x & 1:
-                        continue
-                    cx = _colon_mask(ring, I.mask, x)
-                    inclusion = not (_colon_mask(ring, dmask, x) & ~table[cx])
-                    proper_val = table[cx] != full
-                    if not is_radical and not (inclusion and proper_val):
-                        yield SKIP, None
-                        continue
-                    Ix = _mk_ideal(ring, cx)
-                    ok = _dn(Ix, delta)
-                    if is_radical:
-                        ok = ok and inclusion and proper_val
-                    if ok:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         elements=f"x={ring.element_repr(x)}",
-                                         detail=f"(I:x)={Ix!r}")
+                cx = _colon_mask(ring, I.mask, x)
+                inclusion = not (_colon_mask(ring, dmask, x) & ~table[cx])
+                proper_val = table[cx] != full
+                if not is_radical and not (inclusion and proper_val):
+                    yield SKIP, None
+                    continue
+                ok = cx in dn
+                if is_radical:
+                    ok = ok and inclusion and proper_val
+                if ok:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, I,
+                                     elements=f"x={ring.element_repr(x)}",
+                                     detail=f"(I:x)={_mk_ideal(ring, cx)!r}")
 
 
 def _check_maximal_is_nilradical(ctx):
@@ -346,7 +339,7 @@ def _check_existence(ctx):
             if not profile_expansion(delta).colon_condition:
                 yield SKIP, None
                 continue
-            nonempty = bool(delta_n_spectrum(ring, delta).all)
+            nonempty = bool(delta_n_masks(delta))
             prime = classify_ideal(nil).is_prime
             primary = is_delta_primary(nil, delta)
             if nonempty == prime == primary:
@@ -359,91 +352,75 @@ def _check_existence(ctx):
 
 
 def _check_idem_colon_expansion(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil_mask = nilradical(ring).mask
-        for delta in entry.expansions:
-            table = delta.table
-            for I in _proper(ring):
-                if table[table[I.mask]] != table[I.mask] or not _dn(I, delta):
-                    yield SKIP, None
+    for ring, delta, dn in _by_expansion(ctx):
+        nil, table = _nil_mask(ring), delta.table
+        for I in _proper(ring):
+            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
+                yield SKIP, None
+                continue
+            for a in range(ring.size):
+                if nil >> a & 1:
                     continue
-                for a in range(ring.size):
-                    if nil_mask >> a & 1:
-                        continue
-                    ca = _colon_mask(ring, I.mask, a)
-                    if table[ca] == table[I.mask]:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         elements=f"a={ring.element_repr(a)}")
+                if table[_colon_mask(ring, I.mask, a)] == table[I.mask]:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, I, elements=f"a={ring.element_repr(a)}")
 
 
 def _check_idem_value_n_iff(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        for delta in entry.expansions:
-            table = delta.table
-            for I in _proper(ring):
-                d_val = apply_expansion(delta, I)
-                if table[table[I.mask]] != table[I.mask] or not d_val.is_proper:
-                    yield SKIP, None
-                    continue
-                if is_n_ideal(d_val) == _dn(d_val, delta):
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail=f"delta(I)={d_val!r}")
+    for ring, delta, dn in _by_expansion(ctx):
+        full, table, n_masks = ring.full_mask, delta.table, _n_masks(ring)
+        for I in _proper(ring):
+            d_val = table[I.mask]
+            if table[d_val] != d_val or d_val == full:
+                yield SKIP, None
+                continue
+            if (d_val in n_masks) == (d_val in dn):
+                yield HOLDS, None
+            else:
+                yield FAIL, _wit(ring, delta, I, detail=f"delta(I)={_mk_ideal(ring, d_val)!r}")
 
 
 def _check_idem_cancellation(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil_mask = nilradical(ring).mask
-        proper = _proper(ring)
+    for ring, delta, dn in _by_expansion(ctx):
+        nil, table, proper = _nil_mask(ring), delta.table, _proper(ring)
         lattice = enumerate_ideals(ring)
-        for delta in entry.expansions:
-            table = delta.table
-            for I in proper:
-                if table[table[I.mask]] != table[I.mask] or not _dn(I, delta):
-                    continue
-                for J in proper:
-                    if table[table[J.mask]] != table[J.mask] or not _dn(J, delta):
-                        continue
-                    for K in lattice:
-                        if K.mask & ~nil_mask == 0:
-                            continue
-                        if ideals._product_mask(ring, I.mask, K.mask) != \
-                           ideals._product_mask(ring, J.mask, K.mask):
-                            continue
-                        if table[I.mask] == table[J.mask]:
-                            yield HOLDS, None
-                        else:
-                            yield FAIL, _wit(
-                                ring, delta, I,
-                                detail=f"J={J!r}, K={K!r}: delta values differ")
-
-
-def _check_idem_absorption(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil_mask = nilradical(ring).mask
-        lattice = enumerate_ideals(ring)
-        for delta in entry.expansions:
-            table = delta.table
-            for I in _proper(ring):
-                if table[table[I.mask]] != table[I.mask] or not _dn(I, delta):
+        for I in proper:
+            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
+                continue
+            for J in proper:
+                if table[table[J.mask]] != table[J.mask] or J.mask not in dn:
                     continue
                 for K in lattice:
-                    if K.mask & ~nil_mask == 0:
+                    if K.mask & ~nil == 0:
                         continue
-                    ik = _mk_ideal(ring, ideals._product_mask(ring, I.mask, K.mask))
-                    if table[table[ik.mask]] != table[ik.mask] or not _dn(ik, delta):
+                    if _product_mask(ring, I.mask, K.mask) != \
+                       _product_mask(ring, J.mask, K.mask):
                         continue
-                    if table[ik.mask] == table[I.mask]:
+                    if table[I.mask] == table[J.mask]:
                         yield HOLDS, None
                     else:
                         yield FAIL, _wit(ring, delta, I,
-                                         detail=f"K={K!r}, IK={ik!r}")
+                                         detail=f"J={J!r}, K={K!r}: delta values differ")
+
+
+def _check_idem_absorption(ctx):
+    for ring, delta, dn in _by_expansion(ctx):
+        nil, table, lattice = _nil_mask(ring), delta.table, enumerate_ideals(ring)
+        for I in _proper(ring):
+            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
+                continue
+            for K in lattice:
+                if K.mask & ~nil == 0:
+                    continue
+                ik = _product_mask(ring, I.mask, K.mask)
+                if table[table[ik]] != table[ik] or ik not in dn:
+                    continue
+                if table[ik] == table[I.mask]:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, I,
+                                     detail=f"K={K!r}, IK={_mk_ideal(ring, ik)!r}")
 
 
 def _check_zero_divisor_quotient(ctx):
@@ -451,13 +428,11 @@ def _check_zero_divisor_quotient(ctx):
         ring = entry.ring
         nil = nilradical(ring)
         rec = quotient_ring(ring, nil)
-        qzero_divisors = special_sets(rec.ring).zero_divisors
+        qzero = 1 << rec.ring.zero_idx
+        qzdiv = _z_i_mask(rec.ring, qzero)  # the zero divisors of R/sqrt(0)
         for delta in entry.expansions:
-            dq = derive_quotient_expansion(delta, nil)
-            dq_nilpotents = apply_expansion(dq, zero_ideal(rec.ring))
             lhs = _dn(nil, delta)
-            rhs = all(dq_nilpotents.contains(z) for z in sorted(qzero_divisors,
-                                                                key=lambda e: e.idx))
+            rhs = qzdiv & ~derive_quotient_expansion(delta, nil).table[qzero] == 0
             if lhs == rhs:
                 yield HOLDS, None
             else:
@@ -467,26 +442,25 @@ def _check_zero_divisor_quotient(ctx):
 
 
 def _check_expansion_value_n(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                d_val = apply_expansion(delta, I)
-                if d_val.is_proper and is_n_ideal(d_val):
-                    if _dn(I, delta):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I)
+    for ring, delta, dn in _by_expansion(ctx):
+        n_masks = _n_masks(ring)
+        for I in _proper(ring):
+            if delta.table[I.mask] in n_masks:
+                if I.mask in dn:
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I)
+            else:
+                yield SKIP, None
 
 
 def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         d1 = delta1(ring)
+        dn, n_masks = delta_n_masks(d1), _n_masks(ring)
         for I in _proper(ring):
-            if _dn(I, d1) == is_n_ideal(radical(I)):
+            if (I.mask in dn) == (d1.table[I.mask] in n_masks):
                 yield HOLDS, None
             else:
                 yield FAIL, _wit(ring, d1, I, detail=f"sqrt(I)={radical(I)!r}")
@@ -495,17 +469,15 @@ def _check_radical_value_n_iff(ctx):
 def _check_pointwise_monotone(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        for delta in entry.expansions:
-            for gamma in entry.expansions:
-                if any(delta.table[I.mask] & ~gamma.table[I.mask]
-                       for I in enumerate_ideals(ring)):
+        lattice = enumerate_ideals(ring)
+        dns = [delta_n_masks(d) for d in entry.expansions]
+        for delta, dn in zip(entry.expansions, dns):
+            for gamma, dn_g in zip(entry.expansions, dns):
+                if any(delta.table[I.mask] & ~gamma.table[I.mask] for I in lattice):
                     yield SKIP, None
                     continue
-                bad = None
-                for I in _proper(ring):
-                    if _dn(I, delta) and not _dn(I, gamma):
-                        bad = I
-                        break
+                bad = next((I for I in _proper(ring)
+                            if I.mask in dn and I.mask not in dn_g), None)
                 if bad is None:
                     yield HOLDS, None
                 else:
@@ -516,145 +488,128 @@ def _check_pointwise_monotone(ctx):
 def _check_compose_n_ideal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        for delta in entry.expansions:
+        dns = [delta_n_masks(d) for d in entry.expansions]
+        for delta, dn in zip(entry.expansions, dns):
             for gamma in entry.expansions:
                 comp = compose_expansions(delta, gamma)
+                g_table, dn_comp = gamma.table, delta_n_masks(comp)
                 for I in _proper(ring):
-                    g_val = apply_expansion(gamma, I)
-                    if g_val.is_proper and _dn(g_val, delta):
-                        if _dn(I, comp):
+                    g_val = g_table[I.mask]
+                    if g_val in dn:
+                        if I.mask in dn_comp:
                             yield HOLDS, None
                         else:
                             yield FAIL, _wit(ring, comp, I,
-                                             detail=f"gamma(I)={g_val!r}")
+                                             detail=f"gamma(I)={_mk_ideal(ring, g_val)!r}")
                     else:
                         yield SKIP, None
 
 
 def _check_radical_transfer(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        for delta in entry.expansions:
-            if not profile_expansion(delta).radical_commuting:
+    for ring, delta, dn in _by_expansion(ctx):
+        if not profile_expansion(delta).radical_commuting:
+            yield SKIP, None
+            continue
+        for I in _proper(ring):
+            if I.mask not in dn:
                 yield SKIP, None
-                continue
-            for I in _proper(ring):
-                if not _dn(I, delta):
-                    yield SKIP, None
-                    continue
-                if _dn(radical(I), delta):
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail=f"sqrt(I)={radical(I)!r}")
+            elif _radical_mask(ring, I.mask) in dn:
+                yield HOLDS, None
+            else:
+                yield FAIL, _wit(ring, delta, I, detail=f"sqrt(I)={radical(I)!r}")
 
 
 def _check_sandwich(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        proper = _proper(ring)
-        for delta in entry.expansions:
-            table = delta.table
-            for I in proper:
-                if not _dn(I, delta):
+    for ring, delta, dn in _by_expansion(ctx):
+        table, proper = delta.table, _proper(ring)
+        for I in proper:
+            if I.mask not in dn:
+                continue
+            for K in proper:
+                if K.mask & ~I.mask:
                     continue
-                for K in proper:
-                    if K.mask & ~I.mask:
+                for J in proper:
+                    if J.mask & ~K.mask:
                         continue
-                    for J in proper:
-                        if J.mask & ~K.mask:
-                            continue
-                        if table[J.mask] != table[I.mask]:
-                            yield SKIP, None
-                            continue
-                        if _dn(K, delta):
-                            yield HOLDS, None
-                        else:
-                            yield FAIL, _wit(ring, delta, K,
-                                             detail=f"J={J!r}, I={I!r}")
+                    if table[J.mask] != table[I.mask]:
+                        yield SKIP, None
+                    elif K.mask in dn:
+                        yield HOLDS, None
+                    else:
+                        yield FAIL, _wit(ring, delta, K, detail=f"J={J!r}, I={I!r}")
 
 
 def _check_intersection(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
+    for ring, delta, dn in _by_expansion(ctx):
+        if not profile_expansion(delta).intersection_preserving:
+            yield SKIP, None
+            continue
         proper = _proper(ring)
-        for delta in entry.expansions:
-            if not profile_expansion(delta).intersection_preserving:
-                yield SKIP, None
+        for I in proper:
+            if I.mask not in dn:
                 continue
-            for I in proper:
-                if not _dn(I, delta):
+            for J in proper:
+                if J.mask not in dn:
                     continue
-                for J in proper:
-                    if not _dn(J, delta):
-                        continue
-                    meet = ideal_combine("intersect", I, J)
-                    if _dn(meet, delta):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, meet,
-                                         detail=f"I={I!r}, J={J!r}")
+                if I.mask & J.mask in dn:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, I.mask & J.mask),
+                                     detail=f"I={I!r}, J={J!r}")
 
 
 def _check_intersection_noncomparable(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        proper = _proper(ring)
-        for delta in entry.expansions:
-            if not profile_expansion(delta).intersection_preserving:
-                yield SKIP, None
+    for ring, delta, dn in _by_expansion(ctx):
+        if not profile_expansion(delta).intersection_preserving:
+            yield SKIP, None
+            continue
+        table, proper = delta.table, _proper(ring)
+        for I in proper:
+            dI = table[I.mask]
+            if not _ideal_class(ring, dI).is_prime:
                 continue
-            for I in proper:
-                dI = apply_expansion(delta, I)
-                if not (dI.is_proper and classify_ideal(dI).is_prime):
+            for J in proper:
+                dJ = table[J.mask]
+                if not _ideal_class(ring, dJ).is_prime or dI & ~dJ == 0 or dJ & ~dI == 0:
                     continue
-                for J in proper:
-                    dJ = apply_expansion(delta, J)
-                    if not (dJ.is_proper and classify_ideal(dJ).is_prime):
-                        continue
-                    if dI.issubset(dJ) or dJ.issubset(dI):
-                        continue
-                    meet = ideal_combine("intersect", I, J)
-                    if not _dn(meet, delta):
-                        yield SKIP, None
-                        continue
-                    if _dn(I, delta) and _dn(J, delta):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, meet,
-                                         detail=f"I={I!r}, J={J!r}")
+                meet = I.mask & J.mask
+                if meet not in dn:
+                    yield SKIP, None
+                elif I.mask in dn and J.mask in dn:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, meet),
+                                     detail=f"I={I!r}, J={J!r}")
 
 
 def _check_superfluous(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if apply_expansion(delta, I).is_proper and _dn(I, delta):
-                    if classify_ideal(I).is_superfluous:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I, detail="I is not superfluous")
+    for ring, delta, dn in _by_expansion(ctx):
+        full = ring.full_mask
+        for I in _proper(ring):
+            if delta.table[I.mask] != full and I.mask in dn:
+                if classify_ideal(I).is_superfluous:
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I, detail="I is not superfluous")
+            else:
+                yield SKIP, None
 
 
 def _check_sum_delta_n(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        proper = _proper(ring)
-        for delta in entry.expansions:
-            for I in proper:
-                if not (apply_expansion(delta, I).is_proper and _dn(I, delta)):
+    for ring, delta, dn in _by_expansion(ctx):
+        full, table, proper = ring.full_mask, delta.table, _proper(ring)
+        for I in proper:
+            if not (table[I.mask] != full and I.mask in dn):
+                continue
+            for J in proper:
+                if not (table[J.mask] != full and J.mask in dn):
                     continue
-                for J in proper:
-                    if not (apply_expansion(delta, J).is_proper and _dn(J, delta)):
-                        continue
-                    s = ideal_combine("sum", I, J)
-                    if s.is_proper and _dn(s, delta):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, s,
-                                         detail=f"I={I!r}, J={J!r}")
+                s = _sum_mask(ring, I.mask, J.mask)
+                if s in dn:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, s),
+                                     detail=f"I={I!r}, J={J!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -662,23 +617,24 @@ def _check_sum_delta_n(ctx):
 # ---------------------------------------------------------------------------
 
 def _quotient_instances(ctx, entry):
+    """(ring, delta, J, I, mask of I/J, delta-n set of delta, delta_q-n set of R/J)."""
     ring = entry.ring
+    dns = [delta_n_masks(d) for d in entry.expansions]
     for J in _proper(ring):
-        rec = quotient_ring(ring, J)
-        for delta in entry.expansions:
-            dq = derive_quotient_expansion(delta, J)
-            for I in enumerate_ideals(ring):
-                if not I.is_proper or J.mask & ~I.mask:
-                    continue
-                img = _mk_ideal(rec.ring, rec.projection.image_mask(I.mask))
-                yield ring, delta, J, I, rec, dq, img
+        proj = quotient_ring(ring, J).projection
+        above = [(I, proj.image_mask(I.mask)) for I in _proper(ring)
+                 if J.mask & ~I.mask == 0]
+        for delta, dn in zip(entry.expansions, dns):
+            dn_q = delta_n_masks(derive_quotient_expansion(delta, J))
+            for I, img in above:
+                yield ring, delta, J, I, img, dn, dn_q
 
 
 def _check_quotient_forward(ctx):
     for entry in ctx.entries:
-        for ring, delta, J, I, rec, dq, img in _quotient_instances(ctx, entry):
-            if _dn(I, delta):
-                if _dn(img, dq):
+        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
+            if I.mask in dn:
+                if img in dn_q:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
@@ -688,10 +644,10 @@ def _check_quotient_forward(ctx):
 
 def _check_quotient_back_nilpotent(ctx):
     for entry in ctx.entries:
-        nil = nilradical(entry.ring)
-        for ring, delta, J, I, rec, dq, img in _quotient_instances(ctx, entry):
-            if J.issubset(nil) and _dn(img, dq):
-                if _dn(I, delta):
+        nil = _nil_mask(entry.ring)
+        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
+            if J.mask & ~nil == 0 and img in dn_q:
+                if I.mask in dn:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
@@ -701,10 +657,10 @@ def _check_quotient_back_nilpotent(ctx):
 
 def _check_quotient_back_delta_n(ctx):
     for entry in ctx.entries:
-        for ring, delta, J, I, rec, dq, img in _quotient_instances(ctx, entry):
-            if (apply_expansion(delta, J).is_proper and _dn(J, delta)
-                    and _dn(img, dq)):
-                if _dn(I, delta):
+        full = entry.ring.full_mask
+        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
+            if delta.table[J.mask] != full and J.mask in dn and img in dn_q:
+                if I.mask in dn:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
@@ -724,15 +680,16 @@ def _check_hom_preimage(ctx):
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
+            dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
             for J in _proper(f.target):
-                if _dn(J, gamma):
-                    pre = preimage_ideal(f, J)
-                    if _dn(pre, delta):
+                if J.mask in dn_g:
+                    pre = f.preimage_mask(J.mask)
+                    if pre in dn:
                         yield HOLDS, None
                     else:
                         yield FAIL, Witness(
                             ring=f.source.key, expansion=delta.name(),
-                            ideal=repr(pre),
+                            ideal=repr(_mk_ideal(f.source, pre)),
                             detail=f"target {f.target.key}, J={J!r}, "
                                    f"gamma={gamma.name()}")
                 else:
@@ -743,25 +700,27 @@ def _check_hom_image(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
             continue
-        ker = f.kernel
+        ker, full = f.kernel.mask, f.target.full_mask
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
+            dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
             for I in _proper(f.source):
-                if ker.issubset(I) and _dn(I, delta):
-                    img = image_ideal(f, I)
-                    if not img.is_proper:
+                if ker & ~I.mask == 0 and I.mask in dn:
+                    img = f.image_mask(I.mask)
+                    if img == full:
                         yield FAIL, Witness(ring=f.source.key,
                                             expansion=delta.name(), ideal=repr(I),
                                             detail="image is the whole ring")
-                    elif _dn(img, gamma):
+                    elif img in dn_g:
                         yield HOLDS, None
                     else:
                         yield FAIL, Witness(
                             ring=f.source.key, expansion=delta.name(),
                             ideal=repr(I),
-                            detail=f"target {f.target.key}, f(I)={img!r}, "
+                            detail=f"target {f.target.key}, "
+                                   f"f(I)={_mk_ideal(f.target, img)!r}, "
                                    f"gamma={gamma.name()}")
                 else:
                     yield SKIP, None
@@ -771,23 +730,24 @@ def _check_hom_epi_pushforward(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
             continue
-        ker = f.kernel
+        ker = f.kernel.mask
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
             for I in enumerate_ideals(f.source):
-                if not ker.issubset(I):
+                if ker & ~I.mask:
                     yield SKIP, None
                     continue
-                lhs = apply_expansion(gamma, _mk_ideal(f.target, f.image_mask(I.mask)))
-                rhs = _mk_ideal(f.target, f.image_mask(apply_expansion(delta, I).mask))
+                lhs = gamma.table[f.image_mask(I.mask)]
+                rhs = f.image_mask(delta.table[I.mask])
                 if lhs == rhs:
                     yield HOLDS, None
                 else:
                     yield FAIL, Witness(ring=f.source.key, expansion=delta.name(),
                                         ideal=repr(I),
-                                        detail=f"gamma(f(I))={lhs!r} != f(delta(I))={rhs!r}")
+                                        detail=f"gamma(f(I))={_mk_ideal(f.target, lhs)!r}"
+                                               f" != f(delta(I))={_mk_ideal(f.target, rhs)!r}")
 
 
 def _check_radical_hom(ctx):
@@ -813,6 +773,7 @@ def _check_product_obstruction(ctx):
         for d1 in ctx.catalog(left):
             for d2 in ctx.catalog(right):
                 dx = derive_product_expansion(d1, d2)
+                dn = delta_n_masks(dx)
                 for I in _proper(ring):
                     m1 = m2 = 0
                     for idx in _bits(I.mask):
@@ -822,7 +783,7 @@ def _check_product_obstruction(ctx):
                        d2.table[m2] == right.full_mask:
                         yield SKIP, None
                         continue
-                    if _dn(I, dx):
+                    if I.mask in dn:
                         yield FAIL, _wit(ring, dx, I,
                                          detail="delta-n despite a proper component value")
                     else:
@@ -835,14 +796,14 @@ def _check_idealization_transfer(ctx):
         submods = enumerate_submodules(module)
         act = module.action
         for delta in base_catalog:
-            dplus = derive_idealization_expansion(delta, module)
+            dn = delta_n_masks(delta)
+            dn_plus = delta_n_masks(derive_idealization_expansion(delta, module))
             for I in _proper(base):
                 for N in submods:
                     if any(not N.contains_idx(act[a][m])
                            for a in _bits(I.mask) for m in range(module.size)):
                         continue
-                    W = rec.homogeneous_ideal(I, N)
-                    if _dn(I, delta) == _dn(W, dplus):
+                    if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
                         yield HOLDS, None
                     else:
                         yield FAIL, Witness(ring=rec.ring.key,
@@ -853,68 +814,66 @@ def _check_idealization_transfer(ctx):
 def _check_idealization_radical(ctx):
     for rec, _catalog in ctx.idealization_instances():
         base, module = rec.base, rec.module
-        full_sub = constructions.Submodule(module, (1 << module.size) - 1)
-        act = module.action
+        full_m, act = (1 << module.size) - 1, module.action
         for I in enumerate_ideals(base):
             for N in enumerate_submodules(module):
                 if any(not N.contains_idx(act[a][m])
                        for a in _bits(I.mask) for m in range(module.size)):
                     continue
-                W = rec.homogeneous_ideal(I, N)
-                expected = rec.homogeneous_ideal(radical(I), full_sub)
-                if radical(W) == expected:
+                W = rec.homogeneous_mask(I.mask, N.mask)
+                expected = rec.homogeneous_mask(_radical_mask(base, I.mask), full_m)
+                if _radical_mask(rec.ring, W) == expected:
                     yield HOLDS, None
                 else:
-                    yield FAIL, Witness(ring=rec.ring.key, ideal=repr(W),
+                    yield FAIL, Witness(ring=rec.ring.key, ideal=repr(_mk_ideal(rec.ring, W)),
                                         detail="radical is not sqrt(I)(+)M")
 
 
 def _check_loc_forward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
+        dns = [delta_n_masks(d) for d in entry.expansions]
         for sset in ctx.mult_sets(ring):
             rec = localize(ring, sset)
-            smask = 0
-            for i in sset.indices:
-                smask |= 1 << i
-            for delta in entry.expansions:
-                ds = derive_localized_expansion(delta, sset)
+            smask = sum(1 << i for i in sset.indices)
+            for delta, dn in zip(entry.expansions, dns):
+                dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
                 for I in _proper(ring):
-                    if I.mask & smask or not _dn(I, delta):
+                    if I.mask & smask or I.mask not in dn:
                         yield SKIP, None
                         continue
-                    ext = rec.extend(I)
-                    if ext.is_proper and _dn(ext, ds):
+                    ext = rec.extend_mask(I.mask)
+                    if ext in dn_s:
                         yield HOLDS, None
                     else:
                         yield FAIL, _wit(ring, delta, I,
-                                         detail=f"S={sset!r}, extension={ext!r}")
+                                         detail=f"S={sset!r}, "
+                                                f"extension={_mk_ideal(rec.ring, ext)!r}")
 
 
 def _check_loc_backward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        zdiv = special_sets(ring).zero_divisors
-        zdiv_idx = {e.idx for e in zdiv}
+        zdiv = _z_i_mask(ring, 1 << ring.zero_idx)  # the zero divisors
+        dns = [delta_n_masks(d) for d in entry.expansions]
         for sset in ctx.mult_sets(ring):
-            if any(i in zdiv_idx for i in sset.indices):
+            smask = sum(1 << i for i in sset.indices)
+            if zdiv & smask:
                 for delta in entry.expansions:
                     for I in _proper(ring):
                         yield SKIP, None
                 continue
             rec = localize(ring, sset)
-            smask = sum(1 << i for i in sset.indices)
-            for delta in entry.expansions:
-                ds = derive_localized_expansion(delta, sset)
+            for delta, dn in zip(entry.expansions, dns):
+                dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
                 for I in _proper(ring):
                     if _z_i_mask(ring, delta.table[I.mask]) & smask:
                         yield SKIP, None
                         continue
-                    ext = rec.extend(I)
-                    if not (ext.is_proper and _dn(ext, ds)):
+                    if rec.extend_mask(I.mask) not in dn_s:
                         yield SKIP, None
                         continue
-                    if _dn(I, delta):
+                    if I.mask in dn:
                         yield HOLDS, None
                     else:
                         yield FAIL, _wit(ring, delta, I, detail=f"S={sset!r}")
@@ -927,14 +886,16 @@ def _check_loc_regular_contract(ctx):
         sset = constructions.MultiplicativeSet(ring, tuple(regs))
         rec = localize(ring, sset)
         for delta in entry.expansions:
-            ds = derive_localized_expansion(delta, sset)
+            dn = delta_n_masks(delta)
+            dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
             for K in _proper(rec.ring):
-                if _dn(K, ds):
-                    con = rec.contract(K)
-                    if con.is_proper and _dn(con, delta):
+                if K.mask in dn_s:
+                    con = rec.contract_mask(K.mask)
+                    if con in dn:
                         yield HOLDS, None
                     else:
-                        yield FAIL, _wit(ring, delta, con, detail=f"K={K!r}")
+                        yield FAIL, _wit(ring, delta, _mk_ideal(ring, con),
+                                         detail=f"K={K!r}")
                 else:
                     yield SKIP, None
 
@@ -982,19 +943,18 @@ def _check_example_unit_ideal(ctx):
 
 
 def _check_conjecture_proper_n(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        for delta in entry.expansions:
-            for I in _proper(ring):
-                if apply_expansion(delta, I).is_proper and _dn(I, delta):
-                    if is_n_ideal(I):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         elements=_pair_repr(*n_ideal_witness(I)),
-                                         detail="separates delta-n from n-ideal")
+    for ring, delta, dn in _by_expansion(ctx):
+        full, n_masks = ring.full_mask, _n_masks(ring)
+        for I in _proper(ring):
+            if delta.table[I.mask] != full and I.mask in dn:
+                if I.mask in n_masks:
+                    yield HOLDS, None
                 else:
-                    yield SKIP, None
+                    yield FAIL, _wit(ring, delta, I,
+                                     elements=_pair_repr(*n_ideal_witness(I)),
+                                     detail="separates delta-n from n-ideal")
+            else:
+                yield SKIP, None
 
 
 def _check_selftest_z6(ctx):

@@ -1,12 +1,15 @@
 """Command-line front end: inspect ideal lattices, classify ideals, run the verifier.
 
 Exit codes: 0 success, 1 at least one claim failure, 2 usage/parse/semantic error,
-3 internal error (an unexpected exception, reported on one line without a traceback).
+3 internal error (an unexpected exception, reported on one line without a traceback),
+141 the reader closed standard output (128 + SIGPIPE, as the shell reports for
+``yes | head -1``; nothing is written to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .claims import CLAIMS_BY_ID
@@ -143,7 +146,13 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DeltanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -350,9 +350,15 @@ def preimage_ideal(f, K):
 
 @memo
 def is_delta_gamma_homomorphism(f, delta, gamma):
-    """delta(f^{-1}(J)) = f^{-1}(gamma(J)) for every ideal J of the target."""
+    """delta(f^{-1}(J)) = f^{-1}(gamma(J)) for every ideal J of the target.
+
+    A table-backed map compares the masks; the mod-n reductions compare ideals.
+    """
     if delta.ring.key != f.source.key or gamma.ring.key != f.target.key:
         raise CrossRingError("expansions must live on the map's source and target")
+    if f.mapping is not None:
+        pre, dt, gt = f.preimage_mask, delta.table, gamma.table
+        return all(dt[pre(J.mask)] == pre(gt[J.mask]) for J in enumerate_ideals(f.target))
     from .expansions import apply_expansion
     for J in enumerate_ideals(f.target):
         pre = preimage_ideal(f, J)
@@ -434,13 +440,15 @@ class IdealizationRecord:
                 if not N.contains_idx(row[m]):
                     raise ConstructionError(
                         "I(+)N is an ideal of R(+)M only when IM lies inside N")
+        return _mk_ideal(self.ring, self.homogeneous_mask(I.mask, N.mask))
+
+    def homogeneous_mask(self, imask, nmask):
+        """The mask of I(+)N: the block of each a in I holds N's mask."""
         msize = self.module.size
         mask = 0
-        for a in _bits(I.mask):
-            base = a * msize
-            for m in _bits(N.mask):
-                mask |= 1 << (base + m)
-        return _mk_ideal(self.ring, mask)
+        for a in _bits(imask):
+            mask |= nmask << (a * msize)
+        return mask
 
     def split(self, W):
         """(is_homogeneous, I, N) for an ideal W of R(+)M."""
@@ -594,18 +602,21 @@ class LocalizationRecord:
 
 @memo
 def localize(ring, sset):
-    """S^{-1}R by exhaustive partitioning of R x S.
+    """S^{-1}R as R/ker, ker the saturation kernel {a : ua = 0 for some u in S}.
 
-    (r,s) ~ (r',s') iff u(rs' - r's) = 0 for some u in S, equivalently
-    rs' - r's lies in the saturation kernel {a : ua = 0 for some u in S};
-    the kernel form is what the partition uses (same relation, one scan).
+    (r,s) ~ (r',s') iff u(rs' - r's) = 0 for some u in S, that is, iff
+    rs' - r's lies in ker.  Each s in S is a unit mod ker: sa in ker gives
+    (us)a = 0 with us in S, so s is a non-zero-divisor of the finite ring R/ker.
+    With st = 1 mod ker, (r,s) ~ (r',s') iff rt = r't' mod ker, so the class
+    of (r,s) is the coset of rt.  Classes are numbered by first appearance in
+    (r, s) order, and the first pair of each class is its representative.
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
     if sset.ring.key != ring.key:
         raise CrossRingError("multiplicative set belongs to a different ring")
     n = ring.size
-    add, mul, neg = ring.add, ring.mul, ring.neg
+    add, mul = ring.add, ring.mul
     zero = ring.zero_idx
     s_list = list(sset.indices)
     if zero in s_list:
@@ -614,19 +625,18 @@ def localize(ring, sset):
     for a in range(n):
         if any(mul[u][a] == zero for u in s_list):
             ker |= 1 << a
-    class_of = {}
-    reps = []
+    coset = _coset_reps(ring, ker)
+    one = coset[ring.one_idx]
+    inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]
+    class_of, number, reps = {}, {}, []
     for r in range(n):
-        for s in s_list:
-            found = None
-            for ci, (r2, s2) in enumerate(reps):
-                diff = add[mul[r][s2]][neg[mul[r2][s]]]
-                if ker >> diff & 1:
-                    found = ci
-                    break
+        row = mul[r]
+        for s, t in zip(s_list, inverse):
+            key = coset[row[t]]
+            found = number.get(key)
             if found is None:
+                found = number[key] = len(reps)
                 reps.append((r, s))
-                found = len(reps) - 1
             class_of[(r, s)] = found
     size = len(reps)
     addq = [[0] * size for _ in range(size)]

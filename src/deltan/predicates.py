@@ -5,7 +5,10 @@ b into delta(I).  The production test is the paper's colon characterization:
 I is delta-n iff U(I) = union of (I:a) over a outside the nilradical lies in
 delta(I).  U(I) depends on the ring and I alone, so it is computed once per
 ideal and each (I, delta) decision is one mask AND; witnesses are extracted
-by the definition scan only when that AND fails.  Three independent decision
+by the definition scan only when that AND fails.  ``delta_n_masks(delta)``
+makes that AND once per proper ideal, against a per-ring {I: U(I)} table, and
+returns the set of delta-n masks: a loop over one (ring, delta) reads
+membership in it, and the spectrum is read from it.  Three independent decision
 methods (the colon criterion ((I:a) inside the nilradical for a outside
 delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
 against it by the verifier; their verdicts are memoised per (ring, I, delta(I),
@@ -48,6 +51,21 @@ def _nil_mask(ring):
 def _u_mask(ring, imask):
     """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
     return _meet_mask(ring, imask, _columns_outside(ring, _nil_mask(ring)))
+
+
+@memo
+def _u_table(ring):
+    """{I mask: U(I)} over the proper ideals, in lattice order, memoised per ring."""
+    full = ring.full_mask
+    return {I.mask: _u_mask(ring, I.mask) for I in enumerate_ideals(ring)
+            if I.mask != full}
+
+
+@memo
+def _n_masks(ring):
+    """The masks of the proper n-ideals, U(I) <= I (the delta0-n ideals), memoised
+    per ring."""
+    return frozenset(m for m, u in _u_table(ring).items() if u & ~m == 0)
 
 
 @memo
@@ -208,6 +226,19 @@ def _decide(ring, imask, dmask, method):
     return True
 
 
+def delta_n_masks(delta):
+    """The masks of the proper delta-n ideals of a finite ring, one AND per ideal.
+
+    Not memoised: a set kept per expansion costs more memory than its rebuild
+    costs time, so a loop over (ring, delta) builds it once, outside its
+    instance loop, and tests ``I.mask in dn``.
+    """
+    if not delta.ring.is_finite:
+        raise InfiniteRingError("delta-n sets are enumerated on finite rings only")
+    table = delta.table
+    return {m for m, u in _u_table(delta.ring).items() if u & ~table[m] == 0}
+
+
 def delta_n_witness(I, delta):
     """First (a, b) violating the delta-n definition, or None."""
     _guard(I, delta)
@@ -248,8 +279,8 @@ def delta_n_spectrum(ring, delta):
         raise InfiniteRingError("spectra are enumerated on finite rings only")
     if delta.ring.key != ring.key:
         raise CrossRingError("expansion lives on a different ring")
-    members = tuple(I for I in enumerate_ideals(ring)
-                    if I.is_proper and is_delta_n_ideal(I, delta))
+    dn = delta_n_masks(delta)
+    members = tuple(I for I in enumerate_ideals(ring) if I.mask in dn)
     maximal = tuple(
         I for I in members
         if not any(J is not I and I.mask != J.mask and I.mask & ~J.mask == 0

@@ -130,3 +130,32 @@ def test_ideals_of_a_1024_element_product(capsys):
     out = capsys.readouterr().out
     assert "(36 ideals)" in out
     assert out.count("generators") == 36
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    """A reader that stops after one line, as ``deltan ideals ... | head -1`` does."""
+    import fcntl
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    read_fd, write_fd = os.pipe()
+    # a one-page pipe: the 64-ideal listing (about 6 KB) cannot fit, so the
+    # command is still writing when the read end closes
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deltan.cli", "ideals", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    first = b""
+    while not first.endswith(b"\n"):
+        chunk = os.read(read_fd, 1)
+        if not chunk:
+            break
+        first += chunk
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=120)
+    assert first == b"ideal lattice of Z2 x Z2 x Z2 x Z2 x Z2 x Z2 (64 ideals):\n"
+    assert (proc.returncode, err) == (141, b"")

@@ -1,9 +1,11 @@
 """Quotients, modules, idealizations, localizations, homomorphisms."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltan import (ConstructionError, HomomorphismError, InfiniteRingError,
-                    classify_ring, delta0, delta1, enumerate_ideals,
+                    apply_expansion, classify_ring, delta0, delta1, enumerate_ideals,
                     full_expansion, ideal_from_generators, image_ideal,
                     integer_ideal, integers, is_delta_gamma_homomorphism,
                     localize, make_homomorphism, make_module, modular,
@@ -310,3 +312,96 @@ def test_memoised_transport_matches_plain_loops_on_the_corpus():
             for K in enumerate_ideals(rec.ring):
                 assert rec.contract_mask(K.mask) == _mask(
                     i for i, v in enumerate(rec.canonical.mapping) if K.mask >> v & 1)
+
+
+# ---------------------------------------------------------------------------
+# delta-gamma transport on masks against the Ideal-level loop
+# ---------------------------------------------------------------------------
+
+def _ideal_level_delta_gamma(f, delta, gamma):
+    """delta(f^-1(J)) = f^-1(gamma(J)) for every ideal J, on Ideal objects."""
+    for J in enumerate_ideals(f.target):
+        if apply_expansion(delta, preimage_ideal(f, J)) != \
+           preimage_ideal(f, apply_expansion(gamma, J)):
+            return False
+    return True
+
+
+def test_delta_gamma_transport_matches_the_ideal_level_loop():
+    ctx = Context(builtin_corpus())
+    verdicts = []
+    for f, pairs in ctx.hom_instances():
+        for delta, gamma in pairs + ((delta1(f.source), delta1(f.target)),):
+            expected = _ideal_level_delta_gamma(f, delta, gamma)
+            assert is_delta_gamma_homomorphism(f, delta, gamma) == expected, (f, delta, gamma)
+            verdicts.append(expected)
+    diagonal = [f for f, _ in ctx.hom_instances() if f.source.key == "Z2"
+                and f.target.key == "prod(Z2,Z2)"]
+    assert len(diagonal) == 1
+    assert len(verdicts) == 2569 and True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# coset-keyed localization against the partition of R x S
+# ---------------------------------------------------------------------------
+
+def _partition_localization(ring, sset):
+    """Classes of R x S by a scan over the classes found so far: (r, s) joins
+    the first class whose representative (r2, s2) has rs2 - r2s in the
+    saturation kernel; returns (class_of, representatives, add, mul)."""
+    n, add, mul, neg = ring.size, ring.add, ring.mul, ring.neg
+    s_list = list(sset.indices)
+    ker = 0
+    for a in range(n):
+        if any(mul[u][a] == ring.zero_idx for u in s_list):
+            ker |= 1 << a
+    class_of, reps = {}, []
+    for r in range(n):
+        for s in s_list:
+            found = next((ci for ci, (r2, s2) in enumerate(reps)
+                          if ker >> add[mul[r][s2]][neg[mul[r2][s]]] & 1), None)
+            if found is None:
+                reps.append((r, s))
+                found = len(reps) - 1
+            class_of[(r, s)] = found
+    addq = [[class_of[(add[mul[r1][s2]][mul[r2][s1]], mul[s1][s2])] for r2, s2 in reps]
+            for r1, s1 in reps]
+    mulq = [[class_of[(mul[r1][r2], mul[s1][s2])] for r2, s2 in reps] for r1, s1 in reps]
+    return class_of, reps, addq, mulq
+
+
+def _assert_same_localization(ring, sset):
+    rec = localize(ring, sset)
+    class_of, reps, addq, mulq = _partition_localization(ring, sset)
+    assert rec.class_of == class_of, (ring, sset)
+    assert rec.ring.elements == [(ring.elements[r], ring.elements[s]) for r, s in reps]
+    assert (rec.ring.add, rec.ring.mul) == (addq, mulq), (ring, sset)
+    assert [rec.ring.element_repr(i) for i in range(rec.ring.size)] == \
+        [f"{ring.element_repr(r)}/{ring.element_repr(s)}" for r, s in reps]
+
+
+def test_coset_localization_matches_the_partition_on_the_corpus():
+    ctx = Context(builtin_corpus())
+    pairs = [(entry.ring, sset) for entry in ctx.entries
+             for sset in ctx.mult_sets(entry.ring)]
+    assert len(pairs) == 135
+    for ring, sset in pairs:
+        _assert_same_localization(ring, sset)
+
+
+@st.composite
+def _closures(draw):
+    """(Z_n or Z_a x Z_b with at most 64 elements, closure of one element)."""
+    a = draw(st.integers(2, 64))
+    ring = modular(a)
+    if a <= 32 and draw(st.booleans()):
+        ring = product(ring, modular(draw(st.integers(2, 64 // a))))
+    return ring, mult_closure(ring, [ring.el(draw(st.integers(0, ring.size - 1)))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closures())
+def test_coset_localization_matches_the_partition_on_generated_rings(case):
+    ring, sset = case
+    assume(ring.zero_idx not in sset.indices)
+    _assert_same_localization(ring, sset)

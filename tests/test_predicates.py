@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltan import (CrossRingError, ImproperIdealError, InfiniteRingError,
-                    delta0, delta1, delta_plus,
+                    delta0, delta1, delta_plus, delta_n_masks,
                     delta_n_spectrum, delta_n_witness, delta_nilpotents,
                     enumerate_ideals, full_expansion, ideal_from_generators,
                     integer_ideal, integers, is_delta_n_ideal,
@@ -464,3 +464,66 @@ def test_finite_ring_rule_on_generated_rings(text):
     assert ring.size <= MAX_GENERATED
     for I, delta, expected in _rule_triples(ring, catalog(ring)):
         assert is_delta_n_ideal(I, delta) == expected, (text, I, delta)
+
+
+# ---------------------------------------------------------------------------
+# delta_n_masks: the lattice-wide AND against the single decision
+# ---------------------------------------------------------------------------
+
+def _context_expansions():
+    """Every expansion a default verification builds: the catalogs, every
+    composition of two catalog expansions, and every quotient-, localization-,
+    product- and idealization-derived expansion, deduplicated by identity."""
+    from deltan.constructions import MultiplicativeSet
+    from deltan.expansions import (compose_expansions, derive_idealization_expansion,
+                                   derive_localized_expansion, derive_product_expansion,
+                                   derive_quotient_expansion)
+    from deltan.ideals import special_sets
+    from deltan.verifier import Context
+    ctx = Context(builtin_corpus())
+    out = {}
+
+    def add(*expansions):
+        out.update((id(d), d) for d in expansions)
+
+    for entry in ctx.entries:
+        ring, cat = entry.ring, entry.expansions
+        add(*cat)
+        add(*(compose_expansions(d, g) for d in cat for g in cat))
+        add(*(derive_quotient_expansion(d, J) for J in enumerate_ideals(ring)
+              if J.is_proper for d in cat))
+        regular = sorted(e.idx for e in special_sets(ring).regular_elements)
+        for sset in ctx.mult_sets(ring) + (MultiplicativeSet(ring, tuple(regular)),):
+            add(*(derive_localized_expansion(d, sset) for d in cat))
+        if ring.spec.kind == "product":
+            _, left, right = ring.origin
+            add(*(derive_product_expansion(d1, d2)
+                  for d1 in ctx.catalog(left) for d2 in ctx.catalog(right)))
+    for rec, base_catalog in ctx.idealization_instances():
+        add(*(derive_idealization_expansion(d, rec.module) for d in base_catalog))
+    for _f, pairs in ctx.hom_instances():
+        add(*(d for pair in pairs for d in pair))
+    return list(out.values())
+
+
+def test_delta_n_masks_match_the_single_decision_on_every_context_expansion():
+    expansions = _context_expansions()
+    kinds = {d.kind for d in expansions}
+    assert {"delta0", "delta1", "full", "delta_plus", "delta_star", "compose",
+            "quotient_derived", "localization_derived", "product_derived",
+            "idealization_derived"} <= kinds
+    assert len(expansions) > 376
+    for delta in expansions:
+        ring = delta.ring
+        proper = [I for I in enumerate_ideals(ring) if I.is_proper]
+        dn = delta_n_masks(delta)
+        assert dn == {I.mask for I in proper if is_delta_n_ideal(I, delta)}, delta
+        spectrum = delta_n_spectrum(ring, delta)
+        assert [I.mask for I in spectrum.all] == [I.mask for I in proper
+                                                  if I.mask in dn], delta
+
+
+def test_delta_n_masks_on_integers_is_an_infinite_ring_error():
+    zz = integers()
+    with pytest.raises(InfiniteRingError, match="finite rings only"):
+        delta_n_masks(delta0(zz))
