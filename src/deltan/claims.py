@@ -5,6 +5,14 @@ instances and yields one verdict per instance: ``holds``, ``skip`` (hypothesis
 not met), or ``fail`` with a concrete witness.  Checkers are deterministic:
 corpus order, catalog order, lattice order, element order.
 
+A claim is declared once, by the ``@_claim`` decorator on its checker; the
+registry ``CLAIMS`` is in definition order, which is the report order.  A
+checker whose claim reads "if hypothesis, then conclusion" over one instance
+at a time hands an instance generator, the hypothesis, the conclusion and the
+witness to the verdict kernel ``_verdicts``.  An instance outside the claim's
+quantifier is never yielded; an instance that fails the hypothesis is a skip.
+Checkers over pairs, chains, maps and constructions keep their own loops.
+
 Checkers work on masks.  A loop over one (ring, delta) reads
 ``dn = predicates.delta_n_masks(delta)`` once and tests ``I.mask in dn``;
 values, images, preimages, extensions, sums and meets are read from the
@@ -14,15 +22,17 @@ objects are built only for the witness of a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 
 from . import constructions, predicates
 from .constructions import (enumerate_submodules, is_delta_gamma_homomorphism, localize,
                             quotient_ring)
-from .expansions import (compose_expansions, delta0, delta1, delta_plus,
-                         derive_idealization_expansion, derive_localized_expansion,
-                         derive_product_expansion, derive_quotient_expansion,
-                         localization_value_collisions, profile_expansion)
+from .expansions import (_colon_violation, _split_product_mask, compose_expansions,
+                         delta0, delta1, delta_plus, derive_idealization_expansion,
+                         derive_localized_expansion, derive_product_expansion,
+                         derive_quotient_expansion, localization_value_collisions,
+                         profile_expansion)
 from .ideals import (_bits, _colon_mask, _ideal_class, _mk_ideal, _principal_columns,
                      _product_mask, _radical_mask, _sum_mask, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_from_generators,
@@ -45,18 +55,11 @@ class Witness:
     detail: str = ""
 
     def to_dict(self):
-        return {"ring": self.ring, "expansion": self.expansion,
-                "ideal": self.ideal, "elements": self.elements,
-                "detail": self.detail}
+        return asdict(self)
 
     def text(self):
-        parts = []
-        for label, value in (("ring", self.ring), ("expansion", self.expansion),
-                             ("ideal", self.ideal), ("elements", self.elements),
-                             ("detail", self.detail)):
-            if value:
-                parts.append(f"{label}={value}")
-        return "; ".join(parts)
+        return "; ".join(f"{label}={value}" for label, value in self.to_dict().items()
+                         if value)
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,38 @@ class Claim:
     notes: tuple = field(default_factory=tuple)
 
 
+CLAIMS = []  # in report order
+# claim id -> checker; the runner looks checkers up here at call time
+CHECKERS = {}
+
+
+def _claim(id, title, statement, quantifies, self_test=False, notes=()):
+    """Register the decorated checker as the checker of a new claim."""
+    def register(checker):
+        CLAIMS.append(Claim(id, title, statement, quantifies, self_test, tuple(notes)))
+        CHECKERS[id] = checker
+        return checker
+    return register
+
+
+def _verdicts(instances, hyp, concl, witness):
+    """The verdict kernel: one verdict per instance, in the order ``instances``
+    yields them.  SKIP where ``hyp`` fails, HOLDS where ``concl`` holds, and
+    otherwise FAIL with ``witness``, built only then.  The three callables
+    take the fields of an instance as their arguments."""
+    for inst in instances:
+        if not hyp(*inst):
+            yield SKIP, None
+        elif concl(*inst):
+            yield HOLDS, None
+        else:
+            yield FAIL, witness(*inst)
+
+
+def _no_hypothesis(*inst):
+    return True
+
+
 @memo
 def _proper(ring):
     return tuple(I for I in enumerate_ideals(ring) if I.is_proper)
@@ -77,11 +112,50 @@ def _proper(ring):
 _dn = is_delta_n_ideal
 
 
+def _expansions(ctx):
+    """(ring, delta, sqrt(0)) for each corpus ring and catalog expansion."""
+    for entry in ctx.entries:
+        nil = nilradical(entry.ring)
+        for delta in entry.expansions:
+            yield entry.ring, delta, nil
+
+
 def _by_expansion(ctx):
     """(ring, delta, delta-n set of delta) for each corpus ring and expansion."""
     for entry in ctx.entries:
         for delta in entry.expansions:
             yield entry.ring, delta, delta_n_masks(delta)
+
+
+# one (ring, delta) with what its hypotheses and conclusions read, so that
+# a verdict reads attributes rather than calling a memoised function
+_Scope = namedtuple("_Scope", "ring delta table full dn nil n_masks")
+
+
+def _scopes(entry):
+    """The scope of each catalog expansion of one corpus entry."""
+    ring = entry.ring
+    nil, n_masks = _nil_mask(ring), _n_masks(ring)
+    return [_Scope(ring, d, d.table, ring.full_mask, delta_n_masks(d), nil, n_masks)
+            for d in entry.expansions]
+
+
+def _ideals(ctx):
+    """(scope, I) for each corpus ring, catalog expansion and proper ideal I."""
+    for entry in ctx.entries:
+        for scope in _scopes(entry):
+            for I in _proper(entry.ring):
+                yield scope, I
+
+
+def _delta_n_proper_value(s, I):
+    """The recurring hypothesis: I is delta-n and delta(I) != R."""
+    return s.table[I.mask] != s.full and I.mask in s.dn
+
+
+def _idempotent_delta_n(delta, dn, mask):
+    """delta(delta(I)) = delta(I) and I is delta-n, at the ideal with this mask."""
+    return delta.table[delta.table[mask]] == delta.table[mask] and mask in dn
 
 
 def _wit(ring, delta=None, ideal=None, elements=None, detail=""):
@@ -102,6 +176,11 @@ def _pair_repr(a, b):
 # single-ring claims
 # ---------------------------------------------------------------------------
 
+@_claim("thm-four-equivalents", "Four equivalent delta-n criteria",
+        "The definition, the colon criterion ((I:a) <= sqrt(0) for all a "
+        "outside delta(I)), the element-ideal form, and the ideal-pair form "
+        "decide the same class.",
+        "every (ring, catalog expansion, proper ideal)")
 def _check_four_equivalents(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -117,19 +196,19 @@ def _check_four_equivalents(ctx):
                     yield FAIL, _wit(ring, delta, I, detail=detail)
 
 
+@_claim("prop-subset-nilradical", "Proper-expansion delta-n ideals are nil",
+        "If delta(I) != R and I is a delta-n-ideal, then I <= sqrt(0).",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_subset_nilradical(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, nil = ring.full_mask, _nil_mask(ring)
-        for I in _proper(ring):
-            if delta.table[I.mask] != full and I.mask in dn:
-                if I.mask & ~nil == 0:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail="I is not inside sqrt(0)")
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx), _delta_n_proper_value,
+                     lambda s, I: I.mask & ~s.nil == 0,
+                     lambda s, I: _wit(s.ring, s.delta, I, detail="I is not inside sqrt(0)"))
 
 
+@_claim("ex-z6-zero-not-n", "Inline counterexample in Z6",
+        "In Z6 the zero ideal is neither a delta0- nor a delta1-n-ideal; "
+        "the first witness pair is a=2, b=3.",
+        "two fixed instances (delta0 and delta1 on Z6)")
 def _check_z6_counterexample(ctx):
     ring = modular(6)
     zero = zero_ideal(ring)
@@ -144,30 +223,25 @@ def _check_z6_counterexample(ctx):
             yield HOLDS, None
 
 
+@_claim("prop-primary-to-delta-n", "delta-primary inside sqrt(0) is delta-n",
+        "If I <= sqrt(0) is proper and delta-primary, then I is a delta-n-ideal.",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_primary_to_delta_n(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        nil = _nil_mask(ring)
-        for I in _proper(ring):
-            if I.mask & ~nil == 0 and is_delta_primary(I, delta):
-                if I.mask in dn:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I,
-                                     elements=_pair_repr(*delta_n_witness(I, delta)))
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx),
+                     lambda s, I: I.mask & ~s.nil == 0 and is_delta_primary(I, s.delta),
+                     lambda s, I: I.mask in s.dn,
+                     lambda s, I: _wit(s.ring, s.delta, I,
+                                       elements=_pair_repr(*delta_n_witness(I, s.delta))))
 
 
+@_claim("prop-nilradical-primary-iff", "At sqrt(0) the two classes agree",
+        "sqrt(0) is delta-primary if and only if sqrt(0) is a delta-n-ideal.",
+        "every (ring, expansion)")
 def _check_nilradical_primary_iff(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            if is_delta_primary(nil, delta) == _dn(nil, delta):
-                yield HOLDS, None
-            else:
-                yield FAIL, _wit(ring, delta, nil,
-                                 detail="delta-primary and delta-n disagree at sqrt(0)")
+    return _verdicts(_expansions(ctx), _no_hypothesis,
+                     lambda ring, delta, nil: is_delta_primary(nil, delta) == _dn(nil, delta),
+                     lambda ring, delta, nil: _wit(ring, delta, nil, detail="delta-primary "
+                                                   "and delta-n disagree at sqrt(0)"))
 
 
 def _primes_up_to(bound):
@@ -178,6 +252,10 @@ def _primes_up_to(bound):
     return out
 
 
+@_claim("ex-int-delta-plus", "Prime ideals of ZZ under the sum expansion",
+        "For primes p != q, pZ is a delta_plus(qZ)-n-ideal of ZZ but not an "
+        "n-ideal, delta0-n-ideal, or delta1-n-ideal.",
+        "prime pairs p != q up to 100")
 def _check_integer_delta_plus(ctx):
     zz = ctx.zz
     d0, d1 = delta0(zz), delta1(zz)
@@ -196,32 +274,33 @@ def _check_integer_delta_plus(ctx):
                 yield FAIL, _wit(zz, dp, I, detail=f"p={p}, q={q}")
 
 
+@_claim("prop-delta-primary-iff-subset", "Primary + proper value: delta-n iff nil",
+        "If I is delta-primary with delta(I) != R, then I is delta-n iff "
+        "I <= sqrt(0).",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_primary_iff_subset(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, nil = ring.full_mask, _nil_mask(ring)
-        for I in _proper(ring):
-            if delta.table[I.mask] != full and is_delta_primary(I, delta):
-                if (I.mask in dn) == (I.mask & ~nil == 0):
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I)
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx),
+                     lambda s, I: s.table[I.mask] != s.full and is_delta_primary(I, s.delta),
+                     lambda s, I: (I.mask in s.dn) == (I.mask & ~s.nil == 0),
+                     lambda s, I: _wit(s.ring, s.delta, I))
 
 
+@_claim("prop-prime-iff-nilradical", "Prime + proper value: delta-n iff I=sqrt(0)",
+        "If I is prime with delta(I) != R, then I is delta-n iff I = sqrt(0).",
+        "every (ring, expansion, prime proper ideal)")
 def _check_prime_iff_nilradical(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, nil = ring.full_mask, _nil_mask(ring)
-        for I in _proper(ring):
-            if classify_ideal(I).is_prime and delta.table[I.mask] != full:
-                if (I.mask in dn) == (I.mask == nil):
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I)
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx),
+                     lambda s, I: classify_ideal(I).is_prime and s.table[I.mask] != s.full,
+                     lambda s, I: (I.mask in s.dn) == (I.mask == s.nil),
+                     lambda s, I: _wit(s.ring, s.delta, I))
 
 
+@_claim("thm-every-ideal-quasilocal", "Rings where every proper ideal is delta-n",
+        "Equivalent: (1) every proper principal ideal is delta-n for every "
+        "catalog expansion; (2) every proper ideal is; (3) sqrt(0) is the "
+        "unique prime ideal; (4) the ring is quasi-local with maximal ideal "
+        "sqrt(0).  Conditions 1-2 quantify over the whole catalog.",
+        "every ring")
 def _check_every_ideal_quasilocal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -241,6 +320,10 @@ def _check_every_ideal_quasilocal(ctx):
                                           f"unique-prime={c3}, quasi-local={c4}")
 
 
+@_claim("prop-domain-only-zero", "Integral domain: only (0) is delta-n",
+        "On ZZ, for expansions with proper values on proper ideals (delta0, "
+        "delta1), nZ is a delta-n-ideal iff n = 0; bounded check n <= 1000.",
+        "n in 0..1000 for delta0 and delta1 on ZZ")
 def _check_domain_only_zero(ctx):
     zz = ctx.zz
     for delta in (delta0(zz), delta1(zz)):
@@ -254,38 +337,28 @@ def _check_domain_only_zero(ctx):
                 yield FAIL, _wit(zz, delta, I)
 
 
+@_claim("thm-von-neumann-field", "Field iff von Neumann regular + (0) delta-n",
+        "For delta with delta(0) = 0: R is a field iff R is von Neumann "
+        "regular and (0) is a delta-n-ideal.",
+        "every (ring, zero-fixed expansion)")
 def _check_von_neumann_field(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        rc = classify_ring(ring)
-        zero = zero_ideal(ring)
-        for delta in entry.expansions:
-            if not profile_expansion(delta).zero_fixed:
-                yield SKIP, None
-                continue
-            rhs = rc.is_von_neumann_regular and _dn(zero, delta)
-            if rc.is_field == rhs:
-                yield HOLDS, None
-            else:
-                yield FAIL, _wit(ring, delta, zero,
-                                 detail=f"field={rc.is_field}, vnr-and-zero-delta-n={rhs}")
+    return _verdicts(
+        _expansions(ctx),
+        lambda ring, delta, nil: profile_expansion(delta).zero_fixed,
+        lambda ring, delta, nil: classify_ring(ring).is_field == (
+            classify_ring(ring).is_von_neumann_regular and _dn(zero_ideal(ring), delta)),
+        # a failure means the two sides differ
+        lambda ring, delta, nil: _wit(
+            ring, delta, zero_ideal(ring),
+            detail=f"field={classify_ring(ring).is_field}, "
+                   f"vnr-and-zero-delta-n={not classify_ring(ring).is_field}"))
 
 
-def _colon_hypothesis_at(ring, delta, I):
-    """Per-ideal colon hypothesis: inclusion over x outside delta(I), and
-    delta(I:x) proper over x outside I."""
-    dmask = delta.table[I.mask]
-    full = ring.full_mask
-    for x in range(ring.size):
-        cx = _colon_mask(ring, I.mask, x)
-        if not (dmask >> x & 1):
-            if _colon_mask(ring, dmask, x) & ~delta.table[cx]:
-                return False
-        if not (I.mask >> x & 1) and delta.table[cx] == full:
-            return False
-    return True
-
-
+@_claim("lem-colon-stable", "Colon ideals inherit the delta-n property",
+        "If I is delta-n and x is outside delta(I) with (delta(I):x) <= "
+        "delta(I:x) != R, then (I:x) is delta-n; for delta1 the side "
+        "conditions hold automatically.",
+        "every (ring, expansion, delta-n ideal, element x outside delta(I))")
 def _check_colon_stable(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         full, table = ring.full_mask, delta.table
@@ -298,15 +371,11 @@ def _check_colon_stable(ctx):
                 if dmask >> x & 1:
                     continue
                 cx = _colon_mask(ring, I.mask, x)
-                inclusion = not (_colon_mask(ring, dmask, x) & ~table[cx])
-                proper_val = table[cx] != full
-                if not is_radical and not (inclusion and proper_val):
+                # (delta(I):x) <= delta(I:x) != R; a hypothesis, except for delta1
+                side = not (_colon_mask(ring, dmask, x) & ~table[cx]) and table[cx] != full
+                if not (side or is_radical):
                     yield SKIP, None
-                    continue
-                ok = cx in dn
-                if is_radical:
-                    ok = ok and inclusion and proper_val
-                if ok:
+                elif side and cx in dn:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I,
@@ -314,6 +383,10 @@ def _check_colon_stable(ctx):
                                      detail=f"(I:x)={_mk_ideal(ring, cx)!r}")
 
 
+@_claim("prop-maximal-is-nilradical", "Maximal delta-n ideals are sqrt(0)",
+        "Under the colon hypothesis at I, every maximal member of the "
+        "delta-n spectrum equals sqrt(0) and is prime.",
+        "every (ring, expansion, maximal spectrum member)")
 def _check_maximal_is_nilradical(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -321,41 +394,45 @@ def _check_maximal_is_nilradical(ctx):
         for delta in entry.expansions:
             spectrum = delta_n_spectrum(ring, delta)
             for I in spectrum.maximal_members:
-                if not _colon_hypothesis_at(ring, delta, I):
+                if _colon_violation(delta, I.mask) is not None:
                     yield SKIP, None
-                    continue
-                if I == nil and classify_ideal(I).is_prime:
+                elif I == nil and classify_ideal(I).is_prime:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I,
                                      detail="maximal member is not the prime nilradical")
 
 
+def _existence_conditions(delta, nil):
+    """A delta-n-ideal exists; sqrt(0) is prime; sqrt(0) is delta-primary."""
+    return (bool(delta_n_masks(delta)), classify_ideal(nil).is_prime,
+            is_delta_primary(nil, delta))
+
+
+@_claim("thm-existence", "Existence of a delta-n-ideal",
+        "If delta satisfies the colon hypothesis globally, then: a "
+        "delta-n-ideal exists iff sqrt(0) is prime iff sqrt(0) is "
+        "delta-primary.",
+        "every (ring, expansion) with the colon hypothesis")
 def _check_existence(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            if not profile_expansion(delta).colon_condition:
-                yield SKIP, None
-                continue
-            nonempty = bool(delta_n_masks(delta))
-            prime = classify_ideal(nil).is_prime
-            primary = is_delta_primary(nil, delta)
-            if nonempty == prime == primary:
-                yield HOLDS, None
-            else:
-                yield FAIL, _wit(ring, delta,
-                                 detail=f"spectrum-nonempty={nonempty}, "
-                                        f"nilradical-prime={prime}, "
-                                        f"nilradical-delta-primary={primary}")
+    return _verdicts(
+        _expansions(ctx),
+        lambda ring, delta, nil: profile_expansion(delta).colon_condition,
+        lambda ring, delta, nil: len(set(_existence_conditions(delta, nil))) == 1,
+        lambda ring, delta, nil: _wit(ring, delta, detail=(
+            "spectrum-nonempty={}, nilradical-prime={}, nilradical-delta-primary={}"
+            .format(*_existence_conditions(delta, nil)))))
 
 
+@_claim("prop-idem-colon-expansion", "Idempotent delta: delta(I:a) = delta(I)",
+        "If delta(delta(I)) = delta(I), I is delta-n and a is outside "
+        "sqrt(0), then delta(I:a) = delta(I).",
+        "every (ring, expansion, delta-n ideal, non-nilpotent a)")
 def _check_idem_colon_expansion(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         nil, table = _nil_mask(ring), delta.table
         for I in _proper(ring):
-            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
+            if not _idempotent_delta_n(delta, dn, I.mask):
                 yield SKIP, None
                 continue
             for a in range(ring.size):
@@ -367,30 +444,28 @@ def _check_idem_colon_expansion(ctx):
                     yield FAIL, _wit(ring, delta, I, elements=f"a={ring.element_repr(a)}")
 
 
+@_claim("prop-idem-value-n-iff", "Idempotent delta: value is n iff delta-n",
+        "If delta(delta(I)) = delta(I) and delta(I) is proper, then "
+        "delta(I) is an n-ideal iff delta(I) is a delta-n-ideal.",
+        "every (ring, expansion, proper ideal with idempotent proper value)")
 def _check_idem_value_n_iff(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, table, n_masks = ring.full_mask, delta.table, _n_masks(ring)
-        for I in _proper(ring):
-            d_val = table[I.mask]
-            if table[d_val] != d_val or d_val == full:
-                yield SKIP, None
-                continue
-            if (d_val in n_masks) == (d_val in dn):
-                yield HOLDS, None
-            else:
-                yield FAIL, _wit(ring, delta, I, detail=f"delta(I)={_mk_ideal(ring, d_val)!r}")
+    return _verdicts(_ideals(ctx),
+                     lambda s, I: s.table[s.table[I.mask]] == s.table[I.mask] != s.full,
+                     lambda s, I: (s.table[I.mask] in s.n_masks) == (s.table[I.mask] in s.dn),
+                     lambda s, I: _wit(s.ring, s.delta, I, detail="delta(I)="
+                                       f"{_mk_ideal(s.ring, s.table[I.mask])!r}"))
 
 
+@_claim("prop-idem-cancellation", "Cancellation along a non-nil factor",
+        "If IK = JK with I, J delta-n, delta idempotent at I and J, and K "
+        "not inside sqrt(0), then delta(I) = delta(J).",
+        "every (ring, expansion, ideal triple) meeting the hypothesis")
 def _check_idem_cancellation(ctx):
     for ring, delta, dn in _by_expansion(ctx):
-        nil, table, proper = _nil_mask(ring), delta.table, _proper(ring)
-        lattice = enumerate_ideals(ring)
-        for I in proper:
-            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
-                continue
-            for J in proper:
-                if table[table[J.mask]] != table[J.mask] or J.mask not in dn:
-                    continue
+        nil, table, lattice = _nil_mask(ring), delta.table, enumerate_ideals(ring)
+        qualifying = [I for I in _proper(ring) if _idempotent_delta_n(delta, dn, I.mask)]
+        for I in qualifying:
+            for J in qualifying:
                 for K in lattice:
                     if K.mask & ~nil == 0:
                         continue
@@ -404,17 +479,21 @@ def _check_idem_cancellation(ctx):
                                          detail=f"J={J!r}, K={K!r}: delta values differ")
 
 
+@_claim("prop-idem-absorption", "Products absorb into delta(I)",
+        "If IK and I are delta-n with delta idempotent at I and IK, and K "
+        "not inside sqrt(0), then delta(IK) = delta(I).",
+        "every (ring, expansion, ideal pair) meeting the hypothesis")
 def _check_idem_absorption(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         nil, table, lattice = _nil_mask(ring), delta.table, enumerate_ideals(ring)
         for I in _proper(ring):
-            if table[table[I.mask]] != table[I.mask] or I.mask not in dn:
+            if not _idempotent_delta_n(delta, dn, I.mask):
                 continue
             for K in lattice:
                 if K.mask & ~nil == 0:
                     continue
                 ik = _product_mask(ring, I.mask, K.mask)
-                if table[table[ik]] != table[ik] or ik not in dn:
+                if not _idempotent_delta_n(delta, dn, ik):
                     continue
                 if table[ik] == table[I.mask]:
                     yield HOLDS, None
@@ -423,37 +502,41 @@ def _check_idem_absorption(ctx):
                                      detail=f"K={K!r}, IK={_mk_ideal(ring, ik)!r}")
 
 
+def _zero_divisors_delta_q_nilpotent(delta, nil):
+    """Every zero divisor of R/sqrt(0) lies in delta_q((0))."""
+    qring = quotient_ring(delta.ring, nil).ring
+    qzero = 1 << qring.zero_idx
+    return _z_i_mask(qring, qzero) & ~derive_quotient_expansion(delta, nil).table[qzero] == 0
+
+
+@_claim("prop-zero-divisor-quotient", "Zero divisors of R/sqrt(0)",
+        "sqrt(0) is a delta-n-ideal iff every zero divisor of R/sqrt(0) is "
+        "delta_q-nilpotent (lies in the derived expansion of the zero ideal).",
+        "every (ring, expansion)")
 def _check_zero_divisor_quotient(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        rec = quotient_ring(ring, nil)
-        qzero = 1 << rec.ring.zero_idx
-        qzdiv = _z_i_mask(rec.ring, qzero)  # the zero divisors of R/sqrt(0)
-        for delta in entry.expansions:
-            lhs = _dn(nil, delta)
-            rhs = qzdiv & ~derive_quotient_expansion(delta, nil).table[qzero] == 0
-            if lhs == rhs:
-                yield HOLDS, None
-            else:
-                yield FAIL, _wit(ring, delta, nil,
-                                 detail=f"sqrt(0) delta-n={lhs}, "
-                                        f"zero-divisors delta_q-nilpotent={rhs}")
+    return _verdicts(
+        _expansions(ctx), _no_hypothesis,
+        lambda ring, delta, nil: (_dn(nil, delta)
+                                  == _zero_divisors_delta_q_nilpotent(delta, nil)),
+        # a failure means the two sides differ
+        lambda ring, delta, nil: _wit(
+            ring, delta, nil, detail=f"sqrt(0) delta-n={_dn(nil, delta)}, "
+                                     f"zero-divisors delta_q-nilpotent={not _dn(nil, delta)}"))
 
 
+@_claim("prop-expansion-value-n", "n-ideal values pull back",
+        "If delta(I) is proper and an n-ideal, then I is a delta-n-ideal.",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_expansion_value_n(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        n_masks = _n_masks(ring)
-        for I in _proper(ring):
-            if delta.table[I.mask] in n_masks:
-                if I.mask in dn:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I)
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx),
+                     lambda s, I: s.table[I.mask] in s.n_masks,
+                     lambda s, I: I.mask in s.dn,
+                     lambda s, I: _wit(s.ring, s.delta, I))
 
 
+@_claim("prop-radical-value-n-iff", "Quasi n-ideals via sqrt(I)",
+        "I is a quasi n-ideal iff sqrt(I) is an n-ideal.",
+        "every (ring, proper ideal)")
 def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -466,6 +549,10 @@ def _check_radical_value_n_iff(ctx):
                 yield FAIL, _wit(ring, d1, I, detail=f"sqrt(I)={radical(I)!r}")
 
 
+@_claim("prop-pointwise-monotone", "Pointwise-larger expansions preserve the class",
+        "If delta(I) <= gamma(I) for every ideal I, then every "
+        "delta-n-ideal is a gamma-n-ideal.",
+        "every (ring, ordered expansion pair)")
 def _check_pointwise_monotone(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -485,6 +572,10 @@ def _check_pointwise_monotone(ctx):
                                      detail=f"gamma={gamma.name()}")
 
 
+@_claim("prop-compose-n-ideal", "Composition transfer",
+        "If gamma(I) is proper and a delta-n-ideal, then I is a "
+        "(delta o gamma)-n-ideal.",
+        "every (ring, expansion pair, proper ideal)")
 def _check_compose_n_ideal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -494,17 +585,19 @@ def _check_compose_n_ideal(ctx):
                 comp = compose_expansions(delta, gamma)
                 g_table, dn_comp = gamma.table, delta_n_masks(comp)
                 for I in _proper(ring):
-                    g_val = g_table[I.mask]
-                    if g_val in dn:
-                        if I.mask in dn_comp:
-                            yield HOLDS, None
-                        else:
-                            yield FAIL, _wit(ring, comp, I,
-                                             detail=f"gamma(I)={_mk_ideal(ring, g_val)!r}")
-                    else:
+                    if g_table[I.mask] not in dn:
                         yield SKIP, None
+                    elif I.mask in dn_comp:
+                        yield HOLDS, None
+                    else:
+                        g_val = _mk_ideal(ring, g_table[I.mask])
+                        yield FAIL, _wit(ring, comp, I, detail=f"gamma(I)={g_val!r}")
 
 
+@_claim("prop-radical-transfer", "sqrt of a delta-n-ideal",
+        "If sqrt(delta(I)) = delta(sqrt(I)) holds tablewise and I is "
+        "delta-n, then sqrt(I) is delta-n.",
+        "every (ring, radical-commuting expansion, delta-n ideal)")
 def _check_radical_transfer(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         if not profile_expansion(delta).radical_commuting:
@@ -519,6 +612,10 @@ def _check_radical_transfer(ctx):
                 yield FAIL, _wit(ring, delta, I, detail=f"sqrt(I)={radical(I)!r}")
 
 
+@_claim("prop-sandwich", "Sandwiched ideals",
+        "If J <= K <= I are proper, I is delta-n and delta(J) = delta(I), "
+        "then K is delta-n.",
+        "every (ring, expansion, chain J <= K <= I)")
 def _check_sandwich(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         table, proper = delta.table, _proper(ring)
@@ -539,18 +636,18 @@ def _check_sandwich(ctx):
                         yield FAIL, _wit(ring, delta, K, detail=f"J={J!r}, I={I!r}")
 
 
+@_claim("prop-intersection", "Intersections under intersection-preserving delta",
+        "If delta preserves intersections, finite intersections of "
+        "delta-n-ideals are delta-n-ideals.",
+        "every (ring, intersection-preserving expansion, delta-n pair)")
 def _check_intersection(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
             yield SKIP, None
             continue
-        proper = _proper(ring)
-        for I in proper:
-            if I.mask not in dn:
-                continue
-            for J in proper:
-                if J.mask not in dn:
-                    continue
+        members = [I for I in _proper(ring) if I.mask in dn]
+        for I in members:
+            for J in members:
                 if I.mask & J.mask in dn:
                     yield HOLDS, None
                 else:
@@ -558,6 +655,11 @@ def _check_intersection(ctx):
                                      detail=f"I={I!r}, J={J!r}")
 
 
+@_claim("prop-intersection-noncomparable", "Non-comparable prime values",
+        "If delta preserves intersections, delta(I1), delta(I2) are "
+        "non-comparable primes and the intersection is delta-n, then each "
+        "I_k is delta-n.",
+        "every (ring, expansion, qualifying ideal pair)")
 def _check_intersection_noncomparable(ctx):
     for ring, delta, dn in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
@@ -582,28 +684,26 @@ def _check_intersection_noncomparable(ctx):
                                      detail=f"I={I!r}, J={J!r}")
 
 
+@_claim("lem-superfluous", "delta-n ideals with proper value are superfluous",
+        "If I is delta-n with delta(I) != R, then no proper J satisfies "
+        "I + J = R.",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_superfluous(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full = ring.full_mask
-        for I in _proper(ring):
-            if delta.table[I.mask] != full and I.mask in dn:
-                if classify_ideal(I).is_superfluous:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail="I is not superfluous")
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx), _delta_n_proper_value,
+                     lambda s, I: classify_ideal(I).is_superfluous,
+                     lambda s, I: _wit(s.ring, s.delta, I, detail="I is not superfluous"))
 
 
+@_claim("prop-sum-delta-n", "Sums of delta-n ideals",
+        "If I and J are delta-n with delta(I) != R and delta(J) != R, then "
+        "I + J is a (proper) delta-n-ideal.",
+        "every (ring, expansion, qualifying ideal pair)")
 def _check_sum_delta_n(ctx):
     for ring, delta, dn in _by_expansion(ctx):
-        full, table, proper = ring.full_mask, delta.table, _proper(ring)
-        for I in proper:
-            if not (table[I.mask] != full and I.mask in dn):
-                continue
-            for J in proper:
-                if not (table[J.mask] != full and J.mask in dn):
-                    continue
+        full, table = ring.full_mask, delta.table
+        qualifying = [I for I in _proper(ring) if table[I.mask] != full and I.mask in dn]
+        for I in qualifying:
+            for J in qualifying:
                 s = _sum_mask(ring, I.mask, J.mask)
                 if s in dn:
                     yield HOLDS, None
@@ -616,62 +716,67 @@ def _check_sum_delta_n(ctx):
 # quotient transfer
 # ---------------------------------------------------------------------------
 
-def _quotient_instances(ctx, entry):
-    """(ring, delta, J, I, mask of I/J, delta-n set of delta, delta_q-n set of R/J)."""
-    ring = entry.ring
-    dns = [delta_n_masks(d) for d in entry.expansions]
-    for J in _proper(ring):
-        proj = quotient_ring(ring, J).projection
-        above = [(I, proj.image_mask(I.mask)) for I in _proper(ring)
-                 if J.mask & ~I.mask == 0]
-        for delta, dn in zip(entry.expansions, dns):
-            dn_q = delta_n_masks(derive_quotient_expansion(delta, J))
-            for I, img in above:
-                yield ring, delta, J, I, img, dn, dn_q
+def _quotient_instances(ctx):
+    """(scope of (ring, delta), J, I, mask of I/J, delta_q-n set of R/J) for each
+    corpus ring, proper J, catalog expansion and proper I >= J."""
+    for entry in ctx.entries:
+        ring = entry.ring
+        scopes = _scopes(entry)
+        for J in _proper(ring):
+            proj = quotient_ring(ring, J).projection
+            above = [(I, proj.image_mask(I.mask)) for I in _proper(ring)
+                     if J.mask & ~I.mask == 0]
+            for s in scopes:
+                dn_q = delta_n_masks(derive_quotient_expansion(s.delta, J))
+                for I, img in above:
+                    yield s, J, I, img, dn_q
 
 
+def _quotient_witness(s, J, I, img, dn_q):
+    return _wit(s.ring, s.delta, I, detail=f"J={J!r}")
+
+
+@_claim("cor-quotient-forward", "delta-n passes to quotients",
+        "If J <= I are proper and I is delta-n, then I/J is a "
+        "delta_q-n-ideal of R/J.",
+        "every (ring, expansion, proper J <= I)")
 def _check_quotient_forward(ctx):
-    for entry in ctx.entries:
-        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
-            if I.mask in dn:
-                if img in dn_q:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
-            else:
-                yield SKIP, None
+    return _verdicts(_quotient_instances(ctx),
+                     lambda s, J, I, img, dn_q: I.mask in s.dn,
+                     lambda s, J, I, img, dn_q: img in dn_q,
+                     _quotient_witness)
 
 
+@_claim("cor-quotient-back-nilpotent", "Lifting along nil J",
+        "If I/J is delta_q-n and J <= sqrt(0), then I is delta-n.",
+        "every (ring, expansion, proper J <= I)")
 def _check_quotient_back_nilpotent(ctx):
-    for entry in ctx.entries:
-        nil = _nil_mask(entry.ring)
-        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
-            if J.mask & ~nil == 0 and img in dn_q:
-                if I.mask in dn:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
-            else:
-                yield SKIP, None
+    return _verdicts(_quotient_instances(ctx),
+                     lambda s, J, I, img, dn_q: J.mask & ~s.nil == 0 and img in dn_q,
+                     lambda s, J, I, img, dn_q: I.mask in s.dn,
+                     _quotient_witness)
 
 
+@_claim("cor-quotient-back-delta-n", "Lifting along a delta-n J",
+        "If I/J is delta_q-n, J is delta-n and delta(J) != R, then I is "
+        "delta-n.",
+        "every (ring, expansion, proper J <= I)")
 def _check_quotient_back_delta_n(ctx):
-    for entry in ctx.entries:
-        full = entry.ring.full_mask
-        for ring, delta, J, I, img, dn, dn_q in _quotient_instances(ctx, entry):
-            if delta.table[J.mask] != full and J.mask in dn and img in dn_q:
-                if I.mask in dn:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I, detail=f"J={J!r}")
-            else:
-                yield SKIP, None
+    return _verdicts(_quotient_instances(ctx),
+                     lambda s, J, I, img, dn_q: (s.table[J.mask] != s.full and J.mask in s.dn
+                                                 and img in dn_q),
+                     lambda s, J, I, img, dn_q: I.mask in s.dn,
+                     _quotient_witness)
 
 
 # ---------------------------------------------------------------------------
 # homomorphism transfer
 # ---------------------------------------------------------------------------
 
+@_claim("prop-hom-preimage", "Preimages along monomorphisms",
+        "For an injective delta-gamma-homomorphism, the preimage of a "
+        "gamma-n-ideal is a delta-n-ideal.",
+        "every (family hom, expansion pair, target proper ideal)")
 def _check_hom_preimage(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_injective():
@@ -682,20 +787,21 @@ def _check_hom_preimage(ctx):
                 continue
             dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
             for J in _proper(f.target):
-                if J.mask in dn_g:
-                    pre = f.preimage_mask(J.mask)
-                    if pre in dn:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, Witness(
-                            ring=f.source.key, expansion=delta.name(),
-                            ideal=repr(_mk_ideal(f.source, pre)),
-                            detail=f"target {f.target.key}, J={J!r}, "
-                                   f"gamma={gamma.name()}")
-                else:
+                if J.mask not in dn_g:
                     yield SKIP, None
+                elif f.preimage_mask(J.mask) in dn:
+                    yield HOLDS, None
+                else:
+                    pre = _mk_ideal(f.source, f.preimage_mask(J.mask))
+                    yield FAIL, _wit(f.source, delta, pre,
+                                     detail=f"target {f.target.key}, J={J!r}, "
+                                            f"gamma={gamma.name()}")
 
 
+@_claim("prop-hom-image", "Images along epimorphisms",
+        "For a surjective delta-gamma-homomorphism and I >= ker(f) proper "
+        "delta-n, the image f(I) is a gamma-n-ideal.",
+        "every (family epimorphism, expansion pair, source proper ideal)")
 def _check_hom_image(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
@@ -707,25 +813,25 @@ def _check_hom_image(ctx):
                 continue
             dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
             for I in _proper(f.source):
-                if ker & ~I.mask == 0 and I.mask in dn:
-                    img = f.image_mask(I.mask)
-                    if img == full:
-                        yield FAIL, Witness(ring=f.source.key,
-                                            expansion=delta.name(), ideal=repr(I),
-                                            detail="image is the whole ring")
-                    elif img in dn_g:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, Witness(
-                            ring=f.source.key, expansion=delta.name(),
-                            ideal=repr(I),
-                            detail=f"target {f.target.key}, "
-                                   f"f(I)={_mk_ideal(f.target, img)!r}, "
-                                   f"gamma={gamma.name()}")
-                else:
+                if ker & ~I.mask or I.mask not in dn:
                     yield SKIP, None
+                    continue
+                img = f.image_mask(I.mask)
+                if img == full:
+                    yield FAIL, _wit(f.source, delta, I, detail="image is the whole ring")
+                elif img in dn_g:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(f.source, delta, I,
+                                     detail=f"target {f.target.key}, "
+                                            f"f(I)={_mk_ideal(f.target, img)!r}, "
+                                            f"gamma={gamma.name()}")
 
 
+@_claim("prop-hom-epi-pushforward", "Pushforward identity",
+        "For a surjective delta-gamma-homomorphism and I >= ker(f): "
+        "gamma(f(I)) = f(delta(I)).",
+        "every (family epimorphism, expansion pair, ideal I >= ker)")
 def _check_hom_epi_pushforward(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
@@ -744,91 +850,100 @@ def _check_hom_epi_pushforward(ctx):
                 if lhs == rhs:
                     yield HOLDS, None
                 else:
-                    yield FAIL, Witness(ring=f.source.key, expansion=delta.name(),
-                                        ideal=repr(I),
-                                        detail=f"gamma(f(I))={_mk_ideal(f.target, lhs)!r}"
-                                               f" != f(delta(I))={_mk_ideal(f.target, rhs)!r}")
+                    yield FAIL, _wit(f.source, delta, I,
+                                     detail=f"gamma(f(I))={_mk_ideal(f.target, lhs)!r}"
+                                            f" != f(delta(I))={_mk_ideal(f.target, rhs)!r}")
 
 
+@_claim("prop-radical-hom", "Radical expansions along any homomorphism",
+        "Every ring homomorphism is a delta1-gamma1-homomorphism for the "
+        "radical expansions on both sides.",
+        "every family homomorphism")
 def _check_radical_hom(ctx):
     for f, _pairs in ctx.hom_instances():
         if is_delta_gamma_homomorphism(f, delta1(f.source), delta1(f.target)):
             yield HOLDS, None
         else:
-            yield FAIL, Witness(ring=f.source.key,
-                                detail=f"radical expansions along {f!r}")
+            yield FAIL, _wit(f.source, detail=f"radical expansions along {f!r}")
 
 
 # ---------------------------------------------------------------------------
 # products, idealizations, localizations
 # ---------------------------------------------------------------------------
 
+@_claim("rem-product-obstruction", "No delta-n-ideals with a proper component",
+        "On R1 x R2 with delta_x componentwise: an ideal I1 x I2 with "
+        "delta_1(I1) != R1 or delta_2(I2) != R2 is never delta_x-n.",
+        "every (product ring, component expansion pair, proper ideal)")
 def _check_product_obstruction(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         if ring.spec.kind != "product":
             continue
         _, left, right = ring.origin
-        sr = right.size
         for d1 in ctx.catalog(left):
             for d2 in ctx.catalog(right):
                 dx = derive_product_expansion(d1, d2)
                 dn = delta_n_masks(dx)
                 for I in _proper(ring):
-                    m1 = m2 = 0
-                    for idx in _bits(I.mask):
-                        m1 |= 1 << (idx // sr)
-                        m2 |= 1 << (idx % sr)
+                    m1, m2 = _split_product_mask(I.mask, right.size)
                     if d1.table[m1] == left.full_mask and \
                        d2.table[m2] == right.full_mask:
                         yield SKIP, None
-                        continue
-                    if I.mask in dn:
+                    elif I.mask in dn:
                         yield FAIL, _wit(ring, dx, I,
                                          detail="delta-n despite a proper component value")
                     else:
                         yield HOLDS, None
 
 
+def _homogeneous_pairs(rec, ideals):
+    """(I, N) for each I of ``ideals`` and each submodule N of the idealization's
+    module with IM <= N, so that I(+)N is an ideal of R(+)M."""
+    module = rec.module
+    act = module.action
+    for I in ideals:
+        for N in enumerate_submodules(module):
+            if all(N.contains_idx(act[a][m])
+                   for a in _bits(I.mask) for m in range(module.size)):
+                yield I, N
+
+
+@_claim("prop-idealization-transfer", "Idealization equivalence",
+        "For IM <= N: I is delta-n in R iff I(+)N is delta_(+)-n in R(+)M.",
+        "every (idealization, base expansion, homogeneous pair)")
 def _check_idealization_transfer(ctx):
     for rec, base_catalog in ctx.idealization_instances():
-        base, module = rec.base, rec.module
-        submods = enumerate_submodules(module)
-        act = module.action
         for delta in base_catalog:
             dn = delta_n_masks(delta)
-            dn_plus = delta_n_masks(derive_idealization_expansion(delta, module))
-            for I in _proper(base):
-                for N in submods:
-                    if any(not N.contains_idx(act[a][m])
-                           for a in _bits(I.mask) for m in range(module.size)):
-                        continue
-                    if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, Witness(ring=rec.ring.key,
-                                            expansion=delta.name(), ideal=repr(I),
-                                            detail=f"N={N!r}")
-
-
-def _check_idealization_radical(ctx):
-    for rec, _catalog in ctx.idealization_instances():
-        base, module = rec.base, rec.module
-        full_m, act = (1 << module.size) - 1, module.action
-        for I in enumerate_ideals(base):
-            for N in enumerate_submodules(module):
-                if any(not N.contains_idx(act[a][m])
-                       for a in _bits(I.mask) for m in range(module.size)):
-                    continue
-                W = rec.homogeneous_mask(I.mask, N.mask)
-                expected = rec.homogeneous_mask(_radical_mask(base, I.mask), full_m)
-                if _radical_mask(rec.ring, W) == expected:
+            dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
+            for I, N in _homogeneous_pairs(rec, _proper(rec.base)):
+                if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
                     yield HOLDS, None
                 else:
-                    yield FAIL, Witness(ring=rec.ring.key, ideal=repr(_mk_ideal(rec.ring, W)),
-                                        detail="radical is not sqrt(I)(+)M")
+                    yield FAIL, _wit(rec.ring, delta, I, detail=f"N={N!r}")
 
 
+@_claim("prop-idealization-radical", "Radical of a homogeneous ideal",
+        "sqrt(I(+)N) = sqrt(I)(+)M in every idealization ring.",
+        "every (idealization, homogeneous pair)")
+def _check_idealization_radical(ctx):
+    for rec, _catalog in ctx.idealization_instances():
+        base, full_m = rec.base, (1 << rec.module.size) - 1
+        for I, N in _homogeneous_pairs(rec, enumerate_ideals(base)):
+            W = rec.homogeneous_mask(I.mask, N.mask)
+            expected = rec.homogeneous_mask(_radical_mask(base, I.mask), full_m)
+            if _radical_mask(rec.ring, W) == expected:
+                yield HOLDS, None
+            else:
+                yield FAIL, _wit(rec.ring, ideal=_mk_ideal(rec.ring, W),
+                                 detail="radical is not sqrt(I)(+)M")
+
+
+@_claim("prop-loc-forward", "Localization of a delta-n-ideal",
+        "If I is delta-n with I and S disjoint, then S^-1 I is a "
+        "delta_S-n-ideal of S^-1 R.",
+        "every (ring, multiplicative set, expansion, proper ideal)")
 def _check_loc_forward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -841,16 +956,18 @@ def _check_loc_forward(ctx):
                 for I in _proper(ring):
                     if I.mask & smask or I.mask not in dn:
                         yield SKIP, None
-                        continue
-                    ext = rec.extend_mask(I.mask)
-                    if ext in dn_s:
+                    elif rec.extend_mask(I.mask) in dn_s:
                         yield HOLDS, None
                     else:
+                        ext = _mk_ideal(rec.ring, rec.extend_mask(I.mask))
                         yield FAIL, _wit(ring, delta, I,
-                                         detail=f"S={sset!r}, "
-                                                f"extension={_mk_ideal(rec.ring, ext)!r}")
+                                         detail=f"S={sset!r}, extension={ext!r}")
 
 
+@_claim("prop-loc-backward", "Descending from the localization",
+        "If S misses Z(R) and Z_delta(I)(R) and S^-1 I is delta_S-n, then "
+        "I is delta-n.",
+        "every (ring, multiplicative set, expansion, proper ideal)")
 def _check_loc_backward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -858,27 +975,26 @@ def _check_loc_backward(ctx):
         dns = [delta_n_masks(d) for d in entry.expansions]
         for sset in ctx.mult_sets(ring):
             smask = sum(1 << i for i in sset.indices)
-            if zdiv & smask:
-                for delta in entry.expansions:
-                    for I in _proper(ring):
-                        yield SKIP, None
+            if zdiv & smask:  # a hypothesis fails at every (delta, I)
+                yield from [(SKIP, None)] * (len(entry.expansions) * len(_proper(ring)))
                 continue
             rec = localize(ring, sset)
             for delta, dn in zip(entry.expansions, dns):
                 dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
                 for I in _proper(ring):
-                    if _z_i_mask(ring, delta.table[I.mask]) & smask:
+                    if (_z_i_mask(ring, delta.table[I.mask]) & smask
+                            or rec.extend_mask(I.mask) not in dn_s):
                         yield SKIP, None
-                        continue
-                    if rec.extend_mask(I.mask) not in dn_s:
-                        yield SKIP, None
-                        continue
-                    if I.mask in dn:
+                    elif I.mask in dn:
                         yield HOLDS, None
                     else:
                         yield FAIL, _wit(ring, delta, I, detail=f"S={sset!r}")
 
 
+@_claim("prop-loc-regular-contract", "Contraction from the regular localization",
+        "Localizing at the regular elements (units, on finite rings): "
+        "every delta_S-n-ideal contracts to a delta-n-ideal.",
+        "every (ring, expansion, proper localized ideal)")
 def _check_loc_regular_contract(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -889,17 +1005,20 @@ def _check_loc_regular_contract(ctx):
             dn = delta_n_masks(delta)
             dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
             for K in _proper(rec.ring):
-                if K.mask in dn_s:
-                    con = rec.contract_mask(K.mask)
-                    if con in dn:
-                        yield HOLDS, None
-                    else:
-                        yield FAIL, _wit(ring, delta, _mk_ideal(ring, con),
-                                         detail=f"K={K!r}")
-                else:
+                if K.mask not in dn_s:
                     yield SKIP, None
+                elif rec.contract_mask(K.mask) in dn:
+                    yield HOLDS, None
+                else:
+                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, rec.contract_mask(K.mask)),
+                                     detail=f"K={K!r}")
 
 
+@_claim("audit-loc-well-defined", "Representative independence of delta_S",
+        "No base-ideal pair on the corpus has equal extensions but "
+        "different extended delta-values; the derived expansion always "
+        "contracts first, so it is a function regardless.",
+        "every (ring, multiplicative set, expansion)")
 def _check_loc_well_defined(ctx):
     for entry in ctx.entries:
         ring = entry.ring
@@ -919,6 +1038,16 @@ def _check_loc_well_defined(ctx):
 # audits, conjecture recorder, self-tests
 # ---------------------------------------------------------------------------
 
+@_claim("audit-example-unit-ideal", "The ideal (x+1) in Z4[x]/(x^3) is the unit ideal",
+        "(1+x)(1+3x+x^2) = 1, so the ideal generated by x+1 is the whole "
+        "ring and sqrt(0) = (2, x) has 32 elements; any account treating "
+        "(x+1) as a proper ideal of this ring is inconsistent with the "
+        "computed algebra.",
+        "three fixed computations on Z4[x]/(x^3)",
+        notes=("flagged: the motivating example of a delta-n-but-not-n "
+               "ideal presumes (x+1) proper, which is inconsistent with "
+               "the computation ((1+x)(1+3x+x^2)=1); the properness guard "
+               "therefore rejects that ideal",))
 def _check_example_unit_ideal(ctx):
     ring = poly_quotient(4, [0, 0, 0, 1])
     a = ring.from_payload((1, 1, 0))
@@ -942,21 +1071,24 @@ def _check_example_unit_ideal(ctx):
         yield FAIL, _wit(ring, ideal=nil, detail="sqrt(0) is not (2, x) of size 32")
 
 
+@_claim("conj-proper-delta-n-is-n", "Recorded conjecture: proper values force n-ideals",
+        "On every finite corpus instance, a delta-n-ideal with delta(I) != "
+        "R is also an n-ideal (recorded observation; the separating "
+        "examples in the source theory all have delta(I) = R).",
+        "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_conjecture_proper_n(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, n_masks = ring.full_mask, _n_masks(ring)
-        for I in _proper(ring):
-            if delta.table[I.mask] != full and I.mask in dn:
-                if I.mask in n_masks:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I,
-                                     elements=_pair_repr(*n_ideal_witness(I)),
-                                     detail="separates delta-n from n-ideal")
-            else:
-                yield SKIP, None
+    return _verdicts(_ideals(ctx), _delta_n_proper_value,
+                     lambda s, I: I.mask in s.n_masks,
+                     lambda s, I: _wit(s.ring, s.delta, I,
+                                       elements=_pair_repr(*n_ideal_witness(I)),
+                                       detail="separates delta-n from n-ideal"))
 
 
+@_claim("selftest-z6-all-n-ideals", "Self-test: inverted claim about Z6",
+        "Deliberately false: every proper ideal of Z6 is an n-ideal.  Used "
+        "to exercise the witness machinery; the first witness must be "
+        "ideal (0) with a=2, b=3.",
+        "proper ideals of Z6", self_test=True)
 def _check_selftest_z6(ctx):
     ring = modular(6)
     for I in _proper(ring):
@@ -967,277 +1099,19 @@ def _check_selftest_z6(ctx):
             yield FAIL, _wit(ring, ideal=I, elements=_pair_repr(*wit))
 
 
+@_claim("selftest-z12-nilradical-prime", "Self-test: inverted claim about Z12",
+        "Deliberately false: sqrt(0) is a prime ideal of Z12.",
+        "one fixed instance", self_test=True)
 def _check_selftest_z12(ctx):
     ring = modular(12)
     nil = nilradical(ring)
     outside = [a for a in ring.list_elements() if not nil.contains(a)]
-    witness = None
-    for a in outside:
-        for b in outside:
-            if nil.contains(a * b):
-                witness = (a, b)
-                break
-        if witness:
-            break
+    witness = next(((a, b) for a in outside for b in outside if nil.contains(a * b)), None)
     if witness is None:
         yield HOLDS, None
     else:
         yield FAIL, _wit(ring, ideal=nil, elements=_pair_repr(*witness))
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-def _claim(id, title, statement, quantifies, self_test=False, notes=()):
-    return Claim(id, title, statement, quantifies, self_test, tuple(notes))
-
-
-CLAIMS = (
-    _claim("thm-four-equivalents", "Four equivalent delta-n criteria",
-           "The definition, the colon criterion ((I:a) <= sqrt(0) for all a "
-           "outside delta(I)), the element-ideal form, and the ideal-pair form "
-           "decide the same class.",
-           "every (ring, catalog expansion, proper ideal)"),
-    _claim("prop-subset-nilradical", "Proper-expansion delta-n ideals are nil",
-           "If delta(I) != R and I is a delta-n-ideal, then I <= sqrt(0).",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("ex-z6-zero-not-n", "Inline counterexample in Z6",
-           "In Z6 the zero ideal is neither a delta0- nor a delta1-n-ideal; "
-           "the first witness pair is a=2, b=3.",
-           "two fixed instances (delta0 and delta1 on Z6)"),
-    _claim("prop-primary-to-delta-n", "delta-primary inside sqrt(0) is delta-n",
-           "If I <= sqrt(0) is proper and delta-primary, then I is a delta-n-ideal.",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("prop-nilradical-primary-iff", "At sqrt(0) the two classes agree",
-           "sqrt(0) is delta-primary if and only if sqrt(0) is a delta-n-ideal.",
-           "every (ring, expansion)"),
-    _claim("ex-int-delta-plus", "Prime ideals of ZZ under the sum expansion",
-           "For primes p != q, pZ is a delta_plus(qZ)-n-ideal of ZZ but not an "
-           "n-ideal, delta0-n-ideal, or delta1-n-ideal.",
-           "prime pairs p != q up to 100"),
-    _claim("prop-delta-primary-iff-subset", "Primary + proper value: delta-n iff nil",
-           "If I is delta-primary with delta(I) != R, then I is delta-n iff "
-           "I <= sqrt(0).",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("prop-prime-iff-nilradical", "Prime + proper value: delta-n iff I=sqrt(0)",
-           "If I is prime with delta(I) != R, then I is delta-n iff I = sqrt(0).",
-           "every (ring, expansion, prime proper ideal)"),
-    _claim("thm-every-ideal-quasilocal", "Rings where every proper ideal is delta-n",
-           "Equivalent: (1) every proper principal ideal is delta-n for every "
-           "catalog expansion; (2) every proper ideal is; (3) sqrt(0) is the "
-           "unique prime ideal; (4) the ring is quasi-local with maximal ideal "
-           "sqrt(0).  Conditions 1-2 quantify over the whole catalog.",
-           "every ring"),
-    _claim("prop-domain-only-zero", "Integral domain: only (0) is delta-n",
-           "On ZZ, for expansions with proper values on proper ideals (delta0, "
-           "delta1), nZ is a delta-n-ideal iff n = 0; bounded check n <= 1000.",
-           "n in 0..1000 for delta0 and delta1 on ZZ"),
-    _claim("thm-von-neumann-field", "Field iff von Neumann regular + (0) delta-n",
-           "For delta with delta(0) = 0: R is a field iff R is von Neumann "
-           "regular and (0) is a delta-n-ideal.",
-           "every (ring, zero-fixed expansion)"),
-    _claim("lem-colon-stable", "Colon ideals inherit the delta-n property",
-           "If I is delta-n and x is outside delta(I) with (delta(I):x) <= "
-           "delta(I:x) != R, then (I:x) is delta-n; for delta1 the side "
-           "conditions hold automatically.",
-           "every (ring, expansion, delta-n ideal, element x outside delta(I))"),
-    _claim("prop-maximal-is-nilradical", "Maximal delta-n ideals are sqrt(0)",
-           "Under the colon hypothesis at I, every maximal member of the "
-           "delta-n spectrum equals sqrt(0) and is prime.",
-           "every (ring, expansion, maximal spectrum member)"),
-    _claim("thm-existence", "Existence of a delta-n-ideal",
-           "If delta satisfies the colon hypothesis globally, then: a "
-           "delta-n-ideal exists iff sqrt(0) is prime iff sqrt(0) is "
-           "delta-primary.",
-           "every (ring, expansion) with the colon hypothesis"),
-    _claim("prop-idem-colon-expansion", "Idempotent delta: delta(I:a) = delta(I)",
-           "If delta(delta(I)) = delta(I), I is delta-n and a is outside "
-           "sqrt(0), then delta(I:a) = delta(I).",
-           "every (ring, expansion, delta-n ideal, non-nilpotent a)"),
-    _claim("prop-idem-value-n-iff", "Idempotent delta: value is n iff delta-n",
-           "If delta(delta(I)) = delta(I) and delta(I) is proper, then "
-           "delta(I) is an n-ideal iff delta(I) is a delta-n-ideal.",
-           "every (ring, expansion, proper ideal with idempotent proper value)"),
-    _claim("prop-idem-cancellation", "Cancellation along a non-nil factor",
-           "If IK = JK with I, J delta-n, delta idempotent at I and J, and K "
-           "not inside sqrt(0), then delta(I) = delta(J).",
-           "every (ring, expansion, ideal triple) meeting the hypothesis"),
-    _claim("prop-idem-absorption", "Products absorb into delta(I)",
-           "If IK and I are delta-n with delta idempotent at I and IK, and K "
-           "not inside sqrt(0), then delta(IK) = delta(I).",
-           "every (ring, expansion, ideal pair) meeting the hypothesis"),
-    _claim("prop-zero-divisor-quotient", "Zero divisors of R/sqrt(0)",
-           "sqrt(0) is a delta-n-ideal iff every zero divisor of R/sqrt(0) is "
-           "delta_q-nilpotent (lies in the derived expansion of the zero ideal).",
-           "every (ring, expansion)"),
-    _claim("prop-expansion-value-n", "n-ideal values pull back",
-           "If delta(I) is proper and an n-ideal, then I is a delta-n-ideal.",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("prop-radical-value-n-iff", "Quasi n-ideals via sqrt(I)",
-           "I is a quasi n-ideal iff sqrt(I) is an n-ideal.",
-           "every (ring, proper ideal)"),
-    _claim("prop-pointwise-monotone", "Pointwise-larger expansions preserve the class",
-           "If delta(I) <= gamma(I) for every ideal I, then every "
-           "delta-n-ideal is a gamma-n-ideal.",
-           "every (ring, ordered expansion pair)"),
-    _claim("prop-compose-n-ideal", "Composition transfer",
-           "If gamma(I) is proper and a delta-n-ideal, then I is a "
-           "(delta o gamma)-n-ideal.",
-           "every (ring, expansion pair, proper ideal)"),
-    _claim("prop-radical-transfer", "sqrt of a delta-n-ideal",
-           "If sqrt(delta(I)) = delta(sqrt(I)) holds tablewise and I is "
-           "delta-n, then sqrt(I) is delta-n.",
-           "every (ring, radical-commuting expansion, delta-n ideal)"),
-    _claim("prop-sandwich", "Sandwiched ideals",
-           "If J <= K <= I are proper, I is delta-n and delta(J) = delta(I), "
-           "then K is delta-n.",
-           "every (ring, expansion, chain J <= K <= I)"),
-    _claim("prop-intersection", "Intersections under intersection-preserving delta",
-           "If delta preserves intersections, finite intersections of "
-           "delta-n-ideals are delta-n-ideals.",
-           "every (ring, intersection-preserving expansion, delta-n pair)"),
-    _claim("prop-intersection-noncomparable", "Non-comparable prime values",
-           "If delta preserves intersections, delta(I1), delta(I2) are "
-           "non-comparable primes and the intersection is delta-n, then each "
-           "I_k is delta-n.",
-           "every (ring, expansion, qualifying ideal pair)"),
-    _claim("lem-superfluous", "delta-n ideals with proper value are superfluous",
-           "If I is delta-n with delta(I) != R, then no proper J satisfies "
-           "I + J = R.",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("prop-sum-delta-n", "Sums of delta-n ideals",
-           "If I and J are delta-n with delta(I) != R and delta(J) != R, then "
-           "I + J is a (proper) delta-n-ideal.",
-           "every (ring, expansion, qualifying ideal pair)"),
-    _claim("cor-quotient-forward", "delta-n passes to quotients",
-           "If J <= I are proper and I is delta-n, then I/J is a "
-           "delta_q-n-ideal of R/J.",
-           "every (ring, expansion, proper J <= I)"),
-    _claim("cor-quotient-back-nilpotent", "Lifting along nil J",
-           "If I/J is delta_q-n and J <= sqrt(0), then I is delta-n.",
-           "every (ring, expansion, proper J <= I)"),
-    _claim("cor-quotient-back-delta-n", "Lifting along a delta-n J",
-           "If I/J is delta_q-n, J is delta-n and delta(J) != R, then I is "
-           "delta-n.",
-           "every (ring, expansion, proper J <= I)"),
-    _claim("prop-hom-preimage", "Preimages along monomorphisms",
-           "For an injective delta-gamma-homomorphism, the preimage of a "
-           "gamma-n-ideal is a delta-n-ideal.",
-           "every (family hom, expansion pair, target proper ideal)"),
-    _claim("prop-hom-image", "Images along epimorphisms",
-           "For a surjective delta-gamma-homomorphism and I >= ker(f) proper "
-           "delta-n, the image f(I) is a gamma-n-ideal.",
-           "every (family epimorphism, expansion pair, source proper ideal)"),
-    _claim("prop-hom-epi-pushforward", "Pushforward identity",
-           "For a surjective delta-gamma-homomorphism and I >= ker(f): "
-           "gamma(f(I)) = f(delta(I)).",
-           "every (family epimorphism, expansion pair, ideal I >= ker)"),
-    _claim("prop-radical-hom", "Radical expansions along any homomorphism",
-           "Every ring homomorphism is a delta1-gamma1-homomorphism for the "
-           "radical expansions on both sides.",
-           "every family homomorphism"),
-    _claim("rem-product-obstruction", "No delta-n-ideals with a proper component",
-           "On R1 x R2 with delta_x componentwise: an ideal I1 x I2 with "
-           "delta_1(I1) != R1 or delta_2(I2) != R2 is never delta_x-n.",
-           "every (product ring, component expansion pair, proper ideal)"),
-    _claim("prop-idealization-transfer", "Idealization equivalence",
-           "For IM <= N: I is delta-n in R iff I(+)N is delta_(+)-n in R(+)M.",
-           "every (idealization, base expansion, homogeneous pair)"),
-    _claim("prop-idealization-radical", "Radical of a homogeneous ideal",
-           "sqrt(I(+)N) = sqrt(I)(+)M in every idealization ring.",
-           "every (idealization, homogeneous pair)"),
-    _claim("prop-loc-forward", "Localization of a delta-n-ideal",
-           "If I is delta-n with I and S disjoint, then S^-1 I is a "
-           "delta_S-n-ideal of S^-1 R.",
-           "every (ring, multiplicative set, expansion, proper ideal)"),
-    _claim("prop-loc-backward", "Descending from the localization",
-           "If S misses Z(R) and Z_delta(I)(R) and S^-1 I is delta_S-n, then "
-           "I is delta-n.",
-           "every (ring, multiplicative set, expansion, proper ideal)"),
-    _claim("prop-loc-regular-contract", "Contraction from the regular localization",
-           "Localizing at the regular elements (units, on finite rings): "
-           "every delta_S-n-ideal contracts to a delta-n-ideal.",
-           "every (ring, expansion, proper localized ideal)"),
-    _claim("audit-loc-well-defined", "Representative independence of delta_S",
-           "No base-ideal pair on the corpus has equal extensions but "
-           "different extended delta-values; the derived expansion always "
-           "contracts first, so it is a function regardless.",
-           "every (ring, multiplicative set, expansion)"),
-    _claim("audit-example-unit-ideal", "The ideal (x+1) in Z4[x]/(x^3) is the unit ideal",
-           "(1+x)(1+3x+x^2) = 1, so the ideal generated by x+1 is the whole "
-           "ring and sqrt(0) = (2, x) has 32 elements; any account treating "
-           "(x+1) as a proper ideal of this ring is inconsistent with the "
-           "computed algebra.",
-           "three fixed computations on Z4[x]/(x^3)",
-           notes=("flagged: the motivating example of a delta-n-but-not-n "
-                  "ideal presumes (x+1) proper, which is inconsistent with "
-                  "the computation ((1+x)(1+3x+x^2)=1); the properness guard "
-                  "therefore rejects that ideal",)),
-    _claim("conj-proper-delta-n-is-n", "Recorded conjecture: proper values force n-ideals",
-           "On every finite corpus instance, a delta-n-ideal with delta(I) != "
-           "R is also an n-ideal (recorded observation; the separating "
-           "examples in the source theory all have delta(I) = R).",
-           "every (ring, expansion, proper ideal) meeting the hypothesis"),
-    _claim("selftest-z6-all-n-ideals", "Self-test: inverted claim about Z6",
-           "Deliberately false: every proper ideal of Z6 is an n-ideal.  Used "
-           "to exercise the witness machinery; the first witness must be "
-           "ideal (0) with a=2, b=3.",
-           "proper ideals of Z6", self_test=True),
-    _claim("selftest-z12-nilradical-prime", "Self-test: inverted claim about Z12",
-           "Deliberately false: sqrt(0) is a prime ideal of Z12.",
-           "one fixed instance", self_test=True),
-)
-
-
-CHECKERS = {
-    "thm-four-equivalents": _check_four_equivalents,
-    "prop-subset-nilradical": _check_subset_nilradical,
-    "ex-z6-zero-not-n": _check_z6_counterexample,
-    "prop-primary-to-delta-n": _check_primary_to_delta_n,
-    "prop-nilradical-primary-iff": _check_nilradical_primary_iff,
-    "ex-int-delta-plus": _check_integer_delta_plus,
-    "prop-delta-primary-iff-subset": _check_primary_iff_subset,
-    "prop-prime-iff-nilradical": _check_prime_iff_nilradical,
-    "thm-every-ideal-quasilocal": _check_every_ideal_quasilocal,
-    "prop-domain-only-zero": _check_domain_only_zero,
-    "thm-von-neumann-field": _check_von_neumann_field,
-    "lem-colon-stable": _check_colon_stable,
-    "prop-maximal-is-nilradical": _check_maximal_is_nilradical,
-    "thm-existence": _check_existence,
-    "prop-idem-colon-expansion": _check_idem_colon_expansion,
-    "prop-idem-value-n-iff": _check_idem_value_n_iff,
-    "prop-idem-cancellation": _check_idem_cancellation,
-    "prop-idem-absorption": _check_idem_absorption,
-    "prop-zero-divisor-quotient": _check_zero_divisor_quotient,
-    "prop-expansion-value-n": _check_expansion_value_n,
-    "prop-radical-value-n-iff": _check_radical_value_n_iff,
-    "prop-pointwise-monotone": _check_pointwise_monotone,
-    "prop-compose-n-ideal": _check_compose_n_ideal,
-    "prop-radical-transfer": _check_radical_transfer,
-    "prop-sandwich": _check_sandwich,
-    "prop-intersection": _check_intersection,
-    "prop-intersection-noncomparable": _check_intersection_noncomparable,
-    "lem-superfluous": _check_superfluous,
-    "prop-sum-delta-n": _check_sum_delta_n,
-    "cor-quotient-forward": _check_quotient_forward,
-    "cor-quotient-back-nilpotent": _check_quotient_back_nilpotent,
-    "cor-quotient-back-delta-n": _check_quotient_back_delta_n,
-    "prop-hom-preimage": _check_hom_preimage,
-    "prop-hom-image": _check_hom_image,
-    "prop-hom-epi-pushforward": _check_hom_epi_pushforward,
-    "prop-radical-hom": _check_radical_hom,
-    "rem-product-obstruction": _check_product_obstruction,
-    "prop-idealization-transfer": _check_idealization_transfer,
-    "prop-idealization-radical": _check_idealization_radical,
-    "prop-loc-forward": _check_loc_forward,
-    "prop-loc-backward": _check_loc_backward,
-    "prop-loc-regular-contract": _check_loc_regular_contract,
-    "audit-loc-well-defined": _check_loc_well_defined,
-    "audit-example-unit-ideal": _check_example_unit_ideal,
-    "conj-proper-delta-n-is-n": _check_conjecture_proper_n,
-    "selftest-z6-all-n-ideals": _check_selftest_z6,
-    "selftest-z12-nilradical-prime": _check_selftest_z12,
-}
-
+CLAIMS = tuple(CLAIMS)
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 
 from .claims import CLAIMS_BY_ID
-from .errors import DeltanError
+from .errors import DeltanError, UnknownClaimError
 from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
                   parse_ideal_text, parse_spec, ring_to_dsl)
 from .ideals import classify_ideal, enumerate_ideals
@@ -81,12 +82,19 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     corpus = builtin_corpus() if args.corpus == "default" else load_corpus(args.corpus)
     claim_ids = args.claims.split(",") if args.claims else None
-    reports = run_claims(corpus=corpus, claim_ids=claim_ids,
-                         witness_cap=args.witness_cap)
-    sys.stdout.write(render_text(reports))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(render_json(reports))
+    for cid in claim_ids or ():  # before the report file is opened
+        if cid not in CLAIMS_BY_ID:
+            raise UnknownClaimError(f"unknown claim id {cid!r}")
+    try:  # before the run, so an unwritable report path fails fast
+        json_out = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
+    except OSError as exc:
+        raise DeltanError(f"cannot write report file {args.json}: {exc.strerror}") from None
+    with json_out:
+        reports = run_claims(corpus=corpus, claim_ids=claim_ids,
+                             witness_cap=args.witness_cap)
+        sys.stdout.write(render_text(reports))
+        if args.json:
+            json_out.write(render_json(reports))
     return 1 if any(rep.failed for rep in reports) else 0
 
 
@@ -104,6 +112,14 @@ def _cmd_explain(args):
     for note in claim.notes:
         print(f"note: {note}")
     return 0
+
+
+def count(text):
+    """An integer option of at least 0; argparse names it in its errors."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def build_parser():
@@ -129,7 +145,7 @@ def build_parser():
     p.add_argument("--corpus", default="default",
                    help="'default' or a path to a file of ring expressions")
     p.add_argument("--json", help="write the machine-readable report here")
-    p.add_argument("--witness-cap", type=int, default=5,
+    p.add_argument("--witness-cap", type=count, default=5,
                    help="max failure witnesses kept per claim (default 5)")
     p.set_defaults(func=_cmd_verify)
 

@@ -197,9 +197,6 @@ class Submodule:
     def contains_idx(self, idx):
         return bool(self.mask >> idx & 1)
 
-    def element_indices(self):
-        return _bits(self.mask)
-
     def __eq__(self, other):
         return (isinstance(other, Submodule) and other.module.key == self.module.key
                 and other.mask == self.mask)

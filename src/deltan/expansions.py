@@ -240,6 +240,15 @@ def derive_quotient_expansion(delta, J):
     return exp
 
 
+def _split_product_mask(mask, right_size):
+    """Component masks (I1, I2) of a mask of R1 x R2, (a, b) at index a * right_size + b."""
+    m1 = m2 = 0
+    for idx in _bits(mask):
+        m1 |= 1 << (idx // right_size)
+        m2 |= 1 << (idx % right_size)
+    return m1, m2
+
+
 @memo
 def derive_product_expansion(d1, d2):
     """Componentwise expansion on R1 x R2 (every ideal of the product splits)."""
@@ -248,10 +257,7 @@ def derive_product_expansion(d1, d2):
     sr = d2.ring.size
     table = {}
     for I in enumerate_ideals(ring):
-        m1 = m2 = 0
-        for idx in _bits(I.mask):
-            m1 |= 1 << (idx // sr)
-            m2 |= 1 << (idx % sr)
+        m1, m2 = _split_product_mask(I.mask, sr)
         rebuilt = 0
         for a in _bits(m1):
             for b in _bits(m2):
@@ -349,6 +355,21 @@ class ExpansionProfile:
     witnesses: tuple  # (flag_name, description) pairs for the failing flags
 
 
+def _colon_violation(delta, jmask):
+    """The colon hypothesis at one ideal J: None if it holds, else (x, clause)
+    for the first x breaking a clause, tested in this order for each x:
+    (delta(J):x) <= delta(J:x) for x outside delta(J), delta(J:x) != R for x outside J."""
+    ring, table = delta.ring, delta.table
+    dj, full = table[jmask], ring.full_mask
+    for x in range(ring.size):
+        jx = _colon_mask(ring, jmask, x)
+        if not (dj >> x & 1) and _colon_mask(ring, dj, x) & ~table[jx]:
+            return x, "(delta(J):x) not within delta(J:x)"
+        if not (jmask >> x & 1) and table[jx] == full:
+            return x, "delta(J:x) is the whole ring"
+    return None
+
+
 @memo
 def profile_expansion(delta):
     """Decide the five hypothesis flags (exhaustive tablewise on finite rings).
@@ -366,7 +387,6 @@ def profile_expansion(delta):
         return _integer_profile(delta)
     lattice = enumerate_ideals(ring)
     table = delta.table
-    full = ring.full_mask
     zero_mask = 1 << ring.zero_idx
     witnesses = []
 
@@ -399,28 +419,11 @@ def profile_expansion(delta):
             witnesses.append(("radical_commuting", f"I={I!r}"))
             break
 
-    colon = True
-    for J in lattice:
-        dj = table[J.mask]
-        for x in range(ring.size):
-            jx = _colon_mask(ring, J.mask, x)
-            if not (dj >> x & 1):
-                if _colon_mask(ring, dj, x) & ~table[jx]:
-                    colon = False
-                    witnesses.append((
-                        "colon_condition",
-                        f"(delta(J):x) not within delta(J:x) for J={J!r}, "
-                        f"x={ring.element_repr(x)}"))
-                    break
-            if J.mask != full and not (J.mask >> x & 1) and table[jx] == full:
-                colon = False
-                witnesses.append((
-                    "colon_condition",
-                    f"delta(J:x) is the whole ring for J={J!r}, "
-                    f"x={ring.element_repr(x)}"))
-                break
-        if not colon:
-            break
+    violation = next(((J, v) for J in lattice if (v := _colon_violation(delta, J.mask))), None)
+    colon = violation is None
+    if not colon:
+        J, (x, clause) = violation
+        witnesses.append(("colon_condition", f"{clause} for J={J!r}, x={ring.element_repr(x)}"))
 
     return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, Witness
+from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, FAIL, HOLDS, SKIP, Witness
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
                             make_module, mult_closure, quotient_ring)
-from .errors import UnknownClaimError
+from .errors import DeltanError, InfiniteRingError, UnknownClaimError
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, derive_quotient_expansion, full_expansion)
 from .ideals import enumerate_ideals, ideal_from_generators, nilradical
@@ -80,16 +80,20 @@ def builtin_corpus():
 def load_corpus(path):
     """Corpus from a text file: one ring expression per line, '#' comments."""
     from .dsl import parse_spec, bind_ring
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DeltanError(f"cannot read corpus file {path}: {reason}") from None
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ring = bind_ring(parse_spec(line))
-            if not ring.is_finite:
-                raise UnknownClaimError("corpus files may contain finite rings only")
-            entries.append(CorpusEntry(ring=ring, expansions=catalog(ring)))
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        ring = bind_ring(parse_spec(line))
+        if not ring.is_finite:
+            raise InfiniteRingError("corpus files may contain finite rings only")
+        entries.append(CorpusEntry(ring=ring, expansions=catalog(ring)))
     return Corpus(entries=tuple(entries))
 
 
@@ -99,7 +103,6 @@ def load_corpus(path):
 
 class Context:
     def __init__(self, corpus):
-        self.corpus = corpus
         self.entries = corpus.entries
         self.zz = integers()
         self._cache = {}
@@ -227,21 +230,15 @@ def run_claims(corpus=None, claim_ids=None, witness_cap=5):
     ctx = Context(corpus)
     reports = []
     for claim in selected:
-        checked = holds = skipped = failed = 0
+        counts = {HOLDS: 0, SKIP: 0, FAIL: 0}
         witnesses = []
         for status, witness in CHECKERS[claim.id](ctx):
-            checked += 1
-            if status == "holds":
-                holds += 1
-            elif status == "skip":
-                skipped += 1
-            else:
-                failed += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append(witness or Witness())
+            counts[status] += 1
+            if status == FAIL and len(witnesses) < witness_cap:
+                witnesses.append(witness or Witness())
         reports.append(ClaimReport(
-            claim_id=claim.id, title=claim.title, instances_checked=checked,
-            holds=holds, hypothesis_not_met=skipped, failed=failed,
+            claim_id=claim.id, title=claim.title, instances_checked=sum(counts.values()),
+            holds=counts[HOLDS], hypothesis_not_met=counts[SKIP], failed=counts[FAIL],
             witnesses=tuple(witnesses), notes=claim.notes))
     return reports
 
@@ -253,7 +250,7 @@ def find_counterexample(claim_id, corpus=None):
     corpus = corpus if corpus is not None else builtin_corpus()
     ctx = Context(corpus)
     for status, witness in CHECKERS[claim_id](ctx):
-        if status == "fail":
+        if status == FAIL:
             return witness or Witness()
     return None
 

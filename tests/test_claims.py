@@ -100,3 +100,27 @@ def test_every_failure_branch_builds_its_witness(monkeypatch, claim_id):
     for w in failures:
         assert w.ring, (claim_id, w)
         assert w.ideal or claim_id in RING_LEVEL, (claim_id, w)
+
+
+def test_verdict_kernel_keeps_skips_apart_from_holds_and_failures():
+    """A failed hypothesis is a skip whatever the conclusion says, and the
+    witness is built for failures only, in instance order."""
+    built = []
+    verdicts = list(claims._verdicts(iter([(n,) for n in range(6)]),
+                                     lambda n: n % 2 == 0, lambda n: n < 4,
+                                     lambda n: built.append(n) or f"w{n}"))
+    assert verdicts == [("holds", None), ("skip", None), ("holds", None),
+                        ("skip", None), ("fail", "w4"), ("skip", None)]
+    assert built == [4]
+
+
+@pytest.mark.parametrize("claim_id", ["prop-nilradical-primary-iff", "thm-von-neumann-field",
+                                      "prop-zero-divisor-quotient"])
+def test_single_decision_checkers_build_their_witness(monkeypatch, claim_id):
+    """These read one delta-n decision per (ring, delta); inverting it forces failures."""
+    real = claims._dn
+    monkeypatch.setattr(claims, "_dn", lambda I, delta: not real(I, delta))
+    failures = [w for status, w in CHECKERS[claim_id](_small_context()) if status == FAIL]
+    assert failures
+    for w in failures:
+        assert w.ring and w.expansion and w.ideal, (claim_id, w)

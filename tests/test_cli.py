@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from deltan.cli import main
 
 
@@ -159,3 +161,64 @@ def test_closed_stdout_exits_141_without_a_message():
     _, err = proc.communicate(timeout=120)
     assert first == b"ideal lattice of Z2 x Z2 x Z2 x Z2 x Z2 x Z2 (64 ideals):\n"
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("name, reason", [("missing.txt", "No such file or directory"),
+                                          ("", "Is a directory")])
+def test_unreadable_corpus_file_exits_2_with_one_line(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    assert main(["verify", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read corpus file {path}: {reason}\n"
+
+
+def test_infinite_ring_in_a_corpus_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text("Z6\nZZ\n")
+    assert main(["verify", "--corpus", str(path)]) == 2
+    assert capsys.readouterr().err == "error: corpus files may contain finite rings only\n"
+
+
+def _no_run(monkeypatch):
+    import deltan.cli
+
+    def run_claims(**kwargs):
+        raise AssertionError("the claims ran")
+    monkeypatch.setattr(deltan.cli, "run_claims", run_claims)
+
+
+def test_unwritable_json_report_fails_before_the_claims_run(tmp_path, monkeypatch, capsys):
+    _no_run(monkeypatch)
+    target = tmp_path / "no-such-dir" / "r.json"
+    assert main(["verify", "--json", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write report file {target}: "
+                            "No such file or directory\n")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("value, message", [("-3", "must be at least 0, got -3"),
+                                            ("x", "invalid count value: 'x'")])
+def test_witness_cap_must_be_a_count(monkeypatch, capsys, value, message):
+    _no_run(monkeypatch)
+    assert main(["verify", "--witness-cap", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument --witness-cap: {message}\n")
+
+
+def test_witness_cap_zero_counts_failures_without_witnesses(capsys):
+    assert main(["verify", "--claims", "selftest-z6-all-n-ideals", "--witness-cap", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "failures=3" in out and "witness:" not in out
+
+
+def test_unknown_claim_id_leaves_the_report_file_alone(tmp_path, monkeypatch, capsys):
+    _no_run(monkeypatch)
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    assert main(["verify", "--claims", "thm-existence,no-such-claim", "--json", str(target)]) == 2
+    assert capsys.readouterr().err == "error: unknown claim id 'no-such-claim'\n"
+    assert target.read_text() == "old report\n"

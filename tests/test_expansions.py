@@ -12,7 +12,7 @@ from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
                     zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import _lattice_covers, _validate_axioms
+from deltan.expansions import _colon_violation, _lattice_covers, _validate_axioms
 from deltan.verifier import builtin_corpus
 
 
@@ -348,3 +348,23 @@ def test_catalog_tables_match_an_element_level_oracle():
                 cells += 1
     assert kinds == {"delta0", "delta1", "full", "delta_plus", "delta_star", "compose"}
     assert cells == 936
+
+
+def test_profile_colon_flag_is_the_per_ideal_colon_check_over_the_lattice():
+    """``profile_expansion`` and ``prop-maximal-is-nilradical`` share one per-J
+    colon check; on every catalog expansion of the default corpus the global
+    flag is that check over the whole lattice, and a failing profile names the
+    first J it rejects."""
+    failing = 0
+    for entry in builtin_corpus().entries:
+        lattice = enumerate_ideals(entry.ring)
+        for delta in entry.expansions:
+            bad = [J for J in lattice if _colon_violation(delta, J.mask) is not None]
+            prof = profile_expansion(delta)
+            assert prof.colon_condition == (not bad), delta.name()
+            if bad:
+                failing += 1
+                x, clause = _colon_violation(delta, bad[0].mask)
+                assert dict(prof.witnesses)["colon_condition"] == (
+                    f"{clause} for J={bad[0]!r}, x={entry.ring.element_repr(x)}")
+    assert 0 < failing < sum(len(e.expansions) for e in builtin_corpus().entries)

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from deltan import (UnknownClaimError, delta0, delta1, delta_n_spectrum,
-                    enumerate_ideals, full_expansion, modular)
+from deltan import (DeltanError, InfiniteRingError, UnknownClaimError, delta0, delta1,
+                    delta_n_spectrum, enumerate_ideals, full_expansion, modular)
 from deltan.claims import CLAIMS
 from deltan.dsl import bind_ring, parse_spec
 from deltan.verifier import (Corpus, CorpusEntry, builtin_corpus, catalog,
-                             claim_ids, find_counterexample, render_json,
+                             claim_ids, find_counterexample, load_corpus, render_json,
                              render_text, run_claims)
 
 
@@ -116,10 +116,17 @@ def test_render_text_mentions_counts():
 
 
 def test_every_claim_has_checker_and_metadata():
+    from deltan import claims, verifier
     from deltan.claims import CHECKERS
     for claim in CLAIMS:
         assert claim.id in CHECKERS
         assert claim.statement and claim.title and claim.quantifies
+    ids = [c.id for c in CLAIMS]
+    assert len(set(ids)) == len(ids)
+    # one registry: declaration order is report order, and the runner reads
+    # the very dict the checkers were registered in
+    assert list(CHECKERS) == ids
+    assert verifier.CHECKERS is claims.CHECKERS
 
 
 def test_full_default_suite_has_zero_failures(default_verification):
@@ -172,3 +179,32 @@ def test_isomorphic_constructions_have_equal_invariants(left, right, expected):
     assert _invariants(right) == (sizes, counts)
     assert len(counts) == len(claim_ids()) - 1
     assert sum(c[0] for c in counts.values()) > 0
+
+
+def test_load_corpus_reads_one_ring_a_line(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("# a comment\n\n  Z6  \nZ2 x Z2\n# Z8\n")
+    corpus = load_corpus(path)
+    assert [e.ring.key for e in corpus.entries] == ["Z6", "prod(Z2,Z2)"]
+    for e in corpus.entries:
+        assert e.expansions == catalog(e.ring)
+
+
+@pytest.mark.parametrize("name", ["missing.txt", ""])
+def test_load_corpus_reports_an_unreadable_file(tmp_path, name):
+    with pytest.raises(DeltanError, match="^cannot read corpus file "):
+        load_corpus(tmp_path / name)
+
+
+def test_load_corpus_reports_an_undecodable_file(tmp_path):
+    path = tmp_path / "corpus.bin"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DeltanError, match="^cannot read corpus file .*codec"):
+        load_corpus(path)
+
+
+def test_load_corpus_rejects_an_infinite_ring(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_text("Z6\nZZ\n")
+    with pytest.raises(InfiniteRingError, match="finite rings only"):
+        load_corpus(path)
