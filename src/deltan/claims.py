@@ -27,13 +27,13 @@ from dataclasses import asdict, dataclass, field
 
 from . import constructions, predicates
 from .constructions import (enumerate_submodules, is_delta_gamma_homomorphism, localize,
-                            quotient_ring)
-from .expansions import (_colon_violation, _split_product_mask, compose_expansions,
+                            product_projections, quotient_ring)
+from .expansions import (_colon_violation, compose_expansions,
                          delta0, delta1, delta_plus, derive_idealization_expansion,
                          derive_localized_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
                          profile_expansion)
-from .ideals import (_bits, _colon_mask, _ideal_class, _mk_ideal, _principal_columns,
+from .ideals import (_colon_mask, _ideal_class, _mk_ideal, _principal_columns,
                      _product_mask, _radical_mask, _sum_mask, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_from_generators,
                      integer_ideal, nilradical, radical, special_sets, zero_ideal)
@@ -881,14 +881,14 @@ def _check_product_obstruction(ctx):
         if ring.spec.kind != "product":
             continue
         _, left, right = ring.origin
+        p1, p2 = product_projections(ring)
         for d1 in ctx.catalog(left):
             for d2 in ctx.catalog(right):
                 dx = derive_product_expansion(d1, d2)
                 dn = delta_n_masks(dx)
                 for I in _proper(ring):
-                    m1, m2 = _split_product_mask(I.mask, right.size)
-                    if d1.table[m1] == left.full_mask and \
-                       d2.table[m2] == right.full_mask:
+                    if d1.table[p1.image_mask(I.mask)] == left.full_mask and \
+                       d2.table[p2.image_mask(I.mask)] == right.full_mask:
                         yield SKIP, None
                     elif I.mask in dn:
                         yield FAIL, _wit(ring, dx, I,
@@ -900,12 +900,9 @@ def _check_product_obstruction(ctx):
 def _homogeneous_pairs(rec, ideals):
     """(I, N) for each I of ``ideals`` and each submodule N of the idealization's
     module with IM <= N, so that I(+)N is an ideal of R(+)M."""
-    module = rec.module
-    act = module.action
     for I in ideals:
-        for N in enumerate_submodules(module):
-            if all(N.contains_idx(act[a][m])
-                   for a in _bits(I.mask) for m in range(module.size)):
+        for N in enumerate_submodules(rec.module):
+            if rec.im_inside(I.mask, N.mask):
                 yield I, N
 
 

@@ -1,4 +1,4 @@
-"""Derived rings and their canonical maps: quotients, idealizations, localizations.
+"""Derived rings and their canonical maps: quotients, products, idealizations, localizations.
 
 Also houses finite unitary modules (for idealizations), multiplicative sets,
 and validated ring homomorphisms with ideal image/preimage transport.
@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from .errors import (ConstructionError, CrossRingError, HomomorphismError,
                      InfiniteRingError, InvalidSpecError)
-from .ideals import (Ideal, _add_close, _bits, _mask_of, _mk_ideal, _preimage_mask,
+from .ideals import (Ideal, _bits, _mask_of, _mk_ideal, _preimage_mask, _sum_closure,
                      enumerate_ideals, integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
@@ -66,9 +66,6 @@ class Module:
     def size(self):
         return len(self.elements)
 
-    def act(self, r_idx, m_idx):
-        return self.action[r_idx][m_idx]
-
     def element_repr(self, idx):
         return self._repr_fn(self.elements[idx]) if self._repr_fn else str(self.elements[idx])
 
@@ -113,20 +110,15 @@ def _build_module(ring, spec):
                         ring.zero_idx, ring._repr_fn)
         module.base_to_module = list(range(ring.size))
     elif isinstance(spec, QuotientModuleSpec):
-        mask = 0
-        for i in spec.ideal_elems:
-            mask |= 1 << i
+        mask = _mask_of(ring.size, spec.ideal_elems)
         if mask == ring.full_mask:
             raise ConstructionError("quotient by the whole ring gives the zero module")
-        repmap = _coset_reps(ring, mask)
-        reps = sorted(set(repmap))
-        qidx = {r: k for k, r in enumerate(reps)}
+        reps, q = _coset_quotient(ring, mask)
         elems = [ring.elements[r] for r in reps]
-        add = [[qidx[repmap[ring.add[a][b]]] for b in reps] for a in reps]
-        action = [[qidx[repmap[ring.mul[r][b]]] for b in reps] for r in range(ring.size)]
-        module = Module(ring, spec, elems, add, action,
-                        qidx[repmap[ring.zero_idx]], ring._repr_fn)
-        module.base_to_module = [qidx[repmap[i]] for i in range(ring.size)]
+        add = [[q[ring.add[a][b]] for b in reps] for a in reps]
+        action = [[q[ring.mul[r][b]] for b in reps] for r in range(ring.size)]
+        module = Module(ring, spec, elems, add, action, q[ring.zero_idx], ring._repr_fn)
+        module.base_to_module = q
     elif isinstance(spec, ProductModuleSpec):
         m1 = _build_module(ring, spec.left)
         m2 = _build_module(ring, spec.right)
@@ -167,18 +159,18 @@ def _normalize_module_spec(ring, spec):
     raise InvalidSpecError(f"unknown module spec {spec!r}")
 
 
-def _coset_reps(ring, mask):
-    """repmap[i] = least element index in the coset i + (mask)."""
-    add = ring.add
-    bits = _bits(mask)
-    repmap = [None] * ring.size
+def _coset_quotient(ring, mask):
+    """(reps, q) for the cosets of the additive subgroup ``mask``: reps holds the
+    least index of each coset, ascending, and q[i] the position in reps of the
+    coset of i, so q is the quotient map on indices."""
+    add, bits = ring.add, _bits(mask)
+    reps, q = [], [None] * ring.size
     for i in range(ring.size):
-        if repmap[i] is None:
-            coset = sorted(add[i][j] for j in bits)
-            rep = coset[0]
-            for c in coset:
-                repmap[c] = rep
-    return repmap
+        if q[i] is None:  # every smaller index of this coset would have set it
+            for c in map(add[i].__getitem__, bits):
+                q[c] = len(reps)
+            reps.append(i)
+    return reps, q
 
 
 class Submodule:
@@ -215,20 +207,8 @@ def enumerate_submodules(module):
     act = module.action
     cyclic = sorted({_mask_of(module.size, set(map(itemgetter(m), act)))
                      for m in range(module.size)})
-    seen = {1 << module.zero_idx}
-    seen.update(cyclic)
-    frontier = sorted(seen)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for c in cyclic:
-                s = _add_close(module, a, c)
-                if s not in seen:
-                    seen.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return tuple(Submodule(module, m)
-                 for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
+    seeds = [1 << module.zero_idx, *cyclic]
+    return tuple(Submodule(module, m) for m in _sum_closure(module, seeds, cyclic))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +279,15 @@ class Homomorphism:
 
     def __repr__(self):
         return f"Homomorphism({self.source.key} -> {self.target.key})"
+
+
+@memo
+def product_projections(ring):
+    """The projections p1: R1 x R2 -> R1 and p2: R1 x R2 -> R2 of a product ring."""
+    _, left, right = ring.origin
+    idx, sr = range(ring.size), right.size
+    return (Homomorphism(ring, left, mapping=[i // sr for i in idx], check=False),
+            Homomorphism(ring, right, mapping=[i % sr for i in idx], check=False))
 
 
 def make_homomorphism(source, target, mapping):
@@ -397,20 +386,17 @@ def quotient_ring(ring, J):
 
 @memo
 def _finite_quotient(ring, J):
-    repmap = _coset_reps(ring, J.mask)
-    reps = sorted(set(repmap))
-    qidx = {r: k for k, r in enumerate(reps)}
+    reps, q = _coset_quotient(ring, J.mask)
     elems = [ring.elements[r] for r in reps]
-    add = [[qidx[repmap[ring.add[a][b]]] for b in reps] for a in reps]
-    mul = [[qidx[repmap[ring.mul[a][b]]] for b in reps] for a in reps]
+    add = [[q[ring.add[a][b]] for b in reps] for a in reps]
+    mul = [[q[ring.mul[a][b]] for b in reps] for a in reps]
     spec = QuotientSpec(ring.spec, tuple(_bits(J.mask)))
     qring = Ring(spec, elements=elems, add=add, mul=mul,
-                 zero=qidx[repmap[ring.zero_idx]], one=qidx[repmap[ring.one_idx]],
+                 zero=q[ring.zero_idx], one=q[ring.one_idx],
                  repr_fn=ring._repr_fn or str)
     qring.origin = ("quotient", ring, J)
     register_ring(qring)
-    proj = Homomorphism(ring, qring, mapping=[qidx[repmap[i]] for i in range(ring.size)],
-                        check=False)
+    proj = Homomorphism(ring, qring, mapping=q, check=False)
     return QuotientRecord(ring=qring, projection=proj)
 
 
@@ -423,6 +409,14 @@ class IdealizationRecord:
         self.ring = ring
         self.base = base
         self.module = module
+        # pi: R(+)M -> R, (r, m) -> r; the pair (r, m) has index r * |M| + m
+        self.projection = Homomorphism(
+            ring, base, mapping=[i // module.size for i in range(ring.size)], check=False)
+
+    def im_inside(self, imask, nmask):
+        """Whether IM lies inside N, which makes I(+)N an ideal of R(+)M."""
+        act = self.module.action
+        return all(nmask >> x & 1 for a in _bits(imask) for x in act[a])
 
     def homogeneous_ideal(self, I, N):
         """The ideal I(+)N of R(+)M; valid exactly when I*M lies inside N."""
@@ -430,13 +424,8 @@ class IdealizationRecord:
             raise CrossRingError("ideal lives in a different ring")
         if N.module.key != self.module.key:
             raise CrossRingError("submodule belongs to a different module")
-        act = self.module.action
-        for a in _bits(I.mask):
-            row = act[a]
-            for m in range(self.module.size):
-                if not N.contains_idx(row[m]):
-                    raise ConstructionError(
-                        "I(+)N is an ideal of R(+)M only when IM lies inside N")
+        if not self.im_inside(I.mask, N.mask):
+            raise ConstructionError("I(+)N is an ideal of R(+)M only when IM lies inside N")
         return _mk_ideal(self.ring, self.homogeneous_mask(I.mask, N.mask))
 
     def homogeneous_mask(self, imask, nmask):
@@ -448,24 +437,15 @@ class IdealizationRecord:
         return mask
 
     def split(self, W):
-        """(is_homogeneous, I, N) for an ideal W of R(+)M."""
+        """(is_homogeneous, I, N) for an ideal W of R(+)M: I = pi(W), N the block
+        of W at 0 ({m : (0, m) in W}), and W homogeneous iff W = I(+)N."""
         if W.ring.key != self.ring.key:
             raise CrossRingError("ideal lives in a different idealization")
         msize = self.module.size
-        pr = 0
-        nm = 0
-        zblock = self.base.zero_idx * msize
-        for idx in _bits(W.mask):
-            pr |= 1 << (idx // msize)
-            if idx // msize == self.base.zero_idx:
-                nm |= 1 << (idx - zblock)
-        rebuilt = 0
-        for a in _bits(pr):
-            for m in _bits(nm):
-                rebuilt |= 1 << (a * msize + m)
-        I = _mk_ideal(self.base, pr)
-        N = Submodule(self.module, nm)
-        return (rebuilt == W.mask, I, N)
+        imask = self.projection.image_mask(W.mask)
+        nmask = W.mask >> (self.base.zero_idx * msize) & ((1 << msize) - 1)
+        homogeneous = self.homogeneous_mask(imask, nmask) == W.mask
+        return (homogeneous, _mk_ideal(self.base, imask), Submodule(self.module, nmask))
 
     def non_homogeneous_ideals(self):
         """Lattice ideals that are not of the I(+)N shape (flagged in reports)."""
@@ -622,7 +602,7 @@ def localize(ring, sset):
     for a in range(n):
         if any(mul[u][a] == zero for u in s_list):
             ker |= 1 << a
-    coset = _coset_reps(ring, ker)
+    _, coset = _coset_quotient(ring, ker)
     one = coset[ring.one_idx]
     inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]
     class_of, number, reps = {}, {}, []
@@ -671,10 +651,7 @@ def localize(ring, sset):
 def build_derived_ring(spec):
     base = construct_ring(spec.base)
     if isinstance(spec, QuotientSpec):
-        mask = 0
-        for i in spec.ideal_elems:
-            mask |= 1 << i
-        return quotient_ring(base, _mk_ideal(base, mask)).ring
+        return quotient_ring(base, _mk_ideal(base, _mask_of(base.size, spec.ideal_elems))).ring
     if isinstance(spec, IdealizationSpec):
         return idealization(base, make_module(base, spec.module)).ring
     if isinstance(spec, LocalizationSpec):

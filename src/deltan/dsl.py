@@ -20,7 +20,7 @@ form reproduces the same bound objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DslError
 from . import constructions
@@ -117,12 +117,8 @@ class XCompose:
 
 @dataclass
 class SpecAST:
-    """Bundle handed to the CLI: ring plus optional ideal/expansion parts."""
+    """The parsed ring expression handed to ``bind_ring``."""
     ring: object
-    ideals: tuple = ()
-    expansion: object = None
-    command: str = ""
-    flags: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------

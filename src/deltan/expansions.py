@@ -222,7 +222,8 @@ def apply_expansion(delta, I):
 
 
 # ---------------------------------------------------------------------------
-# derived expansions on constructed rings
+# derived expansions on constructed rings: each moves delta along the
+# canonical map of its construction (contract, apply delta, transport back)
 # ---------------------------------------------------------------------------
 
 @memo
@@ -230,53 +231,35 @@ def derive_quotient_expansion(delta, J):
     """Push delta to R/J: the value on K/J is delta(K)/J for the full preimage K."""
     from .constructions import quotient_ring
     rec = quotient_ring(delta.ring, J)
-    qring, proj = rec.ring, rec.projection
-    table = {}
-    for K in enumerate_ideals(qring):
-        pre = proj.preimage_mask(K.mask)
-        val = delta.table[pre]
-        table[K.mask] = proj.image_mask(val)
-    exp = _finish(qring, ("quotient_derived", delta, J), table)
-    return exp
-
-
-def _split_product_mask(mask, right_size):
-    """Component masks (I1, I2) of a mask of R1 x R2, (a, b) at index a * right_size + b."""
-    m1 = m2 = 0
-    for idx in _bits(mask):
-        m1 |= 1 << (idx // right_size)
-        m2 |= 1 << (idx % right_size)
-    return m1, m2
+    proj = rec.projection
+    table = {K.mask: proj.image_mask(delta.table[proj.preimage_mask(K.mask)])
+             for K in enumerate_ideals(rec.ring)}
+    return _finish(rec.ring, ("quotient_derived", delta, J), table)
 
 
 @memo
 def derive_product_expansion(d1, d2):
-    """Componentwise expansion on R1 x R2 (every ideal of the product splits)."""
+    """Componentwise expansion on R1 x R2 along the projections p1, p2:
+    delta_x(I) = p1^-1(d1(p1 I)) & p2^-1(d2(p2 I)).  Every ideal of the product
+    splits, I = p1^-1(p1 I) & p2^-1(p2 I), and the table checks it."""
+    from .constructions import product_projections
     from .rings import product
     ring = product(d1.ring, d2.ring)
-    sr = d2.ring.size
+    p1, p2 = product_projections(ring)
     table = {}
     for I in enumerate_ideals(ring):
-        m1, m2 = _split_product_mask(I.mask, sr)
-        rebuilt = 0
-        for a in _bits(m1):
-            for b in _bits(m2):
-                rebuilt |= 1 << (a * sr + b)
-        if rebuilt != I.mask:
+        m1, m2 = p1.image_mask(I.mask), p2.image_mask(I.mask)
+        if p1.preimage_mask(m1) & p2.preimage_mask(m2) != I.mask:
             raise ExpansionAxiomError(
                 f"ideal {I!r} of {ring.key} does not split componentwise")
-        v1, v2 = d1.table[m1], d2.table[m2]
-        out = 0
-        for a in _bits(v1):
-            for b in _bits(v2):
-                out |= 1 << (a * sr + b)
-        table[I.mask] = out
+        table[I.mask] = p1.preimage_mask(d1.table[m1]) & p2.preimage_mask(d2.table[m2])
     return _finish(ring, ("product_derived", d1, d2), table)
 
 
 @memo
 def derive_idealization_expansion(delta, module):
-    """Expansion on R(+)M sending I(+)N to delta(I)(+)M.
+    """Expansion on R(+)M along pi: R(+)M -> R, W -> pi^-1(delta(pi W)), so
+    I(+)N goes to delta(I)(+)M.
 
     Lattice ideals that are not of the homogeneous I(+)N shape are first
     homogenized (projection to R, second slot widened to all of M); the
@@ -284,21 +267,10 @@ def derive_idealization_expansion(delta, module):
     """
     from .constructions import idealization
     rec = idealization(delta.ring, module)
-    ring = rec.ring
-    msize = module.size
-    full_m = (1 << msize) - 1
-    table = {}
-    for W in enumerate_ideals(ring):
-        pr = 0
-        for idx in _bits(W.mask):
-            pr |= 1 << (idx // msize)
-        val = delta.table[pr]
-        out = 0
-        for a in _bits(val):
-            base = a * msize
-            out |= full_m << base
-        table[W.mask] = out
-    return _finish(ring, ("idealization_derived", delta), table)
+    pi = rec.projection
+    table = {W.mask: pi.preimage_mask(delta.table[pi.image_mask(W.mask)])
+             for W in enumerate_ideals(rec.ring)}
+    return _finish(rec.ring, ("idealization_derived", delta), table)
 
 
 @memo
@@ -310,12 +282,9 @@ def derive_localized_expansion(delta, sset):
     """
     from .constructions import localize
     rec = localize(delta.ring, sset)
-    ring = rec.ring
-    table = {}
-    for K in enumerate_ideals(ring):
-        c = rec.contract_mask(K.mask)
-        table[K.mask] = rec.extend_mask(delta.table[c])
-    return _finish(ring, ("localization_derived", delta, sset), table)
+    table = {K.mask: rec.extend_mask(delta.table[rec.contract_mask(K.mask)])
+             for K in enumerate_ideals(rec.ring)}
+    return _finish(rec.ring, ("localization_derived", delta, sset), table)
 
 
 def localization_value_collisions(delta, sset):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
-from math import gcd
+from math import gcd, prod
 
 from .errors import CrossRingError, InfiniteRingError
 from .rings import Element, memo
@@ -57,44 +57,31 @@ def _preimage_mask(imask, seq):
     return _mask_of(len(seq), compress(count(), map(members.__contains__, seq)))
 
 
-def _radical_of_int(n):
-    """Product of the distinct prime divisors of n (0 -> 0, 1 -> 1)."""
-    if n in (0, 1):
-        return n
-    out, rest, p = 1, n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            out *= p
-            while rest % p == 0:
-                rest //= p
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if rest > 1:
-        out *= rest
+    if n > 1:
+        out.append(n)
     return out
 
 
+def _radical_of_int(n):
+    """Product of the distinct prime divisors of n (0 -> 0, 1 -> 1)."""
+    return prod(_prime_factors(n)) if n else 0
+
+
 def _is_prime_int(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _is_prime_power(n):
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
+    return n >= 2 and len(_prime_factors(n)) == 1
 
 
 class Ideal:
@@ -374,6 +361,24 @@ def _columns_outside(ring, xmask):
     return cols
 
 
+def _sum_closure(owner, seeds, gens):
+    """The closure of the masks ``seeds`` under adding a mask of ``gens``: the
+    subgroups of a ring or module that are sums of a seed and some gens,
+    ordered by (size, element set)."""
+    seen = set(seeds)
+    frontier = sorted(seen)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                s = _sum_mask(owner, a, g)
+                if s not in seen:
+                    seen.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    return sorted(seen, key=lambda m: (m.bit_count(), m))
+
+
 @memo
 def enumerate_ideals(ring):
     """The complete ideal lattice, ordered by (size, element set); cached per ring.
@@ -385,19 +390,8 @@ def enumerate_ideals(ring):
     if not ring.is_finite:
         raise InfiniteRingError("integer ideals are parameterized by n, not enumerated")
     principals = sorted(_principal_columns(ring))
-    seen = {1 << ring.zero_idx, ring.full_mask}
-    seen.update(principals)
-    frontier = sorted(seen)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for p in principals:
-                s = _sum_mask(ring, a, p)
-                if s not in seen:
-                    seen.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return tuple(_mk_ideal(ring, m) for m in sorted(seen, key=lambda m: (m.bit_count(), m)))
+    seeds = [1 << ring.zero_idx, ring.full_mask, *principals]
+    return tuple(_mk_ideal(ring, m) for m in _sum_closure(ring, seeds, principals))
 
 
 @dataclass(frozen=True)

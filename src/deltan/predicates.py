@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 from .errors import CrossRingError, ImproperIdealError, InfiniteRingError
 from .ideals import (_bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
-                     _product_mask, _z_i_mask, enumerate_ideals, nilradical,
-                     zero_ideal)
-from .expansions import apply_expansion
+                     _prime_factors, _product_mask, _z_i_mask, enumerate_ideals,
+                     nilradical, zero_ideal)
+from .expansions import apply_expansion, delta0, delta1
 from .rings import memo
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
@@ -63,9 +63,8 @@ def _u_table(ring):
 
 @memo
 def _n_masks(ring):
-    """The masks of the proper n-ideals, U(I) <= I (the delta0-n ideals), memoised
-    per ring."""
-    return frozenset(m for m, u in _u_table(ring).items() if u & ~m == 0)
+    """The masks of the proper n-ideals (the delta0-n ideals), memoised per ring."""
+    return frozenset(delta_n_masks(delta0(ring)))
 
 
 @memo
@@ -107,45 +106,19 @@ def _int_primary_witness(ring, n, d):
         return None
     # primary fails iff some prime s of n is not divisible by d; then
     # (n/s) * s lands in nZ with n/s outside nZ and s outside dZ
-    for s in sorted(_factor_exponents(n)):
+    for s in _prime_factors(n):
         if s % d != 0:
             return (ring.el(n // s), ring.el(s))
     return None
 
 
-def _factor_exponents(n):
-    out, p = {}, 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def is_n_ideal(I):
-    """ab in I forces a into the nilradical or b into I."""
-    _guard(I)
+    """ab in I forces a into the nilradical or b into I: delta0-n."""
     return n_ideal_witness(I) is None
 
 
 def n_ideal_witness(I):
-    _guard(I)
-    ring = I.ring
-    if not ring.is_finite:
-        if I.n == 0:
-            return None
-        return (ring.el(I.n), ring.el(1))
-    return _failure_witness(ring, I.mask, I.mask)
-
-
-def _failure_witness(ring, imask, dmask):
-    """None when U(I) lies in the target set, else the definition scan's witness."""
-    if _u_mask(ring, imask) & ~dmask == 0:
-        return None
-    return _definition_witness(ring, imask, dmask)
+    return delta_n_witness(I, delta0(I.ring))
 
 
 def _definition_witness(ring, imask, dmask):
@@ -247,19 +220,18 @@ def delta_n_witness(I, delta):
         if I.n == 0 or delta.int_fn(I.n) == 1:
             return None
         return (ring.el(I.n), ring.el(1))
-    return _failure_witness(ring, I.mask, delta.table[I.mask])
+    imask, dmask = I.mask, delta.table[I.mask]
+    if _u_mask(ring, imask) & ~dmask == 0:
+        return None
+    return _definition_witness(ring, imask, dmask)
 
 
 def is_quasi_n_ideal(I):
     """delta-n for the radical expansion."""
-    _guard(I)
-    from .expansions import delta1
-    return is_delta_n_ideal(I, delta1(I.ring))
+    return quasi_n_witness(I) is None
 
 
 def quasi_n_witness(I):
-    _guard(I)
-    from .expansions import delta1
     return delta_n_witness(I, delta1(I.ring))
 
 

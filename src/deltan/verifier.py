@@ -78,7 +78,10 @@ def builtin_corpus():
 
 
 def load_corpus(path):
-    """Corpus from a text file: one ring expression per line, '#' comments."""
+    """Corpus from a text file: one ring expression per line, '#' comments.
+
+    A ring listed twice, in any spelling, is a ``DeltanError`` naming both lines.
+    """
     from .dsl import parse_spec, bind_ring
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,13 +89,17 @@ def load_corpus(path):
     except (OSError, UnicodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DeltanError(f"cannot read corpus file {path}: {reason}") from None
-    entries = []
-    for line in lines:
+    entries, first_line = [], {}
+    for number, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
         ring = bind_ring(parse_spec(line))
         if not ring.is_finite:
             raise InfiniteRingError("corpus files may contain finite rings only")
+        first = first_line.setdefault(ring.key, number)
+        if first != number:
+            raise DeltanError(f"corpus file {path}: ring {ring.key} on line {number} "
+                              f"is already listed on line {first}")
         entries.append(CorpusEntry(ring=ring, expansions=catalog(ring)))
     return Corpus(entries=tuple(entries))
 
@@ -217,6 +224,8 @@ def claim_ids(include_self_tests=False):
 
 def run_claims(corpus=None, claim_ids=None, witness_cap=5):
     """Evaluate claims over the corpus; self-tests run only when named explicitly."""
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
     corpus = corpus if corpus is not None else builtin_corpus()
     if claim_ids is None:
         selected = [c for c in CLAIMS if not c.self_test]

@@ -180,6 +180,16 @@ def test_infinite_ring_in_a_corpus_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: corpus files may contain finite rings only\n"
 
 
+def test_ring_listed_twice_in_a_corpus_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text("Z4xZ9\nZ6\nZ4 x Z9\n")
+    assert main(["verify", "--corpus", str(path), "--claims", "thm-existence"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: corpus file {path}: ring prod(Z4,Z9) on line 3 "
+                            "is already listed on line 1\n")
+
+
 def _no_run(monkeypatch):
     import deltan.cli
 

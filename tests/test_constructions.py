@@ -12,8 +12,8 @@ from deltan import (ConstructionError, HomomorphismError, InfiniteRingError,
                     mult_closure, mult_set, nilradical, poly_quotient,
                     preimage_ideal, product, quotient_ring, radical,
                     zero_ideal)
-from deltan.constructions import (MultiplicativeSet, enumerate_submodules,
-                                  idealization)
+from deltan.constructions import (Homomorphism, MultiplicativeSet, enumerate_submodules,
+                                  idealization, product_projections)
 from deltan.verifier import Context, builtin_corpus
 
 
@@ -151,6 +151,105 @@ def test_idealization_has_non_homogeneous_ideals():
     for W in non_homog:
         homog, I, N = rec.split(W)
         assert not homog
+
+
+def _corpus_idealizations():
+    recs = [rec for rec, _ in Context(builtin_corpus()).idealization_instances()]
+    assert [rec.ring.key for rec in recs] == ["idz(Z2,regular)", "idz(Z4,regular)",
+                                               "idz(Z8,quot[0,4])"]
+    return recs
+
+
+def submodule_oracle(module):
+    """Every set holding 0 and closed under + and the action, by brute force."""
+    out = []
+    for mask in range(1 << module.size):
+        members = [m for m in range(module.size) if mask >> m & 1]
+        if (mask >> module.zero_idx & 1
+                and all(mask >> module.add[a][b] & 1 for a in members for b in members)
+                and all(mask >> row[m] & 1 for row in module.action for m in members)):
+            out.append(mask)
+    return sorted(out, key=lambda m: (m.bit_count(), m))
+
+
+def test_submodules_match_a_subgroup_and_action_oracle():
+    z2, z3, z4 = modular(2), modular(3), modular(4)
+    two = ideal_from_generators(z4, [z4.el(2)])
+    modules = [rec.module for rec in _corpus_idealizations()] + [
+        make_module(z2, ("product", "regular", ("product", "regular", "regular"))),
+        make_module(z3, ("product", "regular", "regular")),
+        make_module(z4, ("product", "regular", ("quotient", two))),
+        make_module(modular(8), "regular"),
+    ]
+    for module in modules:
+        got = [N.mask for N in enumerate_submodules(module)]
+        assert got == submodule_oracle(module), module
+
+
+def test_split_matches_an_element_level_oracle_on_every_corpus_idealization_ideal():
+    # I is the set of first coordinates of W, N = {m : (0, m) in W}, and W is
+    # homogeneous iff W = I(+)N
+    for rec in _corpus_idealizations():
+        base, module = rec.base, rec.module
+        r_of = {p: i for i, p in enumerate(base.elements)}
+        m_of = {p: i for i, p in enumerate(module.elements)}
+        non_homogeneous = []
+        for W in enumerate_ideals(rec.ring):
+            pairs = {(r_of[r], m_of[m]) for r, m in (e.payload for e in W.elements())}
+            first = {r for r, _ in pairs}
+            block = {m for r, m in pairs if r == base.zero_idx}
+            homogeneous = pairs == {(r, m) for r in first for m in block}
+            got, I, N = rec.split(W)
+            assert got == homogeneous, (rec.ring, W)
+            assert {e.idx for e in I.elements()} == first, (rec.ring, W)
+            assert {m for m in range(module.size) if N.contains_idx(m)} == block
+            if not homogeneous:
+                non_homogeneous.append(W)
+        assert rec.non_homogeneous_ideals() == tuple(non_homogeneous)
+        assert non_homogeneous or module.size == 2
+
+
+def test_im_inside_reads_the_idealization_product():
+    # (r, 0)(0, m) = (0, rm): IM lies in N iff each such product has its
+    # second coordinate in N
+    for rec in _corpus_idealizations():
+        base, module, ring = rec.base, rec.module, rec.ring
+        m_of = {p: i for i, p in enumerate(module.elements)}
+        zero_r, zero_m = base.elements[base.zero_idx], module.elements[module.zero_idx]
+
+        def rm(r, m):
+            return (ring.from_payload((r, zero_m)) * ring.from_payload((zero_r, m))).payload[1]
+
+        for I in enumerate_ideals(base):
+            for N in enumerate_submodules(module):
+                inside = all(N.contains_idx(m_of[rm(r.payload, m)])
+                             for r in I.elements() for m in module.elements)
+                assert rec.im_inside(I.mask, N.mask) == inside, (rec.ring, I, N)
+                if inside:
+                    assert rec.homogeneous_ideal(I, N).mask == \
+                        rec.homogeneous_mask(I.mask, N.mask)
+                else:
+                    with pytest.raises(ConstructionError):
+                        rec.homogeneous_ideal(I, N)
+
+
+def test_canonical_projections_are_homomorphisms():
+    # the internal maps skip validation; validate them here, and check that
+    # each reads the right coordinate of the pair
+    corpus = builtin_corpus()
+    products = [e.ring for e in corpus.entries if e.ring.spec.kind == "product"]
+    assert len(products) == 3
+    for ring in products:
+        _, left, right = ring.origin
+        for k, (p, factor) in enumerate(zip(product_projections(ring), (left, right))):
+            Homomorphism(ring, factor, mapping=p.mapping)
+            assert [factor.elements[p.mapping[i]] for i in range(ring.size)] == \
+                [pair[k] for pair in ring.elements]
+    for rec in _corpus_idealizations():
+        pi = rec.projection
+        Homomorphism(rec.ring, rec.base, mapping=pi.mapping)
+        assert [rec.base.elements[pi.mapping[i]] for i in range(rec.ring.size)] == \
+            [pair[0] for pair in rec.ring.elements]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
 from deltan.expansions import _colon_violation, _lattice_covers, _validate_axioms
 from deltan.verifier import builtin_corpus
+from deltan.verifier import catalog as corpus_catalog
 
 
 def test_delta_plus_on_integers():
@@ -170,6 +171,28 @@ def test_derive_product_expansion():
         pr2 = {e.payload[1] for e in I.elements()}
         assert {e.payload for e in got.elements()} == {(a, b) for a in range(4)
                                                        for b in pr2}
+
+
+def test_product_transport_matches_an_element_level_oracle_on_the_corpus():
+    # delta_x(I) = d1(A) x d2(B), A and B the coordinate sets of I (each an
+    # ideal), on every product ring of the corpus and catalog pair of its factors
+    corpus = builtin_corpus()
+    cells = 0
+    for ring in (e.ring for e in corpus.entries if e.ring.spec.kind == "product"):
+        _, left, right = ring.origin
+        for d1 in corpus_catalog(left):
+            for d2 in corpus_catalog(right):
+                dx = derive_product_expansion(d1, d2)
+                for I in enumerate_ideals(ring):
+                    pairs = [e.payload for e in I.elements()]
+                    a = apply_expansion(d1, ideal_from_generators(left, [p[0] for p in pairs]))
+                    b = apply_expansion(d2, ideal_from_generators(right, [p[1] for p in pairs]))
+                    expected = {(x.payload, y.payload) for x in a.elements()
+                                for y in b.elements()}
+                    assert {e.payload for e in apply_expansion(dx, I).elements()} == \
+                        expected, (d1, d2, I)
+                    cells += 1
+    assert cells > 1000
 
 
 def test_derive_idealization_expansion():

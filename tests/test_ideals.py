@@ -9,6 +9,7 @@ from deltan import (CrossRingError, InfiniteRingError, classify_ideal, colon,
                     ideal_from_generators, integer_ideal, integers, modular,
                     nilradical, poly_quotient, product, radical, special_sets,
                     unit_ideal, zero_ideal)
+from deltan.constructions import enumerate_submodules, idealization, make_module
 
 
 # ---------------------------------------------------------------------------
@@ -490,3 +491,98 @@ def test_zero_divisors_are_z_of_zero():
         rec = special_sets(ring)
         assert {e.idx for e in rec.zero_divisors} == zdiv
         assert {e.idx for e in rec.regular_elements} == set(range(n)) - zdiv
+
+
+# ---------------------------------------------------------------------------
+# the sum closure on lattices larger than the corpus's, and integer factoring
+# ---------------------------------------------------------------------------
+
+def _divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _is_ideal(ring, mask):
+    members = [i for i in range(ring.size) if mask >> i & 1]
+    return (mask >> ring.zero_idx & 1
+            and all(mask >> ring.add[a][b] & 1 for a in members for b in members)
+            and all(mask >> ring.mul[r][a] & 1 for r in range(ring.size) for a in members))
+
+
+def _subspace_count(q, n):
+    """The number of subspaces of F_q^n, a sum of Gaussian binomials."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= q ** n - q ** i
+            den *= q ** k - q ** i
+        total += num // den
+    return total
+
+
+def _z2_vector_module(k):
+    spec = "regular"
+    for _ in range(k - 1):
+        spec = ("product", "regular", spec)
+    return make_module(modular(2), spec)
+
+
+def _z2_idealization(k):
+    # the ideals of Z2(+)F2^k are the 0(+)N for the subspaces N of F2^k, and
+    # the whole ring (each (1, m) is a unit); only 0(+)N with dim N <= 1 and
+    # the whole ring are principal, so the closure builds the rest
+    return idealization(modular(2), _z2_vector_module(k)).ring
+
+
+def _product_of(*factors):
+    ring = factors[-1]
+    for factor in reversed(factors[:-1]):
+        ring = product(factor, ring)
+    return ring
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: _product_of(*[modular(2)] * 6), 2 ** 6),
+    (lambda: _product_of(*[modular(6)] * 3), 4 ** 3),
+    (lambda: _product_of(modular(12), modular(30)), 6 * 8),
+    (lambda: _z2_idealization(4), _subspace_count(2, 4) + 1),
+    (lambda: _product_of(_z2_idealization(3), modular(2), modular(2)),
+     (_subspace_count(2, 3) + 1) * 2 * 2),
+], ids=["Z2^6", "Z6^3", "Z12xZ30", "Z2(+)F2^4", "Z2(+)F2^3xZ2xZ2"])
+def test_lattice_closure_counts_every_ideal_of_a_large_lattice(build, expected):
+    # an ideal of R1 x R2 is I1 x I2, so a product's count is the product of
+    # its factors' counts, and Z_n has one ideal per divisor of n; that many
+    # distinct ideals are the whole lattice
+    ring = build()
+    masks = [I.mask for I in enumerate_ideals(ring)]
+    assert len(set(masks)) == len(masks) == expected > 40
+    assert all(_is_ideal(ring, m) for m in masks)
+    assert masks == sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def test_submodule_closure_counts_every_subspace():
+    for k in range(1, 5):
+        assert len(enumerate_submodules(_z2_vector_module(k))) == _subspace_count(2, k)
+    assert _subspace_count(2, 4) == 67
+
+
+def test_lattice_of_z_n_has_one_ideal_per_divisor():
+    for n in range(2, 121):
+        assert len(enumerate_ideals(modular(n))) == _divisor_count(n), n
+
+
+def test_integer_factoring_matches_a_divisor_scan():
+    from deltan.ideals import (_is_prime_int, _is_prime_power, _prime_factors,
+                               _radical_of_int)
+    primes = [p for p in range(2, 401) if all(p % d for d in range(2, p))]
+    assert _radical_of_int(0) == 0 and _radical_of_int(1) == 1
+    for n in range(401):
+        factors = [p for p in primes if n and n % p == 0]
+        radical_n = 1
+        for p in factors:
+            radical_n *= p
+        if n:
+            assert _prime_factors(n) == factors, n
+            assert _radical_of_int(n) == radical_n, n
+        assert _is_prime_int(n) == (n in primes), n
+        assert _is_prime_power(n) == (n >= 2 and len(factors) == 1), n

@@ -208,3 +208,23 @@ def test_load_corpus_rejects_an_infinite_ring(tmp_path):
     path.write_text("Z6\nZZ\n")
     with pytest.raises(InfiniteRingError, match="finite rings only"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("text, first, again", [("Z6\nZ6\n", 1, 2),
+                                                 ("Z4xZ9\n# a comment\n\nZ4 x Z9\n", 1, 4)])
+def test_load_corpus_rejects_a_ring_listed_twice(tmp_path, text, first, again):
+    # two spellings of one ring are one ring: its counts would double
+    path = tmp_path / "corpus.txt"
+    path.write_text(text)
+    key = bind_ring(parse_spec(text.split("\n")[0])).key
+    with pytest.raises(DeltanError) as info:
+        load_corpus(path)
+    assert str(info.value) == (f"corpus file {path}: ring {key} on line {again} "
+                               f"is already listed on line {first}")
+
+
+def test_run_claims_rejects_a_negative_witness_cap():
+    with pytest.raises(ValueError, match="^witness_cap must be at least 0, got -3$"):
+        run_claims(claim_ids=["selftest-z6-all-n-ideals"], witness_cap=-3)
+    [report] = run_claims(claim_ids=["selftest-z6-all-n-ideals"], witness_cap=0)
+    assert (report.failed, report.witnesses) == (3, ())
