@@ -148,6 +148,7 @@ def _check_param(ring, J):
         raise CrossRingError("parameter ideal belongs to a different ring")
 
 
+@memo
 def delta0(ring):
     if not ring.is_finite:
         return Expansion(ring, ("delta0",), int_fn=lambda n: n)
@@ -155,6 +156,7 @@ def delta0(ring):
     return _finish(ring, ("delta0",), table)
 
 
+@memo
 def delta1(ring):
     if not ring.is_finite:
         return Expansion(ring, ("delta1",), int_fn=_radical_of_int)
@@ -162,6 +164,7 @@ def delta1(ring):
     return _finish(ring, ("delta1",), table)
 
 
+@memo
 def full_expansion(ring):
     if not ring.is_finite:
         return Expansion(ring, ("full",), int_fn=lambda n: 1)

@@ -5,10 +5,14 @@ addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...).  The integer ring is symbolic: its
 "indices" are the integer values themselves and enumeration is refused.
 
-Every finite constructor runs an exact ring-axiom self check in O(n^2 k) table
-lookups, k the size of a greedy additive generating set (see
-``check_ring_axioms``).  Table builders refuse, before allocating anything, a
-ring or module of more than ``MAX_RING_SIZE`` elements.
+Every finite constructor runs an exact ring-axiom self check,
+``check_ring_axioms``, which proves the axioms from the ring's structure: a
+product through its two factors, with no pass over its own tables; a ring whose
+additive group is generated by 1 (every Z_n) in O(n^2) table lookups, with no
+pass for the commutativity or associativity of multiplication; any other ring
+in O(n^2 k), k the size of a greedy additive generating set.  Table builders
+refuse, before allocating anything, a ring or module of more than
+``MAX_RING_SIZE`` elements.
 """
 
 from __future__ import annotations
@@ -522,28 +526,60 @@ def _build_product(spec):
 def check_ring_axioms(ring):
     """Verify the commutative-ring axioms on a finite ring exactly; raise on violation.
 
-    Pairs are checked exhaustively; (a+c)+b = a+(c+b), a(c+b) = ac+ab and
-    (ac)b = a(cb) for all a, b but only for c in a greedy additive generating
-    set G, in O(n^2 |G|).  That suffices: for each identity in turn, the c that
-    satisfy it for all a, b are closed under addition (Light's associativity
-    test; the others use associativity, then distributivity), so all c do.
+    The check proves the axioms from the ring's structure, by one of three routes.
+
+    Products through their factors.  A ring whose origin is ("product", R1, R2)
+    was built by ``_build_product``: its tables are ``_join_tables`` of the
+    factors' tables, 0 = (0, 0) and 1 = (1, 1).  Every axiom holds in R1 x R2
+    iff it holds in R1 and in R2, componentwise, so the check runs on the two
+    factors and on no table of the product (cost: the factors' checks).  A ring
+    given its tables directly, with no product origin, gets the full check.
+
+    Any other ring: pairs are checked exhaustively, and (a+c)+b = a+(c+b),
+    c+a = a+c, a(c+b) = ac+ab and (ac)b = a(cb) for all a, b but only for c in
+    a greedy additive generating set G that starts at 1.  That suffices: for
+    each identity in turn, the c that satisfy it for all a, b are closed under
+    addition, so all c do.  For + this is Light's associativity test; given
+    associativity, the c that commute with every a are closed under + too,
+    (c+d)+a = c+(a+d) = (a+c)+d = a+(c+d), and so are the c that distribute,
+    a((c+d)+b) = ac+(ad+ab) = a(c+d)+ab; given commutativity and
+    distributivity, so are the c that associate.  Cost O(n^2 |G|).
+
+    Rings whose additive group is generated by 1 (G = [1], every Z_n).  After
+    the additive group and the identity row, check the identity column and
+    a(1+x) = a + ax for all a, x, and nothing more.  Every b is k_b * 1, so by
+    induction ab = k_b * a = (k_a k_b) * 1, which is symmetric in a, b, and
+    (ab)c = (k_a k_b k_c) * 1 = a(bc): multiplication is commutative and
+    associative without a pass of its own.  Cost O(n^2).
     """
+    if ring.origin is not None and ring.origin[0] == "product":
+        for factor in ring.origin[1:]:
+            check_ring_axioms(factor)
+        return
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
-    gens = _additive_generators(add, zero)
+    gens = _additive_generators(add, zero, one)
+    identity = list(range(n))
     failure = (zero == one and "ring must have 0 != 1"
                or _group_failure(add, zero, gens)
-               or mul[one] != list(range(n)) and "1 is not a multiplicative identity"
-               or not _commutative(mul) and "multiplication is not commutative"
-               or not _additive_on(mul, add, add, gens) and "distributivity fails"
-               or not _associative_on(mul, mul, gens) and "multiplication is not associative")
+               or mul[one] != identity and "1 is not a multiplicative identity")
+    if not failure and gens == [one]:
+        failure = (list(map(itemgetter(one), mul)) != identity
+                   and "1 is not a multiplicative identity"
+                   or not _additive_on(mul, add, add, gens) and "distributivity fails")
+    elif not failure:
+        failure = (not _commutative(mul) and "multiplication is not commutative"
+                   or not _additive_on(mul, add, add, gens) and "distributivity fails"
+                   or not _associative_on(mul, mul, gens) and "multiplication is not associative")
     if failure:
         raise InvalidSpecError(f"{ring.key}: {failure}")
 
 
-def _additive_generators(add, zero):
-    """A greedy G such that every element is a sum (..(g1+g2)+..)+gj of generators."""
+def _additive_generators(add, zero, first=None):
+    """A greedy G, starting at ``first`` when given, such that every element
+    is a sum (..(g1+g2)+..)+gj of generators."""
     gens, reached = [], set()
-    for c in [i for i in range(len(add)) if i != zero] + [zero]:
+    rest = [i for i in range(len(add)) if i != zero]
+    for c in ([] if first is None else [first]) + rest + [zero]:
         if c not in reached:
             gens.append(c)
             reached, frontier = set(gens), gens
@@ -554,11 +590,16 @@ def _additive_generators(add, zero):
 
 
 def _group_failure(add, zero, gens):
-    """Why (add, zero) is not an abelian group generated by gens, or a false value."""
+    """Why (add, zero) is not an abelian group generated by gens, or a false value.
+
+    Associativity and commutativity are checked on the generators only (see
+    check_ring_axioms), commutativity after associativity, which its proof uses.
+    """
     return (add[zero] != list(range(len(add))) and "0 is not an additive identity"
             or not all(zero in row for row in add) and "an element has no additive inverse"
-            or not _commutative(add) and "addition is not commutative"
-            or not _associative_on(add, add, gens) and "addition is not associative")
+            or not _associative_on(add, add, gens) and "addition is not associative"
+            or not all(add[g] == list(map(itemgetter(g), add)) for g in gens)
+            and "addition is not commutative")
 
 
 def _commutative(table):

@@ -40,6 +40,14 @@ def test_delta0_is_identity():
         assert apply_expansion(d0, I) == I
 
 
+def test_catalog_builders_are_memoised_per_ring():
+    for ring in (modular(12), integers()):
+        for build in (delta0, delta1, full_expansion):
+            assert build(ring) is build(ring)
+            assert make_expansion(ring, build(ring).kind) is build(ring)
+    assert delta0(modular(12)) is not delta0(modular(6))
+
+
 def test_apply_examples():
     z12 = modular(12)
     assert apply_expansion(delta1(z12), zero_ideal(z12)) == nilradical(z12)

@@ -9,9 +9,9 @@ from deltan import (ConstructionError, CrossRingError, InfiniteRingError,
                     classify_element, classify_ring, construct_ring, integers,
                     modular, poly_quotient, product)
 from deltan.ideals import (_product_mask, _product_pair, _sum_mask, _sum_pair,
-                           enumerate_ideals)
-from deltan.rings import ModularSpec, Ring, _build_modular, memo
-from deltan.constructions import Module, idealization, make_module
+                           enumerate_ideals, ideal_from_generators)
+from deltan.rings import ModularSpec, Ring, _additive_generators, _build_modular, memo
+from deltan.constructions import Module, idealization, make_module, quotient_ring
 
 
 def test_modular_sizes():
@@ -372,38 +372,104 @@ def _bilinear_mul(rng, d):
     return out
 
 
+def _permutation_group(gens):
+    """The composition table of the permutation group generated by gens,
+    with the identity permutation at index 0."""
+    elems = [tuple(range(len(gens[0])))]
+    for p in elems:  # grows while it is read
+        for g in gens:
+            q = tuple(p[i] for i in g)
+            if q not in elems:
+                elems.append(q)
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(p[i] for i in q)] for q in elems] for p in elems]
+
+
 SMALL_RINGS = [lambda: modular(12), lambda: modular(16), lambda: modular(15),
                lambda: poly_quotient(2, [0, 0, 0, 0, 1]),
                lambda: poly_quotient(2, [1, 1, 1]), lambda: poly_quotient(2, [0, 0, 1]),
                lambda: product(modular(2), modular(2)),
                lambda: product(modular(2), modular(8)), _z4_idealization]
+CYCLIC_RINGS = [lambda: modular(n) for n in (5, 8, 9, 12, 15, 16)]
+# S3 and the dihedral group of order 8
+NON_ABELIAN_GROUPS = [_permutation_group([(1, 0, 2), (1, 2, 0)]),
+                      _permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)])]
+
+
+def _axiom_case(rng, kind, rings, cyclic):
+    """(add, mul, zero, one, the failure message expected when the tables are
+    not a ring) for one case of the given kind."""
+    if kind == "bilinear":
+        # commutative, unital and distributive: only associativity can fail
+        mul = _bilinear_mul(rng, rng.choice([2, 3, 4]))
+        add = [[a ^ b for b in range(len(mul))] for a in range(len(mul))]
+        return add, mul, 0, 1, "multiplication is not associative"
+    if kind == "non-abelian":
+        # a group table, relabelled, as the addition
+        group = rng.choice(NON_ABELIAN_GROUPS)
+        perm = list(range(len(group)))
+        rng.shuffle(perm)
+        mul = [[perm[0]] * len(group) for _ in group]
+        return _relabel(group, perm), mul, perm[0], perm[1], "addition is not commutative"
+    ring = rng.choice(rings if kind == "relabelled" else cyclic)
+    perm = list(range(ring.size))
+    if kind != "cyclic":
+        rng.shuffle(perm)
+    zero, one = perm[ring.zero_idx], perm[ring.one_idx]
+    add, mul = _relabel(ring.add, perm), _relabel(ring.mul, perm)
+    if kind == "relabelled":
+        if rng.random() < 0.8:
+            _corrupt(rng, [add, mul])
+        return add, mul, zero, one, None
+    if kind == "cyclic":
+        # Z_n as built, so its additive generators are [1]; one cell of the
+        # product in half of the cases
+        if rng.random() < 0.5:
+            a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+            mul[a][b] = rng.randrange(ring.size)
+        return add, mul, zero, one, None
+    if kind == "column":
+        # a.1 != a for one a, while 1.a = a everywhere
+        a = rng.choice([x for x in range(ring.size) if x != one])
+        mul[a][one] = rng.choice([x for x in range(ring.size) if x != a])
+        return add, mul, zero, one, "1 is not a multiplicative identity"
+    # kind == "add-assoc": a symmetric pair of sums a+b moved off 0, so that
+    # identity, inverses and commutativity hold and only associativity can fail
+    a = rng.choice([x for x in range(ring.size) if x != zero])
+    b = rng.choice([x for x in range(ring.size) if x != zero and add[a][x] != zero])
+    add[a][b] = add[b][a] = rng.choice(
+        [x for x in range(ring.size) if x not in (zero, add[a][b])])
+    return add, mul, zero, one, "addition is not associative"
+
+
+AXIOM_CASE_KINDS = ("bilinear", "relabelled", "relabelled", "cyclic", "column",
+                    "add-assoc", "non-abelian")
 
 
 def test_axiom_check_agrees_with_n3_reference():
     rng = random.Random(20211)
     rings = [build() for build in SMALL_RINGS]
+    cyclic = [build() for build in CYCLIC_RINGS]
     verdicts = {True: 0, False: 0}
-    for case in range(300):
-        ring = rng.choice(rings)
-        if case % 3 == 0:
-            mul, zero, one = _bilinear_mul(rng, rng.choice([2, 3, 4])), 0, 1
-            add = [[a ^ b for b in range(len(mul))] for a in range(len(mul))]
-        else:
-            perm = list(range(ring.size))
-            rng.shuffle(perm)
-            zero, one = perm[ring.zero_idx], perm[ring.one_idx]
-            add, mul = _relabel(ring.add, perm), _relabel(ring.mul, perm)
-            if rng.random() < 0.8:
-                _corrupt(rng, [add, mul])
+    generated_by_one = {True: 0, False: 0}
+    for case in range(420):
+        kind = AXIOM_CASE_KINDS[case % len(AXIOM_CASE_KINDS)]
+        add, mul, zero, one, message = _axiom_case(rng, kind, rings, cyclic)
         expected = _is_ring_n3(add, mul, zero, one)
         try:
-            _with_tables(ring, add, mul, zero, one)
-            accepted = True
-        except InvalidSpecError:
-            accepted = False
-        assert accepted == expected
+            Ring(ModularSpec(len(add)), elements=list(range(len(add))), add=add, mul=mul,
+                 zero=zero, one=one)
+            failure = None
+        except InvalidSpecError as exc:
+            failure = str(exc)
+        assert (failure is None) == expected, (kind, failure)
+        if failure is not None and message is not None:
+            assert failure.endswith(message), (kind, failure)
         verdicts[expected] += 1
+        if _additive_generators(add, zero, one) == [one]:
+            generated_by_one[expected] += 1
     assert min(verdicts.values()) >= 30
+    assert min(generated_by_one.values()) >= 30
 
 
 def test_module_check_agrees_with_n3_reference():
@@ -463,16 +529,55 @@ def test_modular_tables_match_the_residue_formulas(n):
     assert ring.mul == [[(i * j) % n for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("a, b", [(2, 3), (8, 8), (11, 13)])
-def test_product_tables_match_the_pair_formula(a, b):
-    ring = product(modular(a), modular(b))
+def _z8_mod_4():
+    z8 = modular(8)
+    return quotient_ring(z8, ideal_from_generators(z8, [z8.el(4)])).ring
+
+
+# the two factor builders of a product, by "left-right" name (a-b for Z_a x Z_b)
+PAIR_PRODUCTS = {
+    "2-3": (lambda: modular(2), lambda: modular(3)),
+    "8-8": (lambda: modular(8), lambda: modular(8)),
+    "11-13": (lambda: modular(11), lambda: modular(13)),
+    "Z6-Z3[x]/(x^2+1)": (lambda: modular(6), lambda: poly_quotient(3, [1, 0, 1])),
+    "(Z2 x Z3)-Z4": (lambda: product(modular(2), modular(3)), lambda: modular(4)),
+    "Z3-(Z2 x Z2[x]/(x^2))": (lambda: modular(3),
+                              lambda: product(modular(2), poly_quotient(2, [0, 0, 1]))),
+    "Z8/(4)-Z5": (_z8_mod_4, lambda: modular(5)),
+}
+
+
+@pytest.mark.parametrize("build_left, build_right", PAIR_PRODUCTS.values(), ids=PAIR_PRODUCTS)
+def test_product_tables_match_the_pair_formula(build_left, build_right):
+    # (x1, y1) + (x2, y2) = (x1 + x2, y1 + y2), and the same for products, read
+    # off the factors' elements: the product's own axiom check trusts this
+    left, right = build_left(), build_right()
+    ring = product(left, right)
+    assert ring.origin == ("product", left, right)
+    assert len(ring.elements) == left.size * right.size
     index = {p: i for i, p in enumerate(ring.elements)}
-    assert len(ring.elements) == a * b
-    for i, (x1, y1) in enumerate(ring.elements):
-        assert ring.add[i] == [index[((x1 + x2) % a, (y1 + y2) % b)]
-                               for x2, y2 in ring.elements]
-        assert ring.mul[i] == [index[((x1 * x2) % a, (y1 * y2) % b)]
-                               for x2, y2 in ring.elements]
+    pairs = [(left.from_payload(x), right.from_payload(y)) for x, y in ring.elements]
+    for i, (x1, y1) in enumerate(pairs):
+        assert ring.add[i] == [index[((x1 + x2).payload, (y1 + y2).payload)]
+                               for x2, y2 in pairs]
+        assert ring.mul[i] == [index[((x1 * x2).payload, (y1 * y2).payload)]
+                               for x2, y2 in pairs]
+    assert ring.elements[ring.zero_idx] == (left.zero.payload, right.zero.payload)
+    assert ring.elements[ring.one_idx] == (left.one.payload, right.one.payload)
+
+
+def test_product_axiom_check_runs_on_the_factors_only(monkeypatch):
+    from deltan import rings
+    sizes = []
+    for name in ("_group_failure", "_associative_on", "_additive_on", "_commutative"):
+        def counted(table, *args, _pass=getattr(rings, name)):
+            sizes.append(len(table))
+            return _pass(table, *args)
+        monkeypatch.setattr(rings, name, counted)
+    z31 = modular(31)
+    ring = rings._build_product(rings.ProductSpec(z31.spec, z31.spec))  # not interned
+    assert ring.size == 961
+    assert sizes and max(sizes) == 31
 
 
 @pytest.mark.parametrize("build", [
