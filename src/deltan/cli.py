@@ -50,6 +50,8 @@ def _cmd_ideals(args):
 def _cmd_classify(args):
     ring = bind_ring(parse_spec(args.ring))
     ideal = bind_ideal(ring, parse_ideal_text(args.ideal))
+    # before the first row, so a bad expansion leaves no half report
+    delta = bind_expansion(ring, parse_expansion_text(args.delta)) if args.delta else None
     print(f"ring: {ring_to_dsl(ring)}" +
           (f" ({ring.size} elements)" if ring.is_finite else " (infinite)"))
     print(f"ideal: {ideal!r}" +
@@ -66,8 +68,7 @@ def _cmd_classify(args):
         return 2
     _witness_row("n-ideal", n_ideal_witness(ideal))
     _witness_row("quasi n-ideal", quasi_n_witness(ideal))
-    if args.delta:
-        delta = bind_expansion(ring, parse_expansion_text(args.delta))
+    if delta is not None:
         print(f"expansion: {delta.name()}")
         print(f"delta(I): {apply_expansion(delta, ideal)!r}")
         _witness_row("delta-primary", delta_primary_witness(ideal, delta))

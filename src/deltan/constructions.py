@@ -15,7 +15,7 @@ from .ideals import (Ideal, _bits, _mask_of, _mk_ideal, _preimage_mask, _sum_clo
                      enumerate_ideals, integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, _join_tables, construct_ring, memo, modular,
+                    _group_failure, _join_tables, _negation, construct_ring, memo, modular,
                     register_ring)
 
 
@@ -83,9 +83,10 @@ def _check_module_axioms(module):
     """The module axioms, exactly, checking r(m+g), (r+h)m and (rh)m only on the
     additive generators g of the module and h of the ring (see check_ring_axioms)."""
     ring, add, act, size = module.ring, module.add, module.action, module.size
+    zero = module.zero_idx
     gens, rgens = (_additive_generators(t.add, t.zero_idx) for t in (module, ring))
     columns = (list(map(itemgetter(m), act)) for m in range(size))
-    failure = (_group_failure(add, module.zero_idx, gens)
+    failure = (_group_failure(add, zero, gens, _negation(add, zero))
                or act[ring.one_idx] != list(range(size)) and "action is not unital"
                or not _additive_on(act, add, add, gens) and "action not additive in m"
                or not _additive_on(columns, ring.add, add, rgens) and "action not additive in r"

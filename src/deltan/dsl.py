@@ -12,9 +12,11 @@
     expansion := exp { "o" exp };  exp := "d0" | "d1" | "full"
                | "d+(" idealexpr ")" | "d*(" idealexpr ")"
 
-Whitespace is insignificant.  Errors carry line/column and the expected
-token set.  The printers emit the canonical spellings, and parsing a printed
-form reproduces the same bound objects.
+Whitespace is insignificant.  Integer literals have at most 4300 digits and
+exponents of x are at most 4096; larger ones are refused where they stand.
+Errors carry line/column and the expected token set.  The printers emit the
+canonical spellings, and parsing a printed form reproduces the same bound
+objects.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from .constructions import (MultiplicativeSet, idealization, localize,
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, full_expansion)
 from .ideals import ideal_from_generators
-from .rings import integers, modular, poly_quotient, poly_repr, product
+from .rings import MAX_RING_SIZE, integers, modular, poly_quotient, poly_repr, product
+
+# the longest integer literal read (CPython's default limit on converting a
+# digit string to an int), and the largest exponent of x: a polynomial is
+# held densely, one coefficient per degree
+_MAX_DIGITS = 4300
+_MAX_EXPONENT = MAX_RING_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +196,22 @@ class _Parser:
                       expected=("end of input",))
 
 
+def _check_digits(p, digits):
+    """Refuse, at the current token, a literal too long to convert."""
+    if len(digits) > _MAX_DIGITS:
+        p.fail(f"integer literal of {len(digits)} digits; at most {_MAX_DIGITS} are read")
+
+
 def _parse_int(p):
+    if p.at("int"):
+        _check_digits(p, p.peek()[1])
     return int(p.expect("int")[1])
+
+
+def _parse_exponent(p):
+    if p.at("int") and len(p.peek()[1]) <= _MAX_DIGITS and int(p.peek()[1]) > _MAX_EXPONENT:
+        p.fail(f"exponent {p.peek()[1]} is above {_MAX_EXPONENT}")
+    return _parse_int(p)
 
 
 def _parse_poly(p):
@@ -232,7 +254,7 @@ def _parse_term(p):
         p.take()
         if p.at("sym", "^"):
             p.take()
-            return coeff, _parse_int(p)
+            return coeff, _parse_exponent(p)
         return coeff, 1
     if not saw_coeff:
         p.fail("expected a polynomial term", expected=("integer", "x"))
@@ -287,6 +309,7 @@ def _parse_ring_atom(p):
         p.take()
         return RInt()
     if k == "word" and v and v[0] == "Z" and v[1:].isdigit():
+        _check_digits(p, v[1:])
         p.take()
         n = int(v[1:])
         if p.at("sym", "["):

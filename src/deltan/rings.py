@@ -5,13 +5,19 @@ addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...).  The integer ring is symbolic: its
 "indices" are the integer values themselves and enumeration is refused.
 
+Z_n's tables are filled at slice speed: row i of the sum is one slice of the
+residues written twice, row i of the product (i <= n/2) a few strided slices
+of the residues written _STRIDE_REPS times, and row n-i the reverse of row i.
+
 Every finite constructor runs an exact ring-axiom self check,
-``check_ring_axioms``, which proves the axioms from the ring's structure: a
-product through its two factors, with no pass over its own tables; a ring whose
-additive group is generated by 1 (every Z_n) in O(n^2) table lookups, with no
-pass for the commutativity or associativity of multiplication; any other ring
-in O(n^2 k), k the size of a greedy additive generating set.  Table builders
-refuse, before allocating anything, a ring or module of more than
+``check_ring_axioms``, which proves the axioms from the ring's structure and
+returns the negation table: a product through its two factors, with no pass
+over its own tables, and negation read off theirs; a ring whose additive group
+is generated by 1 (every Z_n) in O(n^2) table lookups, with no pass for the
+commutativity or associativity of multiplication, and on Z_n's own tables two
+of its identities evaluated as row rotations and -x read as n - x; any other
+ring in O(n^2 k), k the size of a greedy additive generating set.  Table
+builders refuse, before allocating anything, a ring or module of more than
 ``MAX_RING_SIZE`` elements.
 """
 
@@ -26,6 +32,10 @@ from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
 # the largest table-backed ring or module: Z64 x Z64; its two tables hold 2 * 4096^2 cells
 MAX_RING_SIZE = 4096
+
+# copies of the residues 0..n-1 that one strided slice of Z_n's product table
+# runs over: row i takes about i / _STRIDE_REPS slices
+_STRIDE_REPS = 32
 
 
 def memo(fn):
@@ -47,10 +57,11 @@ def memo(fn):
     return cached
 
 
-def _check_size(key, size):
-    """Refuse a table of more than MAX_RING_SIZE elements before it is allocated."""
+def _check_size(key, size, shown=None):
+    """Refuse a table of more than MAX_RING_SIZE elements before it is allocated;
+    ``shown`` spells the size in the message, for sizes too large to print."""
     if size > MAX_RING_SIZE:
-        raise InvalidSpecError(f"{key} would have {size} elements; "
+        raise InvalidSpecError(f"{key} would have {shown or size} elements; "
                                f"table-backed rings and modules are limited to {MAX_RING_SIZE}")
 
 
@@ -219,8 +230,7 @@ class Ring:
         if elements is not None:
             self.full_mask = (1 << len(elements)) - 1
             self._index = {p: i for i, p in enumerate(elements)}
-            check_ring_axioms(self)
-            self.neg = [row.index(zero) for row in add]
+            self.neg = check_ring_axioms(self)
 
     # -- basic shape ----------------------------------------------------
 
@@ -437,8 +447,26 @@ def _build_modular(spec):
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
     _check_size(spec.key(), n)
     elems = list(range(n))
-    add = [elems[i:] + elems[:i] for i in elems]
-    mul = [[elems[i * j % n] for j in elems] for i in elems]
+    twice = elems + elems
+    add = [twice[i:i + n] for i in elems]
+    # row i of the product, i*j mod n, is read off the residues repeated
+    # _STRIDE_REPS times by strided slices, each one starting at the residue
+    # where the last ran out, into a row allocated at its final length; row
+    # n-i is -row i, row i reversed and rotated right by one, as (n-i)j = i(n-j)
+    residues = elems * _STRIDE_REPS
+    mul = [elems[:1] * n]
+    for i in range(1, n // 2 + 1):
+        row, j = elems[:1] * n, 0
+        while j < n:
+            start = j * i % n
+            cells = residues[start:start + (n - j) * i:i]
+            row[j:j + len(cells)] = cells
+            j += len(cells)
+        mul.append(row)
+    for i in range(n // 2 + 1, n):
+        row = mul[n - i][::-1]
+        row.insert(0, row.pop())
+        mul.append(row)
     return Ring(spec, elements=elems, add=add, mul=mul, zero=0, one=1 % n, repr_fn=str)
 
 
@@ -448,8 +476,9 @@ def _build_poly_quotient(spec):
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
     modulus = spec.modulus
     d = len(modulus) - 1
-    size = n ** d
-    _check_size(spec.key(), size)
+    # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
+    size = n ** min(d, MAX_RING_SIZE.bit_length())
+    _check_size(spec.key(), size, f"{n}^{d}")
     elems = []
     for i in range(size):
         v, digits = i, []
@@ -524,7 +553,8 @@ def _build_product(spec):
 # ---------------------------------------------------------------------------
 
 def check_ring_axioms(ring):
-    """Verify the commutative-ring axioms on a finite ring exactly; raise on violation.
+    """Verify the commutative-ring axioms on a finite ring exactly; raise on
+    violation, and return the negation table, whose entry x is the index of -x.
 
     The check proves the axioms from the ring's structure, by one of three routes.
 
@@ -532,7 +562,8 @@ def check_ring_axioms(ring):
     was built by ``_build_product``: its tables are ``_join_tables`` of the
     factors' tables, 0 = (0, 0) and 1 = (1, 1).  Every axiom holds in R1 x R2
     iff it holds in R1 and in R2, componentwise, so the check runs on the two
-    factors and on no table of the product (cost: the factors' checks).  A ring
+    factors and on no table of the product (cost: the factors' checks).  So is
+    negation, -(a, b) = (-a, -b), read off the factors' negation tables.  A ring
     given its tables directly, with no product origin, gets the full check.
 
     Any other ring: pairs are checked exhaustively, and (a+c)+b = a+(c+b),
@@ -543,7 +574,8 @@ def check_ring_axioms(ring):
     associativity, the c that commute with every a are closed under + too,
     (c+d)+a = c+(a+d) = (a+c)+d = a+(c+d), and so are the c that distribute,
     a((c+d)+b) = ac+(ad+ab) = a(c+d)+ab; given commutativity and
-    distributivity, so are the c that associate.  Cost O(n^2 |G|).
+    distributivity, so are the c that associate.  Cost O(n^2 |G|).  One
+    ``row.index(0)`` pass finds the inverses and is the negation table.
 
     Rings whose additive group is generated by 1 (G = [1], every Z_n).  After
     the additive group and the identity row, check the identity column and
@@ -551,27 +583,45 @@ def check_ring_axioms(ring):
     induction ab = k_b * a = (k_a k_b) * 1, which is symmetric in a, b, and
     (ab)c = (k_a k_b k_c) * 1 = a(bc): multiplication is commutative and
     associative without a pass of its own.  Cost O(n^2).
+
+    When moreover 0 is index 0 and the row of 1 is the index successor
+    x -> x+1 mod n (a cyclic table: every ring ``_build_modular`` builds), the
+    sides x+(1+y) of (x+1)+y = x+(1+y) and a(1+x) of a(1+x) = a + ax, as y and
+    x run, are rows x and a composed with that successor, and are evaluated as
+    the rotations ``row[1:] + row[:1]``.  Composing with the row of 1 is what
+    the other rings do, and it reads the same cells and yields the same list
+    when that row is the successor, so the two evaluations agree.  On a table
+    that passes, induction from 0 + y = y and (x+1)+y = x+(y+1) makes x+y
+    the index sum mod n, so -x is n - x: that is the negation table once
+    x + (n - x) = 0 has been read for every x (a table where it fails takes
+    the ``row.index`` pass, so it is refused with the same message).
     """
     if ring.origin is not None and ring.origin[0] == "product":
-        for factor in ring.origin[1:]:
-            check_ring_axioms(factor)
-        return
+        left, right = ring.origin[1:]
+        sr = right.size
+        right_neg = check_ring_axioms(right)
+        return [a * sr + b for a in check_ring_axioms(left) for b in right_neg]
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
     gens = _additive_generators(add, zero, one)
+    cyclic = _is_cyclic(add, zero, gens)
+    neg = _negation(add, zero, cyclic)
     identity = list(range(n))
     failure = (zero == one and "ring must have 0 != 1"
-               or _group_failure(add, zero, gens)
+               or _group_failure(add, zero, gens, neg, cyclic)
                or mul[one] != identity and "1 is not a multiplicative identity")
     if not failure and gens == [one]:
         failure = (list(map(itemgetter(one), mul)) != identity
                    and "1 is not a multiplicative identity"
-                   or not _additive_on(mul, add, add, gens) and "distributivity fails")
+                   or not (_rotation_additive(mul, add) if cyclic
+                           else _additive_on(mul, add, add, gens))
+                   and "distributivity fails")
     elif not failure:
         failure = (not _commutative(mul) and "multiplication is not commutative"
                    or not _additive_on(mul, add, add, gens) and "distributivity fails"
                    or not _associative_on(mul, mul, gens) and "multiplication is not associative")
     if failure:
         raise InvalidSpecError(f"{ring.key}: {failure}")
+    return neg
 
 
 def _additive_generators(add, zero, first=None):
@@ -589,15 +639,34 @@ def _additive_generators(add, zero, first=None):
     return gens
 
 
-def _group_failure(add, zero, gens):
+def _is_cyclic(add, zero, gens):
+    """Whether 0 is index 0, G = [1] and 1 + x is x + 1 mod n on indices."""
+    return zero == 0 and gens == [1] and add[1] == list(range(1, len(add))) + [0]
+
+
+def _negation(add, zero, cyclic=False):
+    """The index of -x for each x, or None when some x has no additive inverse."""
+    if cyclic:
+        neg = [0] + list(range(len(add) - 1, 0, -1))
+        if all(row[x] == zero for row, x in zip(add, neg)):
+            return neg
+    try:
+        return [row.index(zero) for row in add]
+    except ValueError:
+        return None
+
+
+def _group_failure(add, zero, gens, neg, cyclic=False):
     """Why (add, zero) is not an abelian group generated by gens, or a false value.
 
-    Associativity and commutativity are checked on the generators only (see
-    check_ring_axioms), commutativity after associativity, which its proof uses.
+    ``neg`` is ``_negation(add, zero, cyclic)``.  Associativity and
+    commutativity are checked on the generators only (see check_ring_axioms),
+    commutativity after associativity, which its proof uses.
     """
     return (add[zero] != list(range(len(add))) and "0 is not an additive identity"
-            or not all(zero in row for row in add) and "an element has no additive inverse"
-            or not _associative_on(add, add, gens) and "addition is not associative"
+            or neg is None and "an element has no additive inverse"
+            or not (_rotation_associative(add) if cyclic else _associative_on(add, add, gens))
+            and "addition is not associative"
             or not all(add[g] == list(map(itemgetter(g), add)) for g in gens)
             and "addition is not commutative")
 
@@ -617,6 +686,18 @@ def _additive_on(maps, dom_add, cod_add, gens):
     """f(g+x) = f(g)+f(x) for every map f (a list), all x and g in gens."""
     getters = [(g, itemgetter(*dom_add[g])) for g in gens]
     return all(get(f) == itemgetter(*f)(cod_add[f[g]]) for f in maps for g, get in getters)
+
+
+def _rotation_associative(add):
+    """(x+1)+y = x+(1+y) for all x, y on a cyclic table, x+(1+y) being row x
+    rotated left by one (see check_ring_axioms)."""
+    return all(add[row[1]] == row[1:] + row[:1] for row in add)
+
+
+def _rotation_additive(maps, add):
+    """f(1+x) = f(1)+f(x) for every map f and all x on a cyclic table, f(1+x)
+    being f rotated left by one (see check_ring_axioms)."""
+    return all(tuple(f[1:] + f[:1]) == itemgetter(*f)(add[f[1]]) for f in maps)
 
 
 # ---------------------------------------------------------------------------

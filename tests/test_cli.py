@@ -28,6 +28,25 @@ def test_oversized_rings_exit_2_before_allocating(capsys):
     assert "leading coefficient 2 is not a unit mod 10000000" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    # a polynomial is held densely: these would take 10^5 and 10^8 coefficients
+    (["ideals", "Z2[x]/(x^100000)"], "exponent 100000 is above 4096 at 1:10"),
+    (["ideals", "Z2[x]/(x^99999999)"], "exponent 99999999 is above 4096 at 1:10"),
+    # (10^4300)^3 has more digits than an int may be printed with
+    (["ideals", "Z" + "9" * 4300 + "[x]/(x^3)"], "^3 elements; table-backed rings"),
+    # literals past the int/str conversion limit
+    (["ideals", "Z" + "9" * 5000], "integer literal of 5000 digits; at most 4300 are read"),
+    (["classify", "Z6", "(" + "9" * 5000 + ")"], "integer literal of 5000 digits"),
+], ids=["exponent-100000", "exponent-99999999", "size-of-4300-digit-base",
+        "ring-literal", "element-literal"])
+def test_oversized_numbers_exit_2_with_one_line(capsys, command, message):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
     import deltan.cli
 
@@ -60,6 +79,13 @@ def test_classify_improper_ideal(capsys):
     assert main(["classify", "Z6", "(1)"]) == 2
     out = capsys.readouterr().out
     assert "proper ideals only" in out
+
+
+def test_classify_bad_delta_prints_no_half_report(capsys):
+    assert main(["classify", "Z6", "(2)", "--delta", "d9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expected '+' or '*'")
 
 
 def test_parse_error_exit_code(capsys):

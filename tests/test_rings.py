@@ -1,5 +1,6 @@
 """Ring construction, arithmetic, enumeration, and classification."""
 
+import operator
 import random
 
 import pytest
@@ -161,6 +162,14 @@ def test_invalid_specs():
         poly_quotient(product(modular(2), modular(2)).spec, [0, 1, 1])
 
 
+def test_size_guard_on_a_modulus_of_large_degree():
+    # 2^20000 has more digits than an int may be printed with
+    with pytest.raises(InvalidSpecError, match=r"x\^20000\) would have 2\^20000 elements"):
+        poly_quotient(2, [0] * 20000 + [1])
+    with pytest.raises(InvalidSpecError, match=r"would have 3\^13 elements"):
+        poly_quotient(3, [0] * 13 + [1])
+
+
 def test_size_guard_on_products_and_idealizations():
     with pytest.raises(InvalidSpecError, match="limited to 4096"):
         product(modular(128), modular(64))
@@ -221,6 +230,11 @@ def _z4_idealization():
 MUTATION_RINGS = {
     "Z12": (lambda: modular(12), 5, 7),
     "Z300": (lambda: modular(300), 17, 19),       # above 256 elements
+    "Z300 row 0": (lambda: modular(300), 0, 151),
+    "Z300 row 1": (lambda: modular(300), 1, 222),
+    "Z300 late row": (lambda: modular(300), 298, 263),  # a row read backwards
+    # 6 is not in (4) nor 4 in (6): of the checks on + only associativity reads them
+    "Z300 (4, 6)": (lambda: modular(300), 4, 6),
     "Z4[x]/(x^2)": (lambda: poly_quotient(4, [0, 0, 1]), 6, 9),
     "Z2 x Z6": (lambda: product(modular(2), modular(6)), 4, 9),
     "Z4(+)Z4": (_z4_idealization, 6, 11),
@@ -529,6 +543,21 @@ def test_modular_tables_match_the_residue_formulas(n):
     assert ring.mul == [[(i * j) % n for j in range(n)] for i in range(n)]
 
 
+@pytest.mark.parametrize("sizes", [range(2, 301), [1009, 1021]], ids=["2-300", "1009,1021"])
+def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
+    # every cell is the element int, not an equal copy: `is`, not ==
+    for n in sizes:
+        ring = _build_modular(ModularSpec(n))  # not interned
+        elems = ring.elements
+        assert elems == list(range(n))
+        assert len(ring.add) == len(ring.mul) == n
+        for i, add_row, mul_row in zip(elems, ring.add, ring.mul):
+            assert len(add_row) == len(mul_row) == n
+            assert all(map(operator.is_, add_row, [elems[(i + j) % n] for j in elems]))
+            assert all(map(operator.is_, mul_row, [elems[i * j % n] for j in elems]))
+        assert ring.neg == [-i % n for i in elems]
+
+
 def _z8_mod_4():
     z8 = modular(8)
     return quotient_ring(z8, ideal_from_generators(z8, [z8.el(4)])).ring
@@ -564,6 +593,9 @@ def test_product_tables_match_the_pair_formula(build_left, build_right):
                                for x2, y2 in pairs]
     assert ring.elements[ring.zero_idx] == (left.zero.payload, right.zero.payload)
     assert ring.elements[ring.one_idx] == (left.one.payload, right.one.payload)
+    # -(x, y) = (-x, -y), and it is the inverse that the table holds
+    assert ring.neg == [index[((-x).payload, (-y).payload)] for x, y in pairs]
+    assert all(ring.add[i][ring.neg[i]] == ring.zero_idx for i in range(ring.size))
 
 
 def test_product_axiom_check_runs_on_the_factors_only(monkeypatch):
@@ -589,3 +621,45 @@ def test_table_cells_share_one_int_per_element(build):
     ring = build()
     for table in (ring.add, ring.mul):
         assert len({id(cell) for row in table for cell in row}) <= ring.size
+
+
+def _evaluations(monkeypatch):
+    """Record which evaluation of (x+1)+y = x+(1+y) each check runs."""
+    from deltan import rings
+    seen = []
+    for name in ("_rotation_associative", "_associative_on"):
+        def recorded(*args, _name=name, _pass=getattr(rings, name)):
+            seen.append(_name)
+            return _pass(*args)
+        monkeypatch.setattr(rings, name, recorded)
+    return seen
+
+
+def test_cyclic_tables_take_the_rotations(monkeypatch):
+    seen = _evaluations(monkeypatch)
+    ring = _build_modular(ModularSpec(12))
+    assert seen == ["_rotation_associative"]
+    assert ring.neg == [-i % 12 for i in range(12)]
+
+
+@pytest.mark.parametrize("unit", [5, 7, 11])
+def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
+    # Z12 relabelled by x -> unit * x: 1 still generates the additive group
+    # (G = [1]), but the row of 1 is x -> x + unit, not the index successor,
+    # so the lookups through that row are evaluated, not the rotations
+    z12 = modular(12)
+    perm = [unit * x % 12 for x in range(12)]
+    add, mul = _relabel(z12.add, perm), _relabel(z12.mul, perm)
+    one = perm[z12.one_idx]
+    assert _additive_generators(add, 0, one) == [one] and add[one] != list(range(1, 12)) + [0]
+    seen = _evaluations(monkeypatch)
+    ring = _with_tables(z12, add, mul, zero=0, one=one)
+    assert seen == ["_associative_on"]
+    label_of = {k: x for x, k in enumerate(perm)}
+    assert ring.neg == [perm[-label_of[k] % 12] for k in range(12)]
+    for corrupted in ("add", "mul"):
+        tables = {"add": [row[:] for row in add], "mul": [row[:] for row in mul]}
+        cells = tables[corrupted]
+        cells[3][8] = cells[8][3] = (cells[3][8] + 1) % 12
+        with pytest.raises(InvalidSpecError):
+            _with_tables(z12, tables["add"], tables["mul"], zero=0, one=one)
