@@ -28,13 +28,13 @@ from dataclasses import asdict, dataclass, field
 from . import constructions, predicates
 from .constructions import (enumerate_submodules, is_delta_gamma_homomorphism, localize,
                             product_projections, quotient_ring)
-from .expansions import (_colon_violation, compose_expansions,
+from .expansions import (_colon_violation, catalog, compose_expansions,
                          delta0, delta1, delta_plus, derive_idealization_expansion,
                          derive_localized_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
                          profile_expansion)
-from .ideals import (_colon_mask, _ideal_class, _mk_ideal, _principal_columns,
-                     _product_mask, _radical_mask, _sum_mask, _z_i_mask,
+from .ideals import (_colon_mask, _ideal_class, _is_prime_int, _mk_ideal,
+                     _principal_columns, _product_mask, _radical_mask, _sum_mask, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_from_generators,
                      integer_ideal, nilradical, radical, special_sets, zero_ideal)
 from .predicates import (_n_masks, _nil_mask, delta_n_masks, delta_n_spectrum,
@@ -244,14 +244,6 @@ def _check_nilradical_primary_iff(ctx):
                                                    "and delta-n disagree at sqrt(0)"))
 
 
-def _primes_up_to(bound):
-    out = []
-    for n in range(2, bound + 1):
-        if all(n % p for p in out if p * p <= n):
-            out.append(n)
-    return out
-
-
 @_claim("ex-int-delta-plus", "Prime ideals of ZZ under the sum expansion",
         "For primes p != q, pZ is a delta_plus(qZ)-n-ideal of ZZ but not an "
         "n-ideal, delta0-n-ideal, or delta1-n-ideal.",
@@ -259,7 +251,7 @@ def _primes_up_to(bound):
 def _check_integer_delta_plus(ctx):
     zz = ctx.zz
     d0, d1 = delta0(zz), delta1(zz)
-    primes = _primes_up_to(100)
+    primes = [p for p in range(2, 101) if _is_prime_int(p)]
     for p in primes:
         I = integer_ideal(zz, p)
         for q in primes:
@@ -882,8 +874,8 @@ def _check_product_obstruction(ctx):
             continue
         _, left, right = ring.origin
         p1, p2 = product_projections(ring)
-        for d1 in ctx.catalog(left):
-            for d2 in ctx.catalog(right):
+        for d1 in catalog(left):
+            for d2 in catalog(right):
                 dx = derive_product_expansion(d1, d2)
                 dn = delta_n_masks(dx)
                 for I in _proper(ring):

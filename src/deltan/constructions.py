@@ -11,12 +11,12 @@ from operator import itemgetter
 
 from .errors import (ConstructionError, CrossRingError, HomomorphismError,
                      InfiniteRingError, InvalidSpecError)
-from .ideals import (Ideal, _bits, _mask_of, _mk_ideal, _preimage_mask, _sum_closure,
-                     enumerate_ideals, integer_ideal)
+from .ideals import (Ideal, _bits, _mask_of, _meet_mask, _mk_ideal, _preimage_mask,
+                     _sum_closure, enumerate_ideals, integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, _join_tables, _negation, construct_ring, memo, modular,
-                    register_ring)
+                    _group_failure, _join_tables, _negation, _pair_repr, construct_ring, memo,
+                    modular, register_ring)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +131,8 @@ def _build_module(ring, spec):
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
                    for i in range(size)] for r in range(ring.size)]
 
-        def pair_repr(p):
-            return f"({m1._repr_fn(p[0]) if m1._repr_fn else p[0]}," \
-                   f"{m2._repr_fn(p[1]) if m2._repr_fn else p[1]})"
-
-        module = Module(ring, spec, elems, add, action,
-                        m1.zero_idx * s2 + m2.zero_idx, pair_repr)
+        module = Module(ring, spec, elems, add, action, m1.zero_idx * s2 + m2.zero_idx,
+                        _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
     else:
         raise InvalidSpecError(f"unknown module spec {spec!r}")
     return module
@@ -231,6 +227,15 @@ class Homomorphism:
             self._validate()
 
     def _validate(self):
+        """Totality, 1 -> 1 and 0 -> 0, then f(g+x) = f(g)+f(x) and f(gx) = f(g)f(x)
+        for all x but only for g in an additive generating set G of the source.
+
+        That suffices, by the argument of check_ring_axioms: the c with
+        f(c+x) = f(c)+f(x) for all x are closed under +, as f((c+d)+x) =
+        f(c)+(f(d)+f(x)) = f(c+d)+f(x); and, f being additive, so are the c with
+        f(cx) = f(c)f(x) for all x, as f((c+d)x) = f(cx)+f(dx) = f(c+d)f(x).
+        A map that breaks both identities is reported as breaking addition.
+        """
         src, tgt, f = self.source, self.target, self.mapping
         if len(f) != src.size:
             raise HomomorphismError("map must be total on the source elements")
@@ -238,12 +243,11 @@ class Homomorphism:
             raise HomomorphismError("map does not send 1 to 1")
         if f[src.zero_idx] != tgt.zero_idx:
             raise HomomorphismError("map does not send 0 to 0")
-        for a in range(src.size):
-            for b in range(src.size):
-                if f[src.add[a][b]] != tgt.add[f[a]][f[b]]:
-                    raise HomomorphismError("map does not preserve addition")
-                if f[src.mul[a][b]] != tgt.mul[f[a]][f[b]]:
-                    raise HomomorphismError("map does not preserve multiplication")
+        gens = _additive_generators(src.add, src.zero_idx, src.one_idx)
+        if not _additive_on([f], src.add, tgt.add, gens):
+            raise HomomorphismError("map does not preserve addition")
+        if not _additive_on([f], src.mul, tgt.mul, gens):
+            raise HomomorphismError("map does not preserve multiplication")
 
     def apply(self, a):
         if a.ring.key != self.source.key:
@@ -478,17 +482,10 @@ def idealization(ring, module):
     mul = [[rmul[i // msize][j // msize] * msize
             + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
             for j in range(size)] for i in range(size)]
-
-    rrepr = ring._repr_fn or str
-    mrepr = module._repr_fn or str
-
-    def pair_repr(p):
-        return f"({rrepr(p[0])},{mrepr(p[1])})"
-
     izr = Ring(spec, elements=elems, add=add, mul=mul,
                zero=ring.zero_idx * msize + module.zero_idx,
                one=ring.one_idx * msize + module.zero_idx,
-               repr_fn=pair_repr)
+               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str))
     izr.origin = ("idealization", ring, module)
     register_ring(izr)
     return IdealizationRecord(izr, ring, module)
@@ -599,10 +596,7 @@ def localize(ring, sset):
     s_list = list(sset.indices)
     if zero in s_list:
         raise ConstructionError("0 in S collapses the localization to the zero ring")
-    ker = 0
-    for a in range(n):
-        if any(mul[u][a] == zero for u in s_list):
-            ker |= 1 << a
+    ker = _meet_mask(ring, 1 << zero, s_list)
     _, coset = _coset_quotient(ring, ker)
     one = coset[ring.one_idx]
     inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]

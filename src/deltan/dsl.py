@@ -14,9 +14,9 @@
 
 Whitespace is insignificant.  Integer literals have at most 4300 digits and
 exponents of x are at most 4096; larger ones are refused where they stand.
-Errors carry line/column and the expected token set.  The printers emit the
-canonical spellings, and parsing a printed form reproduces the same bound
-objects.
+Errors carry line/column and the expected token set.  ``ring_to_dsl`` prints a
+constructed ring and ``print_expansion`` a parsed expansion in their canonical
+spellings, and parsing a printed form reproduces the same bound objects.
 """
 
 from __future__ import annotations
@@ -531,35 +531,6 @@ def bind_expansion(ring, ast):
 # ---------------------------------------------------------------------------
 # printers (canonical forms; parse o print is the identity)
 # ---------------------------------------------------------------------------
-
-def print_ring(ast):
-    if isinstance(ast, SpecAST):
-        ast = ast.ring
-    if isinstance(ast, RInt):
-        return "ZZ"
-    if isinstance(ast, RMod):
-        return f"Z{ast.n}"
-    if isinstance(ast, RPoly):
-        return f"Z{ast.n}[x]/({poly_repr(ast.coeffs, descending=True)})"
-    if isinstance(ast, RProd):
-        return f"{print_ring(ast.left)} x {print_ring(ast.right)}"
-    if isinstance(ast, RIdz):
-        return f"{print_ring(ast.base)} (+) {print_module(ast.module)}"
-    if isinstance(ast, RLoc):
-        elems = ",".join(print_elem(e) for e in ast.elems)
-        return f"loc({print_ring(ast.base)},{{{elems}}})"
-    if isinstance(ast, RQuot):
-        gens = ",".join(print_elem(e) for e in ast.gens) or "0"
-        return f"quot({print_ring(ast.base)},({gens}))"
-    raise DslError(f"cannot print ring AST {ast!r}")
-
-
-def print_module(ast):
-    if isinstance(ast, MReg):
-        return print_ring(ast.ring)
-    gens = ",".join(print_elem(e) for e in ast.gens) or "0"
-    return f"{print_ring(ast.ring)}/({gens})"
-
 
 def print_elem(ast):
     if isinstance(ast, EPair):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CrossRingError, ExpansionAxiomError
-from .ideals import (Ideal, _bits, _colon_mask, _mk_ideal,
-                     _radical_mask, _radical_of_int, _sum_mask,
-                     enumerate_ideals, integer_ideal)
+from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _mk_ideal,
+                     _radical_mask, _radical_of_int, _sum_mask, colon,
+                     enumerate_ideals, integer_ideal, nilradical)
 from .rings import memo
 
 
@@ -185,22 +185,20 @@ def delta_plus(ring, J):
 def delta_star(ring, P):
     _check_param(ring, P)
     if not ring.is_finite:
-        m = P.n
-
-        def fn(n, m=m):
-            if m == 0:
-                return 1
-            return n // gcd(n, m) if n else 0
-
-        return Expansion(ring, ("delta_star", P), int_fn=fn)
-    table = {}
-    gens = P.gens or (ring.zero,)
-    for I in enumerate_ideals(ring):
-        mask = ring.full_mask
-        for g in gens:
-            mask &= _colon_mask(ring, I.mask, g.idx)
-        table[I.mask] = mask
+        return Expansion(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
+    table = {I.mask: colon(I, P).mask for I in enumerate_ideals(ring)}
     return _finish(ring, ("delta_star", P), table)
+
+
+@memo
+def catalog(ring):
+    """The per-ring expansion catalog in deterministic order."""
+    lattice = enumerate_ideals(ring)
+    out = [delta0(ring), delta1(ring), full_expansion(ring)]
+    out.extend(delta_plus(ring, J) for J in lattice if J.is_proper)
+    out.extend(delta_star(ring, P) for P in lattice if not P.is_zero)
+    out.append(compose_expansions(delta1(ring), delta_plus(ring, nilradical(ring))))
+    return tuple(out)
 
 
 @memo

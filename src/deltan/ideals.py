@@ -278,29 +278,26 @@ def _colon_mask(ring, imask, x):
     return _preimage_mask(imask, ring.mul[x])
 
 
+def _int_colon(n, m):
+    """(nZ : m) = (n / gcd(n, m))Z, and Z when m = 0, as the generator."""
+    return n // gcd(n, m) if m else 1
+
+
 def colon(I, divisor):
-    """(I : x) for an element x, or (I : J) for an ideal J."""
+    """(I : x) for an element x, or (I : J) for an ideal J, the meet of the
+    (I : g) over the generators g of J ((0,) for the zero ideal)."""
     ring = I.ring
-    if isinstance(divisor, Ideal):
-        if divisor.ring.key != ring.key:
-            raise CrossRingError("ideals live in different rings")
-        if not ring.is_finite:
-            n, m = I.n, divisor.n
-            if m == 0:
-                return unit_ideal(ring)
-            return integer_ideal(ring, n // gcd(n, m) if n else 0)
-        mask = ring.full_mask
-        for g in (divisor.gens or (ring.zero,)):
-            mask &= _colon_mask(ring, I.mask, g.idx)
-        return _mk_ideal(ring, mask)
+    is_ideal = isinstance(divisor, Ideal)
     if divisor.ring.key != ring.key:
-        raise CrossRingError("element and ideal live in different rings")
+        raise CrossRingError("ideals live in different rings" if is_ideal
+                             else "element and ideal live in different rings")
     if not ring.is_finite:
-        n, v = I.n, abs(divisor.idx)
-        if v == 0:
-            return unit_ideal(ring)
-        return integer_ideal(ring, n // gcd(n, v) if n else 0)
-    return _mk_ideal(ring, _colon_mask(ring, I.mask, divisor.idx))
+        return integer_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
+    gens = (divisor.gens or (ring.zero,)) if is_ideal else (divisor,)
+    mask = ring.full_mask
+    for g in gens:
+        mask &= _colon_mask(ring, I.mask, g.idx)
+    return _mk_ideal(ring, mask)
 
 
 @memo
@@ -421,18 +418,19 @@ def classify_ideal(I):
 
 @memo
 def _ideal_class(ring, imask):
+    """The flags of the ideal I, prime and primary read off Z_I.
+
+    Let Z_I = {b : ab in I for some a outside I}.  A proper I is prime iff
+    ab in I with a outside I forces b into I, that is, iff Z_I <= I, and
+    primary iff it forces b into sqrt(I), that is, iff Z_I <= sqrt(I); as
+    ab = ba, it does not matter which factor lies outside I.  Maximal and
+    superfluous are read off the lattice.
+    """
     full = ring.full_mask
     proper = imask != full
-    mul, n = ring.mul, ring.size
-    outside = [a for a in range(n) if not (imask >> a & 1)]
-    prime = proper and all(not (imask >> mul[a][b] & 1) for a in outside for b in outside)
-    radm = _radical_mask(ring, imask)
-    primary = proper and all(
-        radm >> b & 1
-        for a in outside
-        for b in range(n)
-        if imask >> mul[a][b] & 1
-    )
+    z_i = _z_i_mask(ring, imask)
+    prime = proper and z_i & ~imask == 0
+    primary = proper and z_i & ~_radical_mask(ring, imask) == 0
     lattice = enumerate_ideals(ring)
     maximal = proper and not any(
         J.mask != full and J.mask != imask and imask & ~J.mask == 0 for J in lattice)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
@@ -63,6 +63,16 @@ def _check_size(key, size, shown=None):
     if size > MAX_RING_SIZE:
         raise InvalidSpecError(f"{key} would have {shown or size} elements; "
                                f"table-backed rings and modules are limited to {MAX_RING_SIZE}")
+
+
+def _check_modulus(n, degree=None):
+    """Refuse Z_n, or Z_n[x]/(f) with deg f = degree, when n > MAX_RING_SIZE, before
+    a key is formatted: the message counts the digits of n, too many to print."""
+    if n > MAX_RING_SIZE:  # (bits - 1) * 0.30102 is at most log10(n)
+        digits = next(k for k in count((n.bit_length() - 1) * 30102 // 100000) if 10 ** k > n)
+        name, size = ("Z_n", "n") if degree is None else (f"Z_n[x]/(f) of degree {degree}",
+                                                           f"n^{degree}")
+        _check_size(f"{name}, n of {digits} digits,", n, size)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +423,7 @@ def construct_ring(spec):
 def modular(n):
     if not isinstance(n, int) or n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
+    _check_modulus(n)
     return construct_ring(ModularSpec(n))
 
 
@@ -426,7 +437,9 @@ def poly_quotient(base, modulus):
         raise InvalidSpecError("poly_quotient requires a modular base ring")
     if base.n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    return construct_ring(PolyQuotientSpec(base, _poly_normalize(base.n, list(modulus))))
+    modulus = _poly_normalize(base.n, list(modulus))
+    _check_modulus(base.n, len(modulus) - 1)
+    return construct_ring(PolyQuotientSpec(base, modulus))
 
 
 def product(left, right):
@@ -540,12 +553,14 @@ def _build_product(spec):
     zero = left.zero_idx * sr + right.zero_idx
     one = left.one_idx * sr + right.one_idx
 
-    def pair_repr(p):
-        return f"({left._repr_fn(p[0]) if left._repr_fn else p[0]}," \
-               f"{right._repr_fn(p[1]) if right._repr_fn else p[1]})"
-
     return Ring(spec, elements=elems, add=add, mul=mul, zero=zero, one=one,
-                repr_fn=pair_repr, origin=("product", left, right))
+                repr_fn=_pair_repr(left._repr_fn or str, right._repr_fn or str),
+                origin=("product", left, right))
+
+
+def _pair_repr(left_fn, right_fn):
+    """The printer of pairs (a, b) as ``(a,b)``, each side by its own printer."""
+    return lambda p: f"({left_fn(p[0])},{right_fn(p[1])})"
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +698,8 @@ def _associative_on(act, mul, gens):
 
 
 def _additive_on(maps, dom_add, cod_add, gens):
-    """f(g+x) = f(g)+f(x) for every map f (a list), all x and g in gens."""
+    """f(g+x) = f(g)+f(x) for every map f (a list), all x and g in gens; given
+    product tables for dom_add and cod_add, f(gx) = f(g)f(x)."""
     getters = [(g, itemgetter(*dom_add[g])) for g in gens]
     return all(get(f) == itemgetter(*f)(cod_add[f[g]]) for f in maps for g, get in getters)
 
@@ -727,7 +743,11 @@ class RingClass:
 
 
 def classify_element(ring, a):
-    """Flags for one element: unit, nilpotent (with index), zero divisor, ..."""
+    """Flags for one element: unit, nilpotent (with index), zero divisor, ...
+
+    On a finite ring a is a unit iff 1 is in its row, a zero divisor iff a != 0
+    lies in Z_(0) = {r : rs = 0 for some s != 0}, and regular iff a is not in
+    Z_(0), which holds 0 as 0 != 1."""
     if a.ring.key != ring.key:
         raise CrossRingError("element does not belong to the given ring")
     if not ring.is_finite:
@@ -741,30 +761,24 @@ def classify_element(ring, a):
             is_regular=v != 0,
             is_idempotent=v in (0, 1),
         )
+    from .ideals import _z_i_mask
     i = a.idx
-    mul, zero, one, n = ring.mul, ring.zero_idx, ring.one_idx, ring.size
-    row = mul[i]
+    mul, zero, n = ring.mul, ring.zero_idx, ring.size
     is_zero = i == zero
-    is_unit = any(row[j] == one for j in range(n))
     power, nil_index = i, None
     for k in range(1, n + 1):
         if power == zero:
-            nil_index = k if i != zero else 1
+            nil_index = k
             break
         power = mul[power][i]
-    is_nilpotent = nil_index is not None or is_zero
-    if is_zero:
-        nil_index = 1
-    is_zero_divisor = (not is_zero) and any(
-        row[j] == zero for j in range(n) if j != zero)
-    is_regular = not any(row[j] == zero for j in range(n) if j != zero) and not is_zero
+    in_z0 = bool(_z_i_mask(ring, 1 << zero) >> i & 1)
     return ElementClass(
         is_zero=is_zero,
-        is_unit=is_unit,
-        is_nilpotent=is_nilpotent,
-        nilpotency_index=nil_index if is_nilpotent else None,
-        is_zero_divisor=is_zero_divisor,
-        is_regular=is_regular,
+        is_unit=ring.one_idx in mul[i],
+        is_nilpotent=nil_index is not None,
+        nilpotency_index=nil_index,
+        is_zero_divisor=in_z0 and not is_zero,
+        is_regular=not in_z0,
         is_idempotent=mul[i][i] == i,
     )
 
@@ -780,24 +794,23 @@ def classify_ring(ring):
 
 @memo
 def _finite_ring_class(ring):
-    n, mul, zero, one = ring.size, ring.mul, ring.zero_idx, ring.one_idx
-    nonzero = [i for i in range(n) if i != zero]
-    is_field = all(any(mul[a][x] == one for x in range(n)) for a in nonzero)
-    is_domain = all(mul[a][b] != zero for a in nonzero for b in nonzero)
-    is_vnr = all(any(mul[mul[a][a]][x] == a for x in range(n)) for a in range(n))
-    is_boolean = all(mul[a][a] == a for a in range(n))
+    """The ring flags, read off the ideal lattice and Z_(0).
 
+    A ring with 0 != 1 is a field iff its only ideals are (0) and R, as every
+    nonzero a generates R exactly when it is a unit.  It is a domain iff
+    Z_(0) = {r : rs = 0 for some s != 0} is {0}, and von Neumann regular iff
+    every a is a^2 x for some x, that is, iff a lies in the row of a^2.
+    """
     from . import ideals
-    nil = ideals.nilradical(ring)
-    is_reduced = nil.size == 1
+    mul, zero = ring.mul, ring.zero_idx
     maximals = ideals.maximal_ideals(ring)
     quasi_local = len(maximals) == 1
     return RingClass(
-        is_field=is_field,
-        is_integral_domain=is_domain,
-        is_reduced=is_reduced,
-        is_von_neumann_regular=is_vnr,
-        is_boolean=is_boolean,
+        is_field=len(ideals.enumerate_ideals(ring)) == 2,
+        is_integral_domain=ideals._z_i_mask(ring, 1 << zero) == 1 << zero,
+        is_reduced=ideals.nilradical(ring).size == 1,
+        is_von_neumann_regular=all(a in mul[row[a]] for a, row in enumerate(mul)),
+        is_boolean=all(row[a] == a for a, row in enumerate(mul)),
         is_quasi_local=quasi_local,
         maximal_ideal=maximals[0] if quasi_local else None,
     )

@@ -16,8 +16,7 @@ from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, FAIL, HOLDS, SKIP, Witness
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
                             make_module, mult_closure, quotient_ring)
 from .errors import DeltanError, InfiniteRingError, UnknownClaimError
-from .expansions import (compose_expansions, delta0, delta1, delta_plus,
-                         delta_star, derive_quotient_expansion, full_expansion)
+from .expansions import catalog, derive_quotient_expansion
 from .ideals import enumerate_ideals, ideal_from_generators, nilradical
 from .rings import integers, memo, modular, poly_quotient, product
 
@@ -31,17 +30,6 @@ class CorpusEntry:
 @dataclass(frozen=True)
 class Corpus:
     entries: tuple
-
-
-@memo
-def catalog(ring):
-    """The per-ring expansion catalog in deterministic order."""
-    lattice = enumerate_ideals(ring)
-    out = [delta0(ring), delta1(ring), full_expansion(ring)]
-    out.extend(delta_plus(ring, J) for J in lattice if J.is_proper)
-    out.extend(delta_star(ring, P) for P in lattice if not P.is_zero)
-    out.append(compose_expansions(delta1(ring), delta_plus(ring, nilradical(ring))))
-    return tuple(out)
 
 
 def _corpus_rings():
@@ -114,36 +102,18 @@ class Context:
         self.zz = integers()
         self._cache = {}
 
-    def catalog(self, ring):
-        for entry in self.entries:
-            if entry.ring.key == ring.key:
-                return entry.expansions
-        return catalog(ring)
-
     @memo
     def mult_sets(self, ring):
         """Deterministic family: {1}, the units, and the closure of each
         non-unit non-nilpotent element (deduplicated)."""
-        one = ring.one_idx
-        n = ring.size
-        units = sorted(a for a in range(n)
-                       if any(ring.mul[a][x] == one for x in range(n)))
-        nil_mask = nilradical(ring).mask
-        family = [MultiplicativeSet(ring, (one,))]
-        seen = {family[0].indices}
-        units_set = MultiplicativeSet(ring, tuple(units))
-        if units_set.indices not in seen:
-            seen.add(units_set.indices)
-            family.append(units_set)
-        unit_lookup = set(units)
-        for a in range(n):
-            if a in unit_lookup or nil_mask >> a & 1:
-                continue
-            closed = mult_closure(ring, [ring.el(a)])
-            if closed.indices not in seen:
-                seen.add(closed.indices)
-                family.append(closed)
-        return tuple(family)
+        one, nil_mask = ring.one_idx, nilradical(ring).mask
+        units = tuple(a for a, row in enumerate(ring.mul) if one in row)
+        family = {}
+        for sset in [MultiplicativeSet(ring, (one,)), MultiplicativeSet(ring, units)] + [
+                mult_closure(ring, [ring.el(a)]) for a, row in enumerate(ring.mul)
+                if not (one in row or nil_mask >> a & 1)]:
+            family.setdefault(sset.indices, sset)
+        return tuple(family.values())
 
     def idealization_instances(self):
         out = []
@@ -152,7 +122,7 @@ class Context:
             if ring.spec.kind != "idealization":
                 continue
             _, base, module = ring.origin
-            out.append((idealization(base, module), self.catalog(base)))
+            out.append((idealization(base, module), catalog(base)))
         return out
 
     @memo
@@ -184,8 +154,8 @@ class Context:
                 z2, z2xz2,
                 mapping=[z2xz2.from_payload((a, a)).idx for a in z2.elements],
                 check=False)
-            pairs = tuple((d, g) for d in self.catalog(z2)
-                          for g in self.catalog(z2xz2))
+            pairs = tuple((d, g) for d in catalog(z2)
+                          for g in catalog(z2xz2))
             out.append((diag, pairs))
         return out
 

@@ -131,8 +131,8 @@ def test_c06_product_obstruction():
             ring = next(e.ring for e in ctx.entries if e.ring.key == key)
             _, left, right = ring.origin
             sr = right.size
-            for d1 in ctx.catalog(left):
-                for d2 in ctx.catalog(right):
+            for d1 in catalog(left):
+                for d2 in catalog(right):
                     dx = derive_product_expansion(d1, d2)
                     for I in delta_n_spectrum(ring, dx).all:
                         m1 = m2 = 0

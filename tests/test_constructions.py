@@ -504,3 +504,48 @@ def test_coset_localization_matches_the_partition_on_generated_rings(case):
     ring, sset = case
     assume(ring.zero_idx not in sset.indices)
     _assert_same_localization(ring, sset)
+
+
+def _preserves_both_on_all_pairs(src, tgt, f):
+    """The n^2 reference: f(a+b) = f(a)+f(b) and f(ab) = f(a)f(b) for all a, b."""
+    pairs = [(a, b) for a in range(src.size) for b in range(src.size)]
+    return (all(f[src.add[a][b]] == tgt.add[f[a]][f[b]] for a, b in pairs)
+            and all(f[src.mul[a][b]] == tgt.mul[f[a]][f[b]] for a, b in pairs))
+
+
+def test_make_homomorphism_agrees_with_the_pair_reference():
+    import random
+    rng = random.Random(15)
+    small = [modular(2), modular(3), modular(4), modular(6), product(modular(2), modular(2)),
+             product(modular(2), modular(3)), poly_quotient(2, [0, 0, 1])]
+    dual = poly_quotient(2, [0, 0, 1])  # Z2[x]/(x^2); x -> 1 is additive, not multiplicative
+    cases = [(dual, dual, [0, 1, 1, 0])]
+    for _ in range(1500):  # random maps with 0 -> 0 and 1 -> 1
+        src, tgt = rng.choice(small), rng.choice(small)
+        f = [rng.randrange(tgt.size) for _ in range(src.size)]
+        f[src.zero_idx], f[src.one_idx] = tgt.zero_idx, tgt.one_idx
+        cases.append((src, tgt, f))
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        identity = list(range(ring.size))
+        cases.append((ring, ring, identity))
+        corrupted = identity[:]  # one cell moved, 0 and 1 kept
+        cell = rng.choice([i for i in identity if i not in (ring.zero_idx, ring.one_idx)]
+                          or [None])
+        if cell is not None:
+            corrupted[cell] = rng.choice([i for i in identity if i != cell])
+            cases.append((ring, ring, corrupted))
+        for J in enumerate_ideals(ring):
+            if J.is_proper:
+                rec = quotient_ring(ring, J)
+                cases.append((ring, rec.ring, list(rec.projection.mapping)))
+    accepted = rejected = 0
+    for src, tgt, f in cases:
+        if _preserves_both_on_all_pairs(src, tgt, f):
+            make_homomorphism(src, tgt, f)
+            accepted += 1
+        else:
+            with pytest.raises(HomomorphismError):
+                make_homomorphism(src, tgt, f)
+            rejected += 1
+    assert accepted >= 30 and rejected >= 30, (accepted, rejected)

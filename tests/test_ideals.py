@@ -586,3 +586,30 @@ def test_integer_factoring_matches_a_divisor_scan():
             assert _radical_of_int(n) == radical_n, n
         assert _is_prime_int(n) == (n in primes), n
         assert _is_prime_power(n) == (n >= 2 and len(factors) == 1), n
+
+
+def test_prime_and_primary_match_a_brute_force_oracle():
+    from deltan import modular, poly_quotient, product
+    from deltan.verifier import builtin_corpus
+    rings = [e.ring for e in builtin_corpus().entries] + [
+        product(modular(6), modular(10)), poly_quotient(3, [1, 0, 1]),
+        product(product(modular(2), modular(2)), modular(2))]
+    checked = 0
+    for ring in rings:
+        n, mul = ring.size, ring.mul
+        powers = []  # r, r^2, .., r^n for every r
+        for r in range(n):
+            seq = [r]
+            while len(seq) < n:
+                seq.append(mul[seq[-1]][r])
+            powers.append(seq)
+        for I in enumerate_ideals(ring):
+            members = {e.idx for e in I.elements()}
+            radical = {r for r in range(n) if any(p in members for p in powers[r])}
+            pairs = [(a, b) for a in range(n) if a not in members
+                     for b in range(n) if mul[a][b] in members]
+            flags = classify_ideal(I)
+            assert flags.is_prime == (I.is_proper and all(b in members for _, b in pairs))
+            assert flags.is_primary == (I.is_proper and all(b in radical for _, b in pairs))
+            checked += 1
+    assert len(rings) == 35 and checked == 182

@@ -475,7 +475,8 @@ def _context_expansions():
     composition of two catalog expansions, and every quotient-, localization-,
     product- and idealization-derived expansion, deduplicated by identity."""
     from deltan.constructions import MultiplicativeSet
-    from deltan.expansions import (compose_expansions, derive_idealization_expansion,
+    from deltan.expansions import (catalog, compose_expansions,
+                                   derive_idealization_expansion,
                                    derive_localized_expansion, derive_product_expansion,
                                    derive_quotient_expansion)
     from deltan.ideals import special_sets
@@ -498,7 +499,7 @@ def _context_expansions():
         if ring.spec.kind == "product":
             _, left, right = ring.origin
             add(*(derive_product_expansion(d1, d2)
-                  for d1 in ctx.catalog(left) for d2 in ctx.catalog(right)))
+                  for d1 in catalog(left) for d2 in catalog(right)))
     for rec, base_catalog in ctx.idealization_instances():
         add(*(derive_idealization_expansion(d, rec.module) for d in base_catalog))
     for _f, pairs in ctx.hom_instances():

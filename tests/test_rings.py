@@ -663,3 +663,65 @@ def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
         cells[3][8] = cells[8][3] = (cells[3][8] + 1) % 12
         with pytest.raises(InvalidSpecError):
             _with_tables(z12, tables["add"], tables["mul"], zero=0, one=one)
+
+
+# ---------------------------------------------------------------------------
+# element and ring flags against a brute-force oracle
+# ---------------------------------------------------------------------------
+
+def _flag_oracle_rings():
+    from deltan.verifier import builtin_corpus
+    return [e.ring for e in builtin_corpus().entries] + [
+        product(modular(6), modular(10)), poly_quotient(3, [1, 0, 1]),
+        product(product(modular(2), modular(2)), modular(2))]
+
+
+def test_element_and_ring_flags_match_a_brute_force_oracle():
+    from deltan.rings import ElementClass
+    rings = _flag_oracle_rings()
+    checked = 0
+    for ring in rings:
+        n, mul, zero, one = ring.size, ring.mul, ring.zero_idx, ring.one_idx
+        elems = range(n)
+        units, nilpotents, idempotents = set(), set(), set()
+        for a in elems:
+            # the least k >= 1 with a^k = 0, by repeated multiplication
+            power, index = a, None
+            for k in range(1, n + 1):
+                if power == zero:
+                    index = k
+                    break
+                power = mul[power][a]
+            kills = any(mul[a][x] == zero for x in elems if x != zero)
+            unit = any(mul[a][x] == one for x in elems)
+            expected = ElementClass(
+                is_zero=a == zero, is_unit=unit, is_nilpotent=index is not None,
+                nilpotency_index=index, is_zero_divisor=a != zero and kills,
+                is_regular=a != zero and not kills, is_idempotent=mul[a][a] == a)
+            assert classify_element(ring, ring.el(a)) == expected, (ring.key, a)
+            units |= {a} if unit else set()
+            nilpotents |= {a} if index is not None else set()
+            idempotents |= {a} if mul[a][a] == a else set()
+            checked += 1
+        nonzero = [a for a in elems if a != zero]
+        rc = classify_ring(ring)
+        assert rc.is_field == (set(nonzero) <= units), ring.key
+        assert rc.is_integral_domain == all(mul[a][b] != zero
+                                            for a in nonzero for b in nonzero), ring.key
+        assert rc.is_reduced == (nilpotents == {zero}), ring.key
+        assert rc.is_von_neumann_regular == all(
+            any(mul[mul[a][a]][x] == a for x in elems) for a in elems), ring.key
+        assert rc.is_boolean == (idempotents == set(elems)), ring.key
+    assert len(rings) == 35 and checked == 600
+
+
+def test_oversized_moduli_are_refused_before_their_key_is_printed():
+    from deltan.ideals import integer_ideal
+    huge = 10 ** 5000  # more digits than an int may be converted to a string with
+    zz = integers()
+    for build in (lambda: modular(huge), lambda: poly_quotient(huge, [0, 1]),
+                  lambda: quotient_ring(zz, integer_ideal(zz, huge))):
+        with pytest.raises(InvalidSpecError, match="n of 5001 digits"):
+            build()
+    with pytest.raises(InvalidSpecError, match=r"n of 4 digits, would have n\^3 elements"):
+        poly_quotient(4097, [0, 0, 0, 1])
