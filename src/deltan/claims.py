@@ -13,8 +13,10 @@ witness to the verdict kernel ``_verdicts``.  An instance outside the claim's
 quantifier is never yielded; an instance that fails the hypothesis is a skip.
 Checkers over pairs, chains, maps and constructions keep their own loops.
 
-Checkers work on masks.  A loop over one (ring, delta) reads
-``dn = predicates.delta_n_masks(delta)`` once and tests ``I.mask in dn``;
+Checkers work on masks.  A loop over one (ring, delta) reads its delta-n set
+``dn`` once and tests ``I.mask in dn``: the set of a catalog expansion is
+built once per run, in the scopes of its corpus entry, and the set of a
+derived expansion where it is used (``predicates.delta_n_masks``);
 values, images, preimages, extensions, sums and meets are read from the
 expansion tables, the maps' memoised masks and the mask kernels.  ``Ideal``
 objects are built only for the witness of a failure.
@@ -113,18 +115,18 @@ _dn = is_delta_n_ideal
 
 
 def _expansions(ctx):
-    """(ring, delta, sqrt(0)) for each corpus ring and catalog expansion."""
+    """(scope, sqrt(0)) for each corpus ring and catalog expansion."""
     for entry in ctx.entries:
         nil = nilradical(entry.ring)
-        for delta in entry.expansions:
-            yield entry.ring, delta, nil
+        for scope in _scopes(ctx, entry):
+            yield scope, nil
 
 
 def _by_expansion(ctx):
     """(ring, delta, delta-n set of delta) for each corpus ring and expansion."""
     for entry in ctx.entries:
-        for delta in entry.expansions:
-            yield entry.ring, delta, delta_n_masks(delta)
+        for scope in _scopes(ctx, entry):
+            yield scope.ring, scope.delta, scope.dn
 
 
 # one (ring, delta) with what its hypotheses and conclusions read, so that
@@ -132,18 +134,32 @@ def _by_expansion(ctx):
 _Scope = namedtuple("_Scope", "ring delta table full dn nil n_masks")
 
 
-def _scopes(entry):
-    """The scope of each catalog expansion of one corpus entry."""
+@memo
+def _scopes(ctx, entry):
+    """The scope of each catalog expansion of one corpus entry, built once per run."""
     ring = entry.ring
     nil, n_masks = _nil_mask(ring), _n_masks(ring)
     return [_Scope(ring, d, d.table, ring.full_mask, delta_n_masks(d), nil, n_masks)
             for d in entry.expansions]
 
 
+@memo
+def _catalog_dns(ctx):
+    """{id of a catalog expansion: its delta-n set}.  The corpus keeps these alive
+    for the run, and hashing a derived expansion would print its name."""
+    return {id(s.delta): s.dn for entry in ctx.entries for s in _scopes(ctx, entry)}
+
+
+def _dn_set(ctx, delta):
+    """The delta-n set of delta: its scope's for a catalog expansion, else built."""
+    dn = _catalog_dns(ctx).get(id(delta))
+    return delta_n_masks(delta) if dn is None else dn
+
+
 def _ideals(ctx):
     """(scope, I) for each corpus ring, catalog expansion and proper ideal I."""
     for entry in ctx.entries:
-        for scope in _scopes(entry):
+        for scope in _scopes(ctx, entry):
             for I in _proper(entry.ring):
                 yield scope, I
 
@@ -239,9 +255,9 @@ def _check_primary_to_delta_n(ctx):
         "every (ring, expansion)")
 def _check_nilradical_primary_iff(ctx):
     return _verdicts(_expansions(ctx), _no_hypothesis,
-                     lambda ring, delta, nil: is_delta_primary(nil, delta) == _dn(nil, delta),
-                     lambda ring, delta, nil: _wit(ring, delta, nil, detail="delta-primary "
-                                                   "and delta-n disagree at sqrt(0)"))
+                     lambda s, nil: is_delta_primary(nil, s.delta) == _dn(nil, s.delta),
+                     lambda s, nil: _wit(s.ring, s.delta, nil, detail="delta-primary "
+                                         "and delta-n disagree at sqrt(0)"))
 
 
 @_claim("ex-int-delta-plus", "Prime ideals of ZZ under the sum expansion",
@@ -296,7 +312,7 @@ def _check_prime_iff_nilradical(ctx):
 def _check_every_ideal_quasilocal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        dns = [delta_n_masks(d) for d in entry.expansions]
+        dns = [s.dn for s in _scopes(ctx, entry)]
         # the non-unit principal ideals are the proper ones
         c1 = all(p in dn for dn in dns for p in _principal_columns(ring))
         c2 = all(I.mask in dn for dn in dns for I in _proper(ring))
@@ -336,14 +352,14 @@ def _check_domain_only_zero(ctx):
 def _check_von_neumann_field(ctx):
     return _verdicts(
         _expansions(ctx),
-        lambda ring, delta, nil: profile_expansion(delta).zero_fixed,
-        lambda ring, delta, nil: classify_ring(ring).is_field == (
-            classify_ring(ring).is_von_neumann_regular and _dn(zero_ideal(ring), delta)),
+        lambda s, nil: profile_expansion(s.delta).zero_fixed,
+        lambda s, nil: classify_ring(s.ring).is_field == (
+            classify_ring(s.ring).is_von_neumann_regular and _dn(zero_ideal(s.ring), s.delta)),
         # a failure means the two sides differ
-        lambda ring, delta, nil: _wit(
-            ring, delta, zero_ideal(ring),
-            detail=f"field={classify_ring(ring).is_field}, "
-                   f"vnr-and-zero-delta-n={not classify_ring(ring).is_field}"))
+        lambda s, nil: _wit(
+            s.ring, s.delta, zero_ideal(s.ring),
+            detail=f"field={classify_ring(s.ring).is_field}, "
+                   f"vnr-and-zero-delta-n={not classify_ring(s.ring).is_field}"))
 
 
 @_claim("lem-colon-stable", "Colon ideals inherit the delta-n property",
@@ -395,10 +411,9 @@ def _check_maximal_is_nilradical(ctx):
                                      detail="maximal member is not the prime nilradical")
 
 
-def _existence_conditions(delta, nil):
+def _existence_conditions(s, nil):
     """A delta-n-ideal exists; sqrt(0) is prime; sqrt(0) is delta-primary."""
-    return (bool(delta_n_masks(delta)), classify_ideal(nil).is_prime,
-            is_delta_primary(nil, delta))
+    return bool(s.dn), classify_ideal(nil).is_prime, is_delta_primary(nil, s.delta)
 
 
 @_claim("thm-existence", "Existence of a delta-n-ideal",
@@ -409,11 +424,11 @@ def _existence_conditions(delta, nil):
 def _check_existence(ctx):
     return _verdicts(
         _expansions(ctx),
-        lambda ring, delta, nil: profile_expansion(delta).colon_condition,
-        lambda ring, delta, nil: len(set(_existence_conditions(delta, nil))) == 1,
-        lambda ring, delta, nil: _wit(ring, delta, detail=(
+        lambda s, nil: profile_expansion(s.delta).colon_condition,
+        lambda s, nil: len(set(_existence_conditions(s, nil))) == 1,
+        lambda s, nil: _wit(s.ring, s.delta, detail=(
             "spectrum-nonempty={}, nilradical-prime={}, nilradical-delta-primary={}"
-            .format(*_existence_conditions(delta, nil)))))
+            .format(*_existence_conditions(s, nil)))))
 
 
 @_claim("prop-idem-colon-expansion", "Idempotent delta: delta(I:a) = delta(I)",
@@ -508,12 +523,12 @@ def _zero_divisors_delta_q_nilpotent(delta, nil):
 def _check_zero_divisor_quotient(ctx):
     return _verdicts(
         _expansions(ctx), _no_hypothesis,
-        lambda ring, delta, nil: (_dn(nil, delta)
-                                  == _zero_divisors_delta_q_nilpotent(delta, nil)),
+        lambda s, nil: _dn(nil, s.delta) == _zero_divisors_delta_q_nilpotent(s.delta, nil),
         # a failure means the two sides differ
-        lambda ring, delta, nil: _wit(
-            ring, delta, nil, detail=f"sqrt(0) delta-n={_dn(nil, delta)}, "
-                                     f"zero-divisors delta_q-nilpotent={not _dn(nil, delta)}"))
+        lambda s, nil: _wit(
+            s.ring, s.delta, nil, detail=f"sqrt(0) delta-n={_dn(nil, s.delta)}, "
+                                         f"zero-divisors delta_q-nilpotent="
+                                         f"{not _dn(nil, s.delta)}"))
 
 
 @_claim("prop-expansion-value-n", "n-ideal values pull back",
@@ -533,7 +548,7 @@ def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         d1 = delta1(ring)
-        dn, n_masks = delta_n_masks(d1), _n_masks(ring)
+        dn, n_masks = _dn_set(ctx, d1), _n_masks(ring)
         for I in _proper(ring):
             if (I.mask in dn) == (d1.table[I.mask] in n_masks):
                 yield HOLDS, None
@@ -549,7 +564,7 @@ def _check_pointwise_monotone(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         lattice = enumerate_ideals(ring)
-        dns = [delta_n_masks(d) for d in entry.expansions]
+        dns = [s.dn for s in _scopes(ctx, entry)]
         for delta, dn in zip(entry.expansions, dns):
             for gamma, dn_g in zip(entry.expansions, dns):
                 if any(delta.table[I.mask] & ~gamma.table[I.mask] for I in lattice):
@@ -571,11 +586,10 @@ def _check_pointwise_monotone(ctx):
 def _check_compose_n_ideal(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        dns = [delta_n_masks(d) for d in entry.expansions]
-        for delta, dn in zip(entry.expansions, dns):
+        for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             for gamma in entry.expansions:
                 comp = compose_expansions(delta, gamma)
-                g_table, dn_comp = gamma.table, delta_n_masks(comp)
+                g_table, dn_comp = gamma.table, _dn_set(ctx, comp)
                 for I in _proper(ring):
                     if g_table[I.mask] not in dn:
                         yield SKIP, None
@@ -713,7 +727,7 @@ def _quotient_instances(ctx):
     corpus ring, proper J, catalog expansion and proper I >= J."""
     for entry in ctx.entries:
         ring = entry.ring
-        scopes = _scopes(entry)
+        scopes = _scopes(ctx, entry)
         for J in _proper(ring):
             proj = quotient_ring(ring, J).projection
             above = [(I, proj.image_mask(I.mask)) for I in _proper(ring)
@@ -777,7 +791,7 @@ def _check_hom_preimage(ctx):
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
+            dn, dn_g = _dn_set(ctx, delta), _dn_set(ctx, gamma)
             for J in _proper(f.target):
                 if J.mask not in dn_g:
                     yield SKIP, None
@@ -803,7 +817,7 @@ def _check_hom_image(ctx):
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            dn, dn_g = delta_n_masks(delta), delta_n_masks(gamma)
+            dn, dn_g = _dn_set(ctx, delta), _dn_set(ctx, gamma)
             for I in _proper(f.source):
                 if ker & ~I.mask or I.mask not in dn:
                     yield SKIP, None
@@ -904,7 +918,7 @@ def _homogeneous_pairs(rec, ideals):
 def _check_idealization_transfer(ctx):
     for rec, base_catalog in ctx.idealization_instances():
         for delta in base_catalog:
-            dn = delta_n_masks(delta)
+            dn = _dn_set(ctx, delta)
             dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
             for I, N in _homogeneous_pairs(rec, _proper(rec.base)):
                 if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
@@ -936,7 +950,7 @@ def _check_idealization_radical(ctx):
 def _check_loc_forward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        dns = [delta_n_masks(d) for d in entry.expansions]
+        dns = [s.dn for s in _scopes(ctx, entry)]
         for sset in ctx.mult_sets(ring):
             rec = localize(ring, sset)
             smask = sum(1 << i for i in sset.indices)
@@ -961,7 +975,7 @@ def _check_loc_backward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         zdiv = _z_i_mask(ring, 1 << ring.zero_idx)  # the zero divisors
-        dns = [delta_n_masks(d) for d in entry.expansions]
+        dns = [s.dn for s in _scopes(ctx, entry)]
         for sset in ctx.mult_sets(ring):
             smask = sum(1 << i for i in sset.indices)
             if zdiv & smask:  # a hypothesis fails at every (delta, I)
@@ -990,8 +1004,7 @@ def _check_loc_regular_contract(ctx):
         regs = sorted(e.idx for e in special_sets(ring).regular_elements)
         sset = constructions.MultiplicativeSet(ring, tuple(regs))
         rec = localize(ring, sset)
-        for delta in entry.expansions:
-            dn = delta_n_masks(delta)
+        for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
             for K in _proper(rec.ring):
                 if K.mask not in dn_s:

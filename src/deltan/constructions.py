@@ -104,22 +104,18 @@ def make_module(ring, spec):
 
 @memo
 def _build_module(ring, spec):
+    """R and R/I are modules through a canonical surjection of rings q: R -> T,
+    the identity onto R or the projection onto R/I (R/ker q, built by
+    ``_coset_ring`` like S^-1 R): the module is T's additive group with
+    r.m = q(r)m, so its tables are T's own rows, r acting by T's row of q(r)."""
     if isinstance(spec, RegularModuleSpec):
-        module = Module(ring, spec, list(ring.elements),
-                        [row[:] for row in ring.add],
-                        [row[:] for row in ring.mul],
-                        ring.zero_idx, ring._repr_fn)
-        module.base_to_module = list(range(ring.size))
+        target, q = ring, list(range(ring.size))
     elif isinstance(spec, QuotientModuleSpec):
         mask = _mask_of(ring.size, spec.ideal_elems)
         if mask == ring.full_mask:
             raise ConstructionError("quotient by the whole ring gives the zero module")
-        reps, q = _coset_quotient(ring, mask)
-        elems = [ring.elements[r] for r in reps]
-        add = [[q[ring.add[a][b]] for b in reps] for a in reps]
-        action = [[q[ring.mul[r][b]] for b in reps] for r in range(ring.size)]
-        module = Module(ring, spec, elems, add, action, q[ring.zero_idx], ring._repr_fn)
-        module.base_to_module = q
+        proj = quotient_ring(ring, _mk_ideal(ring, mask)).projection
+        target, q = proj.target, proj.mapping
     elif isinstance(spec, ProductModuleSpec):
         m1 = _build_module(ring, spec.left)
         m2 = _build_module(ring, spec.right)
@@ -127,14 +123,16 @@ def _build_module(ring, spec):
         size = m1.size * s2
         _check_size(f"{ring.key}(+){spec.key()}", size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
-        add = _join_tables(m1.add, m2.add)
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
                    for i in range(size)] for r in range(ring.size)]
-
-        module = Module(ring, spec, elems, add, action, m1.zero_idx * s2 + m2.zero_idx,
-                        _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
+        return Module(ring, spec, elems, _join_tables(m1.add, m2.add), action,
+                      m1.zero_idx * s2 + m2.zero_idx,
+                      _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
     else:
         raise InvalidSpecError(f"unknown module spec {spec!r}")
+    module = Module(ring, spec, target.elements, target.add, [target.mul[c] for c in q],
+                    target.zero_idx, target._repr_fn)
+    module.base_to_module = q
     return module
 
 
@@ -392,17 +390,27 @@ def quotient_ring(ring, J):
 @memo
 def _finite_quotient(ring, J):
     reps, q = _coset_quotient(ring, J.mask)
-    elems = [ring.elements[r] for r in reps]
-    add = [[q[ring.add[a][b]] for b in reps] for a in reps]
-    mul = [[q[ring.mul[a][b]] for b in reps] for a in reps]
-    spec = QuotientSpec(ring.spec, tuple(_bits(J.mask)))
-    qring = Ring(spec, elements=elems, add=add, mul=mul,
-                 zero=q[ring.zero_idx], one=q[ring.one_idx],
-                 repr_fn=ring._repr_fn or str)
-    qring.origin = ("quotient", ring, J)
-    register_ring(qring)
-    proj = Homomorphism(ring, qring, mapping=q, check=False)
+    qring, proj = _coset_ring(ring, QuotientSpec(ring.spec, tuple(_bits(J.mask))), reps, q,
+                              [ring.elements[r] for r in reps], ring._repr_fn or str,
+                              ("quotient", ring, J))
     return QuotientRecord(ring=qring, projection=proj)
+
+
+def _coset_ring(ring, spec, reps, q, elems, repr_fn, origin):
+    """The ring on the classes of a congruence of ``ring``, and its canonical map.
+
+    q[x] is the class of the base index x, and reps[c] one base index in class
+    c.  q respects + and *, so the class of a+b (of ab) is q[a+b] (q[ab]) for
+    any a, b in the two classes, and the tables are filled over reps alone.
+    The congruence is mod J for R/J, and mod the saturation kernel for S^-1 R,
+    which is R/ker on a finite ring (see ``localize``).
+    """
+    add, mul = ring.add, ring.mul
+    qring = Ring(spec, elements=elems, add=[[q[add[a][b]] for b in reps] for a in reps],
+                 mul=[[q[mul[a][b]] for b in reps] for a in reps],
+                 zero=q[ring.zero_idx], one=q[ring.one_idx], repr_fn=repr_fn, origin=origin)
+    register_ring(qring)
+    return qring, Homomorphism(ring, qring, mapping=q, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +483,16 @@ def idealization(ring, module):
     _check_size(spec.key(), size)
     elems = [(ring.elements[r], module.elements[m])
              for r in range(ring.size) for m in range(msize)]
-    radd, rmul = ring.add, ring.mul
-    madd, act = module.add, module.action
-    add = [[radd[i // msize][j // msize] * msize + madd[i % msize][j % msize]
-            for j in range(size)] for i in range(size)]
+    rmul, madd, act = ring.mul, module.add, module.action
+    # the additive group of R(+)M is R x M
     mul = [[rmul[i // msize][j // msize] * msize
             + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
             for j in range(size)] for i in range(size)]
-    izr = Ring(spec, elements=elems, add=add, mul=mul,
+    izr = Ring(spec, elements=elems, add=_join_tables(ring.add, madd), mul=mul,
                zero=ring.zero_idx * msize + module.zero_idx,
                one=ring.one_idx * msize + module.zero_idx,
-               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str))
-    izr.origin = ("idealization", ring, module)
+               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str),
+               origin=("idealization", ring, module))
     register_ring(izr)
     return IdealizationRecord(izr, ring, module)
 
@@ -541,25 +547,19 @@ def mult_closure(ring, elems):
     return MultiplicativeSet(ring, tuple(sorted(idx)))
 
 
+@dataclass
 class LocalizationRecord:
-    def __init__(self, ring, base, sset, canonical, kernel, class_of):
-        self.ring = ring
-        self.base = base
-        self.sset = sset
-        self.canonical = canonical
-        self.kernel = kernel
-        self.class_of = class_of  # (numerator idx, denominator idx) -> class idx
-        self._cache = {}
+    ring: Ring
+    base: Ring
+    sset: MultiplicativeSet
+    canonical: Homomorphism
+    kernel: Ideal
+    class_of: dict  # (numerator idx, denominator idx) -> class idx
 
-    @memo
     def extend_mask(self, base_mask):
-        """S^-1 I = {i/s : i in I, s in S}, as a mask of the localization."""
-        class_of, s_list = self.class_of, self.sset.indices
-        out = 0
-        for i in _bits(base_mask):
-            for s in s_list:
-                out |= 1 << class_of[(i, s)]
-        return out
+        """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker, as a
+        mask of the localization: the canonical image of I."""
+        return self.canonical.image_mask(base_mask)
 
     def contract_mask(self, loc_mask):
         return self.canonical.preimage_mask(loc_mask)
@@ -583,16 +583,17 @@ def localize(ring, sset):
     rs' - r's lies in ker.  Each s in S is a unit mod ker: sa in ker gives
     (us)a = 0 with us in S, so s is a non-zero-divisor of the finite ring R/ker.
     With st = 1 mod ker, (r,s) ~ (r',s') iff rt = r't' mod ker, so the class
-    of (r,s) is the coset of rt.  Classes are numbered by first appearance in
-    (r, s) order, and the first pair of each class is its representative.
+    of (r,s) is the coset of rt, and r/s -> rt + ker is a ring isomorphism
+    S^-1 R -> R/ker that turns r -> r/1 into the projection.  The tables are
+    those of R/ker, filled by ``_coset_ring`` like a quotient's.  Classes are
+    numbered by first appearance in (r, s) order, and the first pair of each
+    class is its representative.
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
     if sset.ring.key != ring.key:
         raise CrossRingError("multiplicative set belongs to a different ring")
-    n = ring.size
-    add, mul = ring.add, ring.mul
-    zero = ring.zero_idx
+    n, mul, zero = ring.size, ring.mul, ring.zero_idx
     s_list = list(sset.indices)
     if zero in s_list:
         raise ConstructionError("0 in S collapses the localization to the zero ring")
@@ -600,43 +601,20 @@ def localize(ring, sset):
     _, coset = _coset_quotient(ring, ker)
     one = coset[ring.one_idx]
     inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]
-    class_of, number, reps = {}, {}, []
+    class_of, number, reps, pairs = {}, {}, [], []
     for r in range(n):
-        row = mul[r]
         for s, t in zip(s_list, inverse):
-            key = coset[row[t]]
-            found = number.get(key)
-            if found is None:
-                found = number[key] = len(reps)
-                reps.append((r, s))
-            class_of[(r, s)] = found
-    size = len(reps)
-    addq = [[0] * size for _ in range(size)]
-    mulq = [[0] * size for _ in range(size)]
-    for i, (r1, s1) in enumerate(reps):
-        for j, (r2, s2) in enumerate(reps):
-            num = add[mul[r1][s2]][mul[r2][s1]]
-            den = mul[s1][s2]
-            addq[i][j] = class_of[(num, den)]
-            mulq[i][j] = class_of[(mul[r1][r2], den)]
-    elems = [(ring.elements[r], ring.elements[s]) for (r, s) in reps]
-    rrepr = ring._repr_fn or str
-
-    def frac_repr(p):
-        return f"{rrepr(p[0])}/{rrepr(p[1])}"
-
-    spec = LocalizationSpec(ring.spec, sset.indices)
-    lring = Ring(spec, elements=elems, add=addq, mul=mulq,
-                 zero=class_of[(zero, ring.one_idx)],
-                 one=class_of[(ring.one_idx, ring.one_idx)],
-                 repr_fn=frac_repr)
-    lring.origin = ("localization", ring, sset)
-    register_ring(lring)
-    canonical = Homomorphism(ring, lring,
-                             mapping=[class_of[(i, ring.one_idx)] for i in range(n)],
-                             check=False)
-    return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker),
-                              class_of)
+            x = mul[r][t]
+            c = class_of[(r, s)] = number.setdefault(coset[x], len(reps))
+            if c == len(reps):  # the first pair of a new class
+                reps.append(x)
+                pairs.append((r, s))
+    lring, canonical = _coset_ring(
+        ring, LocalizationSpec(ring.spec, sset.indices), reps, [number[c] for c in coset],
+        [(ring.elements[r], ring.elements[s]) for r, s in pairs],
+        lambda p, rrepr=ring._repr_fn or str: f"{rrepr(p[0])}/{rrepr(p[1])}",
+        ("localization", ring, sset))
+    return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker), class_of)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,12 @@ from .constructions import (MultiplicativeSet, idealization, localize,
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, full_expansion)
 from .ideals import ideal_from_generators
-from .rings import MAX_RING_SIZE, integers, modular, poly_quotient, poly_repr, product
+from .rings import (_MAX_DIGITS, MAX_RING_SIZE, integers, modular, poly_quotient, poly_repr,
+                    product)
 
-# the longest integer literal read (CPython's default limit on converting a
-# digit string to an int), and the largest exponent of x: a polynomial is
-# held densely, one coefficient per degree
-_MAX_DIGITS = 4300
+# the longest integer literal read is _MAX_DIGITS long (CPython's default limit
+# on converting a digit string to an int); the largest exponent of x is
+# MAX_RING_SIZE, as a polynomial is held densely, one coefficient per degree
 _MAX_EXPONENT = MAX_RING_SIZE
 
 
@@ -445,6 +445,9 @@ def bind_ring(ast):
 
 
 def bind_element(ring, ast):
+    """The element an AST names in ``ring``.  An integer or a polynomial names an
+    element of a quotient or a localization as the image of the base element
+    it names under the canonical surjection."""
     kind = ring.spec.kind
     if isinstance(ast, EPair):
         if kind == "product":
@@ -466,6 +469,11 @@ def bind_element(ring, ast):
                 raise DslError(f"denominator {s!r} is not in the multiplicative set")
             return ring.el(rec.class_of[(r.idx, s.idx)])
         raise DslError(f"pair elements do not exist in {ring.key}")
+    if kind in ("quotient", "localization"):
+        _, base, arg = ring.origin
+        canonical = (quotient_ring(base, arg).projection if kind == "quotient"
+                     else localize(base, arg).canonical)
+        return canonical(bind_element(base, ast))
     if isinstance(ast, EInt):
         if not ring.is_finite:
             return ring.el(ast.value)
@@ -473,22 +481,10 @@ def bind_element(ring, ast):
             return ring.el(ast.value % ring.size)
         if kind == "poly_quotient":
             return _poly_element(ring, (ast.value,))
-        if kind == "quotient":
-            _, base, J = ring.origin
-            rec = quotient_ring(base, J)
-            return rec.projection(bind_element(base, ast))
-        if kind == "localization":
-            _, base, sset = ring.origin
-            rec = localize(base, sset)
-            return rec.canonical(bind_element(base, ast))
         raise DslError(f"plain integers do not name elements of {ring.key}")
     if isinstance(ast, EPoly):
         if kind == "poly_quotient":
             return _poly_element(ring, ast.coeffs)
-        if kind == "quotient":
-            _, base, J = ring.origin
-            rec = quotient_ring(base, J)
-            return rec.projection(bind_element(base, ast))
         raise DslError(f"polynomial elements do not exist in {ring.key}")
     raise DslError(f"cannot bind element AST {ast!r}")
 

@@ -227,15 +227,19 @@ def apply_expansion(delta, I):
 # canonical map of its construction (contract, apply delta, transport back)
 # ---------------------------------------------------------------------------
 
+def _pushforward(f, delta):
+    """The table K -> f(delta(f^-1 K)) over the ideals K of the target of a
+    surjection f."""
+    return {K.mask: f.image_mask(delta.table[f.preimage_mask(K.mask)])
+            for K in enumerate_ideals(f.target)}
+
+
 @memo
 def derive_quotient_expansion(delta, J):
     """Push delta to R/J: the value on K/J is delta(K)/J for the full preimage K."""
     from .constructions import quotient_ring
     rec = quotient_ring(delta.ring, J)
-    proj = rec.projection
-    table = {K.mask: proj.image_mask(delta.table[proj.preimage_mask(K.mask)])
-             for K in enumerate_ideals(rec.ring)}
-    return _finish(rec.ring, ("quotient_derived", delta, J), table)
+    return _finish(rec.ring, ("quotient_derived", delta, J), _pushforward(rec.projection, delta))
 
 
 @memo
@@ -276,16 +280,13 @@ def derive_idealization_expansion(delta, module):
 
 @memo
 def derive_localized_expansion(delta, sset):
-    """Expansion on S^-1 R: contract, apply delta, extend.
-
-    The contraction is the largest ideal with the given extension, which makes
-    the assignment a well-defined function regardless of representatives.
-    """
+    """Push delta to S^-1 R along r -> r/1, as to a quotient: S^-1 R is R/ker.
+    The value on K extends delta of the contraction of K, the largest ideal
+    extending to K, so it does not depend on a representative."""
     from .constructions import localize
     rec = localize(delta.ring, sset)
-    table = {K.mask: rec.extend_mask(delta.table[rec.contract_mask(K.mask)])
-             for K in enumerate_ideals(rec.ring)}
-    return _finish(rec.ring, ("localization_derived", delta, sset), table)
+    return _finish(rec.ring, ("localization_derived", delta, sset),
+                   _pushforward(rec.canonical, delta))
 
 
 def localization_value_collisions(delta, sset):

@@ -33,6 +33,8 @@ from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 # the largest table-backed ring or module: Z64 x Z64; its two tables hold 2 * 4096^2 cells
 MAX_RING_SIZE = 4096
 
+_MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by default
+
 # copies of the residues 0..n-1 that one strided slice of Z_n's product table
 # runs over: row i takes about i / _STRIDE_REPS slices
 _STRIDE_REPS = 32
@@ -65,14 +67,19 @@ def _check_size(key, size, shown=None):
                                f"table-backed rings and modules are limited to {MAX_RING_SIZE}")
 
 
+def _digits(n):
+    """The decimal digits of n >= 1, counted without converting n to a string:
+    (bits - 1) * 0.30102 is at most log10(n)."""
+    return next(k for k in count((n.bit_length() - 1) * 30102 // 100000) if 10 ** k > n)
+
+
 def _check_modulus(n, degree=None):
     """Refuse Z_n, or Z_n[x]/(f) with deg f = degree, when n > MAX_RING_SIZE, before
     a key is formatted: the message counts the digits of n, too many to print."""
-    if n > MAX_RING_SIZE:  # (bits - 1) * 0.30102 is at most log10(n)
-        digits = next(k for k in count((n.bit_length() - 1) * 30102 // 100000) if 10 ** k > n)
+    if n > MAX_RING_SIZE:
         name, size = ("Z_n", "n") if degree is None else (f"Z_n[x]/(f) of degree {degree}",
                                                            f"n^{degree}")
-        _check_size(f"{name}, n of {digits} digits,", n, size)
+        _check_size(f"{name}, n of {_digits(n)} digits,", n, size)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,7 @@ class ModularSpec:
     kind = "modular"
 
     def key(self):
+        _check_modulus(self.n)  # before n is formatted, in this key or an enclosing one
         return f"Z{self.n}"
 
 
@@ -193,6 +201,8 @@ def _poly_normalize(n, coeffs):
     try:
         inv = pow(lead, -1, n)
     except ValueError:
+        if _digits(n) > _MAX_DIGITS:  # n cannot be printed: refuse it by its size
+            _check_modulus(n, len(coeffs) - 1)
         raise InvalidSpecError(
             f"modulus leading coefficient {lead} is not a unit mod {n}") from None
     return tuple((c * inv) % n for c in coeffs)
@@ -423,7 +433,6 @@ def construct_ring(spec):
 def modular(n):
     if not isinstance(n, int) or n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    _check_modulus(n)
     return construct_ring(ModularSpec(n))
 
 
@@ -458,7 +467,6 @@ def _build_modular(spec):
     n = spec.n
     if n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    _check_size(spec.key(), n)
     elems = list(range(n))
     twice = elems + elems
     add = [twice[i:i + n] for i in elems]

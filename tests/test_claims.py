@@ -124,3 +124,18 @@ def test_single_decision_checkers_build_their_witness(monkeypatch, claim_id):
     assert failures
     for w in failures:
         assert w.ring and w.expansion and w.ideal, (claim_id, w)
+
+
+def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):
+    """The scopes of a corpus entry are built once per run and every checker
+    reads the catalog sets from them; only derived expansions build their own."""
+    from deltan.verifier import builtin_corpus, run_claims
+    built = []
+    monkeypatch.setattr(claims, "delta_n_masks", lambda delta: built.append(delta) or REAL(delta))
+    catalog_ids = {id(d) for entry in builtin_corpus().entries for d in entry.expansions}
+    run_claims()
+    from_catalog = [d for d in built if id(d) in catalog_ids]
+    assert len(catalog_ids) == len(from_catalog) == 376
+    assert {id(d) for d in from_catalog} == catalog_ids
+    assert all(d.kind.endswith("_derived") or d.kind == "compose"
+               for d in built if id(d) not in catalog_ids)

@@ -28,6 +28,20 @@ def test_oversized_rings_exit_2_before_allocating(capsys):
     assert "leading coefficient 2 is not a unit mod 10000000" in err
 
 
+def test_polynomial_element_of_a_localization(capsys):
+    # x names the image of x under Z4[x]/(x^2) -> loc(Z4[x]/(x^2),{1}), as in quot(...)
+    assert main(["classify", "Z4[x]/(x^2)", "(x)"]) == 0
+    base = capsys.readouterr().out.splitlines()
+    assert main(["classify", "loc(Z4[x]/(x^2),{1})", "(x)"]) == 0
+    captured = capsys.readouterr()
+    local = captured.out.splitlines()
+    assert captured.err == ""
+    assert local[:2] == ["ring: loc(Z4[x]/(x^2),{1}) (16 elements)",
+                         "ideal: (x/1) (4 elements)"]
+    assert base[1] == "ideal: (x) (4 elements)"
+    assert local[2:] == base[2:] and "n-ideal: true" in local
+
+
 @pytest.mark.parametrize("command, message", [
     # a polynomial is held densely: these would take 10^5 and 10^8 coefficients
     (["ideals", "Z2[x]/(x^100000)"], "exponent 100000 is above 4096 at 1:10"),

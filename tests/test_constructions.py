@@ -549,3 +549,71 @@ def test_make_homomorphism_agrees_with_the_pair_reference():
                 make_homomorphism(src, tgt, f)
             rejected += 1
     assert accepted >= 30 and rejected >= 30, (accepted, rejected)
+
+
+# ---------------------------------------------------------------------------
+# module actions against the ring, element by element
+# ---------------------------------------------------------------------------
+
+def _congruent(ring, mask, a, b):
+    """a - b lies in the ideal ``mask``."""
+    return bool(mask >> ring.add[a][ring.neg[b]] & 1)
+
+
+def test_module_actions_agree_with_ring_multiplication_on_the_corpus():
+    """r.m is r*m in the regular module, a representative of the coset of r
+    times m's representative in R/I, and both componentwise in a product."""
+    checked = 0
+    for entry in builtin_corpus().entries:
+        ring = entry.ring
+        n, mul, index = ring.size, ring.mul, ring.from_payload
+        regular = make_module(ring, "regular")
+        assert regular.add is ring.add
+        assert all(row is ring_row for row, ring_row in zip(regular.action, mul))
+        assert all(regular.elements[regular.action[r][m]] == ring.elements[mul[r][m]]
+                   for r in range(n) for m in range(n))
+        for I in enumerate_ideals(ring):
+            if not I.is_proper:
+                continue
+            module = make_module(ring, ("quotient", I))
+            reps = [index(p).idx for p in module.elements]
+            assert module.size * I.size == n
+            assert not any(_congruent(ring, I.mask, a, b) for a in reps for b in reps if a < b)
+            for r in range(n):
+                for m, rep in enumerate(reps):
+                    assert _congruent(ring, I.mask, mul[r][rep], reps[module.action[r][m]])
+                    checked += 1
+        nil = nilradical(ring)
+        pair = make_module(ring, ("product", "regular", ("quotient", nil)))
+        for r in range(n):
+            for i, (a, b) in enumerate(pair.elements):
+                a2, b2 = pair.elements[pair.action[r][i]]
+                assert a2 == ring.elements[mul[r][index(a).idx]]
+                assert _congruent(ring, nil.mask, mul[r][index(b).idx], index(b2).idx)
+                checked += 1
+    assert checked == 95104
+
+
+# ---------------------------------------------------------------------------
+# derived specs through construct_ring
+# ---------------------------------------------------------------------------
+
+def test_construct_ring_builds_derived_specs_like_their_constructors(monkeypatch):
+    from deltan import rings
+    from deltan.constructions import QuotientModuleSpec
+    from deltan.rings import IdealizationSpec, LocalizationSpec, ModularSpec, QuotientSpec
+    z70, z7 = modular(70), modular(7)
+    seven = ideal_from_generators(z70, [z70.el(7)])
+    cases = [
+        (QuotientSpec(ModularSpec(70), tuple(e.idx for e in seven.elements())),
+         lambda: quotient_ring(z70, seven).ring),
+        (IdealizationSpec(ModularSpec(7), QuotientModuleSpec((0,))),
+         lambda: idealization(z7, make_module(z7, ("quotient", zero_ideal(z7)))).ring),
+        (LocalizationSpec(ModularSpec(70), (1, 21)),
+         lambda: localize(z70, MultiplicativeSet(z70, (1, 21))).ring),
+    ]
+    for spec, direct in cases:
+        monkeypatch.delitem(rings._RING_CACHE, spec.key(), raising=False)
+        built = rings.construct_ring(spec)
+        assert rings._RING_CACHE[spec.key()] is built
+        assert built is direct() and built.key == spec.key()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltan import DslError, modular
-from deltan.dsl import (bind_expansion, bind_ideal, bind_ring,
+from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
                         print_expansion, ring_to_dsl)
 from deltan.verifier import builtin_corpus
@@ -107,3 +107,26 @@ def test_unrecognized_character():
     with pytest.raises(DslError) as err:
         parse_spec("Z6 @")
     assert err.value.column == 4
+
+
+def _element(ring, text):
+    return bind_element(ring, parse_ideal_text(f"({text})")[0])
+
+
+def test_idealization_elements_bind_through_the_module():
+    # over the regular module m names itself; over R/I it names its coset,
+    # printed by its least representative
+    regular = bind_ring(parse_spec("Z4 (+) Z4"))
+    a = _element(regular, "(3,2)")
+    assert (a.idx, a.payload, repr(a)) == (3 * 4 + 2, (3, 2), "(3,2)")
+    quotient = bind_ring(parse_spec("Z8 (+) Z8/(4)"))
+    b = _element(quotient, "(3,6)")
+    assert (b.payload, repr(b)) == ((3, 2), "(3,2)")
+    assert _element(quotient, "(5,-1)").payload == (5, 3)
+    assert bind_ideal(quotient, parse_ideal_text("((0,1))")).size == 4
+
+
+def test_module_elements_must_be_base_elements():
+    ring = bind_ring(parse_spec("Z4 (+) Z4"))
+    with pytest.raises(DslError, match="not expressible"):
+        _element(ring, "(1,(1,1))")

@@ -725,3 +725,23 @@ def test_oversized_moduli_are_refused_before_their_key_is_printed():
             build()
     with pytest.raises(InvalidSpecError, match=r"n of 4 digits, would have n\^3 elements"):
         poly_quotient(4097, [0, 0, 0, 1])
+
+
+HUGE = 10 ** 5000  # more digits than an int may be converted to a string with
+
+
+def test_poly_quotient_with_a_huge_modulus_and_a_non_unit_lead_is_refused_by_size():
+    # the leading-coefficient message would print n; a modulus too long to
+    # print is refused by its size instead
+    with pytest.raises(InvalidSpecError, match=r"degree 1, n of 5001 digits, would have n\^1"):
+        poly_quotient(HUGE, [1, 2])
+
+
+def test_construct_ring_refuses_a_huge_modular_spec_before_its_key():
+    with pytest.raises(InvalidSpecError, match="Z_n, n of 5001 digits, would have n elements"):
+        construct_ring(ModularSpec(HUGE))
+
+
+def test_product_refuses_a_huge_modular_factor_before_its_key():
+    with pytest.raises(InvalidSpecError, match="Z_n, n of 5001 digits, would have n elements"):
+        product(ModularSpec(2), ModularSpec(HUGE))
