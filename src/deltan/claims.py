@@ -39,9 +39,8 @@ from .ideals import (_colon_mask, _ideal_class, _is_prime_int, _mk_ideal,
                      _principal_columns, _product_mask, _radical_mask, _sum_mask, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_from_generators,
                      integer_ideal, nilradical, radical, special_sets, zero_ideal)
-from .predicates import (_n_masks, _nil_mask, delta_n_masks, delta_n_spectrum,
-                         delta_n_witness, is_delta_n_ideal, is_delta_primary,
-                         is_n_ideal, n_ideal_witness)
+from .predicates import (_nil_mask, _spectrum, delta_n_masks, delta_n_witness,
+                         is_delta_n_ideal, is_delta_primary, is_n_ideal, n_ideal_witness)
 from .rings import classify_ring, memo, modular, poly_quotient
 
 
@@ -136,23 +135,24 @@ _Scope = namedtuple("_Scope", "ring delta table full dn nil n_masks")
 
 @memo
 def _scopes(ctx, entry):
-    """The scope of each catalog expansion of one corpus entry, built once per run."""
+    """The scope of each catalog expansion of one corpus entry, built once per
+    run; ``n_masks``, the proper n-ideals, is the delta-n set of delta0's scope."""
     ring = entry.ring
-    nil, n_masks = _nil_mask(ring), _n_masks(ring)
-    return [_Scope(ring, d, d.table, ring.full_mask, delta_n_masks(d), nil, n_masks)
-            for d in entry.expansions]
+    nil, dns = _nil_mask(ring), [delta_n_masks(d) for d in entry.expansions]
+    n_masks = dns[entry.expansions.index(delta0(ring))]
+    return [_Scope(ring, d, d.table, ring.full_mask, dn, nil, n_masks)
+            for d, dn in zip(entry.expansions, dns)]
 
 
 @memo
 def _catalog_dns(ctx):
-    """{id of a catalog expansion: its delta-n set}.  The corpus keeps these alive
-    for the run, and hashing a derived expansion would print its name."""
-    return {id(s.delta): s.dn for entry in ctx.entries for s in _scopes(ctx, entry)}
+    """{catalog expansion: its delta-n set}, from the scopes."""
+    return {s.delta: s.dn for entry in ctx.entries for s in _scopes(ctx, entry)}
 
 
 def _dn_set(ctx, delta):
     """The delta-n set of delta: its scope's for a catalog expansion, else built."""
-    dn = _catalog_dns(ctx).get(id(delta))
+    dn = _catalog_dns(ctx).get(delta)
     return delta_n_masks(delta) if dn is None else dn
 
 
@@ -396,19 +396,15 @@ def _check_colon_stable(ctx):
         "delta-n spectrum equals sqrt(0) and is prime.",
         "every (ring, expansion, maximal spectrum member)")
 def _check_maximal_is_nilradical(ctx):
-    for entry in ctx.entries:
-        ring = entry.ring
-        nil = nilradical(ring)
-        for delta in entry.expansions:
-            spectrum = delta_n_spectrum(ring, delta)
-            for I in spectrum.maximal_members:
-                if _colon_violation(delta, I.mask) is not None:
-                    yield SKIP, None
-                elif I == nil and classify_ideal(I).is_prime:
-                    yield HOLDS, None
-                else:
-                    yield FAIL, _wit(ring, delta, I,
-                                     detail="maximal member is not the prime nilradical")
+    for s, nil in _expansions(ctx):
+        for I in _spectrum(s.ring, s.dn).maximal_members:
+            if _colon_violation(s.delta, I.mask) is not None:
+                yield SKIP, None
+            elif I is nil and classify_ideal(I).is_prime:
+                yield HOLDS, None
+            else:
+                yield FAIL, _wit(s.ring, s.delta, I,
+                                 detail="maximal member is not the prime nilradical")
 
 
 def _existence_conditions(s, nil):
@@ -548,9 +544,9 @@ def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         d1 = delta1(ring)
-        dn, n_masks = _dn_set(ctx, d1), _n_masks(ring)
+        scope = next(s for s in _scopes(ctx, entry) if s.delta is d1)
         for I in _proper(ring):
-            if (I.mask in dn) == (d1.table[I.mask] in n_masks):
+            if (I.mask in scope.dn) == (d1.table[I.mask] in scope.n_masks):
                 yield HOLDS, None
             else:
                 yield FAIL, _wit(ring, d1, I, detail=f"sqrt(I)={radical(I)!r}")

@@ -42,8 +42,7 @@ def _cmd_ideals(args):
     lattice = enumerate_ideals(ring)
     print(f"ideal lattice of {ring_to_dsl(ring)} ({len(lattice)} ideals):")
     for I in lattice:
-        gens = ", ".join(ring.element_repr(g.idx) for g in I.gens) or "0"
-        print(f"  size {I.size:>4}   generators ({gens})")
+        print(f"  size {I.size:>4}   generators {I!r}")
     return 0
 
 

@@ -169,7 +169,8 @@ def _coset_quotient(ring, mask):
 
 
 class Submodule:
-    """A submodule given by its canonical element mask."""
+    """A submodule given by its element mask: the one object for that mask,
+    built only by the memoised ``_submodule``, so submodules compare by identity."""
 
     __slots__ = ("module", "mask")
 
@@ -184,16 +185,14 @@ class Submodule:
     def contains_idx(self, idx):
         return bool(self.mask >> idx & 1)
 
-    def __eq__(self, other):
-        return (isinstance(other, Submodule) and other.module.key == self.module.key
-                and other.mask == self.mask)
-
-    def __hash__(self):
-        return hash((self.module.key, self.mask))
-
     def __repr__(self):
         elems = ", ".join(self.module.element_repr(i) for i in _bits(self.mask))
         return f"<{elems}>"
+
+
+@memo
+def _submodule(module, mask):
+    return Submodule(module, mask)
 
 
 @memo
@@ -203,7 +202,7 @@ def enumerate_submodules(module):
     cyclic = sorted({_mask_of(module.size, set(map(itemgetter(m), act)))
                      for m in range(module.size)})
     seeds = [1 << module.zero_idx, *cyclic]
-    return tuple(Submodule(module, m) for m in _sum_closure(module, seeds, cyclic))
+    return tuple(_submodule(module, m) for m in _sum_closure(module, seeds, cyclic))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +457,7 @@ class IdealizationRecord:
         imask = self.projection.image_mask(W.mask)
         nmask = W.mask >> (self.base.zero_idx * msize) & ((1 << msize) - 1)
         homogeneous = self.homogeneous_mask(imask, nmask) == W.mask
-        return (homogeneous, _mk_ideal(self.base, imask), Submodule(self.module, nmask))
+        return (homogeneous, _mk_ideal(self.base, imask), _submodule(self.module, nmask))
 
     def non_homogeneous_ideals(self):
         """Lattice ideals that are not of the I(+)N shape (flagged in reports)."""

@@ -30,7 +30,7 @@ from .constructions import (MultiplicativeSet, idealization, localize,
                             make_module, quotient_ring)
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, full_expansion)
-from .ideals import ideal_from_generators
+from .ideals import _mask_of, _mk_ideal, ideal_from_generators
 from .rings import (_MAX_DIGITS, MAX_RING_SIZE, integers, modular, poly_quotient, poly_repr,
                     product)
 
@@ -545,6 +545,11 @@ def print_expansion(ast):
     return f"{ast.kind}(({gens}))"
 
 
+def _gens_text(I):
+    """The generators of a finite ideal as DSL element text, "0" for none."""
+    return ",".join(I.ring.element_repr(g.idx) for g in I.gens) or "0"
+
+
 def ring_to_dsl(ring):
     """Canonical DSL text for a constructed ring (specs and origins)."""
     spec = ring.spec
@@ -563,18 +568,12 @@ def ring_to_dsl(ring):
         if isinstance(mspec, constructions.RegularModuleSpec):
             return f"{ring_to_dsl(base)} (+) {ring_to_dsl(base)}"
         if isinstance(mspec, constructions.QuotientModuleSpec):
-            mask = 0
-            for i in mspec.ideal_elems:
-                mask |= 1 << i
-            from .ideals import _mk_ideal
-            gens = ",".join(base.element_repr(g.idx)
-                            for g in _mk_ideal(base, mask).gens) or "0"
-            return f"{ring_to_dsl(base)} (+) {ring_to_dsl(base)}/({gens})"
+            I = _mk_ideal(base, _mask_of(base.size, mspec.ideal_elems))
+            return f"{ring_to_dsl(base)} (+) {ring_to_dsl(base)}/({_gens_text(I)})"
         raise DslError("product modules have no DSL spelling")
     if spec.kind == "quotient":
         _, base, J = ring.origin
-        gens = ",".join(base.element_repr(g.idx) for g in J.gens) or "0"
-        return f"quot({ring_to_dsl(base)},({gens}))"
+        return f"quot({ring_to_dsl(base)},({_gens_text(J)}))"
     if spec.kind == "localization":
         _, base, sset = ring.origin
         elems = ",".join(base.element_repr(i) for i in sset.indices)

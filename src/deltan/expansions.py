@@ -22,7 +22,13 @@ from .rings import memo
 
 
 class Expansion:
-    """A validated ideal-to-ideal map carrying its construction recipe."""
+    """A validated ideal-to-ideal map carrying its construction recipe.
+
+    Expansions are built only by ``_finish``, which only memoised
+    constructors call, keyed on the ring or base expansions and the interned
+    parameters: one object per recipe, compared by identity.  ``name()`` is
+    for printing only.
+    """
 
     def __init__(self, ring, recipe, table=None, int_fn=None):
         self.ring = ring
@@ -30,7 +36,6 @@ class Expansion:
         self.table = table  # mask -> mask over the finite lattice
         self.int_fn = int_fn  # n -> n closed form on ZZ
         self._cache = {}
-        self._key = None  # (ring key, name()), built on first comparison
 
     @property
     def kind(self):
@@ -59,17 +64,6 @@ class Expansion:
             elems = ", ".join(base.ring.element_repr(i) for i in sset.indices)
             return f"localization_derived(base={base.name()}, s=[{elems}])"
         raise ValueError(f"unknown expansion recipe {k!r}")
-
-    def key(self):
-        if self._key is None:
-            self._key = (self.ring.key, self.name())
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, Expansion) and other.key() == self.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return f"Expansion({self.name()} on {self.ring.key})"
@@ -121,9 +115,11 @@ def _validate_axioms(ring, table):
                 f"{_mk_ideal(ring, j)!r} on {ring.key}")
 
 
-def _finish(ring, recipe, table):
-    _validate_axioms(ring, table)
-    return Expansion(ring, recipe, table=table)
+def _finish(ring, recipe, table=None, int_fn=None):
+    """The expansion of a recipe: a validated table, or a closed form on ZZ."""
+    if table is not None:
+        _validate_axioms(ring, table)
+    return Expansion(ring, recipe, table, int_fn)
 
 
 def make_expansion(ring, kind, param=None):
@@ -151,7 +147,7 @@ def _check_param(ring, J):
 @memo
 def delta0(ring):
     if not ring.is_finite:
-        return Expansion(ring, ("delta0",), int_fn=lambda n: n)
+        return _finish(ring, ("delta0",), int_fn=lambda n: n)
     table = {I.mask: I.mask for I in enumerate_ideals(ring)}
     return _finish(ring, ("delta0",), table)
 
@@ -159,7 +155,7 @@ def delta0(ring):
 @memo
 def delta1(ring):
     if not ring.is_finite:
-        return Expansion(ring, ("delta1",), int_fn=_radical_of_int)
+        return _finish(ring, ("delta1",), int_fn=_radical_of_int)
     table = {I.mask: _radical_mask(ring, I.mask) for I in enumerate_ideals(ring)}
     return _finish(ring, ("delta1",), table)
 
@@ -167,25 +163,26 @@ def delta1(ring):
 @memo
 def full_expansion(ring):
     if not ring.is_finite:
-        return Expansion(ring, ("full",), int_fn=lambda n: 1)
+        return _finish(ring, ("full",), int_fn=lambda n: 1)
     full = ring.full_mask
     table = {I.mask: full for I in enumerate_ideals(ring)}
     return _finish(ring, ("full",), table)
 
 
+@memo
 def delta_plus(ring, J):
     _check_param(ring, J)
     if not ring.is_finite:
-        q = J.n
-        return Expansion(ring, ("delta_plus", J), int_fn=lambda n, q=q: gcd(n, q))
+        return _finish(ring, ("delta_plus", J), int_fn=lambda n, q=J.n: gcd(n, q))
     table = {I.mask: _sum_mask(ring, I.mask, J.mask) for I in enumerate_ideals(ring)}
     return _finish(ring, ("delta_plus", J), table)
 
 
+@memo
 def delta_star(ring, P):
     _check_param(ring, P)
     if not ring.is_finite:
-        return Expansion(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
+        return _finish(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
     table = {I.mask: colon(I, P).mask for I in enumerate_ideals(ring)}
     return _finish(ring, ("delta_star", P), table)
 
@@ -209,7 +206,7 @@ def compose_expansions(outer, inner):
     ring = outer.ring
     if not ring.is_finite:
         fo, fi = outer.int_fn, inner.int_fn
-        return Expansion(ring, ("compose", outer, inner), int_fn=lambda n: fo(fi(n)))
+        return _finish(ring, ("compose", outer, inner), int_fn=lambda n: fo(fi(n)))
     table = {m: outer.table[v] for m, v in inner.table.items()}
     return _finish(ring, ("compose", outer, inner), table)
 

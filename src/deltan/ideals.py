@@ -4,7 +4,8 @@ Finite ideals are stored as bitmasks over the ring's element indices, so the
 derived operators (sum, product, intersection, colon, radical) and the lattice
 enumeration are exact set computations.  Integer ideals are a single
 nonnegative integer n standing for nZ (0 is the zero ideal, 1 is the whole
-ring), with closed-form arithmetic.
+ring), with closed-form arithmetic.  Each ideal is one interned object (see
+``Ideal``), so ideals compare by identity.
 """
 
 from __future__ import annotations
@@ -85,23 +86,28 @@ def _is_prime_power(n):
 
 
 class Ideal:
-    """An ideal of a specific ring, deduplicated by its canonical element set.
+    """An ideal of a specific ring: the one object for its element set.
 
-    ``gens=None`` (finite rings only) defers the generators to their first use.
+    Ideals are built only by ``_mk_ideal`` (finite rings, by mask) and
+    ``_int_ideal`` (the integers, by n for nZ), both memoised per ring, so
+    equal ideals are the same object and compare by identity.  Generators are
+    not part of the value: ``gens`` is the greedy generating set of the mask
+    (``(n,)`` on the integers), computed on first read, for printing.
     """
 
     __slots__ = ("ring", "_gens", "mask", "n")
 
-    def __init__(self, ring, gens, mask=None, n=None):
+    def __init__(self, ring, mask=None, n=None):
         self.ring = ring
-        self._gens = None if gens is None else tuple(gens)
+        self._gens = None
         self.mask = mask
         self.n = n
 
     @property
     def gens(self):
         if self._gens is None:
-            self._gens = _greedy_gens(self.ring, self.mask)
+            self._gens = (_greedy_gens(self.ring, self.mask) if self.is_finite
+                          else (Element(self.ring, self.n),))
         return self._gens
 
     @property
@@ -147,15 +153,6 @@ class Ideal:
             return True
         return other.n != 0 and self.n % other.n == 0
 
-    def key(self):
-        return (self.ring.key, self.mask if self.is_finite else ("Z", self.n))
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         if not self.gens:
             return "(0)"
@@ -174,25 +171,30 @@ def _greedy_gens(ring, mask):
     return tuple(Element(ring, i) for i in gens)
 
 
-def _mk_ideal(ring, mask, gens=None):
-    return Ideal(ring, gens, mask=mask)
+@memo
+def _mk_ideal(ring, mask):
+    return Ideal(ring, mask=mask)
+
+
+@memo
+def _int_ideal(ring, n):
+    return Ideal(ring, n=n)
 
 
 def zero_ideal(ring):
     if not ring.is_finite:
-        return Ideal(ring, (ring.el(0),), n=0)
-    return Ideal(ring, (), mask=1 << ring.zero_idx)
+        return _int_ideal(ring, 0)
+    return _mk_ideal(ring, 1 << ring.zero_idx)
 
 
 def unit_ideal(ring):
     if not ring.is_finite:
-        return Ideal(ring, (ring.el(1),), n=1)
+        return _int_ideal(ring, 1)
     return _mk_ideal(ring, ring.full_mask)
 
 
 def integer_ideal(ring, n):
-    n = abs(int(n))
-    return Ideal(ring, (ring.el(n),), n=n)
+    return _int_ideal(ring, abs(int(n)))
 
 
 def ideal_from_generators(ring, gens):
@@ -213,7 +215,7 @@ def ideal_from_generators(ring, gens):
     mask = 1 << ring.zero_idx
     for g in elems:
         mask = _add_close(ring, mask, _principal_mask(ring, g.idx))
-    return _mk_ideal(ring, mask, gens=tuple(elems) if mask != 1 << ring.zero_idx else ())
+    return _mk_ideal(ring, mask)
 
 
 def ideal_contains(I, a):

@@ -62,12 +62,6 @@ def _u_table(ring):
 
 
 @memo
-def _n_masks(ring):
-    """The masks of the proper n-ideals (the delta0-n ideals), memoised per ring."""
-    return frozenset(delta_n_masks(delta0(ring)))
-
-
-@memo
 def _aj_mask(ring, a, jmask):
     return _mask_of(ring.size, map(ring.mul[a].__getitem__, _bits(jmask)))
 
@@ -251,12 +245,15 @@ def delta_n_spectrum(ring, delta):
         raise InfiniteRingError("spectra are enumerated on finite rings only")
     if delta.ring.key != ring.key:
         raise CrossRingError("expansion lives on a different ring")
-    dn = delta_n_masks(delta)
+    return _spectrum(ring, delta_n_masks(delta))
+
+
+def _spectrum(ring, dn):
+    """The spectrum of the delta-n set ``dn``: its ideals in lattice order and
+    the maximal ones among them under inclusion."""
     members = tuple(I for I in enumerate_ideals(ring) if I.mask in dn)
-    maximal = tuple(
-        I for I in members
-        if not any(J is not I and I.mask != J.mask and I.mask & ~J.mask == 0
-                   for J in members))
+    maximal = tuple(I for I in members
+                    if not any(J is not I and I.mask & ~J.mask == 0 for J in members))
     return DeltaNSpectrum(all=members, maximal_members=maximal)
 
 

@@ -79,8 +79,13 @@ def _failures(monkeypatch, claim_id, base, derived, fault):
     with monkeypatch.context() as m:
         m.setattr(claims, "delta_n_masks", lambda delta: MODES[
             derived if delta.kind.endswith("_derived") else base](delta))
+        if fault == "n-ideals":
+            # the scopes read the n-ideals off delta0's set: break that set alone
+            m.setattr(claims, "delta_n_masks", lambda delta: MODES[
+                "inverted" if delta.kind == "delta0" else "real"](delta))
         # a forced failure has no real witness pair; the scan is stubbed out
         m.setattr(claims, "delta_n_witness", lambda I, delta: (I.ring.zero, I.ring.one))
+        m.setattr(claims, "n_ideal_witness", lambda I: (I.ring.zero, I.ring.one))
         if fault == "homs":
             m.setattr(ctx, "hom_instances", lambda: _mismatched_homs(ctx))
             m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: True)
@@ -94,7 +99,7 @@ def test_every_failure_branch_builds_its_witness(monkeypatch, claim_id):
     failures = []
     for base, derived in pairs_of(MODES, repeat=2):
         failures += _failures(monkeypatch, claim_id, base, derived, None)
-    for fault in ("homs", "radical"):
+    for fault in ("homs", "radical", "n-ideals"):
         failures += _failures(monkeypatch, claim_id, "real", "real", fault)
     assert failures, claim_id
     for w in failures:
@@ -127,11 +132,15 @@ def test_single_decision_checkers_build_their_witness(monkeypatch, claim_id):
 
 
 def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):
-    """The scopes of a corpus entry are built once per run and every checker
-    reads the catalog sets from them; only derived expansions build their own."""
+    """The scopes of a corpus entry are built once per run and every checker,
+    the spectrum and the n-ideal sets included, reads the catalog sets from
+    them; only derived expansions build their own."""
+    from deltan import predicates
     from deltan.verifier import builtin_corpus, run_claims
     built = []
-    monkeypatch.setattr(claims, "delta_n_masks", lambda delta: built.append(delta) or REAL(delta))
+    for module in (claims, predicates):
+        monkeypatch.setattr(module, "delta_n_masks",
+                            lambda delta: built.append(delta) or REAL(delta))
     catalog_ids = {id(d) for entry in builtin_corpus().entries for d in entry.expansions}
     run_claims()
     from_catalog = [d for d in built if id(d) in catalog_ids]

@@ -1,4 +1,5 @@
-"""Repository hygiene: no unused imports in the package, and the README examples run."""
+"""Repository hygiene: no unused imports in the package, value objects built only by
+their interning constructors, and the README examples run."""
 
 import ast
 import contextlib
@@ -35,6 +36,46 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# the only functions that may call each value class; identity equality of
+# ideals, submodules and expansions rests on it
+CONSTRUCTORS = {"Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
+                "Expansion": {"_finish"}}
+
+
+def _memoised(fn):
+    return any(isinstance(d, ast.Name) and d.id == "memo" for d in fn.decorator_list)
+
+
+def _calls(tree):
+    """(innermost enclosing def or None, callee name) for each call of a plain name."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.append((fn, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(tree, None)
+    return out
+
+
+def test_value_classes_are_built_only_by_their_memoised_constructors():
+    """Each value class is called only inside its named constructors, and a
+    constructor is memoised or called only from memoised functions."""
+    calls = [(path.name, fn, name) for path in MODULES
+             for fn, name in _calls(ast.parse(path.read_text(encoding="utf-8")))]
+    stray = [(module, fn and fn.name, name) for module, fn, name in calls
+             if name in CONSTRUCTORS and (fn is None or fn.name not in CONSTRUCTORS[name])]
+    assert not stray, f"value objects built outside their constructors: {stray}"
+    defs = {fn.name: fn for _, fn, name in calls if fn is not None and name in CONSTRUCTORS}
+    assert set(defs) == set().union(*CONSTRUCTORS.values())
+    for name, fn in defs.items():
+        callers = [(module, c and c.name) for module, c, callee in calls
+                   if callee == name and not (c is not None and _memoised(c))]
+        assert _memoised(fn) or not callers, f"{name} is called unmemoised by {callers}"
 
 
 def test_readme_library_tour_runs():

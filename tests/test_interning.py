@@ -1,0 +1,147 @@
+"""One object per value: every ideal, submodule and expansion is interned, so
+equal values are the same object and print the same way."""
+
+import pytest
+
+from deltan import (colon, compose_expansions, delta1, delta_plus, delta_star,
+                    enumerate_ideals, ideal_combine, ideal_from_generators,
+                    integer_ideal, integers, modular, nilradical, poly_quotient, radical,
+                    special_sets)
+from deltan.constructions import (enumerate_submodules, image_ideal, localize,
+                                  preimage_ideal, product_projections, quotient_ring)
+from deltan.dsl import bind_ideal, parse_ideal_text
+from deltan.expansions import apply_expansion, catalog
+from deltan.rings import _RING_CACHE, Ring, construct_ring
+from deltan.verifier import Context, builtin_corpus, run_claims
+
+
+# ---------------------------------------------------------------------------
+# equal sets from different generators
+# ---------------------------------------------------------------------------
+
+SAME_SETS = [
+    # Z12: (8) = (4) = (4, 8)
+    (lambda: modular(12), [[8], [4], [4, 8]], "(4)"),
+    # Z4[x]/(x^3), elements as ascending coefficients: (2, x) = (x+2, 2), and
+    # (x^2) = (3x^2), a unit multiple
+    (lambda: poly_quotient(4, [0, 0, 0, 1]),
+     [[(2, 0, 0), (0, 1, 0)], [(2, 1, 0), (2, 0, 0)], [(0, 1, 0), (2, 1, 0)]], "(2, x)"),
+    (lambda: poly_quotient(4, [0, 0, 0, 1]), [[(0, 0, 1)], [(0, 0, 3)]], "(x^2)"),
+]
+
+
+@pytest.mark.parametrize("make_ring, gen_lists, printed", SAME_SETS)
+def test_equal_sets_give_one_ideal_and_one_expansion_each(make_ring, gen_lists, printed):
+    ring = make_ring()
+    ideals = [ideal_from_generators(ring, [ring.from_payload(g) for g in gens])
+              for gens in gen_lists]
+    first = ideals[0]
+    assert all(I is first for I in ideals)
+    assert {repr(I) for I in ideals} == {printed}
+    d1 = delta1(ring)
+    for I in ideals:
+        assert delta_plus(ring, I) is delta_plus(ring, first)
+        assert delta_star(ring, I) is delta_star(ring, first)
+        assert (compose_expansions(d1, delta_plus(ring, I))
+                is compose_expansions(d1, delta_plus(ring, first)))
+        assert (compose_expansions(d1, delta_star(ring, I))
+                is compose_expansions(d1, delta_star(ring, first)))
+
+
+def test_integer_ideals_are_interned_by_their_generator():
+    zz = integers()
+    assert integer_ideal(zz, -6) is integer_ideal(zz, 6) is ideal_from_generators(zz, [12, 18])
+    assert repr(integer_ideal(zz, 6)) == "(6)" and repr(integer_ideal(zz, 0)) == "(0)"
+    assert delta_plus(zz, integer_ideal(zz, 6)) is delta_plus(zz, ideal_from_generators(zz, [6]))
+
+
+# ---------------------------------------------------------------------------
+# oracle: every public function returns the lattice member with its mask
+# ---------------------------------------------------------------------------
+
+CORPUS = builtin_corpus()
+
+
+def _members(ring):
+    return {I.mask: I for I in enumerate_ideals(ring)}
+
+
+def _assert_interned(ideal):
+    assert _members(ideal.ring)[ideal.mask] is ideal, (ideal.ring.key, ideal)
+
+
+@pytest.mark.parametrize("entry", CORPUS.entries, ids=lambda e: e.ring.key)
+def test_every_ideal_returned_is_the_lattice_member(entry):
+    ring = entry.ring
+    lattice = enumerate_ideals(ring)
+    for I in lattice:
+        assert ideal_from_generators(ring, I.gens) is I
+        assert ideal_from_generators(ring, I.elements()) is I
+        # parsing the printed form gives the same object ("(0)" names no
+        # element of a product or an idealization)
+        assert I.is_zero or bind_ideal(ring, parse_ideal_text(repr(I))) is I
+        _assert_interned(radical(I))
+        for x in ring.list_elements():
+            _assert_interned(colon(I, x))
+        for J in lattice:
+            _assert_interned(colon(I, J))
+            for op in ("sum", "product", "intersect"):
+                _assert_interned(ideal_combine(op, I, J))
+        for delta in catalog(ring):
+            _assert_interned(apply_expansion(delta, I))
+    _assert_interned(nilradical(ring))
+    _assert_interned(special_sets(ring).jacobson)
+    if ring.spec.kind == "product":
+        for f in product_projections(ring):
+            _assert_interned(f.kernel)
+            for I in lattice:
+                _assert_interned(image_ideal(f, I))
+            for K in enumerate_ideals(f.target):
+                _assert_interned(preimage_ideal(f, K))
+    for J in lattice[:-1]:
+        proj = quotient_ring(ring, J).projection
+        assert proj.kernel is J
+        assert construct_ring(proj.target.spec) is proj.target
+        for I in lattice:
+            _assert_interned(image_ideal(proj, I))
+        for K in enumerate_ideals(proj.target):
+            _assert_interned(preimage_ideal(proj, K))
+
+
+def test_localizations_and_idealizations_return_lattice_members():
+    ctx = Context(CORPUS)
+    for entry in CORPUS.entries:
+        ring = entry.ring
+        for sset in ctx.mult_sets(ring):
+            rec = localize(ring, sset)
+            assert construct_ring(rec.ring.spec) is rec.ring
+            _assert_interned(rec.kernel)
+            for I in enumerate_ideals(ring):
+                _assert_interned(rec.extend(I))
+            for K in enumerate_ideals(rec.ring):
+                _assert_interned(rec.contract(K))
+    recs = ctx.idealization_instances()
+    assert recs
+    for rec, _ in recs:
+        submodules = {N.mask: N for N in enumerate_submodules(rec.module)}
+        for W in enumerate_ideals(rec.ring):
+            _, I, N = rec.split(W)
+            _assert_interned(I)
+            assert submodules[N.mask] is N
+            if rec.im_inside(I.mask, N.mask):
+                _assert_interned(rec.homogeneous_ideal(I, N))
+
+
+def test_a_verification_leaves_one_ring_per_key():
+    """Interning is per ring object, so every ring that a verification reaches
+    through the memoised ideals, expansions and records is the registered one."""
+    run_claims()
+    assert _RING_CACHE
+    for key, ring in _RING_CACHE.items():
+        assert ring.key == key and construct_ring(ring.spec) is ring
+        for value in ring._cache.values():
+            for item in value if isinstance(value, tuple) else (value,):
+                for attr in ("ring", "base", "target"):
+                    other = getattr(item, attr, None)
+                    if isinstance(other, Ring):
+                        assert construct_ring(other.spec) is other, (key, item)
