@@ -9,14 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import (ConstructionError, CrossRingError, HomomorphismError,
-                     InfiniteRingError, InvalidSpecError)
+from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
 from .ideals import (Ideal, _bits, _mask_of, _meet_mask, _mk_ideal, _preimage_mask,
                      _sum_closure, enumerate_ideals, integer_ideal)
 from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
                     _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, _join_tables, _negation, _pair_repr, construct_ring, memo,
-                    modular, register_ring)
+                    _group_failure, _join_tables, _negation, _pair_repr, _same_ring,
+                    construct_ring, memo, modular)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,8 @@ class ProductModuleSpec:
 
 
 class Module:
-    """A finite unitary module over a finite ring, with a validated action table."""
+    """A finite unitary module over a finite ring, with a validated action table;
+    one object per (ring, spec), built by the memoised ``_build_module``."""
 
     def __init__(self, ring, spec, elements, add, action, zero, repr_fn):
         self.ring = ring
@@ -68,12 +68,6 @@ class Module:
 
     def element_repr(self, idx):
         return self._repr_fn(self.elements[idx]) if self._repr_fn else str(self.elements[idx])
-
-    def __eq__(self, other):
-        return isinstance(other, Module) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"Module({self.key})"
@@ -144,8 +138,7 @@ def _normalize_module_spec(ring, spec):
     if isinstance(spec, tuple) and spec and spec[0] == "quotient":
         ideal = spec[1]
         if isinstance(ideal, Ideal):
-            if ideal.ring.key != ring.key:
-                raise CrossRingError("quotient-module ideal lives in a different ring")
+            _same_ring(ring, ideal.ring, "quotient-module ideal")
             return QuotientModuleSpec(tuple(_bits(ideal.mask)))
         return QuotientModuleSpec(tuple(sorted(ideal)))
     if isinstance(spec, tuple) and spec and spec[0] == "product":
@@ -247,8 +240,7 @@ class Homomorphism:
             raise HomomorphismError("map does not preserve multiplication")
 
     def apply(self, a):
-        if a.ring.key != self.source.key:
-            raise CrossRingError("element does not belong to the source ring")
+        _same_ring(self.source, a.ring, "element")
         if self.mapping is not None:
             return Element(self.target, self.mapping[a.idx])
         return Element(self.target, self.int_fn(a.idx))
@@ -315,8 +307,7 @@ def make_homomorphism(source, target, mapping):
 
 def image_ideal(f, I):
     """f(I) as an ideal of the target; requires f surjective."""
-    if I.ring.key != f.source.key:
-        raise CrossRingError("ideal does not live in the source ring")
+    _same_ring(f.source, I.ring, "ideal")
     if not f.is_surjective():
         raise HomomorphismError("image_ideal requires a surjective homomorphism")
     return _mk_ideal(f.target, f.image_mask(I.mask))
@@ -324,8 +315,7 @@ def image_ideal(f, I):
 
 def preimage_ideal(f, K):
     """f^{-1}(K) as an ideal of the source (always an ideal)."""
-    if K.ring.key != f.target.key:
-        raise CrossRingError("ideal does not live in the target ring")
+    _same_ring(f.target, K.ring, "ideal")
     if f.mapping is not None:
         return _mk_ideal(f.source, f.preimage_mask(K.mask))
     if not f.target.is_finite:
@@ -342,12 +332,12 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
 
     A table-backed map compares the masks; the mod-n reductions compare ideals.
     """
-    if delta.ring.key != f.source.key or gamma.ring.key != f.target.key:
-        raise CrossRingError("expansions must live on the map's source and target")
+    _same_ring(f.source, delta.ring, "source expansion")
+    _same_ring(f.target, gamma.ring, "target expansion")
     if f.mapping is not None:
         pre, dt, gt = f.preimage_mask, delta.table, gamma.table
         return all(dt[pre(J.mask)] == pre(gt[J.mask]) for J in enumerate_ideals(f.target))
-    from .expansions import apply_expansion
+    from .expansions import apply_expansion  # expansions imports this module
     for J in enumerate_ideals(f.target):
         pre = preimage_ideal(f, J)
         lhs = apply_expansion(delta, pre)
@@ -369,8 +359,7 @@ class QuotientRecord:
 
 def quotient_ring(ring, J):
     """R/J with the canonical projection; coset reps are least in base order."""
-    if J.ring.key != ring.key:
-        raise CrossRingError("ideal lives in a different ring")
+    _same_ring(ring, J.ring, "ideal")
     if not J.is_proper:
         raise ConstructionError("cannot quotient by the whole ring")
     if not ring.is_finite:
@@ -408,7 +397,6 @@ def _coset_ring(ring, spec, reps, q, elems, repr_fn, origin):
     qring = Ring(spec, elements=elems, add=[[q[add[a][b]] for b in reps] for a in reps],
                  mul=[[q[mul[a][b]] for b in reps] for a in reps],
                  zero=q[ring.zero_idx], one=q[ring.one_idx], repr_fn=repr_fn, origin=origin)
-    register_ring(qring)
     return qring, Homomorphism(ring, qring, mapping=q, check=False)
 
 
@@ -432,10 +420,8 @@ class IdealizationRecord:
 
     def homogeneous_ideal(self, I, N):
         """The ideal I(+)N of R(+)M; valid exactly when I*M lies inside N."""
-        if I.ring.key != self.base.key:
-            raise CrossRingError("ideal lives in a different ring")
-        if N.module.key != self.module.key:
-            raise CrossRingError("submodule belongs to a different module")
+        _same_ring(self.base, I.ring, "ideal")
+        _same_ring(self.module, N.module, "submodule")
         if not self.im_inside(I.mask, N.mask):
             raise ConstructionError("I(+)N is an ideal of R(+)M only when IM lies inside N")
         return _mk_ideal(self.ring, self.homogeneous_mask(I.mask, N.mask))
@@ -451,8 +437,7 @@ class IdealizationRecord:
     def split(self, W):
         """(is_homogeneous, I, N) for an ideal W of R(+)M: I = pi(W), N the block
         of W at 0 ({m : (0, m) in W}), and W homogeneous iff W = I(+)N."""
-        if W.ring.key != self.ring.key:
-            raise CrossRingError("ideal lives in a different idealization")
+        _same_ring(self.ring, W.ring, "ideal")
         msize = self.module.size
         imask = self.projection.image_mask(W.mask)
         nmask = W.mask >> (self.base.zero_idx * msize) & ((1 << msize) - 1)
@@ -474,8 +459,7 @@ def idealization(ring, module):
     """The ring on pairs (r, m) with (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1)."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
-    if module.ring.key != ring.key:
-        raise CrossRingError("module is defined over a different ring")
+    _same_ring(ring, module.ring, "module")
     msize = module.size
     size = ring.size * msize
     spec = IdealizationSpec(ring.spec, module.spec)
@@ -492,7 +476,6 @@ def idealization(ring, module):
                one=ring.one_idx * msize + module.zero_idx,
                repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str),
                origin=("idealization", ring, module))
-    register_ring(izr)
     return IdealizationRecord(izr, ring, module)
 
 
@@ -564,13 +547,11 @@ class LocalizationRecord:
         return self.canonical.preimage_mask(loc_mask)
 
     def extend(self, I):
-        if I.ring.key != self.base.key:
-            raise CrossRingError("ideal lives in a different ring")
+        _same_ring(self.base, I.ring, "ideal")
         return _mk_ideal(self.ring, self.extend_mask(I.mask))
 
     def contract(self, K):
-        if K.ring.key != self.ring.key:
-            raise CrossRingError("ideal lives in a different localization")
+        _same_ring(self.ring, K.ring, "ideal")
         return _mk_ideal(self.base, self.contract_mask(K.mask))
 
 
@@ -590,8 +571,7 @@ def localize(ring, sset):
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
-    if sset.ring.key != ring.key:
-        raise CrossRingError("multiplicative set belongs to a different ring")
+    _same_ring(ring, sset.ring, "multiplicative set")
     n, mul, zero = ring.size, ring.mul, ring.zero_idx
     s_list = list(sset.indices)
     if zero in s_list:

@@ -8,15 +8,20 @@
                | term { ("+"|"-") term }                    (e.g. x^3, x^2+x+1)
     idealexpr := "(" [ elem {"," elem} ] ")"
     elemset   := "{" elem {"," elem} "}"
-    elem      := "(" elem "," elem ")" | [-]int | poly-term-sum
+    elem      := value [ "/" value ]                        (r/s: in a localization only)
+    value     := "(" elem "," elem ")" | [-]int | poly-term-sum
     expansion := exp { "o" exp };  exp := "d0" | "d1" | "full"
                | "d+(" idealexpr ")" | "d*(" idealexpr ")"
 
 Whitespace is insignificant.  Integer literals have at most 4300 digits and
 exponents of x are at most 4096; larger ones are refused where they stand.
-Errors carry line/column and the expected token set.  ``ring_to_dsl`` prints a
-constructed ring and ``print_expansion`` a parsed expansion in their canonical
-spellings, and parsing a printed form reproduces the same bound objects.
+Parse errors carry line/column and the expected token set; binding errors,
+which have no source position, carry neither.  An element of a quotient or a
+localization is named by a base element, its image under the canonical
+surjection, and one of a localization also by a fraction r/s of base
+elements.  ``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
+``print_expansion`` a parsed expansion in their canonical spellings, and
+parsing a printed form reproduces the same bound objects.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .constructions import (MultiplicativeSet, idealization, localize,
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, full_expansion)
 from .ideals import _mask_of, _mk_ideal, ideal_from_generators
-from .rings import (_MAX_DIGITS, MAX_RING_SIZE, integers, modular, poly_quotient, poly_repr,
-                    product)
+from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _poly_mul_reduce, integers, modular,
+                    poly_quotient, poly_repr, product)
 
 # the longest integer literal read is _MAX_DIGITS long (CPython's default limit
 # on converting a digit string to an int); the largest exponent of x is
@@ -108,6 +113,12 @@ class EPoly:
 @dataclass(frozen=True)
 class EPair:
     left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class EFrac:
+    left: object  # the numerator r of r/s
     right: object
 
 
@@ -262,6 +273,14 @@ def _parse_term(p):
 
 
 def _parse_elem(p):
+    value = _parse_value(p)
+    if p.at("sym", "/"):
+        p.take()
+        return EFrac(value, _parse_value(p))
+    return value
+
+
+def _parse_value(p):
     if p.at("sym", "("):
         p.take()
         left = _parse_elem(p)
@@ -426,7 +445,7 @@ def bind_ring(ast):
         base = bind_ring(ast.base)
         mod_ast = ast.module
         mod_base = bind_ring(mod_ast.ring)
-        if mod_base.key != base.key:
+        if mod_base is not base:
             raise DslError(f"module base {mod_base.key} differs from ring {base.key}")
         if isinstance(mod_ast, MReg):
             module = make_module(base, "regular")
@@ -445,10 +464,24 @@ def bind_ring(ast):
 
 
 def bind_element(ring, ast):
-    """The element an AST names in ``ring``.  An integer or a polynomial names an
-    element of a quotient or a localization as the image of the base element
-    it names under the canonical surjection."""
+    """The element an AST names in ``ring``.  Every element of a quotient, and
+    every element but a fraction r/s of a localization, is named as the image
+    of the base element it names under the canonical surjection."""
+    if isinstance(ast, EFrac) and not _reads_fractions(ring):
+        raise DslError(f"fractions r/s name elements of a localization only, not of {ring.key}")
     kind = ring.spec.kind
+    if kind == "quotient":
+        _, base, J = ring.origin
+        return quotient_ring(base, J).projection(bind_element(base, ast))
+    if kind == "localization":
+        _, base, sset = ring.origin
+        rec = localize(base, sset)
+        if not isinstance(ast, EFrac):
+            return rec.canonical(bind_element(base, ast))
+        r, s = bind_element(base, ast.left), bind_element(base, ast.right)
+        if s.idx not in sset.indices:
+            raise DslError(f"denominator {s!r} is not in the multiplicative set")
+        return ring.el(rec.class_of[(r.idx, s.idx)])
     if isinstance(ast, EPair):
         if kind == "product":
             _, left, right = ring.origin
@@ -460,20 +493,7 @@ def bind_element(ring, ast):
             r = bind_element(base, ast.left)
             m = _bind_module_element(module, ast.right)
             return ring.el(r.idx * module.size + m)
-        if kind == "localization":
-            _, base, sset = ring.origin
-            rec = localize(base, sset)
-            r = bind_element(base, ast.left)
-            s = bind_element(base, ast.right)
-            if s.idx not in sset.indices:
-                raise DslError(f"denominator {s!r} is not in the multiplicative set")
-            return ring.el(rec.class_of[(r.idx, s.idx)])
         raise DslError(f"pair elements do not exist in {ring.key}")
-    if kind in ("quotient", "localization"):
-        _, base, arg = ring.origin
-        canonical = (quotient_ring(base, arg).projection if kind == "quotient"
-                     else localize(base, arg).canonical)
-        return canonical(bind_element(base, ast))
     if isinstance(ast, EInt):
         if not ring.is_finite:
             return ring.el(ast.value)
@@ -489,8 +509,14 @@ def bind_element(ring, ast):
     raise DslError(f"cannot bind element AST {ast!r}")
 
 
+def _reads_fractions(ring):
+    """Whether ``ring`` is a localization or a quotient of one (names r/s)."""
+    while ring.spec.kind == "quotient":
+        ring = ring.origin[1]
+    return ring.spec.kind == "localization"
+
+
 def _poly_element(ring, coeffs):
-    from .rings import _poly_mul_reduce
     n = ring.spec.base.n
     raw = tuple(c % n for c in coeffs) or (0,)
     return ring.from_payload(_poly_mul_reduce(raw, (1,), n, ring.spec.modulus))
@@ -531,6 +557,8 @@ def bind_expansion(ring, ast):
 def print_elem(ast):
     if isinstance(ast, EPair):
         return f"({print_elem(ast.left)},{print_elem(ast.right)})"
+    if isinstance(ast, EFrac):
+        return f"{print_elem(ast.left)}/{print_elem(ast.right)}"
     if isinstance(ast, EInt):
         return str(ast.value)
     return poly_repr(ast.coeffs, descending=True)
@@ -546,8 +574,8 @@ def print_expansion(ast):
 
 
 def _gens_text(I):
-    """The generators of a finite ideal as DSL element text, "0" for none."""
-    return ",".join(I.ring.element_repr(g.idx) for g in I.gens) or "0"
+    """The generators of a finite ideal as DSL element text."""
+    return ",".join(I.ring.element_repr(g.idx) for g in I.gens)
 
 
 def ring_to_dsl(ring):

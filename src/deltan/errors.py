@@ -38,9 +38,10 @@ class UnknownClaimError(DeltanError):
 
 
 class DslError(DeltanError):
-    """Syntax or binding error in the little specification language."""
+    """Syntax or binding error in the little specification language; a syntax
+    error carries its line and column, a binding error has no source position."""
 
-    def __init__(self, message, line=1, column=1, expected=()):
+    def __init__(self, message, line=None, column=None, expected=()):
         super().__init__(message)
         self.line = line
         self.column = column
@@ -48,7 +49,8 @@ class DslError(DeltanError):
 
     def __str__(self):
         base = super().__str__()
-        loc = f"{self.line}:{self.column}"
+        if self.line is not None:
+            base += f" at {self.line}:{self.column}"
         if self.expected:
-            return f"{base} at {loc} (expected one of: {', '.join(self.expected)})"
-        return f"{base} at {loc}"
+            base += f" (expected one of: {', '.join(self.expected)})"
+        return base

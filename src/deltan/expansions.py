@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CrossRingError, ExpansionAxiomError
+from .constructions import idealization, localize, product_projections, quotient_ring
+from .errors import ExpansionAxiomError
 from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _mk_ideal,
                      _radical_mask, _radical_of_int, _sum_mask, colon,
                      enumerate_ideals, integer_ideal, nilradical)
-from .rings import memo
+from .rings import _same_ring, memo, product
 
 
 class Expansion:
@@ -47,8 +48,7 @@ class Expansion:
         if k in ("delta0", "delta1", "full"):
             return k
         if k in ("delta_plus", "delta_star"):
-            gens = self.recipe[1].gens
-            reprs = ", ".join(self.ring.element_repr(g.idx) for g in gens) if gens else "0"
+            reprs = ", ".join(self.ring.element_repr(g.idx) for g in self.recipe[1].gens)
             return f"{k}(gens=[{reprs}])"
         if k == "compose":
             return f"compose({self.recipe[1].name()}, {self.recipe[2].name()})"
@@ -140,8 +140,7 @@ def make_expansion(ring, kind, param=None):
 
 
 def _check_param(ring, J):
-    if not isinstance(J, Ideal) or J.ring.key != ring.key:
-        raise CrossRingError("parameter ideal belongs to a different ring")
+    _same_ring(ring, J.ring if isinstance(J, Ideal) else None, "parameter ideal")
 
 
 @memo
@@ -201,8 +200,7 @@ def catalog(ring):
 @memo
 def compose_expansions(outer, inner):
     """(outer o inner)(I) = outer(inner(I)); the axioms survive composition."""
-    if outer.ring.key != inner.ring.key:
-        raise CrossRingError("cannot compose expansions on different rings")
+    _same_ring(outer.ring, inner.ring, "inner expansion")
     ring = outer.ring
     if not ring.is_finite:
         fo, fi = outer.int_fn, inner.int_fn
@@ -212,8 +210,7 @@ def compose_expansions(outer, inner):
 
 
 def apply_expansion(delta, I):
-    if I.ring.key != delta.ring.key:
-        raise CrossRingError("ideal belongs to a different ring")
+    _same_ring(delta.ring, I.ring, "ideal")
     if not delta.ring.is_finite:
         return integer_ideal(delta.ring, delta.int_fn(I.n))
     return _mk_ideal(delta.ring, delta.table[I.mask])
@@ -234,7 +231,6 @@ def _pushforward(f, delta):
 @memo
 def derive_quotient_expansion(delta, J):
     """Push delta to R/J: the value on K/J is delta(K)/J for the full preimage K."""
-    from .constructions import quotient_ring
     rec = quotient_ring(delta.ring, J)
     return _finish(rec.ring, ("quotient_derived", delta, J), _pushforward(rec.projection, delta))
 
@@ -244,8 +240,6 @@ def derive_product_expansion(d1, d2):
     """Componentwise expansion on R1 x R2 along the projections p1, p2:
     delta_x(I) = p1^-1(d1(p1 I)) & p2^-1(d2(p2 I)).  Every ideal of the product
     splits, I = p1^-1(p1 I) & p2^-1(p2 I), and the table checks it."""
-    from .constructions import product_projections
-    from .rings import product
     ring = product(d1.ring, d2.ring)
     p1, p2 = product_projections(ring)
     table = {}
@@ -267,7 +261,6 @@ def derive_idealization_expansion(delta, module):
     homogenized (projection to R, second slot widened to all of M); the
     idealization record flags those ideals separately.
     """
-    from .constructions import idealization
     rec = idealization(delta.ring, module)
     pi = rec.projection
     table = {W.mask: pi.preimage_mask(delta.table[pi.image_mask(W.mask)])
@@ -280,7 +273,6 @@ def derive_localized_expansion(delta, sset):
     """Push delta to S^-1 R along r -> r/1, as to a quotient: S^-1 R is R/ker.
     The value on K extends delta of the contraction of K, the largest ideal
     extending to K, so it does not depend on a representative."""
-    from .constructions import localize
     rec = localize(delta.ring, sset)
     return _finish(rec.ring, ("localization_derived", delta, sset),
                    _pushforward(rec.canonical, delta))
@@ -294,7 +286,6 @@ def localization_value_collisions(delta, sset):
     above sidesteps this by always contracting first.  Returns a list of
     (I, I') pairs found on the base lattice.
     """
-    from .constructions import localize
     rec = localize(delta.ring, sset)
     by_ext = {}
     out = []

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import compress, count
 from math import gcd, prod
 
-from .errors import CrossRingError, InfiniteRingError
-from .rings import Element, memo
+from .errors import InfiniteRingError
+from .rings import Element, _same_ring, integers, memo
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -138,15 +138,13 @@ class Ideal:
         return [Element(self.ring, i) for i in _bits(self.mask)]
 
     def contains(self, a):
-        if a.ring.key != self.ring.key:
-            raise CrossRingError("element and ideal live in different rings")
+        _same_ring(self.ring, a.ring, "element")
         if self.is_finite:
             return bool(self.mask >> a.idx & 1)
         return self.n == 0 and a.idx == 0 or self.n != 0 and a.idx % self.n == 0
 
     def issubset(self, other):
-        if other.ring.key != self.ring.key:
-            raise CrossRingError("ideals live in different rings")
+        _same_ring(self.ring, other.ring, "ideal")
         if self.is_finite:
             return self.mask & ~other.mask == 0
         if self.n == 0:
@@ -154,12 +152,12 @@ class Ideal:
         return other.n != 0 and self.n % other.n == 0
 
     def __repr__(self):
-        if not self.gens:
-            return "(0)"
         return "(" + ", ".join(self.ring.element_repr(g.idx) for g in self.gens) + ")"
 
 
 def _greedy_gens(ring, mask):
+    """The greedy generators of ``mask``: each element, ascending, outside the
+    ideal of those before it; the zero element alone for (0)."""
     zero_mask = 1 << ring.zero_idx
     gens, cur = [], zero_mask
     for i in _bits(mask):
@@ -168,7 +166,7 @@ def _greedy_gens(ring, mask):
             cur = _add_close(ring, cur, _principal_mask(ring, i))
             if cur == mask:
                 break
-    return tuple(Element(ring, i) for i in gens)
+    return tuple(Element(ring, i) for i in gens or [ring.zero_idx])
 
 
 @memo
@@ -194,6 +192,8 @@ def unit_ideal(ring):
 
 
 def integer_ideal(ring, n):
+    """nZ, an ideal of the integer ring ``ring``."""
+    _same_ring(ring, integers(), "integer ideal")
     return _int_ideal(ring, abs(int(n)))
 
 
@@ -202,8 +202,7 @@ def ideal_from_generators(ring, gens):
     elems = []
     for g in gens:
         if isinstance(g, Element):
-            if g.ring.key != ring.key:
-                raise CrossRingError("generator belongs to a different ring")
+            _same_ring(ring, g.ring, "generator")
             elems.append(g)
         else:
             elems.append(ring.from_payload(g))
@@ -224,8 +223,7 @@ def ideal_contains(I, a):
 
 def ideal_combine(op, I, J):
     """sum / product / intersect of two ideals of the same ring."""
-    if I.ring.key != J.ring.key:
-        raise CrossRingError("ideals live in different rings")
+    _same_ring(I.ring, J.ring, "ideal")
     ring = I.ring
     if not ring.is_finite:
         a, b = I.n, J.n
@@ -287,15 +285,13 @@ def _int_colon(n, m):
 
 def colon(I, divisor):
     """(I : x) for an element x, or (I : J) for an ideal J, the meet of the
-    (I : g) over the generators g of J ((0,) for the zero ideal)."""
+    (I : g) over the generators g of J."""
     ring = I.ring
     is_ideal = isinstance(divisor, Ideal)
-    if divisor.ring.key != ring.key:
-        raise CrossRingError("ideals live in different rings" if is_ideal
-                             else "element and ideal live in different rings")
+    _same_ring(ring, divisor.ring, "divisor")
     if not ring.is_finite:
         return integer_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
-    gens = (divisor.gens or (ring.zero,)) if is_ideal else (divisor,)
+    gens = divisor.gens if is_ideal else (divisor,)
     mask = ring.full_mask
     for g in gens:
         mask &= _colon_mask(ring, I.mask, g.idx)
@@ -496,8 +492,7 @@ def special_sets(ring, I=None):
     """
     if I is None:
         I = zero_ideal(ring)
-    if I.ring.key != ring.key:
-        raise CrossRingError("ideal belongs to a different ring")
+    _same_ring(ring, I.ring, "ideal")
     if not ring.is_finite:
         n = I.n
         if n == 1:

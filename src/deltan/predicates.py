@@ -24,19 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CrossRingError, ImproperIdealError, InfiniteRingError
-from .ideals import (_bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
+from .errors import ImproperIdealError, InfiniteRingError
+from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
                      _prime_factors, _product_mask, _z_i_mask, enumerate_ideals,
                      nilradical, zero_ideal)
 from .expansions import apply_expansion, delta0, delta1
-from .rings import memo
+from .rings import _same_ring, memo
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
 
 
 def _guard(I, delta=None):
-    if delta is not None and delta.ring.key != I.ring.key:
-        raise CrossRingError("ideal and expansion live in different rings")
+    if delta is not None:
+        _same_ring(I.ring, delta.ring, "expansion")
     if not I.is_proper:
         raise ImproperIdealError(
             "this ideal class is defined for proper ideals only; got the whole ring")
@@ -143,13 +143,13 @@ def is_delta_n_ideal(I, delta, method="definition"):
 
     ``definition`` (the default) is the one-AND test U(I) <= delta(I).  It is
     the hottest call of a verification, so a proper ideal of a finite ring
-    in the expansion's ring takes it after one key and one mask compare;
+    in the expansion's ring takes it after one identity and one mask compare;
     every other input goes through ``_guard`` and the method check.
     """
     ring = I.ring
     imask = I.mask
     if (method == "definition" and imask is not None and imask != ring.full_mask
-            and delta.ring.key == ring.key):
+            and delta.ring is ring):
         return _u_mask(ring, imask) & ~delta.table[imask] == 0
     _guard(I, delta)
     if method not in DELTA_N_METHODS:
@@ -243,8 +243,7 @@ def delta_n_spectrum(ring, delta):
     """All proper delta-n ideals plus the maximal members under inclusion."""
     if not ring.is_finite:
         raise InfiniteRingError("spectra are enumerated on finite rings only")
-    if delta.ring.key != ring.key:
-        raise CrossRingError("expansion lives on a different ring")
+    _same_ring(ring, delta.ring, "expansion")
     return _spectrum(ring, delta_n_masks(delta))
 
 
@@ -259,13 +258,11 @@ def _spectrum(ring, dn):
 
 def delta_nilpotents(ring, delta):
     """The element set of delta(zero ideal)."""
-    if delta.ring.key != ring.key:
-        raise CrossRingError("expansion lives on a different ring")
+    _same_ring(ring, delta.ring, "expansion")
     value = apply_expansion(delta, zero_ideal(ring))
     if ring.is_finite:
         return frozenset(value.elements())
     if value.n == 0:
         return frozenset({ring.el(0)})
-    from .ideals import IntegerSet
     return IntegerSet(f"multiples of {value.n}",
                       lambda v, n=value.n: v % n == 0)

@@ -232,7 +232,10 @@ def _poly_mul_reduce(a, b, n, modulus):
 # ---------------------------------------------------------------------------
 
 class Ring:
-    """A commutative ring with identity, finite (tables) or the symbolic integers."""
+    """A commutative ring with identity, finite (tables) or the symbolic integers.
+
+    One object per recipe, cached by ``construct_ring`` or memoised by its
+    construction, so rings compare by identity; ``key`` is the ring's name."""
 
     def __init__(self, spec, *, elements=None, add=None, mul=None, zero=0, one=1,
                  repr_fn=None, origin=None):
@@ -265,12 +268,6 @@ class Ring:
 
     def __repr__(self):
         return f"Ring({self.key})"
-
-    def __eq__(self, other):
-        return isinstance(other, Ring) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     # -- elements --------------------------------------------------------
 
@@ -321,8 +318,16 @@ class Ring:
         return self.neg[i] if self.is_finite else -i
 
 
+def _same_ring(ring, other, what):
+    """Refuse the operand ``what``, which lives in ``other`` (None: in no ring),
+    unless ``other`` is ``ring``: rings and modules are told apart by identity."""
+    if other is not ring:
+        where = "no ring" if other is None else other.key
+        raise CrossRingError(f"{what} lives in another ring ({where}) than {ring.key}")
+
+
 class Element:
-    """An immutable element of a specific ring, compared by canonical form."""
+    """An immutable element of a specific ring, compared by ring and index."""
 
     __slots__ = ("ring", "idx")
 
@@ -334,25 +339,22 @@ class Element:
     def payload(self):
         return self.ring.elements[self.idx] if self.ring.is_finite else self.idx
 
-    def _same_ring(self, other):
-        if not isinstance(other, Element) or other.ring.key != self.ring.key:
-            raise CrossRingError(
-                f"cannot combine elements of {self.ring.key} and "
-                f"{getattr(getattr(other, 'ring', None), 'key', type(other).__name__)}")
+    def _operand(self, other):
+        _same_ring(self.ring, other.ring if isinstance(other, Element) else None, "operand")
         return other
 
     def __add__(self, other):
-        other = self._same_ring(other)
+        other = self._operand(other)
         return Element(self.ring, self.ring.add_idx(self.idx, other.idx))
 
     def __neg__(self):
         return Element(self.ring, self.ring.neg_idx(self.idx))
 
     def __sub__(self, other):
-        return self + (-self._same_ring(other))
+        return self + (-self._operand(other))
 
     def __mul__(self, other):
-        other = self._same_ring(other)
+        other = self._operand(other)
         return Element(self.ring, self.ring.mul_idx(self.idx, other.idx))
 
     def __pow__(self, k):
@@ -368,11 +370,10 @@ class Element:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Element) and other.ring.key == self.ring.key
-                and other.idx == self.idx)
+        return isinstance(other, Element) and other.ring is self.ring and other.idx == self.idx
 
     def __hash__(self):
-        return hash((self.ring.key, self.idx))
+        return hash((self.ring, self.idx))
 
     def __repr__(self):
         return self.ring.element_repr(self.idx)
@@ -380,8 +381,7 @@ class Element:
 
 def arithmetic(ring, op, a, b=None):
     """Apply ``add``/``mul``/``neg`` to elements of ``ring`` (contract form)."""
-    if a.ring.key != ring.key or (b is not None and b.ring.key != ring.key):
-        raise CrossRingError("operands must belong to the given ring")
+    _same_ring(ring, a.ring, "operand")  # the operators check b against a
     if op == "add":
         return a + b
     if op == "mul":
@@ -402,13 +402,9 @@ def list_elements(ring):
 _RING_CACHE = {}
 
 
-def register_ring(ring):
-    """Make a derived ring discoverable by construct_ring on its own spec."""
-    _RING_CACHE.setdefault(ring.key, ring)
-
-
 def construct_ring(spec):
-    """Build (or fetch from cache) the ring described by ``spec``."""
+    """Build (or fetch from cache) the ring described by ``spec``; a derived
+    spec yields the ring its memoised construction returns on the cached base."""
     key = spec.key()
     hit = _RING_CACHE.get(key)
     if hit is not None:
@@ -422,7 +418,7 @@ def construct_ring(spec):
     elif isinstance(spec, IntegerSpec):
         ring = Ring(spec)
     elif isinstance(spec, (QuotientSpec, IdealizationSpec, LocalizationSpec)):
-        from . import constructions
+        from . import constructions  # constructions imports this module
         ring = constructions.build_derived_ring(spec)
     else:
         raise InvalidSpecError(f"unknown ring spec {spec!r}")
@@ -438,8 +434,7 @@ def modular(n):
 
 def poly_quotient(base, modulus):
     """Quotient of Z_n[x] by a monic modulus, given as an ascending coefficient list."""
-    if isinstance(base, Ring):
-        base = base.spec
+    base = _spec_of(base, "base ring")
     if isinstance(base, int):
         base = ModularSpec(base)
     if not isinstance(base, ModularSpec):
@@ -451,12 +446,16 @@ def poly_quotient(base, modulus):
     return construct_ring(PolyQuotientSpec(base, modulus))
 
 
+def _spec_of(ring, what):
+    """The spec of ``ring``, which must be its spec's cached ring; a spec passes."""
+    if isinstance(ring, Ring):
+        _same_ring(construct_ring(ring.spec), ring, what)
+        return ring.spec
+    return ring
+
+
 def product(left, right):
-    if isinstance(left, Ring):
-        left = left.spec
-    if isinstance(right, Ring):
-        right = right.spec
-    return construct_ring(ProductSpec(left, right))
+    return construct_ring(ProductSpec(_spec_of(left, "factor"), _spec_of(right, "factor")))
 
 
 def integers():
@@ -756,8 +755,7 @@ def classify_element(ring, a):
     On a finite ring a is a unit iff 1 is in its row, a zero divisor iff a != 0
     lies in Z_(0) = {r : rs = 0 for some s != 0}, and regular iff a is not in
     Z_(0), which holds 0 as 0 != 1."""
-    if a.ring.key != ring.key:
-        raise CrossRingError("element does not belong to the given ring")
+    _same_ring(ring, a.ring, "element")
     if not ring.is_finite:
         v = a.idx
         return ElementClass(
@@ -769,7 +767,7 @@ def classify_element(ring, a):
             is_regular=v != 0,
             is_idempotent=v in (0, 1),
         )
-    from .ideals import _z_i_mask
+    from .ideals import _z_i_mask  # ideals imports this module
     i = a.idx
     mul, zero, n = ring.mul, ring.zero_idx, ring.size
     is_zero = i == zero
@@ -809,7 +807,7 @@ def _finite_ring_class(ring):
     Z_(0) = {r : rs = 0 for some s != 0} is {0}, and von Neumann regular iff
     every a is a^2 x for some x, that is, iff a lies in the row of a^2.
     """
-    from . import ideals
+    from . import ideals  # ideals imports this module
     mul, zero = ring.mul, ring.zero_idx
     maximals = ideals.maximal_ideals(ring)
     quasi_local = len(maximals) == 1

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, FAIL, HOLDS, SKIP, Witness
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
                             make_module, mult_closure, quotient_ring)
+from .dsl import bind_ring, parse_spec
 from .errors import DeltanError, InfiniteRingError, UnknownClaimError
 from .expansions import catalog, derive_quotient_expansion
 from .ideals import enumerate_ideals, ideal_from_generators, nilradical
@@ -70,7 +71,6 @@ def load_corpus(path):
 
     A ring listed twice, in any spelling, is a ``DeltanError`` naming both lines.
     """
-    from .dsl import parse_spec, bind_ring
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]

@@ -1,13 +1,16 @@
 """Parser/printer round-trips and diagnostics for the little language."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltan import DslError, modular
+from deltan import DslError, localize, modular, mult_closure, quotient_ring
 from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
                         print_expansion, ring_to_dsl)
+from deltan.ideals import enumerate_ideals, nilradical
 from deltan.verifier import builtin_corpus
 
 
@@ -130,3 +133,54 @@ def test_module_elements_must_be_base_elements():
     ring = bind_ring(parse_spec("Z4 (+) Z4"))
     with pytest.raises(DslError, match="not expressible"):
         _element(ring, "(1,(1,1))")
+
+
+def _with_derived_rings(ring):
+    """The ring, its quotients by its least nonzero and its last proper ideal,
+    and its localization at the powers of its last element that is neither
+    nilpotent nor a unit (at {1} when there is none)."""
+    lattice = enumerate_ideals(ring)
+    yield ring
+    for J in dict.fromkeys((lattice[1], lattice[-2])):
+        if J.is_proper:
+            yield quotient_ring(ring, J).ring
+    nil = nilradical(ring).mask
+    a = next((a for a in reversed(range(ring.size))
+              if not nil >> a & 1 and ring.one_idx not in ring.mul[a]), ring.one_idx)
+    yield localize(ring, mult_closure(ring, [ring.el(a)])).ring
+
+
+@pytest.mark.parametrize("entry", builtin_corpus().entries, ids=lambda e: e.ring.key)
+def test_printed_rings_and_ideals_parse_back_to_themselves(entry):
+    for ring in _with_derived_rings(entry.ring):
+        assert bind_ring(parse_spec(ring_to_dsl(ring))) is ring
+        for I in enumerate_ideals(ring):
+            assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+
+
+def test_fractions_name_elements_of_a_localization_only():
+    ring = bind_ring(parse_spec("loc(Z12,{1,3,9})"))
+    assert _element(ring, "2/1") == _element(ring, "2")
+    assert _element(ring, "2/3") == _element(ring, "6") == _element(ring, "6/9")
+    # a pair in a localization names a base pair, never a fraction
+    with pytest.raises(DslError, match="pair elements do not exist in Z12"):
+        _element(ring, "(2,1)")
+    over_product = bind_ring(parse_spec("loc(Z2 x Z4,{(1,1),(1,3)})"))
+    assert _element(over_product, "(1,0)") == _element(over_product, "(1,0)/(1,1)")
+    # a fraction names an element of a quotient of a localization through the base
+    quotient = bind_ring(parse_spec("quot(loc(Z12,{1,3,9}),(2/1))"))
+    assert _element(quotient, "1/3").payload == (1, 1)
+    for text in ("Z12", "Z2 x Z2", "quot(Z12,(4))"):
+        ring_of_text = bind_ring(parse_spec(text))
+        with pytest.raises(DslError, match=re.escape(
+                f"fractions r/s name elements of a localization only, not of {ring_of_text.key}")):
+            bind_ideal(ring_of_text, parse_ideal_text("(2/1)"))
+    with pytest.raises(DslError, match="not in the multiplicative set"):
+        _element(ring, "1/2")
+
+
+def test_binding_errors_carry_no_source_position():
+    with pytest.raises(DslError) as err:
+        bind_ideal(bind_ring(parse_spec("Z2 x Z2")), parse_ideal_text("(5)"))
+    assert err.value.line is None and str(err.value) == (
+        "plain integers do not name elements of prod(Z2,Z2)")

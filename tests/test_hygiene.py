@@ -1,4 +1,5 @@
-"""Repository hygiene: no unused imports in the package, value objects built only by
+"""Repository hygiene: no unused imports in the package, imports inside functions
+only where they break a cycle, rings, modules and value objects built only by
 their interning constructors, and the README examples run."""
 
 import ast
@@ -38,14 +39,41 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-# the only functions that may call each value class; identity equality of
-# ideals, submodules and expansions rests on it
-CONSTRUCTORS = {"Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
+# the (module, function) pairs that import inside a function body: each one
+# breaks an import cycle, which its comment names
+LOCAL_IMPORTS = {("rings.py", "construct_ring"), ("rings.py", "classify_element"),
+                 ("rings.py", "_finite_ring_class"),
+                 ("constructions.py", "is_delta_gamma_homomorphism")}
+
+
+def test_imports_inside_functions_only_break_cycles():
+    found = set()
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        found.add((path.name, fn.name))
+                        assert "# " in lines[node.lineno - 1], (path.name, node.lineno)
+    assert found == LOCAL_IMPORTS
+
+
+# the only functions that may call each class; identity equality of rings,
+# modules, ideals, submodules and expansions rests on it
+CONSTRUCTORS = {"Ring": {"construct_ring", "_build_modular", "_build_poly_quotient",
+                         "_build_product", "_coset_ring", "idealization"},
+                "Module": {"_build_module"},
+                "Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
                 "Expansion": {"_finish"}}
 
 
 def _memoised(fn):
-    return any(isinstance(d, ast.Name) and d.id == "memo" for d in fn.decorator_list)
+    """Whether ``fn`` returns one object per argument tuple: it is ``@memo``, or
+    ``construct_ring``, which caches rings by key."""
+    return fn.name == "construct_ring" or any(
+        isinstance(d, ast.Name) and d.id == "memo" for d in fn.decorator_list)
 
 
 def _calls(tree):
@@ -63,7 +91,7 @@ def _calls(tree):
 
 
 def test_value_classes_are_built_only_by_their_memoised_constructors():
-    """Each value class is called only inside its named constructors, and a
+    """Each class is called only inside its named constructors, and a
     constructor is memoised or called only from memoised functions."""
     calls = [(path.name, fn, name) for path in MODULES
              for fn, name in _calls(ast.parse(path.read_text(encoding="utf-8")))]

@@ -52,7 +52,7 @@ def test_memo_entries_stay_on_their_own_ring():
     z6 = modular(6)
     lattice = enumerate_ideals(z6)
     twin = _build_modular(ModularSpec(6))  # same key, not interned
-    assert twin == z6 and twin is not z6
+    assert twin != z6 and twin is not z6
     assert twin._cache == {}
     assert [I.mask for I in enumerate_ideals(twin)] == [I.mask for I in lattice]
     assert enumerate_ideals(twin) is not lattice
