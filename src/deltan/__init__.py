@@ -3,11 +3,9 @@
 from .errors import (ConstructionError, CrossRingError, DeltanError, DslError,
                      ExpansionAxiomError, HomomorphismError, ImproperIdealError,
                      InfiniteRingError, InvalidSpecError, UnknownClaimError)
-from .rings import (Element, ElementClass, IntegerSpec, ModularSpec,
-                    PolyQuotientSpec, ProductSpec, Ring, RingClass, arithmetic,
-                    check_ring_axioms, classify_element, classify_ring,
-                    construct_ring, integers, list_elements, modular,
-                    poly_quotient, product)
+from .rings import (Element, ElementClass, Ring, RingClass, arithmetic,
+                    check_ring_axioms, classify_element, classify_ring, integers,
+                    list_elements, modular, poly_quotient, product)
 from .ideals import (Ideal, IdealClass, SpecialSets, classify_ideal, colon,
                      enumerate_ideals, ideal_combine, ideal_contains,
                      ideal_from_generators, integer_ideal, nilradical, radical,

@@ -880,7 +880,7 @@ def _check_radical_hom(ctx):
 def _check_product_obstruction(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        if ring.spec.kind != "product":
+        if ring.origin[0] != "product":
             continue
         _, left, right = ring.origin
         p1, p2 = product_projections(ring)

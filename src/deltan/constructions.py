@@ -12,47 +12,27 @@ from operator import itemgetter
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
 from .ideals import (Ideal, _bits, _mask_of, _meet_mask, _mk_ideal, _preimage_mask,
                      _sum_closure, enumerate_ideals, integer_ideal)
-from .rings import (Element, IdealizationSpec, LocalizationSpec, QuotientSpec, Ring,
-                    _additive_generators, _additive_on, _associative_on, _check_size,
-                    _group_failure, _join_tables, _negation, _pair_repr, _same_ring,
-                    construct_ring, memo, modular)
+from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
+                    _check_size, _group_failure, _index_text, _join_tables, _negation,
+                    _pair_repr, _same_ring, memo, modular, ring_key)
 
 
 # ---------------------------------------------------------------------------
 # modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularModuleSpec:
-    def key(self):
-        return "regular"
-
-
-@dataclass(frozen=True)
-class QuotientModuleSpec:
-    ideal_elems: tuple
-
-    def key(self):
-        return "quot[" + ",".join(str(i) for i in self.ideal_elems) + "]"
-
-
-@dataclass(frozen=True)
-class ProductModuleSpec:
-    left: object
-    right: object
-
-    def key(self):
-        return f"prod({self.left.key()},{self.right.key()})"
-
-
 class Module:
     """A finite unitary module over a finite ring, with a validated action table;
-    one object per (ring, spec), built by the memoised ``_build_module``."""
+    one object per (ring, recipe), built by the memoised ``_build_module``.
 
-    def __init__(self, ring, spec, elements, add, action, zero, repr_fn):
+    ``recipe`` is ``("regular",)``, ``("quotient", I)`` for R/I or
+    ``("product", recipe1, recipe2)``, and ``name`` its text, e.g. ``quot[0,4]``."""
+
+    def __init__(self, ring, recipe, elements, add, action, zero, repr_fn):
         self.ring = ring
-        self.spec = spec
-        self.key = f"{ring.key}(+){spec.key()}"
+        self.recipe = recipe
+        self.name = _module_name(recipe)
+        self.key = f"{ring.key}(+){self.name}"
         self.elements = elements
         self.add = add
         self.action = action  # action[r_idx][m_idx] -> m_idx
@@ -89,61 +69,67 @@ def _check_module_axioms(module):
         raise ConstructionError(f"{module.key}: {failure}")
 
 
+def _module_name(recipe):
+    """The text of a module recipe: ``regular``, ``quot[0,4]``, ``prod(M1,M2)``."""
+    if recipe[0] == "regular":
+        return "regular"
+    if recipe[0] == "quotient":
+        return f"quot[{_index_text(e.idx for e in recipe[1].elements())}]"
+    return f"prod({_module_name(recipe[1])},{_module_name(recipe[2])})"
+
+
 def make_module(ring, spec):
-    """Build the regular module, a quotient module R/I, or a product of modules."""
+    """Build the regular module (``"regular"``), a quotient module R/I
+    (``("quotient", I)``, I an ideal or its element indices), or a product of
+    modules (``("product", spec1, spec2)``)."""
     if not ring.is_finite:
         raise InfiniteRingError("modules are supported over finite rings only")
-    return _build_module(ring, _normalize_module_spec(ring, spec))
+    return _build_module(ring, _module_recipe(ring, spec))
 
 
 @memo
-def _build_module(ring, spec):
+def _build_module(ring, recipe):
     """R and R/I are modules through a canonical surjection of rings q: R -> T,
     the identity onto R or the projection onto R/I (R/ker q, built by
     ``_coset_ring`` like S^-1 R): the module is T's additive group with
     r.m = q(r)m, so its tables are T's own rows, r acting by T's row of q(r)."""
-    if isinstance(spec, RegularModuleSpec):
-        target, q = ring, list(range(ring.size))
-    elif isinstance(spec, QuotientModuleSpec):
-        mask = _mask_of(ring.size, spec.ideal_elems)
-        if mask == ring.full_mask:
-            raise ConstructionError("quotient by the whole ring gives the zero module")
-        proj = quotient_ring(ring, _mk_ideal(ring, mask)).projection
-        target, q = proj.target, proj.mapping
-    elif isinstance(spec, ProductModuleSpec):
-        m1 = _build_module(ring, spec.left)
-        m2 = _build_module(ring, spec.right)
+    if recipe[0] == "product":
+        m1 = _build_module(ring, recipe[1])
+        m2 = _build_module(ring, recipe[2])
         s2 = m2.size
         size = m1.size * s2
-        _check_size(f"{ring.key}(+){spec.key()}", size)
+        _check_size(f"{ring.key}(+){_module_name(recipe)}", size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
                    for i in range(size)] for r in range(ring.size)]
-        return Module(ring, spec, elems, _join_tables(m1.add, m2.add), action,
+        return Module(ring, recipe, elems, _join_tables(m1.add, m2.add), action,
                       m1.zero_idx * s2 + m2.zero_idx,
                       _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
+    if recipe[0] == "regular":
+        target, q = ring, list(range(ring.size))
     else:
-        raise InvalidSpecError(f"unknown module spec {spec!r}")
-    module = Module(ring, spec, target.elements, target.add, [target.mul[c] for c in q],
+        if not recipe[1].is_proper:
+            raise ConstructionError("quotient by the whole ring gives the zero module")
+        proj = quotient_ring(ring, recipe[1]).projection
+        target, q = proj.target, proj.mapping
+    module = Module(ring, recipe, target.elements, target.add, [target.mul[c] for c in q],
                     target.zero_idx, target._repr_fn)
     module.base_to_module = q
     return module
 
 
-def _normalize_module_spec(ring, spec):
-    if spec == "regular" or isinstance(spec, RegularModuleSpec):
-        return RegularModuleSpec()
-    if isinstance(spec, (QuotientModuleSpec, ProductModuleSpec)):
-        return spec
+def _module_recipe(ring, spec):
+    """The normalised recipe of a module spec, with its ideals as ideal objects."""
+    if spec == "regular":
+        return ("regular",)
     if isinstance(spec, tuple) and spec and spec[0] == "quotient":
         ideal = spec[1]
         if isinstance(ideal, Ideal):
             _same_ring(ring, ideal.ring, "quotient-module ideal")
-            return QuotientModuleSpec(tuple(_bits(ideal.mask)))
-        return QuotientModuleSpec(tuple(sorted(ideal)))
+            return ("quotient", ideal)
+        return ("quotient", _mk_ideal(ring, _mask_of(ring.size, ideal)))
     if isinstance(spec, tuple) and spec and spec[0] == "product":
-        return ProductModuleSpec(_normalize_module_spec(ring, spec[1]),
-                                 _normalize_module_spec(ring, spec[2]))
+        return ("product", _module_recipe(ring, spec[1]), _module_recipe(ring, spec[2]))
     raise InvalidSpecError(f"unknown module spec {spec!r}")
 
 
@@ -378,13 +364,12 @@ def quotient_ring(ring, J):
 @memo
 def _finite_quotient(ring, J):
     reps, q = _coset_quotient(ring, J.mask)
-    qring, proj = _coset_ring(ring, QuotientSpec(ring.spec, tuple(_bits(J.mask))), reps, q,
-                              [ring.elements[r] for r in reps], ring._repr_fn or str,
-                              ("quotient", ring, J))
+    qring, proj = _coset_ring(ring, ("quotient", ring, J), reps, q,
+                              [ring.elements[r] for r in reps], ring._repr_fn or str)
     return QuotientRecord(ring=qring, projection=proj)
 
 
-def _coset_ring(ring, spec, reps, q, elems, repr_fn, origin):
+def _coset_ring(ring, origin, reps, q, elems, repr_fn):
     """The ring on the classes of a congruence of ``ring``, and its canonical map.
 
     q[x] is the class of the base index x, and reps[c] one base index in class
@@ -394,9 +379,9 @@ def _coset_ring(ring, spec, reps, q, elems, repr_fn, origin):
     which is R/ker on a finite ring (see ``localize``).
     """
     add, mul = ring.add, ring.mul
-    qring = Ring(spec, elements=elems, add=[[q[add[a][b]] for b in reps] for a in reps],
+    qring = Ring(origin, elements=elems, add=[[q[add[a][b]] for b in reps] for a in reps],
                  mul=[[q[mul[a][b]] for b in reps] for a in reps],
-                 zero=q[ring.zero_idx], one=q[ring.one_idx], repr_fn=repr_fn, origin=origin)
+                 zero=q[ring.zero_idx], one=q[ring.one_idx], repr_fn=repr_fn)
     return qring, Homomorphism(ring, qring, mapping=q, check=False)
 
 
@@ -462,8 +447,8 @@ def idealization(ring, module):
     _same_ring(ring, module.ring, "module")
     msize = module.size
     size = ring.size * msize
-    spec = IdealizationSpec(ring.spec, module.spec)
-    _check_size(spec.key(), size)
+    origin = ("idealization", ring, module)
+    _check_size(ring_key(origin), size)
     elems = [(ring.elements[r], module.elements[m])
              for r in range(ring.size) for m in range(msize)]
     rmul, madd, act = ring.mul, module.add, module.action
@@ -471,11 +456,10 @@ def idealization(ring, module):
     mul = [[rmul[i // msize][j // msize] * msize
             + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
             for j in range(size)] for i in range(size)]
-    izr = Ring(spec, elements=elems, add=_join_tables(ring.add, madd), mul=mul,
+    izr = Ring(origin, elements=elems, add=_join_tables(ring.add, madd), mul=mul,
                zero=ring.zero_idx * msize + module.zero_idx,
                one=ring.one_idx * msize + module.zero_idx,
-               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str),
-               origin=("idealization", ring, module))
+               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str))
     return IdealizationRecord(izr, ring, module)
 
 
@@ -555,6 +539,14 @@ class LocalizationRecord:
         return _mk_ideal(self.base, self.contract_mask(K.mask))
 
 
+def _reads_fractions(ring):
+    """Whether ``ring`` is a localization or a quotient of one: its elements
+    print, and are read, as fractions r/s."""
+    while ring.origin[0] == "quotient":
+        ring = ring.origin[1]
+    return ring.origin[0] == "localization"
+
+
 @memo
 def localize(ring, sset):
     """S^{-1}R as R/ker, ker the saturation kernel {a : ua = 0 for some u in S}.
@@ -588,24 +580,10 @@ def localize(ring, sset):
             if c == len(reps):  # the first pair of a new class
                 reps.append(x)
                 pairs.append((r, s))
+    rrepr = ring._repr_fn or str
+    text = "({})/({})" if _reads_fractions(ring) else "{}/{}"  # r and s are fractions too
     lring, canonical = _coset_ring(
-        ring, LocalizationSpec(ring.spec, sset.indices), reps, [number[c] for c in coset],
+        ring, ("localization", ring, sset), reps, [number[c] for c in coset],
         [(ring.elements[r], ring.elements[s]) for r, s in pairs],
-        lambda p, rrepr=ring._repr_fn or str: f"{rrepr(p[0])}/{rrepr(p[1])}",
-        ("localization", ring, sset))
+        lambda p: text.format(rrepr(p[0]), rrepr(p[1])))
     return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker), class_of)
-
-
-# ---------------------------------------------------------------------------
-# derived-ring dispatch for construct_ring
-# ---------------------------------------------------------------------------
-
-def build_derived_ring(spec):
-    base = construct_ring(spec.base)
-    if isinstance(spec, QuotientSpec):
-        return quotient_ring(base, _mk_ideal(base, _mask_of(base.size, spec.ideal_elems))).ring
-    if isinstance(spec, IdealizationSpec):
-        return idealization(base, make_module(base, spec.module)).ring
-    if isinstance(spec, LocalizationSpec):
-        return localize(base, MultiplicativeSet(base, spec.denominators)).ring
-    raise InvalidSpecError(f"unknown derived spec {spec!r}")

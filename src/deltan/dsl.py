@@ -9,7 +9,7 @@
     idealexpr := "(" [ elem {"," elem} ] ")"
     elemset   := "{" elem {"," elem} "}"
     elem      := value [ "/" value ]                        (r/s: in a localization only)
-    value     := "(" elem "," elem ")" | [-]int | poly-term-sum
+    value     := "(" elem "," elem ")" | "(" elem ")" | [-]int | poly-term-sum
     expansion := exp { "o" exp };  exp := "d0" | "d1" | "full"
                | "d+(" idealexpr ")" | "d*(" idealexpr ")"
 
@@ -19,7 +19,8 @@ Parse errors carry line/column and the expected token set; binding errors,
 which have no source position, carry neither.  An element of a quotient or a
 localization is named by a base element, its image under the canonical
 surjection, and one of a localization also by a fraction r/s of base
-elements.  ``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
+elements, bracketed as (r)/(s) where r and s are fractions themselves.
+``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
 ``print_expansion`` a parsed expansion in their canonical spellings, and
 parsing a printed form reproduces the same bound objects.
 """
@@ -30,12 +31,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import DslError
-from . import constructions
-from .constructions import (MultiplicativeSet, idealization, localize,
+from .constructions import (MultiplicativeSet, _reads_fractions, idealization, localize,
                             make_module, quotient_ring)
 from .expansions import (compose_expansions, delta0, delta1, delta_plus,
                          delta_star, full_expansion)
-from .ideals import _mask_of, _mk_ideal, ideal_from_generators
+from .ideals import ideal_from_generators
 from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _poly_mul_reduce, integers, modular,
                     poly_quotient, poly_repr, product)
 
@@ -284,6 +284,9 @@ def _parse_value(p):
     if p.at("sym", "("):
         p.take()
         left = _parse_elem(p)
+        if p.at("sym", ")"):  # a bracketed element
+            p.take()
+            return left
         p.expect("sym", ",")
         right = _parse_elem(p)
         p.expect("sym", ")")
@@ -469,7 +472,7 @@ def bind_element(ring, ast):
     of the base element it names under the canonical surjection."""
     if isinstance(ast, EFrac) and not _reads_fractions(ring):
         raise DslError(f"fractions r/s name elements of a localization only, not of {ring.key}")
-    kind = ring.spec.kind
+    kind = ring.origin[0]
     if kind == "quotient":
         _, base, J = ring.origin
         return quotient_ring(base, J).projection(bind_element(base, ast))
@@ -509,17 +512,10 @@ def bind_element(ring, ast):
     raise DslError(f"cannot bind element AST {ast!r}")
 
 
-def _reads_fractions(ring):
-    """Whether ``ring`` is a localization or a quotient of one (names r/s)."""
-    while ring.spec.kind == "quotient":
-        ring = ring.origin[1]
-    return ring.spec.kind == "localization"
-
-
 def _poly_element(ring, coeffs):
-    n = ring.spec.base.n
+    _, n, modulus = ring.origin
     raw = tuple(c % n for c in coeffs) or (0,)
-    return ring.from_payload(_poly_mul_reduce(raw, (1,), n, ring.spec.modulus))
+    return ring.from_payload(_poly_mul_reduce(raw, (1,), n, modulus))
 
 
 def _bind_module_element(module, ast):
@@ -558,7 +554,8 @@ def print_elem(ast):
     if isinstance(ast, EPair):
         return f"({print_elem(ast.left)},{print_elem(ast.right)})"
     if isinstance(ast, EFrac):
-        return f"{print_elem(ast.left)}/{print_elem(ast.right)}"
+        return "/".join(f"({print_elem(side)})" if isinstance(side, EFrac) else print_elem(side)
+                        for side in (ast.left, ast.right))
     if isinstance(ast, EInt):
         return str(ast.value)
     return poly_repr(ast.coeffs, descending=True)
@@ -579,31 +576,21 @@ def _gens_text(I):
 
 
 def ring_to_dsl(ring):
-    """Canonical DSL text for a constructed ring (specs and origins)."""
-    spec = ring.spec
-    if spec.kind == "integer":
-        return "ZZ"
-    if spec.kind == "modular":
-        return f"Z{spec.n}"
-    if spec.kind == "poly_quotient":
-        return f"Z{spec.base.n}[x]/({poly_repr(spec.modulus, descending=True)})"
-    if spec.kind == "product":
-        _, left, right = ring.origin
-        return f"{ring_to_dsl(left)} x {ring_to_dsl(right)}"
-    if spec.kind == "idealization":
-        _, base, module = ring.origin
-        mspec = module.spec
-        if isinstance(mspec, constructions.RegularModuleSpec):
-            return f"{ring_to_dsl(base)} (+) {ring_to_dsl(base)}"
-        if isinstance(mspec, constructions.QuotientModuleSpec):
-            I = _mk_ideal(base, _mask_of(base.size, mspec.ideal_elems))
-            return f"{ring_to_dsl(base)} (+) {ring_to_dsl(base)}/({_gens_text(I)})"
+    """Canonical DSL text for a constructed ring, read off its recipe."""
+    kind = ring.origin[0]
+    if kind in ("integer", "modular", "poly_quotient"):
+        return ring.key  # the name of a base recipe is its DSL text
+    _, base, operand = ring.origin
+    text = ring_to_dsl(base)
+    if kind == "product":
+        return f"{text} x {ring_to_dsl(operand)}"
+    if kind == "idealization":
+        if operand.recipe[0] == "regular":
+            return f"{text} (+) {text}"
+        if operand.recipe[0] == "quotient":
+            return f"{text} (+) {text}/({_gens_text(operand.recipe[1])})"
         raise DslError("product modules have no DSL spelling")
-    if spec.kind == "quotient":
-        _, base, J = ring.origin
-        return f"quot({ring_to_dsl(base)},({_gens_text(J)}))"
-    if spec.kind == "localization":
-        _, base, sset = ring.origin
-        elems = ",".join(base.element_repr(i) for i in sset.indices)
-        return f"loc({ring_to_dsl(base)},{{{elems}}})"
-    raise DslError(f"cannot print ring {ring.key}")
+    if kind == "quotient":
+        return f"quot({text},({_gens_text(operand)}))"
+    elems = ",".join(base.element_repr(i) for i in operand.indices)
+    return f"loc({text},{{{elems}}})"

@@ -83,92 +83,6 @@ def _check_modulus(n, degree=None):
 
 
 # ---------------------------------------------------------------------------
-# ring specifications (construction recipes)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModularSpec:
-    n: int
-
-    kind = "modular"
-
-    def key(self):
-        _check_modulus(self.n)  # before n is formatted, in this key or an enclosing one
-        return f"Z{self.n}"
-
-
-@dataclass(frozen=True)
-class PolyQuotientSpec:
-    base: ModularSpec
-    modulus: tuple  # ascending coefficients, monic, degree >= 1
-
-    kind = "poly_quotient"
-
-    def key(self):
-        return f"{self.base.key()}[x]/({poly_repr(self.modulus, descending=True)})"
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    left: object
-    right: object
-
-    kind = "product"
-
-    def key(self):
-        return f"prod({self.left.key()},{self.right.key()})"
-
-
-@dataclass(frozen=True)
-class IntegerSpec:
-    kind = "integer"
-
-    def key(self):
-        return "ZZ"
-
-
-@dataclass(frozen=True)
-class QuotientSpec:
-    """Derived: base ring modulo the ideal given by its sorted element indices."""
-
-    base: object
-    ideal_elems: tuple
-
-    kind = "quotient"
-
-    def key(self):
-        elems = ",".join(str(i) for i in self.ideal_elems)
-        return f"quot({self.base.key()},[{elems}])"
-
-
-@dataclass(frozen=True)
-class IdealizationSpec:
-    """Derived: base ring extended by a module along the square-zero product."""
-
-    base: object
-    module: object  # a module spec from the constructions module
-
-    kind = "idealization"
-
-    def key(self):
-        return f"idz({self.base.key()},{self.module.key()})"
-
-
-@dataclass(frozen=True)
-class LocalizationSpec:
-    """Derived: fractions of the base ring over the multiplicative set."""
-
-    base: object
-    denominators: tuple  # sorted element indices of S
-
-    kind = "localization"
-
-    def key(self):
-        elems = ",".join(str(i) for i in self.denominators)
-        return f"loc({self.base.key()},[{elems}])"
-
-
-# ---------------------------------------------------------------------------
 # polynomial coefficient helpers (ascending tuples over Z_n)
 # ---------------------------------------------------------------------------
 
@@ -231,22 +145,52 @@ def _poly_mul_reduce(a, b, n, modulus):
 # rings and elements
 # ---------------------------------------------------------------------------
 
+def _index_text(indices):
+    """Element indices, comma-separated."""
+    return ",".join(map(str, indices))
+
+
+def ring_key(origin):
+    """The name of the ring that the recipe ``origin`` builds: ``Z6``,
+    ``Z4[x]/(x^2)``, ``ZZ``, ``prod(Z2,Z4)``, ``quot(Z12,[0,4,8])``,
+    ``idz(Z8,quot[0,4])`` or ``loc(Z12,[1,3,9])``, a derived ring named by its
+    base and the element indices of its ideal, module or multiplicative set."""
+    kind = origin[0]
+    if kind == "modular":
+        return f"Z{origin[1]}"
+    if kind == "poly_quotient":
+        return f"Z{origin[1]}[x]/({poly_repr(origin[2], descending=True)})"
+    if kind == "integer":
+        return "ZZ"
+    _, base, operand = origin
+    if kind == "product":
+        return f"prod({base.key},{operand.key})"
+    if kind == "quotient":
+        return f"quot({base.key},[{_index_text(e.idx for e in operand.elements())}])"
+    if kind == "idealization":
+        return f"idz({base.key},{operand.name})"
+    return f"loc({base.key},[{_index_text(operand.indices)}])"
+
+
 class Ring:
     """A commutative ring with identity, finite (tables) or the symbolic integers.
 
-    One object per recipe, cached by ``construct_ring`` or memoised by its
-    construction, so rings compare by identity; ``key`` is the ring's name."""
+    ``origin`` is the recipe the ring was built by: ``("modular", n)``,
+    ``("poly_quotient", n, modulus)``, ``("integer",)``, or a derived ring's
+    ``("product", R1, R2)``, ``("quotient", R, J)``, ``("idealization", R, M)``
+    or ``("localization", R, S)``.  One object per recipe, cached by
+    ``_cached_ring`` or memoised by its construction on its operands, so rings
+    compare by identity; ``key`` is the ring's name."""
 
-    def __init__(self, spec, *, elements=None, add=None, mul=None, zero=0, one=1,
-                 repr_fn=None, origin=None):
-        self.spec = spec
-        self.key = spec.key()
+    def __init__(self, origin, *, elements=None, add=None, mul=None, zero=0, one=1,
+                 repr_fn=None):
+        self.origin = origin
+        self.key = ring_key(origin)
         self.elements = elements
         self.add = add
         self.mul = mul
         self.zero_idx = zero
         self.one_idx = one
-        self.origin = origin
         self._repr_fn = repr_fn
         self._cache = {}
         self.full_mask = None  # the mask of every element, on finite rings
@@ -399,73 +343,51 @@ def list_elements(ring):
 # construction
 # ---------------------------------------------------------------------------
 
+# the rings of the base recipes, Z_n, Z_n[x]/(f) and ZZ, by recipe; a derived
+# ring is memoised by its construction on its operands
 _RING_CACHE = {}
 
 
-def construct_ring(spec):
-    """Build (or fetch from cache) the ring described by ``spec``; a derived
-    spec yields the ring its memoised construction returns on the cached base."""
-    key = spec.key()
-    hit = _RING_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(spec, ModularSpec):
-        ring = _build_modular(spec)
-    elif isinstance(spec, PolyQuotientSpec):
-        ring = _build_poly_quotient(spec)
-    elif isinstance(spec, ProductSpec):
-        ring = _build_product(spec)
-    elif isinstance(spec, IntegerSpec):
-        ring = Ring(spec)
-    elif isinstance(spec, (QuotientSpec, IdealizationSpec, LocalizationSpec)):
-        from . import constructions  # constructions imports this module
-        ring = constructions.build_derived_ring(spec)
-    else:
-        raise InvalidSpecError(f"unknown ring spec {spec!r}")
-    _RING_CACHE[key] = ring
+def _cached_ring(origin):
+    """The one ring of a base recipe, built on first use."""
+    ring = _RING_CACHE.get(origin)
+    if ring is None:
+        if origin[0] == "modular":
+            ring = _build_modular(origin[1])
+        elif origin[0] == "poly_quotient":
+            ring = _build_poly_quotient(origin[1], origin[2])
+        else:
+            ring = Ring(origin)
+        _RING_CACHE[origin] = ring
     return ring
 
 
 def modular(n):
     if not isinstance(n, int) or n < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    return construct_ring(ModularSpec(n))
+    _check_modulus(n)  # before n is formatted, in this ring's name or another's
+    return _cached_ring(("modular", n))
 
 
 def poly_quotient(base, modulus):
-    """Quotient of Z_n[x] by a monic modulus, given as an ascending coefficient list."""
-    base = _spec_of(base, "base ring")
-    if isinstance(base, int):
-        base = ModularSpec(base)
-    if not isinstance(base, ModularSpec):
-        raise InvalidSpecError("poly_quotient requires a modular base ring")
-    if base.n < 2:
+    """Quotient of Z_n[x] by a monic modulus, given as an ascending coefficient
+    list; the base is the ring Z_n or the int n."""
+    if isinstance(base, Ring):
+        if base.origin[0] != "modular":
+            raise InvalidSpecError("poly_quotient requires a modular base ring")
+        base = base.origin[1]
+    if not isinstance(base, int) or base < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    modulus = _poly_normalize(base.n, list(modulus))
-    _check_modulus(base.n, len(modulus) - 1)
-    return construct_ring(PolyQuotientSpec(base, modulus))
-
-
-def _spec_of(ring, what):
-    """The spec of ``ring``, which must be its spec's cached ring; a spec passes."""
-    if isinstance(ring, Ring):
-        _same_ring(construct_ring(ring.spec), ring, what)
-        return ring.spec
-    return ring
-
-
-def product(left, right):
-    return construct_ring(ProductSpec(_spec_of(left, "factor"), _spec_of(right, "factor")))
+    modulus = _poly_normalize(base, list(modulus))
+    _check_modulus(base, len(modulus) - 1)
+    return _cached_ring(("poly_quotient", base, modulus))
 
 
 def integers():
-    return construct_ring(IntegerSpec())
+    return _cached_ring(("integer",))
 
 
-def _build_modular(spec):
-    n = spec.n
-    if n < 2:
-        raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
+def _build_modular(n):
     elems = list(range(n))
     twice = elems + elems
     add = [twice[i:i + n] for i in elems]
@@ -487,18 +409,16 @@ def _build_modular(spec):
         row = mul[n - i][::-1]
         row.insert(0, row.pop())
         mul.append(row)
-    return Ring(spec, elements=elems, add=add, mul=mul, zero=0, one=1 % n, repr_fn=str)
+    return Ring(("modular", n), elements=elems, add=add, mul=mul, zero=0, one=1 % n,
+                repr_fn=str)
 
 
-def _build_poly_quotient(spec):
-    n = spec.base.n
-    if n < 2:
-        raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    modulus = spec.modulus
+def _build_poly_quotient(n, modulus):
+    origin = ("poly_quotient", n, modulus)
     d = len(modulus) - 1
     # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
     size = n ** min(d, MAX_RING_SIZE.bit_length())
-    _check_size(spec.key(), size, f"{n}^{d}")
+    _check_size(ring_key(origin), size, f"{n}^{d}")
     elems = []
     for i in range(size):
         v, digits = i, []
@@ -528,7 +448,7 @@ def _build_poly_quotient(spec):
             row[b] = add[row[b % n]][times_x[row[b // n]]]
         mul.append(row)
     one = index[tuple([1 % n] + [0] * (d - 1))]
-    return Ring(spec, elements=elems, add=add, mul=mul, zero=0, one=one,
+    return Ring(origin, elements=elems, add=add, mul=mul, zero=0, one=one,
                 repr_fn=poly_repr)
 
 
@@ -547,22 +467,29 @@ def _join_tables(left, right):
             for lrow in left for block in blocks]
 
 
-def _build_product(spec):
-    left = construct_ring(spec.left)
-    right = construct_ring(spec.right)
+def product(left, right):
+    """R1 x R2, one ring per pair of factor rings."""
+    for factor in (left, right):
+        if not isinstance(factor, Ring):  # named by its type: an int may be too long to print
+            raise InvalidSpecError(f"product factors must be rings; got "
+                                   f"{type(factor).__name__}")
+    return _product(left, right)
+
+
+@memo
+def _product(left, right):
     if not (left.is_finite and right.is_finite):
         raise InvalidSpecError("product components must be finite rings")
+    origin = ("product", left, right)
     sr = right.size
-    _check_size(spec.key(), left.size * sr)
+    _check_size(ring_key(origin), left.size * sr)
     elems = [(a, b) for a in left.elements for b in right.elements]
     add = _join_tables(left.add, right.add)
     mul = _join_tables(left.mul, right.mul)
     zero = left.zero_idx * sr + right.zero_idx
     one = left.one_idx * sr + right.one_idx
-
-    return Ring(spec, elements=elems, add=add, mul=mul, zero=zero, one=one,
-                repr_fn=_pair_repr(left._repr_fn or str, right._repr_fn or str),
-                origin=("product", left, right))
+    return Ring(origin, elements=elems, add=add, mul=mul, zero=zero, one=one,
+                repr_fn=_pair_repr(left._repr_fn or str, right._repr_fn or str))
 
 
 def _pair_repr(left_fn, right_fn):
@@ -581,12 +508,13 @@ def check_ring_axioms(ring):
     The check proves the axioms from the ring's structure, by one of three routes.
 
     Products through their factors.  A ring whose origin is ("product", R1, R2)
-    was built by ``_build_product``: its tables are ``_join_tables`` of the
+    was built by ``_product``: its tables are ``_join_tables`` of the
     factors' tables, 0 = (0, 0) and 1 = (1, 1).  Every axiom holds in R1 x R2
     iff it holds in R1 and in R2, componentwise, so the check runs on the two
     factors and on no table of the product (cost: the factors' checks).  So is
-    negation, -(a, b) = (-a, -b), read off the factors' negation tables.  A ring
-    given its tables directly, with no product origin, gets the full check.
+    negation, -(a, b) = (-a, -b), read off the factors' negation tables.  The
+    route trusts the recipe: tables given under any other recipe get the full
+    check.
 
     Any other ring: pairs are checked exhaustively, and (a+c)+b = a+(c+b),
     c+a = a+c, a(c+b) = ac+ab and (ac)b = a(cb) for all a, b but only for c in
@@ -618,7 +546,7 @@ def check_ring_axioms(ring):
     x + (n - x) = 0 has been read for every x (a table where it fails takes
     the ``row.index`` pass, so it is refused with the same message).
     """
-    if ring.origin is not None and ring.origin[0] == "product":
+    if ring.origin[0] == "product":
         left, right = ring.origin[1:]
         sr = right.size
         right_neg = check_ring_axioms(right)

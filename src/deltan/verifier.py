@@ -77,14 +77,14 @@ def load_corpus(path):
     except (OSError, UnicodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise DeltanError(f"cannot read corpus file {path}: {reason}") from None
-    entries, first_line = [], {}
+    entries, first_line = [], {}  # ring -> the line that first lists it
     for number, line in enumerate(lines, 1):
         if not line or line.startswith("#"):
             continue
         ring = bind_ring(parse_spec(line))
         if not ring.is_finite:
             raise InfiniteRingError("corpus files may contain finite rings only")
-        first = first_line.setdefault(ring.key, number)
+        first = first_line.setdefault(ring, number)
         if first != number:
             raise DeltanError(f"corpus file {path}: ring {ring.key} on line {number} "
                               f"is already listed on line {first}")
@@ -119,7 +119,7 @@ class Context:
         out = []
         for entry in self.entries:
             ring = entry.ring
-            if ring.spec.kind != "idealization":
+            if ring.origin[0] != "idealization":
                 continue
             _, base, module = ring.origin
             out.append((idealization(base, module), catalog(base)))
@@ -134,7 +134,6 @@ class Context:
         Z2 x Z2 is scanned against the full catalog product.
         """
         out = []
-        ring_keys = {e.ring.key for e in self.entries}
         for entry in self.entries:
             ring = entry.ring
             ident = Homomorphism(ring, ring, mapping=list(range(ring.size)),
@@ -147,9 +146,9 @@ class Context:
                 pairs = tuple((d, derive_quotient_expansion(d, J))
                               for d in entry.expansions)
                 out.append((rec.projection, pairs))
-        if "Z2" in ring_keys and "prod(Z2,Z2)" in ring_keys:
-            z2 = modular(2)
-            z2xz2 = product(z2, z2)
+        z2 = modular(2)
+        z2xz2 = product(z2, z2)
+        if {z2, z2xz2} <= {e.ring for e in self.entries}:
             diag = Homomorphism(
                 z2, z2xz2,
                 mapping=[z2xz2.from_payload((a, a)).idx for a in z2.elements],

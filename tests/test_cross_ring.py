@@ -1,10 +1,11 @@
 """Rings are told apart by identity: every cross-ring guard refuses an operand
-of a twin ring, one that has the key of an interned ring but is another object."""
+of a twin ring, one that has the key of an interned ring but is another object,
+and a ring constructed from a twin is built on that twin."""
 
 import pytest
 
 from deltan import (DELTA_N_METHODS, CrossRingError, apply_expansion, arithmetic,
-                    classify_element, colon, compose_expansions, construct_ring, delta0,
+                    classify_element, colon, compose_expansions, delta0,
                     delta1, delta_n_spectrum, derive_product_expansion, delta_n_witness, delta_nilpotents, delta_plus,
                     delta_star, enumerate_ideals, enumerate_submodules,
                     ideal_combine, ideal_contains, ideal_from_generators, idealization,
@@ -12,11 +13,12 @@ from deltan import (DELTA_N_METHODS, CrossRingError, apply_expansion, arithmetic
                     is_delta_n_ideal, is_delta_primary, localize, make_homomorphism,
                     make_module, modular, mult_closure, poly_quotient, preimage_ideal,
                     product, quotient_ring, special_sets)
+from deltan.constructions import product_projections
 from deltan.predicates import delta_primary_witness
-from deltan.rings import _RING_CACHE, ModularSpec, Ring, _build_modular
+from deltan.rings import _RING_CACHE, Ring, _build_modular
 
 Z6 = modular(6)
-TWIN = _build_modular(ModularSpec(6))  # the key Z6, not interned
+TWIN = _build_modular(6)  # the key Z6, not interned
 I6 = ideal_from_generators(Z6, [2])
 IT = ideal_from_generators(TWIN, [2])
 IDENTITY = make_homomorphism(Z6, Z6, list(range(6)))
@@ -75,10 +77,6 @@ GUARDED = {
     "extend": lambda: LOC.extend(IT),
     "contract": lambda: LOC.contract(_twin_localization_ideal()),
     "localize": lambda: localize(Z6, mult_closure(TWIN, [TWIN.el(5)])),
-    "product": lambda: product(modular(2), TWIN),
-    "poly_quotient": lambda: poly_quotient(TWIN, [1, 0, 1]),
-    "derive_product_expansion":
-        lambda: derive_product_expansion(delta0(TWIN), delta0(modular(2))),
     **{f"is_delta_n_ideal {method}":
        (lambda method=method: is_delta_n_ideal(IT, delta0(Z6), method=method))
        for method in DELTA_N_METHODS},
@@ -98,12 +96,52 @@ def test_a_twin_is_a_different_ring_with_the_same_key():
     assert ideal_combine("sum", IT, IT) is IT and colon(IT, IT).is_proper is False
 
 
-def test_a_derived_ring_of_a_twin_stays_out_of_the_ring_cache(monkeypatch):
-    monkeypatch.delitem(_RING_CACHE, quotient_ring(Z6, I6).ring.key, raising=False)
+def test_a_derived_ring_of_a_twin_stays_out_of_the_ring_cache():
     twin_quotient = quotient_ring(TWIN, IT).ring
-    interned = construct_ring(twin_quotient.spec)
-    assert interned is not twin_quotient and interned.origin[1] is Z6
-    assert interned is quotient_ring(Z6, I6).ring
+    assert twin_quotient.origin == ("quotient", TWIN, IT)
+    assert twin_quotient.key == quotient_ring(Z6, I6).ring.key
+    assert twin_quotient is not quotient_ring(Z6, I6).ring
+    # the cache holds the rings of the base recipes only, and the twin is none of them
+    assert {ring.origin[0] for ring in _RING_CACHE.values()} <= {"modular", "poly_quotient",
+                                                                 "integer"}
+    assert _RING_CACHE[("modular", 6)] is Z6
+
+
+def _assert_product_on(left, right):
+    """product(left, right) is one ring, built on these factor objects."""
+    ring = product(left, right)
+    assert product(left, right) is ring and ring.origin == ("product", left, right)
+    assert [p.target for p in product_projections(ring)] == [left, right]
+    assert derive_product_expansion(delta0(left), delta0(right)).table == delta0(ring).table
+    return ring
+
+
+def _twin_factor_pairs():
+    """Each pair of factors with the twin on one side or both, and the same pair
+    with Z6 in the twin's place."""
+    z2 = modular(2)
+    for left, right in ((z2, TWIN), (TWIN, z2), (TWIN, TWIN)):
+        yield (left, right), (Z6 if left is TWIN else z2, Z6 if right is TWIN else z2)
+
+
+def test_a_product_over_a_twin_is_built_on_that_twin():
+    for (left, right), interned in _twin_factor_pairs():
+        ring = _assert_product_on(left, right)
+        assert ring is not product(*interned)
+
+
+def test_a_product_expansion_over_a_twin_is_built_on_that_twin():
+    for (left, right), interned in _twin_factor_pairs():
+        derived = derive_product_expansion(delta0(left), delta0(right))
+        assert derived.ring is product(left, right)
+        assert derived.ring is not derive_product_expansion(*map(delta0, interned)).ring
+        assert derived.table == delta0(derived.ring).table
+
+
+def test_poly_quotient_over_a_twin_is_the_ring_of_its_recipe():
+    ring = poly_quotient(TWIN, [1, 0, 1])
+    assert ring is poly_quotient(Z6, [1, 0, 1]) is poly_quotient(6, [1, 0, 1])
+    assert ring.origin == ("poly_quotient", 6, (1, 0, 1))
 
 
 def _relabelled_z4():
@@ -114,7 +152,7 @@ def _relabelled_z4():
         for b in range(4):
             add[label[a]][label[b]] = label[(a + b) % 4]
             mul[label[a]][label[b]] = label[a * b % 4]
-    return Ring(ModularSpec(4), elements=list(range(4)), add=add, mul=mul, zero=0, one=label[1])
+    return Ring(("modular", 4), elements=list(range(4)), add=add, mul=mul, zero=0, one=label[1])
 
 
 def test_a_relabelled_z4_is_refused_and_not_mixed_up_with_z4():
@@ -125,8 +163,9 @@ def test_a_relabelled_z4_is_refused_and_not_mixed_up_with_z4():
         ideal_combine("sum", two, ideal_from_generators(z4, [2]))
     with pytest.raises(CrossRingError):
         is_delta_n_ideal(two, delta0(z4))
-    with pytest.raises(CrossRingError):
-        derive_product_expansion(delta0(relabelled), delta0(modular(2)))
+    # a product takes the relabelled ring as it is: its own factor, not Z4
+    ring = _assert_product_on(relabelled, modular(2))
+    assert ring is not product(z4, modular(2)) and ring.key == "prod(Z4,Z2)"
 
 
 def test_integer_ideal_lives_in_the_integers_only():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from deltan import DslError, localize, modular, mult_closure, quotient_ring
 from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
-                        print_expansion, ring_to_dsl)
+                        print_elem, print_expansion, ring_to_dsl)
 from deltan.ideals import enumerate_ideals, nilradical
 from deltan.verifier import builtin_corpus
 
@@ -156,6 +156,34 @@ def test_printed_rings_and_ideals_parse_back_to_themselves(entry):
         assert bind_ring(parse_spec(ring_to_dsl(ring))) is ring
         for I in enumerate_ideals(ring):
             assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+
+
+NESTED_LOCALIZATIONS = ["loc(loc(Z12,{1,3,9}),{1/1})",
+                        "loc(loc(loc(Z12,{1,3,9}),{1/1}),{(1/1)/(1/1)})",
+                        "loc(quot(loc(Z12,{1,5}),(3/1)),{1/1})",
+                        "loc(Z2 x loc(Z4,{1,3}),{(1,1/1)})"]
+
+
+@pytest.mark.parametrize("text", NESTED_LOCALIZATIONS)
+def test_a_localization_over_fractions_prints_and_reads_bracketed_sides(text):
+    ring = bind_ring(parse_spec(text))
+    assert ring_to_dsl(ring) == text
+    for I in enumerate_ideals(ring):
+        assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+
+
+def test_bracketed_elements():
+    ring = bind_ring(parse_spec(NESTED_LOCALIZATIONS[0]))
+    assert ring.element_repr(ring.zero_idx) == "(0/1)/(1/1)"
+    assert _element(ring, "(0/1)/(1/1)") == ring.zero
+    assert _element(ring, "(2/1)/(1/1)") == _element(ring, "(2)/1") == _element(ring, "2")
+    # the unbracketed form reads as one fraction and stops at the second "/"
+    with pytest.raises(DslError) as err:
+        parse_ideal_text("(0/1/1/1)")
+    assert err.value.column == 5
+    nested = parse_ideal_text("((0/1)/(1/1))")
+    assert parse_ideal_text(f"({print_elem(nested[0])})") == nested
+    assert _element(modular(6), "((3))") == _element(modular(6), "3")
 
 
 def test_fractions_name_elements_of_a_localization_only():

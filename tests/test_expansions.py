@@ -186,7 +186,7 @@ def test_product_transport_matches_an_element_level_oracle_on_the_corpus():
     # ideal), on every product ring of the corpus and catalog pair of its factors
     corpus = builtin_corpus()
     cells = 0
-    for ring in (e.ring for e in corpus.entries if e.ring.spec.kind == "product"):
+    for ring in (e.ring for e in corpus.entries if e.ring.origin[0] == "product"):
         _, left, right = ring.origin
         for d1 in corpus_catalog(left):
             for d2 in corpus_catalog(right):

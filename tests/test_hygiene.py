@@ -41,8 +41,7 @@ def test_every_module_level_import_is_used(path):
 
 # the (module, function) pairs that import inside a function body: each one
 # breaks an import cycle, which its comment names
-LOCAL_IMPORTS = {("rings.py", "construct_ring"), ("rings.py", "classify_element"),
-                 ("rings.py", "_finite_ring_class"),
+LOCAL_IMPORTS = {("rings.py", "classify_element"), ("rings.py", "_finite_ring_class"),
                  ("constructions.py", "is_delta_gamma_homomorphism")}
 
 
@@ -62,8 +61,8 @@ def test_imports_inside_functions_only_break_cycles():
 
 # the only functions that may call each class; identity equality of rings,
 # modules, ideals, submodules and expansions rests on it
-CONSTRUCTORS = {"Ring": {"construct_ring", "_build_modular", "_build_poly_quotient",
-                         "_build_product", "_coset_ring", "idealization"},
+CONSTRUCTORS = {"Ring": {"_cached_ring", "_build_modular", "_build_poly_quotient",
+                         "_product", "_coset_ring", "idealization"},
                 "Module": {"_build_module"},
                 "Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
                 "Expansion": {"_finish"}}
@@ -71,8 +70,8 @@ CONSTRUCTORS = {"Ring": {"construct_ring", "_build_modular", "_build_poly_quotie
 
 def _memoised(fn):
     """Whether ``fn`` returns one object per argument tuple: it is ``@memo``, or
-    ``construct_ring``, which caches rings by key."""
-    return fn.name == "construct_ring" or any(
+    ``_cached_ring``, which caches the rings of the base recipes by recipe."""
+    return fn.name == "_cached_ring" or any(
         isinstance(d, ast.Name) and d.id == "memo" for d in fn.decorator_list)
 
 

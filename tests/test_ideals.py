@@ -318,12 +318,12 @@ def test_z_i_mask_matches_element_oracle():
 
 def test_lattice_generators_are_built_on_first_repr(monkeypatch):
     from deltan import ideals
-    from deltan.rings import ModularSpec, _build_modular
+    from deltan.rings import _build_modular
     calls = []
     greedy = ideals._greedy_gens
     monkeypatch.setattr(ideals, "_greedy_gens",
                         lambda ring, mask: calls.append(mask) or greedy(ring, mask))
-    ring = _build_modular(ModularSpec(12))
+    ring = _build_modular(12)
     lattice = enumerate_ideals(ring)
     assert calls == []
     assert repr(lattice[2]) == "(4)" and repr(lattice[2]) == "(4)"

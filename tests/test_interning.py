@@ -5,13 +5,13 @@ import pytest
 
 from deltan import (colon, compose_expansions, delta1, delta_plus, delta_star,
                     enumerate_ideals, ideal_combine, ideal_from_generators,
-                    integer_ideal, integers, modular, nilradical, poly_quotient, radical,
-                    special_sets)
-from deltan.constructions import (enumerate_submodules, image_ideal, localize,
+                    integer_ideal, integers, modular, nilradical, poly_quotient, product,
+                    radical, special_sets)
+from deltan.constructions import (enumerate_submodules, idealization, image_ideal, localize,
                                   preimage_ideal, product_projections, quotient_ring)
 from deltan.dsl import bind_ideal, parse_ideal_text
 from deltan.expansions import apply_expansion, catalog
-from deltan.rings import _RING_CACHE, Ring, construct_ring
+from deltan.rings import _RING_CACHE, Ring
 from deltan.verifier import Context, builtin_corpus, run_claims
 
 
@@ -61,6 +61,17 @@ def test_integer_ideals_are_interned_by_their_generator():
 
 CORPUS = builtin_corpus()
 
+# the constructor of each recipe kind, called on the recipe's operands
+RECIPES = {"modular": modular, "poly_quotient": poly_quotient, "integer": integers,
+           "product": product, "quotient": lambda R, J: quotient_ring(R, J).ring,
+           "idealization": lambda R, M: idealization(R, M).ring,
+           "localization": lambda R, S: localize(R, S).ring}
+
+
+def _rebuilt(ring):
+    """What the constructor of ``ring``'s recipe returns."""
+    return RECIPES[ring.origin[0]](*ring.origin[1:])
+
 
 def _members(ring):
     return {I.mask: I for I in enumerate_ideals(ring)}
@@ -91,7 +102,7 @@ def test_every_ideal_returned_is_the_lattice_member(entry):
             _assert_interned(apply_expansion(delta, I))
     _assert_interned(nilradical(ring))
     _assert_interned(special_sets(ring).jacobson)
-    if ring.spec.kind == "product":
+    if ring.origin[0] == "product":
         for f in product_projections(ring):
             _assert_interned(f.kernel)
             for I in lattice:
@@ -101,7 +112,7 @@ def test_every_ideal_returned_is_the_lattice_member(entry):
     for J in lattice[:-1]:
         proj = quotient_ring(ring, J).projection
         assert proj.kernel is J
-        assert construct_ring(proj.target.spec) is proj.target
+        assert _rebuilt(proj.target) is proj.target
         for I in lattice:
             _assert_interned(image_ideal(proj, I))
         for K in enumerate_ideals(proj.target):
@@ -114,7 +125,7 @@ def test_localizations_and_idealizations_return_lattice_members():
         ring = entry.ring
         for sset in ctx.mult_sets(ring):
             rec = localize(ring, sset)
-            assert construct_ring(rec.ring.spec) is rec.ring
+            assert _rebuilt(rec.ring) is rec.ring
             _assert_interned(rec.kernel)
             for I in enumerate_ideals(ring):
                 _assert_interned(rec.extend(I))
@@ -133,15 +144,21 @@ def test_localizations_and_idealizations_return_lattice_members():
 
 
 def test_a_verification_leaves_one_ring_per_key():
-    """Interning is per ring object, so every ring that a verification reaches
-    through the memoised ideals, expansions and records is the registered one."""
+    """Interning is per ring object: every ring that a verification reaches,
+    from the cached base rings through the rings built on each, found in its
+    base's memoised records, is what its recipe's constructor returns."""
     run_claims()
     assert _RING_CACHE
-    for key, ring in list(_RING_CACHE.items()):  # construct_ring adds derived rings
-        assert ring.key == key and construct_ring(ring.spec) is ring
+    todo, seen = list(_RING_CACHE.values()), set()
+    while todo:
+        ring = todo.pop()
+        assert _rebuilt(ring) is ring, ring.key
+        seen.add(ring)
         for value in ring._cache.values():
             for item in value if isinstance(value, tuple) else (value,):
-                for attr in ("ring", "base", "target"):
-                    other = getattr(item, attr, None)
-                    if isinstance(other, Ring):
-                        assert construct_ring(other.spec) is other, (key, item)
+                for other in (item, getattr(item, "ring", None)):
+                    if (isinstance(other, Ring) and other not in seen
+                            and len(other.origin) == 3 and other.origin[1] is ring):
+                        todo.append(other)
+    kinds = {ring.origin[0] for ring in seen}
+    assert kinds >= {"product", "quotient", "idealization", "localization"}

@@ -496,7 +496,7 @@ def _context_expansions():
         regular = sorted(e.idx for e in special_sets(ring).regular_elements)
         for sset in ctx.mult_sets(ring) + (MultiplicativeSet(ring, tuple(regular)),):
             add(*(derive_localized_expansion(d, sset) for d in cat))
-        if ring.spec.kind == "product":
+        if ring.origin[0] == "product":
             _, left, right = ring.origin
             add(*(derive_product_expansion(d1, d2)
                   for d1 in catalog(left) for d2 in catalog(right)))

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from deltan import (ConstructionError, CrossRingError, InfiniteRingError,
+from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingError,
                     InvalidSpecError, arithmetic, check_ring_axioms,
-                    classify_element, classify_ring, construct_ring, integers,
-                    modular, poly_quotient, product)
+                    classify_element, classify_ring, integers, localize, modular,
+                    mult_closure, poly_quotient, product)
 from deltan.ideals import (_product_mask, _product_pair, _sum_mask, _sum_pair,
                            enumerate_ideals, ideal_from_generators)
-from deltan.rings import ModularSpec, Ring, _additive_generators, _build_modular, memo
+from deltan.rings import Ring, _additive_generators, _build_modular, memo, ring_key
 from deltan.constructions import Module, idealization, make_module, quotient_ring
+from deltan.dsl import bind_ring, parse_spec, ring_to_dsl
 
 
 def test_modular_sizes():
@@ -29,8 +30,49 @@ def test_product_size():
     assert product(modular(4), modular(9)).size == 36
 
 
-def test_construct_ring_is_cached():
-    assert construct_ring(ModularSpec(6)) is construct_ring(ModularSpec(6))
+def _z8_idealization(module):
+    z8 = modular(8)
+    return idealization(z8, make_module(z8, module)).ring
+
+
+# one ring of each recipe kind: (constructor, key, DSL text or None when it has none)
+RECIPE_RINGS = {
+    "modular": (lambda: modular(6), "Z6", "Z6"),
+    "poly_quotient": (lambda: poly_quotient(4, [0, 0, 1]), "Z4[x]/(x^2)", "Z4[x]/(x^2)"),
+    "integer": (integers, "ZZ", "ZZ"),
+    "product": (lambda: product(modular(2), modular(4)), "prod(Z2,Z4)", "Z2 x Z4"),
+    "quotient": (lambda: quotient_ring(modular(12), ideal_from_generators(
+        modular(12), [4])).ring, "quot(Z12,[0,4,8])", "quot(Z12,(4))"),
+    "idealization": (lambda: _z8_idealization(("quotient", (0, 4))),
+                     "idz(Z8,quot[0,4])", "Z8 (+) Z8/(4)"),
+    "idealization by a product module": (
+        lambda: _z8_idealization(("product", "regular", ("quotient", (0, 4)))),
+        "idz(Z8,prod(regular,quot[0,4]))", None),
+    "localization": (lambda: localize(modular(12), mult_closure(modular(12), [3])).ring,
+                     "loc(Z12,[1,3,9])", "loc(Z12,{1,3,9})"),
+}
+
+
+@pytest.mark.parametrize("build, key, text", RECIPE_RINGS.values(), ids=RECIPE_RINGS)
+def test_each_recipe_pins_its_key_and_dsl_text(build, key, text):
+    ring = build()
+    assert build() is ring
+    assert ring.key == ring_key(ring.origin) == key
+    if text is None:
+        with pytest.raises(DslError, match="product modules have no DSL spelling"):
+            ring_to_dsl(ring)
+    else:
+        assert ring_to_dsl(ring) == text
+        assert bind_ring(parse_spec(text)) is ring
+
+
+def test_constructors_refuse_operands_that_are_not_rings():
+    for left, right in ((2, 3), (modular(2), "Z3"), (None, modular(2))):
+        with pytest.raises(InvalidSpecError, match="product factors must be rings; got"):
+            product(left, right)
+    for base in ("Z4", 1, None, 4.0, product(modular(2), modular(2)), integers()):
+        with pytest.raises(InvalidSpecError):
+            poly_quotient(base, [0, 1, 1])
 
 
 def test_memo_returns_the_stored_value_without_recomputing():
@@ -51,7 +93,7 @@ def test_memo_returns_the_stored_value_without_recomputing():
 def test_memo_entries_stay_on_their_own_ring():
     z6 = modular(6)
     lattice = enumerate_ideals(z6)
-    twin = _build_modular(ModularSpec(6))  # same key, not interned
+    twin = _build_modular(6)  # same key, not interned
     assert twin != z6 and twin is not z6
     assert twin._cache == {}
     assert [I.mask for I in enumerate_ideals(twin)] == [I.mask for I in lattice]
@@ -59,7 +101,7 @@ def test_memo_entries_stay_on_their_own_ring():
 
 
 def test_sum_and_product_keep_one_entry_per_unordered_pair():
-    ring = _build_modular(ModularSpec(12))
+    ring = _build_modular(12)
     a, b = 1 << 0 | 1 << 4 | 1 << 8, 1 << 0 | 1 << 6
     for op, pair in ((_sum_mask, _sum_pair), (_product_mask, _product_pair)):
         assert op(ring, a, b) == op(ring, b, a)
@@ -159,7 +201,7 @@ def test_invalid_specs():
     with pytest.raises(InvalidSpecError):
         poly_quotient(4, [3])             # degree 0
     with pytest.raises(InvalidSpecError):
-        poly_quotient(product(modular(2), modular(2)).spec, [0, 1, 1])
+        poly_quotient(product(modular(2), modular(2)), [0, 1, 1])
 
 
 def test_size_guard_on_a_modulus_of_large_degree():
@@ -182,7 +224,7 @@ def test_size_guard_on_products_and_idealizations():
 def test_unit_leading_coefficient_normalizes():
     # 3x^2+1 over Z4: 3 is a unit, the modulus normalizes to x^2+3
     ring = poly_quotient(4, [1, 0, 3])
-    assert ring.spec.modulus == (3, 0, 1)
+    assert ring.origin == ("poly_quotient", 4, (3, 0, 1))
     assert ring.size == 16
 
 
@@ -242,7 +284,9 @@ MUTATION_RINGS = {
 
 
 def _with_tables(ring, add, mul, zero=None, one=None):
-    return Ring(ring.spec, elements=list(range(len(add))), add=add, mul=mul,
+    """A ring on these tables under a recipe that names tables only: the axiom
+    check takes the general route (a product's own route trusts its recipe)."""
+    return Ring(("modular", len(add)), elements=list(range(len(add))), add=add, mul=mul,
                 zero=ring.zero_idx if zero is None else zero,
                 one=ring.one_idx if one is None else one)
 
@@ -269,7 +313,7 @@ def test_module_check_rejects_one_corrupted_cell_pair(spec, table):
     cells = add if table == "add" else action
     cells[2][3] = cells[3][2] = (cells[2][3] + 1) % module.size
     with pytest.raises(ConstructionError):
-        Module(z8, module.spec, module.elements, add, action, module.zero_idx, None)
+        Module(z8, module.recipe, module.elements, add, action, module.zero_idx, None)
 
 
 def test_module_check_rejects_action_not_additive_in_m():
@@ -282,7 +326,7 @@ def test_module_check_rejects_action_not_additive_in_m():
     action = [[0] * 8, [m ^ p[m] for m in range(8)], p, list(range(8))]
     assert not _is_module_n3(r22, add, action, 0)
     with pytest.raises(ConstructionError, match="not additive in m"):
-        Module(r22, make_module(r22, "regular").spec, list(range(8)), add, action, 0, None)
+        Module(r22, ("regular",), list(range(8)), add, action, 0, None)
 
 
 def test_axiom_checks_reject_structures_one_axiom_short():
@@ -291,12 +335,12 @@ def test_axiom_checks_reject_structures_one_axiom_short():
     for zero, one, message in ((2, 1, "additive identity"), (0, 2, "multiplicative identity")):
         assert not _is_ring_n3(z3.add, z3.mul, zero, one)
         with pytest.raises(InvalidSpecError, match=message):
-            Ring(z3.spec, elements=z3.elements, add=z3.add, mul=z3.mul, zero=zero, one=one)
+            Ring(z3.origin, elements=z3.elements, add=z3.add, mul=z3.mul, zero=zero, one=one)
     # the Boolean semiring ({0,1}, or, and): every ring axiom but additive inverses
     add, mul = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
     assert not _is_ring_n3(add, mul, 0, 1)
     with pytest.raises(InvalidSpecError, match="additive inverse"):
-        Ring(ModularSpec(2), elements=[0, 1], add=add, mul=mul)
+        Ring(("modular", 2), elements=[0, 1], add=add, mul=mul)
     # upper triangular 2x2 matrices over Z2, [[a,b],[0,c]] as 4a+2b+c: a ring,
     # but not a commutative one
     def matmul(i, j):
@@ -307,13 +351,13 @@ def test_axiom_checks_reject_structures_one_axiom_short():
     mul = [[matmul(i, j) for j in range(8)] for i in range(8)]
     assert not _is_ring_n3(add, mul, 0, 5)
     with pytest.raises(InvalidSpecError, match="not commutative"):
-        Ring(ModularSpec(8), elements=list(range(8)), add=add, mul=mul, zero=0, one=5)
+        Ring(("modular", 8), elements=list(range(8)), add=add, mul=mul, zero=0, one=5)
     # Z4 acting on itself by zero: a module but for 1.m = m
     z4 = modular(4)
     action = [[0] * 4 for _ in range(4)]
     assert not _is_module_n3(z4, z4.add, action, 0)
     with pytest.raises(ConstructionError, match="not unital"):
-        Module(z4, make_module(z4, "regular").spec, z4.elements, z4.add, action, 0, None)
+        Module(z4, ("regular",), z4.elements, z4.add, action, 0, None)
 
 
 def _is_abelian_group_n3(add, zero):
@@ -471,7 +515,7 @@ def test_axiom_check_agrees_with_n3_reference():
         add, mul, zero, one, message = _axiom_case(rng, kind, rings, cyclic)
         expected = _is_ring_n3(add, mul, zero, one)
         try:
-            Ring(ModularSpec(len(add)), elements=list(range(len(add))), add=add, mul=mul,
+            Ring(("modular", len(add)), elements=list(range(len(add))), add=add, mul=mul,
                  zero=zero, one=one)
             failure = None
         except InvalidSpecError as exc:
@@ -508,7 +552,7 @@ def test_module_check_agrees_with_n3_reference():
             _corrupt(rng, [add, action])
         expected = _is_module_n3(module.ring, add, action, module.zero_idx)
         try:
-            Module(module.ring, module.spec, module.elements, add, action,
+            Module(module.ring, module.recipe, module.elements, add, action,
                    module.zero_idx, None)
             accepted = True
         except ConstructionError:
@@ -519,15 +563,14 @@ def test_module_check_agrees_with_n3_reference():
 
 
 def test_poly_quotient_tables_match_coefficient_arithmetic():
-    from deltan.rings import PolyQuotientSpec, _poly_mul_reduce
+    from deltan.rings import _poly_mul_reduce
     from deltan.verifier import builtin_corpus
-    rings = [e.ring for e in builtin_corpus().entries
-             if isinstance(e.ring.spec, PolyQuotientSpec)]
+    rings = [e.ring for e in builtin_corpus().entries if e.ring.origin[0] == "poly_quotient"]
     rings += [poly_quotient(2, [0] * 7 + [1]), poly_quotient(5, [0, 0, 0, 1]),
               poly_quotient(3, [1, 2, 0, 1])]
     assert len(rings) == 9
     for ring in rings:
-        n, modulus = ring.spec.base.n, ring.spec.modulus
+        _, n, modulus = ring.origin
         index = {p: i for i, p in enumerate(ring.elements)}
         for i, a in enumerate(ring.elements):
             assert ring.add[i] == [index[tuple((x + y) % n for x, y in zip(a, b))]
@@ -547,7 +590,7 @@ def test_modular_tables_match_the_residue_formulas(n):
 def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
     # every cell is the element int, not an equal copy: `is`, not ==
     for n in sizes:
-        ring = _build_modular(ModularSpec(n))  # not interned
+        ring = _build_modular(n)  # not interned
         elems = ring.elements
         assert elems == list(range(n))
         assert len(ring.add) == len(ring.mul) == n
@@ -607,7 +650,7 @@ def test_product_axiom_check_runs_on_the_factors_only(monkeypatch):
             return _pass(table, *args)
         monkeypatch.setattr(rings, name, counted)
     z31 = modular(31)
-    ring = rings._build_product(rings.ProductSpec(z31.spec, z31.spec))  # not interned
+    ring = rings._product.__wrapped__(z31, z31)  # not memoised
     assert ring.size == 961
     assert sizes and max(sizes) == 31
 
@@ -637,7 +680,7 @@ def _evaluations(monkeypatch):
 
 def test_cyclic_tables_take_the_rotations(monkeypatch):
     seen = _evaluations(monkeypatch)
-    ring = _build_modular(ModularSpec(12))
+    ring = _build_modular(12)
     assert seen == ["_rotation_associative"]
     assert ring.neg == [-i % 12 for i in range(12)]
 
@@ -737,11 +780,12 @@ def test_poly_quotient_with_a_huge_modulus_and_a_non_unit_lead_is_refused_by_siz
         poly_quotient(HUGE, [1, 2])
 
 
-def test_construct_ring_refuses_a_huge_modular_spec_before_its_key():
+def test_modular_refuses_a_huge_modulus_before_its_key():
     with pytest.raises(InvalidSpecError, match="Z_n, n of 5001 digits, would have n elements"):
-        construct_ring(ModularSpec(HUGE))
+        modular(HUGE)
 
 
 def test_product_refuses_a_huge_modular_factor_before_its_key():
-    with pytest.raises(InvalidSpecError, match="Z_n, n of 5001 digits, would have n elements"):
-        product(ModularSpec(2), ModularSpec(HUGE))
+    # a factor that is an int, not a ring, is refused by its type, not printed
+    with pytest.raises(InvalidSpecError, match="product factors must be rings; got int"):
+        product(modular(2), HUGE)
