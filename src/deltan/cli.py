@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 at least one claim failure, 2 usage/parse/semantic erro
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -131,13 +132,11 @@ def build_parser():
 
     p = sub.add_parser("ideals", help="list the ideal lattice of a ring")
     p.add_argument("ring", help="ring expression, e.g. 'Z12' or 'Z4[x]/(x^3)'")
-    p.set_defaults(func=_cmd_ideals)
 
     p = sub.add_parser("classify", help="classify an ideal of a ring")
     p.add_argument("ring")
     p.add_argument("ideal", help="generator list, e.g. '(0)' or '(2,x)'")
     p.add_argument("--delta", help="expansion, e.g. d1 or 'd+((3))'")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="run the claim verifier")
     p.add_argument("--claims", help="comma-separated claim ids (default: all "
@@ -147,22 +146,28 @@ def build_parser():
     p.add_argument("--json", help="write the machine-readable report here")
     p.add_argument("--witness-cap", type=count, default=5,
                    help="max failure witnesses kept per claim (default 5)")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explain", help="describe a registry claim")
     p.add_argument("claim_id")
-    p.set_defaults(func=_cmd_explain)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first ``main`` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # looked up per call, so a handler patched into the module takes effect
+    handler = {"ideals": _cmd_ideals, "classify": _cmd_classify,
+               "verify": _cmd_verify, "explain": _cmd_explain}[args.command]
     try:
-        code = args.func(args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code
     except BrokenPipeError:

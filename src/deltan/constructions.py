@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
-from .ideals import (Ideal, _bits, _mask_of, _meet_mask, _mk_ideal, _preimage_mask,
-                     _sum_closure, enumerate_ideals, integer_ideal)
+from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_ideal,
+                     _preimage_mask, _sum_closure, enumerate_ideals, integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
                     _check_size, _group_failure, _index_text, _join_tables, _negation,
                     _pair_repr, _same_ring, memo, modular, ring_key)
@@ -127,7 +127,15 @@ def _module_recipe(ring, spec):
         if isinstance(ideal, Ideal):
             _same_ring(ring, ideal.ring, "quotient-module ideal")
             return ("quotient", ideal)
-        return ("quotient", _mk_ideal(ring, _mask_of(ring.size, ideal)))
+        # checked before it is interned, so a non-ideal leaves no Ideal behind
+        if not all(0 <= i < ring.size for i in ideal):
+            raise InvalidSpecError(f"quotient-module indices {sorted(ideal)} "
+                                   f"are not elements of {ring.key}")
+        mask = _mask_of(ring.size, ideal)
+        if _generated_mask(ring, _bits(mask)) != mask:
+            raise InvalidSpecError(f"quotient-module indices {sorted(ideal)} "
+                                   f"are not an ideal of {ring.key}")
+        return ("quotient", _mk_ideal(ring, mask))
     if isinstance(spec, tuple) and spec and spec[0] == "product":
         return ("product", _module_recipe(ring, spec[1]), _module_recipe(ring, spec[2]))
     raise InvalidSpecError(f"unknown module spec {spec!r}")

@@ -1,7 +1,7 @@
 """A little textual language for rings, ideals, and expansions.
 
     ring      := atom { "x" atom | "(+)" module }          (left associative)
-    atom      := "ZZ" | "Z"<int> [ "[x]/(" poly ")" ]
+    atom      := "ZZ" | "Z"<int> [ "[x]/(" poly ")" ] | "(" ring ")"
                | "loc(" ring "," elemset ")" | "quot(" ring "," idealexpr ")"
     module    := atom [ "/" idealexpr ]                     (over the base ring)
     poly      := "[" int {"," int} "]"                      (ascending coefficients)
@@ -360,9 +360,14 @@ def _parse_ring_atom(p):
         gens = _parse_idealexpr(p)
         p.expect("sym", ")")
         return RQuot(base, gens)
+    if k == "sym" and v == "(":
+        p.take()
+        ring = parse_ring(p)
+        p.expect("sym", ")")
+        return ring
     p.fail(f"expected a ring expression, got {v!r}" if v else
            "expected a ring expression",
-           expected=("ZZ", "Z<n>", "loc(", "quot("))
+           expected=("ZZ", "Z<n>", "(", "loc(", "quot("))
 
 
 def _parse_module(p):
@@ -519,7 +524,9 @@ def _poly_element(ring, coeffs):
 
 
 def _bind_module_element(module, ast):
-    if module.base_to_module is None or isinstance(ast, EPair):
+    # R and R/I name their elements by base elements, pairs only over a pair ring
+    if module.base_to_module is None or isinstance(ast, EPair) and (
+            module.ring.origin[0] not in ("product", "idealization")):
         raise DslError("this module's elements are not expressible in the DSL")
     base_elem = bind_element(module.ring, ast)
     return module.base_to_module[base_elem.idx]
@@ -575,6 +582,13 @@ def _gens_text(I):
     return ",".join(I.ring.element_repr(g.idx) for g in I.gens)
 
 
+def _atom_dsl(ring):
+    """The DSL text of a ring where the grammar reads an atom: bracketed when
+    the ring is a product or an idealization."""
+    text = ring_to_dsl(ring)
+    return f"({text})" if ring.origin[0] in ("product", "idealization") else text
+
+
 def ring_to_dsl(ring):
     """Canonical DSL text for a constructed ring, read off its recipe."""
     kind = ring.origin[0]
@@ -583,8 +597,9 @@ def ring_to_dsl(ring):
     _, base, operand = ring.origin
     text = ring_to_dsl(base)
     if kind == "product":
-        return f"{text} x {ring_to_dsl(operand)}"
+        return f"{text} x {_atom_dsl(operand)}"
     if kind == "idealization":
+        text = _atom_dsl(base)  # the module's ring is an atom, and spelled as the base
         if operand.recipe[0] == "regular":
             return f"{text} (+) {text}"
         if operand.recipe[0] == "quotient":

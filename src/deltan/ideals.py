@@ -211,10 +211,16 @@ def ideal_from_generators(ring, gens):
         for g in elems:
             n = gcd(n, abs(g.idx))
         return integer_ideal(ring, n)
+    return _mk_ideal(ring, _generated_mask(ring, [g.idx for g in elems]))
+
+
+def _generated_mask(ring, indices):
+    """The mask of the ideal of a finite ring generated by the elements ``indices``."""
     mask = 1 << ring.zero_idx
-    for g in elems:
-        mask = _add_close(ring, mask, _principal_mask(ring, g.idx))
-    return _mk_ideal(ring, mask)
+    for g in indices:
+        if not mask >> g & 1:
+            mask = _add_close(ring, mask, _principal_mask(ring, g))
+    return mask
 
 
 def ideal_contains(I, a):
@@ -375,18 +381,38 @@ def _sum_closure(owner, seeds, gens):
 
 
 @memo
+def _local_components(ring):
+    """The masks of the ideals Re over the primitive idempotents e: Rf lies
+    inside Re exactly when f = fe, so they are the minimal Re of the nonzero
+    idempotents e.  A local ring has one, R itself."""
+    components = []
+    for m in sorted({_principal_mask(ring, e) for e, row in enumerate(ring.mul)
+                     if row[e] == e != ring.zero_idx}, key=int.bit_count):
+        if all(c & ~m for c in components):
+            components.append(m)
+    return components
+
+
+@memo
 def enumerate_ideals(ring):
     """The complete ideal lattice, ordered by (size, element set); cached per ring.
 
-    Every proper ideal is the sum of the principal ideals of its elements, all
-    non-units, so the lattice is the closure of the non-unit principal ideals
-    under pairwise sum, plus the whole ring, which every unit generates.
+    A finite ring is the product of its local factors Re (Atiyah-Macdonald,
+    Thm 8.7) and each ideal I the direct sum of the Ie, so the lattice is the
+    sums of one ideal of each factor.  Each ideal is the sum of the principal
+    ideals of its elements, so those inside Re are the closure of Re and the
+    non-unit principal ideals inside it under pairwise sum.
     """
     if not ring.is_finite:
         raise InfiniteRingError("integer ideals are parameterized by n, not enumerated")
     principals = sorted(_principal_columns(ring))
-    seeds = [1 << ring.zero_idx, ring.full_mask, *principals]
-    return tuple(_mk_ideal(ring, m) for m in _sum_closure(ring, seeds, principals))
+    masks = [1 << ring.zero_idx]
+    for c in _local_components(ring):
+        inside = [p for p in principals if p & ~c == 0]
+        factor = _sum_closure(ring, [c, *inside], inside)
+        # (0) + B = B, so the first factor, the only one of a local ring, is its lattice
+        masks = [_add_close(ring, a, b) for a in masks for b in factor] if masks[1:] else factor
+    return tuple(_mk_ideal(ring, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 @dataclass(frozen=True)

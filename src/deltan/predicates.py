@@ -164,7 +164,10 @@ def _decide(ring, imask, dmask, method):
     """The three cross-check methods, each an independent exhaustive scan.
 
     A verdict depends on (ring, I, delta(I), method) alone, so it is memoised
-    on exactly that key: each distinct input is scanned once.
+    on exactly that key: each distinct input is scanned once.  Each scan tests
+    the free mask condition (a J or K outside delta(I), a J outside the
+    nilradical) before it computes the product that the condition guards, so
+    a pair that cannot be a counterexample costs no product.
     """
     nil = _nil_mask(ring)
     n = ring.size
@@ -179,17 +182,17 @@ def _decide(ring, imask, dmask, method):
             if nil >> a & 1:
                 continue
             for J in lattice:
-                if _aj_mask(ring, a, J.mask) & ~imask == 0 and J.mask & ~dmask:
+                if J.mask & ~dmask and _aj_mask(ring, a, J.mask) & ~imask == 0:
                     return False
         return True
     # ideal_pairs: JK <= I forces J inside the nilradical or K inside delta(I)
     lattice = enumerate_ideals(ring)
     for J in lattice:
-        j_nil = J.mask & ~nil == 0
+        if J.mask & ~nil == 0:
+            continue
         for K in lattice:
-            if _product_mask(ring, J.mask, K.mask) & ~imask == 0:
-                if not j_nil and K.mask & ~dmask:
-                    return False
+            if K.mask & ~dmask and _product_mask(ring, J.mask, K.mask) & ~imask == 0:
+                return False
     return True
 
 

@@ -272,3 +272,30 @@ def test_unknown_claim_id_leaves_the_report_file_alone(tmp_path, monkeypatch, ca
     assert main(["verify", "--claims", "thm-existence,no-such-claim", "--json", str(target)]) == 2
     assert capsys.readouterr().err == "error: unknown claim id 'no-such-claim'\n"
     assert target.read_text() == "old report\n"
+
+
+def test_the_process_parser_answers_after_an_argparse_error(monkeypatch, capsys):
+    # main builds its parser once per process, so a usage error must leave it
+    # answering the next query as a fresh process does
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (["verify", "--witness-cap", "-1"], ["classify", "Z6", "(2)"]):
+        fresh = subprocess.run([sys.executable, "-m", "deltan.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert main(argv) == fresh.returncode
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0
+
+
+def test_help_twice_in_one_process(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("usage: deltan")

@@ -96,6 +96,22 @@ def test_zero_module_rejected():
         make_module(z8, ("quotient", unit_ideal(z8)))
 
 
+def test_quotient_module_by_a_non_ideal_is_refused_before_any_ideal_is_interned():
+    # {0, 3} is no ideal of Z8, as 3 generates Z8; an Ideal interned for it
+    # would stay in Z8's cache and print as (3)
+    from deltan.errors import InvalidSpecError
+    from deltan.ideals import _mk_ideal
+    z8 = modular(8)
+    before = dict(z8._cache)
+    with pytest.raises(InvalidSpecError, match=r"indices \[0, 3\] are not an ideal of Z8"):
+        make_module(z8, ("quotient", (0, 3)))
+    with pytest.raises(InvalidSpecError, match=r"indices \[0, 8\] are not elements of Z8"):
+        make_module(z8, ("quotient", (0, 8)))
+    assert (_mk_ideal.__wrapped__, 0b1001) not in z8._cache
+    assert z8._cache == before
+    assert make_module(z8, ("quotient", (4, 0))).name == "quot[0,4]"
+
+
 def test_product_module():
     z2 = modular(2)
     module = make_module(z2, ("product", "regular", "regular"))

@@ -172,6 +172,41 @@ def test_a_localization_over_fractions_prints_and_reads_bracketed_sides(text):
         assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
 
 
+def _bracketed_ring(text):
+    """The ring a bracketed text names, built through the API, not the parser."""
+    from deltan import product
+    from deltan.constructions import idealization, make_module
+    z2, z3 = modular(2), modular(3)
+    right = product(z3, z2)
+    return {
+        "Z2 x (Z3 x Z2)": lambda: product(z2, right),
+        "Z2 x (Z2 (+) Z2)": lambda: product(z2, idealization(z2, make_module(z2, "regular")).ring),
+        "(Z3 x Z2) (+) (Z3 x Z2)": lambda: idealization(right, make_module(right, "regular")).ring,
+        "(Z3 x Z2) (+) (Z3 x Z2)/((0,1))":
+            lambda: idealization(right, make_module(right, ("quotient", (0, 1)))).ring,
+    }[text]()
+
+
+@pytest.mark.parametrize("text", ["Z2 x (Z3 x Z2)", "Z2 x (Z2 (+) Z2)",
+                                  "(Z3 x Z2) (+) (Z3 x Z2)", "(Z3 x Z2) (+) (Z3 x Z2)/((0,1))"])
+def test_a_product_operand_prints_and_reads_bracketed(text):
+    ring = _bracketed_ring(text)
+    assert ring_to_dsl(ring) == text
+    assert bind_ring(parse_spec(text)) is ring
+    for I in enumerate_ideals(ring):
+        assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+
+
+def test_brackets_group_a_product_and_change_nothing_else():
+    right_nested = bind_ring(parse_spec("Z2 x (Z3 x Z2)"))
+    assert bind_ring(parse_spec("Z2 x Z3 x Z2")) is not right_nested
+    assert ring_to_dsl(bind_ring(parse_spec("Z2 x Z3 x Z2"))) == "Z2 x Z3 x Z2"
+    assert bind_ring(parse_spec("((Z6))")) is modular(6)
+    with pytest.raises(DslError) as err:
+        parse_spec("(Z6")
+    assert err.value.expected == (")",)
+
+
 def test_bracketed_elements():
     ring = bind_ring(parse_spec(NESTED_LOCALIZATIONS[0]))
     assert ring.element_repr(ring.zero_idx) == "(0/1)/(1/1)"

@@ -613,3 +613,69 @@ def test_prime_and_primary_match_a_brute_force_oracle():
             assert flags.is_primary == (I.is_proper and all(b in radical for _, b in pairs))
             checked += 1
     assert len(rings) == 35 and checked == 182
+
+
+# ---------------------------------------------------------------------------
+# the lattice by local factors against the closure over the whole ring
+# ---------------------------------------------------------------------------
+
+def _closure_lattice(ring):
+    """The lattice as one closure of every non-unit principal ideal, plus R."""
+    from deltan.ideals import _principal_columns, _sum_closure
+    principals = sorted(_principal_columns(ring))
+    return _sum_closure(ring, [1 << ring.zero_idx, ring.full_mask, *principals], principals)
+
+
+def _assert_factored_lattice(ring):
+    from deltan.ideals import _local_components
+    from deltan.rings import classify_ring
+    assert [I.mask for I in enumerate_ideals(ring)] == _closure_lattice(ring), ring.key
+    assert classify_ring(ring).is_quasi_local == (len(_local_components(ring)) == 1)
+
+
+def test_factored_lattice_matches_the_closure_on_corpus_quotients_and_localizations():
+    from deltan.constructions import localize, quotient_ring
+    from deltan.ideals import _local_components
+    from deltan.verifier import Context, builtin_corpus
+    ctx = Context(builtin_corpus())
+    rings = []
+    for entry in ctx.entries:
+        ring = entry.ring
+        rings.append(ring)
+        rings += [quotient_ring(ring, J).ring for J in enumerate_ideals(ring) if J.is_proper]
+        rings += [localize(ring, sset).ring for sset in ctx.mult_sets(ring)]
+    for ring in rings:
+        _assert_factored_lattice(ring)
+    assert len(rings) == 291 and sum(len(_local_components(r)) > 1 for r in rings) == 49
+
+
+@st.composite
+def _small_rings(draw, cap=64, depth=2):
+    """A ring of at most ``cap`` elements: Z_n, Z2[x]/(x^2), Z3[x]/(x^2), or a
+    product, quotient or idealization of smaller such rings."""
+    from math import isqrt
+    from deltan.constructions import quotient_ring
+    kinds = ["atom"] + (["product", "quotient", "idealization"] if depth and cap >= 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "product":
+        left = draw(_small_rings(cap // 2, depth - 1))
+        return product(left, draw(_small_rings(cap // left.size, depth - 1)))
+    if kind == "quotient":
+        base = draw(_small_rings(cap, depth - 1))
+        J = ideal_from_generators(base, [base.el(draw(st.integers(0, base.size - 1)))])
+        return quotient_ring(base, J).ring if J.is_proper else base
+    if kind == "idealization":
+        base = draw(_small_rings(isqrt(cap), depth - 1))
+        I = ideal_from_generators(base, [base.el(draw(st.integers(0, base.size - 1)))])
+        spec = ("quotient", I) if I.is_proper and draw(st.booleans()) else "regular"
+        return idealization(base, make_module(base, spec)).ring
+    if cap >= 9 and draw(st.booleans()):
+        return poly_quotient(draw(st.sampled_from([2, 3])), [0, 0, 1])
+    return modular(draw(st.integers(2, min(cap, 64))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_rings())
+def test_factored_lattice_matches_the_closure_on_generated_rings(ring):
+    assert ring.size <= 64
+    _assert_factored_lattice(ring)
