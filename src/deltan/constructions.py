@@ -484,6 +484,9 @@ class MultiplicativeSet:
         ring = self.ring
         if not ring.is_finite:
             raise InfiniteRingError("multiplicative sets are finite-ring data here")
+        if not all(isinstance(i, int) and 0 <= i < ring.size for i in self.indices):
+            raise InvalidSpecError(f"multiplicative-set indices {list(self.indices)} "
+                                   f"are not elements of {ring.key}")
         idx = set(self.indices)
         if ring.one_idx not in idx:
             raise ConstructionError("a multiplicative set must contain 1")

@@ -134,12 +134,6 @@ class XCompose:
     inner: object
 
 
-@dataclass
-class SpecAST:
-    """The parsed ring expression handed to ``bind_ring``."""
-    ring: object
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -427,11 +421,12 @@ def parse_ideal_text(text):
 
 
 def parse_spec(text):
-    """Parse a ring expression into a SpecAST (diagnostics carry line/column)."""
+    """Parse a ring expression into its AST for ``bind_ring`` (diagnostics carry
+    line/column)."""
     p = _Parser(text)
     ring = parse_ring(p)
     p.done()
-    return SpecAST(ring=ring)
+    return ring
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +434,6 @@ def parse_spec(text):
 # ---------------------------------------------------------------------------
 
 def bind_ring(ast):
-    if isinstance(ast, SpecAST):
-        ast = ast.ring
     if isinstance(ast, RInt):
         return integers()
     if isinstance(ast, RMod):

@@ -5,20 +5,22 @@ monotonically in I.  On finite rings an expansion is a precomputed table over
 the full ideal lattice, and both axioms are verified exhaustively at
 construction time: extensivity at every ideal, monotonicity on the covering
 pairs of proper ideals, which implies it on all pairs (I <= J is a chain of
-covers).  On the integer ring the catalog kinds have closed forms
-on the parameter n of nZ.
+covers).  On the integer ring an expansion is a closed form on the generator n
+of nZ.  On nonzero n each catalog kind, and so each composition, acts on one
+prime exponent of n at a time, which makes its hypothesis profile a finite,
+exact check (``_integer_profile``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .constructions import idealization, localize, product_projections, quotient_ring
 from .errors import ExpansionAxiomError
-from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _mk_ideal,
-                     _radical_mask, _radical_of_int, _sum_mask, colon,
-                     enumerate_ideals, integer_ideal, nilradical)
+from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
+                     _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
+                     colon, enumerate_ideals, integer_ideal, nilradical)
 from .rings import _same_ring, memo, product
 
 
@@ -331,7 +333,8 @@ def _colon_violation(delta, jmask):
 
 @memo
 def profile_expansion(delta):
-    """Decide the five hypothesis flags (exhaustive tablewise on finite rings).
+    """Decide the five hypothesis flags: exhaustive tablewise on finite rings,
+    on prime-exponent test points on ZZ.
 
     ``colon_condition`` is the global colon hypothesis: for every ideal J,
     (delta(J):x) <= delta(J:x) for all x outside delta(J), and delta(J:x)
@@ -387,82 +390,81 @@ def profile_expansion(delta):
     return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
 
 
-_INT_PROFILE_BOUND = 240
+def _int_atoms(delta):
+    """(the nonzero parameters, the number of delta1 occurrences) of a ZZ recipe."""
+    if delta.kind == "compose":
+        (p1, r1), (p2, r2) = map(_int_atoms, delta.recipe[1:])
+        return p1 + p2, r1 + r2
+    if delta.kind in ("delta_plus", "delta_star") and delta.recipe[1].n:
+        return (delta.recipe[1].n,), 0
+    return (), int(delta.kind == "delta1")
+
+
+def _valuation(n, p):
+    """v_p(n), the exponent of the prime p in n >= 1."""
+    e = 0
+    while n % p == 0:
+        n, e = n // p, e + 1
+    return e
+
+
+def _int_test_points(delta):
+    """0 and every p^a * q^b, p and q among the primes of the nonzero parameters
+    and the two least primes dividing none, a <= 2(S_p + r + 1) + 1 with S_p
+    the sum of v_p over the parameter occurrences and r the delta1 count."""
+    params, r = _int_atoms(delta)
+    primes = sorted({p for n in params for p in _prime_factors(n)})
+    p = 2
+    for _ in range(2):
+        while not _is_prime_int(p) or any(n % p == 0 for n in params):
+            p += 1
+        primes.append(p)
+        p += 1
+    powers = [[p ** a for a in range(2 * (sum(_valuation(n, p) for n in params) + r + 1) + 2)]
+              for p in primes]
+    return sorted({0} | {x * y for i, xs in enumerate(powers)
+                         for ys in powers[i + 1:] for x in xs for y in ys})
 
 
 def _integer_profile(delta):
-    """Closed-form flags for the catalog kinds on ZZ; bounded scan for compose.
+    """The five flags on ZZ, decided exactly on ``_int_test_points``.
 
-    The positive flags for delta0/delta1/delta_plus/delta_star follow from the
-    divisor lattice being distributive and from gcd/radical identities; the
-    failing flags carry a concrete witness found by a small search.  Composite
-    recipes are decided by scanning parameters up to _INT_PROFILE_BOUND, which
-    is a bounded (documented) decision rather than a proof.
+    A nonzero ideal nZ is its exponent vector (v_p(n)).  On nonzero n each
+    catalog kind acts on one exponent e at a time: delta1 as min(e, 1),
+    delta_plus(q) as min(e, v_p(q)), delta_star(m) as max(e - v_p(m), 0);
+    delta_plus(0) is the identity, and delta_star(0) and full send every ideal
+    to ZZ.  Each kind fixes exponent 0 and keeps n nonzero, so a recipe acts on
+    nonzero n by one monotone map f_p per prime, with f_p(0) = 0.  Past
+    e = S_p + r + 1 every clamp of the chain has fired and no shift has reached
+    0, so f_p is constant or a shift by S_p; all primes dividing no parameter
+    share one f_p.  The zero ideal is one more point.  A flag nests delta at
+    most twice, so a condition on one coordinate, if met at all, is met with
+    exponents at most 2(S_p + r + 1), and by flag:
+    - zero_fixed reads delta(0);
+    - idempotent_on_all and radical_commuting (rad is min(e, 1)) hold at
+      nonzero n iff they hold on each coordinate alone;
+    - intersection_preserving: lcm is max per coordinate, which a monotone
+      f_p preserves, so only a pair (0, m) can fail, when f(m) does not
+      divide delta(0) at one coordinate;
+    - colon_condition, with (J : x) = J / gcd(J, x) and x = 0 in every ideal:
+      the first clause needs x outside delta(J) at one prime and the failed
+      containment at that or another one; the second needs x outside J at one
+      prime and delta(J:x) = ZZ, every coordinate 0.  At J = 0, (0 : x) = 0.
+    So zeroing the other coordinates keeps a violation on at most two primes,
+    and two primes dividing no parameter stand for all of them.
     """
-    kind = delta.kind
-    witnesses = []
-
-    def falsify(flag, desc):
-        witnesses.append((flag, desc))
-        return False
-
-    if kind == "delta0":
-        return ExpansionProfile(True, True, True, True, True, ())
-    if kind == "delta1":
-        colon = falsify("colon_condition",
-                        "(delta(J):x) not within delta(J:x) for J=(12), x=2")
-        return ExpansionProfile(True, True, True, True, colon, tuple(witnesses))
-    if kind == "full":
-        zf = falsify("zero_fixed", "delta(0) = ZZ")
-        colon = falsify("colon_condition", "delta(J:x) is the whole ring for J=(2), x=1")
-        return ExpansionProfile(True, True, zf, True, colon, tuple(witnesses))
-    if kind == "delta_plus":
-        q = delta.recipe[1].n
-        if q == 0:
-            return ExpansionProfile(True, True, True, True, True, ())
-        zf = falsify("zero_fixed", f"delta(0) = ({q})")
-        n = 2 if q == 1 else q + 1
-        while gcd(n, q) != 1:
-            n += 1
-        colon = falsify("colon_condition",
-                        f"delta(J:x) is the whole ring for J=({n}), x=1")
-        return ExpansionProfile(True, True, zf, True, colon, tuple(witnesses))
-    if kind == "delta_star":
-        m = delta.recipe[1].n
-        if m == 0:  # (I : (0)) = ZZ for every I
-            zf = falsify("zero_fixed", "delta(0) = ZZ")
-            colon = falsify("colon_condition",
-                            "delta(J:x) is the whole ring for J=(2), x=1")
-            return ExpansionProfile(True, True, zf, True, colon, tuple(witnesses))
-        if m == 1:
-            return ExpansionProfile(True, True, True, True, True, ())
-        idem = falsify("idempotent_on_all", f"I=({m * m})")
-        rc = falsify("radical_commuting", f"I=({m * m})")
-        colon = falsify("colon_condition",
-                        f"delta(J:x) is the whole ring for J=({m}), x=1")
-        return ExpansionProfile(True, idem, True, rc, colon, tuple(witnesses))
-    if kind == "compose":
-        return _integer_profile_bounded(delta)
-    raise ValueError(f"no integer profile for expansion kind {kind!r}")
-
-
-def _integer_profile_bounded(delta):
     fn = delta.int_fn
-    bound = _INT_PROFILE_BOUND
+    points = _int_test_points(delta)
     witnesses = []
 
-    def lcm(a, b):
-        return 0 if a == 0 or b == 0 else a * b // gcd(a, b)
-
-    def divides(a, b):
-        # aZ contains bZ, with 0 standing for the zero ideal
-        return b == 0 if a == 0 else b % a == 0
+    def has(a, b):  # aZ contains b
+        return b % a == 0 if a else b == 0
 
     ip = idem = rc = colon = True
     zf = fn(0) == 0
     if not zf:
         witnesses.append(("zero_fixed", f"delta(0) = ({fn(0)})"))
-    for n in range(bound + 1):
+    for i, n in enumerate(points):
         if idem and fn(fn(n)) != fn(n):
             idem = False
             witnesses.append(("idempotent_on_all", f"I=({n})"))
@@ -470,31 +472,24 @@ def _integer_profile_bounded(delta):
             rc = False
             witnesses.append(("radical_commuting", f"I=({n})"))
         if ip:
-            for m in range(n, bound + 1):
+            for m in points[i:]:
                 if fn(lcm(n, m)) != lcm(fn(n), fn(m)):
                     ip = False
                     witnesses.append(("intersection_preserving", f"I=({n}), J=({m})"))
                     break
         if colon and n != 1:
             dn = fn(n)
-            for m in range(1, bound + 1):
-                in_j = n != 0 and m % n == 0
-                in_dj = dn == 1 or (dn != 0 and m % dn == 0)
-                rhs = fn(n // gcd(n, m) if n else 0)
-                if not in_dj:
-                    lhs = dn // gcd(dn, m) if dn else 0
-                    if not divides(rhs, lhs):
-                        colon = False
-                        witnesses.append((
-                            "colon_condition",
-                            f"(delta(J):x) not within delta(J:x) for J=({n}), x={m}"))
-                        break
-                if not in_j and rhs == 1:
-                    colon = False
-                    witnesses.append((
-                        "colon_condition",
-                        f"delta(J:x) is the whole ring for J=({n}), x={m}"))
-                    break
+            for m in points[1:]:
+                rhs = fn(_int_colon(n, m))
+                if not has(dn, m) and not has(rhs, _int_colon(dn, m)):
+                    clause = "(delta(J):x) not within delta(J:x)"
+                elif not has(n, m) and rhs == 1:
+                    clause = "delta(J:x) is the whole ring"
+                else:
+                    continue
+                colon = False
+                witnesses.append(("colon_condition", f"{clause} for J=({n}), x={m}"))
+                break
         if not (ip or idem or rc or colon):
             break
     return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltan import (ConstructionError, HomomorphismError, InfiniteRingError,
+from deltan import (ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError,
                     apply_expansion, classify_ring, delta0, delta1, enumerate_ideals,
                     full_expansion, ideal_from_generators, image_ideal,
                     integer_ideal, integers, is_delta_gamma_homomorphism,
@@ -323,6 +323,14 @@ def test_multiplicative_set_validation():
     assert set(closed.indices) == {1, 2, 4, 8}
     with pytest.raises(ConstructionError):
         localize(z12, mult_closure(z12, [z12.el(6)]))  # 0 lands in S
+
+
+@pytest.mark.parametrize("bad", [-5, 7, "a"])
+def test_multiplicative_set_refuses_non_element_indices(bad):
+    """A negative index would read a table row from the end, and the ring
+    would be localized under a second name; each is refused before any read."""
+    with pytest.raises(InvalidSpecError, match="not elements of Z6"):
+        MultiplicativeSet(modular(6), (1, bad))
 
 
 def test_mult_set_constructor():

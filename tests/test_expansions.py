@@ -1,5 +1,11 @@
 """Expansion catalog, derivation rules, axiom validation, and profiles."""
 
+import random
+import re
+from functools import lru_cache, reduce
+from itertools import count
+from math import gcd, lcm
+
 import pytest
 
 from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
@@ -13,6 +19,7 @@ from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
 from deltan.expansions import _colon_violation, _lattice_covers, _validate_axioms
+from deltan.ideals import _prime_factors, _radical_of_int
 from deltan.verifier import builtin_corpus
 from deltan.verifier import catalog as corpus_catalog
 
@@ -135,18 +142,186 @@ def test_profile_full_z6_colon_fails():
     assert "whole ring" in flags["colon_condition"]
 
 
+def _contains(a, b):
+    """aZ contains bZ, with 0 standing for the zero ideal."""
+    return b == 0 if a == 0 else b % a == 0
+
+
+def _int_colon_gen(n, x):
+    """The generator of (nZ : x)."""
+    return n // gcd(n, x) if x else 1
+
+
+def _first_clause_fails(fn, n, x):
+    return not _contains(fn(n), x) and not _contains(fn(_int_colon_gen(n, x)),
+                                                     _int_colon_gen(fn(n), x))
+
+
+def _second_clause_fails(fn, n, x):
+    return not _contains(n, x) and fn(_int_colon_gen(n, x)) == 1
+
+
+def _assert_int_witnesses_are_violations(delta, prof):
+    """Each failing flag's witness, re-checked as a real violation through int_fn."""
+    fn = delta.int_fn
+    flags = dict(prof.witnesses)
+    assert set(flags) == {f for f in ("intersection_preserving", "idempotent_on_all",
+                                      "zero_fixed", "radical_commuting", "colon_condition")
+                          if not getattr(prof, f)}
+    for flag, text in flags.items():
+        nums = [int(v) for v in re.findall(r"\d+", text)]
+        if flag == "zero_fixed":
+            assert fn(0) != 0
+        elif flag == "idempotent_on_all":
+            assert fn(fn(nums[0])) != fn(nums[0])
+        elif flag == "radical_commuting":
+            assert _radical_of_int(fn(nums[0])) != fn(_radical_of_int(nums[0]))
+        elif flag == "intersection_preserving":
+            assert fn(lcm(*nums)) != lcm(fn(nums[0]), fn(nums[1]))
+        elif "whole ring" in text:
+            assert _second_clause_fails(fn, *nums), text
+        else:
+            assert _first_clause_fails(fn, *nums), text
+
+
 def test_profile_integer_backend():
     zz = integers()
     assert profile_expansion(delta0(zz)).colon_condition
     p1 = profile_expansion(delta1(zz))
     assert p1.intersection_preserving and p1.idempotent_on_all
     assert p1.zero_fixed and p1.radical_commuting and not p1.colon_condition
+    assert dict(p1.witnesses)["colon_condition"] == (
+        "(delta(J):x) not within delta(J:x) for J=(12), x=2")
     dp = profile_expansion(delta_plus(zz, integer_ideal(zz, 3)))
     assert dp.intersection_preserving and not dp.zero_fixed and not dp.colon_condition
     ds = profile_expansion(delta_star(zz, integer_ideal(zz, 4)))
     assert ds.zero_fixed and not ds.idempotent_on_all and not ds.radical_commuting
     comp = profile_expansion(compose_expansions(delta1(zz), delta1(zz)))
     assert comp.idempotent_on_all and comp.zero_fixed
+    for delta in (delta1(zz), delta_plus(zz, integer_ideal(zz, 3)),
+                  delta_star(zz, integer_ideal(zz, 4))):
+        _assert_int_witnesses_are_violations(delta, profile_expansion(delta))
+
+
+def _zz(kind, *params):
+    zz = integers()
+    return make_expansion(zz, kind, *(integer_ideal(zz, n) for n in params))
+
+
+def _chain(*atoms):
+    """atoms[0] o atoms[1] o ..."""
+    return reduce(compose_expansions, atoms)
+
+
+def test_integer_profile_regressions():
+    """Flags that the former closed form and the former scan of n <= 240
+    misreported; each witness is a real violation."""
+    dp4 = profile_expansion(_zz("delta_plus", 4))
+    assert not dp4.radical_commuting
+    assert dict(dp4.witnesses)["radical_commuting"] == "I=(0)"
+    _assert_int_witnesses_are_violations(_zz("delta_plus", 4), dp4)
+    expected = {  # recipe -> the least exponent witness of both flags
+        _chain(_zz("delta_star", 23), _zz("delta0")): "I=(529)",
+        _chain(_zz("delta1"), _zz("delta_star", 16), _zz("delta_star", 16)): "I=(512)",
+        # a violation past twice the largest parameter exponent: 2^10
+        _chain(*[_zz("delta_star", 8)] * 3): "I=(1024)",
+        _chain(_zz("delta1"), _zz("delta_star", 2), _zz("delta_star", 2)): "I=(8)",
+    }
+    for delta, witness in expected.items():
+        prof = profile_expansion(delta)
+        assert not prof.idempotent_on_all and not prof.radical_commuting, delta.name()
+        flags = dict(prof.witnesses)
+        assert flags["idempotent_on_all"] == flags["radical_commuting"] == witness
+        _assert_int_witnesses_are_violations(delta, prof)
+
+
+def _former_closed_form(kind, q):
+    """(intersection_preserving, idempotent_on_all, zero_fixed,
+    radical_commuting, colon_condition) as the per-kind closed forms gave them."""
+    if kind == "delta0" or (kind, q) in (("delta_plus", 0), ("delta_star", 1)):
+        return True, True, True, True, True
+    if kind == "delta1":
+        return True, True, True, True, False
+    if kind == "delta_star" and q > 0:
+        return True, False, True, False, False
+    return True, True, False, True, False  # full, delta_star(0), delta_plus(q > 0)
+
+
+def test_integer_profile_of_every_atom_matches_the_former_closed_forms():
+    """The one difference: delta_plus(q) with q not squarefree fails to commute
+    with radicals at I=(0), as sqrt(qZ) != qZ = delta(sqrt(0))."""
+    atoms = [("delta0", None), ("delta1", None), ("full", None)]
+    atoms += [(kind, q) for kind in ("delta_plus", "delta_star") for q in range(31)]
+    for kind, q in atoms:
+        delta = _zz(kind) if q is None else _zz(kind, q)
+        prof = profile_expansion(delta)
+        flags = (prof.intersection_preserving, prof.idempotent_on_all, prof.zero_fixed,
+                 prof.radical_commuting, prof.colon_condition)
+        former = _former_closed_form(kind, q)
+        if kind == "delta_plus" and q and _radical_of_int(q) != q:
+            assert dict(prof.witnesses)["radical_commuting"] == "I=(0)"
+            former = former[:3] + (False,) + former[4:]
+        assert flags == former, delta.name()
+        _assert_int_witnesses_are_violations(delta, prof)
+
+
+def _reference_points(delta):
+    """0 and p^a * q^b over the parameter primes and the three least primes
+    dividing no parameter, a <= 3(S_p + r + 1) + 3: more primes and longer
+    exponent ranges than the profile reads."""
+    params, r = [], 0
+    todo = [delta]
+    while todo:
+        d = todo.pop()
+        if d.kind == "compose":
+            todo.extend(d.recipe[1:])
+        elif d.kind == "delta1":
+            r += 1
+        elif d.kind in ("delta_plus", "delta_star") and d.recipe[1].n:
+            params.append(d.recipe[1].n)
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    generic = [p for p in primes if all(n % p for n in params)][:3]
+    used = [p for p in primes if any(n % p == 0 for n in params)] + generic
+
+    def exponent_sum(p):
+        return sum(next(e for e in count() if n % p ** (e + 1)) for n in params)
+
+    powers = [[p ** a for a in range(3 * (exponent_sum(p) + r + 1) + 4)] for p in used]
+    return sorted({0} | {x * y for i, xs in enumerate(powers)
+                         for ys in powers[i + 1:] for x in xs for y in ys})
+
+
+def _reference_flags(delta):
+    """The five flags by their definitions on ``_reference_points``.  Pairs for
+    the intersection flag have one member 0 or a prime power, which keeps the
+    check linear in the points; the pairs of two nonzero points need no check,
+    as lcm is max per exponent and every catalog kind is monotone in each."""
+    fn = lru_cache(maxsize=None)(delta.int_fn)
+    points = _reference_points(delta)
+    nonzero = points[1:]
+    simple = [n for n in points if n < 2 or len(_prime_factors(n)) == 1]
+    return (all(fn(lcm(n, m)) == lcm(fn(n), fn(m)) for n in simple for m in points),
+            all(fn(fn(n)) == fn(n) for n in points),
+            fn(0) == 0,
+            all(_radical_of_int(fn(n)) == fn(_radical_of_int(n)) for n in points),
+            not any(_first_clause_fails(fn, n, x) or _second_clause_fails(fn, n, x)
+                    for n in points for x in nonzero))
+
+
+def test_integer_profile_matches_a_reference_on_more_test_points():
+    rng = random.Random(22)
+    kinds = ("delta0", "delta1", "full", "delta_plus", "delta_star")
+
+    def atom():
+        kind = rng.choice(kinds)
+        return _zz(kind, rng.randint(0, 30)) if kind in kinds[3:] else _zz(kind)
+
+    for _ in range(16):
+        delta = _chain(*(atom() for _ in range(rng.randint(1, 3))))
+        prof = profile_expansion(delta)
+        assert (prof.intersection_preserving, prof.idempotent_on_all, prof.zero_fixed,
+                prof.radical_commuting, prof.colon_condition) == _reference_flags(delta), (
+            delta.name())
 
 
 def test_derive_quotient_expansion():

@@ -1,9 +1,11 @@
 """Repository hygiene: no unused imports in the package, imports inside functions
 only where they break a cycle, rings, modules and value objects built only by
-their interning constructors, and the README examples run."""
+their interning constructors, the README examples run, and the code names the
+README cites exist."""
 
 import ast
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -122,3 +124,28 @@ def test_readme_command_line_examples_exit_0(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0
     assert out.getvalue()
+
+
+def test_readme_code_names_resolve_in_the_package():
+    """Every backticked private name (``_finish``, ``_mk_ideal(ring, mask)``) and
+    name qualified by a package module (``rings.memo``) in the README exists."""
+    modules = {p.stem: importlib.import_module(f"deltan.{p.stem}") for p in MODULES}
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`\n]+)`", README):
+        match = re.fullmatch(r"(?:(\w+)\.)?(\w+)(?:\(.*\))?", span)
+        if not match:
+            continue
+        head, name = match.groups()
+        if head is None and name.startswith("_"):
+            found = any(hasattr(m, name) for m in modules.values())
+        elif head in modules:
+            found = hasattr(modules[head], name)
+        elif head == "deltan":
+            found = name in modules
+        else:
+            continue
+        checked += 1
+        if not found:
+            missing.append(span)
+    assert not missing, f"README names code that does not exist: {missing}"
+    assert checked >= 18
