@@ -471,8 +471,8 @@ def _integer_profile(delta):
         if rc and _radical_of_int(fn(n)) != fn(_radical_of_int(n)):
             rc = False
             witnesses.append(("radical_commuting", f"I=({n})"))
-        if ip:
-            for m in points[i:]:
+        if ip and n == 0:  # only a pair (0, m) can fail, see above
+            for m in points:
                 if fn(lcm(n, m)) != lcm(fn(n), fn(m)):
                     ip = False
                     witnesses.append(("intersection_preserving", f"I=({n}), J=({m})"))

@@ -339,12 +339,25 @@ def nilradical(ring):
 
 
 @memo
+def _unit_mask(ring):
+    """a is a unit iff a^(2^k) e != 0 for every primitive idempotent e: R is the
+    product of the local rings Re, whose maximal ideals are nil (k as in ``radical``)."""
+    mul, zero, idempotents = ring.mul, ring.zero_idx, _local_components(ring).values()
+    return _mask_of(ring.size, compress(count(), (
+        all(mul[p][e] != zero for e in idempotents) for p in _power_map(ring))))
+
+
+@memo
 def _principal_columns(ring):
-    """{Ra: the least a generating it} over the non-units a, memoised per ring."""
-    one, columns = ring.one_idx, {}
-    for g, row in enumerate(ring.mul):
-        if one not in row:
-            columns.setdefault(_principal_mask(ring, g), g)
+    """{Ra: the least a generating it} over the non-units a, memoised per ring: one mask
+    per class of associates, as Ra = Rb iff b = ua for a unit u (in each local factor,
+    a = sra forces a = 0 or sr, so r, to be a unit), built from its least member."""
+    mul, columns, units = ring.mul, {}, _bits(_unit_mask(ring))
+    done = set(units)
+    for g in range(ring.size):
+        if g not in done:
+            columns[_principal_mask(ring, g)] = g
+            done.update(map(mul[g].__getitem__, units))
     return columns
 
 
@@ -382,14 +395,14 @@ def _sum_closure(owner, seeds, gens):
 
 @memo
 def _local_components(ring):
-    """The masks of the ideals Re over the primitive idempotents e: Rf lies
-    inside Re exactly when f = fe, so they are the minimal Re of the nonzero
-    idempotents e.  A local ring has one, R itself."""
-    components = []
-    for m in sorted({_principal_mask(ring, e) for e, row in enumerate(ring.mul)
-                     if row[e] == e != ring.zero_idx}, key=int.bit_count):
+    """{Re: e} over the primitive idempotents e: Rf lies inside Re exactly
+    when f = fe, so the Re are the minimal Re of the nonzero idempotents e.
+    A local ring has one, R = R1."""
+    components = {}
+    for m, e in sorted(((_principal_mask(ring, e), e) for e, row in enumerate(ring.mul)
+                        if row[e] == e != ring.zero_idx), key=lambda me: me[0].bit_count()):
         if all(c & ~m for c in components):
-            components.append(m)
+            components[m] = e
     return components
 
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain, count
-from operator import itemgetter
+from itertools import count
+from operator import iadd, itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
@@ -455,15 +455,16 @@ def _build_poly_quotient(n, modulus):
 def _join_tables(left, right):
     """The table of a product of two factor tables, index a * sr + b for (a, b).
 
-    Row (a, b) is the chain, over the cells c of left row a, of the block
-    [c * sr + e for e in right row b].  The n blocks are built once, and their
-    cells are taken from one list of ints, so no cell holds an int of its own.
+    Row (a, b) grows from [] by row += block, one extend per cell c of left row
+    a, block being [c * sr + e for e in right row b], and is then copied, which
+    drops the slack the extends leave (up to 1/8 of the row).  The n blocks are
+    built once, from one list of ints, so no cell holds an int of its own.
     """
     sr = len(right)
     idx = list(range(len(left) * sr))
     segments = [idx[c:c + sr] for c in range(0, len(idx), sr)]
     blocks = [[list(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
-    return [list(chain.from_iterable(map(block.__getitem__, lrow)))
+    return [functools.reduce(iadd, map(block.__getitem__, lrow), []).copy()
             for lrow in left for block in blocks]
 
 
@@ -680,7 +681,7 @@ class RingClass:
 def classify_element(ring, a):
     """Flags for one element: unit, nilpotent (with index), zero divisor, ...
 
-    On a finite ring a is a unit iff 1 is in its row, a zero divisor iff a != 0
+    On a finite ring a is a unit iff it lies in ``ideals._unit_mask``, a zero divisor iff a != 0
     lies in Z_(0) = {r : rs = 0 for some s != 0}, and regular iff a is not in
     Z_(0), which holds 0 as 0 != 1."""
     _same_ring(ring, a.ring, "element")
@@ -695,7 +696,7 @@ def classify_element(ring, a):
             is_regular=v != 0,
             is_idempotent=v in (0, 1),
         )
-    from .ideals import _z_i_mask  # ideals imports this module
+    from .ideals import _unit_mask, _z_i_mask  # ideals imports this module
     i = a.idx
     mul, zero, n = ring.mul, ring.zero_idx, ring.size
     is_zero = i == zero
@@ -708,7 +709,7 @@ def classify_element(ring, a):
     in_z0 = bool(_z_i_mask(ring, 1 << zero) >> i & 1)
     return ElementClass(
         is_zero=is_zero,
-        is_unit=ring.one_idx in mul[i],
+        is_unit=bool(_unit_mask(ring) >> i & 1),
         is_nilpotent=nil_index is not None,
         nilpotency_index=nil_index,
         is_zero_divisor=in_z0 and not is_zero,

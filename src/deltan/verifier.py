@@ -18,7 +18,7 @@ from .constructions import (Homomorphism, MultiplicativeSet, idealization,
 from .dsl import bind_ring, parse_spec
 from .errors import DeltanError, InfiniteRingError, UnknownClaimError
 from .expansions import catalog, derive_quotient_expansion
-from .ideals import enumerate_ideals, ideal_from_generators, nilradical
+from .ideals import _bits, _unit_mask, enumerate_ideals, ideal_from_generators, nilradical
 from .rings import integers, memo, modular, poly_quotient, product
 
 
@@ -106,12 +106,11 @@ class Context:
     def mult_sets(self, ring):
         """Deterministic family: {1}, the units, and the closure of each
         non-unit non-nilpotent element (deduplicated)."""
-        one, nil_mask = ring.one_idx, nilradical(ring).mask
-        units = tuple(a for a, row in enumerate(ring.mul) if one in row)
-        family = {}
-        for sset in [MultiplicativeSet(ring, (one,)), MultiplicativeSet(ring, units)] + [
-                mult_closure(ring, [ring.el(a)]) for a, row in enumerate(ring.mul)
-                if not (one in row or nil_mask >> a & 1)]:
+        unit_mask, family = _unit_mask(ring), {}
+        for sset in [MultiplicativeSet(ring, (ring.one_idx,)),
+                     MultiplicativeSet(ring, tuple(_bits(unit_mask)))] + [
+                mult_closure(ring, [ring.el(a)])
+                for a in _bits(ring.full_mask & ~(unit_mask | nilradical(ring).mask))]:
             family.setdefault(sset.indices, sset)
         return tuple(family.values())
 

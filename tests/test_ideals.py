@@ -633,9 +633,9 @@ def _assert_factored_lattice(ring):
     assert classify_ring(ring).is_quasi_local == (len(_local_components(ring)) == 1)
 
 
-def test_factored_lattice_matches_the_closure_on_corpus_quotients_and_localizations():
+def _corpus_quotients_and_localizations():
+    """The 291 corpus rings, their proper quotients and their localizations."""
     from deltan.constructions import localize, quotient_ring
-    from deltan.ideals import _local_components
     from deltan.verifier import Context, builtin_corpus
     ctx = Context(builtin_corpus())
     rings = []
@@ -644,9 +644,16 @@ def test_factored_lattice_matches_the_closure_on_corpus_quotients_and_localizati
         rings.append(ring)
         rings += [quotient_ring(ring, J).ring for J in enumerate_ideals(ring) if J.is_proper]
         rings += [localize(ring, sset).ring for sset in ctx.mult_sets(ring)]
+    assert len(rings) == 291
+    return rings
+
+
+def test_factored_lattice_matches_the_closure_on_corpus_quotients_and_localizations():
+    from deltan.ideals import _local_components
+    rings = _corpus_quotients_and_localizations()
     for ring in rings:
         _assert_factored_lattice(ring)
-    assert len(rings) == 291 and sum(len(_local_components(r)) > 1 for r in rings) == 49
+    assert sum(len(_local_components(r)) > 1 for r in rings) == 49
 
 
 @st.composite
@@ -679,3 +686,58 @@ def _small_rings(draw, cap=64, depth=2):
 def test_factored_lattice_matches_the_closure_on_generated_rings(ring):
     assert ring.size <= 64
     _assert_factored_lattice(ring)
+
+
+# ---------------------------------------------------------------------------
+# units and principal ideals read off the ring's structure, against row scans
+# ---------------------------------------------------------------------------
+
+def principal_columns_reference(ring):
+    """{Ra: the least a generating it} over the a without 1 in their row."""
+    one, columns = ring.one_idx, {}
+    for g, row in enumerate(ring.mul):
+        if one not in row:
+            columns.setdefault(sum(1 << i for i in set(row)), g)
+    return columns
+
+
+def _assert_units_and_principal_columns(ring):
+    from deltan.ideals import _principal_columns, _unit_mask
+    units = {a for a, row in enumerate(ring.mul) if ring.one_idx in row}
+    assert _index_set(ring, _unit_mask(ring)) == units, ring.key
+    # the same classes, each at its least generator, in the same order
+    assert list(_principal_columns(ring).items()) == list(
+        principal_columns_reference(ring).items()), ring.key
+
+
+def test_units_and_principal_columns_match_the_row_scan_on_corpus_quotients_and_localizations():
+    for ring in _corpus_quotients_and_localizations():
+        _assert_units_and_principal_columns(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_rings())
+def test_units_and_principal_columns_match_the_row_scan_on_generated_rings(ring):
+    assert ring.size <= 64
+    _assert_units_and_principal_columns(ring)
+
+
+@pytest.mark.parametrize("name, classes, idempotents", [
+    ("Z4096", 12, 1), ("Z64 x Z64", 48, 3)])
+def test_principal_columns_build_one_mask_per_class_of_associates(monkeypatch, name, classes,
+                                                                  idempotents):
+    # a fresh ring, not the cached one, so nothing is memoised on it yet; the
+    # two rings have 2048 and 3072 non-units, so one mask per non-unit shows
+    from deltan import ideals
+    from deltan.rings import _build_modular, _product
+    ring = (_build_modular(4096) if name == "Z4096"
+            else _product.__wrapped__(modular(64), modular(64)))
+    calls = []
+
+    def counted(ring, g, _mask=ideals._principal_mask):
+        calls.append(g)
+        return _mask(ring, g)
+    monkeypatch.setattr(ideals, "_principal_mask", counted)
+    assert len(ideals._principal_columns(ring)) == classes
+    # one mask per nonzero idempotent e, Re, to find the local factors
+    assert len(calls) == classes + idempotents

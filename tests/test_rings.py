@@ -616,6 +616,9 @@ PAIR_PRODUCTS = {
     "Z3-(Z2 x Z2[x]/(x^2))": (lambda: modular(3),
                               lambda: product(modular(2), poly_quotient(2, [0, 0, 1]))),
     "Z8/(4)-Z5": (_z8_mod_4, lambda: modular(5)),
+    # skewed shapes: many blocks of two cells, and two blocks of many cells
+    "128-2": (lambda: modular(128), lambda: modular(2)),
+    "2-128": (lambda: modular(2), lambda: modular(128)),
 }
 
 
