@@ -9,15 +9,31 @@
     idealexpr := "(" [ elem {"," elem} ] ")"
     elemset   := "{" elem {"," elem} "}"
     elem      := value [ "/" value ]                        (r/s: in a localization only)
-    value     := "(" elem "," elem ")" | "(" elem ")" | [-]int | poly-term-sum
+    value     := "(" elem "," elem ")" | "(" elem ")" | ["-"] poly-term-sum
+                                                    (the "-" negates the first term)
     expansion := exp { "o" exp };  exp := "d0" | "d1" | "full"
                | "d+(" idealexpr ")" | "d*(" idealexpr ")"
 
 Whitespace is insignificant.  Integer literals have at most 4300 digits and
 exponents of x are at most 4096; larger ones are refused where they stand.
-Parse errors carry line/column and the expected token set; binding errors,
-which have no source position, carry neither.  An element of a quotient or a
-localization is named by a base element, its image under the canonical
+An expression nests at most 100 levels deep, each open bracket and each
+operator x, (+) or o read so far counting one level; the token that would
+go deeper is refused, so no input exhausts the interpreter's stack.  Parse
+errors carry line/column and the expected token set; binding errors, which
+have no source position, carry neither.
+
+The parser returns recipes, plain tuples with the tags of the objects they
+name and unbound operands: rings as ``Ring.origin`` spells them,
+``("integer",)``, ``("modular", n)``, ``("poly_quotient", n, coeffs)``,
+``("product", L, R)``, ``("quotient", base, gens)``, ``("localization",
+base, elems)`` and ``("idealization", base, module)``, a module being
+``("regular", ring)`` or ``("quotient", ring, gens)``; expansions as
+``Expansion.recipe`` spells them, ``("delta0",)``, ``("delta1",)``,
+``("full",)``, ``("delta_plus", gens)``, ``("delta_star", gens)`` and
+``("compose", outer, inner)``; and elements as ``("int", v)``, ``("poly",
+coeffs)``, ``("pair", a, b)`` and ``("frac", r, s)``.  The ``bind_*``
+functions build what a recipe names in a ring.  An element of a quotient or
+a localization is named by a base element, its image under the canonical
 surjection, and one of a localization also by a fraction r/s of base
 elements, bracketed as (r)/(s) where r and s are fractions themselves.
 ``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
@@ -28,13 +44,11 @@ parsing a printed form reproduces the same bound objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import DslError
 from .constructions import (MultiplicativeSet, _reads_fractions, idealization, localize,
                             make_module, quotient_ring)
-from .expansions import (compose_expansions, delta0, delta1, delta_plus,
-                         delta_star, full_expansion)
+from .expansions import make_expansion
 from .ideals import ideal_from_generators
 from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _poly_mul_reduce, integers, modular,
                     poly_quotient, poly_repr, product)
@@ -44,94 +58,15 @@ from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _poly_mul_reduce, integers, modu
 # MAX_RING_SIZE, as a polynomial is held densely, one coefficient per degree
 _MAX_EXPONENT = MAX_RING_SIZE
 
+# parsing recurses once per open bracket, and binding and printing once per
+# bracket or operator, so this bound keeps both far inside the default
+# recursion limit
+_MAX_NESTING = 100
 
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RInt:
-    pass
-
-
-@dataclass(frozen=True)
-class RMod:
-    n: int
-
-
-@dataclass(frozen=True)
-class RPoly:
-    n: int
-    coeffs: tuple  # ascending
-
-
-@dataclass(frozen=True)
-class RProd:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class RIdz:
-    base: object
-    module: object  # MReg or MQuot
-
-
-@dataclass(frozen=True)
-class RLoc:
-    base: object
-    elems: tuple
-
-
-@dataclass(frozen=True)
-class RQuot:
-    base: object
-    gens: tuple
-
-
-@dataclass(frozen=True)
-class MReg:
-    ring: object
-
-
-@dataclass(frozen=True)
-class MQuot:
-    ring: object
-    gens: tuple
-
-
-@dataclass(frozen=True)
-class EInt:
-    value: int
-
-
-@dataclass(frozen=True)
-class EPoly:
-    coeffs: tuple  # ascending
-
-
-@dataclass(frozen=True)
-class EPair:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class EFrac:
-    left: object  # the numerator r of r/s
-    right: object
-
-
-@dataclass(frozen=True)
-class XAtom:
-    kind: str  # d0 | d1 | full | d+ | d*
-    gens: tuple = ()
-
-
-@dataclass(frozen=True)
-class XCompose:
-    outer: object
-    inner: object
+# the expansion words and the Expansion.recipe tags they name
+_EXPANSION_TAGS = {"d0": "delta0", "d1": "delta1", "full": "full",
+                   "d+": "delta_plus", "d*": "delta_star"}
+_EXPANSION_WORDS = {tag: word for word, tag in _EXPANSION_TAGS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +96,7 @@ class _Parser:
                 self.toks.append((m.lastgroup, m.group(), pos))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # open brackets plus operators read
 
     def _line_col(self, offset):
         line = self.text.count("\n", 0, offset) + 1
@@ -184,8 +120,18 @@ class _Parser:
 
     def take(self):
         tok = self.peek()
+        if tok[1] == "(":
+            self.nest()
+        elif tok[1] == ")":
+            self.depth -= 1
         self.i += 1
         return tok
+
+    def nest(self):
+        """Go one level deeper at the current token, refusing it past _MAX_NESTING."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail(f"nested more than {_MAX_NESTING} levels deep")
 
     def expect(self, kind, value=None):
         k, v, off = self.peek()
@@ -219,21 +165,25 @@ def _parse_exponent(p):
     return _parse_int(p)
 
 
+def _parse_list(p, parse_item, close):
+    """item {"," item} and the closing bracket, after the opening one."""
+    items = [parse_item(p)]
+    while p.at("sym", ","):
+        p.take()
+        items.append(parse_item(p))
+    p.expect("sym", close)
+    return tuple(items)
+
+
 def _parse_poly(p):
     if p.at("sym", "["):
         p.take()
-        coeffs = [_parse_int(p)]
-        while p.at("sym", ","):
-            p.take()
-            coeffs.append(_parse_int(p))
-        p.expect("sym", "]")
-        return tuple(coeffs)
+        return _parse_list(p, _parse_int, "]")
     return _parse_term_sum(p)
 
 
-def _parse_term_sum(p):
+def _parse_term_sum(p, sign=1):
     coeffs = {}
-    sign = 1
     while True:
         c, d = _parse_term(p)
         coeffs[d] = coeffs.get(d, 0) + sign * c
@@ -270,7 +220,7 @@ def _parse_elem(p):
     value = _parse_value(p)
     if p.at("sym", "/"):
         p.take()
-        return EFrac(value, _parse_value(p))
+        return ("frac", value, _parse_value(p))
     return value
 
 
@@ -284,46 +234,28 @@ def _parse_value(p):
         p.expect("sym", ",")
         right = _parse_elem(p)
         p.expect("sym", ")")
-        return EPair(left, right)
-    neg = False
-    if p.at("sym", "-"):
+        return ("pair", left, right)
+    sign = 1
+    if p.at("sym", "-"):  # the sign of the first term
         p.take()
-        neg = True
-    coeffs = _parse_term_sum(p)
-    if neg:
-        coeffs = tuple(-c for c in coeffs)
-    if len(coeffs) == 1:
-        return EInt(coeffs[0])
-    return EPoly(coeffs)
+        sign = -1
+    coeffs = _parse_term_sum(p, sign)
+    return ("int", coeffs[0]) if len(coeffs) == 1 else ("poly", coeffs)
 
 
 def _parse_idealexpr(p):
     p.expect("sym", "(")
-    gens = []
-    if not p.at("sym", ")"):
-        gens.append(_parse_elem(p))
-        while p.at("sym", ","):
-            p.take()
-            gens.append(_parse_elem(p))
-    p.expect("sym", ")")
-    return tuple(gens)
-
-
-def _parse_elemset(p):
-    p.expect("sym", "{")
-    elems = [_parse_elem(p)]
-    while p.at("sym", ","):
+    if p.at("sym", ")"):
         p.take()
-        elems.append(_parse_elem(p))
-    p.expect("sym", "}")
-    return tuple(elems)
+        return ()
+    return _parse_list(p, _parse_elem, ")")
 
 
 def _parse_ring_atom(p):
     k, v, _ = p.peek()
     if k == "word" and v == "ZZ":
         p.take()
-        return RInt()
+        return ("integer",)
     if k == "word" and v and v[0] == "Z" and v[1:].isdigit():
         _check_digits(p, v[1:])
         p.take()
@@ -336,24 +268,20 @@ def _parse_ring_atom(p):
             p.expect("sym", "(")
             poly = _parse_poly(p)
             p.expect("sym", ")")
-            return RPoly(n, poly)
-        return RMod(n)
-    if k == "word" and v == "loc":
+            return ("poly_quotient", n, poly)
+        return ("modular", n)
+    if k == "word" and v in ("loc", "quot"):
         p.take()
         p.expect("sym", "(")
         base = parse_ring(p)
         p.expect("sym", ",")
-        elems = _parse_elemset(p)
+        if v == "loc":
+            p.expect("sym", "{")
+            node = ("localization", base, _parse_list(p, _parse_elem, "}"))
+        else:
+            node = ("quotient", base, _parse_idealexpr(p))
         p.expect("sym", ")")
-        return RLoc(base, elems)
-    if k == "word" and v == "quot":
-        p.take()
-        p.expect("sym", "(")
-        base = parse_ring(p)
-        p.expect("sym", ",")
-        gens = _parse_idealexpr(p)
-        p.expect("sym", ")")
-        return RQuot(base, gens)
+        return node
     if k == "sym" and v == "(":
         p.take()
         ring = parse_ring(p)
@@ -369,36 +297,34 @@ def _parse_module(p):
     if p.at("sym", "/"):
         p.take()
         gens = _parse_idealexpr(p)
-        return MQuot(atom, gens)
-    return MReg(atom)
+        return ("quotient", atom, gens)
+    return ("regular", atom)
 
 
 def parse_ring(p):
     node = _parse_ring_atom(p)
-    while True:
-        if p.at("word", "x"):
-            p.take()
-            node = RProd(node, _parse_ring_atom(p))
-        elif p.at("idz"):
-            p.take()
-            node = RIdz(node, _parse_module(p))
+    while p.at("word", "x") or p.at("idz"):
+        p.nest()
+        if p.take()[0] == "idz":
+            node = ("idealization", node, _parse_module(p))
         else:
-            return node
+            node = ("product", node, _parse_ring_atom(p))
+    return node
 
 
 def _parse_expansion_atom(p):
     k, v, _ = p.peek()
     if k == "word" and v in ("d0", "d1", "full"):
         p.take()
-        return XAtom(v)
+        return (_EXPANSION_TAGS[v],)
     if k == "word" and v == "d":
         p.take()
         if p.at("sym", "+") or p.at("sym", "*"):
-            kind = "d" + p.take()[1]
+            tag = _EXPANSION_TAGS["d" + p.take()[1]]
             p.expect("sym", "(")
             gens = _parse_idealexpr(p)
             p.expect("sym", ")")
-            return XAtom(kind, gens)
+            return (tag, gens)
         p.fail("expected '+' or '*' after 'd'", expected=("+", "*"))
     p.fail("expected an expansion", expected=("d0", "d1", "full", "d+(", "d*("))
 
@@ -407,8 +333,9 @@ def parse_expansion_text(text):
     p = _Parser(text)
     node = _parse_expansion_atom(p)
     while p.at("word", "o"):
+        p.nest()
         p.take()
-        node = XCompose(node, _parse_expansion_atom(p))
+        node = ("compose", node, _parse_expansion_atom(p))
     p.done()
     return node
 
@@ -421,8 +348,8 @@ def parse_ideal_text(text):
 
 
 def parse_spec(text):
-    """Parse a ring expression into its AST for ``bind_ring`` (diagnostics carry
-    line/column)."""
+    """Parse a ring expression into its recipe for ``bind_ring`` (diagnostics
+    carry line/column)."""
     p = _Parser(text)
     ring = parse_ring(p)
     p.done()
@@ -430,45 +357,42 @@ def parse_spec(text):
 
 
 # ---------------------------------------------------------------------------
-# binding: AST -> constructed objects
+# binding: recipes -> constructed objects
 # ---------------------------------------------------------------------------
 
 def bind_ring(ast):
-    if isinstance(ast, RInt):
+    """The ring that a parsed ring recipe names."""
+    kind = ast[0]
+    if kind == "integer":
         return integers()
-    if isinstance(ast, RMod):
-        return modular(ast.n)
-    if isinstance(ast, RPoly):
-        return poly_quotient(ast.n, list(ast.coeffs))
-    if isinstance(ast, RProd):
-        return product(bind_ring(ast.left), bind_ring(ast.right))
-    if isinstance(ast, RIdz):
-        base = bind_ring(ast.base)
-        mod_ast = ast.module
-        mod_base = bind_ring(mod_ast.ring)
+    if kind == "modular":
+        return modular(ast[1])
+    if kind == "poly_quotient":
+        return poly_quotient(ast[1], list(ast[2]))
+    base = bind_ring(ast[1])
+    if kind == "product":
+        return product(base, bind_ring(ast[2]))
+    if kind == "idealization":
+        module = ast[2]
+        mod_base = bind_ring(module[1])
         if mod_base is not base:
             raise DslError(f"module base {mod_base.key} differs from ring {base.key}")
-        if isinstance(mod_ast, MReg):
-            module = make_module(base, "regular")
-        else:
-            module = make_module(base, ("quotient", bind_ideal(base, mod_ast.gens)))
-        return idealization(base, module).ring
-    if isinstance(ast, RLoc):
-        base = bind_ring(ast.base)
-        elems = [bind_element(base, e) for e in ast.elems]
+        spec = ("regular" if module[0] == "regular"
+                else ("quotient", bind_ideal(base, module[2])))
+        return idealization(base, make_module(base, spec)).ring
+    if kind == "localization":
+        elems = [bind_element(base, e) for e in ast[2]]
         sset = MultiplicativeSet(base, tuple(sorted({e.idx for e in elems})))
         return localize(base, sset).ring
-    if isinstance(ast, RQuot):
-        base = bind_ring(ast.base)
-        return quotient_ring(base, bind_ideal(base, ast.gens)).ring
-    raise DslError(f"cannot bind ring AST {ast!r}")
+    return quotient_ring(base, bind_ideal(base, ast[2])).ring
 
 
 def bind_element(ring, ast):
-    """The element an AST names in ``ring``.  Every element of a quotient, and
-    every element but a fraction r/s of a localization, is named as the image
-    of the base element it names under the canonical surjection."""
-    if isinstance(ast, EFrac) and not _reads_fractions(ring):
+    """The element a parsed element names in ``ring``.  Every element of a
+    quotient, and every element but a fraction r/s of a localization, is named
+    as the image of the base element it names under the canonical surjection."""
+    tag = ast[0]
+    if tag == "frac" and not _reads_fractions(ring):
         raise DslError(f"fractions r/s name elements of a localization only, not of {ring.key}")
     kind = ring.origin[0]
     if kind == "quotient":
@@ -477,37 +401,35 @@ def bind_element(ring, ast):
     if kind == "localization":
         _, base, sset = ring.origin
         rec = localize(base, sset)
-        if not isinstance(ast, EFrac):
+        if tag != "frac":
             return rec.canonical(bind_element(base, ast))
-        r, s = bind_element(base, ast.left), bind_element(base, ast.right)
+        r, s = bind_element(base, ast[1]), bind_element(base, ast[2])
         if s.idx not in sset.indices:
             raise DslError(f"denominator {s!r} is not in the multiplicative set")
         return ring.el(rec.class_of[(r.idx, s.idx)])
-    if isinstance(ast, EPair):
+    if tag == "pair":
         if kind == "product":
             _, left, right = ring.origin
-            a = bind_element(left, ast.left)
-            b = bind_element(right, ast.right)
+            a = bind_element(left, ast[1])
+            b = bind_element(right, ast[2])
             return ring.from_payload((a.payload, b.payload))
         if kind == "idealization":
             _, base, module = ring.origin
-            r = bind_element(base, ast.left)
-            m = _bind_module_element(module, ast.right)
+            r = bind_element(base, ast[1])
+            m = _bind_module_element(module, ast[2])
             return ring.el(r.idx * module.size + m)
         raise DslError(f"pair elements do not exist in {ring.key}")
-    if isinstance(ast, EInt):
+    if tag == "int":
         if not ring.is_finite:
-            return ring.el(ast.value)
+            return ring.el(ast[1])
         if kind == "modular":
-            return ring.el(ast.value % ring.size)
+            return ring.el(ast[1] % ring.size)
         if kind == "poly_quotient":
-            return _poly_element(ring, (ast.value,))
+            return _poly_element(ring, ast[1:])
         raise DslError(f"plain integers do not name elements of {ring.key}")
-    if isinstance(ast, EPoly):
-        if kind == "poly_quotient":
-            return _poly_element(ring, ast.coeffs)
-        raise DslError(f"polynomial elements do not exist in {ring.key}")
-    raise DslError(f"cannot bind element AST {ast!r}")
+    if kind == "poly_quotient":
+        return _poly_element(ring, ast[1])
+    raise DslError(f"polynomial elements do not exist in {ring.key}")
 
 
 def _poly_element(ring, coeffs):
@@ -518,7 +440,7 @@ def _poly_element(ring, coeffs):
 
 def _bind_module_element(module, ast):
     # R and R/I name their elements by base elements, pairs only over a pair ring
-    if module.base_to_module is None or isinstance(ast, EPair) and (
+    if module.base_to_module is None or ast[0] == "pair" and (
             module.ring.origin[0] not in ("product", "idealization")):
         raise DslError("this module's elements are not expressible in the DSL")
     base_elem = bind_element(module.ring, ast)
@@ -530,20 +452,14 @@ def bind_ideal(ring, gens_ast):
 
 
 def bind_expansion(ring, ast):
-    if isinstance(ast, XCompose):
-        return compose_expansions(bind_expansion(ring, ast.outer),
-                                  bind_expansion(ring, ast.inner))
-    if ast.kind == "d0":
-        return delta0(ring)
-    if ast.kind == "d1":
-        return delta1(ring)
-    if ast.kind == "full":
-        return full_expansion(ring)
-    if ast.kind == "d+":
-        return delta_plus(ring, bind_ideal(ring, ast.gens))
-    if ast.kind == "d*":
-        return delta_star(ring, bind_ideal(ring, ast.gens))
-    raise DslError(f"cannot bind expansion AST {ast!r}")
+    """The expansion of ``ring`` that a parsed expansion recipe names, built by
+    ``make_expansion`` from the recipe's tag and its bound operands."""
+    kind = ast[0]
+    if kind == "compose":
+        param = (bind_expansion(ring, ast[1]), bind_expansion(ring, ast[2]))
+    else:
+        param = bind_ideal(ring, ast[1]) if len(ast) > 1 else None
+    return make_expansion(ring, kind, param)
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +467,25 @@ def bind_expansion(ring, ast):
 # ---------------------------------------------------------------------------
 
 def print_elem(ast):
-    if isinstance(ast, EPair):
-        return f"({print_elem(ast.left)},{print_elem(ast.right)})"
-    if isinstance(ast, EFrac):
-        return "/".join(f"({print_elem(side)})" if isinstance(side, EFrac) else print_elem(side)
-                        for side in (ast.left, ast.right))
-    if isinstance(ast, EInt):
-        return str(ast.value)
-    return poly_repr(ast.coeffs, descending=True)
+    tag = ast[0]
+    if tag == "pair":
+        return f"({print_elem(ast[1])},{print_elem(ast[2])})"
+    if tag == "frac":
+        return "/".join(f"({print_elem(side)})" if side[0] == "frac" else print_elem(side)
+                        for side in ast[1:])
+    if tag == "int":
+        return str(ast[1])
+    return poly_repr(ast[1], descending=True)
 
 
 def print_expansion(ast):
-    if isinstance(ast, XCompose):
-        return f"{print_expansion(ast.outer)} o {print_expansion(ast.inner)}"
-    if ast.kind in ("d0", "d1", "full"):
-        return ast.kind
-    gens = ",".join(print_elem(e) for e in ast.gens) or "0"
-    return f"{ast.kind}(({gens}))"
+    kind = ast[0]
+    if kind == "compose":
+        return f"{print_expansion(ast[1])} o {print_expansion(ast[2])}"
+    if len(ast) == 1:
+        return _EXPANSION_WORDS[kind]
+    gens = ",".join(print_elem(e) for e in ast[1]) or "0"
+    return f"{_EXPANSION_WORDS[kind]}(({gens}))"
 
 
 def _gens_text(I):

@@ -11,9 +11,9 @@ of the residues written _STRIDE_REPS times, and row n-i the reverse of row i.
 
 Every finite constructor runs an exact ring-axiom self check,
 ``check_ring_axioms``, which proves the axioms from the ring's structure and
-returns the negation table: a product through its two factors, with no pass
-over its own tables, and negation read off theirs; a ring whose additive group
-is generated by 1 (every Z_n) in O(n^2) table lookups, with no pass for the
+returns the negation table: a product built from its factors' tables with no
+pass over any table, negation read off the factors'; a ring whose additive
+group is generated by 1 (every Z_n) in O(n^2) table lookups, with no pass for the
 commutativity or associativity of multiplication, and on Z_n's own tables two
 of its identities evaluated as row rotations and -x read as n - x; any other
 ring in O(n^2 k), k the size of a greedy additive generating set.  Table
@@ -482,15 +482,20 @@ def _product(left, right):
     if not (left.is_finite and right.is_finite):
         raise InvalidSpecError("product components must be finite rings")
     origin = ("product", left, right)
-    sr = right.size
-    _check_size(ring_key(origin), left.size * sr)
-    elems = [(a, b) for a in left.elements for b in right.elements]
-    add = _join_tables(left.add, right.add)
-    mul = _join_tables(left.mul, right.mul)
-    zero = left.zero_idx * sr + right.zero_idx
-    one = left.one_idx * sr + right.one_idx
+    _check_size(ring_key(origin), left.size * right.size)
+    elems, add, mul, zero, one = _product_tables(left, right)
     return Ring(origin, elements=elems, add=add, mul=mul, zero=zero, one=one,
                 repr_fn=_pair_repr(left._repr_fn or str, right._repr_fn or str))
+
+
+@memo
+def _product_tables(left, right):
+    """(elements, add, mul, zero, one) of R1 x R2, the element (a, b) at index
+    a * |R2| + b; ``check_ring_axioms`` proves no axiom on tables equal to them."""
+    sr = right.size
+    return ([(a, b) for a in left.elements for b in right.elements],
+            _join_tables(left.add, right.add), _join_tables(left.mul, right.mul),
+            left.zero_idx * sr + right.zero_idx, left.one_idx * sr + right.one_idx)
 
 
 def _pair_repr(left_fn, right_fn):
@@ -509,13 +514,15 @@ def check_ring_axioms(ring):
     The check proves the axioms from the ring's structure, by one of three routes.
 
     Products through their factors.  A ring whose origin is ("product", R1, R2)
-    was built by ``_product``: its tables are ``_join_tables`` of the
-    factors' tables, 0 = (0, 0) and 1 = (1, 1).  Every axiom holds in R1 x R2
-    iff it holds in R1 and in R2, componentwise, so the check runs on the two
-    factors and on no table of the product (cost: the factors' checks).  So is
-    negation, -(a, b) = (-a, -b), read off the factors' negation tables.  The
-    route trusts the recipe: tables given under any other recipe get the full
-    check.
+    and whose elements, tables, 0 and 1 are those that ``_product_tables(R1,
+    R2)`` has made, ``_join_tables`` of the factors' tables with 0 = (0, 0) and
+    1 = (1, 1), is a ring: every axiom holds in R1 x R2 iff it holds in R1 and
+    in R2, componentwise, and both factors passed this check when they were
+    built.  So no pass runs, and negation, -(a, b) = (-a, -b), is read off the
+    factors' negation tables.  ``_product`` hands over the very lists, which
+    compare equal at once, by identity.  The route goes by the tables, not by
+    the origin a caller writes: other tables, under a product origin too, get
+    the full check.
 
     Any other ring: pairs are checked exhaustively, and (a+c)+b = a+(c+b),
     c+a = a+c, a(c+b) = ac+ab and (ac)b = a(cb) for all a, b but only for c in
@@ -549,9 +556,11 @@ def check_ring_axioms(ring):
     """
     if ring.origin[0] == "product":
         left, right = ring.origin[1:]
-        sr = right.size
-        right_neg = check_ring_axioms(right)
-        return [a * sr + b for a in check_ring_axioms(left) for b in right_neg]
+        # read from the memo, so that no origin a caller writes makes a join run
+        made = left._cache.get((_product_tables.__wrapped__, right))
+        if made == (ring.elements, ring.add, ring.mul, ring.zero_idx, ring.one_idx):
+            sr = right.size
+            return [a * sr + b for a in left.neg for b in right.neg]
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
     gens = _additive_generators(add, zero, one)
     cyclic = _is_cyclic(add, zero, gens)

@@ -9,6 +9,7 @@ and aggregates per-claim reports with capped failure witnesses.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -54,16 +55,12 @@ def _corpus_rings():
     return rings
 
 
-_BUILTIN = None
-
-
+@functools.cache
 def builtin_corpus():
-    """The deterministic default corpus (32 rings, catalogs attached)."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = Corpus(entries=tuple(
-            CorpusEntry(ring=r, expansions=catalog(r)) for r in _corpus_rings()))
-    return _BUILTIN
+    """The deterministic default corpus (32 rings, catalogs attached), built
+    once per process."""
+    return Corpus(entries=tuple(
+        CorpusEntry(ring=r, expansions=catalog(r)) for r in _corpus_rings()))
 
 
 def load_corpus(path):

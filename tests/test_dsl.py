@@ -1,12 +1,14 @@
 """Parser/printer round-trips and diagnostics for the little language."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltan import DslError, localize, modular, mult_closure, quotient_ring
+from deltan import DeltanError, DslError, localize, modular, mult_closure, quotient_ring
 from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
                         print_elem, print_expansion, ring_to_dsl)
@@ -247,3 +249,68 @@ def test_binding_errors_carry_no_source_position():
         bind_ideal(bind_ring(parse_spec("Z2 x Z2")), parse_ideal_text("(5)"))
     assert err.value.line is None and str(err.value) == (
         "plain integers do not name elements of prod(Z2,Z2)")
+
+
+def test_a_leading_minus_negates_the_first_term_only():
+    assert parse_ideal_text("(-x+3)") == parse_ideal_text("(3-x)") == (("poly", (3, -1)),)
+    assert parse_ideal_text("(-x-3)") == (("poly", (-3, -1)),)
+    assert parse_ideal_text("(-5)") == (("int", -5),)
+    ring = bind_ring(parse_spec("Z9[x]/(x^2)"))
+    assert repr(bind_ideal(ring, parse_ideal_text("(-x+3)"))) == "(6+x)"
+
+
+# text nested k levels deep, and the column of its 101st level when k > 100
+NESTINGS = {
+    "ring brackets": (parse_spec, lambda k: "(" * k + "Z6" + ")" * k, 101),
+    "element brackets": (parse_ideal_text, lambda k: "(" * k + "1" + ")" * k, 101),
+    "products": (parse_spec, lambda k: "Z2" + " x Z2" * k, 504),
+    "idealizations": (parse_spec, lambda k: "Z2" + " (+) Z2" * k, 704),
+    "compositions": (parse_expansion_text, lambda k: "d0" + " o d0" * k, 504),
+    "brackets and products": (parse_spec, lambda k: "(" * 50 + "Z2" + " x Z2" * (k - 50)
+                              + ")" * 50, 304),
+}
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_deeper_than_100_levels_is_refused_at_its_token(kind):
+    parse, text, column = NESTINGS[kind]
+    parse(text(100))
+    with pytest.raises(DslError, match="nested more than 100 levels deep") as err:
+        parse(text(101))
+    assert err.value.column == column
+
+
+def test_the_deepest_nesting_binds():
+    z6 = modular(6)
+    assert bind_ring(parse_spec("(" * 100 + "Z6" + ")" * 100)) is z6
+    assert bind_ideal(z6, parse_ideal_text("(" * 100 + "2" + ")" * 100)).size == 3
+    chain = bind_expansion(z6, parse_expansion_text("d0" + " o d0" * 100))
+    assert chain.recipe[0] == "compose" and chain.table == bind_expansion(z6, ("delta0",)).table
+
+
+def _query_texts():
+    """The ring and --delta texts of the locked command-line queries."""
+    queries = Path(__file__).resolve().parent / "data" / "cli_queries.txt"
+    for line in queries.read_text(encoding="utf-8").splitlines():
+        argv = json.loads(line)
+        if argv[0] in ("ideals", "classify") and len(argv) > 1:
+            delta = argv[argv.index("--delta") + 1] if "--delta" in argv else None
+            yield argv[1], delta
+
+
+def test_parsed_tags_are_the_tags_of_the_recipes_they_bind_to():
+    bound = 0
+    for ring_text, delta_text in _query_texts():
+        try:
+            ring = bind_ring(parse_spec(ring_text))
+        except DeltanError:
+            continue
+        assert parse_spec(ring_text)[0] == ring.origin[0], ring_text
+        if delta_text is not None:
+            try:
+                delta = bind_expansion(ring, parse_expansion_text(delta_text))
+            except DeltanError:
+                continue
+            assert parse_expansion_text(delta_text)[0] == delta.recipe[0], delta_text
+            bound += 1
+    assert bound > 400

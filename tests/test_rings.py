@@ -655,7 +655,18 @@ def test_product_axiom_check_runs_on_the_factors_only(monkeypatch):
     z31 = modular(31)
     ring = rings._product.__wrapped__(z31, z31)  # not memoised
     assert ring.size == 961
-    assert sizes and max(sizes) == 31
+    # Z31 may be checked here, if no earlier test built it; the product is not
+    assert max(sizes, default=0) <= 31
+
+
+def test_a_product_origin_over_other_tables_takes_the_full_check():
+    # the factor-only route goes by the tables that _product_tables made, not by an origin
+    z2 = modular(2)
+    real = product(z2, z2)
+    twin = dict(elements=real.elements, add=[row[:] for row in real.add], zero=0, one=3)
+    with pytest.raises(InvalidSpecError, match="1 is not a multiplicative identity"):
+        Ring(("product", z2, z2), mul=[[0] * 4 for _ in range(4)], **twin)
+    assert Ring(("product", z2, z2), mul=[row[:] for row in real.mul], **twin).neg == real.neg
 
 
 @pytest.mark.parametrize("build", [
