@@ -17,9 +17,9 @@ Checkers work on masks.  A loop over one (ring, delta) reads its delta-n set
 ``dn`` once and tests ``I.mask in dn``: the set of a catalog expansion is
 built once per run, in the scopes of its corpus entry, and the set of a
 derived expansion where it is used (``predicates.delta_n_masks``);
-values, images, preimages, extensions, sums and meets are read from the
-expansion tables, the maps' memoised masks and the mask kernels.  ``Ideal``
-objects are built only for the witness of a failure.
+values are read from the expansion tables, and colons, images, preimages
+and extensions from the kernels' memo tables (``fn.table``), bound once per
+loop.  ``Ideal`` objects are built only for the witness of a failure.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 from . import constructions, predicates
-from .constructions import (enumerate_submodules, is_delta_gamma_homomorphism, localize,
-                            product_projections, quotient_ring)
+from .constructions import (Homomorphism, enumerate_submodules, is_delta_gamma_homomorphism,
+                            localize, product_projections, quotient_ring)
 from .expansions import (_colon_violation, catalog, compose_expansions,
                          delta0, delta1, delta_plus, derive_idealization_expansion,
                          derive_localized_expansion, derive_product_expansion,
@@ -122,15 +122,14 @@ def _expansions(ctx):
 
 
 def _by_expansion(ctx):
-    """(ring, delta, delta-n set of delta) for each corpus ring and expansion."""
+    """The scope of each corpus ring and catalog expansion."""
     for entry in ctx.entries:
-        for scope in _scopes(ctx, entry):
-            yield scope.ring, scope.delta, scope.dn
+        yield from _scopes(ctx, entry)
 
 
 # one (ring, delta) with what its hypotheses and conclusions read, so that
 # a verdict reads attributes rather than calling a memoised function
-_Scope = namedtuple("_Scope", "ring delta table full dn nil n_masks")
+_Scope = namedtuple("_Scope", "ring delta dn proper table full nil n_masks")
 
 
 @memo
@@ -140,28 +139,27 @@ def _scopes(ctx, entry):
     ring = entry.ring
     nil, dns = _nil_mask(ring), [delta_n_masks(d) for d in entry.expansions]
     n_masks = dns[entry.expansions.index(delta0(ring))]
-    return [_Scope(ring, d, d.table, ring.full_mask, dn, nil, n_masks)
+    return [_Scope(ring, d, dn, _proper(ring), d.table, ring.full_mask, nil, n_masks)
             for d, dn in zip(entry.expansions, dns)]
 
 
 @memo
 def _catalog_dns(ctx):
     """{catalog expansion: its delta-n set}, from the scopes."""
-    return {s.delta: s.dn for entry in ctx.entries for s in _scopes(ctx, entry)}
+    return {s.delta: s.dn for s in _by_expansion(ctx)}
 
 
-def _dn_set(ctx, delta):
-    """The delta-n set of delta: its scope's for a catalog expansion, else built."""
-    dn = _catalog_dns(ctx).get(delta)
+def _dn_set(dns, delta):
+    """The delta-n set of delta: its scope's in ``dns`` for a catalog expansion, else built."""
+    dn = dns.get(delta)
     return delta_n_masks(delta) if dn is None else dn
 
 
 def _ideals(ctx):
     """(scope, I) for each corpus ring, catalog expansion and proper ideal I."""
-    for entry in ctx.entries:
-        for scope in _scopes(ctx, entry):
-            for I in _proper(entry.ring):
-                yield scope, I
+    for scope in _by_expansion(ctx):
+        for I in scope.proper:
+            yield scope, I
 
 
 def _delta_n_proper_value(s, I):
@@ -199,9 +197,9 @@ def _pair_repr(a, b):
         "every (ring, catalog expansion, proper ideal)")
 def _check_four_equivalents(ctx):
     for entry in ctx.entries:
-        ring = entry.ring
+        ring, proper = entry.ring, _proper(entry.ring)
         for delta in entry.expansions:
-            for I in _proper(ring):
+            for I in proper:
                 values = [is_delta_n_ideal(I, delta, method=m)
                           for m in predicates.DELTA_N_METHODS]
                 if len(set(values)) == 1:
@@ -368,19 +366,19 @@ def _check_von_neumann_field(ctx):
         "conditions hold automatically.",
         "every (ring, expansion, delta-n ideal, element x outside delta(I))")
 def _check_colon_stable(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, table = ring.full_mask, delta.table
+    for ring, delta, dn, proper, table, full, *_ in _by_expansion(ctx):
         is_radical = delta.kind == "delta1"
-        for I in _proper(ring):
+        for I in proper:
             if I.mask not in dn:
                 continue
             dmask = table[I.mask]
+            colons, d_colons = _colon_mask.table(ring, I.mask), _colon_mask.table(ring, dmask)
             for x in range(ring.size):
                 if dmask >> x & 1:
                     continue
-                cx = _colon_mask(ring, I.mask, x)
+                cx = colons[x]
                 # (delta(I):x) <= delta(I:x) != R; a hypothesis, except for delta1
-                side = not (_colon_mask(ring, dmask, x) & ~table[cx]) and table[cx] != full
+                side = not (d_colons[x] & ~table[cx]) and table[cx] != full
                 if not (side or is_radical):
                     yield SKIP, None
                 elif side and cx in dn:
@@ -432,16 +430,16 @@ def _check_existence(ctx):
         "sqrt(0), then delta(I:a) = delta(I).",
         "every (ring, expansion, delta-n ideal, non-nilpotent a)")
 def _check_idem_colon_expansion(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        nil, table = _nil_mask(ring), delta.table
-        for I in _proper(ring):
+    for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
+        for I in proper:
             if not _idempotent_delta_n(delta, dn, I.mask):
                 yield SKIP, None
                 continue
+            colons = _colon_mask.table(ring, I.mask)
             for a in range(ring.size):
                 if nil >> a & 1:
                     continue
-                if table[_colon_mask(ring, I.mask, a)] == table[I.mask]:
+                if table[colons[a]] == table[I.mask]:
                     yield HOLDS, None
                 else:
                     yield FAIL, _wit(ring, delta, I, elements=f"a={ring.element_repr(a)}")
@@ -464,16 +462,15 @@ def _check_idem_value_n_iff(ctx):
         "not inside sqrt(0), then delta(I) = delta(J).",
         "every (ring, expansion, ideal triple) meeting the hypothesis")
 def _check_idem_cancellation(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        nil, table, lattice = _nil_mask(ring), delta.table, enumerate_ideals(ring)
-        qualifying = [I for I in _proper(ring) if _idempotent_delta_n(delta, dn, I.mask)]
+    for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
+        qualifying = [I for I in proper if _idempotent_delta_n(delta, dn, I.mask)]
+        ks = [K for K in enumerate_ideals(ring) if K.mask & ~nil]
+        # IK for each qualifying I and each K outside sqrt(0), in lattice order
+        products = {I: [_product_mask(ring, I.mask, K.mask) for K in ks] for I in qualifying}
         for I in qualifying:
             for J in qualifying:
-                for K in lattice:
-                    if K.mask & ~nil == 0:
-                        continue
-                    if _product_mask(ring, I.mask, K.mask) != \
-                       _product_mask(ring, J.mask, K.mask):
+                for K, ik, jk in zip(ks, products[I], products[J]):
+                    if ik != jk:
                         continue
                     if table[I.mask] == table[J.mask]:
                         yield HOLDS, None
@@ -487,9 +484,9 @@ def _check_idem_cancellation(ctx):
         "not inside sqrt(0), then delta(IK) = delta(I).",
         "every (ring, expansion, ideal pair) meeting the hypothesis")
 def _check_idem_absorption(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        nil, table, lattice = _nil_mask(ring), delta.table, enumerate_ideals(ring)
-        for I in _proper(ring):
+    for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
+        lattice = enumerate_ideals(ring)
+        for I in proper:
             if not _idempotent_delta_n(delta, dn, I.mask):
                 continue
             for K in lattice:
@@ -560,13 +557,13 @@ def _check_pointwise_monotone(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         lattice = enumerate_ideals(ring)
-        dns = [s.dn for s in _scopes(ctx, entry)]
+        dns, proper = [s.dn for s in _scopes(ctx, entry)], _proper(ring)
         for delta, dn in zip(entry.expansions, dns):
             for gamma, dn_g in zip(entry.expansions, dns):
                 if any(delta.table[I.mask] & ~gamma.table[I.mask] for I in lattice):
                     yield SKIP, None
                     continue
-                bad = next((I for I in _proper(ring)
+                bad = next((I for I in proper
                             if I.mask in dn and I.mask not in dn_g), None)
                 if bad is None:
                     yield HOLDS, None
@@ -580,13 +577,14 @@ def _check_pointwise_monotone(ctx):
         "(delta o gamma)-n-ideal.",
         "every (ring, expansion pair, proper ideal)")
 def _check_compose_n_ideal(ctx):
+    dns = _catalog_dns(ctx)
     for entry in ctx.entries:
-        ring = entry.ring
+        ring, proper = entry.ring, _proper(entry.ring)
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             for gamma in entry.expansions:
                 comp = compose_expansions(delta, gamma)
-                g_table, dn_comp = gamma.table, _dn_set(ctx, comp)
-                for I in _proper(ring):
+                g_table, dn_comp = gamma.table, _dn_set(dns, comp)
+                for I in proper:
                     if g_table[I.mask] not in dn:
                         yield SKIP, None
                     elif I.mask in dn_comp:
@@ -601,11 +599,11 @@ def _check_compose_n_ideal(ctx):
         "delta-n, then sqrt(I) is delta-n.",
         "every (ring, radical-commuting expansion, delta-n ideal)")
 def _check_radical_transfer(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
+    for ring, delta, dn, proper, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).radical_commuting:
             yield SKIP, None
             continue
-        for I in _proper(ring):
+        for I in proper:
             if I.mask not in dn:
                 yield SKIP, None
             elif _radical_mask(ring, I.mask) in dn:
@@ -619,8 +617,7 @@ def _check_radical_transfer(ctx):
         "then K is delta-n.",
         "every (ring, expansion, chain J <= K <= I)")
 def _check_sandwich(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        table, proper = delta.table, _proper(ring)
+    for ring, delta, dn, proper, table, *_ in _by_expansion(ctx):
         for I in proper:
             if I.mask not in dn:
                 continue
@@ -643,11 +640,11 @@ def _check_sandwich(ctx):
         "delta-n-ideals are delta-n-ideals.",
         "every (ring, intersection-preserving expansion, delta-n pair)")
 def _check_intersection(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
+    for ring, delta, dn, proper, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
             yield SKIP, None
             continue
-        members = [I for I in _proper(ring) if I.mask in dn]
+        members = [I for I in proper if I.mask in dn]
         for I in members:
             for J in members:
                 if I.mask & J.mask in dn:
@@ -663,18 +660,18 @@ def _check_intersection(ctx):
         "I_k is delta-n.",
         "every (ring, expansion, qualifying ideal pair)")
 def _check_intersection_noncomparable(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
+    for ring, delta, dn, proper, table, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
             yield SKIP, None
             continue
-        table, proper = delta.table, _proper(ring)
+        classes = _ideal_class.table(ring)
         for I in proper:
             dI = table[I.mask]
-            if not _ideal_class(ring, dI).is_prime:
+            if not classes[dI].is_prime:
                 continue
             for J in proper:
                 dJ = table[J.mask]
-                if not _ideal_class(ring, dJ).is_prime or dI & ~dJ == 0 or dJ & ~dI == 0:
+                if not classes[dJ].is_prime or dI & ~dJ == 0 or dJ & ~dI == 0:
                     continue
                 meet = I.mask & J.mask
                 if meet not in dn:
@@ -701,9 +698,8 @@ def _check_superfluous(ctx):
         "I + J is a (proper) delta-n-ideal.",
         "every (ring, expansion, qualifying ideal pair)")
 def _check_sum_delta_n(ctx):
-    for ring, delta, dn in _by_expansion(ctx):
-        full, table = ring.full_mask, delta.table
-        qualifying = [I for I in _proper(ring) if table[I.mask] != full and I.mask in dn]
+    for ring, delta, dn, proper, table, full, *_ in _by_expansion(ctx):
+        qualifying = [I for I in proper if table[I.mask] != full and I.mask in dn]
         for I in qualifying:
             for J in qualifying:
                 s = _sum_mask(ring, I.mask, J.mask)
@@ -723,11 +719,10 @@ def _quotient_instances(ctx):
     corpus ring, proper J, catalog expansion and proper I >= J."""
     for entry in ctx.entries:
         ring = entry.ring
-        scopes = _scopes(ctx, entry)
-        for J in _proper(ring):
-            proj = quotient_ring(ring, J).projection
-            above = [(I, proj.image_mask(I.mask)) for I in _proper(ring)
-                     if J.mask & ~I.mask == 0]
+        scopes, proper = _scopes(ctx, entry), _proper(ring)
+        for J in proper:
+            images = Homomorphism.image_mask.table(quotient_ring(ring, J).projection)
+            above = [(I, images[I.mask]) for I in proper if J.mask & ~I.mask == 0]
             for s in scopes:
                 dn_q = delta_n_masks(derive_quotient_expansion(s.delta, J))
                 for I, img in above:
@@ -780,21 +775,23 @@ def _check_quotient_back_delta_n(ctx):
         "gamma-n-ideal is a delta-n-ideal.",
         "every (family hom, expansion pair, target proper ideal)")
 def _check_hom_preimage(ctx):
+    dns = _catalog_dns(ctx)
     for f, pairs in ctx.hom_instances():
         if not f.is_injective():
             continue
+        preimages, proper = Homomorphism.preimage_mask.table(f), _proper(f.target)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            dn, dn_g = _dn_set(ctx, delta), _dn_set(ctx, gamma)
-            for J in _proper(f.target):
+            dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
+            for J in proper:
                 if J.mask not in dn_g:
                     yield SKIP, None
-                elif f.preimage_mask(J.mask) in dn:
+                elif preimages[J.mask] in dn:
                     yield HOLDS, None
                 else:
-                    pre = _mk_ideal(f.source, f.preimage_mask(J.mask))
+                    pre = _mk_ideal(f.source, preimages[J.mask])
                     yield FAIL, _wit(f.source, delta, pre,
                                      detail=f"target {f.target.key}, J={J!r}, "
                                             f"gamma={gamma.name()}")
@@ -805,20 +802,22 @@ def _check_hom_preimage(ctx):
         "delta-n, the image f(I) is a gamma-n-ideal.",
         "every (family epimorphism, expansion pair, source proper ideal)")
 def _check_hom_image(ctx):
+    dns = _catalog_dns(ctx)
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
             continue
         ker, full = f.kernel.mask, f.target.full_mask
+        images, proper = Homomorphism.image_mask.table(f), _proper(f.source)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            dn, dn_g = _dn_set(ctx, delta), _dn_set(ctx, gamma)
-            for I in _proper(f.source):
+            dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
+            for I in proper:
                 if ker & ~I.mask or I.mask not in dn:
                     yield SKIP, None
                     continue
-                img = f.image_mask(I.mask)
+                img = images[I.mask]
                 if img == full:
                     yield FAIL, _wit(f.source, delta, I, detail="image is the whole ring")
                 elif img in dn_g:
@@ -838,17 +837,18 @@ def _check_hom_epi_pushforward(ctx):
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
             continue
-        ker = f.kernel.mask
+        ker, images = f.kernel.mask, Homomorphism.image_mask.table(f)
+        lattice = enumerate_ideals(f.source)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            for I in enumerate_ideals(f.source):
+            for I in lattice:
                 if ker & ~I.mask:
                     yield SKIP, None
                     continue
-                lhs = gamma.table[f.image_mask(I.mask)]
-                rhs = f.image_mask(delta.table[I.mask])
+                lhs = gamma.table[images[I.mask]]
+                rhs = images[delta.table[I.mask]]
                 if lhs == rhs:
                     yield HOLDS, None
                 else:
@@ -883,14 +883,14 @@ def _check_product_obstruction(ctx):
         if ring.origin[0] != "product":
             continue
         _, left, right = ring.origin
-        p1, p2 = product_projections(ring)
+        p1, p2 = (Homomorphism.image_mask.table(p) for p in product_projections(ring))
         for d1 in catalog(left):
             for d2 in catalog(right):
                 dx = derive_product_expansion(d1, d2)
                 dn = delta_n_masks(dx)
                 for I in _proper(ring):
-                    if d1.table[p1.image_mask(I.mask)] == left.full_mask and \
-                       d2.table[p2.image_mask(I.mask)] == right.full_mask:
+                    if d1.table[p1[I.mask]] == left.full_mask and \
+                       d2.table[p2[I.mask]] == right.full_mask:
                         yield SKIP, None
                     elif I.mask in dn:
                         yield FAIL, _wit(ring, dx, I,
@@ -912,9 +912,10 @@ def _homogeneous_pairs(rec, ideals):
         "For IM <= N: I is delta-n in R iff I(+)N is delta_(+)-n in R(+)M.",
         "every (idealization, base expansion, homogeneous pair)")
 def _check_idealization_transfer(ctx):
+    dns = _catalog_dns(ctx)
     for rec, base_catalog in ctx.idealization_instances():
         for delta in base_catalog:
-            dn = _dn_set(ctx, delta)
+            dn = _dn_set(dns, delta)
             dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
             for I, N in _homogeneous_pairs(rec, _proper(rec.base)):
                 if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
@@ -946,19 +947,19 @@ def _check_idealization_radical(ctx):
 def _check_loc_forward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        dns = [s.dn for s in _scopes(ctx, entry)]
         for sset in ctx.mult_sets(ring):
             rec = localize(ring, sset)
+            extend = Homomorphism.image_mask.table(rec.canonical)
             smask = sum(1 << i for i in sset.indices)
-            for delta, dn in zip(entry.expansions, dns):
+            for _, delta, dn, proper, *_ in _scopes(ctx, entry):
                 dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
-                for I in _proper(ring):
+                for I in proper:
                     if I.mask & smask or I.mask not in dn:
                         yield SKIP, None
-                    elif rec.extend_mask(I.mask) in dn_s:
+                    elif extend[I.mask] in dn_s:
                         yield HOLDS, None
                     else:
-                        ext = _mk_ideal(rec.ring, rec.extend_mask(I.mask))
+                        ext = _mk_ideal(rec.ring, extend[I.mask])
                         yield FAIL, _wit(ring, delta, I,
                                          detail=f"S={sset!r}, extension={ext!r}")
 
@@ -971,18 +972,17 @@ def _check_loc_backward(ctx):
     for entry in ctx.entries:
         ring = entry.ring
         zdiv = _z_i_mask(ring, 1 << ring.zero_idx)  # the zero divisors
-        dns = [s.dn for s in _scopes(ctx, entry)]
+        z_is = _z_i_mask.table(ring)
         for sset in ctx.mult_sets(ring):
             smask = sum(1 << i for i in sset.indices)
             if zdiv & smask:  # a hypothesis fails at every (delta, I)
                 yield from [(SKIP, None)] * (len(entry.expansions) * len(_proper(ring)))
                 continue
-            rec = localize(ring, sset)
-            for delta, dn in zip(entry.expansions, dns):
+            extend = Homomorphism.image_mask.table(localize(ring, sset).canonical)
+            for _, delta, dn, proper, *_ in _scopes(ctx, entry):
                 dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
-                for I in _proper(ring):
-                    if (_z_i_mask(ring, delta.table[I.mask]) & smask
-                            or rec.extend_mask(I.mask) not in dn_s):
+                for I in proper:
+                    if z_is[delta.table[I.mask]] & smask or extend[I.mask] not in dn_s:
                         yield SKIP, None
                     elif I.mask in dn:
                         yield HOLDS, None
@@ -1000,15 +1000,16 @@ def _check_loc_regular_contract(ctx):
         regs = sorted(e.idx for e in special_sets(ring).regular_elements)
         sset = constructions.MultiplicativeSet(ring, tuple(regs))
         rec = localize(ring, sset)
+        contract, proper = Homomorphism.preimage_mask.table(rec.canonical), _proper(rec.ring)
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
-            for K in _proper(rec.ring):
+            for K in proper:
                 if K.mask not in dn_s:
                     yield SKIP, None
-                elif rec.contract_mask(K.mask) in dn:
+                elif contract[K.mask] in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, rec.contract_mask(K.mask)),
+                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, contract[K.mask]),
                                      detail=f"K={K!r}")
 
 

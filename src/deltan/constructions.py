@@ -320,17 +320,16 @@ def preimage_ideal(f, K):
     return integer_ideal(f.source, d)
 
 
-@memo
 def is_delta_gamma_homomorphism(f, delta, gamma):
     """delta(f^{-1}(J)) = f^{-1}(gamma(J)) for every ideal J of the target.
 
-    A table-backed map compares the masks; the mod-n reductions compare ideals.
+    A table-backed map compares the masks, its verdicts one memo table keyed
+    by the pair (delta, gamma); the mod-n reductions compare ideals.
     """
     _same_ring(f.source, delta.ring, "source expansion")
     _same_ring(f.target, gamma.ring, "target expansion")
     if f.mapping is not None:
-        pre, dt, gt = f.preimage_mask, delta.table, gamma.table
-        return all(dt[pre(J.mask)] == pre(gt[J.mask]) for J in enumerate_ideals(f.target))
+        return _mask_verdict(f, (delta, gamma))
     from .expansions import apply_expansion  # expansions imports this module
     for J in enumerate_ideals(f.target):
         pre = preimage_ideal(f, J)
@@ -339,6 +338,13 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
         if lhs != rhs:
             return False
     return True
+
+
+@memo
+def _mask_verdict(f, pair):
+    (delta, gamma), pre = pair, Homomorphism.preimage_mask.table(f)
+    return all(delta.table[pre[J.mask]] == pre[gamma.table[J.mask]]
+               for J in enumerate_ideals(f.target))
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import re
 
-from .errors import DslError
+from .errors import DslError, InvalidSpecError
 from .constructions import (MultiplicativeSet, _reads_fractions, idealization, localize,
                             make_module, quotient_ring)
 from .expansions import make_expansion
 from .ideals import ideal_from_generators
-from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _poly_mul_reduce, integers, modular,
-                    poly_quotient, poly_repr, product)
+from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _check_size, _poly_mul_reduce,
+                    _poly_normalize, integers, modular, poly_quotient, poly_repr, product,
+                    ring_key)
 
 # the longest integer literal read is _MAX_DIGITS long (CPython's default limit
 # on converting a digit string to an int); the largest exponent of x is
@@ -360,6 +361,37 @@ def parse_spec(text):
 # binding: recipes -> constructed objects
 # ---------------------------------------------------------------------------
 
+def _sized(ast):
+    """(size, name) of the ring that a recipe of Z_n, Z_n[x]/(f), products and
+    regular idealizations names, read off the recipe, refusing a product or an
+    idealization as its constructor would but before its operands are built;
+    None for any other recipe, and where a constructor refuses the recipe first."""
+    kind = ast[0]
+    if kind in ("modular", "poly_quotient"):
+        n = ast[1]
+        if not 2 <= n <= MAX_RING_SIZE:
+            return None
+        try:
+            origin = ast if kind == "modular" else (kind, n, _poly_normalize(n, list(ast[2])))
+        except InvalidSpecError:
+            return None
+        size = n ** (len(origin[2]) - 1) if kind == "poly_quotient" else n
+        return (size, ring_key(origin)) if size <= MAX_RING_SIZE else None
+    if kind not in ("product", "idealization"):
+        return None
+    left = _sized(ast[1])
+    right = left and _sized(ast[2] if kind == "product" else ast[2][1])
+    if right is None:
+        return None
+    if kind == "idealization" and left[1] != right[1]:
+        raise DslError(f"module base {right[1]} differs from ring {left[1]}")
+    if kind == "idealization" and ast[2][0] != "regular":
+        return None
+    key = f"prod({left[1]},{right[1]})" if kind == "product" else f"idz({left[1]},regular)"
+    _check_size(key, left[0] * right[0])
+    return left[0] * right[0], key
+
+
 def bind_ring(ast):
     """The ring that a parsed ring recipe names."""
     kind = ast[0]
@@ -369,6 +401,7 @@ def bind_ring(ast):
         return modular(ast[1])
     if kind == "poly_quotient":
         return poly_quotient(ast[1], list(ast[2]))
+    _sized(ast)  # a product too large to build is refused before its operands are built
     base = bind_ring(ast[1])
     if kind == "product":
         return product(base, bind_ring(ast[2]))

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .constructions import idealization, localize, product_projections, quotient_ring
+from .constructions import (Homomorphism, idealization, localize, product_projections,
+                           quotient_ring)
 from .errors import ExpansionAxiomError
 from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
                      _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
@@ -226,8 +227,8 @@ def apply_expansion(delta, I):
 def _pushforward(f, delta):
     """The table K -> f(delta(f^-1 K)) over the ideals K of the target of a
     surjection f."""
-    return {K.mask: f.image_mask(delta.table[f.preimage_mask(K.mask)])
-            for K in enumerate_ideals(f.target)}
+    images, preimages = Homomorphism.image_mask.table(f), Homomorphism.preimage_mask.table(f)
+    return {K.mask: images[delta.table[preimages[K.mask]]] for K in enumerate_ideals(f.target)}
 
 
 @memo
@@ -265,8 +266,8 @@ def derive_idealization_expansion(delta, module):
     """
     rec = idealization(delta.ring, module)
     pi = rec.projection
-    table = {W.mask: pi.preimage_mask(delta.table[pi.image_mask(W.mask)])
-             for W in enumerate_ideals(rec.ring)}
+    images, preimages = Homomorphism.image_mask.table(pi), Homomorphism.preimage_mask.table(pi)
+    table = {W.mask: preimages[delta.table[images[W.mask]]] for W in enumerate_ideals(rec.ring)}
     return _finish(rec.ring, ("idealization_derived", delta), table)
 
 
@@ -288,12 +289,12 @@ def localization_value_collisions(delta, sset):
     above sidesteps this by always contracting first.  Returns a list of
     (I, I') pairs found on the base lattice.
     """
-    rec = localize(delta.ring, sset)
+    extend = Homomorphism.image_mask.table(localize(delta.ring, sset).canonical)
     by_ext = {}
     out = []
     for I in enumerate_ideals(delta.ring):
-        ext = rec.extend_mask(I.mask)
-        dval = rec.extend_mask(delta.table[I.mask])
+        ext = extend[I.mask]
+        dval = extend[delta.table[I.mask]]
         prev = by_ext.get(ext)
         if prev is None:
             by_ext[ext] = (I, dval)
@@ -322,9 +323,10 @@ def _colon_violation(delta, jmask):
     (delta(J):x) <= delta(J:x) for x outside delta(J), delta(J:x) != R for x outside J."""
     ring, table = delta.ring, delta.table
     dj, full = table[jmask], ring.full_mask
+    j_colons, d_colons = _colon_mask.table(ring, jmask), _colon_mask.table(ring, dj)
     for x in range(ring.size):
-        jx = _colon_mask(ring, jmask, x)
-        if not (dj >> x & 1) and _colon_mask(ring, dj, x) & ~table[jx]:
+        jx = j_colons[x]
+        if not (dj >> x & 1) and d_colons[x] & ~table[jx]:
             return x, "(delta(J):x) not within delta(J:x)"
         if not (jmask >> x & 1) and table[jx] == full:
             return x, "delta(J:x) is the whole ring"
@@ -374,9 +376,9 @@ def profile_expansion(delta):
     if not zf:
         witnesses.append(("zero_fixed", "delta(0) != (0)"))
 
-    rc = True
+    rc, radicals = True, _radical_mask.table(ring)
     for I in lattice:
-        if _radical_mask(ring, table[I.mask]) != table[_radical_mask(ring, I.mask)]:
+        if radicals[table[I.mask]] != table[radicals[I.mask]]:
             rc = False
             witnesses.append(("radical_commuting", f"I={I!r}"))
             break

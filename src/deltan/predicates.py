@@ -170,20 +170,17 @@ def _decide(ring, imask, dmask, method):
     a pair that cannot be a counterexample costs no product.
     """
     nil = _nil_mask(ring)
-    n = ring.size
+    # the a outside delta(I), and the J outside it, bind a table only when some exist
     if method == "colon_criterion":
-        for a in range(n):
-            if not (dmask >> a & 1) and _colon_mask(ring, imask, a) & ~nil:
-                return False
-        return True
+        outside = _bits(ring.full_mask & ~dmask)
+        colons = _colon_mask.table(ring, imask) if outside else None
+        return not any(colons[a] & ~nil for a in outside)
     if method == "element_ideal":
-        lattice = enumerate_ideals(ring)
-        for a in range(n):
-            if nil >> a & 1:
-                continue
-            for J in lattice:
-                if J.mask & ~dmask and _aj_mask(ring, a, J.mask) & ~imask == 0:
-                    return False
+        outside = [J.mask for J in enumerate_ideals(ring) if J.mask & ~dmask]
+        for a in _bits(ring.full_mask & ~nil) if outside else ():
+            aj = _aj_mask.table(ring, a)
+            if any(aj[j] & ~imask == 0 for j in outside):
+                return False
         return True
     # ideal_pairs: JK <= I forces J inside the nilradical or K inside delta(I)
     lattice = enumerate_ideals(ring)

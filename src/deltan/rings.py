@@ -40,22 +40,52 @@ _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by de
 _STRIDE_REPS = 32
 
 
-def memo(fn):
-    """Memoise ``fn(owner, *args)`` in ``owner._cache`` under the key ``(fn, *args)``.
+class _Table(dict):
+    """{x: fn(owner, *prefix, x)}, ``args`` being (owner, *prefix); a missing x is
+    computed and stored when it is read.  A table and its owner refer to each
+    other, so the cycle collector frees them together."""
+    __slots__ = ("fn", "args")
 
-    Entries live on the owner object (a ring, module, expansion, ...), so two
-    owners never share them, even when their keys are equal.
-    """
-    @functools.wraps(fn)
-    def cached(owner, *args):
-        key = (fn,) + args
-        try:
-            return owner._cache[key]
-        except KeyError:
-            pass
-        value = owner._cache[key] = fn(owner, *args)
+    def __missing__(self, x):
+        value = self[x] = self.fn(*self.args, x)
         return value
 
+
+def memo(fn):
+    """Memoise ``fn(owner, *prefix, x)`` in ``owner._cache``, one table {x: value} per
+    prefix under the key ``(fn, *prefix)``, and ``fn(owner)`` under ``(fn,)``.  The
+    wrapper reads and fills the table that ``fn.table(owner, *prefix)`` returns, so a
+    hot loop binds it once and reads ``table[x]``: a value is stored once and a stored
+    0 is a hit.  Entries live on the owner, so two owners never share them."""
+    key = (fn,)
+
+    def table(owner, *prefix):
+        made = owner._cache.get(key + prefix)
+        if made is None:
+            made = owner._cache[key + prefix] = _Table()
+            made.fn, made.args = fn, (owner, *prefix)
+        return made
+
+    if fn.__code__.co_argcount == 1:  # fn(owner) has no table
+        @functools.wraps(fn)
+        def cached(owner):
+            try:
+                return owner._cache[key]
+            except KeyError:
+                value = owner._cache[key] = fn(owner)
+                return value
+        return cached
+    if fn.__code__.co_argcount == 2:  # no prefix: one table per owner
+        def cached(owner, x):
+            made = owner._cache.get(key)
+            return (made if made is not None else table(owner))[x]
+    else:
+        def cached(owner, *args):
+            made = owner._cache.get(key + args[:-1])
+            return (made if made is not None else table(owner, *args[:-1]))[args[-1]]
+
+    cached = functools.wraps(fn)(cached)
+    cached.table = table
     return cached
 
 
@@ -557,7 +587,7 @@ def check_ring_axioms(ring):
     if ring.origin[0] == "product":
         left, right = ring.origin[1:]
         # read from the memo, so that no origin a caller writes makes a join run
-        made = left._cache.get((_product_tables.__wrapped__, right))
+        made = _product_tables.table(left).get(right)
         if made == (ring.elements, ring.add, ring.mul, ring.zero_idx, ring.one_idx):
             sr = right.size
             return [a * sr + b for a in left.neg for b in right.neg]

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltan import DeltanError, DslError, localize, modular, mult_closure, quotient_ring
+from deltan.constructions import idealization, make_module
+from deltan.ideals import unit_ideal
+from deltan.rings import integers, poly_quotient, product
 from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
                         print_elem, print_expansion, ring_to_dsl)
@@ -314,3 +317,46 @@ def test_parsed_tags_are_the_tags_of_the_recipes_they_bind_to():
             assert parse_expansion_text(delta_text)[0] == delta.recipe[0], delta_text
             bound += 1
     assert bound > 400
+
+
+@pytest.mark.parametrize("text, message", [
+    ("Z16[x]/(x^3) x Z3", "prod(Z16[x]/(x^3),Z3) would have 12288 elements"),
+    ("Z4096 x Z2", "prod(Z4096,Z2) would have 8192 elements"),
+    ("Z2 x Z8[x]/(x^4)", "prod(Z2,Z8[x]/(x^4)) would have 8192 elements"),
+    ("Z64 x Z64 x Z2", "prod(prod(Z64,Z64),Z2) would have 8192 elements"),
+    ("quot(Z4096 x Z2, (0))", "prod(Z4096,Z2) would have 8192 elements"),
+    ("(Z2 (+) Z2) x Z2048", "prod(idz(Z2,regular),Z2048) would have 8192 elements"),
+    ("Z65 (+) Z65", "idz(Z65,regular) would have 4225 elements"),
+    ("Z2 (+) Z16[x]/(x^3)", "module base Z16[x]/(x^3) differs from ring Z2"),
+])
+def test_a_product_too_large_to_build_is_refused_before_its_operands_are_built(
+        monkeypatch, text, message):
+    """The size of a recipe of Z_n, Z_n[x]/(f), products and regular
+    idealizations is read off the recipe, so no operand of a product or an
+    idealization that is too large is built: the refusal is its constructor's own."""
+    from deltan import rings
+    built = []
+    monkeypatch.setattr(rings, "_cached_ring", lambda origin: built.append(origin))
+    with pytest.raises(DeltanError) as err:
+        bind_ring(parse_spec(text))
+    assert str(err.value).startswith(message) and built == []
+
+
+@pytest.mark.parametrize("text, build", [
+    ("Z64 x Z65", lambda: product(modular(64), modular(65))),
+    ("Z65 (+) Z65", lambda: idealization(modular(65), make_module(modular(65), "regular"))),
+    ("Z2 x Z2[x]/(x^6) x Z65",
+     lambda: product(product(modular(2), poly_quotient(2, [0] * 6 + [1])), modular(65))),
+    ("Z100000 x (Z64 x Z128)", lambda: modular(100000)),
+    ("quot(Z6,(1)) x (Z64 x Z128)", lambda: quotient_ring(modular(6), unit_ideal(modular(6)))),
+    ("Z6[x]/(2x^2+1) x Z4096 x Z2", lambda: poly_quotient(6, [1, 0, 2])),
+    ("ZZ x Z64 x Z65", lambda: product(integers(), modular(64))),
+])
+def test_a_refusal_before_the_build_is_the_one_the_constructors_give_first(text, build):
+    """An operand that its own constructor refuses, or whose size is known only
+    once it is built, is bound first, as it was before any size was read."""
+    with pytest.raises(DeltanError) as want:
+        build()
+    with pytest.raises(DeltanError) as got:
+        bind_ring(parse_spec(text))
+    assert str(got.value) == str(want.value)
