@@ -14,7 +14,7 @@ from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_id
                      _preimage_mask, _sum_closure, enumerate_ideals, integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
                     _check_size, _group_failure, _index_text, _join_tables, _negation,
-                    _pair_repr, _same_ring, memo, modular, ring_key)
+                    _pair_repr, _proved, _same_ring, memo, modular, ring_key)
 
 
 # ---------------------------------------------------------------------------
@@ -26,9 +26,14 @@ class Module:
     one object per (ring, recipe), built by the memoised ``_build_module``.
 
     ``recipe`` is ``("regular",)``, ``("quotient", I)`` for R/I or
-    ``("product", recipe1, recipe2)``, and ``name`` its text, e.g. ``quot[0,4]``."""
+    ``("product", recipe1, recipe2)``, and ``name`` its text, e.g. ``quot[0,4]``.
+    Tables passed here are checked; ``_build_module`` proves its own by recipe."""
 
     def __init__(self, ring, recipe, elements, add, action, zero, repr_fn):
+        self._fill(ring, recipe, elements, add, action, zero, repr_fn)
+        _check_module_axioms(self)
+
+    def _fill(self, ring, recipe, elements, add, action, zero, repr_fn):
         self.ring = ring
         self.recipe = recipe
         self.name = _module_name(recipe)
@@ -40,7 +45,6 @@ class Module:
         self._repr_fn = repr_fn
         self._cache = {}
         self.base_to_module = None  # base-ring index -> module index, when meaningful
-        _check_module_axioms(self)
 
     @property
     def size(self):
@@ -92,7 +96,11 @@ def _build_module(ring, recipe):
     """R and R/I are modules through a canonical surjection of rings q: R -> T,
     the identity onto R or the projection onto R/I (R/ker q, built by
     ``_coset_ring`` like S^-1 R): the module is T's additive group with
-    r.m = q(r)m, so its tables are T's own rows, r acting by T's row of q(r)."""
+    r.m = q(r)m, so its tables are T's own rows, r acting by T's row of q(r).
+    T is a proved ring and q a homomorphism, so the module axioms hold:
+    r(m+k) = q(r)m + q(r)k, (r+s)m = (q(r)+q(s))m, (rs)m = q(r)(q(s)m) and
+    1m = m.  M1 x M2 acts componentwise on the join of the two additive
+    tables, and each axiom holds in it iff it holds in M1 and in M2."""
     if recipe[0] == "product":
         m1 = _build_module(ring, recipe[1])
         m2 = _build_module(ring, recipe[2])
@@ -102,9 +110,9 @@ def _build_module(ring, recipe):
         elems = [(a, b) for a in m1.elements for b in m2.elements]
         action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
                    for i in range(size)] for r in range(ring.size)]
-        return Module(ring, recipe, elems, _join_tables(m1.add, m2.add), action,
-                      m1.zero_idx * s2 + m2.zero_idx,
-                      _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
+        return _proved(Module, ring, recipe, elems, _join_tables(m1.add, m2.add), action,
+                       m1.zero_idx * s2 + m2.zero_idx,
+                       _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
     if recipe[0] == "regular":
         target, q = ring, list(range(ring.size))
     else:
@@ -112,8 +120,8 @@ def _build_module(ring, recipe):
             raise ConstructionError("quotient by the whole ring gives the zero module")
         proj = quotient_ring(ring, recipe[1]).projection
         target, q = proj.target, proj.mapping
-    module = Module(ring, recipe, target.elements, target.add, [target.mul[c] for c in q],
-                    target.zero_idx, target._repr_fn)
+    module = _proved(Module, ring, recipe, target.elements, target.add,
+                     [target.mul[c] for c in q], target.zero_idx, target._repr_fn)
     module.base_to_module = q
     return module
 
@@ -377,26 +385,35 @@ def quotient_ring(ring, J):
 
 @memo
 def _finite_quotient(ring, J):
+    """R/J, proved by ``_coset_ring`` when J.mask is an ideal, as every mask that
+    the ideal operators make is; any other mask takes the full checks."""
     reps, q = _coset_quotient(ring, J.mask)
     qring, proj = _coset_ring(ring, ("quotient", ring, J), reps, q,
-                              [ring.elements[r] for r in reps], ring._repr_fn or str)
+                              [ring.elements[r] for r in reps], ring._repr_fn or str,
+                              _generated_mask(ring, _bits(J.mask)) == J.mask)
     return QuotientRecord(ring=qring, projection=proj)
 
 
-def _coset_ring(ring, origin, reps, q, elems, repr_fn):
-    """The ring on the classes of a congruence of ``ring``, and its canonical map.
+def _coset_ring(ring, origin, reps, q, elems, repr_fn, ideal=True):
+    """The ring on the classes of ``ring`` that q names, and its canonical map.
 
     q[x] is the class of the base index x, and reps[c] one base index in class
-    c.  q respects + and *, so the class of a+b (of ab) is q[a+b] (q[ab]) for
-    any a, b in the two classes, and the tables are filled over reps alone.
-    The congruence is mod J for R/J, and mod the saturation kernel for S^-1 R,
-    which is R/ker on a finite ring (see ``localize``).
+    c.  When the classes are the cosets of a proper ideal J (``ideal``), R/J is
+    a ring and q a homomorphism onto it (for S^-1 R, which is R/ker, see
+    ``localize``), so the class of a+b (ab, -a) is q[a+b] (q[ab], q[-a]) for
+    any a, b in the two classes: the tables, filled over reps alone, are proved,
+    and R's own when q and reps are the identity, J = 0.  Other classes may be
+    no congruence, so their tables take ``Ring(...)`` and q the homomorphism check.
     """
     add, mul = ring.add, ring.mul
-    qring = Ring(origin, elements=elems, add=[[q[add[a][b]] for b in reps] for a in reps],
-                 mul=[[q[mul[a][b]] for b in reps] for a in reps],
-                 zero=q[ring.zero_idx], one=q[ring.one_idx], repr_fn=repr_fn)
-    return qring, Homomorphism(ring, qring, mapping=q, check=False)
+    if not q == reps == list(range(ring.size)):
+        add = [[q[add[a][b]] for b in reps] for a in reps]
+        mul = [[q[mul[a][b]] for b in reps] for a in reps]
+    tables = dict(elements=elems, add=add, mul=mul, zero=q[ring.zero_idx],
+                  one=q[ring.one_idx], repr_fn=repr_fn)
+    qring = (_proved(Ring, origin, *tables.values(), neg=[q[ring.neg[r]] for r in reps])
+             if ideal else Ring(origin, **tables))
+    return qring, Homomorphism(ring, qring, mapping=q, check=not ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +472,11 @@ class IdealizationRecord:
 
 @memo
 def idealization(ring, module):
-    """The ring on pairs (r, m) with (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1)."""
+    """R(+)M, the ring on pairs (r, m) with (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1):
+    Nagata's idealization, a commutative ring with 1 = (1, 0) for every module
+    M over a ring R.  The pair (r, m) sits at index r * |M| + m, the additive
+    tables of R and M are joined like a product's, and -(r, m) = (-r, -m), -m
+    being (-1)m, M's row of -1 in the action."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
     _same_ring(ring, module.ring, "module")
@@ -470,10 +491,11 @@ def idealization(ring, module):
     mul = [[rmul[i // msize][j // msize] * msize
             + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
             for j in range(size)] for i in range(size)]
-    izr = Ring(origin, elements=elems, add=_join_tables(ring.add, madd), mul=mul,
-               zero=ring.zero_idx * msize + module.zero_idx,
-               one=ring.one_idx * msize + module.zero_idx,
-               repr_fn=_pair_repr(ring._repr_fn or str, module._repr_fn or str))
+    izr = _proved(Ring, origin, elems, _join_tables(ring.add, madd), mul,
+                  ring.zero_idx * msize + module.zero_idx,
+                  ring.one_idx * msize + module.zero_idx,
+                  _pair_repr(ring._repr_fn or str, module._repr_fn or str),
+                  neg=[a * msize + m for a in ring.neg for m in act[ring.neg[ring.one_idx]]])
     return IdealizationRecord(izr, ring, module)
 
 
@@ -574,7 +596,8 @@ def localize(ring, sset):
     With st = 1 mod ker, (r,s) ~ (r',s') iff rt = r't' mod ker, so the class
     of (r,s) is the coset of rt, and r/s -> rt + ker is a ring isomorphism
     S^-1 R -> R/ker that turns r -> r/1 into the projection.  The tables are
-    those of R/ker, filled by ``_coset_ring`` like a quotient's.  Classes are
+    those of R/ker, filled by ``_coset_ring`` like a quotient's (ker is an
+    ideal: ua = vb = 0 give uv(a+b) = 0 and u(ra) = 0).  Classes are
     numbered by first appearance in (r, s) order, and the first pair of each
     class is its representative.
     """

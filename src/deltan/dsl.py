@@ -402,9 +402,9 @@ def bind_ring(ast):
     if kind == "poly_quotient":
         return poly_quotient(ast[1], list(ast[2]))
     _sized(ast)  # a product too large to build is refused before its operands are built
-    base = bind_ring(ast[1])
     if kind == "product":
-        return product(base, bind_ring(ast[2]))
+        return _bind_product(ast)
+    base = bind_ring(ast[1])
     if kind == "idealization":
         module = ast[2]
         mod_base = bind_ring(module[1])
@@ -418,6 +418,20 @@ def bind_ring(ast):
         sset = MultiplicativeSet(base, tuple(sorted({e.idx for e in elems})))
         return localize(base, sset).ring
     return quotient_ring(base, bind_ideal(base, ast[2])).ring
+
+
+def _bind_product(ast):
+    """L x R, an operand that ``_sized`` cannot size (a quotient, a localization)
+    bound first, so that a product too large is refused, as ``product`` would
+    refuse it, before an operand sized by its recipe is built."""
+    sides = []  # per operand, in order: ((size, name), None) or (None, its bound ring)
+    for side in ast[1:]:
+        size = _sized(side)
+        sides.append((size, None if size else bind_ring(side)))
+    if all(size or ring.is_finite for size, ring in sides):
+        (ls, lk), (rs, rk) = (size or (ring.size, ring.key) for size, ring in sides)
+        _check_size(f"prod({lk},{rk})", ls * rs)
+    return product(*(ring or bind_ring(side) for (_, ring), side in zip(sides, ast[1:])))
 
 
 def bind_element(ring, ast):

@@ -5,18 +5,14 @@ addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...).  The integer ring is symbolic: its
 "indices" are the integer values themselves and enumeration is refused.
 
-Z_n's tables are filled at slice speed: row i of the sum is one slice of the
-residues written twice, row i of the product (i <= n/2) a few strided slices
-of the residues written _STRIDE_REPS times, and row n-i the reverse of row i.
-
-Every finite constructor runs an exact ring-axiom self check,
-``check_ring_axioms``, which proves the axioms from the ring's structure and
-returns the negation table: a product built from its factors' tables with no
-pass over any table, negation read off the factors'; a ring whose additive
-group is generated by 1 (every Z_n) in O(n^2) table lookups, with no pass for the
-commutativity or associativity of multiplication, and on Z_n's own tables two
-of its identities evaluated as row rotations and -x read as n - x; any other
-ring in O(n^2 k), k the size of a greedy additive generating set.  Table
+Every finite ring's tables are proved to be a commutative ring, once.  A
+ring that deltan builds itself is proved by its recipe: each builder
+(``_build_modular``, ``_build_poly_quotient``, ``_product``, and in
+``constructions`` the quotients, localizations and idealizations) gives the
+proof in its docstring and hands its tables, with the negation table its recipe
+gives, to ``_proved``, which runs no axiom pass.  Tables that a caller hands to
+``Ring(...)`` take the exact check ``check_ring_axioms``, whatever their origin
+says, in O(n^2 k), k the size of a greedy additive generating set.  Table
 builders refuse, before allocating anything, a ring or module of more than
 ``MAX_RING_SIZE`` elements.
 """
@@ -210,10 +206,16 @@ class Ring:
     ``("product", R1, R2)``, ``("quotient", R, J)``, ``("idealization", R, M)``
     or ``("localization", R, S)``.  One object per recipe, cached by
     ``_cached_ring`` or memoised by its construction on its operands, so rings
-    compare by identity; ``key`` is the ring's name."""
+    compare by identity; ``key`` is the ring's name.  Finite tables passed here
+    take ``check_ring_axioms``."""
 
     def __init__(self, origin, *, elements=None, add=None, mul=None, zero=0, one=1,
                  repr_fn=None):
+        self._fill(origin, elements, add, mul, zero, one, repr_fn)
+        if elements is not None:
+            self.neg = check_ring_axioms(self)
+
+    def _fill(self, origin, elements, add, mul, zero, one, repr_fn):
         self.origin = origin
         self.key = ring_key(origin)
         self.elements = elements
@@ -227,7 +229,6 @@ class Ring:
         if elements is not None:
             self.full_mask = (1 << len(elements)) - 1
             self._index = {p: i for i, p in enumerate(elements)}
-            self.neg = check_ring_axioms(self)
 
     # -- basic shape ----------------------------------------------------
 
@@ -417,14 +418,28 @@ def integers():
     return _cached_ring(("integer",))
 
 
+def _proved(cls, *fields, **checked):
+    """A ``Ring`` or ``constructions.Module`` on tables its builder has proved by
+    recipe (each caller gives its proof), with no axiom pass: ``_fill`` stores
+    ``fields``, and ``checked`` what the check would return (a ring's ``neg``),
+    set one by one as ``__init__`` sets it: writing through ``vars`` detaches
+    the values from the class's shared layout and slows every attribute read."""
+    made = cls.__new__(cls)
+    made._fill(*fields)
+    for name, value in checked.items():
+        setattr(made, name, value)
+    return made
+
+
 def _build_modular(n):
+    """Z/nZ on the residues 0..n-1, -x being n - x: row i of the sum, (i + j) mod
+    n, is one slice of the residues written twice; row i of the product, i*j mod
+    n, is read off the residues written _STRIDE_REPS times by strided slices, the
+    one from j*i mod n, where the last ran out, giving (j + k)i mod n at its k-th
+    cell; row n-i is -(row i), row i reversed and rotated right, as (n-i)j = i(n-j)."""
     elems = list(range(n))
     twice = elems + elems
     add = [twice[i:i + n] for i in elems]
-    # row i of the product, i*j mod n, is read off the residues repeated
-    # _STRIDE_REPS times by strided slices, each one starting at the residue
-    # where the last ran out, into a row allocated at its final length; row
-    # n-i is -row i, row i reversed and rotated right by one, as (n-i)j = i(n-j)
     residues = elems * _STRIDE_REPS
     mul = [elems[:1] * n]
     for i in range(1, n // 2 + 1):
@@ -439,11 +454,19 @@ def _build_modular(n):
         row = mul[n - i][::-1]
         row.insert(0, row.pop())
         mul.append(row)
-    return Ring(("modular", n), elements=elems, add=add, mul=mul, zero=0, one=1 % n,
-                repr_fn=str)
+    return _proved(Ring, ("modular", n), elems, add, mul, 0, 1 % n, str,
+                   neg=elems[:1] + elems[:0:-1])
 
 
 def _build_poly_quotient(n, modulus):
+    """Z_n[x]/(f), f monic of degree d, a ring as the quotient of Z_n[x] by an
+    ideal; it is the free Z_n-module on 1, x, .., x^(d-1), and the coefficients
+    (a_0, .., a_{d-1}) sit at index sum a_k n^k.  So the additive group is
+    (Z_n)^d, the tables of Z_n joined like a product's with the low digit as
+    the right factor, and -a is digitwise, joined likewise.  x*a shifts the low
+    d-1 digits up and adds a_{d-1} (x^d - f).  Row a is filled block by block:
+    b = c n^k + b', b' < n^k, is c x^k + b', so ab = c(a x^k) + ab', and the
+    block of c is the row of c(a x^k) in the sum, read at the cells ab' done."""
     origin = ("poly_quotient", n, modulus)
     d = len(modulus) - 1
     # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
@@ -457,29 +480,28 @@ def _build_poly_quotient(n, modulus):
             v //= n
         elems.append(tuple(digits))
     index = {p: i for i, p in enumerate(elems)}
-    # index i has digits (a_0, .., a_{d-1}) base n, so the additive group is
-    # that of (Z_n)^d, with the low digit as the right factor; and x*a shifts
-    # the low d-1 digits up and adds a_{d-1} * (x^d - modulus)
     digit = list(range(n))
     digit_add = [digit[i:] + digit[:i] for i in digit]
-    add = digit_add
+    digit_neg = digit[:1] + digit[:0:-1]
+    add, neg = digit_add, digit_neg
     for _ in range(d - 1):
         add = _join_tables(add, digit_add)
+        neg = [a * n + b for a in neg for b in digit_neg]
     top = n ** (d - 1)
     wrap = [index[tuple(-c * m % n for m in modulus[:d])] for c in range(n)]
     times_x = [add[i % top * n][wrap[i // top]] for i in range(size)]
     mul = []
     for a in range(size):
-        # Horner in b: a*b = a*b_0 + x*(a*b'), b' = (b - b_0)/x sitting at index b // n
-        row = [0] * size
-        for b in range(1, n):
-            row[b] = add[row[b - 1]][a]
-        for b in range(n, size):
-            row[b] = add[row[b % n]][times_x[row[b // n]]]
+        row, power, width = [0] * size, a, 1  # power is a x^k, row[:width] done
+        for _ in range(d):
+            done, multiple = row[:width], 0
+            for c in range(1, n):
+                multiple = add[multiple][power]
+                row[c * width:(c + 1) * width] = map(add[multiple].__getitem__, done)
+            power, width = times_x[power], width * n
         mul.append(row)
     one = index[tuple([1 % n] + [0] * (d - 1))]
-    return Ring(origin, elements=elems, add=add, mul=mul, zero=0, one=one,
-                repr_fn=poly_repr)
+    return _proved(Ring, origin, elems, add, mul, 0, one, poly_repr, neg=neg)
 
 
 def _join_tables(left, right):
@@ -509,23 +531,20 @@ def product(left, right):
 
 @memo
 def _product(left, right):
+    """R1 x R2 on the pairs (a, b), at index a * |R2| + b: its tables are
+    ``_join_tables`` of the factors', with 0 = (0, 0) and 1 = (1, 1).  Every
+    axiom holds in R1 x R2 iff it holds in R1 and in R2, componentwise, and
+    both factors are proved rings, so it is a ring; -(a, b) = (-a, -b)."""
     if not (left.is_finite and right.is_finite):
         raise InvalidSpecError("product components must be finite rings")
     origin = ("product", left, right)
     _check_size(ring_key(origin), left.size * right.size)
-    elems, add, mul, zero, one = _product_tables(left, right)
-    return Ring(origin, elements=elems, add=add, mul=mul, zero=zero, one=one,
-                repr_fn=_pair_repr(left._repr_fn or str, right._repr_fn or str))
-
-
-@memo
-def _product_tables(left, right):
-    """(elements, add, mul, zero, one) of R1 x R2, the element (a, b) at index
-    a * |R2| + b; ``check_ring_axioms`` proves no axiom on tables equal to them."""
     sr = right.size
-    return ([(a, b) for a in left.elements for b in right.elements],
-            _join_tables(left.add, right.add), _join_tables(left.mul, right.mul),
-            left.zero_idx * sr + right.zero_idx, left.one_idx * sr + right.one_idx)
+    return _proved(Ring, origin, [(a, b) for a in left.elements for b in right.elements],
+                   _join_tables(left.add, right.add), _join_tables(left.mul, right.mul),
+                   left.zero_idx * sr + right.zero_idx, left.one_idx * sr + right.one_idx,
+                   _pair_repr(left._repr_fn or str, right._repr_fn or str),
+                   neg=[a * sr + b for a in left.neg for b in right.neg])
 
 
 def _pair_repr(left_fn, right_fn):
@@ -534,30 +553,18 @@ def _pair_repr(left_fn, right_fn):
 
 
 # ---------------------------------------------------------------------------
-# axiom self-check
+# the axiom check of tables a caller passes to Ring(...)
 # ---------------------------------------------------------------------------
 
 def check_ring_axioms(ring):
-    """Verify the commutative-ring axioms on a finite ring exactly; raise on
-    violation, and return the negation table, whose entry x is the index of -x.
+    """Verify the commutative-ring axioms on a finite ring's tables exactly;
+    raise on violation, and return the negation table, whose entry x is the
+    index of -x.  It reads the tables alone, never the origin.
 
-    The check proves the axioms from the ring's structure, by one of three routes.
-
-    Products through their factors.  A ring whose origin is ("product", R1, R2)
-    and whose elements, tables, 0 and 1 are those that ``_product_tables(R1,
-    R2)`` has made, ``_join_tables`` of the factors' tables with 0 = (0, 0) and
-    1 = (1, 1), is a ring: every axiom holds in R1 x R2 iff it holds in R1 and
-    in R2, componentwise, and both factors passed this check when they were
-    built.  So no pass runs, and negation, -(a, b) = (-a, -b), is read off the
-    factors' negation tables.  ``_product`` hands over the very lists, which
-    compare equal at once, by identity.  The route goes by the tables, not by
-    the origin a caller writes: other tables, under a product origin too, get
-    the full check.
-
-    Any other ring: pairs are checked exhaustively, and (a+c)+b = a+(c+b),
-    c+a = a+c, a(c+b) = ac+ab and (ac)b = a(cb) for all a, b but only for c in
-    a greedy additive generating set G that starts at 1.  That suffices: for
-    each identity in turn, the c that satisfy it for all a, b are closed under
+    Pairs are checked exhaustively, and (a+c)+b = a+(c+b), c+a = a+c,
+    a(c+b) = ac+ab and (ac)b = a(cb) for all a, b but only for c in a greedy
+    additive generating set G that starts at 1.  That suffices: for each
+    identity in turn, the c that satisfy it for all a, b are closed under
     addition, so all c do.  For + this is Light's associativity test; given
     associativity, the c that commute with every a are closed under + too,
     (c+d)+a = c+(a+d) = (a+c)+d = a+(c+d), and so are the c that distribute,
@@ -565,46 +572,23 @@ def check_ring_axioms(ring):
     distributivity, so are the c that associate.  Cost O(n^2 |G|).  One
     ``row.index(0)`` pass finds the inverses and is the negation table.
 
-    Rings whose additive group is generated by 1 (G = [1], every Z_n).  After
-    the additive group and the identity row, check the identity column and
-    a(1+x) = a + ax for all a, x, and nothing more.  Every b is k_b * 1, so by
-    induction ab = k_b * a = (k_a k_b) * 1, which is symmetric in a, b, and
-    (ab)c = (k_a k_b k_c) * 1 = a(bc): multiplication is commutative and
-    associative without a pass of its own.  Cost O(n^2).
-
-    When moreover 0 is index 0 and the row of 1 is the index successor
-    x -> x+1 mod n (a cyclic table: every ring ``_build_modular`` builds), the
-    sides x+(1+y) of (x+1)+y = x+(1+y) and a(1+x) of a(1+x) = a + ax, as y and
-    x run, are rows x and a composed with that successor, and are evaluated as
-    the rotations ``row[1:] + row[:1]``.  Composing with the row of 1 is what
-    the other rings do, and it reads the same cells and yields the same list
-    when that row is the successor, so the two evaluations agree.  On a table
-    that passes, induction from 0 + y = y and (x+1)+y = x+(y+1) makes x+y
-    the index sum mod n, so -x is n - x: that is the negation table once
-    x + (n - x) = 0 has been read for every x (a table where it fails takes
-    the ``row.index`` pass, so it is refused with the same message).
+    When 1 generates the additive group (G = [1], as in Z_n), check the
+    identity column and a(1+x) = a + ax for all a, x, and no pass for the
+    commutativity or associativity of multiplication: every b is k_b * 1, so
+    by induction ab = k_b * a = (k_a k_b) * 1, which is symmetric in a, b, and
+    (ab)c = (k_a k_b k_c) * 1 = a(bc).  Cost O(n^2).
     """
-    if ring.origin[0] == "product":
-        left, right = ring.origin[1:]
-        # read from the memo, so that no origin a caller writes makes a join run
-        made = _product_tables.table(left).get(right)
-        if made == (ring.elements, ring.add, ring.mul, ring.zero_idx, ring.one_idx):
-            sr = right.size
-            return [a * sr + b for a in left.neg for b in right.neg]
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
     gens = _additive_generators(add, zero, one)
-    cyclic = _is_cyclic(add, zero, gens)
-    neg = _negation(add, zero, cyclic)
+    neg = _negation(add, zero)
     identity = list(range(n))
     failure = (zero == one and "ring must have 0 != 1"
-               or _group_failure(add, zero, gens, neg, cyclic)
+               or _group_failure(add, zero, gens, neg)
                or mul[one] != identity and "1 is not a multiplicative identity")
     if not failure and gens == [one]:
         failure = (list(map(itemgetter(one), mul)) != identity
                    and "1 is not a multiplicative identity"
-                   or not (_rotation_additive(mul, add) if cyclic
-                           else _additive_on(mul, add, add, gens))
-                   and "distributivity fails")
+                   or not _additive_on(mul, add, add, gens) and "distributivity fails")
     elif not failure:
         failure = (not _commutative(mul) and "multiplication is not commutative"
                    or not _additive_on(mul, add, add, gens) and "distributivity fails"
@@ -629,34 +613,24 @@ def _additive_generators(add, zero, first=None):
     return gens
 
 
-def _is_cyclic(add, zero, gens):
-    """Whether 0 is index 0, G = [1] and 1 + x is x + 1 mod n on indices."""
-    return zero == 0 and gens == [1] and add[1] == list(range(1, len(add))) + [0]
-
-
-def _negation(add, zero, cyclic=False):
+def _negation(add, zero):
     """The index of -x for each x, or None when some x has no additive inverse."""
-    if cyclic:
-        neg = [0] + list(range(len(add) - 1, 0, -1))
-        if all(row[x] == zero for row, x in zip(add, neg)):
-            return neg
     try:
         return [row.index(zero) for row in add]
     except ValueError:
         return None
 
 
-def _group_failure(add, zero, gens, neg, cyclic=False):
+def _group_failure(add, zero, gens, neg):
     """Why (add, zero) is not an abelian group generated by gens, or a false value.
 
-    ``neg`` is ``_negation(add, zero, cyclic)``.  Associativity and
-    commutativity are checked on the generators only (see check_ring_axioms),
-    commutativity after associativity, which its proof uses.
+    ``neg`` is ``_negation(add, zero)``.  Associativity and commutativity are
+    checked on the generators only (see check_ring_axioms), commutativity after
+    associativity, which its proof uses.
     """
     return (add[zero] != list(range(len(add))) and "0 is not an additive identity"
             or neg is None and "an element has no additive inverse"
-            or not (_rotation_associative(add) if cyclic else _associative_on(add, add, gens))
-            and "addition is not associative"
+            or not _associative_on(add, add, gens) and "addition is not associative"
             or not all(add[g] == list(map(itemgetter(g), add)) for g in gens)
             and "addition is not commutative")
 
@@ -677,18 +651,6 @@ def _additive_on(maps, dom_add, cod_add, gens):
     product tables for dom_add and cod_add, f(gx) = f(g)f(x)."""
     getters = [(g, itemgetter(*dom_add[g])) for g in gens]
     return all(get(f) == itemgetter(*f)(cod_add[f[g]]) for f in maps for g, get in getters)
-
-
-def _rotation_associative(add):
-    """(x+1)+y = x+(1+y) for all x, y on a cyclic table, x+(1+y) being row x
-    rotated left by one (see check_ring_axioms)."""
-    return all(add[row[1]] == row[1:] + row[:1] for row in add)
-
-
-def _rotation_additive(maps, add):
-    """f(1+x) = f(1)+f(x) for every map f and all x on a cyclic table, f(1+x)
-    being f rotated left by one (see check_ring_axioms)."""
-    return all(tuple(f[1:] + f[:1]) == itemgetter(*f)(add[f[1]]) for f in maps)
 
 
 # ---------------------------------------------------------------------------

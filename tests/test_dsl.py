@@ -342,6 +342,31 @@ def test_a_product_too_large_to_build_is_refused_before_its_operands_are_built(
     assert str(err.value).startswith(message) and built == []
 
 
+@pytest.mark.parametrize("text, message, unbuilt", [
+    ("Z16[x]/(x^3) x quot(Z3,(0))", "prod(Z16[x]/(x^3),quot(Z3,[0])) would have 12288 elements",
+     ("poly_quotient", 16, (0, 0, 0, 1))),
+    ("quot(Z4,(2)) x Z4096", "prod(quot(Z4,[0,2]),Z4096) would have 8192 elements",
+     ("modular", 4096)),
+    ("loc(Z6,{1}) x (Z64 x Z64)", "prod(loc(Z6,[1]),prod(Z64,Z64)) would have 24576 elements",
+     ("modular", 64)),
+])
+def test_a_product_is_sized_by_its_built_operand_before_the_other_is_built(
+        monkeypatch, text, message, unbuilt):
+    """A quotient or a localization is sized only once it is built, so it is
+    bound first, and the product is refused before its operand sized by its
+    recipe is built, with the message of the product constructor."""
+    from deltan import rings
+    built = []
+    monkeypatch.setattr(rings, "_cached_ring",
+                        lambda origin, _build=rings._cached_ring:
+                        built.append(origin) or _build(origin))
+    with pytest.raises(DeltanError) as err:
+        bind_ring(parse_spec(text))
+    assert str(err.value) == (f"{message}; table-backed rings and modules are "
+                              f"limited to 4096")
+    assert built and unbuilt not in built
+
+
 @pytest.mark.parametrize("text, build", [
     ("Z64 x Z65", lambda: product(modular(64), modular(65))),
     ("Z65 (+) Z65", lambda: idealization(modular(65), make_module(modular(65), "regular"))),

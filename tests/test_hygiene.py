@@ -78,12 +78,15 @@ def _memoised(fn):
 
 
 def _calls(tree):
-    """(innermost enclosing def or None, callee name) for each call of a plain name."""
+    """(innermost enclosing def or None, callee name) for each call of a plain name;
+    ``_proved(cls, ...)``, which builds a cls on proved tables, counts as a call of cls."""
     out = []
 
     def visit(node, fn):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             out.append((fn, node.func.id))
+            if node.func.id == "_proved":
+                out.append((fn, node.args[0].id))
         for child in ast.iter_child_nodes(node):
             visit(child, child if isinstance(child, ast.FunctionDef) else fn)
 

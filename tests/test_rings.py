@@ -4,6 +4,8 @@ import operator
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingError,
                     InvalidSpecError, arithmetic, check_ring_axioms,
@@ -231,9 +233,14 @@ def test_unit_leading_coefficient_normalizes():
 
 
 def test_axiom_check_runs_on_corpus_rings():
-    for ring in (modular(12), poly_quotient(2, [0, 0, 1]),
-                 product(modular(2), modular(4))):
-        check_ring_axioms(ring)
+    # every builder's output from the corpus passes the check its recipe skips
+    rings = _builder_outputs()
+    kinds = {ring.origin[0] for ring in rings}
+    assert kinds == {"modular", "poly_quotient", "product", "quotient", "localization",
+                     "idealization"}
+    assert len(rings) > 300
+    for ring in rings:
+        assert check_ring_axioms(ring) == ring.neg, ring.key
 
 
 def test_unit_xor_zero_divisor():
@@ -264,6 +271,11 @@ def test_element_payloads_are_canonical():
 # ---------------------------------------------------------------------------
 # the exact axiom check against corrupted tables
 # ---------------------------------------------------------------------------
+
+def _z8_mod_4():
+    z8 = modular(8)
+    return quotient_ring(z8, ideal_from_generators(z8, [z8.el(4)])).ring
+
 
 def _z4_idealization():
     z4 = modular(4)
@@ -451,14 +463,29 @@ SMALL_RINGS = [lambda: modular(12), lambda: modular(16), lambda: modular(15),
                lambda: product(modular(2), modular(2)),
                lambda: product(modular(2), modular(8)), _z4_idealization]
 CYCLIC_RINGS = [lambda: modular(n) for n in (5, 8, 9, 12, 15, 16)]
+# tables of the builders other than Z_n and products, as they are built
+BUILT_RINGS = [lambda: poly_quotient(3, [1, 0, 1]), lambda: poly_quotient(2, [1, 1, 0, 1]),
+               lambda: poly_quotient(4, [0, 0, 1]), _z8_mod_4,
+               lambda: quotient_ring(poly_quotient(2, [0, 0, 0, 1]),
+                                     ideal_from_generators(poly_quotient(2, [0, 0, 0, 1]),
+                                                           [(0, 0, 1)])).ring,
+               _z4_idealization, lambda: _z8_idealization(("quotient", (0, 4)))]
 # S3 and the dihedral group of order 8
 NON_ABELIAN_GROUPS = [_permutation_group([(1, 0, 2), (1, 2, 0)]),
                       _permutation_group([(1, 2, 3, 0), (3, 2, 1, 0)])]
 
 
-def _axiom_case(rng, kind, rings, cyclic):
+def _axiom_case(rng, kind, rings, cyclic, built):
     """(add, mul, zero, one, the failure message expected when the tables are
     not a ring) for one case of the given kind."""
+    if kind == "one-cell":
+        # a builder's own tables, one cell of one of them changed
+        ring = rng.choice(built)
+        add, mul = [row[:] for row in ring.add], [row[:] for row in ring.mul]
+        cells = rng.choice([add, mul])
+        a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+        cells[a][b] = rng.choice([x for x in range(ring.size) if x != cells[a][b]])
+        return add, mul, ring.zero_idx, ring.one_idx, None
     if kind == "bilinear":
         # commutative, unital and distributive: only associativity can fail
         mul = _bilinear_mul(rng, rng.choice([2, 3, 4]))
@@ -503,18 +530,19 @@ def _axiom_case(rng, kind, rings, cyclic):
 
 
 AXIOM_CASE_KINDS = ("bilinear", "relabelled", "relabelled", "cyclic", "column",
-                    "add-assoc", "non-abelian")
+                    "add-assoc", "non-abelian", "one-cell")
 
 
 def test_axiom_check_agrees_with_n3_reference():
     rng = random.Random(20211)
     rings = [build() for build in SMALL_RINGS]
     cyclic = [build() for build in CYCLIC_RINGS]
+    built = [build() for build in BUILT_RINGS]
     verdicts = {True: 0, False: 0}
     generated_by_one = {True: 0, False: 0}
-    for case in range(420):
+    for case in range(480):
         kind = AXIOM_CASE_KINDS[case % len(AXIOM_CASE_KINDS)]
-        add, mul, zero, one, message = _axiom_case(rng, kind, rings, cyclic)
+        add, mul, zero, one, message = _axiom_case(rng, kind, rings, cyclic, built)
         expected = _is_ring_n3(add, mul, zero, one)
         try:
             Ring(("modular", len(add)), elements=list(range(len(add))), add=add, mul=mul,
@@ -603,11 +631,6 @@ def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
         assert ring.neg == [-i % n for i in elems]
 
 
-def _z8_mod_4():
-    z8 = modular(8)
-    return quotient_ring(z8, ideal_from_generators(z8, [z8.el(4)])).ring
-
-
 # the two factor builders of a product, by "left-right" name (a-b for Z_a x Z_b)
 PAIR_PRODUCTS = {
     "2-3": (lambda: modular(2), lambda: modular(3)),
@@ -682,22 +705,29 @@ def test_table_cells_share_one_int_per_element(build):
         assert len({id(cell) for row in table for cell in row}) <= ring.size
 
 
-def _evaluations(monkeypatch):
-    """Record which evaluation of (x+1)+y = x+(1+y) each check runs."""
-    from deltan import rings
+# the passes over a whole table that the axiom checks of rings and modules run
+AXIOM_PASSES = ("_associative_on", "_additive_on", "_commutative")
+
+
+def _evaluations(monkeypatch, names=("_associative_on",)):
+    """Record, by name, each call of the passes ``names`` in rings and in
+    constructions, which imports them."""
+    from deltan import constructions, rings
     seen = []
-    for name in ("_rotation_associative", "_associative_on"):
+    for name in names:
         def recorded(*args, _name=name, _pass=getattr(rings, name)):
             seen.append(_name)
             return _pass(*args)
-        monkeypatch.setattr(rings, name, recorded)
+        for module in (rings, constructions):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recorded)
     return seen
 
 
-def test_cyclic_tables_take_the_rotations(monkeypatch):
-    seen = _evaluations(monkeypatch)
+def test_modular_tables_are_proved_by_their_recipe(monkeypatch):
+    seen = _evaluations(monkeypatch, AXIOM_PASSES)
     ring = _build_modular(12)
-    assert seen == ["_rotation_associative"]
+    assert seen == []
     assert ring.neg == [-i % 12 for i in range(12)]
 
 
@@ -722,6 +752,144 @@ def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
         cells[3][8] = cells[8][3] = (cells[3][8] + 1) % 12
         with pytest.raises(InvalidSpecError):
             _with_tables(z12, tables["add"], tables["mul"], zero=0, one=one)
+
+
+# ---------------------------------------------------------------------------
+# builders prove their tables by recipe; the general check guards them here
+# ---------------------------------------------------------------------------
+
+def _ladder_rings():
+    """The rings of the benchmark's ring ladder, 64 to 1021 elements."""
+    return [modular(64), poly_quotient(2, [0] * 6 + [1]), product(modular(8), modular(8)),
+            modular(128), poly_quotient(2, [0] * 7 + [1]), product(modular(11), modular(13)),
+            poly_quotient(5, [0, 0, 0, 1]), modular(512), modular(1009), modular(1021),
+            product(modular(31), modular(31))]
+
+
+def test_builders_run_no_axiom_pass(monkeypatch):
+    from deltan import rings, verifier
+    cached = modular(64)
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # every builder runs afresh
+    seen = _evaluations(monkeypatch, AXIOM_PASSES)
+    corpus = verifier.builtin_corpus.__wrapped__()
+    ladder = _ladder_rings()
+    assert len(corpus.entries) == 32 and len(ladder) == 11 and ladder[0] is not cached
+    assert seen == []
+
+
+def _builder_outputs():
+    """Every ring of at most 256 elements that the builders make from the
+    default corpus: the corpus rings, the quotients by every proper ideal, the
+    localizations at the claims' multiplicative sets, and idealizations by the
+    regular module and by R/I for every proper I."""
+    from deltan.verifier import Context, builtin_corpus
+    corpus = builtin_corpus()
+    ctx = Context(corpus)
+    out = []
+    for entry in corpus.entries:
+        ring = entry.ring
+        out.append(ring)
+        proper = [I for I in enumerate_ideals(ring) if I.is_proper]
+        out += [quotient_ring(ring, I).ring for I in proper]
+        out += [localize(ring, s).ring for s in ctx.mult_sets(ring)
+                if ring.zero_idx not in s.indices]
+        if ring.size <= 16:
+            out += [idealization(ring, make_module(ring, spec)).ring
+                    for spec in ["regular"] + [("quotient", I) for I in proper]]
+    return [ring for ring in out if ring.size <= 256]
+
+
+@st.composite
+def _built_rings(draw, depth=2):
+    """A ring of at most 256 elements, built by deltan's builders from a drawn recipe."""
+    kinds = ["modular", "poly_quotient"]
+    kind = draw(st.sampled_from(kinds + ["product", "quotient", "localization",
+                                         "idealization"] if depth else kinds))
+    if kind == "modular":
+        return modular(draw(st.integers(2, 40)))
+    if kind == "poly_quotient":
+        n = draw(st.integers(2, 6))
+        d = draw(st.integers(1, {2: 5, 3: 3, 4: 3, 5: 3}.get(n, 2)))
+        return poly_quotient(n, draw(st.lists(st.integers(0, n - 1), min_size=d,
+                                              max_size=d)) + [1])
+    base = draw(_built_rings(depth - 1))
+    if kind == "product":
+        other = draw(_built_rings(depth - 1))
+        assume(base.size * other.size <= 256)
+        return product(base, other)
+    proper = [I for I in enumerate_ideals(base) if I.is_proper]
+    if kind == "quotient":
+        return quotient_ring(base, draw(st.sampled_from(proper))).ring
+    if kind == "localization":
+        sset = mult_closure(base, [base.el(draw(st.integers(0, base.size - 1)))])
+        assume(base.zero_idx not in sset.indices)
+        return localize(base, sset).ring
+    module = make_module(base, draw(st.sampled_from(
+        ["regular"] + [("quotient", I) for I in proper])))
+    assume(base.size * module.size <= 256)
+    return idealization(base, module).ring
+
+
+@settings(max_examples=80, deadline=None)
+@given(_built_rings())
+def test_drawn_builder_outputs_pass_the_general_check(ring):
+    assert check_ring_axioms(ring) == ring.neg
+
+
+def test_a_trivial_congruence_shares_the_base_tables():
+    # R/(0) and {1}^-1 R are R on R's own lists; at the units the classes are
+    # numbered in another order, and at 3 they are fewer
+    z12 = modular(12)
+    for ring in (quotient_ring(z12, ideal_from_generators(z12, [])).ring,
+                 localize(z12, mult_closure(z12, [])).ring):
+        assert ring.add is z12.add and ring.mul is z12.mul and ring.neg == z12.neg
+    for gens, size in (([5, 7], 12), ([3], 4)):
+        ring = localize(z12, mult_closure(z12, gens)).ring
+        assert ring.size == size and ring.add is not z12.add
+
+
+# the builders and one cell pair to corrupt in a copy of their tables
+FORGED_ORIGINS = {
+    "modular": (lambda: modular(12), 5, 7),
+    "poly_quotient": (lambda: poly_quotient(3, [1, 0, 1]), 4, 8),
+    "product": (lambda: product(modular(2), modular(6)), 4, 9),
+    "quotient": (_z8_mod_4, 1, 3),
+    "localization": (lambda: localize(modular(12), mult_closure(modular(12), [3])).ring, 1, 2),
+    "idealization": (_z4_idealization, 6, 11),
+}
+
+
+@pytest.mark.parametrize("table", ["add", "mul"])
+@pytest.mark.parametrize("build, a, b", FORGED_ORIGINS.values(), ids=FORGED_ORIGINS)
+def test_forged_tables_under_a_builder_origin_are_refused(build, a, b, table):
+    ring = build()
+    tables = {"add": [row[:] for row in ring.add], "mul": [row[:] for row in ring.mul]}
+    cells = tables[table]
+    cells[a][b] = cells[b][a] = (cells[a][b] + 1) % ring.size
+    with pytest.raises(InvalidSpecError):
+        Ring(ring.origin, elements=ring.elements, zero=ring.zero_idx, one=ring.one_idx,
+             **tables)
+    # the same tables unforged pass, under the same origin
+    assert Ring(ring.origin, elements=ring.elements, add=ring.add, mul=ring.mul,
+                zero=ring.zero_idx, one=ring.one_idx).neg == ring.neg
+
+
+def test_a_quotient_by_a_non_ideal_mask_takes_the_full_check(monkeypatch):
+    from deltan import rings
+    from deltan.ideals import _mk_ideal
+    checked = []
+    monkeypatch.setattr(rings, "check_ring_axioms",
+                        lambda ring, _check=rings.check_ring_axioms:
+                        checked.append(ring.key) or _check(ring))
+    # Z2[x]/(x^2), built afresh, on 0, 1, x, 1+x: {0, 1} is a subgroup but not an
+    # ideal, as x * 1 = x; its cosets are no congruence, and 1 falls into the class of 0
+    base = rings._build_poly_quotient(2, (0, 0, 1))
+    with pytest.raises(InvalidSpecError, match="0 != 1"):
+        quotient_ring(base, _mk_ideal(base, 0b0011))
+    assert checked == ["quot(Z2[x]/(x^2),[0,1])"]
+    # an ideal's quotient is proved: no check runs
+    quotient_ring(base, _mk_ideal(base, 0b0101))
+    assert checked == ["quot(Z2[x]/(x^2),[0,1])"]
 
 
 # ---------------------------------------------------------------------------
