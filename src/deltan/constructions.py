@@ -205,18 +205,23 @@ def enumerate_submodules(module):
 # ---------------------------------------------------------------------------
 
 class Homomorphism:
-    """A validated unital ring homomorphism with ideal transport helpers."""
+    """A unital ring homomorphism with ideal transport helpers.
 
-    def __init__(self, source, target, mapping=None, int_fn=None, kernel=None,
-                 check=True):
+    A mapping passed here is checked; the canonical maps deltan builds by
+    recipe (projections, identities, embeddings) go through ``_proved``."""
+
+    def __init__(self, source, target, mapping=None, int_fn=None, kernel=None):
+        self._fill(source, target, mapping, int_fn, kernel)
+        if mapping is not None:
+            self._validate()
+
+    def _fill(self, source, target, mapping, int_fn=None, kernel=None):
         self.source = source
         self.target = target
         self.mapping = mapping
         self.int_fn = int_fn
         self._kernel = kernel
         self._cache = {}
-        if mapping is not None and check:
-            self._validate()
 
     def _validate(self):
         """Totality, 1 -> 1 and 0 -> 0, then f(g+x) = f(g)+f(x) and f(gx) = f(g)f(x)
@@ -279,11 +284,13 @@ class Homomorphism:
 
 @memo
 def product_projections(ring):
-    """The projections p1: R1 x R2 -> R1 and p2: R1 x R2 -> R2 of a product ring."""
+    """The projections p1: R1 x R2 -> R1 and p2: R1 x R2 -> R2 of a product ring,
+    homomorphisms as the tables of R1 x R2 are componentwise (``rings._product``):
+    (a, b) sits at index a * |R2| + b."""
     _, left, right = ring.origin
     idx, sr = range(ring.size), right.size
-    return (Homomorphism(ring, left, mapping=[i // sr for i in idx], check=False),
-            Homomorphism(ring, right, mapping=[i % sr for i in idx], check=False))
+    return (_proved(Homomorphism, ring, left, [i // sr for i in idx]),
+            _proved(Homomorphism, ring, right, [i % sr for i in idx]))
 
 
 def make_homomorphism(source, target, mapping):
@@ -411,9 +418,11 @@ def _coset_ring(ring, origin, reps, q, elems, repr_fn, ideal=True):
         mul = [[q[mul[a][b]] for b in reps] for a in reps]
     tables = dict(elements=elems, add=add, mul=mul, zero=q[ring.zero_idx],
                   one=q[ring.one_idx], repr_fn=repr_fn)
-    qring = (_proved(Ring, origin, *tables.values(), neg=[q[ring.neg[r]] for r in reps])
-             if ideal else Ring(origin, **tables))
-    return qring, Homomorphism(ring, qring, mapping=q, check=not ideal)
+    if not ideal:
+        qring = Ring(origin, **tables)
+        return qring, Homomorphism(ring, qring, mapping=q)
+    qring = _proved(Ring, origin, *tables.values(), neg=[q[ring.neg[r]] for r in reps])
+    return qring, _proved(Homomorphism, ring, qring, q)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +434,10 @@ class IdealizationRecord:
         self.ring = ring
         self.base = base
         self.module = module
-        # pi: R(+)M -> R, (r, m) -> r; the pair (r, m) has index r * |M| + m
-        self.projection = Homomorphism(
-            ring, base, mapping=[i // module.size for i in range(ring.size)], check=False)
+        # pi: R(+)M -> R, (r, m) -> r, a homomorphism as R(+)M adds componentwise
+        # and (r1, m1)(r2, m2) has first slot r1 r2; (r, m) has index r * |M| + m
+        self.projection = _proved(Homomorphism, ring, base,
+                                  [i // module.size for i in range(ring.size)])
 
     def im_inside(self, imask, nmask):
         """Whether IM lies inside N, which makes I(+)N an ideal of R(+)M."""

@@ -2,13 +2,16 @@
 
 An expansion assigns to every ideal I an ideal delta(I) with I <= delta(I),
 monotonically in I.  On finite rings an expansion is a precomputed table over
-the full ideal lattice, and both axioms are verified exhaustively at
-construction time: extensivity at every ideal, monotonicity on the covering
-pairs of proper ideals, which implies it on all pairs (I <= J is a chain of
-covers).  On the integer ring an expansion is a closed form on the generator n
-of nZ.  On nonzero n each catalog kind, and so each composition, acts on one
-prime exponent of n at a time, which makes its hypothesis profile a finite,
-exact check (``_integer_profile``).
+the full ideal lattice; on the integer ring it is a closed form on the
+generator n of nZ.  Every expansion is built from a recipe that keeps both
+axioms, so no table is checked at run time; each constructor's docstring says
+why its recipe does.  The catalog kinds are expansions by their definitions:
+delta0(I) = I; delta1(I) = rad(I), which contains I and grows with I; full(I)
+= R; delta_plus(J)(I) = I + J; and delta_star(P)(I) = (I : P) = {r : rP <= I},
+which contains I since I is an ideal and grows with I.  Each value is an
+ideal, as rad(I), I + J and (I : P) are.  On nonzero n each catalog kind, and
+so each composition, acts on one prime exponent of n at a time, which makes
+its hypothesis profile a finite, exact check (``_integer_profile``).
 """
 
 from __future__ import annotations
@@ -18,20 +21,20 @@ from math import gcd, lcm
 
 from .constructions import (Homomorphism, idealization, localize, product_projections,
                            quotient_ring)
-from .errors import ExpansionAxiomError
-from .ideals import (Ideal, _bits, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
+from .ideals import (Ideal, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
                      _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
                      colon, enumerate_ideals, integer_ideal, nilradical)
 from .rings import _same_ring, memo, product
 
 
 class Expansion:
-    """A validated ideal-to-ideal map carrying its construction recipe.
+    """An ideal-to-ideal map carrying its construction recipe.
 
-    Expansions are built only by ``_finish``, which only memoised
-    constructors call, keyed on the ring or base expansions and the interned
-    parameters: one object per recipe, compared by identity.  ``name()`` is
-    for printing only.
+    Expansions are built only by the memoised constructors, keyed on the ring
+    or base expansions and the interned parameters: one object per recipe,
+    compared by identity.  Each constructor's recipe keeps the two axioms (see
+    the module docstring), so the table is taken as it is.  ``name()`` is for
+    printing only.
     """
 
     def __init__(self, ring, recipe, table=None, int_fn=None):
@@ -75,56 +78,6 @@ class Expansion:
         return apply_expansion(self, I)
 
 
-@memo
-def _lattice_covers(ring):
-    """(the lattice masks in lattice order, their set, the covering pairs
-    I < J of proper ideals), memoised per ring.
-
-    In a finite lattice I <= J is a chain of covers, all proper when J is, and
-    delta(I) <= R = delta(R) always, so an expansion that is monotone on these
-    pairs is monotone on all pairs.  The lattice is ordered by size, so the
-    strict supersets of I are visited by size: each one is a cover unless it
-    contains a cover already found.
-    """
-    masks = tuple(I.mask for I in enumerate_ideals(ring))
-    proper = masks[:-1]  # the whole ring comes last
-    # up[x]: bit y set iff proper[x] <= proper[y], which needs y >= x
-    up = [sum(1 << y for y, j in enumerate(proper[x:], x) if i & ~j == 0)
-          for x, i in enumerate(proper)]
-    covers = []
-    for x, i in enumerate(proper):
-        reach = 1 << x  # i and the proper ideals above a cover found so far
-        for y in _bits(up[x]):
-            if not reach >> y & 1:
-                covers.append((i, proper[y]))
-                reach |= up[y]
-    return masks, frozenset(masks), tuple(covers)
-
-
-def _validate_axioms(ring, table):
-    masks, members, covers = _lattice_covers(ring)
-    for m in masks:
-        v = table[m]
-        if v not in members:
-            raise ExpansionAxiomError(
-                f"the value at {_mk_ideal(ring, m)!r} is not an ideal of {ring.key}")
-        if m & ~v:
-            raise ExpansionAxiomError(
-                f"extensivity fails at {_mk_ideal(ring, m)!r} on {ring.key}")
-    for i, j in covers:
-        if table[i] & ~table[j]:
-            raise ExpansionAxiomError(
-                f"monotonicity fails at {_mk_ideal(ring, i)!r} <= "
-                f"{_mk_ideal(ring, j)!r} on {ring.key}")
-
-
-def _finish(ring, recipe, table=None, int_fn=None):
-    """The expansion of a recipe: a validated table, or a closed form on ZZ."""
-    if table is not None:
-        _validate_axioms(ring, table)
-    return Expansion(ring, recipe, table, int_fn)
-
-
 def make_expansion(ring, kind, param=None):
     """Build a catalog expansion: delta0, delta1, full, delta_plus(J), delta_star(P)."""
     if kind == "delta0":
@@ -149,44 +102,44 @@ def _check_param(ring, J):
 @memo
 def delta0(ring):
     if not ring.is_finite:
-        return _finish(ring, ("delta0",), int_fn=lambda n: n)
+        return Expansion(ring, ("delta0",), int_fn=lambda n: n)
     table = {I.mask: I.mask for I in enumerate_ideals(ring)}
-    return _finish(ring, ("delta0",), table)
+    return Expansion(ring, ("delta0",), table)
 
 
 @memo
 def delta1(ring):
     if not ring.is_finite:
-        return _finish(ring, ("delta1",), int_fn=_radical_of_int)
+        return Expansion(ring, ("delta1",), int_fn=_radical_of_int)
     table = {I.mask: _radical_mask(ring, I.mask) for I in enumerate_ideals(ring)}
-    return _finish(ring, ("delta1",), table)
+    return Expansion(ring, ("delta1",), table)
 
 
 @memo
 def full_expansion(ring):
     if not ring.is_finite:
-        return _finish(ring, ("full",), int_fn=lambda n: 1)
+        return Expansion(ring, ("full",), int_fn=lambda n: 1)
     full = ring.full_mask
     table = {I.mask: full for I in enumerate_ideals(ring)}
-    return _finish(ring, ("full",), table)
+    return Expansion(ring, ("full",), table)
 
 
 @memo
 def delta_plus(ring, J):
     _check_param(ring, J)
     if not ring.is_finite:
-        return _finish(ring, ("delta_plus", J), int_fn=lambda n, q=J.n: gcd(n, q))
+        return Expansion(ring, ("delta_plus", J), int_fn=lambda n, q=J.n: gcd(n, q))
     table = {I.mask: _sum_mask(ring, I.mask, J.mask) for I in enumerate_ideals(ring)}
-    return _finish(ring, ("delta_plus", J), table)
+    return Expansion(ring, ("delta_plus", J), table)
 
 
 @memo
 def delta_star(ring, P):
     _check_param(ring, P)
     if not ring.is_finite:
-        return _finish(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
+        return Expansion(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
     table = {I.mask: colon(I, P).mask for I in enumerate_ideals(ring)}
-    return _finish(ring, ("delta_star", P), table)
+    return Expansion(ring, ("delta_star", P), table)
 
 
 @memo
@@ -202,14 +155,16 @@ def catalog(ring):
 
 @memo
 def compose_expansions(outer, inner):
-    """(outer o inner)(I) = outer(inner(I)); the axioms survive composition."""
+    """(outer o inner)(I) = outer(inner(I)), an expansion: I <= inner(I) <=
+    outer(inner(I)), and I <= J gives inner(I) <= inner(J), so outer(inner(I))
+    <= outer(inner(J))."""
     _same_ring(outer.ring, inner.ring, "inner expansion")
     ring = outer.ring
     if not ring.is_finite:
         fo, fi = outer.int_fn, inner.int_fn
-        return _finish(ring, ("compose", outer, inner), int_fn=lambda n: fo(fi(n)))
+        return Expansion(ring, ("compose", outer, inner), int_fn=lambda n: fo(fi(n)))
     table = {m: outer.table[v] for m, v in inner.table.items()}
-    return _finish(ring, ("compose", outer, inner), table)
+    return Expansion(ring, ("compose", outer, inner), table)
 
 
 def apply_expansion(delta, I):
@@ -226,39 +181,42 @@ def apply_expansion(delta, I):
 
 def _pushforward(f, delta):
     """The table K -> f(delta(f^-1 K)) over the ideals K of the target of a
-    surjection f."""
+    surjection f, an expansion: the image of an ideal under a surjective
+    homomorphism is an ideal, K = f(f^-1 K) <= f(delta(f^-1 K)), and each of
+    f^-1, delta and f keeps inclusions.  R/J and S^-1 R (which is R/ker) read
+    their derived expansions this way."""
     images, preimages = Homomorphism.image_mask.table(f), Homomorphism.preimage_mask.table(f)
     return {K.mask: images[delta.table[preimages[K.mask]]] for K in enumerate_ideals(f.target)}
 
 
 @memo
 def derive_quotient_expansion(delta, J):
-    """Push delta to R/J: the value on K/J is delta(K)/J for the full preimage K."""
+    """Push delta to R/J along its projection (``_pushforward``): the value on
+    K/J is delta(K)/J for the full preimage K."""
     rec = quotient_ring(delta.ring, J)
-    return _finish(rec.ring, ("quotient_derived", delta, J), _pushforward(rec.projection, delta))
+    return Expansion(rec.ring, ("quotient_derived", delta, J), _pushforward(rec.projection, delta))
 
 
 @memo
 def derive_product_expansion(d1, d2):
     """Componentwise expansion on R1 x R2 along the projections p1, p2:
-    delta_x(I) = p1^-1(d1(p1 I)) & p2^-1(d2(p2 I)).  Every ideal of the product
-    splits, I = p1^-1(p1 I) & p2^-1(p2 I), and the table checks it."""
+    delta_x(I) = p1^-1(d1(p1 I)) & p2^-1(d2(p2 I)) = d1(I1) x d2(I2).  Every
+    ideal of the product is I1 x I2 for I1 = p1 I and I2 = p2 I, as (a, b)(1, 0)
+    = (a, 0), so I <= d1(I1) x d2(I2), an ideal, and I1, I2 grow with I."""
     ring = product(d1.ring, d2.ring)
     p1, p2 = product_projections(ring)
-    table = {}
-    for I in enumerate_ideals(ring):
-        m1, m2 = p1.image_mask(I.mask), p2.image_mask(I.mask)
-        if p1.preimage_mask(m1) & p2.preimage_mask(m2) != I.mask:
-            raise ExpansionAxiomError(
-                f"ideal {I!r} of {ring.key} does not split componentwise")
-        table[I.mask] = p1.preimage_mask(d1.table[m1]) & p2.preimage_mask(d2.table[m2])
-    return _finish(ring, ("product_derived", d1, d2), table)
+    table = {I.mask: p1.preimage_mask(d1.table[p1.image_mask(I.mask)])
+             & p2.preimage_mask(d2.table[p2.image_mask(I.mask)])
+             for I in enumerate_ideals(ring)}
+    return Expansion(ring, ("product_derived", d1, d2), table)
 
 
 @memo
 def derive_idealization_expansion(delta, module):
     """Expansion on R(+)M along pi: R(+)M -> R, W -> pi^-1(delta(pi W)), so
-    I(+)N goes to delta(I)(+)M.
+    I(+)N goes to delta(I)(+)M.  pi is a surjective homomorphism, so pi W is an
+    ideal, its delta-value one too, and so its preimage; W <= pi^-1(pi W) <=
+    pi^-1(delta(pi W)), and each step keeps inclusions.
 
     Lattice ideals that are not of the homogeneous I(+)N shape are first
     homogenized (projection to R, second slot widened to all of M); the
@@ -268,17 +226,17 @@ def derive_idealization_expansion(delta, module):
     pi = rec.projection
     images, preimages = Homomorphism.image_mask.table(pi), Homomorphism.preimage_mask.table(pi)
     table = {W.mask: preimages[delta.table[images[W.mask]]] for W in enumerate_ideals(rec.ring)}
-    return _finish(rec.ring, ("idealization_derived", delta), table)
+    return Expansion(rec.ring, ("idealization_derived", delta), table)
 
 
 @memo
 def derive_localized_expansion(delta, sset):
-    """Push delta to S^-1 R along r -> r/1, as to a quotient: S^-1 R is R/ker.
-    The value on K extends delta of the contraction of K, the largest ideal
-    extending to K, so it does not depend on a representative."""
+    """Push delta to S^-1 R along r -> r/1, as to a quotient (``_pushforward``):
+    S^-1 R is R/ker.  The value on K extends delta of the contraction of K, the
+    largest ideal extending to K, so it does not depend on a representative."""
     rec = localize(delta.ring, sset)
-    return _finish(rec.ring, ("localization_derived", delta, sset),
-                   _pushforward(rec.canonical, delta))
+    return Expansion(rec.ring, ("localization_derived", delta, sset),
+                     _pushforward(rec.canonical, delta))
 
 
 def localization_value_collisions(delta, sset):

@@ -112,7 +112,7 @@ def _check_modulus(n, degree=None):
 # polynomial coefficient helpers (ascending tuples over Z_n)
 # ---------------------------------------------------------------------------
 
-def poly_repr(coeffs, var="x", descending=False):
+def poly_repr(coeffs, descending=False):
     """Render an ascending coefficient tuple, e.g. (1, 3, 1) -> ``1+3x+x^2``."""
     terms = []
     indexed = list(enumerate(coeffs))
@@ -124,9 +124,9 @@ def poly_repr(coeffs, var="x", descending=False):
         if i == 0:
             terms.append(str(c))
         elif i == 1:
-            terms.append(var if c == 1 else f"{c}{var}")
+            terms.append("x" if c == 1 else f"{c}x")
         else:
-            terms.append(f"{var}^{i}" if c == 1 else f"{c}{var}^{i}")
+            terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
     return "+".join(terms) if terms else "0"
 
 
@@ -419,11 +419,12 @@ def integers():
 
 
 def _proved(cls, *fields, **checked):
-    """A ``Ring`` or ``constructions.Module`` on tables its builder has proved by
-    recipe (each caller gives its proof), with no axiom pass: ``_fill`` stores
-    ``fields``, and ``checked`` what the check would return (a ring's ``neg``),
-    set one by one as ``__init__`` sets it: writing through ``vars`` detaches
-    the values from the class's shared layout and slows every attribute read."""
+    """A ``Ring``, ``constructions.Module`` or ``constructions.Homomorphism`` on
+    tables its builder has proved by recipe (each caller gives its proof), with
+    no check: ``_fill`` stores ``fields``, and ``checked`` what the check would
+    return (a ring's ``neg``), set one by one as ``__init__`` sets it: writing
+    through ``vars`` detaches the values from the class's shared layout and
+    slows every attribute read."""
     made = cls.__new__(cls)
     made._fill(*fields)
     for name, value in checked.items():
@@ -569,30 +570,19 @@ def check_ring_axioms(ring):
     associativity, the c that commute with every a are closed under + too,
     (c+d)+a = c+(a+d) = (a+c)+d = a+(c+d), and so are the c that distribute,
     a((c+d)+b) = ac+(ad+ab) = a(c+d)+ab; given commutativity and
-    distributivity, so are the c that associate.  Cost O(n^2 |G|).  One
-    ``row.index(0)`` pass finds the inverses and is the negation table.
-
-    When 1 generates the additive group (G = [1], as in Z_n), check the
-    identity column and a(1+x) = a + ax for all a, x, and no pass for the
-    commutativity or associativity of multiplication: every b is k_b * 1, so
-    by induction ab = k_b * a = (k_a k_b) * 1, which is symmetric in a, b, and
-    (ab)c = (k_a k_b k_c) * 1 = a(bc).  Cost O(n^2).
+    distributivity, so are the c that associate.  Cost O(n^2 |G|), O(n^2) when
+    1 generates the additive group, as in Z_n.  One ``row.index(0)`` pass finds
+    the inverses and is the negation table.
     """
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
     gens = _additive_generators(add, zero, one)
     neg = _negation(add, zero)
-    identity = list(range(n))
     failure = (zero == one and "ring must have 0 != 1"
                or _group_failure(add, zero, gens, neg)
-               or mul[one] != identity and "1 is not a multiplicative identity")
-    if not failure and gens == [one]:
-        failure = (list(map(itemgetter(one), mul)) != identity
-                   and "1 is not a multiplicative identity"
-                   or not _additive_on(mul, add, add, gens) and "distributivity fails")
-    elif not failure:
-        failure = (not _commutative(mul) and "multiplication is not commutative"
-                   or not _additive_on(mul, add, add, gens) and "distributivity fails"
-                   or not _associative_on(mul, mul, gens) and "multiplication is not associative")
+               or mul[one] != list(range(n)) and "1 is not a multiplicative identity"
+               or not _commutative(mul) and "multiplication is not commutative"
+               or not _additive_on(mul, add, add, gens) and "distributivity fails"
+               or not _associative_on(mul, mul, gens) and "multiplication is not associative")
     if failure:
         raise InvalidSpecError(f"{ring.key}: {failure}")
     return neg

@@ -20,7 +20,7 @@ from .dsl import bind_ring, parse_spec
 from .errors import DeltanError, InfiniteRingError, UnknownClaimError
 from .expansions import catalog, derive_quotient_expansion
 from .ideals import _bits, _unit_mask, enumerate_ideals, ideal_from_generators, nilradical
-from .rings import integers, memo, modular, poly_quotient, product
+from .rings import _proved, integers, memo, modular, poly_quotient, product
 
 
 @dataclass(frozen=True)
@@ -127,13 +127,14 @@ class Context:
 
         Identities pair each catalog delta with itself; projections pair delta
         with its quotient-derived expansion; the diagonal embedding of Z2 into
-        Z2 x Z2 is scanned against the full catalog product.
+        Z2 x Z2 is scanned against the full catalog product.  The identities
+        and the diagonal a -> (a, a), a product's tables being componentwise,
+        are homomorphisms by their recipe and take ``_proved``.
         """
         out = []
         for entry in self.entries:
             ring = entry.ring
-            ident = Homomorphism(ring, ring, mapping=list(range(ring.size)),
-                                 check=False)
+            ident = _proved(Homomorphism, ring, ring, list(range(ring.size)))
             out.append((ident, tuple((d, d) for d in entry.expansions)))
             for J in enumerate_ideals(ring):
                 if not J.is_proper:
@@ -145,10 +146,8 @@ class Context:
         z2 = modular(2)
         z2xz2 = product(z2, z2)
         if {z2, z2xz2} <= {e.ring for e in self.entries}:
-            diag = Homomorphism(
-                z2, z2xz2,
-                mapping=[z2xz2.from_payload((a, a)).idx for a in z2.elements],
-                check=False)
+            diag = _proved(Homomorphism, z2, z2xz2,
+                           [z2xz2.from_payload((a, a)).idx for a in z2.elements])
             pairs = tuple((d, g) for d in catalog(z2)
                           for g in catalog(z2xz2))
             out.append((diag, pairs))

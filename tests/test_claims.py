@@ -69,7 +69,7 @@ def _mismatched_homs(ctx):
     out = []
     for entry in ctx.entries:
         ring = entry.ring
-        ident = Homomorphism(ring, ring, mapping=list(range(ring.size)), check=False)
+        ident = Homomorphism(ring, ring, mapping=list(range(ring.size)))
         out.append((ident, tuple(pairs_of(entry.expansions, repeat=2))))
     return out
 

@@ -1,4 +1,4 @@
-"""Expansion catalog, derivation rules, axiom validation, and profiles."""
+"""Expansion catalog, derivation rules, the expansion axioms, and profiles."""
 
 import random
 import re
@@ -7,21 +7,23 @@ from itertools import count
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deltan import (CrossRingError, ExpansionAxiomError, apply_expansion,
-                    compose_expansions, delta0, delta1, delta_plus, delta_star,
-                    derive_idealization_expansion, derive_localized_expansion,
-                    derive_product_expansion, derive_quotient_expansion,
-                    enumerate_ideals, full_expansion, ideal_from_generators,
-                    integer_ideal, integers, make_expansion, modular,
-                    nilradical, product, profile_expansion, radical,
-                    zero_ideal)
+from deltan import (CrossRingError, apply_expansion, compose_expansions, delta0,
+                    delta1, delta_plus, delta_star, derive_idealization_expansion,
+                    derive_localized_expansion, derive_product_expansion,
+                    derive_quotient_expansion, enumerate_ideals, full_expansion,
+                    ideal_from_generators, integer_ideal, integers, make_expansion,
+                    modular, mult_closure, nilradical, product, profile_expansion,
+                    radical, rings, zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import _colon_violation, _lattice_covers, _validate_axioms
+from deltan.expansions import Expansion, _colon_violation
 from deltan.ideals import _prime_factors, _radical_of_int
-from deltan.verifier import builtin_corpus
+from deltan.verifier import builtin_corpus, run_claims
 from deltan.verifier import catalog as corpus_catalog
+from test_rings import _built_rings
 
 
 def test_delta_plus_on_integers():
@@ -94,19 +96,16 @@ def test_axiom_validation_rejects_bad_table():
     lattice = enumerate_ideals(z6)
     # shrinkage: map everything to the zero ideal
     bad = {I.mask: lattice[0].mask for I in lattice}
-    with pytest.raises(ExpansionAxiomError):
-        _validate_axioms(z6, bad)
+    assert table_failure(z6, bad).startswith("extensivity fails")
     # non-monotone: (0) blows up to 2Z8 while the larger 4Z8 stays put
     z8 = modular(8)
     two = ideal_from_generators(z8, [z8.el(2)])
     bad2 = {I.mask: I.mask for I in enumerate_ideals(z8)}
     bad2[zero_ideal(z8).mask] = two.mask
-    with pytest.raises(ExpansionAxiomError):
-        _validate_axioms(z8, bad2)
+    assert table_failure(z8, bad2).startswith("monotonicity fails")
     # extensive and monotone, but (0) goes to {0,1,3}, which is not an ideal
     not_ideal = {I.mask: I.mask | 0b1011 for I in lattice}
-    with pytest.raises(ExpansionAxiomError, match="not an ideal"):
-        _validate_axioms(z6, not_ideal)
+    assert table_failure(z6, not_ideal).endswith("is not an ideal")
 
 
 def test_delta0_is_pointwise_minimum():
@@ -421,16 +420,6 @@ def test_localized_expansion_unit_denominators():
         assert lhs == rhs
 
 
-def test_every_catalog_expansion_validates():
-    for entry in builtin_corpus().entries:
-        full = entry.ring.full_mask
-        for delta in entry.expansions:
-            for I in enumerate_ideals(entry.ring):
-                v = delta.table[I.mask]
-                assert I.mask & ~v == 0
-            assert delta.table[full] == full
-
-
 def test_expansion_serialization_deterministic():
     z12 = modular(12)
     two = ideal_from_generators(z12, [z12.el(2)])
@@ -441,75 +430,93 @@ def test_expansion_serialization_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# monotonicity on covering pairs against the all-pairs check
+# the expansion axioms on all pairs: no constructor checks its table, as each
+# recipe keeps the axioms, so the tables the builders make are checked here
 # ---------------------------------------------------------------------------
 
-def all_pairs_failures(lattice, table):
-    """Every pair I <= J of lattice masks with delta(I) not inside delta(J)."""
-    return [(i, j) for i in lattice for j in lattice
-            if i & ~j == 0 and table[i] & ~table[j]]
+def table_failure(ring, table):
+    """Why ``table`` is not an expansion of the finite ``ring``, or None: it must
+    send each lattice ideal to a lattice ideal, be extensive at each, and be
+    monotone on every pair I <= J."""
+    lattice = [I.mask for I in enumerate_ideals(ring)]
+    if set(table) != set(lattice):
+        return "the table is not over the ideal lattice"
+    for i in lattice:
+        if table[i] not in table:
+            return f"the value at {i:#x} is not an ideal"
+        if i & ~table[i]:
+            return f"extensivity fails at {i:#x}"
+    for i in lattice:
+        for j in lattice:
+            if i & ~j == 0 and table[i] & ~table[j]:
+                return f"monotonicity fails at {i:#x} <= {j:#x}"
+    return None
 
 
-def _axioms_hold(ring, table):
-    try:
-        _validate_axioms(ring, table)
-    except ExpansionAxiomError:
-        return False
-    return True
+def _divides(m, n):
+    return n % m == 0 if m else n == 0
 
 
-def proper_covers(ring):
-    """The pairs I < J of proper ideals with no ideal strictly between."""
-    proper = [I.mask for I in enumerate_ideals(ring) if I.is_proper]
-    return [(i, j) for i in proper for j in proper
-            if i != j and i & ~j == 0
-            and not any(k not in (i, j) and i & ~k == 0 and k & ~j == 0
-                        for k in proper)]
+def expansion_failure(delta):
+    """``table_failure`` of a finite expansion; on ZZ, where nZ <= mZ iff m
+    divides n, the same axioms on the ideals nZ for n < 60."""
+    if delta.ring.is_finite:
+        return table_failure(delta.ring, delta.table)
+    fn, points = delta.int_fn, range(60)
+    for n in points:
+        if not _divides(fn(n), n):
+            return f"extensivity fails at ({n})"
+        for m in points:
+            if _divides(m, n) and not _divides(fn(m), fn(n)):
+                return f"monotonicity fails at ({n}) <= ({m})"
+    return None
 
 
-def test_cover_list_is_the_covering_relation_of_the_proper_ideals():
-    for entry in builtin_corpus().entries:
-        ring = entry.ring
-        masks, members, covers = _lattice_covers(ring)
-        assert masks == tuple(I.mask for I in enumerate_ideals(ring))
-        assert members == set(masks)
-        assert covers == tuple(proper_covers(ring)), ring
+def test_every_catalog_expansion_validates(monkeypatch):
+    """Every expansion that a default verification builds, the catalogs, their
+    compositions and the derived expansions, is an expansion on all pairs."""
+    built = []
+
+    def record(self, *args, _init=Expansion.__init__, **kwargs):
+        _init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # so the run builds every expansion
+    monkeypatch.setattr(Expansion, "__init__", record)
+    run_claims(corpus=builtin_corpus.__wrapped__())
+    assert len(built) > 9000
+    assert {d.kind for d in built} == {
+        "delta0", "delta1", "full", "delta_plus", "delta_star", "compose",
+        "quotient_derived", "product_derived", "idealization_derived",
+        "localization_derived"}
+    for delta in built:
+        assert expansion_failure(delta) is None, delta
 
 
-def test_every_cover_pair_is_needed():
-    # delta(K) = R for the K above I other than J, and K elsewhere: extensive,
-    # valued in ideals, and monotone on every pair but I <= J, so a cover list
-    # without (I, J) accepts it
-    for entry in builtin_corpus().entries:
-        ring = entry.ring
-        masks = [I.mask for I in enumerate_ideals(ring)]
-        for i, j in proper_covers(ring):
-            table = {k: ring.full_mask if i & ~k == 0 and k != j else k for k in masks}
-            assert all_pairs_failures(masks, table) == [(i, j)]
-            with pytest.raises(ExpansionAxiomError, match="monotonicity fails"):
-                _validate_axioms(ring, table)
-
-
-def test_cover_validation_matches_all_pairs_on_perturbed_corpus_tables():
-    # move one value of each catalog table to every other ideal above its
-    # argument, so the axioms other than monotonicity still hold
-    checked = rejected = 0
-    for entry in builtin_corpus().entries:
-        ring = entry.ring
-        masks = [I.mask for I in enumerate_ideals(ring)]
-        for delta in entry.expansions:
-            assert _axioms_hold(ring, delta.table)
-            for k in masks:
-                for v in masks:
-                    if k & ~v or v == delta.table[k]:
-                        continue
-                    table = dict(delta.table)
-                    table[k] = v
-                    expected = not all_pairs_failures(masks, table)
-                    assert _axioms_hold(ring, table) == expected, (delta, k, v)
-                    checked += 1
-                    rejected += not expected
-    assert (checked, rejected) == (6628, 4826)
+@settings(max_examples=40, deadline=None)
+@given(_built_rings(), st.data())
+def test_drawn_rings_give_expansions_by_every_recipe(ring, data):
+    """The catalog, its compositions with a drawn member on either side, and
+    each derived kind of a drawn member, on the rings that the builder-output
+    test draws."""
+    cat = corpus_catalog(ring)
+    delta = data.draw(st.sampled_from(cat))
+    proper = [I for I in enumerate_ideals(ring) if I.is_proper]
+    built = [*cat, *(compose_expansions(d, delta) for d in cat),
+             *(compose_expansions(delta, d) for d in cat),
+             derive_quotient_expansion(delta, data.draw(st.sampled_from(proper)))]
+    if ring.size <= 64:
+        other = data.draw(st.sampled_from(corpus_catalog(modular(4))))
+        built.append(derive_product_expansion(delta, other))
+    sset = mult_closure(ring, [ring.el(data.draw(st.integers(0, ring.size - 1)))])
+    if ring.zero_idx not in sset.indices:
+        built.append(derive_localized_expansion(delta, sset))
+    module = make_module(ring, data.draw(st.sampled_from(
+        ["regular"] + [("quotient", I) for I in proper])))
+    if ring.size * module.size <= 256:
+        built.append(derive_idealization_expansion(delta, module))
+    for made in built:
+        assert expansion_failure(made) is None, made
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,10 @@ CONSTRUCTORS = {"Ring": {"_cached_ring", "_build_modular", "_build_poly_quotient
                          "_product", "_coset_ring", "idealization"},
                 "Module": {"_build_module"},
                 "Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
-                "Expansion": {"_finish"}}
+                "Expansion": {"delta0", "delta1", "full_expansion", "delta_plus", "delta_star",
+                              "compose_expansions", "derive_quotient_expansion",
+                              "derive_product_expansion", "derive_idealization_expansion",
+                              "derive_localized_expansion"}}
 
 
 def _memoised(fn):
@@ -130,7 +133,7 @@ def test_readme_command_line_examples_exit_0(argv):
 
 
 def test_readme_code_names_resolve_in_the_package():
-    """Every backticked private name (``_finish``, ``_mk_ideal(ring, mask)``) and
+    """Every backticked private name (``_proved``, ``_mk_ideal(ring, mask)``) and
     name qualified by a package module (``rings.memo``) in the README exists."""
     modules = {p.stem: importlib.import_module(f"deltan.{p.stem}") for p in MODULES}
     checked, missing = 0, []

@@ -516,10 +516,11 @@ def _axiom_case(rng, kind, rings, cyclic, built):
             mul[a][b] = rng.randrange(ring.size)
         return add, mul, zero, one, None
     if kind == "column":
-        # a.1 != a for one a, while 1.a = a everywhere
+        # a.1 != a for one a, while 1.a = a everywhere: the row of 1 is the
+        # identity, and the table is not commutative
         a = rng.choice([x for x in range(ring.size) if x != one])
         mul[a][one] = rng.choice([x for x in range(ring.size) if x != a])
-        return add, mul, zero, one, "1 is not a multiplicative identity"
+        return add, mul, zero, one, "multiplication is not commutative"
     # kind == "add-assoc": a symmetric pair of sums a+b moved off 0, so that
     # identity, inverses and commutativity hold and only associativity can fail
     a = rng.choice([x for x in range(ring.size) if x != zero])
@@ -734,8 +735,8 @@ def test_modular_tables_are_proved_by_their_recipe(monkeypatch):
 @pytest.mark.parametrize("unit", [5, 7, 11])
 def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
     # Z12 relabelled by x -> unit * x: 1 still generates the additive group
-    # (G = [1]), but the row of 1 is x -> x + unit, not the index successor,
-    # so the lookups through that row are evaluated, not the rotations
+    # (G = [1]), but the row of 1 is x -> x + unit, not the index successor;
+    # such tables take the general route, associativity of + and of x on G
     z12 = modular(12)
     perm = [unit * x % 12 for x in range(12)]
     add, mul = _relabel(z12.add, perm), _relabel(z12.mul, perm)
@@ -743,7 +744,7 @@ def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
     assert _additive_generators(add, 0, one) == [one] and add[one] != list(range(1, 12)) + [0]
     seen = _evaluations(monkeypatch)
     ring = _with_tables(z12, add, mul, zero=0, one=one)
-    assert seen == ["_associative_on"]
+    assert seen == ["_associative_on", "_associative_on"]
     label_of = {k: x for x, k in enumerate(perm)}
     assert ring.neg == [perm[-label_of[k] % 12] for k in range(12)]
     for corrupted in ("add", "mul"):
