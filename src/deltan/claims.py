@@ -714,9 +714,11 @@ def _check_sum_delta_n(ctx):
 # quotient transfer
 # ---------------------------------------------------------------------------
 
+@memo
 def _quotient_instances(ctx):
     """(scope of (ring, delta), J, I, mask of I/J, delta_q-n set of R/J) for each
-    corpus ring, proper J, catalog expansion and proper I >= J."""
+    corpus ring, proper J, catalog expansion and proper I >= J; one list a run."""
+    out = []
     for entry in ctx.entries:
         ring = entry.ring
         scopes, proper = _scopes(ctx, entry), _proper(ring)
@@ -725,8 +727,8 @@ def _quotient_instances(ctx):
             above = [(I, images[I.mask]) for I in proper if J.mask & ~I.mask == 0]
             for s in scopes:
                 dn_q = delta_n_masks(derive_quotient_expansion(s.delta, J))
-                for I, img in above:
-                    yield s, J, I, img, dn_q
+                out += [(s, J, I, img, dn_q) for I, img in above]
+    return out
 
 
 def _quotient_witness(s, J, I, img, dn_q):

@@ -11,7 +11,8 @@ from operator import itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
 from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_ideal,
-                     _preimage_mask, _sum_closure, enumerate_ideals, integer_ideal)
+                     _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
+                     integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
                     _check_size, _group_failure, _index_text, _join_tables, _negation,
                     _pair_repr, _proved, _same_ring, memo, modular, ring_key)
@@ -315,10 +316,12 @@ def make_homomorphism(source, target, mapping):
 
 
 def image_ideal(f, I):
-    """f(I) as an ideal of the target; requires f surjective."""
+    """f(I) as an ideal of the target, f surjective; on ZZ, the ideal f(n) generates."""
     _same_ring(f.source, I.ring, "ideal")
     if not f.is_surjective():
         raise HomomorphismError("image_ideal requires a surjective homomorphism")
+    if f.mapping is None:
+        return ideal_from_generators(f.target, [f(f.source.el(I.n))])
     return _mk_ideal(f.target, f.image_mask(I.mask))
 
 
@@ -339,20 +342,15 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
     """delta(f^{-1}(J)) = f^{-1}(gamma(J)) for every ideal J of the target.
 
     A table-backed map compares the masks, its verdicts one memo table keyed
-    by the pair (delta, gamma); the mod-n reductions compare ideals.
+    by the pair (delta, gamma); a mod-n reduction compares generators n of ZZ.
     """
     _same_ring(f.source, delta.ring, "source expansion")
     _same_ring(f.target, gamma.ring, "target expansion")
     if f.mapping is not None:
         return _mask_verdict(f, (delta, gamma))
-    from .expansions import apply_expansion  # expansions imports this module
-    for J in enumerate_ideals(f.target):
-        pre = preimage_ideal(f, J)
-        lhs = apply_expansion(delta, pre)
-        rhs = preimage_ideal(f, apply_expansion(gamma, J))
-        if lhs != rhs:
-            return False
-    return True
+    return all(delta.int_fn(preimage_ideal(f, J).n)
+               == preimage_ideal(f, _mk_ideal(f.target, gamma.table[J.mask])).n
+               for J in enumerate_ideals(f.target))
 
 
 @memo
@@ -392,36 +390,30 @@ def quotient_ring(ring, J):
 
 @memo
 def _finite_quotient(ring, J):
-    """R/J, proved by ``_coset_ring`` when J.mask is an ideal, as every mask that
-    the ideal operators make is; any other mask takes the full checks."""
+    """R/J, proved by ``_coset_ring``: every ``Ideal`` has an ideal mask, made by
+    the ideal operators or checked before it is interned (``_module_recipe``)."""
     reps, q = _coset_quotient(ring, J.mask)
     qring, proj = _coset_ring(ring, ("quotient", ring, J), reps, q,
-                              [ring.elements[r] for r in reps], ring._repr_fn or str,
-                              _generated_mask(ring, _bits(J.mask)) == J.mask)
+                              [ring.elements[r] for r in reps], ring._repr_fn or str)
     return QuotientRecord(ring=qring, projection=proj)
 
 
-def _coset_ring(ring, origin, reps, q, elems, repr_fn, ideal=True):
+def _coset_ring(ring, origin, reps, q, elems, repr_fn):
     """The ring on the classes of ``ring`` that q names, and its canonical map.
 
     q[x] is the class of the base index x, and reps[c] one base index in class
-    c.  When the classes are the cosets of a proper ideal J (``ideal``), R/J is
-    a ring and q a homomorphism onto it (for S^-1 R, which is R/ker, see
+    c.  The classes must be the cosets of a proper ideal J: then R/J is a ring
+    and q a homomorphism onto it (for S^-1 R, which is R/ker, see
     ``localize``), so the class of a+b (ab, -a) is q[a+b] (q[ab], q[-a]) for
-    any a, b in the two classes: the tables, filled over reps alone, are proved,
-    and R's own when q and reps are the identity, J = 0.  Other classes may be
-    no congruence, so their tables take ``Ring(...)`` and q the homomorphism check.
+    any a, b in the two classes.  The tables, filled over reps alone, are
+    proved, and R's own when q and reps are the identity, J = 0.
     """
     add, mul = ring.add, ring.mul
     if not q == reps == list(range(ring.size)):
         add = [[q[add[a][b]] for b in reps] for a in reps]
         mul = [[q[mul[a][b]] for b in reps] for a in reps]
-    tables = dict(elements=elems, add=add, mul=mul, zero=q[ring.zero_idx],
-                  one=q[ring.one_idx], repr_fn=repr_fn)
-    if not ideal:
-        qring = Ring(origin, **tables)
-        return qring, Homomorphism(ring, qring, mapping=q)
-    qring = _proved(Ring, origin, *tables.values(), neg=[q[ring.neg[r]] for r in reps])
+    qring = _proved(Ring, origin, elems, add, mul, q[ring.zero_idx], q[ring.one_idx],
+                    repr_fn, neg=[q[ring.neg[r]] for r in reps])
     return qring, _proved(Homomorphism, ring, qring, q)
 
 
@@ -569,23 +561,16 @@ class LocalizationRecord:
     sset: MultiplicativeSet
     canonical: Homomorphism
     kernel: Ideal
-    class_of: dict  # (numerator idx, denominator idx) -> class idx
-
-    def extend_mask(self, base_mask):
-        """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker, as a
-        mask of the localization: the canonical image of I."""
-        return self.canonical.image_mask(base_mask)
-
-    def contract_mask(self, loc_mask):
-        return self.canonical.preimage_mask(loc_mask)
 
     def extend(self, I):
+        """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker: the
+        canonical image of I."""
         _same_ring(self.base, I.ring, "ideal")
-        return _mk_ideal(self.ring, self.extend_mask(I.mask))
+        return _mk_ideal(self.ring, self.canonical.image_mask(I.mask))
 
     def contract(self, K):
         _same_ring(self.ring, K.ring, "ideal")
-        return _mk_ideal(self.base, self.contract_mask(K.mask))
+        return _mk_ideal(self.base, self.canonical.preimage_mask(K.mask))
 
 
 def _reads_fractions(ring):
@@ -609,7 +594,7 @@ def localize(ring, sset):
     those of R/ker, filled by ``_coset_ring`` like a quotient's (ker is an
     ideal: ua = vb = 0 give uv(a+b) = 0 and u(ra) = 0).  Classes are
     numbered by first appearance in (r, s) order, and the first pair of each
-    class is its representative.
+    class is its representative; r/s is q(r)q(s)^-1 for the canonical map q.
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
@@ -622,12 +607,11 @@ def localize(ring, sset):
     _, coset = _coset_quotient(ring, ker)
     one = coset[ring.one_idx]
     inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]
-    class_of, number, reps, pairs = {}, {}, [], []
+    number, reps, pairs = {}, [], []
     for r in range(n):
         for s, t in zip(s_list, inverse):
             x = mul[r][t]
-            c = class_of[(r, s)] = number.setdefault(coset[x], len(reps))
-            if c == len(reps):  # the first pair of a new class
+            if number.setdefault(coset[x], len(reps)) == len(reps):  # a new class
                 reps.append(x)
                 pairs.append((r, s))
     rrepr = ring._repr_fn or str
@@ -636,4 +620,4 @@ def localize(ring, sset):
         ring, ("localization", ring, sset), reps, [number[c] for c in coset],
         [(ring.elements[r], ring.elements[s]) for r, s in pairs],
         lambda p: text.format(rrepr(p[0]), rrepr(p[1])))
-    return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker), class_of)
+    return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker))

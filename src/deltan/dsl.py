@@ -437,7 +437,8 @@ def _bind_product(ast):
 def bind_element(ring, ast):
     """The element a parsed element names in ``ring``.  Every element of a
     quotient, and every element but a fraction r/s of a localization, is named
-    as the image of the base element it names under the canonical surjection."""
+    as the image of the base element it names under the canonical surjection
+    q; r/s names q(r) q(s)^-1, q(s) being a unit of the localization."""
     tag = ast[0]
     if tag == "frac" and not _reads_fractions(ring):
         raise DslError(f"fractions r/s name elements of a localization only, not of {ring.key}")
@@ -453,7 +454,8 @@ def bind_element(ring, ast):
         r, s = bind_element(base, ast[1]), bind_element(base, ast[2])
         if s.idx not in sset.indices:
             raise DslError(f"denominator {s!r} is not in the multiplicative set")
-        return ring.el(rec.class_of[(r.idx, s.idx)])
+        q = rec.canonical.mapping
+        return ring.el(ring.mul[q[r.idx]][ring.mul[q[s.idx]].index(ring.one_idx)])
     if tag == "pair":
         if kind == "product":
             _, left, right = ring.origin

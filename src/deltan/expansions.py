@@ -21,6 +21,7 @@ from math import gcd, lcm
 
 from .constructions import (Homomorphism, idealization, localize, product_projections,
                            quotient_ring)
+from .errors import InfiniteRingError
 from .ideals import (Ideal, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
                      _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
                      colon, enumerate_ideals, integer_ideal, nilradical)
@@ -192,7 +193,9 @@ def _pushforward(f, delta):
 @memo
 def derive_quotient_expansion(delta, J):
     """Push delta to R/J along its projection (``_pushforward``): the value on
-    K/J is delta(K)/J for the full preimage K."""
+    K/J is delta(K)/J for the full preimage K.  ZZ has no table to push."""
+    if not delta.ring.is_finite:
+        raise InfiniteRingError("derived expansions are supported over finite rings only")
     rec = quotient_ring(delta.ring, J)
     return Expansion(rec.ring, ("quotient_derived", delta, J), _pushforward(rec.projection, delta))
 

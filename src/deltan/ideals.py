@@ -271,11 +271,7 @@ def _product_pair(ring, a, b):
     prods = set()
     for i in _bits(a):
         prods.update(map(mul[i].__getitem__, b_bits))
-    out = 1 << ring.zero_idx
-    for p in prods:
-        if not out >> p & 1:
-            out = _add_close(ring, out, _principal_mask(ring, p))
-    return out
+    return _generated_mask(ring, prods)
 
 
 @memo

@@ -1,11 +1,14 @@
 """Quotients, modules, idealizations, localizations, homomorphisms."""
 
+from math import gcd
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deltan import (ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError,
-                    apply_expansion, classify_ring, delta0, delta1, enumerate_ideals,
+                    apply_expansion, classify_ring, delta0, delta1,
+                    derive_quotient_expansion, enumerate_ideals,
                     full_expansion, ideal_from_generators, image_ideal,
                     integer_ideal, integers, is_delta_gamma_homomorphism,
                     localize, make_homomorphism, make_module, modular,
@@ -311,7 +314,8 @@ def test_extend_contract():
             rec = localize(entry.ring, sset)
             for I in enumerate_ideals(entry.ring):
                 image = [rec.canonical.apply(a) for a in I.elements()]
-                assert rec.extend_mask(I.mask) == ideal_from_generators(rec.ring, image).mask
+                assert (rec.canonical.image_mask(I.mask)
+                        == ideal_from_generators(rec.ring, image).mask)
                 checked += 1
     assert checked == 826
 
@@ -410,6 +414,24 @@ def test_delta_gamma_integers_reduction():
     assert is_delta_gamma_homomorphism(rec.projection, delta0(zz), delta0(rec.ring))
 
 
+def test_image_of_an_integer_ideal_under_a_reduction_is_generated_by_f_of_n():
+    zz = integers()
+    f = quotient_ring(zz, integer_ideal(zz, 6)).projection
+    for m in range(13):
+        image = image_ideal(f, integer_ideal(zz, m))
+        assert {e.idx for e in image.elements()} == {m * k % 6 for k in range(6)}, m
+        assert preimage_ideal(f, image) == integer_ideal(zz, gcd(m, 6))
+    # the quotient by (0) is the identity of ZZ
+    ident = quotient_ring(zz, integer_ideal(zz, 0)).projection
+    assert image_ideal(ident, integer_ideal(zz, 4)) == integer_ideal(zz, 4)
+
+
+def test_quotient_derived_expansions_refuse_the_integers():
+    zz = integers()
+    with pytest.raises(InfiniteRingError, match="finite rings only"):
+        derive_quotient_expansion(delta0(zz), integer_ideal(zz, 6))
+
+
 # ---------------------------------------------------------------------------
 # memoised ideal transport against plain loops
 # ---------------------------------------------------------------------------
@@ -436,7 +458,7 @@ def test_memoised_transport_matches_plain_loops_on_the_corpus():
                                                          if K.mask >> f_map[i] & 1)
         for rec in records:
             for K in enumerate_ideals(rec.ring):
-                assert rec.contract_mask(K.mask) == _mask(
+                assert rec.canonical.preimage_mask(K.mask) == _mask(
                     i for i, v in enumerate(rec.canonical.mapping) if K.mask >> v & 1)
 
 
@@ -499,7 +521,9 @@ def _partition_localization(ring, sset):
 def _assert_same_localization(ring, sset):
     rec = localize(ring, sset)
     class_of, reps, addq, mulq = _partition_localization(ring, sset)
-    assert rec.class_of == class_of, (ring, sset)
+    q, mul, one = rec.canonical.mapping, rec.ring.mul, rec.ring.one_idx
+    assert {(r, s): mul[q[r]][mul[q[s]].index(one)] for r, s in class_of} == class_of, \
+        (ring, sset)
     assert rec.ring.elements == [(ring.elements[r], ring.elements[s]) for r, s in reps]
     assert (rec.ring.add, rec.ring.mul) == (addq, mulq), (ring, sset)
     assert [rec.ring.element_repr(i) for i in range(rec.ring.size)] == \

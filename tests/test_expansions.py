@@ -415,8 +415,8 @@ def test_localized_expansion_unit_denominators():
     assert rec.canonical.is_injective() and rec.canonical.is_surjective()
     d1s = derive_localized_expansion(delta1(z6), sset)
     for I in enumerate_ideals(z6):
-        lhs = rec.extend_mask(radical(I).mask)
-        rhs = d1s.table[rec.extend_mask(I.mask)]
+        lhs = rec.canonical.image_mask(radical(I).mask)
+        rhs = d1s.table[rec.canonical.image_mask(I.mask)]
         assert lhs == rhs
 
 

@@ -43,8 +43,7 @@ def test_every_module_level_import_is_used(path):
 
 # the (module, function) pairs that import inside a function body: each one
 # breaks an import cycle, which its comment names
-LOCAL_IMPORTS = {("rings.py", "classify_element"), ("rings.py", "_finite_ring_class"),
-                 ("constructions.py", "is_delta_gamma_homomorphism")}
+LOCAL_IMPORTS = {("rings.py", "classify_element"), ("rings.py", "_finite_ring_class")}
 
 
 def test_imports_inside_functions_only_break_cycles():

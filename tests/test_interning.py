@@ -164,3 +164,37 @@ def test_a_verification_leaves_one_ring_per_key():
                         todo.append(other)
     kinds = {ring.origin[0] for ring in seen}
     assert kinds >= {"product", "quotient", "idealization", "localization"}
+
+
+# ---------------------------------------------------------------------------
+# every interned mask is an ideal
+# ---------------------------------------------------------------------------
+
+def test_every_mask_interned_as_an_ideal_is_one(monkeypatch):
+    """R/J is proved on the cosets of J (``constructions._coset_ring``) with no
+    run-time check that J.mask is an ideal: every ``Ideal`` comes from the ideal
+    operators or from an index list checked before it is interned.  Each mask
+    that ``_mk_ideal`` interns reaches ``Ideal.__init__`` once; here each one is
+    checked, over a verification of a fresh default corpus and the locked
+    command-line queries, every ring built afresh.  A non-ideal raises where it
+    is interned, and is kept too, as ``cli.main`` reports what it raises."""
+    from deltan.ideals import Ideal, _bits, _generated_mask
+    from test_cli_lock import _output_hash, _queries
+    init, masks, bad = Ideal.__init__, [], []
+
+    def checked(self, ring, mask=None, n=None):
+        if mask is not None:
+            masks.append(mask)
+            if _generated_mask(ring, _bits(mask)) != mask:
+                bad.append((ring.key, mask))
+                raise AssertionError(f"{ring.key}: {mask:#x} is not an ideal")
+        init(self, ring, mask, n)
+
+    monkeypatch.setattr(Ideal, "__init__", checked)
+    monkeypatch.setattr("deltan.rings._RING_CACHE", {})
+    run_claims(builtin_corpus.__wrapped__())
+    verified = len(masks)
+    for argv in _queries():
+        _output_hash(argv)
+    assert verified > 1000 and len(masks) > verified
+    assert not bad, bad[:5]

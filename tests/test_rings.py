@@ -875,24 +875,6 @@ def test_forged_tables_under_a_builder_origin_are_refused(build, a, b, table):
                 zero=ring.zero_idx, one=ring.one_idx).neg == ring.neg
 
 
-def test_a_quotient_by_a_non_ideal_mask_takes_the_full_check(monkeypatch):
-    from deltan import rings
-    from deltan.ideals import _mk_ideal
-    checked = []
-    monkeypatch.setattr(rings, "check_ring_axioms",
-                        lambda ring, _check=rings.check_ring_axioms:
-                        checked.append(ring.key) or _check(ring))
-    # Z2[x]/(x^2), built afresh, on 0, 1, x, 1+x: {0, 1} is a subgroup but not an
-    # ideal, as x * 1 = x; its cosets are no congruence, and 1 falls into the class of 0
-    base = rings._build_poly_quotient(2, (0, 0, 1))
-    with pytest.raises(InvalidSpecError, match="0 != 1"):
-        quotient_ring(base, _mk_ideal(base, 0b0011))
-    assert checked == ["quot(Z2[x]/(x^2),[0,1])"]
-    # an ideal's quotient is proved: no check runs
-    quotient_ring(base, _mk_ideal(base, 0b0101))
-    assert checked == ["quot(Z2[x]/(x^2),[0,1])"]
-
-
 # ---------------------------------------------------------------------------
 # element and ring flags against a brute-force oracle
 # ---------------------------------------------------------------------------
