@@ -14,8 +14,9 @@ from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_id
                      _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
-                    _check_size, _group_failure, _index_text, _join_tables, _negation,
-                    _pair_repr, _proved, _same_ring, memo, modular, ring_key)
+                    _check_size, _checked_table, _group_failure, _index_text, _join_tables,
+                    _negation, _pair_repr, _proved, _same_ring, _table, memo, modular,
+                    ring_key)
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,9 @@ class Module:
 
     def __init__(self, ring, recipe, elements, add, action, zero, repr_fn):
         self._fill(ring, recipe, elements, add, action, zero, repr_fn)
+        size, what = len(elements), f"{self.key}: "
+        self.add = _checked_table(add, size, size, what + "add", ConstructionError)
+        self.action = _checked_table(action, ring.size, size, what + "action", ConstructionError)
         _check_module_axioms(self)
 
     def _fill(self, ring, recipe, elements, add, action, zero, repr_fn):
@@ -66,7 +70,7 @@ def _check_module_axioms(module):
     gens, rgens = (_additive_generators(t.add, t.zero_idx) for t in (module, ring))
     columns = (list(map(itemgetter(m), act)) for m in range(size))
     failure = (_group_failure(add, zero, gens, _negation(add, zero))
-               or act[ring.one_idx] != list(range(size)) and "action is not unital"
+               or list(act[ring.one_idx]) != list(range(size)) and "action is not unital"
                or not _additive_on(act, add, add, gens) and "action not additive in m"
                or not _additive_on(columns, ring.add, add, rgens) and "action not additive in r"
                or not _associative_on(act, ring.mul, rgens) and "action not associative")
@@ -109,8 +113,8 @@ def _build_module(ring, recipe):
         size = m1.size * s2
         _check_size(f"{ring.key}(+){_module_name(recipe)}", size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
-        action = [[m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
-                   for i in range(size)] for r in range(ring.size)]
+        action = _table(size, ([m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
+                                for i in range(size)] for r in range(ring.size)))
         return _proved(Module, ring, recipe, elems, _join_tables(m1.add, m2.add), action,
                        m1.zero_idx * s2 + m2.zero_idx,
                        _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
@@ -410,8 +414,10 @@ def _coset_ring(ring, origin, reps, q, elems, repr_fn):
     """
     add, mul = ring.add, ring.mul
     if not q == reps == list(range(ring.size)):
-        add = [[q[add[a][b]] for b in reps] for a in reps]
-        mul = [[q[mul[a][b]] for b in reps] for a in reps]
+        get = itemgetter(*reps)  # row c is q(row reps[c] at reps), gathered in C
+        add, mul = (_table(len(reps), (list(itemgetter(*get(row))(q))
+                                       for row in map(table.__getitem__, reps)))
+                    for table in (add, mul))
     qring = _proved(Ring, origin, elems, add, mul, q[ring.zero_idx], q[ring.one_idx],
                     repr_fn, neg=[q[ring.neg[r]] for r in reps])
     return qring, _proved(Homomorphism, ring, qring, q)
@@ -490,9 +496,9 @@ def idealization(ring, module):
              for r in range(ring.size) for m in range(msize)]
     rmul, madd, act = ring.mul, module.add, module.action
     # the additive group of R(+)M is R x M
-    mul = [[rmul[i // msize][j // msize] * msize
-            + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
-            for j in range(size)] for i in range(size)]
+    mul = _table(size, ([rmul[i // msize][j // msize] * msize
+                         + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
+                         for j in range(size)] for i in range(size)))
     izr = _proved(Ring, origin, elems, _join_tables(ring.add, madd), mul,
                   ring.zero_idx * msize + module.zero_idx,
                   ring.one_idx * msize + module.zero_idx,

@@ -2,8 +2,10 @@
 
 Finite rings carry a stable element enumeration (index 0 .. size-1), dense
 addition/multiplication tables over indices, and canonical element payloads
-(residues, coefficient tuples, pairs, ...).  The integer ring is symbolic: its
-"indices" are the integer values themselves and enumeration is refused.
+(residues, coefficient tuples, pairs, ...); a table row is a list on rings of
+at most 256 elements, an array('H') above, a quarter of the memory at half the
+read speed.  The integer ring is symbolic: its "indices" are the integer values
+themselves and enumeration is refused.
 
 Every finite ring's tables are proved to be a commutative ring, once.  A
 ring that deltan builds itself is proved by its recipe: each builder
@@ -11,15 +13,18 @@ ring that deltan builds itself is proved by its recipe: each builder
 ``constructions`` the quotients, localizations and idealizations) gives the
 proof in its docstring and hands its tables, with the negation table its recipe
 gives, to ``_proved``, which runs no axiom pass.  Tables that a caller hands to
-``Ring(...)`` take the exact check ``check_ring_axioms``, whatever their origin
-says, in O(n^2 k), k the size of a greedy additive generating set.  Table
-builders refuse, before allocating anything, a ring or module of more than
+``Ring(...)`` are checked for shape and stored in the row type of their size,
+then take the exact check ``check_ring_axioms``, whatever their origin says, in
+O(n^2 k), k the size of a greedy additive generating set.  Table builders
+refuse, before allocating anything, a ring or module of more than
 ``MAX_RING_SIZE`` elements.
 """
 
 from __future__ import annotations
 
 import functools
+import struct
+from array import array
 from dataclasses import dataclass
 from itertools import count
 from operator import iadd, itemgetter
@@ -30,6 +35,10 @@ from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 MAX_RING_SIZE = 4096
 
 _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by default
+
+# tables on at most this many elements keep list rows, read twice as fast; above
+# it a row is an array('H'), 2 bytes a cell against 8 (MAX_RING_SIZE < 2^16)
+_LIST_ROWS_MAX = 256
 
 # copies of the residues 0..n-1 that one strided slice of Z_n's product table
 # runs over: row i takes about i / _STRIDE_REPS slices
@@ -207,12 +216,15 @@ class Ring:
     or ``("localization", R, S)``.  One object per recipe, cached by
     ``_cached_ring`` or memoised by its construction on its operands, so rings
     compare by identity; ``key`` is the ring's name.  Finite tables passed here
-    take ``check_ring_axioms``."""
+    are checked for shape by ``_checked_table``, then take ``check_ring_axioms``."""
 
     def __init__(self, origin, *, elements=None, add=None, mul=None, zero=0, one=1,
                  repr_fn=None):
         self._fill(origin, elements, add, mul, zero, one, repr_fn)
         if elements is not None:
+            n = len(elements)
+            self.add = _checked_table(add, n, n, f"{self.key}: add")
+            self.mul = _checked_table(mul, n, n, f"{self.key}: mul")
             self.neg = check_ring_axioms(self)
 
     def _fill(self, origin, elements, add, mul, zero, one, repr_fn):
@@ -432,19 +444,30 @@ def _proved(cls, *fields, **checked):
     return made
 
 
+def _table(size, rows):
+    """The table of ``rows``, lists of ``size`` indices: the lists up to
+    _LIST_ROWS_MAX, above it each packed into an array('H') as it comes."""
+    if size <= _LIST_ROWS_MAX:
+        return list(rows)
+    pack = struct.Struct(f"{size}H").pack  # 2.5 times as fast as array("H", row)
+    return [array("H", pack(*row))[:] for row in rows]  # [:] drops frombytes' slack
+
+
 def _build_modular(n):
     """Z/nZ on the residues 0..n-1, -x being n - x: row i of the sum, (i + j) mod
     n, is one slice of the residues written twice; row i of the product, i*j mod
     n, is read off the residues written _STRIDE_REPS times by strided slices, the
     one from j*i mod n, where the last ran out, giving (j + k)i mod n at its k-th
-    cell; row n-i is -(row i), row i reversed and rotated right, as (n-i)j = i(n-j)."""
+    cell; row n-i is -(row i), row i reversed and rotated right, as (n-i)j = i(n-j).
+    Every row is a slice of ``base``, so it has the row type of n elements."""
     elems = list(range(n))
-    twice = elems + elems
+    base = elems if n <= _LIST_ROWS_MAX else array("H", elems)
+    twice = base + base
     add = [twice[i:i + n] for i in elems]
-    residues = elems * _STRIDE_REPS
-    mul = [elems[:1] * n]
+    residues = base * _STRIDE_REPS
+    mul = [base[:1] * n]
     for i in range(1, n // 2 + 1):
-        row, j = elems[:1] * n, 0
+        row, j = base[:1] * n, 0
         while j < n:
             start = j * i % n
             cells = residues[start:start + (n - j) * i:i]
@@ -463,11 +486,11 @@ def _build_poly_quotient(n, modulus):
     """Z_n[x]/(f), f monic of degree d, a ring as the quotient of Z_n[x] by an
     ideal; it is the free Z_n-module on 1, x, .., x^(d-1), and the coefficients
     (a_0, .., a_{d-1}) sit at index sum a_k n^k.  So the additive group is
-    (Z_n)^d, the tables of Z_n joined like a product's with the low digit as
-    the right factor, and -a is digitwise, joined likewise.  x*a shifts the low
-    d-1 digits up and adds a_{d-1} (x^d - f).  Row a is filled block by block:
-    b = c n^k + b', b' < n^k, is c x^k + b', so ab = c(a x^k) + ab', and the
-    block of c is the row of c(a x^k) in the sum, read at the cells ab' done."""
+    (Z_n)^d, the tables of its high and low digits joined like a product's,
+    and -a is digitwise, joined likewise.  x*a shifts the low d-1 digits up and
+    adds a_{d-1} (x^d - f).  Row a is filled block by block: b = c n^k + b',
+    b' < n^k, is c x^k + b', so ab = c(a x^k) + ab', and the block of c is the
+    row of c(a x^k) in the sum, read at the cells ab' done."""
     origin = ("poly_quotient", n, modulus)
     d = len(modulus) - 1
     # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
@@ -482,42 +505,54 @@ def _build_poly_quotient(n, modulus):
         elems.append(tuple(digits))
     index = {p: i for i, p in enumerate(elems)}
     digit = list(range(n))
-    digit_add = [digit[i:] + digit[:i] for i in digit]
     digit_neg = digit[:1] + digit[:0:-1]
-    add, neg = digit_add, digit_neg
+
+    def sums(k):  # the table of (Z_n)^k: its k - k // 2 high digits joined to the rest
+        if k == 1:  # Z_n's, slices of the digits written twice
+            twice = (digit if n <= _LIST_ROWS_MAX else array("H", digit)) * 2
+            return [twice[i:i + n] for i in digit]
+        return _join_tables(sums(k - k // 2), sums(k // 2))
+    add, neg = sums(d), digit_neg
     for _ in range(d - 1):
-        add = _join_tables(add, digit_add)
         neg = [a * n + b for a in neg for b in digit_neg]
     top = n ** (d - 1)
     wrap = [index[tuple(-c * m % n for m in modulus[:d])] for c in range(n)]
     times_x = [add[i % top * n][wrap[i // top]] for i in range(size)]
-    mul = []
-    for a in range(size):
-        row, power, width = [0] * size, a, 1  # power is a x^k, row[:width] done
-        for _ in range(d):
-            done, multiple = row[:width], 0
-            for c in range(1, n):
-                multiple = add[multiple][power]
-                row[c * width:(c + 1) * width] = map(add[multiple].__getitem__, done)
-            power, width = times_x[power], width * n
-        mul.append(row)
+
+    def rows():  # the product, row by row
+        for a in range(size):
+            row, multiple = [0] * size, 0
+            for c in range(1, n):  # the block of c at k = 0 is c a
+                row[c] = multiple = add[multiple][a]
+            power, width = times_x[a], n  # power is a x^k, row[:width] done
+            for _ in range(1, d):
+                get, multiple = itemgetter(*row[:width]), 0
+                for c in range(1, n):
+                    multiple = add[multiple][power]
+                    row[c * width:(c + 1) * width] = get(add[multiple])
+                power, width = times_x[power], width * n
+            yield row
+    mul = _table(size, rows())
     one = index[tuple([1 % n] + [0] * (d - 1))]
     return _proved(Ring, origin, elems, add, mul, 0, one, poly_repr, neg=neg)
 
 
 def _join_tables(left, right):
-    """The table of a product of two factor tables, index a * sr + b for (a, b).
+    """The table of a product of two factor tables, index a * sr + b for (a, b),
+    in the row type of its size.
 
-    Row (a, b) grows from [] by row += block, one extend per cell c of left row
-    a, block being [c * sr + e for e in right row b], and is then copied, which
-    drops the slack the extends leave (up to 1/8 of the row).  The n blocks are
-    built once, from one list of ints, so no cell holds an int of its own.
+    Row (a, b) grows from an empty row by row += block, one extend per cell c of
+    left row a, block being [c * sr + e for e in right row b], and is then
+    copied, which drops the slack the extends leave (up to 1/8 of the row).
+    The blocks are built once, from one row of ints, so no cell holds its own.
     """
     sr = len(right)
-    idx = list(range(len(left) * sr))
+    size = len(left) * sr
+    row = list if size <= _LIST_ROWS_MAX else functools.partial(array, "H")
+    idx = row(range(size))
     segments = [idx[c:c + sr] for c in range(0, len(idx), sr)]
-    blocks = [[list(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
-    return [functools.reduce(iadd, map(block.__getitem__, lrow), []).copy()
+    blocks = [[row(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
+    return [functools.reduce(iadd, map(block.__getitem__, lrow), row())[:]
             for lrow in left for block in blocks]
 
 
@@ -554,8 +589,21 @@ def _pair_repr(left_fn, right_fn):
 
 
 # ---------------------------------------------------------------------------
-# the axiom check of tables a caller passes to Ring(...)
+# the checks of tables a caller passes to Ring(...)
 # ---------------------------------------------------------------------------
+
+def _checked_table(table, length, size, what, error=InvalidSpecError):
+    """A caller's ``table`` in the row type of its size, once it is ``length`` rows of
+    ``size`` ints (not bools) in 0..size-1; else raise ``error`` at the first bad one."""
+    if len(table) != length or any(len(row) != size for row in table):
+        raise error(f"{what} is not {length} rows of {size} cells")
+    indices = set(range(size))
+    for i, row in enumerate(table):
+        if not {int}.issuperset(map(type, row)) or not indices.issuperset(row):
+            j = next(j for j, c in enumerate(row) if type(c) is not int or c not in indices)
+            raise error(f"{what}[{i}][{j}] is {row[j]!r}, not an element index 0..{size - 1}")
+    return _table(size, map(list, table))
+
 
 def check_ring_axioms(ring):
     """Verify the commutative-ring axioms on a finite ring's tables exactly;
@@ -579,7 +627,7 @@ def check_ring_axioms(ring):
     neg = _negation(add, zero)
     failure = (zero == one and "ring must have 0 != 1"
                or _group_failure(add, zero, gens, neg)
-               or mul[one] != list(range(n)) and "1 is not a multiplicative identity"
+               or list(mul[one]) != list(range(n)) and "1 is not a multiplicative identity"
                or not _commutative(mul) and "multiplication is not commutative"
                or not _additive_on(mul, add, add, gens) and "distributivity fails"
                or not _associative_on(mul, mul, gens) and "multiplication is not associative")
@@ -618,15 +666,15 @@ def _group_failure(add, zero, gens, neg):
     checked on the generators only (see check_ring_axioms), commutativity after
     associativity, which its proof uses.
     """
-    return (add[zero] != list(range(len(add))) and "0 is not an additive identity"
+    return (list(add[zero]) != list(range(len(add))) and "0 is not an additive identity"
             or neg is None and "an element has no additive inverse"
             or not _associative_on(add, add, gens) and "addition is not associative"
-            or not all(add[g] == list(map(itemgetter(g), add)) for g in gens)
+            or not all(list(add[g]) == list(map(itemgetter(g), add)) for g in gens)
             and "addition is not commutative")
 
 
 def _commutative(table):
-    return all(list(map(itemgetter(i), table[i:])) == row[i:] for i, row in enumerate(table))
+    return all(list(map(itemgetter(i), table[i:])) == list(row[i:]) for i, row in enumerate(table))
 
 
 def _associative_on(act, mul, gens):

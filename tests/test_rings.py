@@ -2,6 +2,8 @@
 
 import operator
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,7 @@ from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingErr
                     mult_closure, poly_quotient, product)
 from deltan.ideals import (_product_mask, _product_pair, _sum_mask, _sum_pair,
                            enumerate_ideals, ideal_from_generators)
-from deltan.rings import Ring, _additive_generators, _build_modular, memo, ring_key
+from deltan.rings import Ring, _additive_generators, _build_modular, _product, memo, ring_key
 from deltan.constructions import Module, idealization, make_module, quotient_ring
 from deltan.dsl import bind_ring, parse_spec, ring_to_dsl
 
@@ -612,23 +614,25 @@ def test_poly_quotient_tables_match_coefficient_arithmetic():
 
 @pytest.mark.parametrize("n", [2, 3, 8, 11, 13, 300])
 def test_modular_tables_match_the_residue_formulas(n):
-    ring = modular(n)
-    assert ring.add == [[(i + j) % n for j in range(n)] for i in range(n)]
-    assert ring.mul == [[(i * j) % n for j in range(n)] for i in range(n)]
+    ring = modular(n)  # rows are arrays above 256 elements: compared as lists
+    assert [list(row) for row in ring.add] == [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert [list(row) for row in ring.mul] == [[(i * j) % n for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("sizes", [range(2, 301), [1009, 1021]], ids=["2-300", "1009,1021"])
 def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
-    # every cell is the element int, not an equal copy: `is`, not ==
+    # up to 256 elements every cell is the element int, not an equal copy: `is`,
+    # not ==; above, a row is an array('H') and holds no int object to compare
     for n in sizes:
         ring = _build_modular(n)  # not interned
         elems = ring.elements
         assert elems == list(range(n))
         assert len(ring.add) == len(ring.mul) == n
+        same = operator.is_ if n <= 256 else operator.eq
         for i, add_row, mul_row in zip(elems, ring.add, ring.mul):
             assert len(add_row) == len(mul_row) == n
-            assert all(map(operator.is_, add_row, [elems[(i + j) % n] for j in elems]))
-            assert all(map(operator.is_, mul_row, [elems[i * j % n] for j in elems]))
+            assert all(map(same, add_row, [elems[(i + j) % n] for j in elems]))
+            assert all(map(same, mul_row, [elems[i * j % n] for j in elems]))
         assert ring.neg == [-i % n for i in elems]
 
 
@@ -699,11 +703,67 @@ def test_a_product_origin_over_other_tables_takes_the_full_check():
     lambda: modular(300),
     lambda: product(modular(17), modular(19)),
     lambda: poly_quotient(17, [0, 0, 1]),
-], ids=["Z300", "Z17 x Z19", "Z17[x]/(x^2)"])
+    lambda: modular(256),
+    lambda: product(modular(13), modular(19)),
+    lambda: poly_quotient(16, [0, 0, 1]),
+], ids=["Z300", "Z17 x Z19", "Z17[x]/(x^2)", "Z256", "Z13 x Z19", "Z16[x]/(x^2)"])
 def test_table_cells_share_one_int_per_element(build):
+    # list rows, up to 256 elements, share one int object per element; above,
+    # array('H') rows hold no int object at all, 2 bytes a cell
     ring = build()
     for table in (ring.add, ring.mul):
-        assert len({id(cell) for row in table for cell in row}) <= ring.size
+        if ring.size <= 256:
+            assert len({id(cell) for row in table for cell in row}) <= ring.size
+        else:
+            assert {(row.typecode, row.itemsize, len(row)) for row in table} == {
+                ("H", 2, ring.size)}
+
+
+def _cut_pairs():
+    """(at 256 elements, above 256) for each builder: Z_n, Z_n[x]/(f), a
+    product, a quotient, a localization (a permuted copy) and an idealization."""
+    z256, z512, z514, z600 = modular(256), modular(512), modular(514), modular(600)
+    return {
+        "modular": (z256, modular(257)),
+        "poly_quotient": (poly_quotient(2, [0] * 8 + [1]), poly_quotient(257, [0, 1])),
+        "product": (product(modular(16), modular(16)), product(modular(3), modular(86))),
+        "quotient": (quotient_ring(z512, ideal_from_generators(z512, [z512.el(256)])).ring,
+                     quotient_ring(z600, ideal_from_generators(z600, [z600.el(300)])).ring),
+        "localization": (localize(z256, mult_closure(z256, [z256.el(255)])).ring,
+                         localize(z514, mult_closure(z514, [z514.el(513)])).ring),
+        "idealization": (idealization(modular(16), make_module(modular(16), "regular")).ring,
+                         idealization(modular(17), make_module(modular(17), "regular")).ring),
+    }
+
+
+def test_table_rows_are_lists_up_to_256_elements_and_arrays_above():
+    for name, (small, large) in _cut_pairs().items():
+        assert small.size == 256 and 256 < large.size <= 600, name
+        for table in (small.add, small.mul):
+            assert all(type(row) is list for row in table), name
+        for table in (large.add, large.mul):
+            assert all(type(row) is array and row.typecode == "H" for row in table), name
+    for ring, module_type in ((modular(16), list), (modular(17), array)):
+        module = make_module(ring, ("product", "regular", "regular"))
+        assert module.size == ring.size ** 2
+        assert all(type(row) is module_type for row in module.add + module.action)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _build_modular(1009),
+    lambda: _product.__wrapped__(modular(31), modular(31)),
+], ids=["Z1009", "Z31 x Z31"])
+def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build):
+    # two 1009^2 tables of 8-byte list slots would hold 16 MB; 2-byte cells, 4 MB
+    modular(31)  # the factors are built before the count starts
+    tracemalloc.start()
+    try:
+        ring = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ring.size in (1009, 961)
+    assert held <= 5_000_000, held
 
 
 # the passes over a whole table that the axiom checks of rings and modules run
@@ -837,6 +897,22 @@ def test_drawn_builder_outputs_pass_the_general_check(ring):
     assert check_ring_axioms(ring) == ring.neg
 
 
+def test_builder_outputs_above_256_elements_pass_the_general_check():
+    # their rows are array('H'), which never equal a list: the check compares
+    # rows by their cells
+    z17 = modular(17)
+    izr = idealization(z17, make_module(z17, "regular")).ring
+    z600 = modular(600)
+    rings = [modular(300), product(z17, modular(19)), poly_quotient(17, [0, 0, 1]), izr,
+             quotient_ring(z600, ideal_from_generators(z600, [z600.el(300)])).ring,
+             localize(izr, mult_closure(izr, [izr.el(16 * 17)])).ring]
+    for ring in rings:
+        assert ring.size > 256 and type(ring.mul[0]) is array
+        assert check_ring_axioms(ring) == ring.neg
+        assert Ring(ring.origin, elements=ring.elements, add=ring.add, mul=ring.mul,
+                    zero=ring.zero_idx, one=ring.one_idx).neg == ring.neg
+
+
 def test_a_trivial_congruence_shares_the_base_tables():
     # R/(0) and {1}^-1 R are R on R's own lists; at the units the classes are
     # numbered in another order, and at 3 they are fewer
@@ -873,6 +949,41 @@ def test_forged_tables_under_a_builder_origin_are_refused(build, a, b, table):
     # the same tables unforged pass, under the same origin
     assert Ring(ring.origin, elements=ring.elements, add=ring.add, mul=ring.mul,
                 zero=ring.zero_idx, one=ring.one_idx).neg == ring.neg
+
+
+# one malformed table of Z2 each, with the message that names its first bad cell
+MALFORMED_Z2 = {
+    "a cell of 5": ("add", [[0, 1], [5, 0]], r"add\[1\]\[0\] is 5, not an element index 0..1"),
+    "a short row": ("add", [[0, 1], [1]], "add is not 2 rows of 2 cells"),
+    "an extra row": ("mul", [[0, 0], [0, 1], [0, 1]], "mul is not 2 rows of 2 cells"),
+    "a str cell": ("mul", [[0, "0"], [0, 1]], r"mul\[0\]\[1\] is '0'"),
+    # a negative index would wrap round to the last row
+    "a negative cell": ("add", [[0, -2], [1, 0]], r"add\[0\]\[1\] is -2"),
+    # True == 1, so the axioms alone would accept it
+    "a bool cell": ("mul", [[0, 0], [0, True]], r"mul\[1\]\[1\] is True"),
+}
+
+
+@pytest.mark.parametrize("name, table, message", MALFORMED_Z2.values(), ids=MALFORMED_Z2)
+def test_ring_refuses_a_malformed_table_naming_the_first_bad_cell(name, table, message):
+    tables = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], name: table}
+    with pytest.raises(InvalidSpecError, match=message):
+        Ring(("modular", 2), elements=[0, 1], **tables)
+
+
+def test_module_refuses_a_cell_outside_its_elements():
+    with pytest.raises(ConstructionError, match=r"action\[1\]\[0\] is 7"):
+        Module(modular(2), ("regular",), [0, 1], [[0, 1], [1, 0]], [[0, 0], [7, 1]], 0, None)
+
+
+def test_a_callers_tables_are_stored_in_the_builders_row_type():
+    z300 = modular(300)
+    ring = Ring(z300.origin, elements=z300.elements, add=[list(row) for row in z300.add],
+                mul=[list(row) for row in z300.mul])
+    assert all(type(row) is array and row.typecode == "H" for row in ring.add + ring.mul)
+    assert ring.add == z300.add and ring.mul == z300.mul
+    small = Ring(("modular", 2), elements=[0, 1], add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)))
+    assert small.add == [[0, 1], [1, 0]] and small.mul == [[0, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------
