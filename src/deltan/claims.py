@@ -25,7 +25,6 @@ loop.  ``Ideal`` objects are built only for the witness of a failure.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
 
 from . import constructions, predicates
 from .constructions import (Homomorphism, enumerate_submodules, is_delta_gamma_homomorphism,
@@ -47,30 +46,20 @@ from .rings import classify_ring, memo, modular, poly_quotient
 HOLDS, SKIP, FAIL = "holds", "skip", "fail"
 
 
-@dataclass(frozen=True)
-class Witness:
-    ring: str = ""
-    expansion: str = ""
-    ideal: str = ""
-    elements: str = ""
-    detail: str = ""
+class Witness(namedtuple("Witness", "ring expansion ideal elements detail",
+                          defaults=("",) * 5)):
+    __slots__ = ()
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
     def text(self):
         return "; ".join(f"{label}={value}" for label, value in self.to_dict().items()
                          if value)
 
 
-@dataclass(frozen=True)
-class Claim:
-    id: str
-    title: str
-    statement: str
-    quantifies: str
-    self_test: bool = False
-    notes: tuple = field(default_factory=tuple)
+Claim = namedtuple("Claim", "id title statement quantifies self_test notes",
+                   defaults=(False, ()))
 
 
 CLAIMS = []  # in report order

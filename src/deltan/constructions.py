@@ -6,7 +6,7 @@ and validated ring homomorphisms with ideal image/preimage transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
@@ -14,9 +14,9 @@ from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_id
                      _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
-                    _check_size, _checked_table, _group_failure, _index_text, _join_tables,
-                    _negation, _pair_repr, _proved, _same_ring, _table, memo, modular,
-                    ring_key)
+                    _check_index, _check_size, _checked_table, _group_failure, _index_text,
+                    _join_tables, _negation, _pair_repr, _proved, _same_ring, _table, memo,
+                    modular, ring_key)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +36,7 @@ class Module:
         size, what = len(elements), f"{self.key}: "
         self.add = _checked_table(add, size, size, what + "add", ConstructionError)
         self.action = _checked_table(action, ring.size, size, what + "action", ConstructionError)
+        _check_index(zero, size, what + "zero", ConstructionError)
         _check_module_axioms(self)
 
     def _fill(self, ring, recipe, elements, add, action, zero, repr_fn):
@@ -368,10 +369,7 @@ def _mask_verdict(f, pair):
 # quotient rings
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuotientRecord:
-    ring: Ring
-    projection: Homomorphism
+QuotientRecord = namedtuple("QuotientRecord", "ring projection")
 
 
 def quotient_ring(ring, J):
@@ -511,19 +509,18 @@ def idealization(ring, module):
 # localization S^{-1} R
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplicativeSet:
-    ring: Ring
-    indices: tuple
+class MultiplicativeSet(namedtuple("MultiplicativeSet", "ring indices")):
+    """A multiplicatively closed set of element indices holding 1, checked when
+    made and stored sorted without repeats."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        ring = self.ring
+    def __new__(cls, ring, indices):
         if not ring.is_finite:
             raise InfiniteRingError("multiplicative sets are finite-ring data here")
-        if not all(isinstance(i, int) and 0 <= i < ring.size for i in self.indices):
-            raise InvalidSpecError(f"multiplicative-set indices {list(self.indices)} "
+        if not all(isinstance(i, int) and 0 <= i < ring.size for i in indices):
+            raise InvalidSpecError(f"multiplicative-set indices {list(indices)} "
                                    f"are not elements of {ring.key}")
-        idx = set(self.indices)
+        idx = set(indices)
         if ring.one_idx not in idx:
             raise ConstructionError("a multiplicative set must contain 1")
         for a in idx:
@@ -532,7 +529,7 @@ class MultiplicativeSet:
                     raise ConstructionError(
                         f"set is not multiplicatively closed: "
                         f"{ring.element_repr(a)}*{ring.element_repr(b)} escapes")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        return super().__new__(cls, ring, tuple(sorted(idx)))
 
     def elements(self):
         return [Element(self.ring, i) for i in self.indices]
@@ -560,13 +557,9 @@ def mult_closure(ring, elems):
     return MultiplicativeSet(ring, tuple(sorted(idx)))
 
 
-@dataclass
-class LocalizationRecord:
-    ring: Ring
-    base: Ring
-    sset: MultiplicativeSet
-    canonical: Homomorphism
-    kernel: Ideal
+class LocalizationRecord(namedtuple("LocalizationRecord", "ring base sset canonical kernel")):
+    """S^-1 R (``ring``) over R (``base``) with its canonical map and its kernel."""
+    __slots__ = ()
 
     def extend(self, I):
         """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker: the

@@ -16,7 +16,7 @@ its hypothesis profile a finite, exact check (``_integer_profile``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
 
 from .constructions import (Homomorphism, idealization, localize, product_projections,
@@ -268,14 +268,10 @@ def localization_value_collisions(delta, sset):
 # hypothesis profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpansionProfile:
-    intersection_preserving: bool
-    idempotent_on_all: bool
-    zero_fixed: bool
-    radical_commuting: bool
-    colon_condition: bool
-    witnesses: tuple  # (flag_name, description) pairs for the failing flags
+# witnesses holds (flag_name, description) pairs for the failing flags
+ExpansionProfile = namedtuple("ExpansionProfile", "intersection_preserving idempotent_on_all "
+                                                  "zero_fixed radical_commuting colon_condition "
+                                                  "witnesses")
 
 
 def _colon_violation(delta, jmask):

@@ -10,7 +10,7 @@ ring), with closed-form arithmetic.  Each ideal is one interned object (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
 from math import gcd, prod
 
@@ -424,13 +424,7 @@ def enumerate_ideals(ring):
     return tuple(_mk_ideal(ring, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
-@dataclass(frozen=True)
-class IdealClass:
-    is_proper: bool
-    is_prime: bool
-    is_maximal: bool
-    is_primary: bool
-    is_superfluous: bool
+IdealClass = namedtuple("IdealClass", "is_proper is_prime is_maximal is_primary is_superfluous")
 
 
 def classify_ideal(I):
@@ -509,13 +503,8 @@ def _z_i_mask(ring, imask):
     return _meet_mask(ring, imask, _columns_outside(ring, imask))
 
 
-@dataclass(frozen=True)
-class SpecialSets:
-    nilradical: Ideal
-    jacobson: Ideal
-    zero_divisors: object
-    regular_elements: object
-    z_i: object
+# the two radicals are ideals
+SpecialSets = namedtuple("SpecialSets", "nilradical jacobson zero_divisors regular_elements z_i")
 
 
 def special_sets(ring, I=None):

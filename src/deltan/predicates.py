@@ -22,7 +22,7 @@ with n outside the nilradical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ImproperIdealError, InfiniteRingError
 from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
@@ -233,10 +233,7 @@ def quasi_n_witness(I):
 # spectra and delta-nilpotents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaNSpectrum:
-    all: tuple
-    maximal_members: tuple
+DeltaNSpectrum = namedtuple("DeltaNSpectrum", "all maximal_members")
 
 
 def delta_n_spectrum(ring, delta):

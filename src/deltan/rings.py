@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import struct
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import count
 from operator import iadd, itemgetter
 
@@ -216,7 +216,8 @@ class Ring:
     or ``("localization", R, S)``.  One object per recipe, cached by
     ``_cached_ring`` or memoised by its construction on its operands, so rings
     compare by identity; ``key`` is the ring's name.  Finite tables passed here
-    are checked for shape by ``_checked_table``, then take ``check_ring_axioms``."""
+    are checked for shape by ``_checked_table``, their 0 and 1 by ``_check_index``,
+    then take ``check_ring_axioms``."""
 
     def __init__(self, origin, *, elements=None, add=None, mul=None, zero=0, one=1,
                  repr_fn=None):
@@ -225,6 +226,8 @@ class Ring:
             n = len(elements)
             self.add = _checked_table(add, n, n, f"{self.key}: add")
             self.mul = _checked_table(mul, n, n, f"{self.key}: mul")
+            _check_index(zero, n, f"{self.key}: zero")
+            _check_index(one, n, f"{self.key}: one")
             self.neg = check_ring_axioms(self)
 
     def _fill(self, origin, elements, add, mul, zero, one, repr_fn):
@@ -490,7 +493,12 @@ def _build_poly_quotient(n, modulus):
     and -a is digitwise, joined likewise.  x*a shifts the low d-1 digits up and
     adds a_{d-1} (x^d - f).  Row a is filled block by block: b = c n^k + b',
     b' < n^k, is c x^k + b', so ab = c(a x^k) + ab', and the block of c is the
-    row of c(a x^k) in the sum, read at the cells ab' done."""
+    row of c(a x^k) in the sum, read at the cells ab' done.
+
+    A modulus x + c of degree 1 gives Z_n itself: x = -c in the quotient, so each
+    class holds one constant, a -> (a,) is a ring isomorphism from Z_n, and (a,)
+    sits at index a.  The sum, product and negation tables of the two rings are
+    then equal cell for cell, and the ring takes the tables of the cached Z_n."""
     origin = ("poly_quotient", n, modulus)
     d = len(modulus) - 1
     # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
@@ -503,6 +511,10 @@ def _build_poly_quotient(n, modulus):
             digits.append(v % n)
             v //= n
         elems.append(tuple(digits))
+    if d == 1:
+        zn = _cached_ring(("modular", n))
+        return _proved(Ring, origin, elems, zn.add, zn.mul, 0, zn.one_idx, poly_repr,
+                       neg=zn.neg)
     index = {p: i for i, p in enumerate(elems)}
     digit = list(range(n))
     digit_neg = digit[:1] + digit[:0:-1]
@@ -605,6 +617,12 @@ def _checked_table(table, length, size, what, error=InvalidSpecError):
     return _table(size, map(list, table))
 
 
+def _check_index(value, size, what, error=InvalidSpecError):
+    """Raise ``error`` unless ``value`` is an int (not a bool) in 0..size-1."""
+    if type(value) is not int or not 0 <= value < size:
+        raise error(f"{what} is {value!r}, not an element index 0..{size - 1}")
+
+
 def check_ring_axioms(ring):
     """Verify the commutative-ring axioms on a finite ring's tables exactly;
     raise on violation, and return the negation table, whose entry x is the
@@ -695,26 +713,14 @@ def _additive_on(maps, dom_add, cod_add, gens):
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ElementClass:
-    is_zero: bool
-    is_unit: bool
-    is_nilpotent: bool
-    nilpotency_index: object  # int or None
-    is_zero_divisor: bool
-    is_regular: bool
-    is_idempotent: bool
+# nilpotency_index is an int or None
+ElementClass = namedtuple("ElementClass", "is_zero is_unit is_nilpotent nilpotency_index "
+                                          "is_zero_divisor is_regular is_idempotent")
 
-
-@dataclass(frozen=True)
-class RingClass:
-    is_field: bool
-    is_integral_domain: bool
-    is_reduced: bool
-    is_von_neumann_regular: bool
-    is_boolean: bool
-    is_quasi_local: bool
-    maximal_ideal: object  # the unique maximal ideal when quasi-local, else None
+# maximal_ideal is the unique maximal ideal when quasi-local, else None
+RingClass = namedtuple("RingClass", "is_field is_integral_domain is_reduced "
+                                    "is_von_neumann_regular is_boolean is_quasi_local "
+                                    "maximal_ideal")
 
 
 def classify_element(ring, a):

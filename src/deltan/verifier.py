@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, FAIL, HOLDS, SKIP, Witness
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
@@ -23,15 +23,8 @@ from .ideals import _bits, _unit_mask, enumerate_ideals, ideal_from_generators, 
 from .rings import _proved, integers, memo, modular, poly_quotient, product
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    ring: object
-    expansions: tuple
-
-
-@dataclass(frozen=True)
-class Corpus:
-    entries: tuple
+CorpusEntry = namedtuple("CorpusEntry", "ring expansions")
+Corpus = namedtuple("Corpus", "entries")
 
 
 def _corpus_rings():
@@ -158,16 +151,9 @@ class Context:
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim_id: str
-    title: str
-    instances_checked: int
-    holds: int
-    hypothesis_not_met: int
-    failed: int
-    witnesses: tuple
-    notes: tuple
+class ClaimReport(namedtuple("ClaimReport", "claim_id title instances_checked holds "
+                                             "hypothesis_not_met failed witnesses notes")):
+    __slots__ = ()
 
     def to_dict(self):
         return {

@@ -1,14 +1,17 @@
 """Repository hygiene: no unused imports in the package, imports inside functions
 only where they break a cycle, rings, modules and value objects built only by
-their interning constructors, the README examples run, and the code names the
-README cites exist."""
+their interning constructors, the README examples run, the code names the
+README cites exist, and importing the package loads no dataclass machinery."""
 
 import ast
 import contextlib
 import importlib
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,32 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_module_imports_dataclasses():
+    found = [(path.name, node.lineno) for path in (ROOT / "src" / "deltan").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert not found
+
+
+# what the dataclass machinery loads: dataclasses itself and the modules it imports
+STARTUP_DENIED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_importing_deltan_and_its_layers_loads_no_dataclass_machinery():
+    """Every command pays for the import in a fresh interpreter.  A deny-list,
+    as the modules that site loads before it differ from one machine to the next."""
+    layers = "rings ideals expansions predicates constructions claims verifier dsl cli"
+    code = ("import sys\nbefore = set(sys.modules)\nimport deltan\n"
+            + "".join(f"import deltan.{layer}\n" for layer in layers.split())
+            + "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    new = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert "deltan.cli" in new
+    assert not STARTUP_DENIED & set(new)
 
 
 # the (module, function) pairs that import inside a function body: each one

@@ -925,6 +925,15 @@ def test_a_trivial_congruence_shares_the_base_tables():
         assert ring.size == size and ring.add is not z12.add
 
 
+def test_a_degree_1_polynomial_quotient_shares_the_tables_of_z_n():
+    # Z_n[x]/(x + c) is Z_n, the constant (a,) at index a; above 256 elements too
+    for n, c in ((12, 5), (300, 1)):
+        zn, ring = modular(n), poly_quotient(n, [c, 1])
+        assert ring.elements == [(a,) for a in range(n)] and ring.one_idx == zn.one_idx
+        assert ring.add is zn.add and ring.mul is zn.mul and ring.neg is zn.neg
+        assert [I.mask for I in enumerate_ideals(ring)] == [I.mask for I in enumerate_ideals(zn)]
+
+
 # the builders and one cell pair to corrupt in a copy of their tables
 FORGED_ORIGINS = {
     "modular": (lambda: modular(12), 5, 7),
@@ -969,6 +978,19 @@ def test_ring_refuses_a_malformed_table_naming_the_first_bad_cell(name, table, m
     tables = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], name: table}
     with pytest.raises(InvalidSpecError, match=message):
         Ring(("modular", 2), elements=[0, 1], **tables)
+
+
+# zero=5 and one=7 would be read as table rows in the axiom check; True == 1 would pass it
+@pytest.mark.parametrize("name, value", [("zero", 5), ("one", 7), ("one", True)])
+def test_ring_refuses_a_zero_or_one_that_is_not_an_element_index(name, value):
+    with pytest.raises(InvalidSpecError, match=rf"{name} is {value!r}, not an element index 0..1"):
+        Ring(("modular", 2), elements=[0, 1], add=[[0, 1], [1, 0]], mul=[[0, 0], [0, 1]],
+             **{name: value})
+
+
+def test_module_refuses_a_zero_outside_its_elements():
+    with pytest.raises(ConstructionError, match="zero is 9, not an element index 0..1"):
+        Module(modular(2), ("regular",), [0, 1], [[0, 1], [1, 0]], [[0, 0], [0, 1]], 9, None)
 
 
 def test_module_refuses_a_cell_outside_its_elements():
