@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import weakref
 from array import array
 from collections import namedtuple
 from itertools import count
@@ -213,11 +214,13 @@ class Ring:
     ``origin`` is the recipe the ring was built by: ``("modular", n)``,
     ``("poly_quotient", n, modulus)``, ``("integer",)``, or a derived ring's
     ``("product", R1, R2)``, ``("quotient", R, J)``, ``("idealization", R, M)``
-    or ``("localization", R, S)``.  One object per recipe, cached by
-    ``_cached_ring`` or memoised by its construction on its operands, so rings
-    compare by identity; ``key`` is the ring's name.  Finite tables passed here
-    are checked for shape by ``_checked_table``, their 0 and 1 by ``_check_index``,
-    then take ``check_ring_axioms``."""
+    or ``("localization", R, S)``.  One object per recipe while it is in use,
+    so rings compare by identity: a base ring is cached weakly by
+    ``_cached_ring``, a derived ring is memoised by its construction on its
+    operands, which its origin holds, and a ring that nothing refers to is freed
+    with everything built on it.  ``key`` is the ring's name.  Finite tables
+    passed here are checked for shape by ``_checked_table``, their 0 and 1 by
+    ``_check_index``, then take ``check_ring_axioms``."""
 
     def __init__(self, origin, *, elements=None, add=None, mul=None, zero=0, one=1,
                  repr_fn=None):
@@ -389,9 +392,11 @@ def list_elements(ring):
 # construction
 # ---------------------------------------------------------------------------
 
-# the rings of the base recipes, Z_n, Z_n[x]/(f) and ZZ, by recipe; a derived
-# ring is memoised by its construction on its operands
-_RING_CACHE = {}
+# the ring of each base recipe, Z_n, Z_n[x]/(f) and ZZ, one object per recipe
+# while it is in use: the cache holds it weakly, so a ring that nothing refers to
+# is freed with every ring, memo table and ideal built on it (a derived ring is
+# memoised on its operands, which its origin holds)
+_RING_CACHE = weakref.WeakValueDictionary()
 
 
 def _cached_ring(origin):
@@ -498,7 +503,10 @@ def _build_poly_quotient(n, modulus):
     A modulus x + c of degree 1 gives Z_n itself: x = -c in the quotient, so each
     class holds one constant, a -> (a,) is a ring isomorphism from Z_n, and (a,)
     sits at index a.  The sum, product and negation tables of the two rings are
-    then equal cell for cell, and the ring takes the tables of the cached Z_n."""
+    then equal cell for cell, and the ring takes the tables of the cached Z_n
+    and holds Z_n in its ``_cache``, so that while the quotient is in use,
+    ``modular(n)`` returns the Z_n whose tables it shares, whichever was built
+    first."""
     origin = ("poly_quotient", n, modulus)
     d = len(modulus) - 1
     # n^d > MAX_RING_SIZE once d >= 13, as n >= 2: the power is never taken there
@@ -513,8 +521,10 @@ def _build_poly_quotient(n, modulus):
         elems.append(tuple(digits))
     if d == 1:
         zn = _cached_ring(("modular", n))
-        return _proved(Ring, origin, elems, zn.add, zn.mul, 0, zn.one_idx, poly_repr,
+        ring = _proved(Ring, origin, elems, zn.add, zn.mul, 0, zn.one_idx, poly_repr,
                        neg=zn.neg)
+        ring._cache[(modular,)] = zn
+        return ring
     index = {p: i for i, p in enumerate(elems)}
     digit = list(range(n))
     digit_neg = digit[:1] + digit[:0:-1]

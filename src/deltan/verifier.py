@@ -51,7 +51,8 @@ def _corpus_rings():
 @functools.cache
 def builtin_corpus():
     """The deterministic default corpus (32 rings, catalogs attached), built
-    once per process."""
+    once per process and kept for it on purpose: every verification reads it,
+    so its rings and their memo tables are never freed."""
     return Corpus(entries=tuple(
         CorpusEntry(ring=r, expansions=catalog(r)) for r in _corpus_rings()))
 

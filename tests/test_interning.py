@@ -1,6 +1,9 @@
 """One object per value: every ideal, submodule and expansion is interned, so
 equal values are the same object and print the same way."""
 
+import gc
+import weakref
+
 import pytest
 
 from deltan import (colon, compose_expansions, delta1, delta_plus, delta_star,
@@ -9,7 +12,7 @@ from deltan import (colon, compose_expansions, delta1, delta_plus, delta_star,
                     radical, special_sets)
 from deltan.constructions import (enumerate_submodules, idealization, image_ideal, localize,
                                   preimage_ideal, product_projections, quotient_ring)
-from deltan.dsl import bind_ideal, parse_ideal_text
+from deltan.dsl import bind_ideal, bind_ring, parse_ideal_text, parse_spec
 from deltan.expansions import apply_expansion, catalog
 from deltan.rings import _RING_CACHE, Ring
 from deltan.verifier import Context, builtin_corpus, run_claims
@@ -164,6 +167,51 @@ def test_a_verification_leaves_one_ring_per_key():
                         todo.append(other)
     kinds = {ring.origin[0] for ring in seen}
     assert kinds >= {"product", "quotient", "idealization", "localization"}
+
+
+# ---------------------------------------------------------------------------
+# a ring lives while it is in use
+# ---------------------------------------------------------------------------
+
+def _fresh_ring_cache(monkeypatch):
+    """An empty base-ring cache of the same kind, so every ring is built afresh."""
+    monkeypatch.setattr("deltan.rings._RING_CACHE", type(_RING_CACHE)())
+
+
+def _rings_alive():
+    gc.collect()
+    return sum(isinstance(o, Ring) for o in gc.get_objects())
+
+
+def test_one_off_queries_leave_no_ring_alive(monkeypatch):
+    """The rings of a command-line query, and all built on them, are freed once
+    it has printed: the base-ring cache holds its rings weakly."""
+    from test_cli_lock import _output_hash, _queries
+    _fresh_ring_cache(monkeypatch)
+    before = _rings_alive()
+    for argv in _queries()[:20]:
+        _output_hash(argv)
+    assert _rings_alive() <= before
+
+
+def test_a_held_ring_is_what_its_recipe_returns(monkeypatch):
+    _fresh_ring_cache(monkeypatch)
+    z12 = modular(12)
+    gc.collect()
+    assert bind_ring(parse_spec("Z12")) is z12
+
+
+def test_a_derived_ring_and_its_base_die_with_the_last_reference(monkeypatch):
+    _fresh_ring_cache(monkeypatch)
+    ring = bind_ring(parse_spec("Z18 (+) Z18/(6)"))
+    base = ring.origin[1]
+    enumerate_ideals(ring)  # memo tables on the ring, in cycles with it
+    gc.collect()
+    assert bind_ring(parse_spec("Z18 (+) Z18/(6)")) is ring and modular(18) is base
+    refs = weakref.ref(ring), weakref.ref(base)
+    del ring, base
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Ring construction, arithmetic, enumeration, and classification."""
 
+import gc
 import operator
 import random
 import tracemalloc
+import weakref
 from array import array
 
 import pytest
@@ -925,13 +927,23 @@ def test_a_trivial_congruence_shares_the_base_tables():
         assert ring.size == size and ring.add is not z12.add
 
 
-def test_a_degree_1_polynomial_quotient_shares_the_tables_of_z_n():
-    # Z_n[x]/(x + c) is Z_n, the constant (a,) at index a; above 256 elements too
+def test_a_degree_1_polynomial_quotient_shares_the_tables_of_z_n(monkeypatch):
+    # Z_n[x]/(x + c) is Z_n, the constant (a,) at index a; above 256 elements too.
+    # The quotient holds its Z_n, so modular(n) is the Z_n whose tables it shares
+    # whichever was built first, also once nothing else holds Z_n
     for n, c in ((12, 5), (300, 1)):
-        zn, ring = modular(n), poly_quotient(n, [c, 1])
-        assert ring.elements == [(a,) for a in range(n)] and ring.one_idx == zn.one_idx
-        assert ring.add is zn.add and ring.mul is zn.mul and ring.neg is zn.neg
-        assert [I.mask for I in enumerate_ideals(ring)] == [I.mask for I in enumerate_ideals(zn)]
+        for quotient_first in (False, True):
+            monkeypatch.setattr("deltan.rings._RING_CACHE", weakref.WeakValueDictionary())
+            first = poly_quotient(n, [c, 1]) if quotient_first else modular(n)
+            gc.collect()
+            zn, ring = modular(n), poly_quotient(n, [c, 1])
+            assert ring.elements == [(a,) for a in range(n)] and ring.one_idx == zn.one_idx
+            assert ring.add is zn.add and ring.mul is zn.mul and ring.neg is zn.neg
+            assert ([I.mask for I in enumerate_ideals(ring)]
+                    == [I.mask for I in enumerate_ideals(zn)])
+            del first, zn
+            gc.collect()
+            assert modular(n).add is ring.add
 
 
 # the builders and one cell pair to corrupt in a copy of their tables
