@@ -100,8 +100,8 @@ def make_module(ring, spec):
 @memo
 def _build_module(ring, recipe):
     """R and R/I are modules through a canonical surjection of rings q: R -> T,
-    the identity onto R or the projection onto R/I (R/ker q, built by
-    ``_coset_ring`` like S^-1 R): the module is T's additive group with
+    the identity onto R or the projection onto R/I (built by ``_coset_ring``,
+    as S^-1 R = R/ker is): the module is T's additive group with
     r.m = q(r)m, so its tables are T's own rows, r acting by T's row of q(r).
     T is a proved ring and q a homomorphism, so the module axioms hold:
     r(m+k) = q(r)m + q(r)k, (r+s)m = (q(r)+q(s))m, (rs)m = q(r)(q(s)m) and
@@ -394,30 +394,30 @@ def quotient_ring(ring, J):
 def _finite_quotient(ring, J):
     """R/J, proved by ``_coset_ring``: every ``Ideal`` has an ideal mask, made by
     the ideal operators or checked before it is interned (``_module_recipe``)."""
-    reps, q = _coset_quotient(ring, J.mask)
-    qring, proj = _coset_ring(ring, ("quotient", ring, J), reps, q,
-                              [ring.elements[r] for r in reps], ring._repr_fn or str)
+    qring, proj = _coset_ring(ring, ("quotient", ring, J), J.mask)
     return QuotientRecord(ring=qring, projection=proj)
 
 
-def _coset_ring(ring, origin, reps, q, elems, repr_fn):
-    """The ring on the classes of ``ring`` that q names, and its canonical map.
+def _coset_ring(ring, origin, mask):
+    """R/J for the ideal mask of J, and its canonical map q.
 
-    q[x] is the class of the base index x, and reps[c] one base index in class
-    c.  The classes must be the cosets of a proper ideal J: then R/J is a ring
-    and q a homomorphism onto it (for S^-1 R, which is R/ker, see
-    ``localize``), so the class of a+b (ab, -a) is q[a+b] (q[ab], q[-a]) for
-    any a, b in the two classes.  The tables, filled over reps alone, are
-    proved, and R's own when q and reps are the identity, J = 0.
+    The classes are the cosets of J, numbered by ``_coset_quotient`` by their
+    least base index, and each is the base element at that index, printed as
+    the base prints it.  J is an ideal, so R/J is a ring and q a homomorphism
+    onto it (for S^-1 R, which is R/ker, see ``localize``): the class of a+b
+    (ab, -a) is q[a+b] (q[ab], q[-a]) for any a, b in the two classes.  The
+    tables, filled over reps alone, are proved, and R's own when J = 0.
     """
-    add, mul = ring.add, ring.mul
-    if not q == reps == list(range(ring.size)):
+    reps, q = _coset_quotient(ring, mask)
+    elems, add, mul = ring.elements, ring.add, ring.mul
+    if len(reps) < ring.size:
+        elems = [elems[r] for r in reps]
         get = itemgetter(*reps)  # row c is q(row reps[c] at reps), gathered in C
         add, mul = (_table(len(reps), (list(itemgetter(*get(row))(q))
                                        for row in map(table.__getitem__, reps)))
                     for table in (add, mul))
     qring = _proved(Ring, origin, elems, add, mul, q[ring.zero_idx], q[ring.one_idx],
-                    repr_fn, neg=[q[ring.neg[r]] for r in reps])
+                    ring._repr_fn, neg=[q[ring.neg[r]] for r in reps])
     return qring, _proved(Homomorphism, ring, qring, q)
 
 
@@ -572,14 +572,6 @@ class LocalizationRecord(namedtuple("LocalizationRecord", "ring base sset canoni
         return _mk_ideal(self.base, self.canonical.preimage_mask(K.mask))
 
 
-def _reads_fractions(ring):
-    """Whether ``ring`` is a localization or a quotient of one: its elements
-    print, and are read, as fractions r/s."""
-    while ring.origin[0] == "quotient":
-        ring = ring.origin[1]
-    return ring.origin[0] == "localization"
-
-
 @memo
 def localize(ring, sset):
     """S^{-1}R as R/ker, ker the saturation kernel {a : ua = 0 for some u in S}.
@@ -590,33 +582,17 @@ def localize(ring, sset):
     With st = 1 mod ker, (r,s) ~ (r',s') iff rt = r't' mod ker, so the class
     of (r,s) is the coset of rt, and r/s -> rt + ker is a ring isomorphism
     S^-1 R -> R/ker that turns r -> r/1 into the projection.  The tables are
-    those of R/ker, filled by ``_coset_ring`` like a quotient's (ker is an
-    ideal: ua = vb = 0 give uv(a+b) = 0 and u(ra) = 0).  Classes are
-    numbered by first appearance in (r, s) order, and the first pair of each
-    class is its representative; r/s is q(r)q(s)^-1 for the canonical map q.
+    those of R/ker, built by ``_coset_ring`` as a quotient's are (ker is an
+    ideal: ua = vb = 0 give uv(a+b) = 0 and u(ra) = 0), so each class is the
+    base element r of least index in it, standing for r/1, and r/s is
+    q(r)q(s)^-1 for the canonical map q.
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
     _same_ring(ring, sset.ring, "multiplicative set")
-    n, mul, zero = ring.size, ring.mul, ring.zero_idx
-    s_list = list(sset.indices)
-    if zero in s_list:
+    zero = ring.zero_idx
+    if zero in sset.indices:
         raise ConstructionError("0 in S collapses the localization to the zero ring")
-    ker = _meet_mask(ring, 1 << zero, s_list)
-    _, coset = _coset_quotient(ring, ker)
-    one = coset[ring.one_idx]
-    inverse = [next(t for t in range(n) if coset[mul[s][t]] == one) for s in s_list]
-    number, reps, pairs = {}, [], []
-    for r in range(n):
-        for s, t in zip(s_list, inverse):
-            x = mul[r][t]
-            if number.setdefault(coset[x], len(reps)) == len(reps):  # a new class
-                reps.append(x)
-                pairs.append((r, s))
-    rrepr = ring._repr_fn or str
-    text = "({})/({})" if _reads_fractions(ring) else "{}/{}"  # r and s are fractions too
-    lring, canonical = _coset_ring(
-        ring, ("localization", ring, sset), reps, [number[c] for c in coset],
-        [(ring.elements[r], ring.elements[s]) for r, s in pairs],
-        lambda p: text.format(rrepr(p[0]), rrepr(p[1])))
+    ker = _meet_mask(ring, 1 << zero, sset.indices)
+    lring, canonical = _coset_ring(ring, ("localization", ring, sset), ker)
     return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker))

@@ -34,8 +34,11 @@ base, elems)`` and ``("idealization", base, module)``, a module being
 coeffs)``, ``("pair", a, b)`` and ``("frac", r, s)``.  The ``bind_*``
 functions build what a recipe names in a ring.  An element of a quotient or
 a localization is named by a base element, its image under the canonical
-surjection, and one of a localization also by a fraction r/s of base
-elements, bracketed as (r)/(s) where r and s are fractions themselves.
+surjection, and prints as the base element of least index that it is the
+image of, so a printed element is as long at every level of nesting.  An
+element of a localization, or of a quotient of one, may also be named by a
+fraction r/s of base elements, bracketed as (r)/(s) where r and s are
+fractions themselves.
 ``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
 ``print_expansion`` a parsed expansion in their canonical spellings, and
 parsing a printed form reproduces the same bound objects.
@@ -46,8 +49,8 @@ from __future__ import annotations
 import re
 
 from .errors import DslError, InvalidSpecError
-from .constructions import (MultiplicativeSet, _reads_fractions, idealization, localize,
-                            make_module, quotient_ring)
+from .constructions import (MultiplicativeSet, idealization, localize, make_module,
+                            quotient_ring)
 from .expansions import make_expansion
 from .ideals import ideal_from_generators
 from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _check_size, _poly_mul_reduce,
@@ -440,7 +443,10 @@ def bind_element(ring, ast):
     as the image of the base element it names under the canonical surjection
     q; r/s names q(r) q(s)^-1, q(s) being a unit of the localization."""
     tag = ast[0]
-    if tag == "frac" and not _reads_fractions(ring):
+    inner = ring
+    while tag == "frac" and inner.origin[0] == "quotient":  # a quotient of a localization
+        inner = inner.origin[1]
+    if tag == "frac" and inner.origin[0] != "localization":
         raise DslError(f"fractions r/s name elements of a localization only, not of {ring.key}")
     kind = ring.origin[0]
     if kind == "quotient":

@@ -37,7 +37,7 @@ def test_polynomial_element_of_a_localization(capsys):
     local = captured.out.splitlines()
     assert captured.err == ""
     assert local[:2] == ["ring: loc(Z4[x]/(x^2),{1}) (16 elements)",
-                         "ideal: (x/1) (4 elements)"]
+                         "ideal: (x) (4 elements)"]
     assert base[1] == "ideal: (x) (4 elements)"
     assert local[2:] == base[2:] and "n-ideal: true" in local
 

@@ -15,8 +15,8 @@ from deltan import (ConstructionError, HomomorphismError, InfiniteRingError, Inv
                     mult_closure, mult_set, nilradical, poly_quotient,
                     preimage_ideal, product, quotient_ring, radical,
                     zero_ideal)
-from deltan.constructions import (Homomorphism, MultiplicativeSet, enumerate_submodules,
-                                  idealization, product_projections)
+from deltan.constructions import (Homomorphism, MultiplicativeSet, _coset_quotient,
+                                  enumerate_submodules, idealization, product_projections)
 from deltan.verifier import Context, builtin_corpus
 
 
@@ -519,24 +519,46 @@ def _partition_localization(ring, sset):
 
 
 def _assert_same_localization(ring, sset):
+    """The oracle's classes, each sent through the canonical map as r/s =
+    q(r)q(s)^-1, are the localization's: every pair of a class lands on one
+    index, the classes land on every index once, and the oracle's tables are
+    the localization's under that bijection."""
     rec = localize(ring, sset)
     class_of, reps, addq, mulq = _partition_localization(ring, sset)
     q, mul, one = rec.canonical.mapping, rec.ring.mul, rec.ring.one_idx
-    assert {(r, s): mul[q[r]][mul[q[s]].index(one)] for r, s in class_of} == class_of, \
-        (ring, sset)
-    assert rec.ring.elements == [(ring.elements[r], ring.elements[s]) for r, s in reps]
-    assert (rec.ring.add, rec.ring.mul) == (addq, mulq), (ring, sset)
-    assert [rec.ring.element_repr(i) for i in range(rec.ring.size)] == \
-        [f"{ring.element_repr(r)}/{ring.element_repr(s)}" for r, s in reps]
+    index = {(r, s): mul[q[r]][mul[q[s]].index(one)] for r, s in class_of}
+    to_loc = [index[pair] for pair in reps]
+    assert {pair: to_loc[c] for pair, c in class_of.items()} == index, (ring, sset)
+    assert sorted(to_loc) == list(range(rec.ring.size)), (ring, sset)
+    for table, oracle in ((rec.ring.add, addq), (rec.ring.mul, mulq)):
+        assert [[table[x][y] for y in to_loc] for x in to_loc] == \
+            [[to_loc[c] for c in row] for row in oracle], (ring, sset)
 
 
-def test_coset_localization_matches_the_partition_on_the_corpus():
+def _corpus_localizations():
     ctx = Context(builtin_corpus())
     pairs = [(entry.ring, sset) for entry in ctx.entries
              for sset in ctx.mult_sets(entry.ring)]
     assert len(pairs) == 135
-    for ring, sset in pairs:
+    return pairs
+
+
+def test_coset_localization_matches_the_partition_on_the_corpus():
+    for ring, sset in _corpus_localizations():
         _assert_same_localization(ring, sset)
+
+
+def test_a_localization_is_numbered_as_r_mod_ker():
+    # S^-1 R is R/ker, the classes numbered by least base index, each the base
+    # element at that index; it is R on R's own tables exactly when ker = 0
+    for ring, sset in _corpus_localizations():
+        rec = localize(ring, sset)
+        reps, q = _coset_quotient(ring, rec.kernel.mask)
+        assert rec.canonical.mapping == q, (ring, sset)
+        assert rec.ring.elements == [ring.elements[r] for r in reps], (ring, sset)
+        assert [rec.ring.element_repr(c) for c in range(rec.ring.size)] == \
+            [ring.element_repr(r) for r in reps], (ring, sset)
+        assert (rec.ring.add is ring.add) == rec.kernel.is_zero, (ring, sset)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltan import DeltanError, DslError, localize, modular, mult_closure, quotient_ring
+from deltan.cli import main
 from deltan.constructions import idealization, make_module
 from deltan.ideals import unit_ideal
 from deltan.rings import integers, poly_quotient, product
@@ -163,18 +165,38 @@ def test_printed_rings_and_ideals_parse_back_to_themselves(entry):
             assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
 
 
-NESTED_LOCALIZATIONS = ["loc(loc(Z12,{1,3,9}),{1/1})",
-                        "loc(loc(loc(Z12,{1,3,9}),{1/1}),{(1/1)/(1/1)})",
-                        "loc(quot(loc(Z12,{1,5}),(3/1)),{1/1})",
-                        "loc(Z2 x loc(Z4,{1,3}),{(1,1/1)})"]
+NESTED_LOCALIZATIONS = ["loc(loc(Z12,{1,3,9}),{1})",
+                        "loc(loc(loc(Z12,{1,3,9}),{1}),{1})",
+                        "loc(quot(loc(Z12,{1,5}),(3)),{1})",
+                        "loc(Z2 x loc(Z4,{1,3}),{(1,1)})"]
 
 
 @pytest.mark.parametrize("text", NESTED_LOCALIZATIONS)
 def test_a_localization_over_fractions_prints_and_reads_bracketed_sides(text):
+    # an element of a localization prints as the base element it names, so a
+    # localization over a localization prints and reads no fraction at all
     ring = bind_ring(parse_spec(text))
     assert ring_to_dsl(ring) == text
     for I in enumerate_ideals(ring):
         assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+
+
+def _nested_localization(levels):
+    return "loc(" * levels + "Z6" + ",{1})" * levels
+
+
+def test_nested_localizations_print_in_linear_length(capsys):
+    text = _nested_localization(18)
+    assert main(["ideals", text]) == 0
+    assert len(capsys.readouterr().out.encode()) < 20_000
+    ring = bind_ring(parse_spec(text))
+    assert ring_to_dsl(ring) == text
+    for I in enumerate_ideals(ring):
+        assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
+    start = time.perf_counter()
+    assert main(["classify", _nested_localization(99), "(3)", "--delta", "d1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "ideal: (3) (2 elements)" in capsys.readouterr().out
 
 
 def _bracketed_ring(text):
@@ -214,7 +236,7 @@ def test_brackets_group_a_product_and_change_nothing_else():
 
 def test_bracketed_elements():
     ring = bind_ring(parse_spec(NESTED_LOCALIZATIONS[0]))
-    assert ring.element_repr(ring.zero_idx) == "(0/1)/(1/1)"
+    assert ring.element_repr(ring.zero_idx) == "0"
     assert _element(ring, "(0/1)/(1/1)") == ring.zero
     assert _element(ring, "(2/1)/(1/1)") == _element(ring, "(2)/1") == _element(ring, "2")
     # the unbracketed form reads as one fraction and stops at the second "/"
@@ -230,14 +252,17 @@ def test_fractions_name_elements_of_a_localization_only():
     ring = bind_ring(parse_spec("loc(Z12,{1,3,9})"))
     assert _element(ring, "2/1") == _element(ring, "2")
     assert _element(ring, "2/3") == _element(ring, "6") == _element(ring, "6/9")
+    # 6 lies in the class of 2 mod ker = (4), and the class is the base element 2
+    assert _element(ring, "2/3").payload == 2 and repr(_element(ring, "6")) == "2"
     # a pair in a localization names a base pair, never a fraction
     with pytest.raises(DslError, match="pair elements do not exist in Z12"):
         _element(ring, "(2,1)")
     over_product = bind_ring(parse_spec("loc(Z2 x Z4,{(1,1),(1,3)})"))
     assert _element(over_product, "(1,0)") == _element(over_product, "(1,0)/(1,1)")
+    assert _element(over_product, "(1,0)/(1,3)").payload == (1, 0)
     # a fraction names an element of a quotient of a localization through the base
     quotient = bind_ring(parse_spec("quot(loc(Z12,{1,3,9}),(2/1))"))
-    assert _element(quotient, "1/3").payload == (1, 1)
+    assert _element(quotient, "1/3").payload == 1
     for text in ("Z12", "Z2 x Z2", "quot(Z12,(4))"):
         ring_of_text = bind_ring(parse_spec(text))
         with pytest.raises(DslError, match=re.escape(
