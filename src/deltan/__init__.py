@@ -1,8 +1,8 @@
 """Finite commutative rings, ideal expansions, and the delta-n-ideal toolkit."""
 
 from .errors import (ConstructionError, CrossRingError, DeltanError, DslError,
-                     ExpansionAxiomError, HomomorphismError, ImproperIdealError,
-                     InfiniteRingError, InvalidSpecError, UnknownClaimError)
+                     HomomorphismError, ImproperIdealError, InfiniteRingError,
+                     InvalidSpecError, UnknownClaimError)
 from .rings import (Element, ElementClass, Ring, RingClass, arithmetic,
                     check_ring_axioms, classify_element, classify_ring, integers,
                     list_elements, modular, poly_quotient, product)

@@ -102,8 +102,7 @@ def _cmd_verify(args):
 def _cmd_explain(args):
     claim = CLAIMS_BY_ID.get(args.claim_id)
     if claim is None:
-        print(f"error: unknown claim id {args.claim_id!r}", file=sys.stderr)
-        return 2
+        raise UnknownClaimError(f"unknown claim id {args.claim_id!r}")
     print(f"claim: {claim.id}")
     print(f"title: {claim.title}")
     print(f"statement: {claim.statement}")

@@ -21,10 +21,6 @@ class ImproperIdealError(DeltanError):
     """A predicate defined only for proper ideals was applied to the whole ring."""
 
 
-class ExpansionAxiomError(DeltanError):
-    """A candidate expansion violates extensivity or monotonicity."""
-
-
 class HomomorphismError(DeltanError):
     """A map fails a ring-homomorphism axiom, or is unfit for the operation."""
 

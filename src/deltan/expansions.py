@@ -4,14 +4,16 @@ An expansion assigns to every ideal I an ideal delta(I) with I <= delta(I),
 monotonically in I.  On finite rings an expansion is a precomputed table over
 the full ideal lattice; on the integer ring it is a closed form on the
 generator n of nZ.  Every expansion is built from a recipe that keeps both
-axioms, so no table is checked at run time; each constructor's docstring says
-why its recipe does.  The catalog kinds are expansions by their definitions:
-delta0(I) = I; delta1(I) = rad(I), which contains I and grows with I; full(I)
-= R; delta_plus(J)(I) = I + J; and delta_star(P)(I) = (I : P) = {r : rP <= I},
+axioms, so no table is checked at run time.  The catalog kinds, each built by
+``_catalog_kind``, are expansions by their definitions: delta0(I) = I;
+delta1(I) = rad(I), which contains I and grows with I; full(I) = R;
+delta_plus(J)(I) = I + J; and delta_star(P)(I) = (I : P) = {r : rP <= I},
 which contains I since I is an ideal and grows with I.  Each value is an
-ideal, as rad(I), I + J and (I : P) are.  On nonzero n each catalog kind, and
-so each composition, acts on one prime exponent of n at a time, which makes
-its hypothesis profile a finite, exact check (``_integer_profile``).
+ideal, as rad(I), I + J and (I : P) are.  A derived expansion is carried along
+a surjection by ``_pushforward`` or ``_pullback``, which say why it stays one.
+On nonzero n each catalog kind, and so each composition, acts on one prime
+exponent of n at a time, which makes its hypothesis profile a finite, exact
+check (``_integer_profile``).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from .rings import _same_ring, memo, product
 class Expansion:
     """An ideal-to-ideal map carrying its construction recipe.
 
-    Expansions are built only by the memoised constructors, keyed on the ring
-    or base expansions and the interned parameters: one object per recipe,
-    compared by identity.  Each constructor's recipe keeps the two axioms (see
-    the module docstring), so the table is taken as it is.  ``name()`` is for
-    printing only.
+    Expansions are built only through the memoised constructors (the catalog
+    kinds through ``_catalog_kind``), keyed on the ring or base expansions and
+    the interned parameters: one object per recipe, compared by identity.
+    Every recipe keeps the two axioms (see the module docstring), so the table
+    is taken as it is.  ``name()`` is for printing.
     """
 
     def __init__(self, ring, recipe, table=None, int_fn=None):
@@ -80,7 +82,8 @@ class Expansion:
 
 
 def make_expansion(ring, kind, param=None):
-    """Build a catalog expansion: delta0, delta1, full, delta_plus(J), delta_star(P)."""
+    """Build an expansion by kind: delta0, delta1, full, delta_plus(J) or
+    delta_star(P) from the catalog, or compose with param = (outer, inner)."""
     if kind == "delta0":
         return delta0(ring)
     if kind == "delta1":
@@ -100,47 +103,41 @@ def _check_param(ring, J):
     _same_ring(ring, J.ring if isinstance(J, Ideal) else None, "parameter ideal")
 
 
+def _catalog_kind(ring, recipe, value, int_fn):
+    """The catalog expansion ``recipe``: the closed form ``int_fn`` on ZZ, and on
+    a finite ring the table {I.mask: value(I)} over its ideal lattice."""
+    if not ring.is_finite:
+        return Expansion(ring, recipe, int_fn=int_fn)
+    return Expansion(ring, recipe, {I.mask: value(I) for I in enumerate_ideals(ring)})
+
+
 @memo
 def delta0(ring):
-    if not ring.is_finite:
-        return Expansion(ring, ("delta0",), int_fn=lambda n: n)
-    table = {I.mask: I.mask for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("delta0",), table)
+    return _catalog_kind(ring, ("delta0",), lambda I: I.mask, lambda n: n)
 
 
 @memo
 def delta1(ring):
-    if not ring.is_finite:
-        return Expansion(ring, ("delta1",), int_fn=_radical_of_int)
-    table = {I.mask: _radical_mask(ring, I.mask) for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("delta1",), table)
+    return _catalog_kind(ring, ("delta1",), lambda I: _radical_mask(ring, I.mask), _radical_of_int)
 
 
 @memo
 def full_expansion(ring):
-    if not ring.is_finite:
-        return Expansion(ring, ("full",), int_fn=lambda n: 1)
-    full = ring.full_mask
-    table = {I.mask: full for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("full",), table)
+    return _catalog_kind(ring, ("full",), lambda I: ring.full_mask, lambda n: 1)
 
 
 @memo
 def delta_plus(ring, J):
     _check_param(ring, J)
-    if not ring.is_finite:
-        return Expansion(ring, ("delta_plus", J), int_fn=lambda n, q=J.n: gcd(n, q))
-    table = {I.mask: _sum_mask(ring, I.mask, J.mask) for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("delta_plus", J), table)
+    return _catalog_kind(ring, ("delta_plus", J), lambda I: _sum_mask(ring, I.mask, J.mask),
+                         lambda n, q=J.n: gcd(n, q))
 
 
 @memo
 def delta_star(ring, P):
     _check_param(ring, P)
-    if not ring.is_finite:
-        return Expansion(ring, ("delta_star", P), int_fn=lambda n, m=P.n: _int_colon(n, m))
-    table = {I.mask: colon(I, P).mask for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("delta_star", P), table)
+    return _catalog_kind(ring, ("delta_star", P), lambda I: colon(I, P).mask,
+                         lambda n, m=P.n: _int_colon(n, m))
 
 
 @memo
@@ -190,6 +187,16 @@ def _pushforward(f, delta):
     return {K.mask: images[delta.table[preimages[K.mask]]] for K in enumerate_ideals(f.target)}
 
 
+def _pullback(f, delta):
+    """The table W -> f^-1(delta(f W)) over the ideals W of the source of a
+    surjection f, an expansion: f W is an ideal as f is onto, so are its
+    delta-value and that value's preimage; W <= f^-1(f W) <= f^-1(delta(f W)),
+    and each of f, delta and f^-1 keeps inclusions.  R(+)M reads its derived
+    expansion this way, and R1 x R2 the meet of two such tables."""
+    images, preimages = Homomorphism.image_mask.table(f), Homomorphism.preimage_mask.table(f)
+    return {W.mask: preimages[delta.table[images[W.mask]]] for W in enumerate_ideals(f.source)}
+
+
 @memo
 def derive_quotient_expansion(delta, J):
     """Push delta to R/J along its projection (``_pushforward``): the value on
@@ -202,34 +209,24 @@ def derive_quotient_expansion(delta, J):
 
 @memo
 def derive_product_expansion(d1, d2):
-    """Componentwise expansion on R1 x R2 along the projections p1, p2:
-    delta_x(I) = p1^-1(d1(p1 I)) & p2^-1(d2(p2 I)) = d1(I1) x d2(I2).  Every
-    ideal of the product is I1 x I2 for I1 = p1 I and I2 = p2 I, as (a, b)(1, 0)
-    = (a, 0), so I <= d1(I1) x d2(I2), an ideal, and I1, I2 grow with I."""
+    """Componentwise expansion on R1 x R2, the meet of the pullbacks along the
+    projections p1, p2 (``_pullback``): delta_x(I) = p1^-1(d1(p1 I)) &
+    p2^-1(d2(p2 I)) = d1(I1) x d2(I2).  A meet of expansions is one: it
+    contains I and keeps inclusions, and a meet of ideals is an ideal."""
     ring = product(d1.ring, d2.ring)
     p1, p2 = product_projections(ring)
-    table = {I.mask: p1.preimage_mask(d1.table[p1.image_mask(I.mask)])
-             & p2.preimage_mask(d2.table[p2.image_mask(I.mask)])
-             for I in enumerate_ideals(ring)}
-    return Expansion(ring, ("product_derived", d1, d2), table)
+    t1, t2 = _pullback(p1, d1), _pullback(p2, d2)
+    return Expansion(ring, ("product_derived", d1, d2), {m: v & t2[m] for m, v in t1.items()})
 
 
 @memo
 def derive_idealization_expansion(delta, module):
-    """Expansion on R(+)M along pi: R(+)M -> R, W -> pi^-1(delta(pi W)), so
-    I(+)N goes to delta(I)(+)M.  pi is a surjective homomorphism, so pi W is an
-    ideal, its delta-value one too, and so its preimage; W <= pi^-1(pi W) <=
-    pi^-1(delta(pi W)), and each step keeps inclusions.
-
-    Lattice ideals that are not of the homogeneous I(+)N shape are first
-    homogenized (projection to R, second slot widened to all of M); the
-    idealization record flags those ideals separately.
-    """
+    """Pull delta back to R(+)M along pi: R(+)M -> R (``_pullback``), so I(+)N
+    goes to delta(I)(+)M.  A lattice ideal not of the homogeneous I(+)N shape
+    is first homogenized (projection to R, second slot widened to all of M);
+    the idealization record flags those ideals separately."""
     rec = idealization(delta.ring, module)
-    pi = rec.projection
-    images, preimages = Homomorphism.image_mask.table(pi), Homomorphism.preimage_mask.table(pi)
-    table = {W.mask: preimages[delta.table[images[W.mask]]] for W in enumerate_ideals(rec.ring)}
-    return Expansion(rec.ring, ("idealization_derived", delta), table)
+    return Expansion(rec.ring, ("idealization_derived", delta), _pullback(rec.projection, delta))
 
 
 @memo
@@ -268,7 +265,7 @@ def localization_value_collisions(delta, sset):
 # hypothesis profile
 # ---------------------------------------------------------------------------
 
-# witnesses holds (flag_name, description) pairs for the failing flags
+# witnesses holds (flag_name, description) pairs for the failing flags, in field order
 ExpansionProfile = namedtuple("ExpansionProfile", "intersection_preserving idempotent_on_all "
                                                   "zero_fixed radical_commuting colon_condition "
                                                   "witnesses")
@@ -290,6 +287,18 @@ def _colon_violation(delta, jmask):
     return None
 
 
+def _profile(scans):
+    """The profile of one violation scan per flag, in field order, each read up
+    to its first item: a flag holds when its scan is empty, else that item is its witness."""
+    flags, found = [], []
+    for name, scan in zip(ExpansionProfile._fields, scans):
+        witness = next(iter(scan), None)
+        flags.append(witness is None)
+        if witness is not None:
+            found.append((name, witness))
+    return ExpansionProfile(*flags, tuple(found))
+
+
 @memo
 def profile_expansion(delta):
     """Decide the five hypothesis flags: exhaustive tablewise on finite rings,
@@ -307,46 +316,16 @@ def profile_expansion(delta):
     if not ring.is_finite:
         return _integer_profile(delta)
     lattice = enumerate_ideals(ring)
-    table = delta.table
+    table, radicals = delta.table, _radical_mask.table(ring)
     zero_mask = 1 << ring.zero_idx
-    witnesses = []
-
-    ip = True
-    for I in lattice:
-        for J in lattice:
-            if table[I.mask & J.mask] != table[I.mask] & table[J.mask]:
-                ip = False
-                witnesses.append(("intersection_preserving",
-                                  f"I={I!r}, J={J!r}"))
-                break
-        if not ip:
-            break
-
-    idem = True
-    for I in lattice:
-        if table[table[I.mask]] != table[I.mask]:
-            idem = False
-            witnesses.append(("idempotent_on_all", f"I={I!r}"))
-            break
-
-    zf = table[zero_mask] == zero_mask
-    if not zf:
-        witnesses.append(("zero_fixed", "delta(0) != (0)"))
-
-    rc, radicals = True, _radical_mask.table(ring)
-    for I in lattice:
-        if radicals[table[I.mask]] != table[radicals[I.mask]]:
-            rc = False
-            witnesses.append(("radical_commuting", f"I={I!r}"))
-            break
-
-    violation = next(((J, v) for J in lattice if (v := _colon_violation(delta, J.mask))), None)
-    colon = violation is None
-    if not colon:
-        J, (x, clause) = violation
-        witnesses.append(("colon_condition", f"{clause} for J={J!r}, x={ring.element_repr(x)}"))
-
-    return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
+    return _profile((
+        (f"I={I!r}, J={J!r}" for I in lattice for J in lattice
+         if table[I.mask & J.mask] != table[I.mask] & table[J.mask]),
+        (f"I={I!r}" for I in lattice if table[table[I.mask]] != table[I.mask]),
+        () if table[zero_mask] == zero_mask else ("delta(0) != (0)",),
+        (f"I={I!r}" for I in lattice if radicals[table[I.mask]] != table[radicals[I.mask]]),
+        (f"{v[1]} for J={J!r}, x={ring.element_repr(v[0])}" for J in lattice
+         if (v := _colon_violation(delta, J.mask)))))
 
 
 def _int_atoms(delta):
@@ -414,41 +393,26 @@ def _integer_profile(delta):
     """
     fn = delta.int_fn
     points = _int_test_points(delta)
-    witnesses = []
 
     def has(a, b):  # aZ contains b
         return b % a == 0 if a else b == 0
 
-    ip = idem = rc = colon = True
-    zf = fn(0) == 0
-    if not zf:
-        witnesses.append(("zero_fixed", f"delta(0) = ({fn(0)})"))
-    for i, n in enumerate(points):
-        if idem and fn(fn(n)) != fn(n):
-            idem = False
-            witnesses.append(("idempotent_on_all", f"I=({n})"))
-        if rc and _radical_of_int(fn(n)) != fn(_radical_of_int(n)):
-            rc = False
-            witnesses.append(("radical_commuting", f"I=({n})"))
-        if ip and n == 0:  # only a pair (0, m) can fail, see above
-            for m in points:
-                if fn(lcm(n, m)) != lcm(fn(n), fn(m)):
-                    ip = False
-                    witnesses.append(("intersection_preserving", f"I=({n}), J=({m})"))
-                    break
-        if colon and n != 1:
+    def colon_violations():
+        for n in points:
+            if n == 1:
+                continue
             dn = fn(n)
             for m in points[1:]:
                 rhs = fn(_int_colon(n, m))
                 if not has(dn, m) and not has(rhs, _int_colon(dn, m)):
-                    clause = "(delta(J):x) not within delta(J:x)"
+                    yield f"(delta(J):x) not within delta(J:x) for J=({n}), x={m}"
                 elif not has(n, m) and rhs == 1:
-                    clause = "delta(J:x) is the whole ring"
-                else:
-                    continue
-                colon = False
-                witnesses.append(("colon_condition", f"{clause} for J=({n}), x={m}"))
-                break
-        if not (ip or idem or rc or colon):
-            break
-    return ExpansionProfile(ip, idem, zf, rc, colon, tuple(witnesses))
+                    yield f"delta(J:x) is the whole ring for J=({n}), x={m}"
+
+    return _profile((
+        # only a pair (0, m) can fail, see above
+        (f"I=(0), J=({m})" for m in points if fn(lcm(0, m)) != lcm(fn(0), fn(m))),
+        (f"I=({n})" for n in points if fn(fn(n)) != fn(n)),
+        () if fn(0) == 0 else (f"delta(0) = ({fn(0)})",),
+        (f"I=({n})" for n in points if _radical_of_int(fn(n)) != fn(_radical_of_int(n))),
+        colon_violations()))

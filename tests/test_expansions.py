@@ -19,7 +19,7 @@ from deltan import (CrossRingError, apply_expansion, compose_expansions, delta0,
                     radical, rings, zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import Expansion, _colon_violation
+from deltan.expansions import Expansion, ExpansionProfile, _colon_violation
 from deltan.ideals import _prime_factors, _radical_of_int
 from deltan.verifier import builtin_corpus, run_claims
 from deltan.verifier import catalog as corpus_catalog
@@ -141,6 +141,10 @@ def test_profile_full_z6_colon_fails():
     assert "whole ring" in flags["colon_condition"]
 
 
+FLAGS = ("intersection_preserving", "idempotent_on_all", "zero_fixed", "radical_commuting",
+         "colon_condition")
+
+
 def _contains(a, b):
     """aZ contains bZ, with 0 standing for the zero ideal."""
     return b == 0 if a == 0 else b % a == 0
@@ -164,9 +168,8 @@ def _assert_int_witnesses_are_violations(delta, prof):
     """Each failing flag's witness, re-checked as a real violation through int_fn."""
     fn = delta.int_fn
     flags = dict(prof.witnesses)
-    assert set(flags) == {f for f in ("intersection_preserving", "idempotent_on_all",
-                                      "zero_fixed", "radical_commuting", "colon_condition")
-                          if not getattr(prof, f)}
+    # one witness per failing flag, in field order
+    assert [f for f, _ in prof.witnesses] == [f for f in FLAGS if not getattr(prof, f)]
     for flag, text in flags.items():
         nums = [int(v) for v in re.findall(r"\d+", text)]
         if flag == "zero_fixed":
@@ -396,6 +399,28 @@ def test_derive_idealization_expansion():
         assert not apply_expansion(fplus, W).is_proper
 
 
+def test_idealization_transport_matches_an_element_level_oracle_on_the_corpus():
+    # delta_+(W) = {(r, m) : r in delta(pi W), m in M}, pi W the first
+    # coordinates of W, on every idealization ring of the corpus and catalog
+    # expansion of its base
+    corpus = builtin_corpus()
+    rings_seen = cells = 0
+    for ring in (e.ring for e in corpus.entries if e.ring.origin[0] == "idealization"):
+        _, base, module = ring.origin
+        rings_seen += 1
+        module_part = {e.payload[1] for e in ring.list_elements()}
+        for delta in corpus_catalog(base):
+            dplus = derive_idealization_expansion(delta, module)
+            for W in enumerate_ideals(ring):
+                pi_w = ideal_from_generators(base, [e.payload[0] for e in W.elements()])
+                expected = {(r.payload, m) for r in apply_expansion(delta, pi_w).elements()
+                            for m in module_part}
+                assert {e.payload for e in apply_expansion(dplus, W).elements()} == \
+                    expected, (delta, W)
+                cells += 1
+    assert rings_seen == 3 and cells > 100
+
+
 def test_derive_localized_expansion():
     z12 = modular(12)
     sset = MultiplicativeSet(z12, (1, 4))
@@ -581,3 +606,62 @@ def test_profile_colon_flag_is_the_per_ideal_colon_check_over_the_lattice():
                 assert dict(prof.witnesses)["colon_condition"] == (
                     f"{clause} for J={bad[0]!r}, x={entry.ring.element_repr(x)}")
     assert 0 < failing < sum(len(e.expansions) for e in builtin_corpus().entries)
+
+
+def _plain_profile(delta):
+    """(the five flags, the witnesses) of a finite expansion from the
+    definitions, by a plain scan in lattice order: every pair for the meet, and
+    colons and radicals read off the multiplication table."""
+    ring, table = delta.ring, delta.table
+    lattice, n, mul, full = enumerate_ideals(ring), ring.size, ring.mul, ring.full_mask
+    zero = 1 << ring.zero_idx
+
+    def colon(mask, x):  # (I : x) = {r : rx in I}
+        return sum(1 << r for r in range(n) if mask >> mul[r][x] & 1)
+
+    def rad(mask):  # the r with one of r, r^2, ..., r^n in I
+        out = 0
+        for r in range(n):
+            power = r
+            for _ in range(n):
+                if mask >> power & 1:
+                    out |= 1 << r
+                    break
+                power = mul[power][r]
+        return out
+
+    def colon_clauses(J):
+        dj = table[J.mask]
+        for x in range(n):
+            if not dj >> x & 1 and colon(dj, x) & ~table[colon(J.mask, x)]:
+                yield x, "(delta(J):x) not within delta(J:x)"
+            if not J.mask >> x & 1 and table[colon(J.mask, x)] == full:
+                yield x, "delta(J:x) is the whole ring"
+
+    found = {
+        "intersection_preserving": [f"I={I!r}, J={J!r}" for I in lattice for J in lattice
+                                    if table[I.mask & J.mask] != table[I.mask] & table[J.mask]],
+        "idempotent_on_all": [f"I={I!r}" for I in lattice
+                              if table[table[I.mask]] != table[I.mask]],
+        "zero_fixed": [] if table[zero] == zero else ["delta(0) != (0)"],
+        "radical_commuting": [f"I={I!r}" for I in lattice
+                              if rad(table[I.mask]) != table[rad(I.mask)]],
+        "colon_condition": [f"{clause} for J={J!r}, x={ring.element_repr(x)}"
+                            for J in lattice for x, clause in colon_clauses(J)],
+    }
+    return (tuple(not found[f] for f in FLAGS),
+            tuple((f, found[f][0]) for f in FLAGS if found[f]))
+
+
+def test_profile_matches_a_plain_scan_of_the_definitions_on_the_corpus():
+    """Every flag of every catalog expansion of the default corpus, and the
+    first witness of each failing flag, listed in field order."""
+    assert ExpansionProfile._fields[:5] == FLAGS
+    checked, failing = 0, set()
+    for entry in builtin_corpus().entries:
+        for delta in entry.expansions:
+            prof = profile_expansion(delta)
+            assert (tuple(prof[:5]), prof.witnesses) == _plain_profile(delta), delta.name()
+            failing.update(f for f, _ in prof.witnesses)
+            checked += 1
+    assert checked == 376 and failing == set(FLAGS)

@@ -1,6 +1,7 @@
 """Repository hygiene: no unused imports in the package, imports inside functions
 only where they break a cycle, rings, modules and value objects built only by
-their interning constructors, the README examples run, the code names the
+their interning constructors, no error class that nothing raises and no private
+function that nothing calls, the README examples run, the code names the
 README cites exist, and importing the package loads no dataclass machinery."""
 
 import ast
@@ -12,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,33 @@ def test_no_module_imports_dataclasses():
              if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
              or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert not found
+
+
+def test_every_error_class_is_raised_and_every_private_function_is_used():
+    """Each ``DeltanError`` subclass appears in some ``raise``, and each
+    module-level private function is named outside its own body, unless it is
+    decorated (a decorator, such as ``@_claim``, registers it)."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in (ROOT / "src" / "deltan").glob("*.py")}
+    raised = {node.id for tree in trees.values() for r in ast.walk(tree)
+              if isinstance(r, ast.Raise) and r.exc is not None
+              for node in ast.walk(r.exc) if isinstance(node, ast.Name)}
+    errors = [c.name for c in trees["errors.py"].body if isinstance(c, ast.ClassDef)
+              and any(isinstance(b, ast.Name) and b.id == "DeltanError" for b in c.bases)]
+    assert errors and not [name for name in errors if name not in raised]
+
+    def names(node):
+        """How often each name is read under ``node``, as a variable or an attribute."""
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    private = [(module, fn) for module, tree in trees.items() for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+               and not fn.decorator_list]
+    unused = [f"{module}:{fn.name}" for module, fn in private
+              if everywhere[fn.name] == names(fn)[fn.name]]
+    assert private and not unused, f"private functions nothing refers to: {unused}"
 
 
 # what the dataclass machinery loads: dataclasses itself and the modules it imports
@@ -95,8 +124,7 @@ CONSTRUCTORS = {"Ring": {"_cached_ring", "_build_modular", "_build_poly_quotient
                          "_product", "_coset_ring", "idealization"},
                 "Module": {"_build_module"},
                 "Ideal": {"_mk_ideal", "_int_ideal"}, "Submodule": {"_submodule"},
-                "Expansion": {"delta0", "delta1", "full_expansion", "delta_plus", "delta_star",
-                              "compose_expansions", "derive_quotient_expansion",
+                "Expansion": {"_catalog_kind", "compose_expansions", "derive_quotient_expansion",
                               "derive_product_expansion", "derive_idealization_expansion",
                               "derive_localized_expansion"}}
 
