@@ -14,12 +14,13 @@ quantifier is never yielded; an instance that fails the hypothesis is a skip.
 Checkers over pairs, chains, maps and constructions keep their own loops.
 
 Checkers work on masks.  A loop over one (ring, delta) reads its delta-n set
-``dn`` once and tests ``I.mask in dn``: the set of a catalog expansion is
-built once per run, in the scopes of its corpus entry, and the set of a
-derived expansion where it is used (``predicates.delta_n_masks``);
-values are read from the expansion tables, and colons, images, preimages
-and extensions from the kernels' memo tables (``fn.table``), bound once per
-loop.  ``Ideal`` objects are built only for the witness of a failure.
+``dn`` once and tests ``I.mask in dn``: a catalog expansion's is built once
+per run, in the scopes of its corpus entry, and a derived expansion's where it
+is used, straight off the base tables for a composition or a localization, for
+which no expansion is interned (``predicates._composed_dn``, ``_localized_dn``).
+Values come from the expansion tables, and colons, images, preimages and
+extensions from the kernels' memo tables (``fn.table``), bound once per loop;
+``Ideal`` objects are built only for the witness of a failure.
 """
 
 from __future__ import annotations
@@ -29,17 +30,17 @@ from collections import namedtuple
 from . import constructions, predicates
 from .constructions import (Homomorphism, enumerate_submodules, is_delta_gamma_homomorphism,
                             localize, product_projections, quotient_ring)
-from .expansions import (_colon_violation, catalog, compose_expansions,
-                         delta0, delta1, delta_plus, derive_idealization_expansion,
-                         derive_localized_expansion, derive_product_expansion,
+from .expansions import (_colon_violation, catalog, compose_expansions, delta0, delta1,
+                         delta_plus, derive_idealization_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
                          profile_expansion)
 from .ideals import (_colon_mask, _ideal_class, _is_prime_int, _mk_ideal,
                      _principal_columns, _product_mask, _radical_mask, _sum_mask, _z_i_mask,
                      classify_ideal, enumerate_ideals, ideal_from_generators,
                      integer_ideal, nilradical, radical, special_sets, zero_ideal)
-from .predicates import (_nil_mask, _spectrum, delta_n_masks, delta_n_witness,
-                         is_delta_n_ideal, is_delta_primary, is_n_ideal, n_ideal_witness)
+from .predicates import (_composed_dn, _localized_dn, _nil_mask, _spectrum, delta_n_masks,
+                         delta_n_witness, is_delta_n_ideal, is_delta_primary, is_n_ideal,
+                         n_ideal_witness)
 from .rings import classify_ring, memo, modular, poly_quotient
 
 
@@ -140,8 +141,7 @@ def _catalog_dns(ctx):
 
 def _dn_set(dns, delta):
     """The delta-n set of delta: its scope's in ``dns`` for a catalog expansion, else built."""
-    dn = dns.get(delta)
-    return delta_n_masks(delta) if dn is None else dn
+    return dns[delta] if delta in dns else delta_n_masks(delta)
 
 
 def _ideals(ctx):
@@ -566,13 +566,11 @@ def _check_pointwise_monotone(ctx):
         "(delta o gamma)-n-ideal.",
         "every (ring, expansion pair, proper ideal)")
 def _check_compose_n_ideal(ctx):
-    dns = _catalog_dns(ctx)
     for entry in ctx.entries:
         ring, proper = entry.ring, _proper(entry.ring)
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             for gamma in entry.expansions:
-                comp = compose_expansions(delta, gamma)
-                g_table, dn_comp = gamma.table, _dn_set(dns, comp)
+                g_table, dn_comp = gamma.table, _composed_dn(delta, gamma)
                 for I in proper:
                     if g_table[I.mask] not in dn:
                         yield SKIP, None
@@ -580,7 +578,8 @@ def _check_compose_n_ideal(ctx):
                         yield HOLDS, None
                     else:
                         g_val = _mk_ideal(ring, g_table[I.mask])
-                        yield FAIL, _wit(ring, comp, I, detail=f"gamma(I)={g_val!r}")
+                        yield FAIL, _wit(ring, compose_expansions(delta, gamma), I,
+                                         detail=f"gamma(I)={g_val!r}")
 
 
 @_claim("prop-radical-transfer", "sqrt of a delta-n-ideal",
@@ -704,9 +703,9 @@ def _check_sum_delta_n(ctx):
 # ---------------------------------------------------------------------------
 
 @memo
-def _quotient_instances(ctx):
-    """(scope of (ring, delta), J, I, mask of I/J, delta_q-n set of R/J) for each
-    corpus ring, proper J, catalog expansion and proper I >= J; one list a run."""
+def _quotient_groups(ctx):
+    """(scope of (ring, delta), J, [(I, mask of I/J) for proper I >= J], delta_q-n
+    set of R/J) for each corpus ring, proper J and catalog expansion; one list a run."""
     out = []
     for entry in ctx.entries:
         ring = entry.ring
@@ -714,10 +713,16 @@ def _quotient_instances(ctx):
         for J in proper:
             images = Homomorphism.image_mask.table(quotient_ring(ring, J).projection)
             above = [(I, images[I.mask]) for I in proper if J.mask & ~I.mask == 0]
-            for s in scopes:
-                dn_q = delta_n_masks(derive_quotient_expansion(s.delta, J))
-                out += [(s, J, I, img, dn_q) for I, img in above]
+            out += [(s, J, above, delta_n_masks(derive_quotient_expansion(s.delta, J)))
+                    for s in scopes]
     return out
+
+
+def _quotient_instances(ctx):
+    """(scope, J, I, mask of I/J, delta_q-n set of R/J), group by group."""
+    for s, J, above, dn_q in _quotient_groups(ctx):
+        for I, img in above:
+            yield s, J, I, img, dn_q
 
 
 def _quotient_witness(s, J, I, img, dn_q):
@@ -943,7 +948,7 @@ def _check_loc_forward(ctx):
             extend = Homomorphism.image_mask.table(rec.canonical)
             smask = sum(1 << i for i in sset.indices)
             for _, delta, dn, proper, *_ in _scopes(ctx, entry):
-                dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
+                dn_s = _localized_dn(delta, sset)
                 for I in proper:
                     if I.mask & smask or I.mask not in dn:
                         yield SKIP, None
@@ -971,7 +976,7 @@ def _check_loc_backward(ctx):
                 continue
             extend = Homomorphism.image_mask.table(localize(ring, sset).canonical)
             for _, delta, dn, proper, *_ in _scopes(ctx, entry):
-                dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
+                dn_s = _localized_dn(delta, sset)
                 for I in proper:
                     if z_is[delta.table[I.mask]] & smask or extend[I.mask] not in dn_s:
                         yield SKIP, None
@@ -993,7 +998,7 @@ def _check_loc_regular_contract(ctx):
         rec = localize(ring, sset)
         contract, proper = Homomorphism.preimage_mask.table(rec.canonical), _proper(rec.ring)
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
-            dn_s = delta_n_masks(derive_localized_expansion(delta, sset))
+            dn_s = _localized_dn(delta, sset)
             for K in proper:
                 if K.mask not in dn_s:
                     yield SKIP, None

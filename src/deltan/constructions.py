@@ -468,12 +468,7 @@ class IdealizationRecord:
 
     def non_homogeneous_ideals(self):
         """Lattice ideals that are not of the I(+)N shape (flagged in reports)."""
-        out = []
-        for W in enumerate_ideals(self.ring):
-            homog, _, _ = self.split(W)
-            if not homog:
-                out.append(W)
-        return tuple(out)
+        return tuple(W for W in enumerate_ideals(self.ring) if not self.split(W)[0])
 
 
 @memo

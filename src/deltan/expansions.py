@@ -248,16 +248,12 @@ def localization_value_collisions(delta, sset):
     (I, I') pairs found on the base lattice.
     """
     extend = Homomorphism.image_mask.table(localize(delta.ring, sset).canonical)
-    by_ext = {}
-    out = []
+    first, out = {}, []  # extension -> (the first I with it, its extended delta-value)
     for I in enumerate_ideals(delta.ring):
-        ext = extend[I.mask]
         dval = extend[delta.table[I.mask]]
-        prev = by_ext.get(ext)
-        if prev is None:
-            by_ext[ext] = (I, dval)
-        elif prev[1] != dval:
-            out.append((prev[0], I))
+        J, jval = first.setdefault(extend[I.mask], (I, dval))
+        if jval != dval:
+            out.append((J, I))
     return out
 
 

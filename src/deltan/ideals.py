@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, count
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import InfiniteRingError
 from .rings import Element, _same_ring, integers, memo
@@ -207,10 +207,7 @@ def ideal_from_generators(ring, gens):
         else:
             elems.append(ring.from_payload(g))
     if not ring.is_finite:
-        n = 0
-        for g in elems:
-            n = gcd(n, abs(g.idx))
-        return integer_ideal(ring, n)
+        return integer_ideal(ring, gcd(*(g.idx for g in elems)))
     return _mk_ideal(ring, _generated_mask(ring, [g.idx for g in elems]))
 
 
@@ -230,23 +227,17 @@ def ideal_contains(I, a):
 def ideal_combine(op, I, J):
     """sum / product / intersect of two ideals of the same ring."""
     _same_ring(I.ring, J.ring, "ideal")
-    ring = I.ring
-    if not ring.is_finite:
-        a, b = I.n, J.n
-        if op == "sum":
-            return integer_ideal(ring, gcd(a, b))
-        if op == "product":
-            return integer_ideal(ring, a * b)
-        if op == "intersect":
-            return integer_ideal(ring, 0 if a == 0 or b == 0 else a * b // gcd(a, b))
+    if op not in ("sum", "product", "intersect"):
         raise ValueError(f"unknown ideal operation {op!r}")
+    ring = I.ring
+    if not ring.is_finite:  # nZ + mZ, nZ mZ and nZ & mZ are gcd(n, m), nm and lcm(n, m) Z
+        combine = {"sum": gcd, "product": int.__mul__, "intersect": lcm}[op]
+        return integer_ideal(ring, combine(I.n, J.n))
     if op == "sum":
         return _mk_ideal(ring, _sum_mask(ring, I.mask, J.mask))
     if op == "product":
         return _mk_ideal(ring, _product_mask(ring, I.mask, J.mask))
-    if op == "intersect":
-        return _mk_ideal(ring, I.mask & J.mask)
-    raise ValueError(f"unknown ideal operation {op!r}")
+    return _mk_ideal(ring, I.mask & J.mask)
 
 
 def _sum_mask(ring, a, b):

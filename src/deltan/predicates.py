@@ -5,10 +5,10 @@ b into delta(I).  The production test is the paper's colon characterization:
 I is delta-n iff U(I) = union of (I:a) over a outside the nilradical lies in
 delta(I).  U(I) depends on the ring and I alone, so it is computed once per
 ideal and each (I, delta) decision is one mask AND; witnesses are extracted
-by the definition scan only when that AND fails.  ``delta_n_masks(delta)``
-makes that AND once per proper ideal, against a per-ring {I: U(I)} table, and
-returns the set of delta-n masks: a loop over one (ring, delta) reads
-membership in it, and the spectrum is read from it.  Three independent decision
+by the definition scan only when that AND fails.  ``_delta_n_set`` makes that
+AND once per proper ideal, against a per-ring {I: U(I)} table, over an
+expansion's table (``delta_n_masks``) or a one-shot map's; loops and the
+spectrum read membership in the set.  Three independent decision
 methods (the colon criterion ((I:a) inside the nilradical for a outside
 delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
 against it by the verifier; their verdicts are memoised per (ring, I, delta(I),
@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .constructions import localize
 from .errors import ImproperIdealError, InfiniteRingError
 from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
                      _prime_factors, _product_mask, _z_i_mask, enumerate_ideals,
                      nilradical, zero_ideal)
-from .expansions import apply_expansion, delta0, delta1
+from .expansions import _pushforward, apply_expansion, delta0, delta1
 from .rings import _same_ring, memo
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
@@ -193,17 +194,33 @@ def _decide(ring, imask, dmask, method):
     return True
 
 
-def delta_n_masks(delta):
-    """The masks of the proper delta-n ideals of a finite ring, one AND per ideal.
+def _delta_n_set(ring, value):
+    """The delta-n set of the map ``value`` (mask -> mask) on a finite ring: the
+    proper masks m with U(m) <= value[m], one AND per proper ideal.  A map that a
+    claim reads once is passed as a transient table, with no ``Expansion`` built."""
+    return {m for m, u in _u_table(ring).items() if u & ~value[m] == 0}
 
-    Not memoised: a set kept per expansion costs more memory than its rebuild
-    costs time, so a loop over (ring, delta) builds it once, outside its
-    instance loop, and tests ``I.mask in dn``.
-    """
+
+def _composed_dn(delta, gamma):
+    """The delta-n set of delta o gamma, I -> delta(gamma(I)) (``compose_expansions``)."""
+    table = delta.table
+    return _delta_n_set(delta.ring, {m: table[v] for m, v in gamma.table.items()})
+
+
+def _localized_dn(delta, sset):
+    """The delta_S-n set of S^-1 R, delta pushed as ``derive_localized_expansion`` does."""
+    rec = localize(delta.ring, sset)
+    return _delta_n_set(rec.ring, _pushforward(rec.canonical, delta))
+
+
+def delta_n_masks(delta):
+    """The masks of the proper delta-n ideals of a finite ring, ``_delta_n_set``
+    over the expansion's table.  Not memoised: a set kept per expansion costs
+    more memory than its rebuild costs time, so a loop over (ring, delta) builds
+    it once, outside its instance loop, and tests ``I.mask in dn``."""
     if not delta.ring.is_finite:
         raise InfiniteRingError("delta-n sets are enumerated on finite rings only")
-    table = delta.table
-    return {m for m, u in _u_table(delta.ring).items() if u & ~table[m] == 0}
+    return _delta_n_set(delta.ring, delta.table)
 
 
 def delta_n_witness(I, delta):

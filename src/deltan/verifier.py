@@ -41,8 +41,7 @@ def _corpus_rings():
         product(modular(2), modular(4)),
     ]
     z2, z4, z8 = modular(2), modular(4), modular(8)
-    rings.append(idealization(z2, make_module(z2, "regular")).ring)
-    rings.append(idealization(z4, make_module(z4, "regular")).ring)
+    rings += [idealization(z, make_module(z, "regular")).ring for z in (z2, z4)]
     four = ideal_from_generators(z8, [z8.el(4)])
     rings.append(idealization(z8, make_module(z8, ("quotient", four))).ring)
     return rings
@@ -52,7 +51,9 @@ def _corpus_rings():
 def builtin_corpus():
     """The deterministic default corpus (32 rings, catalogs attached), built
     once per process and kept for it on purpose: every verification reads it,
-    so its rings and their memo tables are never freed."""
+    so its rings and their memo tables are never freed.  A verification interns
+    on them no composition or localized expansion: it reads each once, for its
+    delta-n set, straight off the base tables."""
     return Corpus(entries=tuple(
         CorpusEntry(ring=r, expansions=catalog(r)) for r in _corpus_rings()))
 
@@ -106,14 +107,9 @@ class Context:
         return tuple(family.values())
 
     def idealization_instances(self):
-        out = []
-        for entry in self.entries:
-            ring = entry.ring
-            if ring.origin[0] != "idealization":
-                continue
-            _, base, module = ring.origin
-            out.append((idealization(base, module), catalog(base)))
-        return out
+        """(record, catalog of the base) for each corpus idealization R(+)M."""
+        return [(idealization(*ring.origin[1:]), catalog(ring.origin[1]))
+                for ring in (e.ring for e in self.entries) if ring.origin[0] == "idealization"]
 
     @memo
     def hom_instances(self):

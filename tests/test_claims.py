@@ -13,10 +13,13 @@ from itertools import product as pairs_of
 
 import pytest
 
-from deltan import claims, enumerate_ideals, modular, product
+from deltan import (claims, compose_expansions, derive_localized_expansion, enumerate_ideals,
+                    modular, product, rings)
 from deltan.claims import CHECKERS, FAIL
-from deltan.constructions import Homomorphism, idealization, make_module
-from deltan.verifier import Context, Corpus, CorpusEntry, catalog
+from deltan.constructions import Homomorphism, MultiplicativeSet, idealization, make_module
+from deltan.expansions import Expansion
+from deltan.ideals import special_sets
+from deltan.verifier import Context, Corpus, CorpusEntry, builtin_corpus, catalog, run_claims
 
 CONVERTED = (
     "prop-subset-nilradical", "prop-primary-to-delta-n", "prop-delta-primary-iff-subset",
@@ -79,6 +82,11 @@ def _failures(monkeypatch, claim_id, base, derived, fault):
     with monkeypatch.context() as m:
         m.setattr(claims, "delta_n_masks", lambda delta: MODES[
             derived if delta.kind.endswith("_derived") else base](delta))
+        # compositions and localizations read their sets through that patch too
+        m.setattr(claims, "_composed_dn",
+                  lambda d, g: claims.delta_n_masks(compose_expansions(d, g)))
+        m.setattr(claims, "_localized_dn",
+                  lambda d, sset: claims.delta_n_masks(derive_localized_expansion(d, sset)))
         if fault == "n-ideals":
             # the scopes read the n-ideals off delta0's set: break that set alone
             m.setattr(claims, "delta_n_masks", lambda delta: MODES[
@@ -136,7 +144,6 @@ def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):
     the spectrum and the n-ideal sets included, reads the catalog sets from
     them; only derived expansions build their own."""
     from deltan import predicates
-    from deltan.verifier import builtin_corpus, run_claims
     built = []
     for module in (claims, predicates):
         monkeypatch.setattr(module, "delta_n_masks",
@@ -148,3 +155,72 @@ def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):
     assert {id(d) for d in from_catalog} == catalog_ids
     assert all(d.kind.endswith("_derived") or d.kind == "compose"
                for d in built if id(d) not in catalog_ids)
+
+
+# ---------------------------------------------------------------------------
+# compositions and localizations read off the base tables
+# ---------------------------------------------------------------------------
+
+def _regular_set(ring):
+    """The regular elements, the multiplicative set of ``prop-loc-regular-contract``."""
+    regular = sorted(e.idx for e in special_sets(ring).regular_elements)
+    return MultiplicativeSet(ring, tuple(regular))
+
+
+def test_composed_and_localized_sets_match_the_interned_expansions():
+    """The sets that the composition and localization checkers read equal the
+    delta-n sets of the interned ``compose_expansions`` and
+    ``derive_localized_expansion``, on every pair and multiplicative set."""
+    ctx = Context(builtin_corpus())
+    for entry in ctx.entries:
+        cat = entry.expansions
+        for delta in cat:
+            for gamma in cat:
+                assert (claims._composed_dn(delta, gamma)
+                        == claims.delta_n_masks(compose_expansions(delta, gamma))), (delta, gamma)
+        for sset in (*ctx.mult_sets(entry.ring), _regular_set(entry.ring)):
+            for delta in cat:
+                assert (claims._localized_dn(delta, sset)
+                        == claims.delta_n_masks(derive_localized_expansion(delta, sset))), \
+                    (delta, sset)
+
+
+def _corrupted_entry(ring):
+    """The catalog of ``ring`` with delta1 sending the largest proper ideal to
+    (0), which no expansion does, so that compositions through it fail."""
+    cat = list(catalog(ring))
+    table = dict(cat[1].table)
+    table[[I.mask for I in enumerate_ideals(ring) if I.is_proper][-1]] = 1 << ring.zero_idx
+    cat[1] = Expansion(ring, ("delta1",), table)
+    return CorpusEntry(ring, tuple(cat))
+
+
+def test_compose_witnesses_on_a_corrupted_catalog():
+    """Every failure of the composition claim, as the checker reported it when
+    it read the interned composition's set."""
+    ctx = Context(Corpus((_corrupted_entry(modular(8)), _corrupted_entry(modular(12)))))
+    texts = [w.text() for status, w in CHECKERS["prop-compose-n-ideal"](ctx) if status == FAIL]
+    assert texts == [
+        f"ring=Z8; expansion=compose({outer}, delta1); ideal=(2); detail=gamma(I)=(0)"
+        for outer in ("delta0", "delta_plus(gens=[0])", "delta_plus(gens=[4])",
+                      "delta_star(gens=[2])", "delta_star(gens=[1])")]
+
+
+def test_a_default_verification_interns_no_one_shot_expansion(monkeypatch):
+    """A run interns no localization-derived expansion and no composition but
+    each catalog's own: the claims read those sets off the base tables."""
+    built = []
+
+    def record(self, *args, _init=Expansion.__init__, **kwargs):
+        _init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(rings, "_RING_CACHE", {})  # so the run builds every expansion
+    monkeypatch.setattr(Expansion, "__init__", record)
+    corpus = builtin_corpus.__wrapped__()
+    run_claims(corpus=corpus)
+    assert len(built) <= 2675
+    assert not [d for d in built if d.kind == "localization_derived"]
+    own = [d for entry in corpus.entries for d in entry.expansions if d.kind == "compose"]
+    assert len(own) == len(corpus.entries)
+    assert [d for d in built if d.kind == "compose"] == own
