@@ -7,7 +7,7 @@ and validated ring homomorphisms with ideal image/preimage transport.
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
 from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_ideal,
@@ -114,8 +114,8 @@ def _build_module(ring, recipe):
         size = m1.size * s2
         _check_size(f"{ring.key}(+){_module_name(recipe)}", size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
-        action = _table(size, ([m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
-                                for i in range(size)] for r in range(ring.size)))
+        action = _table(size, ([a * s2 + b for a in m1.action[r] for b in m2.action[r]]
+                               for r in range(ring.size)))
         return _proved(Module, ring, recipe, elems, _join_tables(m1.add, m2.add), action,
                        m1.zero_idx * s2 + m2.zero_idx,
                        _pair_repr(m1._repr_fn or str, m2._repr_fn or str))
@@ -477,7 +477,9 @@ def idealization(ring, module):
     Nagata's idealization, a commutative ring with 1 = (1, 0) for every module
     M over a ring R.  The pair (r, m) sits at index r * |M| + m, the additive
     tables of R and M are joined like a product's, and -(r, m) = (-r, -m), -m
-    being (-1)m, M's row of -1 in the action."""
+    being (-1)m, M's row of -1 in the action.  The product is gathered in the
+    sum, as (r1,m1)(r2,m2) = (r1 r2, r1 m2) + (0, r2 m1): at (r2, m2), left[r1]
+    holds the index of the first term and right[m1] the row of the second."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
     _same_ring(ring, module.ring, "module")
@@ -487,12 +489,14 @@ def idealization(ring, module):
     _check_size(ring_key(origin), size)
     elems = [(ring.elements[r], module.elements[m])
              for r in range(ring.size) for m in range(msize)]
-    rmul, madd, act = ring.mul, module.add, module.action
-    # the additive group of R(+)M is R x M
-    mul = _table(size, ([rmul[i // msize][j // msize] * msize
-                         + madd[act[i // msize][j % msize]][act[j // msize][i % msize]]
-                         for j in range(size)] for i in range(size)))
-    izr = _proved(Ring, origin, elems, _join_tables(ring.add, madd), mul,
+    rmul, act, rsize = ring.mul, module.action, ring.size
+    add = _join_tables(ring.add, module.add)  # the additive group of R(+)M is R x M
+    left = [[a * msize + x for a in rmul[r] for x in act[r]] for r in range(rsize)]
+    right = [[add[ring.zero_idx * msize + act[r2][m]] for r2 in range(rsize)
+              for _ in range(msize)] for m in range(msize)]
+    mul = _table(size, (list(map(getitem, right[m], left[r]))
+                        for r in range(rsize) for m in range(msize)))
+    izr = _proved(Ring, origin, elems, add, mul,
                   ring.zero_idx * msize + module.zero_idx,
                   ring.one_idx * msize + module.zero_idx,
                   _pair_repr(ring._repr_fn or str, module._repr_fn or str),

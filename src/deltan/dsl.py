@@ -47,6 +47,7 @@ parsing a printed form reproduces the same bound objects.
 from __future__ import annotations
 
 import re
+from operator import indexOf
 
 from .errors import DslError, InvalidSpecError
 from .constructions import (MultiplicativeSet, idealization, localize, make_module,
@@ -461,7 +462,7 @@ def bind_element(ring, ast):
         if s.idx not in sset.indices:
             raise DslError(f"denominator {s!r} is not in the multiplicative set")
         q = rec.canonical.mapping
-        return ring.el(ring.mul[q[r.idx]][ring.mul[q[s.idx]].index(ring.one_idx)])
+        return ring.el(ring.mul[q[r.idx]][indexOf(ring.mul[q[s.idx]], ring.one_idx)])
     if tag == "pair":
         if kind == "product":
             _, left, right = ring.origin

@@ -3,9 +3,11 @@
 Finite rings carry a stable element enumeration (index 0 .. size-1), dense
 addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...); a table row is a list on rings of
-at most 256 elements, an array('H') above, a quarter of the memory at half the
-read speed.  The integer ring is symbolic: its "indices" are the integer values
-themselves and enumeration is refused.
+at most 256 elements, above it 2-byte cells, a quarter of the memory at half the
+read speed: an array('H'), or on Z_n a read-only memoryview of a run its rows
+share.  Readers index, slice and iterate a row, whatever its type.  The integer
+ring is symbolic: its "indices" are the integer values themselves and
+enumeration is refused.
 
 Every finite ring's tables are proved to be a commutative ring, once.  A
 ring that deltan builds itself is proved by its recipe: each builder
@@ -28,7 +30,7 @@ import weakref
 from array import array
 from collections import namedtuple
 from itertools import count
-from operator import iadd, itemgetter
+from operator import iadd, indexOf, itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
@@ -38,12 +40,9 @@ MAX_RING_SIZE = 4096
 _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by default
 
 # tables on at most this many elements keep list rows, read twice as fast; above
-# it a row is an array('H'), 2 bytes a cell against 8 (MAX_RING_SIZE < 2^16)
+# it a row holds 2-byte 'H' cells against a list's 8-byte slots (MAX_RING_SIZE <
+# 2^16): an array('H'), or on Z_n a read-only memoryview of a shared run
 _LIST_ROWS_MAX = 256
-
-# copies of the residues 0..n-1 that one strided slice of Z_n's product table
-# runs over: row i takes about i / _STRIDE_REPS slices
-_STRIDE_REPS = 32
 
 
 class _Table(dict):
@@ -462,30 +461,20 @@ def _table(size, rows):
 
 
 def _build_modular(n):
-    """Z/nZ on the residues 0..n-1, -x being n - x: row i of the sum, (i + j) mod
-    n, is one slice of the residues written twice; row i of the product, i*j mod
-    n, is read off the residues written _STRIDE_REPS times by strided slices, the
-    one from j*i mod n, where the last ran out, giving (j + k)i mod n at its k-th
-    cell; row n-i is -(row i), row i reversed and rotated right, as (n-i)j = i(n-j).
-    Every row is a slice of ``base``, so it has the row type of n elements."""
+    """Z/nZ on the residues 0..n-1, -x being n - x.  Every row slices a run of
+    ``base``, the residues in the row type of n, whose cell p is p mod n: row i
+    of the sum is twice[i:i + n], cell j being (i + j) mod n as i + j < 2n, and
+    row i of the product runs[0:m*n:m], m = i or n, n cells whose j-th is
+    runs[jm] = ij mod n, as jm <= (n-1)n < n^2.  Above _LIST_ROWS_MAX the rows
+    are views into the runs, read-only as each run is every row's: the sum
+    holds 4n bytes, the product one repeat of n^2 cells."""
     elems = list(range(n))
     base = elems if n <= _LIST_ROWS_MAX else array("H", elems)
-    twice = base + base
+    twice, runs = base * 2, base * n
+    if n > _LIST_ROWS_MAX:
+        twice, runs = memoryview(twice).toreadonly(), memoryview(runs).toreadonly()
     add = [twice[i:i + n] for i in elems]
-    residues = base * _STRIDE_REPS
-    mul = [base[:1] * n]
-    for i in range(1, n // 2 + 1):
-        row, j = base[:1] * n, 0
-        while j < n:
-            start = j * i % n
-            cells = residues[start:start + (n - j) * i:i]
-            row[j:j + len(cells)] = cells
-            j += len(cells)
-        mul.append(row)
-    for i in range(n // 2 + 1, n):
-        row = mul[n - i][::-1]
-        row.insert(0, row.pop())
-        mul.append(row)
+    mul = [runs[0:(i or n) * n:i or n] for i in elems]
     return _proved(Ring, ("modular", n), elems, add, mul, 0, 1 % n, str,
                    neg=elems[:1] + elems[:0:-1])
 
@@ -530,8 +519,8 @@ def _build_poly_quotient(n, modulus):
     digit_neg = digit[:1] + digit[:0:-1]
 
     def sums(k):  # the table of (Z_n)^k: its k - k // 2 high digits joined to the rest
-        if k == 1:  # Z_n's, slices of the digits written twice
-            twice = (digit if n <= _LIST_ROWS_MAX else array("H", digit)) * 2
+        if k == 1:  # Z_n's, list slices of the digits written twice: d >= 2 here,
+            twice = digit * 2  # so n^d <= MAX_RING_SIZE gives n <= 64 <= _LIST_ROWS_MAX
             return [twice[i:i + n] for i in digit]
         return _join_tables(sums(k - k // 2), sums(k // 2))
     add, neg = sums(d), digit_neg
@@ -647,7 +636,7 @@ def check_ring_axioms(ring):
     (c+d)+a = c+(a+d) = (a+c)+d = a+(c+d), and so are the c that distribute,
     a((c+d)+b) = ac+(ad+ab) = a(c+d)+ab; given commutativity and
     distributivity, so are the c that associate.  Cost O(n^2 |G|), O(n^2) when
-    1 generates the additive group, as in Z_n.  One ``row.index(0)`` pass finds
+    1 generates the additive group, as in Z_n.  One ``indexOf(row, 0)`` pass finds
     the inverses and is the negation table.
     """
     n, add, mul, zero, one = ring.size, ring.add, ring.mul, ring.zero_idx, ring.one_idx
@@ -682,7 +671,7 @@ def _additive_generators(add, zero, first=None):
 def _negation(add, zero):
     """The index of -x for each x, or None when some x has no additive inverse."""
     try:
-        return [row.index(zero) for row in add]
+        return [indexOf(row, zero) for row in add]
     except ValueError:
         return None
 

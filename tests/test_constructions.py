@@ -182,6 +182,33 @@ def _corpus_idealizations():
     return recs
 
 
+def test_idealization_and_product_module_tables_match_the_per_cell_formulas():
+    # the gathered tables against (r1,m1)(r2,m2) = (r1 r2, r1 m2 + r2 m1) and
+    # r(m1, m2) = (r m1, r m2), cell by cell, on list rows and on 'H' rows
+    z2, z4, z17 = modular(2), modular(4), modular(17)
+    two = ideal_from_generators(z4, [z4.el(2)])
+    products = [(z2, "regular", ("product", "regular", "regular")),
+                (z4, "regular", ("quotient", two)), (z17, "regular", "regular")]
+    recs = _corpus_idealizations() + [idealization(z17, make_module(z17, "regular"))] + [
+        idealization(ring, make_module(ring, ("product", *specs)))
+        for ring, *specs in products[:2]]
+    assert max(rec.ring.size for rec in recs) == 289
+    for rec in recs:
+        base, module, size = rec.base, rec.module, rec.ring.size
+        s, act, madd = module.size, module.action, module.add
+        for i, row in enumerate(rec.ring.mul):
+            r1, m1 = divmod(i, s)
+            assert list(row) == [base.mul[r1][j // s] * s + madd[act[r1][j % s]][act[j // s][m1]]
+                                 for j in range(size)], (rec.ring, i)
+    for ring, spec1, spec2 in products:
+        module = make_module(ring, ("product", spec1, spec2))
+        m1, m2 = make_module(ring, spec1), make_module(ring, spec2)
+        s2 = m2.size
+        for r, row in enumerate(module.action):
+            assert list(row) == [m1.action[r][i // s2] * s2 + m2.action[r][i % s2]
+                                 for i in range(module.size)], (module, r)
+
+
 def submodule_oracle(module):
     """Every set holding 0 and closed under + and the action, by brute force."""
     out = []

@@ -263,6 +263,9 @@ def test_fractions_name_elements_of_a_localization_only():
     # a fraction names an element of a quotient of a localization through the base
     quotient = bind_ring(parse_spec("quot(loc(Z12,{1,3,9}),(2/1))"))
     assert _element(quotient, "1/3").payload == 1
+    # above 256 elements too, where a row is a view into Z_n's shared runs (ker = 0)
+    field = bind_ring(parse_spec("loc(Z1021,{1,1020})"))
+    assert _element(field, "3/1020") == _element(field, "1018")
     for text in ("Z12", "Z2 x Z2", "quot(Z12,(4))"):
         ring_of_text = bind_ring(parse_spec(text))
         with pytest.raises(DslError, match=re.escape(

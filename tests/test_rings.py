@@ -313,8 +313,8 @@ def _with_tables(ring, add, mul, zero=None, one=None):
 @pytest.mark.parametrize("build, a, b", MUTATION_RINGS.values(), ids=MUTATION_RINGS)
 def test_axiom_check_rejects_one_corrupted_cell_pair(build, a, b, table):
     ring = build()
-    add = [row[:] for row in ring.add]
-    mul = [row[:] for row in ring.mul]
+    add = [list(row) for row in ring.add]
+    mul = [list(row) for row in ring.mul]
     cells = add if table == "add" else mul
     cells[a][b] = cells[b][a] = (cells[a][b] + 1) % ring.size
     with pytest.raises(InvalidSpecError):
@@ -326,8 +326,8 @@ def test_axiom_check_rejects_one_corrupted_cell_pair(build, a, b, table):
 def test_module_check_rejects_one_corrupted_cell_pair(spec, table):
     z8 = modular(8)
     module = make_module(z8, spec)
-    add = [row[:] for row in module.add]
-    action = [row[:] for row in module.action]
+    add = [list(row) for row in module.add]
+    action = [list(row) for row in module.action]
     cells = add if table == "add" else action
     cells[2][3] = cells[3][2] = (cells[2][3] + 1) % module.size
     with pytest.raises(ConstructionError):
@@ -485,7 +485,7 @@ def _axiom_case(rng, kind, rings, cyclic, built):
     if kind == "one-cell":
         # a builder's own tables, one cell of one of them changed
         ring = rng.choice(built)
-        add, mul = [row[:] for row in ring.add], [row[:] for row in ring.mul]
+        add, mul = [list(row) for row in ring.add], [list(row) for row in ring.mul]
         cells = rng.choice([add, mul])
         a, b = rng.randrange(ring.size), rng.randrange(ring.size)
         cells[a][b] = rng.choice([x for x in range(ring.size) if x != cells[a][b]])
@@ -575,8 +575,8 @@ def test_module_check_agrees_with_n3_reference():
     verdicts = {True: 0, False: 0}
     for case in range(180):
         module = rng.choice(twisted if case % 3 == 0 else modules)
-        add = [row[:] for row in module.add]
-        action = [row[:] for row in module.action]
+        add = [list(row) for row in module.add]
+        action = [list(row) for row in module.action]
         if case % 3 == 0:
             # r.m = phi(r)m for an additive phi with phi(1) = 1 and phi(x) random:
             # additive in r and in m, associative only when phi is multiplicative
@@ -621,10 +621,11 @@ def test_modular_tables_match_the_residue_formulas(n):
     assert [list(row) for row in ring.mul] == [[(i * j) % n for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize("sizes", [range(2, 301), [1009, 1021]], ids=["2-300", "1009,1021"])
+@pytest.mark.parametrize("sizes", [range(2, 301), [1009, 1021], [4096]],
+                         ids=["2-300", "1009,1021", "4096"])
 def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
     # up to 256 elements every cell is the element int, not an equal copy: `is`,
-    # not ==; above, a row is an array('H') and holds no int object to compare
+    # not ==; above, a row is a view of 'H' cells and holds no int object to compare
     for n in sizes:
         ring = _build_modular(n)  # not interned
         elems = ring.elements
@@ -695,10 +696,10 @@ def test_a_product_origin_over_other_tables_takes_the_full_check():
     # the factor-only route goes by the tables that _product_tables made, not by an origin
     z2 = modular(2)
     real = product(z2, z2)
-    twin = dict(elements=real.elements, add=[row[:] for row in real.add], zero=0, one=3)
+    twin = dict(elements=real.elements, add=[list(row) for row in real.add], zero=0, one=3)
     with pytest.raises(InvalidSpecError, match="1 is not a multiplicative identity"):
         Ring(("product", z2, z2), mul=[[0] * 4 for _ in range(4)], **twin)
-    assert Ring(("product", z2, z2), mul=[row[:] for row in real.mul], **twin).neg == real.neg
+    assert Ring(("product", z2, z2), mul=[list(row) for row in real.mul], **twin).neg == real.neg
 
 
 @pytest.mark.parametrize("build", [
@@ -711,14 +712,32 @@ def test_a_product_origin_over_other_tables_takes_the_full_check():
 ], ids=["Z300", "Z17 x Z19", "Z17[x]/(x^2)", "Z256", "Z13 x Z19", "Z16[x]/(x^2)"])
 def test_table_cells_share_one_int_per_element(build):
     # list rows, up to 256 elements, share one int object per element; above,
-    # array('H') rows hold no int object at all, 2 bytes a cell
+    # rows of 2-byte 'H' cells (arrays, or Z_n's views) hold no int object at all
     ring = build()
     for table in (ring.add, ring.mul):
         if ring.size <= 256:
             assert len({id(cell) for row in table for cell in row}) <= ring.size
         else:
-            assert {(row.typecode, row.itemsize, len(row)) for row in table} == {
-                ("H", 2, ring.size)}
+            assert set(map(_cell_layout, table)) == {("H", 2, ring.size)}
+
+
+def _cell_layout(row):
+    """(format, itemsize, length) of a row of buffer cells."""
+    cells = memoryview(row)
+    return cells.format, cells.itemsize, len(cells)
+
+
+@pytest.mark.parametrize("n", [257, 300, 1021])
+def test_modular_rows_are_read_only_views_of_two_shared_runs(n):
+    # every row aliases its run, so a write through one row would change many
+    ring = _build_modular(n)  # not interned
+    for table, cells in ((ring.add, 2 * n), (ring.mul, n * n)):
+        run = table[0].obj
+        assert len(run) == cells
+        for i, row in enumerate(table):
+            assert type(row) is memoryview and row.readonly and row.obj is run
+            with pytest.raises(TypeError):
+                row[i % n] = 0
 
 
 def _cut_pairs():
@@ -745,19 +764,21 @@ def test_table_rows_are_lists_up_to_256_elements_and_arrays_above():
         for table in (small.add, small.mul):
             assert all(type(row) is list for row in table), name
         for table in (large.add, large.mul):
-            assert all(type(row) is array and row.typecode == "H" for row in table), name
+            assert set(map(_cell_layout, table)) == {("H", 2, large.size)}, name
     for ring, module_type in ((modular(16), list), (modular(17), array)):
         module = make_module(ring, ("product", "regular", "regular"))
         assert module.size == ring.size ** 2
         assert all(type(row) is module_type for row in module.add + module.action)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: _build_modular(1009),
-    lambda: _product.__wrapped__(modular(31), modular(31)),
+@pytest.mark.parametrize("build, bound", [
+    (lambda: _build_modular(1009), 2_700_000),
+    (lambda: _product.__wrapped__(modular(31), modular(31)), 5_000_000),
 ], ids=["Z1009", "Z31 x Z31"])
-def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build):
-    # two 1009^2 tables of 8-byte list slots would hold 16 MB; 2-byte cells, 4 MB
+def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build, bound):
+    # two 1009^2 tables of 8-byte list slots would hold 16 MB, of 2-byte cells
+    # 4 MB; Z1009's rows are views of one 1009^2-cell run (2.04 MB) and one of
+    # 2018 cells, about 0.4 MB of view objects on top
     modular(31)  # the factors are built before the count starts
     tracemalloc.start()
     try:
@@ -766,7 +787,7 @@ def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build):
     finally:
         tracemalloc.stop()
     assert ring.size in (1009, 961)
-    assert held <= 5_000_000, held
+    assert held <= bound, held
 
 
 # the passes over a whole table that the axiom checks of rings and modules run
@@ -811,7 +832,7 @@ def test_generated_by_one_without_the_successor_row(monkeypatch, unit):
     label_of = {k: x for x, k in enumerate(perm)}
     assert ring.neg == [perm[-label_of[k] % 12] for k in range(12)]
     for corrupted in ("add", "mul"):
-        tables = {"add": [row[:] for row in add], "mul": [row[:] for row in mul]}
+        tables = {"add": [list(row) for row in add], "mul": [list(row) for row in mul]}
         cells = tables[corrupted]
         cells[3][8] = cells[8][3] = (cells[3][8] + 1) % 12
         with pytest.raises(InvalidSpecError):
@@ -901,8 +922,8 @@ def test_drawn_builder_outputs_pass_the_general_check(ring):
 
 
 def test_builder_outputs_above_256_elements_pass_the_general_check():
-    # their rows are array('H'), which never equal a list: the check compares
-    # rows by their cells
+    # their rows hold 'H' cells (arrays, or Z_n's views), which never equal a
+    # list: the check compares rows by their cells
     z17 = modular(17)
     izr = idealization(z17, make_module(z17, "regular")).ring
     z600 = modular(600)
@@ -910,7 +931,7 @@ def test_builder_outputs_above_256_elements_pass_the_general_check():
              quotient_ring(z600, ideal_from_generators(z600, [z600.el(300)])).ring,
              localize(izr, mult_closure(izr, [izr.el(16 * 17)])).ring]
     for ring in rings:
-        assert ring.size > 256 and type(ring.mul[0]) is array
+        assert ring.size > 256 and _cell_layout(ring.mul[0]) == ("H", 2, ring.size)
         assert check_ring_axioms(ring) == ring.neg
         assert Ring(ring.origin, elements=ring.elements, add=ring.add, mul=ring.mul,
                     zero=ring.zero_idx, one=ring.one_idx).neg == ring.neg
