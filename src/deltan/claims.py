@@ -13,14 +13,20 @@ witness to the verdict kernel ``_verdicts``.  An instance outside the claim's
 quantifier is never yielded; an instance that fails the hypothesis is a skip.
 Checkers over pairs, chains, maps and constructions keep their own loops.
 
-Checkers work on masks.  A loop over one (ring, delta) reads its delta-n set
-``dn`` once and tests ``I.mask in dn``: a catalog expansion's is built once
-per run, in the scopes of its corpus entry, and a derived expansion's where it
-is used, straight off the base tables for a composition or a localization, for
-which no expansion is interned (``predicates._composed_dn``, ``_localized_dn``).
-Values come from the expansion tables, and colons, images, preimages and
-extensions from the kernels' memo tables (``fn.table``), bound once per loop;
-``Ideal`` objects are built only for the witness of a failure.
+Checkers work on masks: an ideal is its mask in the one lattice,
+``ideals._lattice``, and ``_proper`` drops R.  A loop over one (ring, delta)
+reads its delta-n set ``dn`` once and tests ``m in dn``: a catalog expansion's
+is built once per run, in the scopes of its corpus entry, and a derived
+expansion's where it is used, straight off the base tables for a composition
+or a localization, for which no expansion is interned
+(``predicates._composed_dn``, ``_localized_dn``).  Values come from the
+expansion tables, and colons, images, preimages and extensions from the
+kernels' memo tables (``fn.table``), bound once per loop; a rule that a public
+predicate states is read through the mask helper it calls, such as
+``predicates._delta_primary``.  An ``Ideal`` is built only for the witness of a
+failure, for an API that takes one (``quotient_ring``), and where a claim
+cross-checks the public predicates on purpose (``thm-four-equivalents``,
+``ex-z6-zero-not-n``, the claims on ZZ, the self-tests).
 """
 
 from __future__ import annotations
@@ -34,13 +40,11 @@ from .expansions import (_colon_violation, catalog, compose_expansions, delta0, 
                          delta_plus, derive_idealization_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
                          profile_expansion)
-from .ideals import (_colon_mask, _ideal_class, _is_prime_int, _mk_ideal,
-                     _principal_columns, _product_mask, _radical_mask, _sum_mask, _z_i_mask,
-                     classify_ideal, enumerate_ideals, ideal_from_generators,
-                     integer_ideal, nilradical, radical, special_sets, zero_ideal)
-from .predicates import (_composed_dn, _localized_dn, _nil_mask, _spectrum, delta_n_masks,
-                         delta_n_witness, is_delta_n_ideal, is_delta_primary, is_n_ideal,
-                         n_ideal_witness)
+from .ideals import (_bits, _colon_mask, _ideal_class, _is_prime_int, _lattice, _mk_ideal,
+                     _nil_mask, _principal_columns, _product_mask, _radical_mask, _sum_mask,
+                     _z_i_mask, ideal_from_generators, integer_ideal, nilradical, zero_ideal)
+from .predicates import (_composed_dn, _delta_primary, _localized_dn, _spectrum, delta_n_masks,
+                         delta_n_witness, is_delta_n_ideal, is_n_ideal, n_ideal_witness)
 from .rings import classify_ring, memo, modular, poly_quotient
 
 
@@ -97,18 +101,8 @@ def _no_hypothesis(*inst):
 
 @memo
 def _proper(ring):
-    return tuple(I for I in enumerate_ideals(ring) if I.is_proper)
-
-
-_dn = is_delta_n_ideal
-
-
-def _expansions(ctx):
-    """(scope, sqrt(0)) for each corpus ring and catalog expansion."""
-    for entry in ctx.entries:
-        nil = nilradical(entry.ring)
-        for scope in _scopes(ctx, entry):
-            yield scope, nil
+    """The masks of the proper ideals, in lattice order."""
+    return tuple(m for m in _lattice(ring) if m != ring.full_mask)
 
 
 def _by_expansion(ctx):
@@ -145,15 +139,15 @@ def _dn_set(dns, delta):
 
 
 def _ideals(ctx):
-    """(scope, I) for each corpus ring, catalog expansion and proper ideal I."""
+    """(scope, m) for each corpus ring, catalog expansion and proper ideal mask m."""
     for scope in _by_expansion(ctx):
-        for I in scope.proper:
-            yield scope, I
+        for m in scope.proper:
+            yield scope, m
 
 
-def _delta_n_proper_value(s, I):
-    """The recurring hypothesis: I is delta-n and delta(I) != R."""
-    return s.table[I.mask] != s.full and I.mask in s.dn
+def _delta_n_proper_value(s, m):
+    """The recurring hypothesis: the ideal m is delta-n and delta(m) != R."""
+    return s.table[m] != s.full and m in s.dn
 
 
 def _idempotent_delta_n(delta, dn, mask):
@@ -162,6 +156,9 @@ def _idempotent_delta_n(delta, dn, mask):
 
 
 def _wit(ring, delta=None, ideal=None, elements=None, detail=""):
+    """A witness on ``ring``; ``ideal`` is an ``Ideal``, or the mask of an ideal of ``ring``."""
+    if isinstance(ideal, int):
+        ideal = _mk_ideal(ring, ideal)
     return Witness(
         ring=ring.key,
         expansion=delta.name() if delta is not None else "",
@@ -169,6 +166,11 @@ def _wit(ring, delta=None, ideal=None, elements=None, detail=""):
         elements=elements or "",
         detail=detail,
     )
+
+
+def _named(ring, *labelled):
+    """The ideals of ``ring`` given as (label, mask) pairs, printed as 'J=(2), K=(3)'."""
+    return ", ".join(f"{label}={_mk_ideal(ring, m)!r}" for label, m in labelled)
 
 
 def _pair_repr(a, b):
@@ -186,7 +188,7 @@ def _pair_repr(a, b):
         "every (ring, catalog expansion, proper ideal)")
 def _check_four_equivalents(ctx):
     for entry in ctx.entries:
-        ring, proper = entry.ring, _proper(entry.ring)
+        ring, proper = entry.ring, [_mk_ideal(entry.ring, m) for m in _proper(entry.ring)]
         for delta in entry.expansions:
             for I in proper:
                 values = [is_delta_n_ideal(I, delta, method=m)
@@ -204,8 +206,8 @@ def _check_four_equivalents(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_subset_nilradical(ctx):
     return _verdicts(_ideals(ctx), _delta_n_proper_value,
-                     lambda s, I: I.mask & ~s.nil == 0,
-                     lambda s, I: _wit(s.ring, s.delta, I, detail="I is not inside sqrt(0)"))
+                     lambda s, m: m & ~s.nil == 0,
+                     lambda s, m: _wit(s.ring, s.delta, m, detail="I is not inside sqrt(0)"))
 
 
 @_claim("ex-z6-zero-not-n", "Inline counterexample in Z6",
@@ -231,20 +233,21 @@ def _check_z6_counterexample(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_primary_to_delta_n(ctx):
     return _verdicts(_ideals(ctx),
-                     lambda s, I: I.mask & ~s.nil == 0 and is_delta_primary(I, s.delta),
-                     lambda s, I: I.mask in s.dn,
-                     lambda s, I: _wit(s.ring, s.delta, I,
-                                       elements=_pair_repr(*delta_n_witness(I, s.delta))))
+                     lambda s, m: m & ~s.nil == 0 and _delta_primary(s.ring, m, s.table[m]),
+                     lambda s, m: m in s.dn,
+                     lambda s, m: _wit(s.ring, s.delta, m, elements=_pair_repr(
+                         *delta_n_witness(_mk_ideal(s.ring, m), s.delta))))
 
 
 @_claim("prop-nilradical-primary-iff", "At sqrt(0) the two classes agree",
         "sqrt(0) is delta-primary if and only if sqrt(0) is a delta-n-ideal.",
         "every (ring, expansion)")
 def _check_nilradical_primary_iff(ctx):
-    return _verdicts(_expansions(ctx), _no_hypothesis,
-                     lambda s, nil: is_delta_primary(nil, s.delta) == _dn(nil, s.delta),
-                     lambda s, nil: _wit(s.ring, s.delta, nil, detail="delta-primary "
-                                         "and delta-n disagree at sqrt(0)"))
+    # zip makes one-field instances (s,) of the scopes
+    return _verdicts(zip(_by_expansion(ctx)), _no_hypothesis,
+                     lambda s: _delta_primary(s.ring, s.nil, s.table[s.nil]) == (s.nil in s.dn),
+                     lambda s: _wit(s.ring, s.delta, s.nil,
+                                    detail="delta-primary and delta-n disagree at sqrt(0)"))
 
 
 @_claim("ex-int-delta-plus", "Prime ideals of ZZ under the sum expansion",
@@ -261,8 +264,8 @@ def _check_integer_delta_plus(ctx):
             if p == q:
                 continue
             dp = delta_plus(zz, integer_ideal(zz, q))
-            ok = (_dn(I, dp) and not _dn(I, d0) and not _dn(I, d1)
-                  and not is_n_ideal(I))
+            ok = (is_delta_n_ideal(I, dp) and not is_delta_n_ideal(I, d0)
+                  and not is_delta_n_ideal(I, d1) and not is_n_ideal(I))
             if ok:
                 yield HOLDS, None
             else:
@@ -275,9 +278,9 @@ def _check_integer_delta_plus(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_primary_iff_subset(ctx):
     return _verdicts(_ideals(ctx),
-                     lambda s, I: s.table[I.mask] != s.full and is_delta_primary(I, s.delta),
-                     lambda s, I: (I.mask in s.dn) == (I.mask & ~s.nil == 0),
-                     lambda s, I: _wit(s.ring, s.delta, I))
+                     lambda s, m: s.table[m] != s.full and _delta_primary(s.ring, m, s.table[m]),
+                     lambda s, m: (m in s.dn) == (m & ~s.nil == 0),
+                     lambda s, m: _wit(s.ring, s.delta, m))
 
 
 @_claim("prop-prime-iff-nilradical", "Prime + proper value: delta-n iff I=sqrt(0)",
@@ -285,9 +288,9 @@ def _check_primary_iff_subset(ctx):
         "every (ring, expansion, prime proper ideal)")
 def _check_prime_iff_nilradical(ctx):
     return _verdicts(_ideals(ctx),
-                     lambda s, I: classify_ideal(I).is_prime and s.table[I.mask] != s.full,
-                     lambda s, I: (I.mask in s.dn) == (I.mask == s.nil),
-                     lambda s, I: _wit(s.ring, s.delta, I))
+                     lambda s, m: _ideal_class(s.ring, m).is_prime and s.table[m] != s.full,
+                     lambda s, m: (m in s.dn) == (m == s.nil),
+                     lambda s, m: _wit(s.ring, s.delta, m))
 
 
 @_claim("thm-every-ideal-quasilocal", "Rings where every proper ideal is delta-n",
@@ -302,12 +305,11 @@ def _check_every_ideal_quasilocal(ctx):
         dns = [s.dn for s in _scopes(ctx, entry)]
         # the non-unit principal ideals are the proper ones
         c1 = all(p in dn for dn in dns for p in _principal_columns(ring))
-        c2 = all(I.mask in dn for dn in dns for I in _proper(ring))
-        nil = nilradical(ring)
-        primes = [I for I in enumerate_ideals(ring) if classify_ideal(I).is_prime]
-        c3 = primes == [nil]
-        rc = classify_ring(ring)
-        c4 = rc.is_quasi_local and rc.maximal_ideal == nil
+        c2 = all(m in dn for dn in dns for m in _proper(ring))
+        nil, classes = _nil_mask(ring), _ideal_class.table(ring)
+        c3 = [m for m in _lattice(ring) if classes[m].is_prime] == [nil]
+        # quasi-local: one maximal ideal, which is sqrt(0) when sqrt(0) is maximal
+        c4 = classify_ring(ring).is_quasi_local and classes[nil].is_maximal
         if c1 == c2 == c3 == c4:
             yield HOLDS, None
         else:
@@ -326,7 +328,7 @@ def _check_domain_only_zero(ctx):
             if n == 1:
                 continue
             I = integer_ideal(zz, n)
-            if _dn(I, delta) == (n == 0):
+            if is_delta_n_ideal(I, delta) == (n == 0):
                 yield HOLDS, None
             else:
                 yield FAIL, _wit(zz, delta, I)
@@ -338,12 +340,12 @@ def _check_domain_only_zero(ctx):
         "every (ring, zero-fixed expansion)")
 def _check_von_neumann_field(ctx):
     return _verdicts(
-        _expansions(ctx),
-        lambda s, nil: profile_expansion(s.delta).zero_fixed,
-        lambda s, nil: classify_ring(s.ring).is_field == (
-            classify_ring(s.ring).is_von_neumann_regular and _dn(zero_ideal(s.ring), s.delta)),
+        zip(_by_expansion(ctx)),
+        lambda s: profile_expansion(s.delta).zero_fixed,
+        lambda s: classify_ring(s.ring).is_field == (
+            classify_ring(s.ring).is_von_neumann_regular and (1 << s.ring.zero_idx) in s.dn),
         # a failure means the two sides differ
-        lambda s, nil: _wit(
+        lambda s: _wit(
             s.ring, s.delta, zero_ideal(s.ring),
             detail=f"field={classify_ring(s.ring).is_field}, "
                    f"vnr-and-zero-delta-n={not classify_ring(s.ring).is_field}"))
@@ -357,11 +359,11 @@ def _check_von_neumann_field(ctx):
 def _check_colon_stable(ctx):
     for ring, delta, dn, proper, table, full, *_ in _by_expansion(ctx):
         is_radical = delta.kind == "delta1"
-        for I in proper:
-            if I.mask not in dn:
+        for m in proper:
+            if m not in dn:
                 continue
-            dmask = table[I.mask]
-            colons, d_colons = _colon_mask.table(ring, I.mask), _colon_mask.table(ring, dmask)
+            dmask = table[m]
+            colons, d_colons = _colon_mask.table(ring, m), _colon_mask.table(ring, dmask)
             for x in range(ring.size):
                 if dmask >> x & 1:
                     continue
@@ -373,9 +375,8 @@ def _check_colon_stable(ctx):
                 elif side and cx in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, I,
-                                     elements=f"x={ring.element_repr(x)}",
-                                     detail=f"(I:x)={_mk_ideal(ring, cx)!r}")
+                    yield FAIL, _wit(ring, delta, m, elements=f"x={ring.element_repr(x)}",
+                                     detail=_named(ring, ("(I:x)", cx)))
 
 
 @_claim("prop-maximal-is-nilradical", "Maximal delta-n ideals are sqrt(0)",
@@ -383,20 +384,21 @@ def _check_colon_stable(ctx):
         "delta-n spectrum equals sqrt(0) and is prime.",
         "every (ring, expansion, maximal spectrum member)")
 def _check_maximal_is_nilradical(ctx):
-    for s, nil in _expansions(ctx):
-        for I in _spectrum(s.ring, s.dn).maximal_members:
-            if _colon_violation(s.delta, I.mask) is not None:
+    for s in _by_expansion(ctx):
+        for m in _spectrum(s.ring, s.dn)[1]:  # the maximal members
+            if _colon_violation(s.delta, m) is not None:
                 yield SKIP, None
-            elif I is nil and classify_ideal(I).is_prime:
+            elif m == s.nil and _ideal_class(s.ring, m).is_prime:
                 yield HOLDS, None
             else:
-                yield FAIL, _wit(s.ring, s.delta, I,
+                yield FAIL, _wit(s.ring, s.delta, m,
                                  detail="maximal member is not the prime nilradical")
 
 
-def _existence_conditions(s, nil):
+def _existence_conditions(s):
     """A delta-n-ideal exists; sqrt(0) is prime; sqrt(0) is delta-primary."""
-    return bool(s.dn), classify_ideal(nil).is_prime, is_delta_primary(nil, s.delta)
+    return (bool(s.dn), _ideal_class(s.ring, s.nil).is_prime,
+            _delta_primary(s.ring, s.nil, s.table[s.nil]))
 
 
 @_claim("thm-existence", "Existence of a delta-n-ideal",
@@ -406,12 +408,12 @@ def _existence_conditions(s, nil):
         "every (ring, expansion) with the colon hypothesis")
 def _check_existence(ctx):
     return _verdicts(
-        _expansions(ctx),
-        lambda s, nil: profile_expansion(s.delta).colon_condition,
-        lambda s, nil: len(set(_existence_conditions(s, nil))) == 1,
-        lambda s, nil: _wit(s.ring, s.delta, detail=(
+        zip(_by_expansion(ctx)),
+        lambda s: profile_expansion(s.delta).colon_condition,
+        lambda s: len(set(_existence_conditions(s))) == 1,
+        lambda s: _wit(s.ring, s.delta, detail=(
             "spectrum-nonempty={}, nilradical-prime={}, nilradical-delta-primary={}"
-            .format(*_existence_conditions(s, nil)))))
+            .format(*_existence_conditions(s)))))
 
 
 @_claim("prop-idem-colon-expansion", "Idempotent delta: delta(I:a) = delta(I)",
@@ -420,18 +422,18 @@ def _check_existence(ctx):
         "every (ring, expansion, delta-n ideal, non-nilpotent a)")
 def _check_idem_colon_expansion(ctx):
     for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
-        for I in proper:
-            if not _idempotent_delta_n(delta, dn, I.mask):
+        for m in proper:
+            if not _idempotent_delta_n(delta, dn, m):
                 yield SKIP, None
                 continue
-            colons = _colon_mask.table(ring, I.mask)
+            colons = _colon_mask.table(ring, m)
             for a in range(ring.size):
                 if nil >> a & 1:
                     continue
-                if table[colons[a]] == table[I.mask]:
+                if table[colons[a]] == table[m]:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, I, elements=f"a={ring.element_repr(a)}")
+                    yield FAIL, _wit(ring, delta, m, elements=f"a={ring.element_repr(a)}")
 
 
 @_claim("prop-idem-value-n-iff", "Idempotent delta: value is n iff delta-n",
@@ -440,10 +442,10 @@ def _check_idem_colon_expansion(ctx):
         "every (ring, expansion, proper ideal with idempotent proper value)")
 def _check_idem_value_n_iff(ctx):
     return _verdicts(_ideals(ctx),
-                     lambda s, I: s.table[s.table[I.mask]] == s.table[I.mask] != s.full,
-                     lambda s, I: (s.table[I.mask] in s.n_masks) == (s.table[I.mask] in s.dn),
-                     lambda s, I: _wit(s.ring, s.delta, I, detail="delta(I)="
-                                       f"{_mk_ideal(s.ring, s.table[I.mask])!r}"))
+                     lambda s, m: s.table[s.table[m]] == s.table[m] != s.full,
+                     lambda s, m: (s.table[m] in s.n_masks) == (s.table[m] in s.dn),
+                     lambda s, m: _wit(s.ring, s.delta, m,
+                                       detail=_named(s.ring, ("delta(I)", s.table[m]))))
 
 
 @_claim("prop-idem-cancellation", "Cancellation along a non-nil factor",
@@ -452,20 +454,20 @@ def _check_idem_value_n_iff(ctx):
         "every (ring, expansion, ideal triple) meeting the hypothesis")
 def _check_idem_cancellation(ctx):
     for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
-        qualifying = [I for I in proper if _idempotent_delta_n(delta, dn, I.mask)]
-        ks = [K for K in enumerate_ideals(ring) if K.mask & ~nil]
+        qualifying = [m for m in proper if _idempotent_delta_n(delta, dn, m)]
+        ks = [k for k in _lattice(ring) if k & ~nil]
         # IK for each qualifying I and each K outside sqrt(0), in lattice order
-        products = {I: [_product_mask(ring, I.mask, K.mask) for K in ks] for I in qualifying}
-        for I in qualifying:
-            for J in qualifying:
-                for K, ik, jk in zip(ks, products[I], products[J]):
+        products = {i: [_product_mask(ring, i, k) for k in ks] for i in qualifying}
+        for i in qualifying:
+            for j in qualifying:
+                for k, ik, jk in zip(ks, products[i], products[j]):
                     if ik != jk:
                         continue
-                    if table[I.mask] == table[J.mask]:
+                    if table[i] == table[j]:
                         yield HOLDS, None
                     else:
-                        yield FAIL, _wit(ring, delta, I,
-                                         detail=f"J={J!r}, K={K!r}: delta values differ")
+                        yield FAIL, _wit(ring, delta, i, detail=_named(ring, ("J", j), ("K", k))
+                                         + ": delta values differ")
 
 
 @_claim("prop-idem-absorption", "Products absorb into delta(I)",
@@ -474,25 +476,25 @@ def _check_idem_cancellation(ctx):
         "every (ring, expansion, ideal pair) meeting the hypothesis")
 def _check_idem_absorption(ctx):
     for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
-        lattice = enumerate_ideals(ring)
-        for I in proper:
-            if not _idempotent_delta_n(delta, dn, I.mask):
+        lattice = _lattice(ring)
+        for i in proper:
+            if not _idempotent_delta_n(delta, dn, i):
                 continue
-            for K in lattice:
-                if K.mask & ~nil == 0:
+            for k in lattice:
+                if k & ~nil == 0:
                     continue
-                ik = _product_mask(ring, I.mask, K.mask)
+                ik = _product_mask(ring, i, k)
                 if not _idempotent_delta_n(delta, dn, ik):
                     continue
-                if table[ik] == table[I.mask]:
+                if table[ik] == table[i]:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, I,
-                                     detail=f"K={K!r}, IK={_mk_ideal(ring, ik)!r}")
+                    yield FAIL, _wit(ring, delta, i, detail=_named(ring, ("K", k), ("IK", ik)))
 
 
-def _zero_divisors_delta_q_nilpotent(delta, nil):
+def _zero_divisors_delta_q_nilpotent(delta):
     """Every zero divisor of R/sqrt(0) lies in delta_q((0))."""
+    nil = nilradical(delta.ring)
     qring = quotient_ring(delta.ring, nil).ring
     qzero = 1 << qring.zero_idx
     return _z_i_mask(qring, qzero) & ~derive_quotient_expansion(delta, nil).table[qzero] == 0
@@ -504,13 +506,11 @@ def _zero_divisors_delta_q_nilpotent(delta, nil):
         "every (ring, expansion)")
 def _check_zero_divisor_quotient(ctx):
     return _verdicts(
-        _expansions(ctx), _no_hypothesis,
-        lambda s, nil: _dn(nil, s.delta) == _zero_divisors_delta_q_nilpotent(s.delta, nil),
+        zip(_by_expansion(ctx)), _no_hypothesis,
+        lambda s: (s.nil in s.dn) == _zero_divisors_delta_q_nilpotent(s.delta),
         # a failure means the two sides differ
-        lambda s, nil: _wit(
-            s.ring, s.delta, nil, detail=f"sqrt(0) delta-n={_dn(nil, s.delta)}, "
-                                         f"zero-divisors delta_q-nilpotent="
-                                         f"{not _dn(nil, s.delta)}"))
+        lambda s: _wit(s.ring, s.delta, s.nil, detail=f"sqrt(0) delta-n={s.nil in s.dn}, "
+                       f"zero-divisors delta_q-nilpotent={s.nil not in s.dn}"))
 
 
 @_claim("prop-expansion-value-n", "n-ideal values pull back",
@@ -518,9 +518,9 @@ def _check_zero_divisor_quotient(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_expansion_value_n(ctx):
     return _verdicts(_ideals(ctx),
-                     lambda s, I: s.table[I.mask] in s.n_masks,
-                     lambda s, I: I.mask in s.dn,
-                     lambda s, I: _wit(s.ring, s.delta, I))
+                     lambda s, m: s.table[m] in s.n_masks,
+                     lambda s, m: m in s.dn,
+                     lambda s, m: _wit(s.ring, s.delta, m))
 
 
 @_claim("prop-radical-value-n-iff", "Quasi n-ideals via sqrt(I)",
@@ -528,14 +528,13 @@ def _check_expansion_value_n(ctx):
         "every (ring, proper ideal)")
 def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
-        ring = entry.ring
-        d1 = delta1(ring)
+        ring, d1 = entry.ring, delta1(entry.ring)
         scope = next(s for s in _scopes(ctx, entry) if s.delta is d1)
-        for I in _proper(ring):
-            if (I.mask in scope.dn) == (d1.table[I.mask] in scope.n_masks):
+        for m in _proper(ring):
+            if (m in scope.dn) == (d1.table[m] in scope.n_masks):
                 yield HOLDS, None
             else:
-                yield FAIL, _wit(ring, d1, I, detail=f"sqrt(I)={radical(I)!r}")
+                yield FAIL, _wit(ring, d1, m, detail=_named(ring, ("sqrt(I)", d1.table[m])))
 
 
 @_claim("prop-pointwise-monotone", "Pointwise-larger expansions preserve the class",
@@ -545,20 +544,18 @@ def _check_radical_value_n_iff(ctx):
 def _check_pointwise_monotone(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        lattice = enumerate_ideals(ring)
+        lattice = _lattice(ring)
         dns, proper = [s.dn for s in _scopes(ctx, entry)], _proper(ring)
         for delta, dn in zip(entry.expansions, dns):
             for gamma, dn_g in zip(entry.expansions, dns):
-                if any(delta.table[I.mask] & ~gamma.table[I.mask] for I in lattice):
+                if any(delta.table[m] & ~gamma.table[m] for m in lattice):
                     yield SKIP, None
                     continue
-                bad = next((I for I in proper
-                            if I.mask in dn and I.mask not in dn_g), None)
+                bad = next((m for m in proper if m in dn and m not in dn_g), None)
                 if bad is None:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, bad,
-                                     detail=f"gamma={gamma.name()}")
+                    yield FAIL, _wit(ring, delta, bad, detail=f"gamma={gamma.name()}")
 
 
 @_claim("prop-compose-n-ideal", "Composition transfer",
@@ -571,15 +568,14 @@ def _check_compose_n_ideal(ctx):
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             for gamma in entry.expansions:
                 g_table, dn_comp = gamma.table, _composed_dn(delta, gamma)
-                for I in proper:
-                    if g_table[I.mask] not in dn:
+                for m in proper:
+                    if g_table[m] not in dn:
                         yield SKIP, None
-                    elif I.mask in dn_comp:
+                    elif m in dn_comp:
                         yield HOLDS, None
                     else:
-                        g_val = _mk_ideal(ring, g_table[I.mask])
-                        yield FAIL, _wit(ring, compose_expansions(delta, gamma), I,
-                                         detail=f"gamma(I)={g_val!r}")
+                        yield FAIL, _wit(ring, compose_expansions(delta, gamma), m,
+                                         detail=_named(ring, ("gamma(I)", g_table[m])))
 
 
 @_claim("prop-radical-transfer", "sqrt of a delta-n-ideal",
@@ -591,13 +587,13 @@ def _check_radical_transfer(ctx):
         if not profile_expansion(delta).radical_commuting:
             yield SKIP, None
             continue
-        for I in proper:
-            if I.mask not in dn:
+        for m in proper:
+            if m not in dn:
                 yield SKIP, None
-            elif _radical_mask(ring, I.mask) in dn:
+            elif (root := _radical_mask(ring, m)) in dn:
                 yield HOLDS, None
             else:
-                yield FAIL, _wit(ring, delta, I, detail=f"sqrt(I)={radical(I)!r}")
+                yield FAIL, _wit(ring, delta, m, detail=_named(ring, ("sqrt(I)", root)))
 
 
 @_claim("prop-sandwich", "Sandwiched ideals",
@@ -606,21 +602,21 @@ def _check_radical_transfer(ctx):
         "every (ring, expansion, chain J <= K <= I)")
 def _check_sandwich(ctx):
     for ring, delta, dn, proper, table, *_ in _by_expansion(ctx):
-        for I in proper:
-            if I.mask not in dn:
+        for i in proper:
+            if i not in dn:
                 continue
-            for K in proper:
-                if K.mask & ~I.mask:
+            for k in proper:
+                if k & ~i:
                     continue
-                for J in proper:
-                    if J.mask & ~K.mask:
+                for j in proper:
+                    if j & ~k:
                         continue
-                    if table[J.mask] != table[I.mask]:
+                    if table[j] != table[i]:
                         yield SKIP, None
-                    elif K.mask in dn:
+                    elif k in dn:
                         yield HOLDS, None
                     else:
-                        yield FAIL, _wit(ring, delta, K, detail=f"J={J!r}, I={I!r}")
+                        yield FAIL, _wit(ring, delta, k, detail=_named(ring, ("J", j), ("I", i)))
 
 
 @_claim("prop-intersection", "Intersections under intersection-preserving delta",
@@ -632,14 +628,13 @@ def _check_intersection(ctx):
         if not profile_expansion(delta).intersection_preserving:
             yield SKIP, None
             continue
-        members = [I for I in proper if I.mask in dn]
-        for I in members:
-            for J in members:
-                if I.mask & J.mask in dn:
+        members = [m for m in proper if m in dn]
+        for i in members:
+            for j in members:
+                if i & j in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, I.mask & J.mask),
-                                     detail=f"I={I!r}, J={J!r}")
+                    yield FAIL, _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
 
 
 @_claim("prop-intersection-noncomparable", "Non-comparable prime values",
@@ -653,22 +648,20 @@ def _check_intersection_noncomparable(ctx):
             yield SKIP, None
             continue
         classes = _ideal_class.table(ring)
-        for I in proper:
-            dI = table[I.mask]
+        for i in proper:
+            dI = table[i]
             if not classes[dI].is_prime:
                 continue
-            for J in proper:
-                dJ = table[J.mask]
+            for j in proper:
+                dJ = table[j]
                 if not classes[dJ].is_prime or dI & ~dJ == 0 or dJ & ~dI == 0:
                     continue
-                meet = I.mask & J.mask
-                if meet not in dn:
+                if i & j not in dn:
                     yield SKIP, None
-                elif I.mask in dn and J.mask in dn:
+                elif i in dn and j in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, meet),
-                                     detail=f"I={I!r}, J={J!r}")
+                    yield FAIL, _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
 
 
 @_claim("lem-superfluous", "delta-n ideals with proper value are superfluous",
@@ -677,8 +670,8 @@ def _check_intersection_noncomparable(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_superfluous(ctx):
     return _verdicts(_ideals(ctx), _delta_n_proper_value,
-                     lambda s, I: classify_ideal(I).is_superfluous,
-                     lambda s, I: _wit(s.ring, s.delta, I, detail="I is not superfluous"))
+                     lambda s, m: _ideal_class(s.ring, m).is_superfluous,
+                     lambda s, m: _wit(s.ring, s.delta, m, detail="I is not superfluous"))
 
 
 @_claim("prop-sum-delta-n", "Sums of delta-n ideals",
@@ -687,15 +680,14 @@ def _check_superfluous(ctx):
         "every (ring, expansion, qualifying ideal pair)")
 def _check_sum_delta_n(ctx):
     for ring, delta, dn, proper, table, full, *_ in _by_expansion(ctx):
-        qualifying = [I for I in proper if table[I.mask] != full and I.mask in dn]
-        for I in qualifying:
-            for J in qualifying:
-                s = _sum_mask(ring, I.mask, J.mask)
+        qualifying = [m for m in proper if table[m] != full and m in dn]
+        for i in qualifying:
+            for j in qualifying:
+                s = _sum_mask(ring, i, j)
                 if s in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, s),
-                                     detail=f"I={I!r}, J={J!r}")
+                    yield FAIL, _wit(ring, delta, s, detail=_named(ring, ("I", i), ("J", j)))
 
 
 # ---------------------------------------------------------------------------
@@ -704,29 +696,30 @@ def _check_sum_delta_n(ctx):
 
 @memo
 def _quotient_groups(ctx):
-    """(scope of (ring, delta), J, [(I, mask of I/J) for proper I >= J], delta_q-n
-    set of R/J) for each corpus ring, proper J and catalog expansion; one list a run."""
+    """(scope of (ring, delta), J, [(I, mask of I/J) for proper I >= J], delta_q-n set
+    of R/J), ideals as masks, for each ring, proper J and expansion; one list a run."""
     out = []
     for entry in ctx.entries:
         ring = entry.ring
         scopes, proper = _scopes(ctx, entry), _proper(ring)
-        for J in proper:
+        for j in proper:
+            J = _mk_ideal(ring, j)  # for the quotient's API
             images = Homomorphism.image_mask.table(quotient_ring(ring, J).projection)
-            above = [(I, images[I.mask]) for I in proper if J.mask & ~I.mask == 0]
-            out += [(s, J, above, delta_n_masks(derive_quotient_expansion(s.delta, J)))
+            above = [(i, images[i]) for i in proper if j & ~i == 0]
+            out += [(s, j, above, delta_n_masks(derive_quotient_expansion(s.delta, J)))
                     for s in scopes]
     return out
 
 
 def _quotient_instances(ctx):
     """(scope, J, I, mask of I/J, delta_q-n set of R/J), group by group."""
-    for s, J, above, dn_q in _quotient_groups(ctx):
-        for I, img in above:
-            yield s, J, I, img, dn_q
+    for s, j, above, dn_q in _quotient_groups(ctx):
+        for i, img in above:
+            yield s, j, i, img, dn_q
 
 
-def _quotient_witness(s, J, I, img, dn_q):
-    return _wit(s.ring, s.delta, I, detail=f"J={J!r}")
+def _quotient_witness(s, j, i, img, dn_q):
+    return _wit(s.ring, s.delta, i, detail=_named(s.ring, ("J", j)))
 
 
 @_claim("cor-quotient-forward", "delta-n passes to quotients",
@@ -735,8 +728,8 @@ def _quotient_witness(s, J, I, img, dn_q):
         "every (ring, expansion, proper J <= I)")
 def _check_quotient_forward(ctx):
     return _verdicts(_quotient_instances(ctx),
-                     lambda s, J, I, img, dn_q: I.mask in s.dn,
-                     lambda s, J, I, img, dn_q: img in dn_q,
+                     lambda s, j, i, img, dn_q: i in s.dn,
+                     lambda s, j, i, img, dn_q: img in dn_q,
                      _quotient_witness)
 
 
@@ -745,8 +738,8 @@ def _check_quotient_forward(ctx):
         "every (ring, expansion, proper J <= I)")
 def _check_quotient_back_nilpotent(ctx):
     return _verdicts(_quotient_instances(ctx),
-                     lambda s, J, I, img, dn_q: J.mask & ~s.nil == 0 and img in dn_q,
-                     lambda s, J, I, img, dn_q: I.mask in s.dn,
+                     lambda s, j, i, img, dn_q: j & ~s.nil == 0 and img in dn_q,
+                     lambda s, j, i, img, dn_q: i in s.dn,
                      _quotient_witness)
 
 
@@ -756,9 +749,8 @@ def _check_quotient_back_nilpotent(ctx):
         "every (ring, expansion, proper J <= I)")
 def _check_quotient_back_delta_n(ctx):
     return _verdicts(_quotient_instances(ctx),
-                     lambda s, J, I, img, dn_q: (s.table[J.mask] != s.full and J.mask in s.dn
-                                                 and img in dn_q),
-                     lambda s, J, I, img, dn_q: I.mask in s.dn,
+                     lambda s, j, i, img, dn_q: s.table[j] != s.full and j in s.dn and img in dn_q,
+                     lambda s, j, i, img, dn_q: i in s.dn,
                      _quotient_witness)
 
 
@@ -781,16 +773,15 @@ def _check_hom_preimage(ctx):
                 yield SKIP, None
                 continue
             dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
-            for J in proper:
-                if J.mask not in dn_g:
+            for k in proper:
+                if k not in dn_g:
                     yield SKIP, None
-                elif preimages[J.mask] in dn:
+                elif preimages[k] in dn:
                     yield HOLDS, None
                 else:
-                    pre = _mk_ideal(f.source, preimages[J.mask])
-                    yield FAIL, _wit(f.source, delta, pre,
-                                     detail=f"target {f.target.key}, J={J!r}, "
-                                            f"gamma={gamma.name()}")
+                    yield FAIL, _wit(f.source, delta, preimages[k],
+                                     detail=f"target {f.target.key}, "
+                                            f"{_named(f.target, ('J', k))}, gamma={gamma.name()}")
 
 
 @_claim("prop-hom-image", "Images along epimorphisms",
@@ -809,19 +800,19 @@ def _check_hom_image(ctx):
                 yield SKIP, None
                 continue
             dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
-            for I in proper:
-                if ker & ~I.mask or I.mask not in dn:
+            for m in proper:
+                if ker & ~m or m not in dn:
                     yield SKIP, None
                     continue
-                img = images[I.mask]
+                img = images[m]
                 if img == full:
-                    yield FAIL, _wit(f.source, delta, I, detail="image is the whole ring")
+                    yield FAIL, _wit(f.source, delta, m, detail="image is the whole ring")
                 elif img in dn_g:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(f.source, delta, I,
+                    yield FAIL, _wit(f.source, delta, m,
                                      detail=f"target {f.target.key}, "
-                                            f"f(I)={_mk_ideal(f.target, img)!r}, "
+                                            f"{_named(f.target, ('f(I)', img))}, "
                                             f"gamma={gamma.name()}")
 
 
@@ -834,23 +825,23 @@ def _check_hom_epi_pushforward(ctx):
         if not f.is_surjective():
             continue
         ker, images = f.kernel.mask, Homomorphism.image_mask.table(f)
-        lattice = enumerate_ideals(f.source)
+        lattice = _lattice(f.source)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP, None
                 continue
-            for I in lattice:
-                if ker & ~I.mask:
+            for m in lattice:
+                if ker & ~m:
                     yield SKIP, None
                     continue
-                lhs = gamma.table[images[I.mask]]
-                rhs = images[delta.table[I.mask]]
+                lhs = gamma.table[images[m]]
+                rhs = images[delta.table[m]]
                 if lhs == rhs:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(f.source, delta, I,
-                                     detail=f"gamma(f(I))={_mk_ideal(f.target, lhs)!r}"
-                                            f" != f(delta(I))={_mk_ideal(f.target, rhs)!r}")
+                    yield FAIL, _wit(f.source, delta, m,
+                                     detail=_named(f.target, ("gamma(f(I))", lhs)) + " != "
+                                            + _named(f.target, ("f(delta(I))", rhs)))
 
 
 @_claim("prop-radical-hom", "Radical expansions along any homomorphism",
@@ -884,24 +875,24 @@ def _check_product_obstruction(ctx):
             for d2 in catalog(right):
                 dx = derive_product_expansion(d1, d2)
                 dn = delta_n_masks(dx)
-                for I in _proper(ring):
-                    if d1.table[p1[I.mask]] == left.full_mask and \
-                       d2.table[p2[I.mask]] == right.full_mask:
+                for m in _proper(ring):
+                    if d1.table[p1[m]] == left.full_mask and d2.table[p2[m]] == right.full_mask:
                         yield SKIP, None
-                    elif I.mask in dn:
-                        yield FAIL, _wit(ring, dx, I,
+                    elif m in dn:
+                        yield FAIL, _wit(ring, dx, m,
                                          detail="delta-n despite a proper component value")
                     else:
                         yield HOLDS, None
 
 
-def _homogeneous_pairs(rec, ideals):
-    """(I, N) for each I of ``ideals`` and each submodule N of the idealization's
-    module with IM <= N, so that I(+)N is an ideal of R(+)M."""
-    for I in ideals:
-        for N in enumerate_submodules(rec.module):
-            if rec.im_inside(I.mask, N.mask):
-                yield I, N
+def _homogeneous_pairs(rec, masks):
+    """(I, N, the mask of I(+)N) for each ideal I of ``masks`` and each submodule
+    N of the idealization's module with IM <= N, so that I(+)N is an ideal of R(+)M."""
+    submodules = [(N.mask, N) for N in enumerate_submodules(rec.module)]
+    for i in masks:
+        for n, N in submodules:
+            if rec.im_inside(i, n):
+                yield i, N, rec.homogeneous_mask(i, n)
 
 
 @_claim("prop-idealization-transfer", "Idealization equivalence",
@@ -913,11 +904,11 @@ def _check_idealization_transfer(ctx):
         for delta in base_catalog:
             dn = _dn_set(dns, delta)
             dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
-            for I, N in _homogeneous_pairs(rec, _proper(rec.base)):
-                if (I.mask in dn) == (rec.homogeneous_mask(I.mask, N.mask) in dn_plus):
+            for i, N, w in _homogeneous_pairs(rec, _proper(rec.base)):
+                if (i in dn) == (w in dn_plus):
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(rec.ring, delta, I, detail=f"N={N!r}")
+                    yield FAIL, _wit(rec.ring, delta, _mk_ideal(rec.base, i), detail=f"N={N!r}")
 
 
 @_claim("prop-idealization-radical", "Radical of a homogeneous ideal",
@@ -926,13 +917,12 @@ def _check_idealization_transfer(ctx):
 def _check_idealization_radical(ctx):
     for rec, _catalog in ctx.idealization_instances():
         base, full_m = rec.base, (1 << rec.module.size) - 1
-        for I, N in _homogeneous_pairs(rec, enumerate_ideals(base)):
-            W = rec.homogeneous_mask(I.mask, N.mask)
-            expected = rec.homogeneous_mask(_radical_mask(base, I.mask), full_m)
-            if _radical_mask(rec.ring, W) == expected:
+        for i, N, w in _homogeneous_pairs(rec, _lattice(base)):
+            expected = rec.homogeneous_mask(_radical_mask(base, i), full_m)
+            if _radical_mask(rec.ring, w) == expected:
                 yield HOLDS, None
             else:
-                yield FAIL, _wit(rec.ring, ideal=_mk_ideal(rec.ring, W),
+                yield FAIL, _wit(rec.ring, ideal=w,
                                  detail="radical is not sqrt(I)(+)M")
 
 
@@ -949,15 +939,14 @@ def _check_loc_forward(ctx):
             smask = sum(1 << i for i in sset.indices)
             for _, delta, dn, proper, *_ in _scopes(ctx, entry):
                 dn_s = _localized_dn(delta, sset)
-                for I in proper:
-                    if I.mask & smask or I.mask not in dn:
+                for m in proper:
+                    if m & smask or m not in dn:
                         yield SKIP, None
-                    elif extend[I.mask] in dn_s:
+                    elif extend[m] in dn_s:
                         yield HOLDS, None
                     else:
-                        ext = _mk_ideal(rec.ring, extend[I.mask])
-                        yield FAIL, _wit(ring, delta, I,
-                                         detail=f"S={sset!r}, extension={ext!r}")
+                        yield FAIL, _wit(ring, delta, m, detail=f"S={sset!r}, "
+                                         + _named(rec.ring, ("extension", extend[m])))
 
 
 @_claim("prop-loc-backward", "Descending from the localization",
@@ -977,13 +966,13 @@ def _check_loc_backward(ctx):
             extend = Homomorphism.image_mask.table(localize(ring, sset).canonical)
             for _, delta, dn, proper, *_ in _scopes(ctx, entry):
                 dn_s = _localized_dn(delta, sset)
-                for I in proper:
-                    if z_is[delta.table[I.mask]] & smask or extend[I.mask] not in dn_s:
+                for m in proper:
+                    if z_is[delta.table[m]] & smask or extend[m] not in dn_s:
                         yield SKIP, None
-                    elif I.mask in dn:
+                    elif m in dn:
                         yield HOLDS, None
                     else:
-                        yield FAIL, _wit(ring, delta, I, detail=f"S={sset!r}")
+                        yield FAIL, _wit(ring, delta, m, detail=f"S={sset!r}")
 
 
 @_claim("prop-loc-regular-contract", "Contraction from the regular localization",
@@ -993,20 +982,20 @@ def _check_loc_backward(ctx):
 def _check_loc_regular_contract(ctx):
     for entry in ctx.entries:
         ring = entry.ring
-        regs = sorted(e.idx for e in special_sets(ring).regular_elements)
+        # the regular elements, those outside the zero divisors Z_(0)
+        regs = _bits(ring.full_mask & ~_z_i_mask(ring, 1 << ring.zero_idx))
         sset = constructions.MultiplicativeSet(ring, tuple(regs))
         rec = localize(ring, sset)
         contract, proper = Homomorphism.preimage_mask.table(rec.canonical), _proper(rec.ring)
         for delta, dn in zip(entry.expansions, (s.dn for s in _scopes(ctx, entry))):
             dn_s = _localized_dn(delta, sset)
-            for K in proper:
-                if K.mask not in dn_s:
+            for k in proper:
+                if k not in dn_s:
                     yield SKIP, None
-                elif contract[K.mask] in dn:
+                elif contract[k] in dn:
                     yield HOLDS, None
                 else:
-                    yield FAIL, _wit(ring, delta, _mk_ideal(ring, contract[K.mask]),
-                                     detail=f"K={K!r}")
+                    yield FAIL, _wit(ring, delta, contract[k], detail=_named(rec.ring, ("K", k)))
 
 
 @_claim("audit-loc-well-defined", "Representative independence of delta_S",
@@ -1073,9 +1062,9 @@ def _check_example_unit_ideal(ctx):
         "every (ring, expansion, proper ideal) meeting the hypothesis")
 def _check_conjecture_proper_n(ctx):
     return _verdicts(_ideals(ctx), _delta_n_proper_value,
-                     lambda s, I: I.mask in s.n_masks,
-                     lambda s, I: _wit(s.ring, s.delta, I,
-                                       elements=_pair_repr(*n_ideal_witness(I)),
+                     lambda s, m: m in s.n_masks,
+                     lambda s, m: _wit(s.ring, s.delta, m,
+                                       elements=_pair_repr(*n_ideal_witness(_mk_ideal(s.ring, m))),
                                        detail="separates delta-n from n-ideal"))
 
 
@@ -1086,7 +1075,7 @@ def _check_conjecture_proper_n(ctx):
         "proper ideals of Z6", self_test=True)
 def _check_selftest_z6(ctx):
     ring = modular(6)
-    for I in _proper(ring):
+    for I in (_mk_ideal(ring, m) for m in _proper(ring)):
         wit = n_ideal_witness(I)
         if wit is None:
             yield HOLDS, None

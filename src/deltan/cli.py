@@ -15,7 +15,7 @@ import sys
 from contextlib import nullcontext
 
 from .claims import CLAIMS_BY_ID
-from .errors import DeltanError, UnknownClaimError
+from .errors import DeltanError, ImproperIdealError, UnknownClaimError
 from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
                   parse_ideal_text, parse_spec, ring_to_dsl)
 from .ideals import classify_ideal, enumerate_ideals
@@ -62,10 +62,9 @@ def _cmd_classify(args):
     _bool_row("maximal", flags.is_maximal)
     _bool_row("primary", flags.is_primary)
     _bool_row("superfluous", flags.is_superfluous)
-    if not flags.is_proper:
-        print("error: this ideal class is defined for proper ideals only; "
-              "got the whole ring")
-        return 2
+    if not flags.is_proper:  # after the flag rows, which hold for R too
+        raise ImproperIdealError(
+            "this ideal class is defined for proper ideals only; got the whole ring")
     _witness_row("n-ideal", n_ideal_witness(ideal))
     _witness_row("quasi n-ideal", quasi_n_witness(ideal))
     if delta is not None:

@@ -10,7 +10,7 @@ from collections import namedtuple
 from operator import getitem, itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
-from .ideals import (Ideal, _bits, _generated_mask, _mask_of, _meet_mask, _mk_ideal,
+from .ideals import (Ideal, _bits, _generated_mask, _lattice, _mask_of, _meet_mask, _mk_ideal,
                      _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
@@ -353,16 +353,15 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
     _same_ring(f.target, gamma.ring, "target expansion")
     if f.mapping is not None:
         return _mask_verdict(f, (delta, gamma))
-    return all(delta.int_fn(preimage_ideal(f, J).n)
-               == preimage_ideal(f, _mk_ideal(f.target, gamma.table[J.mask])).n
-               for J in enumerate_ideals(f.target))
+    return all(delta.int_fn(preimage_ideal(f, _mk_ideal(f.target, k)).n)
+               == preimage_ideal(f, _mk_ideal(f.target, gamma.table[k])).n
+               for k in _lattice(f.target))
 
 
 @memo
 def _mask_verdict(f, pair):
     (delta, gamma), pre = pair, Homomorphism.preimage_mask.table(f)
-    return all(delta.table[pre[J.mask]] == pre[gamma.table[J.mask]]
-               for J in enumerate_ideals(f.target))
+    return all(delta.table[pre[k]] == pre[gamma.table[k]] for k in _lattice(f.target))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from math import gcd, lcm
 from .constructions import (Homomorphism, idealization, localize, product_projections,
                            quotient_ring)
 from .errors import InfiniteRingError
-from .ideals import (Ideal, _colon_mask, _int_colon, _is_prime_int, _mk_ideal,
-                     _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
-                     colon, enumerate_ideals, integer_ideal, nilradical)
+from .ideals import (Ideal, _colon_mask, _colon_meet, _int_colon, _is_prime_int, _lattice,
+                     _mk_ideal, _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
+                     enumerate_ideals, integer_ideal, nilradical)
 from .rings import _same_ring, memo, product
 
 
@@ -105,38 +105,38 @@ def _check_param(ring, J):
 
 def _catalog_kind(ring, recipe, value, int_fn):
     """The catalog expansion ``recipe``: the closed form ``int_fn`` on ZZ, and on
-    a finite ring the table {I.mask: value(I)} over its ideal lattice."""
+    a finite ring the table {m: value(m)} over the masks of its ideal lattice."""
     if not ring.is_finite:
         return Expansion(ring, recipe, int_fn=int_fn)
-    return Expansion(ring, recipe, {I.mask: value(I) for I in enumerate_ideals(ring)})
+    return Expansion(ring, recipe, {m: value(m) for m in _lattice(ring)})
 
 
 @memo
 def delta0(ring):
-    return _catalog_kind(ring, ("delta0",), lambda I: I.mask, lambda n: n)
+    return _catalog_kind(ring, ("delta0",), lambda m: m, lambda n: n)
 
 
 @memo
 def delta1(ring):
-    return _catalog_kind(ring, ("delta1",), lambda I: _radical_mask(ring, I.mask), _radical_of_int)
+    return _catalog_kind(ring, ("delta1",), lambda m: _radical_mask(ring, m), _radical_of_int)
 
 
 @memo
 def full_expansion(ring):
-    return _catalog_kind(ring, ("full",), lambda I: ring.full_mask, lambda n: 1)
+    return _catalog_kind(ring, ("full",), lambda m: ring.full_mask, lambda n: 1)
 
 
 @memo
 def delta_plus(ring, J):
     _check_param(ring, J)
-    return _catalog_kind(ring, ("delta_plus", J), lambda I: _sum_mask(ring, I.mask, J.mask),
+    return _catalog_kind(ring, ("delta_plus", J), lambda m: _sum_mask(ring, m, J.mask),
                          lambda n, q=J.n: gcd(n, q))
 
 
 @memo
 def delta_star(ring, P):
     _check_param(ring, P)
-    return _catalog_kind(ring, ("delta_star", P), lambda I: colon(I, P).mask,
+    return _catalog_kind(ring, ("delta_star", P), lambda m: _colon_meet(ring, m, P.gens),
                          lambda n, m=P.n: _int_colon(n, m))
 
 
@@ -184,7 +184,7 @@ def _pushforward(f, delta):
     f^-1, delta and f keeps inclusions.  R/J and S^-1 R (which is R/ker) read
     their derived expansions this way."""
     images, preimages = Homomorphism.image_mask.table(f), Homomorphism.preimage_mask.table(f)
-    return {K.mask: images[delta.table[preimages[K.mask]]] for K in enumerate_ideals(f.target)}
+    return {k: images[delta.table[preimages[k]]] for k in _lattice(f.target)}
 
 
 def _pullback(f, delta):
@@ -194,7 +194,7 @@ def _pullback(f, delta):
     and each of f, delta and f^-1 keeps inclusions.  R(+)M reads its derived
     expansion this way, and R1 x R2 the meet of two such tables."""
     images, preimages = Homomorphism.image_mask.table(f), Homomorphism.preimage_mask.table(f)
-    return {W.mask: preimages[delta.table[images[W.mask]]] for W in enumerate_ideals(f.source)}
+    return {w: preimages[delta.table[images[w]]] for w in _lattice(f.source)}
 
 
 @memo
@@ -249,11 +249,11 @@ def localization_value_collisions(delta, sset):
     """
     extend = Homomorphism.image_mask.table(localize(delta.ring, sset).canonical)
     first, out = {}, []  # extension -> (the first I with it, its extended delta-value)
-    for I in enumerate_ideals(delta.ring):
-        dval = extend[delta.table[I.mask]]
-        J, jval = first.setdefault(extend[I.mask], (I, dval))
+    for i in _lattice(delta.ring):
+        dval = extend[delta.table[i]]
+        j, jval = first.setdefault(extend[i], (i, dval))
         if jval != dval:
-            out.append((J, I))
+            out.append((_mk_ideal(delta.ring, j), _mk_ideal(delta.ring, i)))
     return out
 
 
@@ -311,17 +311,17 @@ def profile_expansion(delta):
     ring = delta.ring
     if not ring.is_finite:
         return _integer_profile(delta)
-    lattice = enumerate_ideals(ring)
-    table, radicals = delta.table, _radical_mask.table(ring)
+    lattice = _lattice(ring)
+    table, radicals, ideal = delta.table, _radical_mask.table(ring), _mk_ideal.table(ring)
     zero_mask = 1 << ring.zero_idx
     return _profile((
-        (f"I={I!r}, J={J!r}" for I in lattice for J in lattice
-         if table[I.mask & J.mask] != table[I.mask] & table[J.mask]),
-        (f"I={I!r}" for I in lattice if table[table[I.mask]] != table[I.mask]),
+        (f"I={ideal[i]!r}, J={ideal[j]!r}" for i in lattice for j in lattice
+         if table[i & j] != table[i] & table[j]),
+        (f"I={ideal[i]!r}" for i in lattice if table[table[i]] != table[i]),
         () if table[zero_mask] == zero_mask else ("delta(0) != (0)",),
-        (f"I={I!r}" for I in lattice if radicals[table[I.mask]] != table[radicals[I.mask]]),
-        (f"{v[1]} for J={J!r}, x={ring.element_repr(v[0])}" for J in lattice
-         if (v := _colon_violation(delta, J.mask)))))
+        (f"I={ideal[i]!r}" for i in lattice if radicals[table[i]] != table[radicals[i]]),
+        (f"{v[1]} for J={ideal[j]!r}, x={ring.element_repr(v[0])}" for j in lattice
+         if (v := _colon_violation(delta, j)))))
 
 
 def _int_atoms(delta):

@@ -285,10 +285,15 @@ def colon(I, divisor):
     if not ring.is_finite:
         return integer_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
     gens = divisor.gens if is_ideal else (divisor,)
+    return _mk_ideal(ring, _colon_meet(ring, I.mask, gens))
+
+
+def _colon_meet(ring, imask, gens):
+    """(I : J) for the ideal J that the elements ``gens`` generate: the meet of the (I : g)."""
     mask = ring.full_mask
     for g in gens:
-        mask &= _colon_mask(ring, I.mask, g.idx)
-    return _mk_ideal(ring, mask)
+        mask &= _colon_mask(ring, imask, g.idx)
+    return mask
 
 
 @memo
@@ -323,6 +328,10 @@ def radical(I):
 
 def nilradical(ring):
     return radical(zero_ideal(ring))
+
+
+def _nil_mask(ring):  # sqrt(0) of a finite ring
+    return _radical_mask(ring, 1 << ring.zero_idx)
 
 
 @memo
@@ -394,8 +403,8 @@ def _local_components(ring):
 
 
 @memo
-def enumerate_ideals(ring):
-    """The complete ideal lattice, ordered by (size, element set); cached per ring.
+def _lattice(ring):
+    """The complete ideal lattice as masks, ordered by (size, element set), per ring.
 
     A finite ring is the product of its local factors Re (Atiyah-Macdonald,
     Thm 8.7) and each ideal I the direct sum of the Ie, so the lattice is the
@@ -412,7 +421,12 @@ def enumerate_ideals(ring):
         factor = _sum_closure(ring, [c, *inside], inside)
         # (0) + B = B, so the first factor, the only one of a local ring, is its lattice
         masks = [_add_close(ring, a, b) for a in masks for b in factor] if masks[1:] else factor
-    return tuple(_mk_ideal(ring, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def enumerate_ideals(ring):
+    """The complete ideal lattice as interned ideals, in ``_lattice`` order."""
+    return tuple(_mk_ideal(ring, m) for m in _lattice(ring))
 
 
 IdealClass = namedtuple("IdealClass", "is_proper is_prime is_maximal is_primary is_superfluous")
@@ -449,17 +463,16 @@ def _ideal_class(ring, imask):
     z_i = _z_i_mask(ring, imask)
     prime = proper and z_i & ~imask == 0
     primary = proper and z_i & ~_radical_mask(ring, imask) == 0
-    lattice = enumerate_ideals(ring)
+    lattice = _lattice(ring)
     maximal = proper and not any(
-        J.mask != full and J.mask != imask and imask & ~J.mask == 0 for J in lattice)
-    superfluous = proper and all(
-        _sum_mask(ring, imask, J.mask) != full for J in lattice if J.mask != full)
+        j != full and j != imask and imask & ~j == 0 for j in lattice)
+    superfluous = proper and all(_sum_mask(ring, imask, j) != full for j in lattice if j != full)
     return IdealClass(proper, prime, maximal, primary, superfluous)
 
 
 @memo
 def maximal_ideals(ring):
-    return tuple(I for I in enumerate_ideals(ring) if classify_ideal(I).is_maximal)
+    return tuple(_mk_ideal(ring, m) for m in _lattice(ring) if _ideal_class(ring, m).is_maximal)
 
 
 class IntegerSet:

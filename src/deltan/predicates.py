@@ -26,9 +26,9 @@ from collections import namedtuple
 
 from .constructions import localize
 from .errors import ImproperIdealError, InfiniteRingError
-from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _mask_of, _meet_mask,
-                     _prime_factors, _product_mask, _z_i_mask, enumerate_ideals,
-                     nilradical, zero_ideal)
+from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _lattice, _mask_of,
+                     _meet_mask, _mk_ideal, _nil_mask, _prime_factors, _product_mask, _z_i_mask,
+                     zero_ideal)
 from .expansions import _pushforward, apply_expansion, delta0, delta1
 from .rings import _same_ring, memo
 
@@ -44,11 +44,6 @@ def _guard(I, delta=None):
 
 
 @memo
-def _nil_mask(ring):
-    return nilradical(ring).mask
-
-
-@memo
 def _u_mask(ring, imask):
     """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
     return _meet_mask(ring, imask, _columns_outside(ring, _nil_mask(ring)))
@@ -58,8 +53,7 @@ def _u_mask(ring, imask):
 def _u_table(ring):
     """{I mask: U(I)} over the proper ideals, in lattice order, memoised per ring."""
     full = ring.full_mask
-    return {I.mask: _u_mask(ring, I.mask) for I in enumerate_ideals(ring)
-            if I.mask != full}
+    return {m: _u_mask(ring, m) for m in _lattice(ring) if m != full}
 
 
 @memo
@@ -81,7 +75,12 @@ def is_delta_primary(I, delta):
     ring = I.ring
     if not ring.is_finite:
         return _int_primary_witness(ring, I.n, delta.int_fn(I.n)) is None
-    return _z_i_mask(ring, I.mask) & ~delta.table[I.mask] == 0
+    return _delta_primary(ring, I.mask, delta.table[I.mask])
+
+
+def _delta_primary(ring, imask, dmask):
+    """The delta-primary rule on masks: Z_I <= delta(I), for I = imask, delta(I) = dmask."""
+    return _z_i_mask(ring, imask) & ~dmask == 0
 
 
 def delta_primary_witness(I, delta):
@@ -91,7 +90,7 @@ def delta_primary_witness(I, delta):
     if not ring.is_finite:
         return _int_primary_witness(ring, I.n, delta.int_fn(I.n))
     imask, dmask = I.mask, delta.table[I.mask]
-    if _z_i_mask(ring, imask) & ~dmask == 0:
+    if _delta_primary(ring, imask, dmask):
         return None
     return _scan_witness(ring, imask, imask, dmask)
 
@@ -177,19 +176,19 @@ def _decide(ring, imask, dmask, method):
         colons = _colon_mask.table(ring, imask) if outside else None
         return not any(colons[a] & ~nil for a in outside)
     if method == "element_ideal":
-        outside = [J.mask for J in enumerate_ideals(ring) if J.mask & ~dmask]
+        outside = [j for j in _lattice(ring) if j & ~dmask]
         for a in _bits(ring.full_mask & ~nil) if outside else ():
             aj = _aj_mask.table(ring, a)
             if any(aj[j] & ~imask == 0 for j in outside):
                 return False
         return True
     # ideal_pairs: JK <= I forces J inside the nilradical or K inside delta(I)
-    lattice = enumerate_ideals(ring)
-    for J in lattice:
-        if J.mask & ~nil == 0:
+    lattice = _lattice(ring)
+    for j in lattice:
+        if j & ~nil == 0:
             continue
-        for K in lattice:
-            if K.mask & ~dmask and _product_mask(ring, J.mask, K.mask) & ~imask == 0:
+        for k in lattice:
+            if k & ~dmask and _product_mask(ring, j, k) & ~imask == 0:
                 return False
     return True
 
@@ -217,7 +216,7 @@ def delta_n_masks(delta):
     """The masks of the proper delta-n ideals of a finite ring, ``_delta_n_set``
     over the expansion's table.  Not memoised: a set kept per expansion costs
     more memory than its rebuild costs time, so a loop over (ring, delta) builds
-    it once, outside its instance loop, and tests ``I.mask in dn``."""
+    it once, outside its instance loop, and tests ``m in dn`` (m of ``_lattice``)."""
     if not delta.ring.is_finite:
         raise InfiniteRingError("delta-n sets are enumerated on finite rings only")
     return _delta_n_set(delta.ring, delta.table)
@@ -254,20 +253,19 @@ DeltaNSpectrum = namedtuple("DeltaNSpectrum", "all maximal_members")
 
 
 def delta_n_spectrum(ring, delta):
-    """All proper delta-n ideals plus the maximal members under inclusion."""
+    """All proper delta-n ideals and the maximal ones: ``_spectrum``'s masks as ideals."""
     if not ring.is_finite:
         raise InfiniteRingError("spectra are enumerated on finite rings only")
     _same_ring(ring, delta.ring, "expansion")
-    return _spectrum(ring, delta_n_masks(delta))
+    return DeltaNSpectrum(*(tuple(_mk_ideal(ring, m) for m in masks)
+                            for masks in _spectrum(ring, delta_n_masks(delta))))
 
 
 def _spectrum(ring, dn):
-    """The spectrum of the delta-n set ``dn``: its ideals in lattice order and
-    the maximal ones among them under inclusion."""
-    members = tuple(I for I in enumerate_ideals(ring) if I.mask in dn)
-    maximal = tuple(I for I in members
-                    if not any(J is not I and I.mask & ~J.mask == 0 for J in members))
-    return DeltaNSpectrum(all=members, maximal_members=maximal)
+    """The spectrum of the delta-n set ``dn`` as masks: its members in lattice
+    order and the maximal ones among them under inclusion."""
+    members = [m for m in _lattice(ring) if m in dn]
+    return members, [m for m in members if not any(n != m and m & ~n == 0 for n in members)]
 
 
 def delta_nilpotents(ring, delta):

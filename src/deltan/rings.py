@@ -785,7 +785,7 @@ def _finite_ring_class(ring):
     maximals = ideals.maximal_ideals(ring)
     quasi_local = len(maximals) == 1
     return RingClass(
-        is_field=len(ideals.enumerate_ideals(ring)) == 2,
+        is_field=len(ideals._lattice(ring)) == 2,
         is_integral_domain=ideals._z_i_mask(ring, 1 << zero) == 1 << zero,
         is_reduced=ideals.nilradical(ring).size == 1,
         is_von_neumann_regular=all(a in mul[row[a]] for a, row in enumerate(mul)),

@@ -19,7 +19,7 @@ from .constructions import (Homomorphism, MultiplicativeSet, idealization,
 from .dsl import bind_ring, parse_spec
 from .errors import DeltanError, InfiniteRingError, UnknownClaimError
 from .expansions import catalog, derive_quotient_expansion
-from .ideals import _bits, _unit_mask, enumerate_ideals, ideal_from_generators, nilradical
+from .ideals import _bits, _nil_mask, _unit_mask, enumerate_ideals, ideal_from_generators
 from .rings import _proved, integers, memo, modular, poly_quotient, product
 
 
@@ -102,7 +102,7 @@ class Context:
         for sset in [MultiplicativeSet(ring, (ring.one_idx,)),
                      MultiplicativeSet(ring, tuple(_bits(unit_mask)))] + [
                 mult_closure(ring, [ring.el(a)])
-                for a in _bits(ring.full_mask & ~(unit_mask | nilradical(ring).mask))]:
+                for a in _bits(ring.full_mask & ~(unit_mask | _nil_mask(ring)))]:
             family.setdefault(sset.indices, sset)
         return tuple(family.values())
 

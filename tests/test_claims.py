@@ -33,11 +33,15 @@ CONVERTED = (
     "prop-hom-preimage", "prop-hom-image", "prop-hom-epi-pushforward",
     "rem-product-obstruction", "prop-idealization-transfer", "prop-idealization-radical",
     "prop-loc-forward", "prop-loc-backward", "prop-loc-regular-contract",
-    "conj-proper-delta-n-is-n",
+    "conj-proper-delta-n-is-n", "prop-nilradical-primary-iff", "thm-von-neumann-field",
+    "prop-zero-divisor-quotient",
 )
 
 # claims about a whole ring: their failures name the ring, not one ideal
 RING_LEVEL = {"thm-every-ideal-quasilocal", "thm-existence"}
+# claims whose failures name no expansion: one about every catalog expansion at
+# once, and one about the radical alone
+NO_EXPANSION = {"thm-every-ideal-quasilocal", "prop-idealization-radical"}
 
 REAL = claims.delta_n_masks
 
@@ -112,6 +116,7 @@ def test_every_failure_branch_builds_its_witness(monkeypatch, claim_id):
     assert failures, claim_id
     for w in failures:
         assert w.ring, (claim_id, w)
+        assert w.expansion or claim_id in NO_EXPANSION, (claim_id, w)
         assert w.ideal or claim_id in RING_LEVEL, (claim_id, w)
 
 
@@ -125,18 +130,6 @@ def test_verdict_kernel_keeps_skips_apart_from_holds_and_failures():
     assert verdicts == [("holds", None), ("skip", None), ("holds", None),
                         ("skip", None), ("fail", "w4"), ("skip", None)]
     assert built == [4]
-
-
-@pytest.mark.parametrize("claim_id", ["prop-nilradical-primary-iff", "thm-von-neumann-field",
-                                      "prop-zero-divisor-quotient"])
-def test_single_decision_checkers_build_their_witness(monkeypatch, claim_id):
-    """These read one delta-n decision per (ring, delta); inverting it forces failures."""
-    real = claims._dn
-    monkeypatch.setattr(claims, "_dn", lambda I, delta: not real(I, delta))
-    failures = [w for status, w in CHECKERS[claim_id](_small_context()) if status == FAIL]
-    assert failures
-    for w in failures:
-        assert w.ring and w.expansion and w.ideal, (claim_id, w)
 
 
 def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):

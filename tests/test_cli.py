@@ -90,9 +90,13 @@ def test_classify_integer_example(capsys):
 
 
 def test_classify_improper_ideal(capsys):
+    """The whole ring gets its five flag rows, then one refusal on stderr."""
     assert main(["classify", "Z6", "(1)"]) == 2
-    out = capsys.readouterr().out
-    assert "proper ideals only" in out
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "ring", "ideal", "proper", "prime", "maximal", "primary", "superfluous"]
+    assert captured.err == ("error: this ideal class is defined for proper ideals only; "
+                            "got the whole ring\n")
 
 
 def test_classify_bad_delta_prints_no_half_report(capsys):

@@ -169,6 +169,30 @@ def test_value_classes_are_built_only_by_their_memoised_constructors():
         assert _memoised(fn) or not callers, f"{name} is called unmemoised by {callers}"
 
 
+# the .mask reads left in claims.py, (function, object read) -> count, each of
+# an object that the checkers do not take from the lattice: a homomorphism's
+# kernel, and a submodule of an idealization's module
+CLAIMS_MASK_READS = {("_check_hom_image", "f.kernel"): 1,
+                     ("_check_hom_epi_pushforward", "f.kernel"): 1,
+                     ("_homogeneous_pairs", "N"): 1}
+
+
+def test_claims_read_no_mask_off_a_lattice_ideal():
+    """The checkers iterate the ideal lattice as masks (``ideals._lattice``), and
+    build an ``Ideal`` only for a witness or an API that takes one, so claims.py
+    reads ``.mask`` only where ``CLAIMS_MASK_READS`` lists it."""
+    tree = ast.parse((ROOT / "src" / "deltan" / "claims.py").read_text(encoding="utf-8"))
+    reads = Counter()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "mask":
+                    reads[fn.name, ast.unparse(node.value)] += 1
+    everywhere = sum(isinstance(node, ast.Attribute) and node.attr == "mask"
+                     for node in ast.walk(tree))
+    assert everywhere == sum(reads.values()) and reads == CLAIMS_MASK_READS, reads
+
+
 def test_readme_library_tour_runs():
     with contextlib.redirect_stdout(io.StringIO()) as out:
         exec(compile(_readme_block("Library tour", "python"), "README.md", "exec"), {})

@@ -2,6 +2,7 @@
 equal values are the same object and print the same way."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -220,25 +221,42 @@ def test_a_derived_ring_and_its_base_die_with_the_last_reference(monkeypatch):
 
 def test_every_mask_interned_as_an_ideal_is_one(monkeypatch):
     """R/J is proved on the cosets of J (``constructions._coset_ring``) with no
-    run-time check that J.mask is an ideal: every ``Ideal`` comes from the ideal
-    operators or from an index list checked before it is interned.  Each mask
-    that ``_mk_ideal`` interns reaches ``Ideal.__init__`` once; here each one is
-    checked, over a verification of a fresh default corpus and the locked
-    command-line queries, every ring built afresh.  A non-ideal raises where it
-    is interned, and is kept too, as ``cli.main`` reports what it raises."""
+    run-time check that J's mask is an ideal: every ideal mask comes from the
+    ideal operators, from the lattice, or from an index list checked before it
+    is interned.  Each mask that ``_mk_ideal`` interns reaches ``Ideal.__init__``
+    once, and the lattice that the checkers, the expansion tables and the
+    quotients read is ``ideals._lattice``, memoised per ring; here each mask of
+    both is checked, over a verification of a fresh default corpus and the
+    locked command-line queries, every ring built afresh.  A non-ideal raises
+    where it is made, and is kept too, as ``cli.main`` reports what it raises."""
+    from deltan import ideals
     from deltan.ideals import Ideal, _bits, _generated_mask
     from test_cli_lock import _output_hash, _queries
-    init, masks, bad = Ideal.__init__, [], []
+    init, lattice, masks, bad, seen = Ideal.__init__, ideals._lattice, [], [], {}
+
+    def check(ring, mask):
+        masks.append(mask)
+        if _generated_mask(ring, _bits(mask)) != mask:
+            bad.append((ring.key, mask))
+            raise AssertionError(f"{ring.key}: {mask:#x} is not an ideal")
 
     def checked(self, ring, mask=None, n=None):
         if mask is not None:
-            masks.append(mask)
-            if _generated_mask(ring, _bits(mask)) != mask:
-                bad.append((ring.key, mask))
-                raise AssertionError(f"{ring.key}: {mask:#x} is not an ideal")
+            check(ring, mask)
         init(self, ring, mask, n)
 
+    def checked_lattice(ring):
+        found = lattice(ring)
+        if id(found) not in seen:  # each ring's lattice once; seen keeps it, and so its id
+            seen[id(found)] = found
+            for mask in found:
+                check(ring, mask)
+        return found
+
     monkeypatch.setattr(Ideal, "__init__", checked)
+    for module in [m for name, m in sys.modules.items() if name.startswith("deltan.")]:
+        if getattr(module, "_lattice", None) is lattice:
+            monkeypatch.setattr(module, "_lattice", checked_lattice)
     monkeypatch.setattr("deltan.rings._RING_CACHE", {})
     run_claims(builtin_corpus.__wrapped__())
     verified = len(masks)

@@ -15,7 +15,7 @@ from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingErr
                     InvalidSpecError, arithmetic, check_ring_axioms,
                     classify_element, classify_ring, integers, localize, modular,
                     mult_closure, poly_quotient, product)
-from deltan.ideals import (_product_mask, _product_pair, _sum_mask, _sum_pair,
+from deltan.ideals import (_lattice, _product_mask, _product_pair, _sum_mask, _sum_pair,
                            enumerate_ideals, ideal_from_generators)
 from deltan.rings import Ring, _additive_generators, _build_modular, _product, memo, ring_key
 from deltan.constructions import Module, idealization, make_module, quotient_ring
@@ -93,7 +93,7 @@ def test_memo_returns_the_stored_value_without_recomputing():
     first = squares(z6, 2)
     assert squares(z6, 2) is first and calls == [2]
     assert squares.__name__ == "squares"
-    assert enumerate_ideals(z6) is enumerate_ideals(z6)
+    assert _lattice(z6) is _lattice(z6)
 
 
 def test_memo_entries_stay_on_their_own_ring():
@@ -103,7 +103,7 @@ def test_memo_entries_stay_on_their_own_ring():
     assert twin != z6 and twin is not z6
     assert twin._cache == {}
     assert [I.mask for I in enumerate_ideals(twin)] == [I.mask for I in lattice]
-    assert enumerate_ideals(twin) is not lattice
+    assert _lattice(twin) == _lattice(z6) and _lattice(twin) is not _lattice(z6)
 
 
 def test_sum_and_product_keep_one_entry_per_unordered_pair():
