@@ -1,9 +1,9 @@
 """Executable claim registry for the delta-n-ideal theory.
 
 Each claim pairs a formal statement with a checker that quantifies over corpus
-instances and yields one verdict per instance: ``holds``, ``skip`` (hypothesis
-not met), or ``fail`` with a concrete witness.  Checkers are deterministic:
-corpus order, catalog order, lattice order, element order.
+instances and yields one value per instance: the constant ``HOLDS``, the
+constant ``SKIP`` (hypothesis not met), or the ``Witness`` of a failure.
+Checkers are deterministic: corpus, catalog, lattice and element order.
 
 A claim is declared once, by the ``@_claim`` decorator on its checker; the
 registry ``CLAIMS`` is in definition order, which is the report order.  A
@@ -48,7 +48,7 @@ from .predicates import (_composed_dn, _delta_primary, _localized_dn, _spectrum,
 from .rings import classify_ring, memo, modular, poly_quotient
 
 
-HOLDS, SKIP, FAIL = "holds", "skip", "fail"
+HOLDS, SKIP = "holds", "skip"
 
 
 class Witness(namedtuple("Witness", "ring expansion ideal elements detail",
@@ -84,15 +84,15 @@ def _claim(id, title, statement, quantifies, self_test=False, notes=()):
 def _verdicts(instances, hyp, concl, witness):
     """The verdict kernel: one verdict per instance, in the order ``instances``
     yields them.  SKIP where ``hyp`` fails, HOLDS where ``concl`` holds, and
-    otherwise FAIL with ``witness``, built only then.  The three callables
+    otherwise the failure's ``witness``, built only then.  The three callables
     take the fields of an instance as their arguments."""
     for inst in instances:
         if not hyp(*inst):
-            yield SKIP, None
+            yield SKIP
         elif concl(*inst):
-            yield HOLDS, None
+            yield HOLDS
         else:
-            yield FAIL, witness(*inst)
+            yield witness(*inst)
 
 
 def _no_hypothesis(*inst):
@@ -187,18 +187,17 @@ def _pair_repr(a, b):
         "decide the same class.",
         "every (ring, catalog expansion, proper ideal)")
 def _check_four_equivalents(ctx):
+    methods = predicates.DELTA_N_METHODS
     for entry in ctx.entries:
         ring, proper = entry.ring, [_mk_ideal(entry.ring, m) for m in _proper(entry.ring)]
         for delta in entry.expansions:
             for I in proper:
-                values = [is_delta_n_ideal(I, delta, method=m)
-                          for m in predicates.DELTA_N_METHODS]
+                values = [is_delta_n_ideal(I, delta, method=m) for m in methods]
                 if len(set(values)) == 1:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    detail = ", ".join(f"{m}={v}" for m, v in
-                                       zip(predicates.DELTA_N_METHODS, values))
-                    yield FAIL, _wit(ring, delta, I, detail=detail)
+                    detail = ", ".join(f"{m}={v}" for m, v in zip(methods, values))
+                    yield _wit(ring, delta, I, detail=detail)
 
 
 @_claim("prop-subset-nilradical", "Proper-expansion delta-n ideals are nil",
@@ -220,12 +219,12 @@ def _check_z6_counterexample(ctx):
     for delta in (delta0(ring), delta1(ring)):
         wit = delta_n_witness(zero, delta)
         if wit is None:
-            yield FAIL, _wit(ring, delta, zero, detail="(0) was judged delta-n")
+            yield _wit(ring, delta, zero, detail="(0) was judged delta-n")
         elif (wit[0].idx, wit[1].idx) != (2, 3):
-            yield FAIL, _wit(ring, delta, zero, elements=_pair_repr(*wit),
-                             detail="expected witness a=2, b=3")
+            yield _wit(ring, delta, zero, elements=_pair_repr(*wit),
+                       detail="expected witness a=2, b=3")
         else:
-            yield HOLDS, None
+            yield HOLDS
 
 
 @_claim("prop-primary-to-delta-n", "delta-primary inside sqrt(0) is delta-n",
@@ -267,9 +266,9 @@ def _check_integer_delta_plus(ctx):
             ok = (is_delta_n_ideal(I, dp) and not is_delta_n_ideal(I, d0)
                   and not is_delta_n_ideal(I, d1) and not is_n_ideal(I))
             if ok:
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(zz, dp, I, detail=f"p={p}, q={q}")
+                yield _wit(zz, dp, I, detail=f"p={p}, q={q}")
 
 
 @_claim("prop-delta-primary-iff-subset", "Primary + proper value: delta-n iff nil",
@@ -311,10 +310,10 @@ def _check_every_ideal_quasilocal(ctx):
         # quasi-local: one maximal ideal, which is sqrt(0) when sqrt(0) is maximal
         c4 = classify_ring(ring).is_quasi_local and classes[nil].is_maximal
         if c1 == c2 == c3 == c4:
-            yield HOLDS, None
+            yield HOLDS
         else:
-            yield FAIL, _wit(ring, detail=f"principal={c1}, all={c2}, "
-                                          f"unique-prime={c3}, quasi-local={c4}")
+            yield _wit(ring, detail=f"principal={c1}, all={c2}, "
+                                    f"unique-prime={c3}, quasi-local={c4}")
 
 
 @_claim("prop-domain-only-zero", "Integral domain: only (0) is delta-n",
@@ -329,9 +328,9 @@ def _check_domain_only_zero(ctx):
                 continue
             I = integer_ideal(zz, n)
             if is_delta_n_ideal(I, delta) == (n == 0):
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(zz, delta, I)
+                yield _wit(zz, delta, I)
 
 
 @_claim("thm-von-neumann-field", "Field iff von Neumann regular + (0) delta-n",
@@ -371,12 +370,12 @@ def _check_colon_stable(ctx):
                 # (delta(I):x) <= delta(I:x) != R; a hypothesis, except for delta1
                 side = not (d_colons[x] & ~table[cx]) and table[cx] != full
                 if not (side or is_radical):
-                    yield SKIP, None
+                    yield SKIP
                 elif side and cx in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, m, elements=f"x={ring.element_repr(x)}",
-                                     detail=_named(ring, ("(I:x)", cx)))
+                    yield _wit(ring, delta, m, elements=f"x={ring.element_repr(x)}",
+                               detail=_named(ring, ("(I:x)", cx)))
 
 
 @_claim("prop-maximal-is-nilradical", "Maximal delta-n ideals are sqrt(0)",
@@ -387,12 +386,11 @@ def _check_maximal_is_nilradical(ctx):
     for s in _by_expansion(ctx):
         for m in _spectrum(s.ring, s.dn)[1]:  # the maximal members
             if _colon_violation(s.delta, m) is not None:
-                yield SKIP, None
+                yield SKIP
             elif m == s.nil and _ideal_class(s.ring, m).is_prime:
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(s.ring, s.delta, m,
-                                 detail="maximal member is not the prime nilradical")
+                yield _wit(s.ring, s.delta, m, detail="maximal member is not the prime nilradical")
 
 
 def _existence_conditions(s):
@@ -424,16 +422,16 @@ def _check_idem_colon_expansion(ctx):
     for ring, delta, dn, proper, table, _, nil, _ in _by_expansion(ctx):
         for m in proper:
             if not _idempotent_delta_n(delta, dn, m):
-                yield SKIP, None
+                yield SKIP
                 continue
             colons = _colon_mask.table(ring, m)
             for a in range(ring.size):
                 if nil >> a & 1:
                     continue
                 if table[colons[a]] == table[m]:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, m, elements=f"a={ring.element_repr(a)}")
+                    yield _wit(ring, delta, m, elements=f"a={ring.element_repr(a)}")
 
 
 @_claim("prop-idem-value-n-iff", "Idempotent delta: value is n iff delta-n",
@@ -464,10 +462,10 @@ def _check_idem_cancellation(ctx):
                     if ik != jk:
                         continue
                     if table[i] == table[j]:
-                        yield HOLDS, None
+                        yield HOLDS
                     else:
-                        yield FAIL, _wit(ring, delta, i, detail=_named(ring, ("J", j), ("K", k))
-                                         + ": delta values differ")
+                        yield _wit(ring, delta, i, detail=_named(ring, ("J", j), ("K", k))
+                                   + ": delta values differ")
 
 
 @_claim("prop-idem-absorption", "Products absorb into delta(I)",
@@ -487,9 +485,9 @@ def _check_idem_absorption(ctx):
                 if not _idempotent_delta_n(delta, dn, ik):
                     continue
                 if table[ik] == table[i]:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, i, detail=_named(ring, ("K", k), ("IK", ik)))
+                    yield _wit(ring, delta, i, detail=_named(ring, ("K", k), ("IK", ik)))
 
 
 def _zero_divisors_delta_q_nilpotent(delta):
@@ -532,9 +530,9 @@ def _check_radical_value_n_iff(ctx):
         scope = next(s for s in _scopes(ctx, entry) if s.delta is d1)
         for m in _proper(ring):
             if (m in scope.dn) == (d1.table[m] in scope.n_masks):
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(ring, d1, m, detail=_named(ring, ("sqrt(I)", d1.table[m])))
+                yield _wit(ring, d1, m, detail=_named(ring, ("sqrt(I)", d1.table[m])))
 
 
 @_claim("prop-pointwise-monotone", "Pointwise-larger expansions preserve the class",
@@ -549,13 +547,13 @@ def _check_pointwise_monotone(ctx):
         for delta, dn in zip(entry.expansions, dns):
             for gamma, dn_g in zip(entry.expansions, dns):
                 if any(delta.table[m] & ~gamma.table[m] for m in lattice):
-                    yield SKIP, None
+                    yield SKIP
                     continue
                 bad = next((m for m in proper if m in dn and m not in dn_g), None)
                 if bad is None:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, bad, detail=f"gamma={gamma.name()}")
+                    yield _wit(ring, delta, bad, detail=f"gamma={gamma.name()}")
 
 
 @_claim("prop-compose-n-ideal", "Composition transfer",
@@ -570,12 +568,12 @@ def _check_compose_n_ideal(ctx):
                 g_table, dn_comp = gamma.table, _composed_dn(delta, gamma)
                 for m in proper:
                     if g_table[m] not in dn:
-                        yield SKIP, None
+                        yield SKIP
                     elif m in dn_comp:
-                        yield HOLDS, None
+                        yield HOLDS
                     else:
-                        yield FAIL, _wit(ring, compose_expansions(delta, gamma), m,
-                                         detail=_named(ring, ("gamma(I)", g_table[m])))
+                        yield _wit(ring, compose_expansions(delta, gamma), m,
+                                   detail=_named(ring, ("gamma(I)", g_table[m])))
 
 
 @_claim("prop-radical-transfer", "sqrt of a delta-n-ideal",
@@ -585,15 +583,15 @@ def _check_compose_n_ideal(ctx):
 def _check_radical_transfer(ctx):
     for ring, delta, dn, proper, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).radical_commuting:
-            yield SKIP, None
+            yield SKIP
             continue
         for m in proper:
             if m not in dn:
-                yield SKIP, None
+                yield SKIP
             elif (root := _radical_mask(ring, m)) in dn:
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(ring, delta, m, detail=_named(ring, ("sqrt(I)", root)))
+                yield _wit(ring, delta, m, detail=_named(ring, ("sqrt(I)", root)))
 
 
 @_claim("prop-sandwich", "Sandwiched ideals",
@@ -612,11 +610,11 @@ def _check_sandwich(ctx):
                     if j & ~k:
                         continue
                     if table[j] != table[i]:
-                        yield SKIP, None
+                        yield SKIP
                     elif k in dn:
-                        yield HOLDS, None
+                        yield HOLDS
                     else:
-                        yield FAIL, _wit(ring, delta, k, detail=_named(ring, ("J", j), ("I", i)))
+                        yield _wit(ring, delta, k, detail=_named(ring, ("J", j), ("I", i)))
 
 
 @_claim("prop-intersection", "Intersections under intersection-preserving delta",
@@ -626,15 +624,15 @@ def _check_sandwich(ctx):
 def _check_intersection(ctx):
     for ring, delta, dn, proper, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
-            yield SKIP, None
+            yield SKIP
             continue
         members = [m for m in proper if m in dn]
         for i in members:
             for j in members:
                 if i & j in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
+                    yield _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
 
 
 @_claim("prop-intersection-noncomparable", "Non-comparable prime values",
@@ -645,7 +643,7 @@ def _check_intersection(ctx):
 def _check_intersection_noncomparable(ctx):
     for ring, delta, dn, proper, table, *_ in _by_expansion(ctx):
         if not profile_expansion(delta).intersection_preserving:
-            yield SKIP, None
+            yield SKIP
             continue
         classes = _ideal_class.table(ring)
         for i in proper:
@@ -657,11 +655,11 @@ def _check_intersection_noncomparable(ctx):
                 if not classes[dJ].is_prime or dI & ~dJ == 0 or dJ & ~dI == 0:
                     continue
                 if i & j not in dn:
-                    yield SKIP, None
+                    yield SKIP
                 elif i in dn and j in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
+                    yield _wit(ring, delta, i & j, detail=_named(ring, ("I", i), ("J", j)))
 
 
 @_claim("lem-superfluous", "delta-n ideals with proper value are superfluous",
@@ -685,9 +683,9 @@ def _check_sum_delta_n(ctx):
             for j in qualifying:
                 s = _sum_mask(ring, i, j)
                 if s in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, s, detail=_named(ring, ("I", i), ("J", j)))
+                    yield _wit(ring, delta, s, detail=_named(ring, ("I", i), ("J", j)))
 
 
 # ---------------------------------------------------------------------------
@@ -770,18 +768,18 @@ def _check_hom_preimage(ctx):
         preimages, proper = Homomorphism.preimage_mask.table(f), _proper(f.target)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
-                yield SKIP, None
+                yield SKIP
                 continue
             dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
             for k in proper:
                 if k not in dn_g:
-                    yield SKIP, None
+                    yield SKIP
                 elif preimages[k] in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(f.source, delta, preimages[k],
-                                     detail=f"target {f.target.key}, "
-                                            f"{_named(f.target, ('J', k))}, gamma={gamma.name()}")
+                    yield _wit(f.source, delta, preimages[k],
+                               detail=f"target {f.target.key}, "
+                                      f"{_named(f.target, ('J', k))}, gamma={gamma.name()}")
 
 
 @_claim("prop-hom-image", "Images along epimorphisms",
@@ -797,23 +795,21 @@ def _check_hom_image(ctx):
         images, proper = Homomorphism.image_mask.table(f), _proper(f.source)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
-                yield SKIP, None
+                yield SKIP
                 continue
             dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
             for m in proper:
                 if ker & ~m or m not in dn:
-                    yield SKIP, None
+                    yield SKIP
                     continue
-                img = images[m]
-                if img == full:
-                    yield FAIL, _wit(f.source, delta, m, detail="image is the whole ring")
+                if (img := images[m]) == full:
+                    yield _wit(f.source, delta, m, detail="image is the whole ring")
                 elif img in dn_g:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(f.source, delta, m,
-                                     detail=f"target {f.target.key}, "
-                                            f"{_named(f.target, ('f(I)', img))}, "
-                                            f"gamma={gamma.name()}")
+                    yield _wit(f.source, delta, m,
+                               detail=f"target {f.target.key}, "
+                                      f"{_named(f.target, ('f(I)', img))}, gamma={gamma.name()}")
 
 
 @_claim("prop-hom-epi-pushforward", "Pushforward identity",
@@ -828,20 +824,20 @@ def _check_hom_epi_pushforward(ctx):
         lattice = _lattice(f.source)
         for delta, gamma in pairs:
             if not is_delta_gamma_homomorphism(f, delta, gamma):
-                yield SKIP, None
+                yield SKIP
                 continue
             for m in lattice:
                 if ker & ~m:
-                    yield SKIP, None
+                    yield SKIP
                     continue
                 lhs = gamma.table[images[m]]
                 rhs = images[delta.table[m]]
                 if lhs == rhs:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(f.source, delta, m,
-                                     detail=_named(f.target, ("gamma(f(I))", lhs)) + " != "
-                                            + _named(f.target, ("f(delta(I))", rhs)))
+                    yield _wit(f.source, delta, m,
+                               detail=_named(f.target, ("gamma(f(I))", lhs)) + " != "
+                                      + _named(f.target, ("f(delta(I))", rhs)))
 
 
 @_claim("prop-radical-hom", "Radical expansions along any homomorphism",
@@ -851,9 +847,9 @@ def _check_hom_epi_pushforward(ctx):
 def _check_radical_hom(ctx):
     for f, _pairs in ctx.hom_instances():
         if is_delta_gamma_homomorphism(f, delta1(f.source), delta1(f.target)):
-            yield HOLDS, None
+            yield HOLDS
         else:
-            yield FAIL, _wit(f.source, detail=f"radical expansions along {f!r}")
+            yield _wit(f.source, detail=f"radical expansions along {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -877,12 +873,11 @@ def _check_product_obstruction(ctx):
                 dn = delta_n_masks(dx)
                 for m in _proper(ring):
                     if d1.table[p1[m]] == left.full_mask and d2.table[p2[m]] == right.full_mask:
-                        yield SKIP, None
+                        yield SKIP
                     elif m in dn:
-                        yield FAIL, _wit(ring, dx, m,
-                                         detail="delta-n despite a proper component value")
+                        yield _wit(ring, dx, m, detail="delta-n despite a proper component value")
                     else:
-                        yield HOLDS, None
+                        yield HOLDS
 
 
 def _homogeneous_pairs(rec, masks):
@@ -906,9 +901,9 @@ def _check_idealization_transfer(ctx):
             dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
             for i, N, w in _homogeneous_pairs(rec, _proper(rec.base)):
                 if (i in dn) == (w in dn_plus):
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(rec.ring, delta, _mk_ideal(rec.base, i), detail=f"N={N!r}")
+                    yield _wit(rec.ring, delta, _mk_ideal(rec.base, i), detail=f"N={N!r}")
 
 
 @_claim("prop-idealization-radical", "Radical of a homogeneous ideal",
@@ -920,10 +915,9 @@ def _check_idealization_radical(ctx):
         for i, N, w in _homogeneous_pairs(rec, _lattice(base)):
             expected = rec.homogeneous_mask(_radical_mask(base, i), full_m)
             if _radical_mask(rec.ring, w) == expected:
-                yield HOLDS, None
+                yield HOLDS
             else:
-                yield FAIL, _wit(rec.ring, ideal=w,
-                                 detail="radical is not sqrt(I)(+)M")
+                yield _wit(rec.ring, ideal=w, detail="radical is not sqrt(I)(+)M")
 
 
 @_claim("prop-loc-forward", "Localization of a delta-n-ideal",
@@ -941,12 +935,12 @@ def _check_loc_forward(ctx):
                 dn_s = _localized_dn(delta, sset)
                 for m in proper:
                     if m & smask or m not in dn:
-                        yield SKIP, None
+                        yield SKIP
                     elif extend[m] in dn_s:
-                        yield HOLDS, None
+                        yield HOLDS
                     else:
-                        yield FAIL, _wit(ring, delta, m, detail=f"S={sset!r}, "
-                                         + _named(rec.ring, ("extension", extend[m])))
+                        yield _wit(ring, delta, m, detail=f"S={sset!r}, "
+                                   + _named(rec.ring, ("extension", extend[m])))
 
 
 @_claim("prop-loc-backward", "Descending from the localization",
@@ -961,18 +955,18 @@ def _check_loc_backward(ctx):
         for sset in ctx.mult_sets(ring):
             smask = sum(1 << i for i in sset.indices)
             if zdiv & smask:  # a hypothesis fails at every (delta, I)
-                yield from [(SKIP, None)] * (len(entry.expansions) * len(_proper(ring)))
+                yield from [SKIP] * (len(entry.expansions) * len(_proper(ring)))
                 continue
             extend = Homomorphism.image_mask.table(localize(ring, sset).canonical)
             for _, delta, dn, proper, *_ in _scopes(ctx, entry):
                 dn_s = _localized_dn(delta, sset)
                 for m in proper:
                     if z_is[delta.table[m]] & smask or extend[m] not in dn_s:
-                        yield SKIP, None
+                        yield SKIP
                     elif m in dn:
-                        yield HOLDS, None
+                        yield HOLDS
                     else:
-                        yield FAIL, _wit(ring, delta, m, detail=f"S={sset!r}")
+                        yield _wit(ring, delta, m, detail=f"S={sset!r}")
 
 
 @_claim("prop-loc-regular-contract", "Contraction from the regular localization",
@@ -991,11 +985,11 @@ def _check_loc_regular_contract(ctx):
             dn_s = _localized_dn(delta, sset)
             for k in proper:
                 if k not in dn_s:
-                    yield SKIP, None
+                    yield SKIP
                 elif contract[k] in dn:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
-                    yield FAIL, _wit(ring, delta, contract[k], detail=_named(rec.ring, ("K", k)))
+                    yield _wit(ring, delta, contract[k], detail=_named(rec.ring, ("K", k)))
 
 
 @_claim("audit-loc-well-defined", "Representative independence of delta_S",
@@ -1010,12 +1004,12 @@ def _check_loc_well_defined(ctx):
             for delta in entry.expansions:
                 collisions = localization_value_collisions(delta, sset)
                 if not collisions:
-                    yield HOLDS, None
+                    yield HOLDS
                 else:
                     I, J = collisions[0]
-                    yield FAIL, _wit(ring, delta, I,
-                                     detail=f"S={sset!r}: same extension as {J!r} "
-                                            f"but different delta extension")
+                    yield _wit(ring, delta, I,
+                               detail=f"S={sset!r}: same extension as {J!r} "
+                                      f"but different delta extension")
 
 
 # ---------------------------------------------------------------------------
@@ -1037,22 +1031,21 @@ def _check_example_unit_ideal(ctx):
     a = ring.from_payload((1, 1, 0))
     b = ring.from_payload((1, 3, 1))
     if a * b == ring.one:
-        yield HOLDS, None
+        yield HOLDS
     else:
-        yield FAIL, _wit(ring, elements="(1+x)(1+3x+x^2)",
-                         detail="product is not 1")
+        yield _wit(ring, elements="(1+x)(1+3x+x^2)", detail="product is not 1")
     J = ideal_from_generators(ring, [a])
     if not J.is_proper:
-        yield HOLDS, None
+        yield HOLDS
     else:
-        yield FAIL, _wit(ring, ideal=J, detail="(x+1) was computed proper")
+        yield _wit(ring, ideal=J, detail="(x+1) was computed proper")
     nil = nilradical(ring)
     two_x = ideal_from_generators(ring, [ring.from_payload((2, 0, 0)),
                                          ring.from_payload((0, 1, 0))])
     if nil == two_x and nil.size == 32:
-        yield HOLDS, None
+        yield HOLDS
     else:
-        yield FAIL, _wit(ring, ideal=nil, detail="sqrt(0) is not (2, x) of size 32")
+        yield _wit(ring, ideal=nil, detail="sqrt(0) is not (2, x) of size 32")
 
 
 @_claim("conj-proper-delta-n-is-n", "Recorded conjecture: proper values force n-ideals",
@@ -1078,9 +1071,9 @@ def _check_selftest_z6(ctx):
     for I in (_mk_ideal(ring, m) for m in _proper(ring)):
         wit = n_ideal_witness(I)
         if wit is None:
-            yield HOLDS, None
+            yield HOLDS
         else:
-            yield FAIL, _wit(ring, ideal=I, elements=_pair_repr(*wit))
+            yield _wit(ring, ideal=I, elements=_pair_repr(*wit))
 
 
 @_claim("selftest-z12-nilradical-prime", "Self-test: inverted claim about Z12",
@@ -1092,9 +1085,9 @@ def _check_selftest_z12(ctx):
     outside = [a for a in ring.list_elements() if not nil.contains(a)]
     witness = next(((a, b) for a in outside for b in outside if nil.contains(a * b)), None)
     if witness is None:
-        yield HOLDS, None
+        yield HOLDS
     else:
-        yield FAIL, _wit(ring, ideal=nil, elements=_pair_repr(*witness))
+        yield _wit(ring, ideal=nil, elements=_pair_repr(*witness))
 
 
 CLAIMS = tuple(CLAIMS)

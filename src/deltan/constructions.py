@@ -230,8 +230,9 @@ class Homomorphism:
         self._cache = {}
 
     def _validate(self):
-        """Totality, 1 -> 1 and 0 -> 0, then f(g+x) = f(g)+f(x) and f(gx) = f(g)f(x)
-        for all x but only for g in an additive generating set G of the source.
+        """Totality, each image an element index of the target, 1 -> 1 and 0 -> 0,
+        then f(g+x) = f(g)+f(x) and f(gx) = f(g)f(x) for all x but only for g in
+        an additive generating set G of the source.
 
         That suffices, by the argument of check_ring_axioms: the c with
         f(c+x) = f(c)+f(x) for all x are closed under +, as f((c+d)+x) =
@@ -240,8 +241,10 @@ class Homomorphism:
         A map that breaks both identities is reported as breaking addition.
         """
         src, tgt, f = self.source, self.target, self.mapping
-        if len(f) != src.size:
+        if not isinstance(f, (list, tuple)) or len(f) != src.size:
             raise HomomorphismError("map must be total on the source elements")
+        for v in f:
+            _check_index(v, tgt.size, "an image of the map", HomomorphismError)
         if f[src.one_idx] != tgt.one_idx:
             raise HomomorphismError("map does not send 1 to 1")
         if f[src.zero_idx] != tgt.zero_idx:
@@ -300,23 +303,23 @@ def product_projections(ring):
 
 
 def make_homomorphism(source, target, mapping):
-    """Validate and wrap a total element map as a homomorphism.
-
-    ``mapping`` may be a callable on elements, a dict keyed by source
-    elements, or a list of target elements/indices in enumeration order.
-    """
+    """Validate and wrap a total element map as a homomorphism: ``mapping`` is a
+    callable on elements, a dict keyed by source elements, or a list of target
+    elements or indices in enumeration order."""
     if not source.is_finite:
         raise InfiniteRingError("explicit maps need a finite source; use quotient_ring "
                                 "for the mod-n reductions")
-    table = []
-    for a in source.list_elements():
-        if callable(mapping):
-            v = mapping(a)
-        elif isinstance(mapping, dict):
-            v = mapping[a]
-        else:
-            v = mapping[a.idx]
-        table.append(v.idx if isinstance(v, Element) else int(v))
+    elements = source.list_elements()
+    if callable(mapping):
+        mapping = [mapping(a) for a in elements]
+    elif isinstance(mapping, dict) and all(a in mapping for a in elements):
+        mapping = [mapping[a] for a in elements]
+    if not isinstance(mapping, (list, tuple)):  # Homomorphism checks the length
+        raise HomomorphismError("map must be total on the source elements")
+    for v in mapping:
+        if isinstance(v, Element):
+            _same_ring(target, v.ring, "an image of the map")
+    table = [v.idx if isinstance(v, Element) else v for v in mapping]
     return Homomorphism(source, target, mapping=table)
 
 
@@ -515,7 +518,7 @@ class MultiplicativeSet(namedtuple("MultiplicativeSet", "ring indices")):
     def __new__(cls, ring, indices):
         if not ring.is_finite:
             raise InfiniteRingError("multiplicative sets are finite-ring data here")
-        if not all(isinstance(i, int) and 0 <= i < ring.size for i in indices):
+        if not all(type(i) is int and 0 <= i < ring.size for i in indices):  # no bool
             raise InvalidSpecError(f"multiplicative-set indices {list(indices)} "
                                    f"are not elements of {ring.key}")
         idx = set(indices)

@@ -428,7 +428,11 @@ def poly_quotient(base, modulus):
         base = base.origin[1]
     if not isinstance(base, int) or base < 2:
         raise InvalidSpecError("modular ring needs an integer modulus n >= 2")
-    modulus = _poly_normalize(base, list(modulus))
+    bad = (type(modulus) if not isinstance(modulus, (list, tuple))
+           else next((type(c) for c in modulus if type(c) is not int), None))
+    if bad is not None:  # named by its type, as product names a factor
+        raise InvalidSpecError(f"poly_quotient modulus must be a list of ints; got {bad.__name__}")
+    modulus = _poly_normalize(base, modulus)
     _check_modulus(base, len(modulus) - 1)
     return _cached_ring(("poly_quotient", base, modulus))
 

@@ -3,8 +3,8 @@
 The corpus is a fixed, deterministic list of small rings, each paired with its
 expansion catalog: delta0, delta1, full, delta_plus(J) for every proper J,
 delta_star(P) for every nonzero P, and one composition delta1 o
-delta_plus(sqrt(0)).  ``run_claims`` evaluates registry claims over the corpus
-and aggregates per-claim reports with capped failure witnesses.
+delta_plus(sqrt(0)).  ``run_claims`` counts each claim's verdicts over the corpus,
+``HOLDS``, ``SKIP`` or a failure's ``Witness``, and keeps the first witnesses.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 import json
 from collections import namedtuple
 
-from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, FAIL, HOLDS, SKIP, Witness
+from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, HOLDS, SKIP
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
                             make_module, mult_closure, quotient_ring)
 from .dsl import bind_ring, parse_spec
@@ -173,7 +173,6 @@ def run_claims(corpus=None, claim_ids=None, witness_cap=5):
     """Evaluate claims over the corpus; self-tests run only when named explicitly."""
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
-    corpus = corpus if corpus is not None else builtin_corpus()
     if claim_ids is None:
         selected = [c for c in CLAIMS if not c.self_test]
     else:
@@ -183,18 +182,23 @@ def run_claims(corpus=None, claim_ids=None, witness_cap=5):
             if claim is None:
                 raise UnknownClaimError(f"unknown claim id {cid!r}")
             selected.append(claim)
-    ctx = Context(corpus)
+    ctx = Context(corpus if corpus is not None else builtin_corpus())
     reports = []
     for claim in selected:
-        counts = {HOLDS: 0, SKIP: 0, FAIL: 0}
+        holds = skips = failed = 0
         witnesses = []
-        for status, witness in CHECKERS[claim.id](ctx):
-            counts[status] += 1
-            if status == FAIL and len(witnesses) < witness_cap:
-                witnesses.append(witness or Witness())
+        for verdict in CHECKERS[claim.id](ctx):
+            if verdict is HOLDS:
+                holds += 1
+            elif verdict is SKIP:
+                skips += 1
+            else:  # a failure's witness
+                failed += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append(verdict)
         reports.append(ClaimReport(
-            claim_id=claim.id, title=claim.title, instances_checked=sum(counts.values()),
-            holds=counts[HOLDS], hypothesis_not_met=counts[SKIP], failed=counts[FAIL],
+            claim_id=claim.id, title=claim.title, instances_checked=holds + skips + failed,
+            holds=holds, hypothesis_not_met=skips, failed=failed,
             witnesses=tuple(witnesses), notes=claim.notes))
     return reports
 
@@ -203,12 +207,8 @@ def find_counterexample(claim_id, corpus=None):
     """First failure witness of one claim in deterministic order, or None."""
     if claim_id not in CLAIMS_BY_ID:
         raise UnknownClaimError(f"unknown claim id {claim_id!r}")
-    corpus = corpus if corpus is not None else builtin_corpus()
-    ctx = Context(corpus)
-    for status, witness in CHECKERS[claim_id](ctx):
-        if status == FAIL:
-            return witness or Witness()
-    return None
+    ctx = Context(corpus if corpus is not None else builtin_corpus())
+    return next((v for v in CHECKERS[claim_id](ctx) if v is not HOLDS and v is not SKIP), None)
 
 
 def render_text(reports):

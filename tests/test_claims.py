@@ -1,4 +1,5 @@
-"""Claim checkers on masks: every failure branch runs and builds its witness.
+"""Claim checkers on masks: every verdict branch runs, and every failure branch
+builds its witness.
 
 No checker fails on the default corpus, so the witness code would otherwise
 run only on a real counterexample.  Here the delta-n sets the checkers read
@@ -6,16 +7,24 @@ are replaced by wrong ones (empty, inverted, every proper ideal, the zero
 ideal alone or every nonzero proper ideal, chosen apart for base and derived
 expansions).  The homomorphism checkers are also given identity maps paired
 with every (delta, gamma), and the radical checker a radical that is the
-identity.
+identity.  A claim that reads no delta-n set gets the faults ``FAULTS`` names:
+each patches one module name that its checker reads.  One test traces
+claims.py over all of these runs and asserts that every ``yield`` and every
+lambda of every checker runs, but those ``UNREACHED`` lists with a reason.
 """
 
+import ast
+import sys
+from collections import defaultdict
 from itertools import product as pairs_of
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from deltan import (claims, compose_expansions, derive_localized_expansion, enumerate_ideals,
-                    modular, product, rings)
-from deltan.claims import CHECKERS, FAIL
+                    modular, poly_quotient, product, rings, unit_ideal, zero_ideal)
+from deltan.claims import CHECKERS, CLAIMS, HOLDS, SKIP
 from deltan.constructions import Homomorphism, MultiplicativeSet, idealization, make_module
 from deltan.expansions import Expansion
 from deltan.ideals import special_sets
@@ -24,10 +33,10 @@ from deltan.verifier import Context, Corpus, CorpusEntry, builtin_corpus, catalo
 CONVERTED = (
     "prop-subset-nilradical", "prop-primary-to-delta-n", "prop-delta-primary-iff-subset",
     "prop-prime-iff-nilradical", "thm-every-ideal-quasilocal", "lem-colon-stable",
-    "thm-existence", "prop-idem-colon-expansion", "prop-idem-value-n-iff",
-    "prop-idem-cancellation", "prop-idem-absorption", "prop-expansion-value-n",
-    "prop-radical-value-n-iff", "prop-pointwise-monotone", "prop-compose-n-ideal",
-    "prop-radical-transfer", "prop-sandwich", "prop-intersection",
+    "prop-maximal-is-nilradical", "thm-existence", "prop-idem-colon-expansion",
+    "prop-idem-value-n-iff", "prop-idem-cancellation", "prop-idem-absorption",
+    "prop-expansion-value-n", "prop-radical-value-n-iff", "prop-pointwise-monotone",
+    "prop-compose-n-ideal", "prop-radical-transfer", "prop-sandwich", "prop-intersection",
     "prop-intersection-noncomparable", "lem-superfluous", "prop-sum-delta-n",
     "cor-quotient-forward", "cor-quotient-back-nilpotent", "cor-quotient-back-delta-n",
     "prop-hom-preimage", "prop-hom-image", "prop-hom-epi-pushforward",
@@ -37,11 +46,38 @@ CONVERTED = (
     "prop-zero-divisor-quotient",
 )
 
-# claims about a whole ring: their failures name the ring, not one ideal
-RING_LEVEL = {"thm-every-ideal-quasilocal", "thm-existence"}
+# claim id -> the faults that make its failure branches run, beyond the
+# wrong delta-n sets that a CONVERTED claim is given
+FAULTS = {
+    "thm-four-equivalents": ("definition-only",),
+    "ex-z6-zero-not-n": (None, "no-witness"),  # with no fault, the stub pair (0, 1) is not (2, 3)
+    "ex-int-delta-plus": ("definition-only",),
+    "prop-domain-only-zero": ("definition-only",),
+    "prop-hom-preimage": ("not-delta-gamma",),
+    "prop-hom-image": ("full-images", "not-delta-gamma"),
+    "prop-hom-epi-pushforward": ("not-delta-gamma",),
+    "prop-radical-hom": ("not-delta-gamma",),
+    "audit-loc-well-defined": ("collisions",),
+    "audit-example-unit-ideal": ("unit-product", "proper-generators"),
+}
+
+# claims whose failures name no ideal: two about a whole ring, one about a
+# homomorphism, and an audit whose first check is a product of two elements
+NO_IDEAL = {"thm-every-ideal-quasilocal", "thm-existence", "prop-radical-hom",
+            "audit-example-unit-ideal"}
 # claims whose failures name no expansion: one about every catalog expansion at
-# once, and one about the radical alone
-NO_EXPANSION = {"thm-every-ideal-quasilocal", "prop-idealization-radical"}
+# once, one about the radical alone, one about the radical expansions of a
+# homomorphism, and an audit of one ring's arithmetic
+NO_EXPANSION = {"thm-every-ideal-quasilocal", "prop-idealization-radical", "prop-radical-hom",
+                "audit-example-unit-ideal"}
+
+# (checker, source line) -> why no run here reaches that verdict branch
+UNREACHED = {
+    ("_check_selftest_z6", "yield HOLDS"):
+        "a self-test states a false claim on a fixed ring, Z6, on purpose",
+    ("_check_selftest_z12", "yield HOLDS"):
+        "a self-test states a false claim on a fixed ring, Z12, on purpose",
+}
 
 REAL = claims.delta_n_masks
 
@@ -66,8 +102,9 @@ MODES = {
 
 def _small_context():
     z2 = modular(2)
+    # Z4[x]/(x^2): some of its delta_plus expansions do not preserve intersections
     rings = (modular(4), modular(6), modular(8), product(z2, z2),
-             idealization(z2, make_module(z2, "regular")).ring)
+             idealization(z2, make_module(z2, "regular")).ring, poly_quotient(4, [0, 0, 1]))
     return Context(Corpus(tuple(CorpusEntry(r, catalog(r)) for r in rings)))
 
 
@@ -81,7 +118,44 @@ def _mismatched_homs(ctx):
     return out
 
 
-def _failures(monkeypatch, claim_id, base, derived, fault):
+def _full_images(f):
+    """An image table that sends every ideal onto the whole target."""
+    return defaultdict(lambda: f.target.full_mask)
+
+
+def _patch_fault(m, ctx, fault):
+    """Apply one fault of ``FAULTS``, or of the delta-n-set runs, to ``m``."""
+    if fault == "n-ideals":
+        # the scopes read the n-ideals off delta0's set: break that set alone
+        m.setattr(claims, "delta_n_masks", lambda delta: MODES[
+            "inverted" if delta.kind == "delta0" else "real"](delta))
+    if fault == "homs":
+        m.setattr(ctx, "hom_instances", lambda: _mismatched_homs(ctx))
+        m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: True)
+    if fault == "radical":
+        m.setattr(claims, "_radical_mask", lambda ring, imask: imask)
+    if fault == "definition-only":  # the four methods disagree wherever they are asked
+        m.setattr(claims, "is_delta_n_ideal",
+                  lambda I, delta, method="definition": method == "definition")
+    if fault == "no-witness":
+        m.setattr(claims, "delta_n_witness", lambda I, delta: None)
+    if fault == "full-images":
+        m.setattr(claims, "Homomorphism", SimpleNamespace(
+            image_mask=SimpleNamespace(table=_full_images)))
+    if fault == "not-delta-gamma":
+        m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: False)
+    if fault == "collisions":
+        m.setattr(claims, "localization_value_collisions",
+                  lambda delta, sset: [(zero_ideal(delta.ring), unit_ideal(delta.ring))])
+    if fault == "unit-product":  # in Z4[x]/(x^3+2), (1+x)(1+3x+x^2) = 3
+        m.setattr(claims, "poly_quotient", lambda n, modulus: poly_quotient(4, [2, 0, 0, 1]))
+    if fault == "proper-generators":
+        m.setattr(claims, "ideal_from_generators", lambda ring, gens: zero_ideal(ring))
+
+
+def _verdicts(monkeypatch, claim_id, base, derived, fault):
+    """Every verdict of one claim on the small context, with the delta-n sets of
+    base and derived expansions given by ``MODES`` and ``fault`` applied."""
     ctx = _small_context()
     with monkeypatch.context() as m:
         m.setattr(claims, "delta_n_masks", lambda delta: MODES[
@@ -91,33 +165,98 @@ def _failures(monkeypatch, claim_id, base, derived, fault):
                   lambda d, g: claims.delta_n_masks(compose_expansions(d, g)))
         m.setattr(claims, "_localized_dn",
                   lambda d, sset: claims.delta_n_masks(derive_localized_expansion(d, sset)))
-        if fault == "n-ideals":
-            # the scopes read the n-ideals off delta0's set: break that set alone
-            m.setattr(claims, "delta_n_masks", lambda delta: MODES[
-                "inverted" if delta.kind == "delta0" else "real"](delta))
         # a forced failure has no real witness pair; the scan is stubbed out
         m.setattr(claims, "delta_n_witness", lambda I, delta: (I.ring.zero, I.ring.one))
         m.setattr(claims, "n_ideal_witness", lambda I: (I.ring.zero, I.ring.one))
-        if fault == "homs":
-            m.setattr(ctx, "hom_instances", lambda: _mismatched_homs(ctx))
-            m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: True)
-        if fault == "radical":
-            m.setattr(claims, "_radical_mask", lambda ring, imask: imask)
-        return [w for status, w in CHECKERS[claim_id](ctx) if status == FAIL]
+        _patch_fault(m, ctx, fault)
+        return list(CHECKERS[claim_id](ctx))
 
 
-@pytest.mark.parametrize("claim_id", CONVERTED)
+def _runs(claim_id):
+    """The (base, derived, fault) runs that make the failure branches of a claim run."""
+    runs = [(base, derived, None) for base, derived in pairs_of(MODES, repeat=2)
+            if claim_id in CONVERTED]
+    runs += [("real", "real", fault) for fault in ("homs", "radical", "n-ideals")
+             if claim_id in CONVERTED]
+    return runs + [("real", "real", fault) for fault in FAULTS.get(claim_id, ())]
+
+
+def _failures(verdicts):
+    return [v for v in verdicts if v is not HOLDS and v is not SKIP]
+
+
+@pytest.mark.parametrize("claim_id", CONVERTED + tuple(c for c in FAULTS if c not in CONVERTED))
 def test_every_failure_branch_builds_its_witness(monkeypatch, claim_id):
     failures = []
-    for base, derived in pairs_of(MODES, repeat=2):
-        failures += _failures(monkeypatch, claim_id, base, derived, None)
-    for fault in ("homs", "radical", "n-ideals"):
-        failures += _failures(monkeypatch, claim_id, "real", "real", fault)
+    for run in _runs(claim_id):
+        failures += _failures(_verdicts(monkeypatch, claim_id, *run))
     assert failures, claim_id
     for w in failures:
-        assert w.ring, (claim_id, w)
+        assert isinstance(w, claims.Witness) and w.ring, (claim_id, w)
         assert w.expansion or claim_id in NO_EXPANSION, (claim_id, w)
-        assert w.ideal or claim_id in RING_LEVEL, (claim_id, w)
+        assert w.ideal or claim_id in NO_IDEAL, (claim_id, w)
+
+
+def _branches():
+    """((checker, stripped source line), (code name, line number)) for each
+    ``yield`` and each lambda in ``_verdicts`` and in the checkers that
+    ``@_claim`` registers."""
+    source = Path(claims.__file__).read_text(encoding="utf-8")
+    lines, out = source.splitlines(), []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and (fn.name == "_verdicts" or any(
+                isinstance(d, ast.Call) and d.func.id == "_claim" for d in fn.decorator_list)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Lambda)):
+                    kind = "<lambda>" if isinstance(node, ast.Lambda) else fn.name
+                    out.append(((fn.name, lines[node.lineno - 1].strip()), (kind, node.lineno)))
+    return out
+
+
+def _codes(code):
+    """``code`` and the code objects nested in it: its lambdas and generator expressions."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _codes(const)
+
+
+def test_every_verdict_branch_runs(monkeypatch):
+    """Traced over a plain run of every claim on the small context and the runs
+    of ``_runs``, each verdict branch of claims.py runs, but those ``UNREACHED``
+    lists.  The trace keeps each (code name, line) that runs in a checker or in
+    ``_verdicts``, and the first line of each lambda of theirs that is called; a
+    claim's runs stop once every branch of its checker has run."""
+    branches = _branches()
+    assert len(branches) > 100
+    checkers = {claims._verdicts.__code__, *(f.__code__ for f in CHECKERS.values())}
+    lambdas = {c for f in checkers for c in _codes(f) if c.co_name == "<lambda>"}
+    reached = set()
+
+    def lines(frame, event, arg):
+        reached.add((frame.f_code.co_name, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        if frame.f_code in lambdas:
+            reached.add(("<lambda>", frame.f_code.co_firstlineno))
+        return lines if frame.f_code in checkers else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        for claim in CLAIMS:
+            name = CHECKERS[claim.id].__name__
+            mine = [at for (checker, _), at in branches if checker == name]
+            list(CHECKERS[claim.id](_small_context()))
+            for run in _runs(claim.id):
+                if reached.issuperset(mine):
+                    break
+                _verdicts(monkeypatch, claim.id, *run)
+    finally:
+        sys.settrace(before)
+    unreached = [key for key, at in branches if at not in reached]
+    assert sorted(unreached) == sorted(UNREACHED), unreached
 
 
 def test_verdict_kernel_keeps_skips_apart_from_holds_and_failures():
@@ -127,8 +266,7 @@ def test_verdict_kernel_keeps_skips_apart_from_holds_and_failures():
     verdicts = list(claims._verdicts(iter([(n,) for n in range(6)]),
                                      lambda n: n % 2 == 0, lambda n: n < 4,
                                      lambda n: built.append(n) or f"w{n}"))
-    assert verdicts == [("holds", None), ("skip", None), ("holds", None),
-                        ("skip", None), ("fail", "w4"), ("skip", None)]
+    assert verdicts == [HOLDS, SKIP, HOLDS, SKIP, "w4", SKIP]
     assert built == [4]
 
 
@@ -192,7 +330,7 @@ def test_compose_witnesses_on_a_corrupted_catalog():
     """Every failure of the composition claim, as the checker reported it when
     it read the interned composition's set."""
     ctx = Context(Corpus((_corrupted_entry(modular(8)), _corrupted_entry(modular(12)))))
-    texts = [w.text() for status, w in CHECKERS["prop-compose-n-ideal"](ctx) if status == FAIL]
+    texts = [w.text() for w in _failures(CHECKERS["prop-compose-n-ideal"](ctx))]
     assert texts == [
         f"ring=Z8; expansion=compose({outer}, delta1); ideal=(2); detail=gamma(I)=(0)"
         for outer in ("delta0", "delta_plus(gens=[0])", "delta_plus(gens=[4])",

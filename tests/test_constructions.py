@@ -359,10 +359,11 @@ def test_multiplicative_set_validation():
         localize(z12, mult_closure(z12, [z12.el(6)]))  # 0 lands in S
 
 
-@pytest.mark.parametrize("bad", [-5, 7, "a"])
+@pytest.mark.parametrize("bad", [-5, 7, "a", True, 1.0])
 def test_multiplicative_set_refuses_non_element_indices(bad):
-    """A negative index would read a table row from the end, and the ring
-    would be localized under a second name; each is refused before any read."""
+    """A negative index would read a table row from the end, a bool or a float
+    would be read as an index, and the ring would be localized under a second
+    name; each is refused before any read."""
     with pytest.raises(InvalidSpecError, match="not elements of Z6"):
         MultiplicativeSet(modular(6), (1, bad))
 
@@ -408,6 +409,27 @@ def test_invalid_map_rejected():
         make_homomorphism(z4, z2, [0, 1, 1, 0])  # not additive (1+1 -> 1+1=0 vs 2->1)
     with pytest.raises(HomomorphismError):
         make_homomorphism(z4, z2, [0, 0, 0, 0])  # 1 not sent to 1
+
+
+def test_partial_or_malformed_maps_are_refused_before_any_read():
+    """A map that misses a source element, or sends one to what is not an
+    element of the target, is a ``HomomorphismError``, not a raw exception."""
+    z4, z2 = modular(4), modular(2)
+    for mapping in ({}, {z4.el(0): 0}, [0, 1], None, "0101"):
+        with pytest.raises(HomomorphismError, match="map must be total on the source elements"):
+            make_homomorphism(z4, z2, mapping)
+    for mapping in (lambda a: "x", [0, 1, 2, 1], [0, True, 0, True], lambda a: 1.0):
+        with pytest.raises(HomomorphismError, match=r"an image of the map is .*, not an element"):
+            make_homomorphism(z4, z2, mapping)
+        if isinstance(mapping, list):  # the class checks its mapping the same way
+            with pytest.raises(HomomorphismError, match="not an element index 0..1"):
+                Homomorphism(z4, z2, mapping=mapping)
+    for mapping in (5, "0101", {0: 0, 1: 1, 2: 0, 3: 1}, [0, 1]):
+        with pytest.raises(HomomorphismError, match="map must be total on the source elements"):
+            Homomorphism(z4, z2, mapping=mapping)
+    for mapping in ({a: a.idx % 2 for a in z4.list_elements()}, (0, 1, 0, 1),
+                    lambda a: z2.el(a.idx % 2)):
+        assert make_homomorphism(z4, z2, mapping).mapping == [0, 1, 0, 1]
 
 
 def test_image_ideal_requires_surjective():

@@ -455,6 +455,29 @@ def test_expansion_serialization_deterministic():
     assert comp.name() == "compose(delta1, delta_star(gens=[2]))"
 
 
+def test_derived_expansions_print_their_recipe():
+    """One derived expansion of each kind prints its recipe and ring, and
+    calling it is ``apply_expansion``."""
+    z3, z4, z8, z12 = modular(3), modular(4), modular(8), modular(12)
+    two = ideal_from_generators(z12, [z12.el(2)])
+    derived = {
+        derive_quotient_expansion(delta1(z12), two):
+            "quotient_derived(base=delta1, modulo=(2)) on quot(Z12,[0,2,4,6,8,10])",
+        derive_product_expansion(delta1(z4), delta_plus(z3, zero_ideal(z3))):
+            "product_derived(delta1, delta_plus(gens=[0])) on prod(Z4,Z3)",
+        derive_idealization_expansion(delta1(z8), make_module(z8, "regular")):
+            "idealization_derived(base=delta1) on idz(Z8,regular)",
+        derive_localized_expansion(delta0(z12), MultiplicativeSet(z12, (1, 4))):
+            "localization_derived(base=delta0, s=[1, 4]) on loc(Z12,[1,4])",
+        compose_expansions(delta1(z12), delta_star(z12, two)):
+            "compose(delta1, delta_star(gens=[2])) on Z12",
+    }
+    for delta, text in derived.items():
+        assert repr(delta) == f"Expansion({text})"
+        for I in enumerate_ideals(delta.ring):
+            assert delta(I) is apply_expansion(delta, I), (delta, I)
+
+
 # ---------------------------------------------------------------------------
 # the expansion axioms on all pairs: no constructor checks its table, as each
 # recipe keeps the axioms, so the tables the builders make are checked here

@@ -1,8 +1,9 @@
 """Repository hygiene: no unused imports in the package, imports inside functions
 only where they break a cycle, rings, modules and value objects built only by
 their interning constructors, no error class that nothing raises and no private
-function that nothing calls, the README examples run, the code names the
-README cites exist, and importing the package loads no dataclass machinery."""
+function that nothing calls, a claim verdict is one value, the README examples
+run, the code names the README cites exist, and importing the package loads no
+dataclass machinery."""
 
 import ast
 import contextlib
@@ -191,6 +192,38 @@ def test_claims_read_no_mask_off_a_lattice_ideal():
     everywhere = sum(isinstance(node, ast.Attribute) and node.attr == "mask"
                      for node in ast.walk(tree))
     assert everywhere == sum(reads.values()) and reads == CLAIMS_MASK_READS, reads
+
+
+def _yields_tuples(node):
+    """``yield a, b``, or ``yield from`` a display that holds a tuple."""
+    if isinstance(node, ast.Yield):
+        return isinstance(node.value, ast.Tuple)
+    return any(isinstance(d, (ast.List, ast.Tuple, ast.Set))
+               and any(isinstance(e, ast.Tuple) for e in d.elts) for d in ast.walk(node.value))
+
+
+def test_a_verdict_is_one_value():
+    """A checker yields ``HOLDS``, ``SKIP`` or a failure's ``Witness``, never a
+    (status, witness) pair: no ``yield`` in ``_verdicts`` or in a function that
+    ``@_claim`` registers yields a tuple, and claims.py defines no ``FAIL``.
+    The instance generators (``_ideals``, ``_quotient_instances``, ...) yield
+    tuples of instance fields and are not checkers."""
+    tree = ast.parse((ROOT / "src" / "deltan" / "claims.py").read_text(encoding="utf-8"))
+    checkers = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and (
+        fn.name == "_verdicts" or any(isinstance(d, ast.Call) and d.func.id == "_claim"
+                                      for d in fn.decorator_list))]
+    yields = [(fn.name, node) for fn in checkers for node in ast.walk(fn)
+              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert len(checkers) > 40 and len(yields) > 90
+    pairs = [(name, node.lineno) for name, node in yields if _yields_tuples(node)]
+    assert not pairs, f"checkers that yield tuples: {pairs}"
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {alias.asname or alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    bound |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "FAIL" not in bound and {"HOLDS", "SKIP"} <= bound
 
 
 def test_readme_library_tour_runs():

@@ -79,6 +79,10 @@ def test_constructors_refuse_operands_that_are_not_rings():
     for base in ("Z4", 1, None, 4.0, product(modular(2), modular(2)), integers()):
         with pytest.raises(InvalidSpecError):
             poly_quotient(base, [0, 1, 1])
+    for modulus in ("x^2", None, 3, [0, 0.5, 1], [1.0, 0, 1], [True, 0, 1]):
+        with pytest.raises(InvalidSpecError, match="modulus must be a list of ints; got"):
+            poly_quotient(4, modulus)
+    assert poly_quotient(4, (1, 0, 1)) is poly_quotient(4, [1, 0, 1])
 
 
 def test_memo_returns_the_stored_value_without_recomputing():
