@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from .claims import CLAIMS_BY_ID
 from .errors import DeltanError, ImproperIdealError, UnknownClaimError
 from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
-                  parse_ideal_text, parse_spec, ring_to_dsl)
+                  parse_ideal_text, parse_spec)
 from .ideals import classify_ideal, enumerate_ideals
 from .expansions import apply_expansion
 from .predicates import (DELTA_N_METHODS, delta_n_witness, delta_primary_witness,
@@ -41,7 +41,7 @@ def _witness_row(label, witness):
 def _cmd_ideals(args):
     ring = bind_ring(parse_spec(args.ring))
     lattice = enumerate_ideals(ring)
-    print(f"ideal lattice of {ring_to_dsl(ring)} ({len(lattice)} ideals):")
+    print(f"ideal lattice of {ring.key} ({len(lattice)} ideals):")
     for I in lattice:
         print(f"  size {I.size:>4}   generators {I!r}")
     return 0
@@ -52,7 +52,7 @@ def _cmd_classify(args):
     ideal = bind_ideal(ring, parse_ideal_text(args.ideal))
     # before the first row, so a bad expansion leaves no half report
     delta = bind_expansion(ring, parse_expansion_text(args.delta)) if args.delta else None
-    print(f"ring: {ring_to_dsl(ring)}" +
+    print(f"ring: {ring.key}" +
           (f" ({ring.size} elements)" if ring.is_finite else " (infinite)"))
     print(f"ideal: {ideal!r}" +
           (f" ({ideal.size} elements)" if ring.is_finite else ""))

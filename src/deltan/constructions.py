@@ -14,9 +14,9 @@ from .ideals import (Ideal, _bits, _generated_mask, _lattice, _mask_of, _meet_ma
                      _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
-                    _check_index, _check_size, _checked_table, _group_failure, _index_text,
-                    _join_tables, _negation, _pair_repr, _proved, _same_ring, _table, memo,
-                    modular, ring_key)
+                    _bracketed, _check_index, _check_size, _checked_table, _gens_text,
+                    _group_failure, _join_tables, _negation, _pair_repr, _proved, _same_ring,
+                    _table, memo, modular, ring_key)
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,8 @@ class Module:
     one object per (ring, recipe), built by the memoised ``_build_module``.
 
     ``recipe`` is ``("regular",)``, ``("quotient", I)`` for R/I or
-    ``("product", recipe1, recipe2)``, and ``name`` its text, e.g. ``quot[0,4]``.
+    ``("product", recipe1, recipe2)``, and ``name`` and ``key`` its text,
+    ``_module_name``, e.g. ``Z8/(4)``.
     Tables passed here are checked; ``_build_module`` proves its own by recipe."""
 
     def __init__(self, ring, recipe, elements, add, action, zero, repr_fn):
@@ -42,8 +43,7 @@ class Module:
     def _fill(self, ring, recipe, elements, add, action, zero, repr_fn):
         self.ring = ring
         self.recipe = recipe
-        self.name = _module_name(recipe)
-        self.key = f"{ring.key}(+){self.name}"
+        self.name = self.key = _module_name(ring, recipe)
         self.elements = elements
         self.add = add
         self.action = action  # action[r_idx][m_idx] -> m_idx
@@ -79,13 +79,15 @@ def _check_module_axioms(module):
         raise ConstructionError(f"{module.key}: {failure}")
 
 
-def _module_name(recipe):
-    """The text of a module recipe: ``regular``, ``quot[0,4]``, ``prod(M1,M2)``."""
-    if recipe[0] == "regular":
-        return "regular"
-    if recipe[0] == "quotient":
-        return f"quot[{_index_text(e.idx for e in recipe[1].elements())}]"
-    return f"prod({_module_name(recipe[1])},{_module_name(recipe[2])})"
+def _module_name(ring, recipe):
+    """The DSL text of a module recipe over ``ring``: ``Z8`` for the regular
+    module and ``Z8/(4)`` for a quotient module, the ring spelled as an operand.
+    A product module has no DSL spelling: ``(M1 + M2)`` names it, a text that
+    the parser refuses, so that no name of a ring over it binds another ring."""
+    if recipe[0] == "product":
+        return f"({_module_name(ring, recipe[1])} + {_module_name(ring, recipe[2])})"
+    atom = _bracketed(ring.origin[0], ring.key)
+    return atom if recipe[0] == "regular" else f"{atom}/({_gens_text(recipe[1])})"
 
 
 def make_module(ring, spec):
@@ -112,7 +114,7 @@ def _build_module(ring, recipe):
         m2 = _build_module(ring, recipe[2])
         s2 = m2.size
         size = m1.size * s2
-        _check_size(f"{ring.key}(+){_module_name(recipe)}", size)
+        _check_size(_module_name(ring, recipe), size)
         elems = [(a, b) for a in m1.elements for b in m2.elements]
         action = _table(size, ([a * s2 + b for a in m1.action[r] for b in m2.action[r]]
                                for r in range(ring.size)))
@@ -469,7 +471,8 @@ class IdealizationRecord:
         return (homogeneous, _mk_ideal(self.base, imask), _submodule(self.module, nmask))
 
     def non_homogeneous_ideals(self):
-        """Lattice ideals that are not of the I(+)N shape (flagged in reports)."""
+        """Lattice ideals that are not of the I(+)N shape, which no claim ranges
+        over: the idealization claims build the homogeneous ideals from (I, N)."""
         return tuple(W for W in enumerate_ideals(self.ring) if not self.split(W)[0])
 
 

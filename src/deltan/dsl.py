@@ -39,9 +39,9 @@ image of, so a printed element is as long at every level of nesting.  An
 element of a localization, or of a quotient of one, may also be named by a
 fraction r/s of base elements, bracketed as (r)/(s) where r and s are
 fractions themselves.
-``ring_to_dsl`` prints a constructed ring, ``repr`` an ideal and
-``print_expansion`` a parsed expansion in their canonical spellings, and
-parsing a printed form reproduces the same bound objects.
+A ring's ``key`` (``rings.ring_key``) is its canonical spelling, ``repr``
+an ideal's and ``print_expansion`` a parsed expansion's, and parsing a
+printed form reproduces the same bound objects.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .constructions import (MultiplicativeSet, idealization, localize, make_modu
                             quotient_ring)
 from .expansions import make_expansion
 from .ideals import ideal_from_generators
-from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _check_size, _poly_mul_reduce,
+from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _bracketed, _check_size, _poly_mul_reduce,
                     _poly_normalize, integers, modular, poly_quotient, poly_repr, product,
                     ring_key)
 
@@ -366,10 +366,11 @@ def parse_spec(text):
 # ---------------------------------------------------------------------------
 
 def _sized(ast):
-    """(size, name) of the ring that a recipe of Z_n, Z_n[x]/(f), products and
-    regular idealizations names, read off the recipe, refusing a product or an
-    idealization as its constructor would but before its operands are built;
-    None for any other recipe, and where a constructor refuses the recipe first."""
+    """(size, key) of the ring that a recipe of Z_n, Z_n[x]/(f), products and
+    regular idealizations names, read off the recipe, the key as ``ring_key``
+    spells it, refusing a product or an idealization as its constructor would
+    but before its operands are built; None for any other recipe, and where a
+    constructor refuses the recipe first."""
     kind = ast[0]
     if kind in ("modular", "poly_quotient"):
         n = ast[1]
@@ -391,7 +392,11 @@ def _sized(ast):
         raise DslError(f"module base {right[1]} differs from ring {left[1]}")
     if kind == "idealization" and ast[2][0] != "regular":
         return None
-    key = f"prod({left[1]},{right[1]})" if kind == "product" else f"idz({left[1]},regular)"
+    if kind == "product":
+        key = f"{left[1]} x {_bracketed(ast[2][0], right[1])}"
+    else:  # R (+) R, its module spelled as its ring
+        atom = _bracketed(ast[1][0], left[1])
+        key = f"{atom} (+) {atom}"
     _check_size(key, left[0] * right[0])
     return left[0] * right[0], key
 
@@ -434,7 +439,7 @@ def _bind_product(ast):
         sides.append((size, None if size else bind_ring(side)))
     if all(size or ring.is_finite for size, ring in sides):
         (ls, lk), (rs, rk) = (size or (ring.size, ring.key) for size, ring in sides)
-        _check_size(f"prod({lk},{rk})", ls * rs)
+        _check_size(f"{lk} x {_bracketed(ast[2][0], rk)}", ls * rs)
     return product(*(ring or bind_ring(side) for (_, ring), side in zip(sides, ast[1:])))
 
 
@@ -542,37 +547,3 @@ def print_expansion(ast):
         return _EXPANSION_WORDS[kind]
     gens = ",".join(print_elem(e) for e in ast[1]) or "0"
     return f"{_EXPANSION_WORDS[kind]}(({gens}))"
-
-
-def _gens_text(I):
-    """The generators of a finite ideal as DSL element text."""
-    return ",".join(I.ring.element_repr(g.idx) for g in I.gens)
-
-
-def _atom_dsl(ring):
-    """The DSL text of a ring where the grammar reads an atom: bracketed when
-    the ring is a product or an idealization."""
-    text = ring_to_dsl(ring)
-    return f"({text})" if ring.origin[0] in ("product", "idealization") else text
-
-
-def ring_to_dsl(ring):
-    """Canonical DSL text for a constructed ring, read off its recipe."""
-    kind = ring.origin[0]
-    if kind in ("integer", "modular", "poly_quotient"):
-        return ring.key  # the name of a base recipe is its DSL text
-    _, base, operand = ring.origin
-    text = ring_to_dsl(base)
-    if kind == "product":
-        return f"{text} x {_atom_dsl(operand)}"
-    if kind == "idealization":
-        text = _atom_dsl(base)  # the module's ring is an atom, and spelled as the base
-        if operand.recipe[0] == "regular":
-            return f"{text} (+) {text}"
-        if operand.recipe[0] == "quotient":
-            return f"{text} (+) {text}/({_gens_text(operand.recipe[1])})"
-        raise DslError("product modules have no DSL spelling")
-    if kind == "quotient":
-        return f"quot({text},({_gens_text(operand)}))"
-    elems = ",".join(base.element_repr(i) for i in operand.indices)
-    return f"loc({text},{{{elems}}})"

@@ -222,9 +222,9 @@ def derive_product_expansion(d1, d2):
 @memo
 def derive_idealization_expansion(delta, module):
     """Pull delta back to R(+)M along pi: R(+)M -> R (``_pullback``), so I(+)N
-    goes to delta(I)(+)M.  A lattice ideal not of the homogeneous I(+)N shape
-    is first homogenized (projection to R, second slot widened to all of M);
-    the idealization record flags those ideals separately."""
+    goes to delta(I)(+)M.  A lattice ideal W not of the homogeneous I(+)N shape
+    goes the same way, to delta(pi(W))(+)M.  The idealization claims range over
+    the homogeneous ideals I(+)N alone, which they build from the pairs (I, N)."""
     rec = idealization(delta.ring, module)
     return Expansion(rec.ring, ("idealization_derived", delta), _pullback(rec.projection, delta))
 

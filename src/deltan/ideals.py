@@ -11,11 +11,11 @@ ring), with closed-form arithmetic.  Each ideal is one interned object (see
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm, prod
 
-from .errors import InfiniteRingError
-from .rings import Element, _same_ring, integers, memo
+from .errors import InfiniteRingError, InvalidSpecError
+from .rings import Element, _digits, _same_ring, integers, memo
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -58,18 +58,67 @@ def _preimage_mask(imask, seq):
     return _mask_of(len(seq), compress(count(), map(members.__contains__, seq)))
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n >= 1, ascending, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
+# trial division by the primes below _TRIAL_BOUND factors every n whose part free
+# of them is below _TRIAL_BOUND ** 2: that part has no prime factor below its
+# square root, so it is 1 or a prime
+_TRIAL_BOUND = 10 ** 6
+
+def _sieved(lo, hi, primes):
+    """The integers in [lo, hi) that none of ``primes`` divides, ascending: the
+    primes in [lo, hi) when ``primes`` holds every prime up to the square root
+    of hi - 1, each below lo."""
+    block = bytearray([1]) * (hi - lo)
+    for p in primes:
+        first = -lo % p
+        block[first::p] = bytes(len(range(first, hi - lo, p)))
+    return compress(range(lo, hi), block)
+
+
+# the primes below 1000, which sieve every block of integers below _TRIAL_BOUND
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_SMALL_PRIMES += tuple(_sieved(32, 1000, _SMALL_PRIMES))
+
+
+def _trial_primes():
+    """The primes below _TRIAL_BOUND, ascending: those below 1000, then each
+    block [lo, 2 lo) sieved by them, a block only once the one before is read."""
+    yield from _SMALL_PRIMES
+    lo = 1000
+    while lo < _TRIAL_BOUND:
+        hi = min(2 * lo, _TRIAL_BOUND)
+        yield from _sieved(lo, hi, _SMALL_PRIMES)
+        lo = hi
+
+
+def _trial_division(n, divisors):
+    """(the divisors that divide n >= 1, ascending, the part of n they leave):
+    each divided out in full, the ascending ``divisors`` tried while their
+    square is at most the part left."""
+    out = []
+    for p in divisors:
+        if p * p > n:
+            break
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return out, n
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, ascending, memoised on ZZ: the flags,
+    the radical and the expansions of nZ each ask for those of n."""
+    return _int_prime_factors(integers(), n)
+
+
+@memo
+def _int_prime_factors(zz, n):
+    """Trial division by the primes below _TRIAL_BOUND, then by every integer
+    from it on.  Every nZ has an n the primes factor (``_int_ideal``); the
+    integers past them are reached only by the ZZ profile's test points, which
+    are powers of its parameters' primes."""
+    out, rest = _trial_division(n, chain(_trial_primes(), count(_TRIAL_BOUND)))
+    return out + [rest] if rest > 1 else out
 
 
 def _radical_of_int(n):
@@ -176,6 +225,13 @@ def _mk_ideal(ring, mask):
 
 @memo
 def _int_ideal(ring, n):
+    """nZ, for an n that trial division by the primes below _TRIAL_BOUND factors,
+    so that the flags, the radical and the expansions of nZ factor n at once;
+    any other n is refused here."""
+    if _trial_division(n or 1, _trial_primes())[1] >= _TRIAL_BOUND ** 2:
+        shown = n if n < 10 ** 40 else f"a {_digits(n)}-digit integer"
+        raise InvalidSpecError(f"cannot factor {shown}: trial division by the primes "
+                               f"below 10^6 leaves a part of at least 10^12")
     return Ideal(ring, n=n)
 
 

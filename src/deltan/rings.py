@@ -180,16 +180,26 @@ def _poly_mul_reduce(a, b, n, modulus):
 # rings and elements
 # ---------------------------------------------------------------------------
 
-def _index_text(indices):
-    """Element indices, comma-separated."""
-    return ",".join(map(str, indices))
+def _bracketed(kind, key):
+    """The name ``key`` of a ring that a recipe of kind ``kind`` builds, as the DSL
+    reads an operand: bracketed when it is a product or an idealization, whose
+    operators bind to the left."""
+    return f"({key})" if kind in ("product", "idealization") else key
+
+
+def _gens_text(I):
+    """The greedy generators of the finite ideal I, comma-separated."""
+    return ",".join(I.ring.element_repr(g.idx) for g in I.gens)
 
 
 def ring_key(origin):
-    """The name of the ring that the recipe ``origin`` builds: ``Z6``,
-    ``Z4[x]/(x^2)``, ``ZZ``, ``prod(Z2,Z4)``, ``quot(Z12,[0,4,8])``,
-    ``idz(Z8,quot[0,4])`` or ``loc(Z12,[1,3,9])``, a derived ring named by its
-    base and the element indices of its ideal, module or multiplicative set."""
+    """The name of the ring that the recipe ``origin`` builds, its DSL text:
+    ``Z6``, ``Z4[x]/(x^2)``, ``ZZ``, ``Z2 x Z4``, ``quot(Z12,(4))``,
+    ``Z8 (+) Z8/(4)`` or ``loc(Z12,{1,3,9})``, a quotient named by the greedy
+    generators of its ideal, an idealization by its module's name and a
+    localization by the elements of its set, so that ``dsl.parse_spec`` and
+    ``dsl.bind_ring`` read it back to the ring.  A product module has no DSL
+    spelling, and its name (``constructions._module_name``) fails to parse."""
     kind = origin[0]
     if kind == "modular":
         return f"Z{origin[1]}"
@@ -199,12 +209,12 @@ def ring_key(origin):
         return "ZZ"
     _, base, operand = origin
     if kind == "product":
-        return f"prod({base.key},{operand.key})"
+        return f"{base.key} x {_bracketed(operand.origin[0], operand.key)}"
     if kind == "quotient":
-        return f"quot({base.key},[{_index_text(e.idx for e in operand.elements())}])"
+        return f"quot({base.key},({_gens_text(operand)}))"
     if kind == "idealization":
-        return f"idz({base.key},{operand.name})"
-    return f"loc({base.key},[{_index_text(operand.indices)}])"
+        return f"{_bracketed(base.origin[0], base.key)} (+) {operand.name}"
+    return f"loc({base.key},{{{','.join(map(base.element_repr, operand.indices))}}})"
 
 
 class Ring:
@@ -217,7 +227,8 @@ class Ring:
     so rings compare by identity: a base ring is cached weakly by
     ``_cached_ring``, a derived ring is memoised by its construction on its
     operands, which its origin holds, and a ring that nothing refers to is freed
-    with everything built on it.  ``key`` is the ring's name.  Finite tables
+    with everything built on it.  ``key`` is the ring's name, its DSL text
+    (``ring_key``), in every message, ``repr`` and witness.  Finite tables
     passed here are checked for shape by ``_checked_table``, their 0 and 1 by
     ``_check_index``, then take ``check_ring_axioms``."""
 

@@ -127,7 +127,7 @@ def test_c06_product_obstruction():
         # direct scan: every spectrum member has both component values improper
         from deltan.verifier import Context
         ctx = Context(builtin_corpus())
-        for key in ("prod(Z2,Z2)", "prod(Z4,Z9)", "prod(Z2,Z4)"):
+        for key in ("Z2 x Z2", "Z4 x Z9", "Z2 x Z4"):
             ring = next(e.ring for e in ctx.entries if e.ring.key == key)
             _, left, right = ring.origin
             sr = right.size
@@ -149,8 +149,8 @@ def test_c07_idealization_equivalence():
         assert rep.failed == 0
         # the two larger idealization rings contribute nontrivially
         corpus_keys = [e.ring.key for e in builtin_corpus().entries]
-        assert "idz(Z4,regular)" in corpus_keys
-        assert "idz(Z8,quot[0,4])" in corpus_keys
+        assert "Z4 (+) Z4" in corpus_keys
+        assert "Z8 (+) Z8/(4)" in corpus_keys
         assert rep.instances_checked >= 100
 
 

@@ -14,6 +14,7 @@ lambda of every checker runs, but those ``UNREACHED`` lists with a reason.
 """
 
 import ast
+import re
 import sys
 from collections import defaultdict
 from itertools import product as pairs_of
@@ -26,6 +27,7 @@ from deltan import (claims, compose_expansions, derive_localized_expansion, enum
                     modular, poly_quotient, product, rings, unit_ideal, zero_ideal)
 from deltan.claims import CHECKERS, CLAIMS, HOLDS, SKIP
 from deltan.constructions import Homomorphism, MultiplicativeSet, idealization, make_module
+from deltan.dsl import bind_ring, parse_spec
 from deltan.expansions import Expansion
 from deltan.ideals import special_sets
 from deltan.verifier import Context, Corpus, CorpusEntry, builtin_corpus, catalog, run_claims
@@ -195,6 +197,22 @@ def test_every_failure_branch_builds_its_witness(monkeypatch, claim_id):
         assert isinstance(w, claims.Witness) and w.ring, (claim_id, w)
         assert w.expansion or claim_id in NO_EXPANSION, (claim_id, w)
         assert w.ideal or claim_id in NO_IDEAL, (claim_id, w)
+
+
+@pytest.mark.parametrize("claim_id, base, derived", [("prop-hom-preimage", "empty", "all"),
+                                                     ("prop-hom-image", "all", "empty")])
+def test_a_hom_witness_names_its_quotient_target_by_a_key_that_parses_back(
+        monkeypatch, claim_id, base, derived):
+    """Made to fail, each homomorphism claim names the target ring of a
+    projection in its detail by that ring's key, which binds to a ring of that key."""
+    targets = set()
+    for w in _failures(_verdicts(monkeypatch, claim_id, base, derived, None)):
+        key = re.match(r"target (.+?), (?:J|f\(I\))=", w.detail).group(1)
+        for name in (w.ring, key):
+            assert bind_ring(parse_spec(name)).key == name, (claim_id, w)
+        if key.startswith("quot("):
+            targets.add(key)
+    assert len(targets) > 5, targets
 
 
 def _branches():

@@ -1,6 +1,7 @@
 """Command-line behavior: output, exit codes, report files."""
 
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,23 @@ def test_ideals_command(capsys):
 def test_ideals_infinite_backend(capsys):
     assert main(["ideals", "ZZ"]) == 2
     assert "not enumerated" in capsys.readouterr().err
+
+
+def test_a_zz_generator_that_cannot_be_factored_exits_2_before_any_row(capsys):
+    assert main(["classify", "ZZ", "(1000000000039)", "--delta", "d1"]) == 2
+    assert main(["classify", "ZZ", "(6)", "--delta", "d+((1000000000039))"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == 2 * (
+        "error: cannot factor 1000000000039: trial division by the primes below "
+        "10^6 leaves a part of at least 10^12\n")
+    # the longest literal the DSL reads, with no prime factor below 10^6
+    start = time.perf_counter()
+    assert main(["classify", "ZZ", f"({10 ** 4299 + 1})", "--delta", "d1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: cannot factor a 4300-digit integer")
+    for n in (999999999989, 2 ** 4000, 10 ** 4299):
+        assert main(["classify", "ZZ", f"({n})", "--delta", "d1"]) == 0
+        assert "prime: " + ("true" if n == 999999999989 else "false") in capsys.readouterr().out
 
 
 def test_oversized_rings_exit_2_before_allocating(capsys):
@@ -230,7 +248,7 @@ def test_ring_listed_twice_in_a_corpus_file_exits_2(tmp_path, capsys):
     assert main(["verify", "--corpus", str(path), "--claims", "thm-existence"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: corpus file {path}: ring prod(Z4,Z9) on line 3 "
+    assert captured.err == (f"error: corpus file {path}: ring Z4 x Z9 on line 3 "
                             "is already listed on line 1\n")
 
 

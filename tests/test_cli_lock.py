@@ -13,7 +13,8 @@ from the repository root by
 Every one of them exits 0, so the lines after them are written by hand: one
 query per kind of refusal (exit 2), so that a changed message moves the lock,
 then one query per parsing defect mended later, appended in that order, and
-then two products too large to build, refused before either factor is built.
+then two products too large to build, refused before either factor is built,
+and a generator of ZZ that trial division cannot factor.
 
 ``data/cli_queries.sha256`` holds, line for line, the first 16 hex digits of
 the SHA-256 of (exit code, stdout, stderr) of each query, all run in one

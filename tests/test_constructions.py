@@ -115,13 +115,16 @@ def test_quotient_module_by_a_non_ideal_is_refused_before_any_ideal_is_interned(
         make_module(z8, ("quotient", (0, 8)))
     assert snapshot() == before
     assert 0b1001 not in _mk_ideal.table(z8)
-    assert make_module(z8, ("quotient", (4, 0))).name == "quot[0,4]"
+    assert make_module(z8, ("quotient", (4, 0))).name == "Z8/(4)"
 
 
 def test_product_module():
     z2 = modular(2)
     module = make_module(z2, ("product", "regular", "regular"))
     assert module.size == 4
+    assert module.name == module.key == "(Z2 + Z2)"
+    nested = make_module(z2, ("product", ("product", "regular", "regular"), "regular"))
+    assert nested.key == "((Z2 + Z2) + Z2)"
     assert len(enumerate_submodules(module)) == 5  # subgroups of Z2 x Z2
 
 
@@ -177,8 +180,7 @@ def test_idealization_has_non_homogeneous_ideals():
 
 def _corpus_idealizations():
     recs = [rec for rec, _ in Context(builtin_corpus()).idealization_instances()]
-    assert [rec.ring.key for rec in recs] == ["idz(Z2,regular)", "idz(Z4,regular)",
-                                               "idz(Z8,quot[0,4])"]
+    assert [rec.ring.key for rec in recs] == ["Z2 (+) Z2", "Z4 (+) Z4", "Z8 (+) Z8/(4)"]
     return recs
 
 
@@ -533,7 +535,7 @@ def test_delta_gamma_transport_matches_the_ideal_level_loop():
             assert is_delta_gamma_homomorphism(f, delta, gamma) == expected, (f, delta, gamma)
             verdicts.append(expected)
     diagonal = [f for f, _ in ctx.hom_instances() if f.source.key == "Z2"
-                and f.target.key == "prod(Z2,Z2)"]
+                and f.target.key == "Z2 x Z2"]
     assert len(diagonal) == 1
     assert len(verdicts) == 2569 and True in verdicts and False in verdicts
 

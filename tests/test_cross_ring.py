@@ -165,7 +165,7 @@ def test_a_relabelled_z4_is_refused_and_not_mixed_up_with_z4():
         is_delta_n_ideal(two, delta0(z4))
     # a product takes the relabelled ring as it is: its own factor, not Z4
     ring = _assert_product_on(relabelled, modular(2))
-    assert ring is not product(z4, modular(2)) and ring.key == "prod(Z4,Z2)"
+    assert ring is not product(z4, modular(2)) and ring.key == "Z4 x Z2"
 
 
 def test_integer_ideal_lives_in_the_integers_only():

@@ -1,7 +1,10 @@
 """Parser/printer round-trips and diagnostics for the little language."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,9 +19,11 @@ from deltan.ideals import unit_ideal
 from deltan.rings import integers, poly_quotient, product
 from deltan.dsl import (bind_element, bind_expansion, bind_ideal, bind_ring,
                         parse_expansion_text, parse_ideal_text, parse_spec,
-                        print_elem, print_expansion, ring_to_dsl)
+                        print_elem, print_expansion)
 from deltan.ideals import enumerate_ideals, nilradical
 from deltan.verifier import builtin_corpus
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_poly_quotient():
@@ -93,9 +98,35 @@ def test_expansion_binding():
 
 def test_ring_round_trip_on_corpus():
     for entry in builtin_corpus().entries:
-        text = ring_to_dsl(entry.ring)
-        assert bind_ring(parse_spec(text)).key == entry.ring.key
-        assert ring_to_dsl(bind_ring(parse_spec(text))) == text
+        assert bind_ring(parse_spec(entry.ring.key)) is entry.ring
+
+
+LIVE_RINGS_PARSE_BACK = """
+import collections, gc, json
+from deltan.dsl import bind_ring, parse_spec
+from deltan.rings import Ring
+from deltan.verifier import builtin_corpus, run_claims
+corpus = builtin_corpus()
+run_claims(corpus=corpus)
+kinds = collections.Counter()
+for ring in [o for o in gc.get_objects() if isinstance(o, Ring)]:
+    assert bind_ring(parse_spec(ring.key)) is ring, ring.key
+    kinds[ring.origin[0]] += 1
+print(json.dumps(kinds))
+"""
+
+
+def test_every_ring_a_default_verification_builds_parses_back_to_itself():
+    """The corpus rings and every quotient, localization, product and
+    idealization the claims build on them: each ring alive after a default
+    verification, in a fresh interpreter, is named by a key that binds to it."""
+    proc = subprocess.run([sys.executable, "-c", LIVE_RINGS_PARSE_BACK],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, check=True)
+    kinds = json.loads(proc.stdout)
+    assert set(kinds) == {"modular", "poly_quotient", "integer", "product", "quotient",
+                          "idealization", "localization"}
+    assert kinds["quotient"] > 100 and kinds["localization"] > 100, kinds
 
 
 def test_expansion_print_parse_round_trip():
@@ -109,7 +140,7 @@ def test_expansion_print_parse_round_trip():
 @given(st.integers(2, 40))
 def test_modular_round_trip(n):
     text = f"Z{n}"
-    assert ring_to_dsl(bind_ring(parse_spec(text))) == text
+    assert bind_ring(parse_spec(text)).key == text
     assert bind_ring(parse_spec(text)).size == n
 
 
@@ -160,7 +191,7 @@ def _with_derived_rings(ring):
 @pytest.mark.parametrize("entry", builtin_corpus().entries, ids=lambda e: e.ring.key)
 def test_printed_rings_and_ideals_parse_back_to_themselves(entry):
     for ring in _with_derived_rings(entry.ring):
-        assert bind_ring(parse_spec(ring_to_dsl(ring))) is ring
+        assert bind_ring(parse_spec(ring.key)) is ring
         for I in enumerate_ideals(ring):
             assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
 
@@ -176,7 +207,7 @@ def test_a_localization_over_fractions_prints_and_reads_bracketed_sides(text):
     # an element of a localization prints as the base element it names, so a
     # localization over a localization prints and reads no fraction at all
     ring = bind_ring(parse_spec(text))
-    assert ring_to_dsl(ring) == text
+    assert ring.key == text
     for I in enumerate_ideals(ring):
         assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
 
@@ -190,7 +221,7 @@ def test_nested_localizations_print_in_linear_length(capsys):
     assert main(["ideals", text]) == 0
     assert len(capsys.readouterr().out.encode()) < 20_000
     ring = bind_ring(parse_spec(text))
-    assert ring_to_dsl(ring) == text
+    assert ring.key == text
     for I in enumerate_ideals(ring):
         assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
     start = time.perf_counter()
@@ -218,7 +249,7 @@ def _bracketed_ring(text):
                                   "(Z3 x Z2) (+) (Z3 x Z2)", "(Z3 x Z2) (+) (Z3 x Z2)/((0,1))"])
 def test_a_product_operand_prints_and_reads_bracketed(text):
     ring = _bracketed_ring(text)
-    assert ring_to_dsl(ring) == text
+    assert ring.key == text
     assert bind_ring(parse_spec(text)) is ring
     for I in enumerate_ideals(ring):
         assert bind_ideal(ring, parse_ideal_text(repr(I))) is I, (ring.key, I)
@@ -227,7 +258,7 @@ def test_a_product_operand_prints_and_reads_bracketed(text):
 def test_brackets_group_a_product_and_change_nothing_else():
     right_nested = bind_ring(parse_spec("Z2 x (Z3 x Z2)"))
     assert bind_ring(parse_spec("Z2 x Z3 x Z2")) is not right_nested
-    assert ring_to_dsl(bind_ring(parse_spec("Z2 x Z3 x Z2"))) == "Z2 x Z3 x Z2"
+    assert bind_ring(parse_spec("Z2 x Z3 x Z2")).key == "Z2 x Z3 x Z2"
     assert bind_ring(parse_spec("((Z6))")) is modular(6)
     with pytest.raises(DslError) as err:
         parse_spec("(Z6")
@@ -279,7 +310,7 @@ def test_binding_errors_carry_no_source_position():
     with pytest.raises(DslError) as err:
         bind_ideal(bind_ring(parse_spec("Z2 x Z2")), parse_ideal_text("(5)"))
     assert err.value.line is None and str(err.value) == (
-        "plain integers do not name elements of prod(Z2,Z2)")
+        "plain integers do not name elements of Z2 x Z2")
 
 
 def test_a_leading_minus_negates_the_first_term_only():
@@ -348,13 +379,13 @@ def test_parsed_tags_are_the_tags_of_the_recipes_they_bind_to():
 
 
 @pytest.mark.parametrize("text, message", [
-    ("Z16[x]/(x^3) x Z3", "prod(Z16[x]/(x^3),Z3) would have 12288 elements"),
-    ("Z4096 x Z2", "prod(Z4096,Z2) would have 8192 elements"),
-    ("Z2 x Z8[x]/(x^4)", "prod(Z2,Z8[x]/(x^4)) would have 8192 elements"),
-    ("Z64 x Z64 x Z2", "prod(prod(Z64,Z64),Z2) would have 8192 elements"),
-    ("quot(Z4096 x Z2, (0))", "prod(Z4096,Z2) would have 8192 elements"),
-    ("(Z2 (+) Z2) x Z2048", "prod(idz(Z2,regular),Z2048) would have 8192 elements"),
-    ("Z65 (+) Z65", "idz(Z65,regular) would have 4225 elements"),
+    ("Z16[x]/(x^3) x Z3", "Z16[x]/(x^3) x Z3 would have 12288 elements"),
+    ("Z4096 x Z2", "Z4096 x Z2 would have 8192 elements"),
+    ("Z2 x Z8[x]/(x^4)", "Z2 x Z8[x]/(x^4) would have 8192 elements"),
+    ("Z64 x Z64 x Z2", "Z64 x Z64 x Z2 would have 8192 elements"),
+    ("quot(Z4096 x Z2, (0))", "Z4096 x Z2 would have 8192 elements"),
+    ("(Z2 (+) Z2) x Z2048", "Z2 (+) Z2 x Z2048 would have 8192 elements"),
+    ("Z65 (+) Z65", "Z65 (+) Z65 would have 4225 elements"),
     ("Z2 (+) Z16[x]/(x^3)", "module base Z16[x]/(x^3) differs from ring Z2"),
 ])
 def test_a_product_too_large_to_build_is_refused_before_its_operands_are_built(
@@ -371,11 +402,11 @@ def test_a_product_too_large_to_build_is_refused_before_its_operands_are_built(
 
 
 @pytest.mark.parametrize("text, message, unbuilt", [
-    ("Z16[x]/(x^3) x quot(Z3,(0))", "prod(Z16[x]/(x^3),quot(Z3,[0])) would have 12288 elements",
+    ("Z16[x]/(x^3) x quot(Z3,(0))", "Z16[x]/(x^3) x quot(Z3,(0)) would have 12288 elements",
      ("poly_quotient", 16, (0, 0, 0, 1))),
-    ("quot(Z4,(2)) x Z4096", "prod(quot(Z4,[0,2]),Z4096) would have 8192 elements",
+    ("quot(Z4,(2)) x Z4096", "quot(Z4,(2)) x Z4096 would have 8192 elements",
      ("modular", 4096)),
-    ("loc(Z6,{1}) x (Z64 x Z64)", "prod(loc(Z6,[1]),prod(Z64,Z64)) would have 24576 elements",
+    ("loc(Z6,{1}) x (Z64 x Z64)", "loc(Z6,{1}) x (Z64 x Z64) would have 24576 elements",
      ("modular", 64)),
 ])
 def test_a_product_is_sized_by_its_built_operand_before_the_other_is_built(

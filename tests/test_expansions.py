@@ -462,13 +462,13 @@ def test_derived_expansions_print_their_recipe():
     two = ideal_from_generators(z12, [z12.el(2)])
     derived = {
         derive_quotient_expansion(delta1(z12), two):
-            "quotient_derived(base=delta1, modulo=(2)) on quot(Z12,[0,2,4,6,8,10])",
+            "quotient_derived(base=delta1, modulo=(2)) on quot(Z12,(2))",
         derive_product_expansion(delta1(z4), delta_plus(z3, zero_ideal(z3))):
-            "product_derived(delta1, delta_plus(gens=[0])) on prod(Z4,Z3)",
+            "product_derived(delta1, delta_plus(gens=[0])) on Z4 x Z3",
         derive_idealization_expansion(delta1(z8), make_module(z8, "regular")):
-            "idealization_derived(base=delta1) on idz(Z8,regular)",
+            "idealization_derived(base=delta1) on Z8 (+) Z8",
         derive_localized_expansion(delta0(z12), MultiplicativeSet(z12, (1, 4))):
-            "localization_derived(base=delta0, s=[1, 4]) on loc(Z12,[1,4])",
+            "localization_derived(base=delta0, s=[1, 4]) on loc(Z12,{1,4})",
         compose_expansions(delta1(z12), delta_star(z12, two)):
             "compose(delta1, delta_star(gens=[2])) on Z12",
     }

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltan import (CrossRingError, InfiniteRingError, classify_ideal, colon,
-                    enumerate_ideals, ideal_combine, ideal_contains,
+from deltan import (CrossRingError, InfiniteRingError, InvalidSpecError, classify_ideal,
+                    colon, enumerate_ideals, ideal_combine, ideal_contains,
                     ideal_from_generators, integer_ideal, integers, modular,
                     nilradical, poly_quotient, product, radical, special_sets,
                     unit_ideal, zero_ideal)
@@ -586,6 +586,37 @@ def test_integer_factoring_matches_a_divisor_scan():
             assert _radical_of_int(n) == radical_n, n
         assert _is_prime_int(n) == (n in primes), n
         assert _is_prime_power(n) == (n >= 2 and len(factors) == 1), n
+
+
+def test_trial_division_factors_below_its_bound_and_refuses_above_it():
+    """The primes below 10^6 leave a part of n that is 1 or a prime when it is
+    below 10^12; an n that leaves a larger one makes no ideal of ZZ."""
+    from deltan.ideals import _prime_factors, _trial_primes
+    zz = integers()
+    sieve = bytearray([1]) * 10 ** 6  # the sieve of Eratosthenes, whole, as the oracle
+    sieve[:2] = b"\0\0"
+    for p in range(2, 1000):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, 10 ** 6, p)))
+    assert list(_trial_primes()) == [p for p in range(10 ** 6) if sieve[p]]
+    assert _prime_factors(999999999989) == [999999999989]
+    assert _prime_factors(2 * 999999999989) == [2, 999999999989]
+    assert _prime_factors(10 ** 12) == [2, 5]
+    assert _prime_factors(2 ** 4000) == [2] and _prime_factors(10 ** 4299) == [2, 5]
+    assert classify_ideal(integer_ideal(zz, 999999999989)).is_maximal
+    assert ideal_from_generators(zz, [2 * 999999999989]).n == 2 * 999999999989
+    # a prime above the bound, and a product of two primes above 10^6
+    for n in (1000000000039, 1000003 * 1000033):
+        with pytest.raises(InvalidSpecError, match=f"cannot factor {n}: trial division"):
+            integer_ideal(zz, n)
+        with pytest.raises(InvalidSpecError, match=f"cannot factor {n}"):
+            ideal_from_generators(zz, [-n])
+    with pytest.raises(InvalidSpecError, match="cannot factor a 4300-digit integer"):
+        integer_ideal(zz, 10 ** 4299 + 1)
+    # past the primes below 10^6, every integer divides: the ZZ profile's test
+    # points are powers of its parameters' primes, which may lie above 10^6
+    assert _prime_factors(1000003 ** 5 * 1000033) == [1000003, 1000033]
+    assert _prime_factors(1000000000039) == [1000000000039]
 
 
 def test_prime_and_primary_match_a_brute_force_oracle():

@@ -21,8 +21,8 @@ def test_corpus_contents():
     assert len(keys) == 32
     assert "Z4[x]/(x^3)" in keys
     assert "Z6" in keys
-    assert "prod(Z4,Z9)" in keys
-    assert "idz(Z8,quot[0,4])" in keys
+    assert "Z4 x Z9" in keys
+    assert "Z8 (+) Z8/(4)" in keys
     for e in corpus.entries:
         assert e.ring.size <= 64
         names = [d.name() for d in e.expansions]
@@ -185,7 +185,7 @@ def test_load_corpus_reads_one_ring_a_line(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text("# a comment\n\n  Z6  \nZ2 x Z2\n# Z8\n")
     corpus = load_corpus(path)
-    assert [e.ring.key for e in corpus.entries] == ["Z6", "prod(Z2,Z2)"]
+    assert [e.ring.key for e in corpus.entries] == ["Z6", "Z2 x Z2"]
     for e in corpus.entries:
         assert e.expansions == catalog(e.ring)
 
