@@ -495,7 +495,8 @@ def idealization(ring, module):
     elems = [(ring.elements[r], module.elements[m])
              for r in range(ring.size) for m in range(msize)]
     rmul, act, rsize = ring.mul, module.action, ring.size
-    add = _join_tables(ring.add, module.add)  # the additive group of R(+)M is R x M
+    # the additive group of R(+)M is R x M, whose sum is views of runs when R is Z_n
+    add = _join_tables(ring.add, module.add, ring.origin[0] == "modular")
     left = [[a * msize + x for a in rmul[r] for x in act[r]] for r in range(rsize)]
     right = [[add[ring.zero_idx * msize + act[r2][m]] for r2 in range(rsize)
               for _ in range(msize)] for m in range(msize)]

@@ -226,13 +226,26 @@ def _mk_ideal(ring, mask):
 @memo
 def _int_ideal(ring, n):
     """nZ, for an n that trial division by the primes below _TRIAL_BOUND factors,
-    so that the flags, the radical and the expansions of nZ factor n at once;
-    any other n is refused here."""
-    if _trial_division(n or 1, _trial_primes())[1] >= _TRIAL_BOUND ** 2:
+    or one whose primes are already known (``_int_result``), so that the flags,
+    the radical and the expansions of nZ factor n at once; any other n is
+    refused here."""
+    if (n not in _int_prime_factors.table(ring)
+            and _trial_division(n or 1, _trial_primes())[1] >= _TRIAL_BOUND ** 2):
         shown = n if n < 10 ** 40 else f"a {_digits(n)}-digit integer"
         raise InvalidSpecError(f"cannot factor {shown}: trial division by the primes "
                                f"below 10^6 leaves a part of at least 10^12")
     return Ideal(ring, n=n)
+
+
+def _int_result(ring, n, *operands):
+    """nZ for an n that a product, lcm, gcd, colon or radical made from the
+    ideals mZ, m in ``operands``: every prime of n divides some m, whose primes
+    are known, so n's are read off theirs and seeded in ``_int_prime_factors``
+    instead of trial-dividing n, which may leave a part above 10^12."""
+    known = _int_prime_factors.table(ring)
+    if n > 1 and n not in known:
+        known[n] = sorted({p for m in operands if m for p in _prime_factors(m) if n % p == 0})
+    return _int_ideal(ring, n)
 
 
 def zero_ideal(ring):
@@ -288,7 +301,7 @@ def ideal_combine(op, I, J):
     ring = I.ring
     if not ring.is_finite:  # nZ + mZ, nZ mZ and nZ & mZ are gcd(n, m), nm and lcm(n, m) Z
         combine = {"sum": gcd, "product": int.__mul__, "intersect": lcm}[op]
-        return integer_ideal(ring, combine(I.n, J.n))
+        return _int_result(ring, combine(I.n, J.n), I.n, J.n)
     if op == "sum":
         return _mk_ideal(ring, _sum_mask(ring, I.mask, J.mask))
     if op == "product":
@@ -339,7 +352,7 @@ def colon(I, divisor):
     is_ideal = isinstance(divisor, Ideal)
     _same_ring(ring, divisor.ring, "divisor")
     if not ring.is_finite:
-        return integer_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
+        return _int_result(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx), I.n)
     gens = divisor.gens if is_ideal else (divisor,)
     return _mk_ideal(ring, _colon_meet(ring, I.mask, gens))
 
@@ -378,7 +391,7 @@ def radical(I):
     """
     ring = I.ring
     if not ring.is_finite:
-        return integer_ideal(ring, _radical_of_int(I.n))
+        return _int_result(ring, _radical_of_int(I.n), I.n)
     return _mk_ideal(ring, _radical_mask(ring, I.mask))
 
 

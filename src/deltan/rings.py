@@ -4,8 +4,9 @@ Finite rings carry a stable element enumeration (index 0 .. size-1), dense
 addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...); a table row is a list on rings of
 at most 256 elements, above it 2-byte cells, a quarter of the memory at half the
-read speed: an array('H'), or on Z_n a read-only memoryview of a run its rows
-share.  Readers index, slice and iterate a row, whatever its type.  The integer
+read speed: an array('H'), or a read-only memoryview of a run that rows share,
+on Z_n and in the sum of a product Z_n x R (``_join_tables``).  Readers index,
+slice and iterate a row, whatever its type.  The integer
 ring is symbolic: its "indices" are the integer values themselves and
 enumeration is refused.
 
@@ -41,7 +42,8 @@ _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by de
 
 # tables on at most this many elements keep list rows, read twice as fast; above
 # it a row holds 2-byte 'H' cells against a list's 8-byte slots (MAX_RING_SIZE <
-# 2^16): an array('H'), or on Z_n a read-only memoryview of a shared run
+# 2^16): an array('H'), or a read-only memoryview of a shared run, on Z_n and in
+# the sum of Z_n x R
 _LIST_ROWS_MAX = 256
 
 
@@ -563,22 +565,47 @@ def _build_poly_quotient(n, modulus):
     return _proved(Ring, origin, elems, add, mul, 0, one, poly_repr, neg=neg)
 
 
-def _join_tables(left, right):
-    """The table of a product of two factor tables, index a * sr + b for (a, b),
-    in the row type of its size.
+def _blocks(right, count):
+    """B[b][c] for each row b of the right table and c < count: the cells
+    c * sr + e, e running over row b, as the bytes of 2-byte 'H' cells, one
+    ``itemgetter(*row_b)`` gather over range(c * sr, (c + 1) * sr) and one pack."""
+    sr = len(right)
+    assert sr >= 2  # itemgetter of one index returns a bare int; Z1 and zero modules are refused
+    pack = struct.Struct(f"{sr}H").pack
+    spans = [range(c * sr, (c + 1) * sr) for c in range(count)]
+    return [[pack(*get(span)) for span in spans] for get in (itemgetter(*row) for row in right)]
 
-    Row (a, b) grows from an empty row by row += block, one extend per cell c of
-    left row a, block being [c * sr + e for e in right row b], and is then
-    copied, which drops the slack the extends leave (up to 1/8 of the row).
-    The blocks are built once, from one row of ints, so no cell holds its own.
+
+def _join_tables(left, right, cyclic=False):
+    """The table of a product of two factor tables, index a * sr + b for (a, b),
+    in the row type of its size: cell c * sr + e of row (a, b) is
+    left[a][c] * sr + right[b][e], so row (a, b) is the blocks B[b][c] of
+    ``_blocks``, c running over left row a.
+
+    Up to _LIST_ROWS_MAX a row grows from an empty list by row += block, one
+    extend per c, and is then copied, which drops the slack the extends leave.
+    Above it the row is one bytes join of its blocks, read into an array('H')
+    and copied likewise.  ``cyclic`` says that ``left`` is Z_n's sum table,
+    cell c of row a being (a + c) mod n: then cell c * sr + e of row (a, b) is
+    ((a + c) mod n) * sr + right[b][e], which is cell (a + c) * sr + e of
+    run_b, the n blocks B[b][0..n) written twice, as (a + c) < 2n.  So row
+    (a, b) is the window [a * sr, a * sr + n * sr) of run_b: above
+    _LIST_ROWS_MAX it is that slice of a memoryview of run_b cast to 'H',
+    read-only as bytes are, and the sr runs hold 2 * size * sr cells, not size^2.
     """
     sr = len(right)
     size = len(left) * sr
-    row = list if size <= _LIST_ROWS_MAX else functools.partial(array, "H")
-    idx = row(range(size))
-    segments = [idx[c:c + sr] for c in range(0, len(idx), sr)]
-    blocks = [[row(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
-    return [functools.reduce(iadd, map(block.__getitem__, lrow), row())[:]
+    if size <= _LIST_ROWS_MAX:
+        idx = list(range(size))
+        segments = [idx[c:c + sr] for c in range(0, size, sr)]
+        blocks = [[list(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
+        return [functools.reduce(iadd, map(block.__getitem__, lrow), [])[:]
+                for lrow in left for block in blocks]
+    blocks = _blocks(right, len(left))
+    if cyclic:
+        runs = [memoryview(b"".join(block) * 2).cast("H") for block in blocks]
+        return [run[a * sr:a * sr + size] for a in range(len(left)) for run in runs]
+    return [array("H", b"".join(map(block.__getitem__, lrow)))[:]  # [:] drops the slack
             for lrow in left for block in blocks]
 
 
@@ -594,16 +621,18 @@ def product(left, right):
 @memo
 def _product(left, right):
     """R1 x R2 on the pairs (a, b), at index a * |R2| + b: its tables are
-    ``_join_tables`` of the factors', with 0 = (0, 0) and 1 = (1, 1).  Every
-    axiom holds in R1 x R2 iff it holds in R1 and in R2, componentwise, and
-    both factors are proved rings, so it is a ring; -(a, b) = (-a, -b)."""
+    ``_join_tables`` of the factors' (the sum, when R1 is Z_n, as windows of one
+    run per row of R2's sum), with 0 = (0, 0) and 1 = (1, 1).  Every axiom holds
+    in R1 x R2 iff it holds in R1 and in R2, componentwise, and both factors
+    are proved rings, so it is a ring; -(a, b) = (-a, -b)."""
     if not (left.is_finite and right.is_finite):
         raise InvalidSpecError("product components must be finite rings")
     origin = ("product", left, right)
     _check_size(ring_key(origin), left.size * right.size)
     sr = right.size
     return _proved(Ring, origin, [(a, b) for a in left.elements for b in right.elements],
-                   _join_tables(left.add, right.add), _join_tables(left.mul, right.mul),
+                   _join_tables(left.add, right.add, left.origin[0] == "modular"),
+                   _join_tables(left.mul, right.mul),
                    left.zero_idx * sr + right.zero_idx, left.one_idx * sr + right.one_idx,
                    _pair_repr(left._repr_fn or str, right._repr_fn or str),
                    neg=[a * sr + b for a in left.neg for b in right.neg])

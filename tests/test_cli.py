@@ -37,6 +37,21 @@ def test_a_zz_generator_that_cannot_be_factored_exits_2_before_any_row(capsys):
         assert "prime: " + ("true" if n == 999999999989 else "false") in capsys.readouterr().out
 
 
+def test_a_zz_literal_that_cannot_be_factored_exits_2_though_a_product_may_form_it(capsys):
+    # the square of a prime near 10^12 is an ideal when a product of accepted
+    # ideals forms it, never as a literal; this prime's square is formed by no test
+    assert main(["classify", "ZZ", f"({999999999959 ** 2})"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot factor {999999999959 ** 2}")
+
+
+@pytest.mark.parametrize("spec, count", [("Z1024 x Z4", 33), ("Z4 x Z1024", 33),
+                                         ("Z64 x Z64", 49)])
+def test_ideals_of_a_large_product_are_the_pairs_of_its_factors_ideals(capsys, spec, count):
+    # an ideal of R1 x R2 is I1 x I2, so Z_n x Z_m has d(n) d(m) of them
+    assert main(["ideals", spec]) == 0
+    assert capsys.readouterr().out.startswith(f"ideal lattice of {spec} ({count} ideals):\n")
+
+
 def test_oversized_rings_exit_2_before_allocating(capsys):
     assert main(["ideals", "Z100000"]) == 2
     assert main(["ideals", "Z10[x]/(x^9)"]) == 2

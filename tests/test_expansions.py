@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from functools import lru_cache, reduce
 from itertools import count
 from math import gcd, lcm
@@ -19,7 +20,8 @@ from deltan import (CrossRingError, apply_expansion, compose_expansions, delta0,
                     radical, zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import ExpansionProfile, _colon_violation
+from deltan.expansions import (ExpansionProfile, _colon_violation, _int_test_points,
+                               _radical_over)
 from deltan.ideals import _prime_factors, _radical_of_int
 from deltan.verifier import Context, builtin_corpus
 from deltan.verifier import catalog as corpus_catalog
@@ -236,6 +238,31 @@ def test_integer_profile_regressions():
         flags = dict(prof.witnesses)
         assert flags["idempotent_on_all"] == flags["radical_commuting"] == witness
         _assert_int_witnesses_are_violations(delta, prof)
+
+
+def test_integer_profile_of_a_parameter_prime_above_the_trial_bound_factors_nothing():
+    # before the differential test below, which factors these test points
+    start = time.perf_counter()
+    prof = profile_expansion(_zz("delta_plus", 1000003))
+    assert time.perf_counter() - start < 0.5  # factoring its test points took about 1 s
+    assert prof == ExpansionProfile(True, True, False, True, False, (
+        ("zero_fixed", "delta(0) = (1000003)"),
+        ("colon_condition", "delta(J:x) is the whole ring for J=(2), x=1")))
+
+
+def test_integer_profile_radicals_equal_factoring_ones_on_its_test_points():
+    """The profile takes radicals over its test points' primes, without
+    factoring; on the catalog kinds over the ZZ parameters of the default
+    claims (the primes up to 100) and a parameter prime above 10^6 they equal
+    ``_radical_of_int`` at every test point and at its image."""
+    params = [p for p in range(2, 101) if _prime_factors(p) == [p]] + [1000003]
+    deltas = [_zz("delta0"), _zz("delta1"), _zz("full"),
+              _chain(_zz("delta1"), _zz("delta_plus", 0))]
+    deltas += [_zz(kind, q) for kind in ("delta_plus", "delta_star") for q in params]
+    for delta in deltas:
+        primes, points = _int_test_points(delta)
+        for n in points + [delta.int_fn(n) for n in points]:
+            assert _radical_over(primes, n) == _radical_of_int(n), (delta.name(), n)
 
 
 def _former_closed_form(kind, q):

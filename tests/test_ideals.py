@@ -619,6 +619,26 @@ def test_trial_division_factors_below_its_bound_and_refuses_above_it():
     assert _prime_factors(1000000000039) == [1000000000039]
 
 
+def test_a_zz_ideal_built_from_accepted_ones_is_accepted():
+    """The primes of a product, lcm, gcd, colon or radical of nZ and mZ divide
+    n or m, so the result is factored from theirs, though trial division
+    would leave a part above 10^12."""
+    from deltan.ideals import _prime_factors
+    zz = integers()
+    p, q = 999999999989, 999999999959
+    I, J = integer_ideal(zz, p), integer_ideal(zz, q)
+    square, pq = ideal_combine("product", I, I), ideal_combine("intersect", I, J)
+    assert (square.n, pq.n) == (p * p, p * q)
+    assert _prime_factors(p * p) == [p] and _prime_factors(p * q) == [q, p]
+    assert radical(square) is I and colon(square, I) is I and colon(pq, J) is I
+    assert ideal_combine("sum", square, pq) is I and ideal_combine("product", I, J) is pq
+    assert classify_ideal(square).is_primary and not classify_ideal(pq).is_prime
+    six_square = ideal_combine("product", square, integer_ideal(zz, 6))
+    assert _prime_factors(six_square.n) == [2, 3, p]
+    with pytest.raises(InvalidSpecError, match=f"cannot factor {q * q}"):
+        integer_ideal(zz, q * q)  # a literal is still trial-divided
+
+
 def test_prime_and_primary_match_a_brute_force_oracle():
     from deltan import modular, poly_quotient, product
     from deltan.verifier import builtin_corpus

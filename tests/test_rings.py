@@ -775,12 +775,14 @@ def test_table_rows_are_lists_up_to_256_elements_and_arrays_above():
 
 @pytest.mark.parametrize("build, bound", [
     (lambda: _build_modular(1009), 2_700_000),
-    (lambda: _product.__wrapped__(modular(31), modular(31)), 5_000_000),
+    (lambda: _product.__wrapped__(modular(31), modular(31)), 3_000_000),
 ], ids=["Z1009", "Z31 x Z31"])
 def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build, bound):
     # two 1009^2 tables of 8-byte list slots would hold 16 MB, of 2-byte cells
     # 4 MB; Z1009's rows are views of one 1009^2-cell run (2.04 MB) and one of
-    # 2018 cells, about 0.4 MB of view objects on top
+    # 2018 cells, about 0.4 MB of view objects on top.  Z31 x Z31's product
+    # rows hold 1.85 MB, its sum 31 runs of 2 * 961 cells (0.12 MB in all) and
+    # 961 views
     modular(31)  # the factors are built before the count starts
     tracemalloc.start()
     try:
@@ -790,6 +792,75 @@ def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build, bound
         tracemalloc.stop()
     assert ring.size in (1009, 961)
     assert held <= bound, held
+
+
+def _pair_oracle(table, left, right):
+    """Check ``table``, the sum or product table of a product, against its
+    factors' tables ``left`` and ``right`` cell for cell: with s = |right|,
+    cell (i, j) is the index x * s + y of the pair (x, y) =
+    (left[i // s][j // s], right[i % s][j % s]), built here one pair block at
+    a time, the cells j = c * s + e of row i for one c."""
+    s = len(right)
+    pairs = [[array("H", [x * s + y for y in rrow]).tobytes() for x in range(len(left))]
+             for rrow in right]
+    assert len(table) == len(left) * s
+    for i, row in enumerate(table):
+        cells = array("H", row).tobytes() if type(row) is list else bytes(row)
+        a, b = divmod(i, s)
+        assert cells == b"".join(pairs[b][x] for x in left[a]), i
+
+
+_PRODUCTS = {  # (left, right) factors, on both sides of the 256-element cut
+    "Z31 x Z31": (31, 31),
+    "Z3 x Z86": (3, 86),
+    "Z1024 x Z4": (1024, 4),
+    "Z4 x Z1024": (4, 1024),
+    "Z11 x Z13": (11, 13),
+    "Z2 x Z128": (2, 128),
+    "Z2 x Z2 x Z128": (lambda: product(modular(2), modular(2)), 128),
+    "Z2[x]/(x^2) x Z128": (lambda: poly_quotient(2, [0, 0, 1]), 128),
+    "Z17[x]/(x+3) x Z16": (lambda: poly_quotient(17, [3, 1]), 16),
+}
+
+
+def _factor(spec):
+    return modular(spec) if isinstance(spec, int) else spec()
+
+
+@pytest.mark.parametrize("name", _PRODUCTS)
+def test_product_tables_equal_the_pair_oracle(name):
+    left, right = map(_factor, _PRODUCTS[name])
+    ring = _product.__wrapped__(left, right)  # not memoised
+    assert ring.key == name
+    _pair_oracle(ring.add, left.add, right.add)
+    _pair_oracle(ring.mul, left.mul, right.mul)
+    if ring.size > 256 and left.origin[0] != "modular":
+        assert all(type(row) is array for row in ring.add + ring.mul)
+
+
+def test_an_idealization_over_z_n_adds_as_the_product_by_its_module():
+    z17 = modular(17)
+    module = make_module(z17, "regular")
+    ring = idealization(z17, module).ring
+    _pair_oracle(ring.add, z17.add, module.add)
+    assert all(type(row) is memoryview and row.readonly for row in ring.add)
+
+
+@pytest.mark.parametrize("name", ["Z31 x Z31", "Z3 x Z86", "Z1024 x Z4", "Z4 x Z1024"])
+def test_a_z_n_left_sum_is_read_only_windows_of_one_run_per_right_row(name):
+    # sum row (a, b) is the window [a s, a s + n s) of run_b, the blocks of
+    # row (0, b) written twice; the product's rows are arrays of their own
+    n, s = _PRODUCTS[name]
+    ring = _product.__wrapped__(modular(n), modular(s))
+    runs = [ring.add[b].obj for b in range(s)]
+    assert len(set(map(id, runs))) == s
+    assert all(len(run) == 2 * 2 * ring.size for run in runs)  # the bytes of 2 n s cells
+    for i, row in enumerate(ring.add):
+        assert type(row) is memoryview and row.readonly and row.obj is runs[i % s], i
+    for i in (0, s + 1, ring.size - 1):
+        with pytest.raises(TypeError):
+            ring.add[i][i] = 0
+    assert all(type(row) is array for row in ring.mul)
 
 
 # the passes over a whole table that the axiom checks of rings and modules run
