@@ -36,6 +36,7 @@ from collections import namedtuple
 from . import constructions, predicates
 from .constructions import (Homomorphism, enumerate_submodules, is_delta_gamma_homomorphism,
                             localize, product_projections, quotient_ring)
+from .errors import UnknownClaimError
 from .expansions import (_colon_violation, catalog, compose_expansions, delta0, delta1,
                          delta_plus, derive_idealization_expansion, derive_product_expansion,
                          derive_quotient_expansion, localization_value_collisions,
@@ -1092,3 +1093,11 @@ def _check_selftest_z12(ctx):
 
 CLAIMS = tuple(CLAIMS)
 CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
+
+
+def _claim_of(claim_id):
+    """The registered claim ``claim_id``; an unknown id raises UnknownClaimError."""
+    claim = CLAIMS_BY_ID.get(claim_id)
+    if claim is None:
+        raise UnknownClaimError(f"unknown claim id {claim_id!r}")
+    return claim

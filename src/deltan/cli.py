@@ -14,8 +14,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .claims import CLAIMS_BY_ID
-from .errors import DeltanError, ImproperIdealError, UnknownClaimError
+from .claims import _claim_of
+from .errors import DeltanError
 from .dsl import (bind_expansion, bind_ideal, bind_ring, parse_expansion_text,
                   parse_ideal_text, parse_spec)
 from .ideals import classify_ideal, enumerate_ideals
@@ -62,9 +62,7 @@ def _cmd_classify(args):
     _bool_row("maximal", flags.is_maximal)
     _bool_row("primary", flags.is_primary)
     _bool_row("superfluous", flags.is_superfluous)
-    if not flags.is_proper:  # after the flag rows, which hold for R too
-        raise ImproperIdealError(
-            "this ideal class is defined for proper ideals only; got the whole ring")
+    # after the flag rows, which hold for R too, n_ideal_witness refuses R (predicates._guard)
     _witness_row("n-ideal", n_ideal_witness(ideal))
     _witness_row("quasi n-ideal", quasi_n_witness(ideal))
     if delta is not None:
@@ -83,8 +81,7 @@ def _cmd_verify(args):
     corpus = builtin_corpus() if args.corpus == "default" else load_corpus(args.corpus)
     claim_ids = args.claims.split(",") if args.claims else None
     for cid in claim_ids or ():  # before the report file is opened
-        if cid not in CLAIMS_BY_ID:
-            raise UnknownClaimError(f"unknown claim id {cid!r}")
+        _claim_of(cid)
     try:  # before the run, so an unwritable report path fails fast
         json_out = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
     except OSError as exc:
@@ -99,9 +96,7 @@ def _cmd_verify(args):
 
 
 def _cmd_explain(args):
-    claim = CLAIMS_BY_ID.get(args.claim_id)
-    if claim is None:
-        raise UnknownClaimError(f"unknown claim id {args.claim_id!r}")
+    claim = _claim_of(args.claim_id)
     print(f"claim: {claim.id}")
     print(f"title: {claim.title}")
     print(f"statement: {claim.statement}")

@@ -55,8 +55,8 @@ from .constructions import (MultiplicativeSet, idealization, localize, make_modu
 from .expansions import make_expansion
 from .ideals import ideal_from_generators
 from .rings import (_MAX_DIGITS, MAX_RING_SIZE, _bracketed, _check_size, _poly_mul_reduce,
-                    _poly_normalize, integers, modular, poly_quotient, poly_repr, product,
-                    ring_key)
+                    _poly_normalize, _product_key, integers, modular, poly_quotient, poly_repr,
+                    product, ring_key)
 
 # the longest integer literal read is _MAX_DIGITS long (CPython's default limit
 # on converting a digit string to an int); the largest exponent of x is
@@ -393,7 +393,7 @@ def _sized(ast):
     if kind == "idealization" and ast[2][0] != "regular":
         return None
     if kind == "product":
-        key = f"{left[1]} x {_bracketed(ast[2][0], right[1])}"
+        key = _product_key(left[1], ast[2][0], right[1])
     else:  # R (+) R, its module spelled as its ring
         atom = _bracketed(ast[1][0], left[1])
         key = f"{atom} (+) {atom}"
@@ -410,9 +410,9 @@ def bind_ring(ast):
         return modular(ast[1])
     if kind == "poly_quotient":
         return poly_quotient(ast[1], list(ast[2]))
-    _sized(ast)  # a product too large to build is refused before its operands are built
     if kind == "product":
         return _bind_product(ast)
+    _sized(ast)  # an idealization too large to build is refused before its operands are built
     base = bind_ring(ast[1])
     if kind == "idealization":
         module = ast[2]
@@ -439,7 +439,7 @@ def _bind_product(ast):
         sides.append((size, None if size else bind_ring(side)))
     if all(size or ring.is_finite for size, ring in sides):
         (ls, lk), (rs, rk) = (size or (ring.size, ring.key) for size, ring in sides)
-        _check_size(f"{lk} x {_bracketed(ast[2][0], rk)}", ls * rs)
+        _check_size(_product_key(lk, ast[2][0], rk), ls * rs)
     return product(*(ring or bind_ring(side) for (_, ring), side in zip(sides, ast[1:])))
 
 

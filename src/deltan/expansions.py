@@ -19,14 +19,14 @@ check (``_integer_profile``).
 from __future__ import annotations
 
 from collections import namedtuple
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .constructions import (Homomorphism, idealization, localize, product_projections,
                            quotient_ring)
 from .errors import InfiniteRingError
-from .ideals import (Ideal, _colon_mask, _colon_meet, _int_colon, _is_prime_int, _lattice,
-                     _mk_ideal, _prime_factors, _radical_mask, _radical_of_int, _sum_mask,
-                     enumerate_ideals, integer_ideal, nilradical)
+from .ideals import (Ideal, _colon_mask, _colon_meet, _int_colon, _int_ideal, _is_prime_int,
+                     _lattice, _mk_ideal, _prime_factors, _radical_mask, _radical_of_int,
+                     _sum_mask, enumerate_ideals, nilradical)
 from .rings import _same_ring, memo, product
 
 
@@ -168,7 +168,7 @@ def compose_expansions(outer, inner):
 def apply_expansion(delta, I):
     _same_ring(delta.ring, I.ring, "ideal")
     if not delta.ring.is_finite:
-        return integer_ideal(delta.ring, delta.int_fn(I.n))
+        return _int_ideal(delta.ring, delta.int_fn(I.n))
     return _mk_ideal(delta.ring, delta.table[I.mask])
 
 
@@ -343,10 +343,9 @@ def _valuation(n, p):
 
 
 def _int_test_points(delta):
-    """(the primes, the points): 0 and every p^a * q^b, p and q among the
-    primes of the nonzero parameters and the two least primes dividing none,
-    a <= 2(S_p + r + 1) + 1 with S_p the sum of v_p over the parameter
-    occurrences and r the delta1 count."""
+    """0 and every p^a * q^b, ascending, p and q among the primes of the nonzero
+    parameters and the two least primes dividing none, a <= 2(S_p + r + 1) + 1
+    with S_p the sum of v_p over the parameter occurrences and r the delta1 count."""
     params, r = _int_atoms(delta)
     primes = sorted({p for n in params for p in _prime_factors(n)})
     p = 2
@@ -357,13 +356,8 @@ def _int_test_points(delta):
         p += 1
     powers = [[p ** a for a in range(2 * (sum(_valuation(n, p) for n in params) + r + 1) + 2)]
               for p in primes]
-    return primes, sorted({0} | {x * y for i, xs in enumerate(powers)
-                                 for ys in powers[i + 1:] for x in xs for y in ys})
-
-
-def _radical_over(primes, n):
-    """The radical of n, 0 or a product of ``primes``: no factoring."""
-    return prod(p for p in primes if n % p == 0) if n else 0
+    return sorted({0} | {x * y for i, xs in enumerate(powers)
+                         for ys in powers[i + 1:] for x in xs for y in ys})
 
 
 def _integer_profile(delta):
@@ -391,13 +385,11 @@ def _integer_profile(delta):
       containment at that or another one; the second needs x outside J at one
       prime and delta(J:x) = ZZ, every coordinate 0.  At J = 0, (0 : x) = 0.
     So zeroing the other coordinates keeps a violation on at most two primes,
-    and two primes dividing no parameter stand for all of them.  Each kind
-    sends a nonzero n to a divisor of n and 0 to 0, 1 or a parameter, so every
-    point and every image is 0 or a product of the points' primes, and
-    ``_radical_over`` takes its radical over them.
+    and two primes dividing no parameter stand for all of them.  Points and
+    images are 0 or products of the points' primes: ``_radical_of_int`` factors them at once.
     """
     fn = delta.int_fn
-    primes, points = _int_test_points(delta)
+    points = _int_test_points(delta)
 
     def has(a, b):  # aZ contains b
         return b % a == 0 if a else b == 0
@@ -420,5 +412,5 @@ def _integer_profile(delta):
         (f"I=({n})" for n in points if fn(fn(n)) != fn(n)),
         () if fn(0) == 0 else (f"delta(0) = ({fn(0)})",),
         (f"I=({n})" for n in points
-         if _radical_over(primes, fn(n)) != fn(_radical_over(primes, n))),
+         if _radical_of_int(fn(n)) != fn(_radical_of_int(n))),
         colon_violations()))

@@ -11,7 +11,7 @@ ring), with closed-form arithmetic.  Each ideal is one interned object (see
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, count
+from itertools import compress, count
 from math import gcd, lcm, prod
 
 from .errors import InfiniteRingError, InvalidSpecError
@@ -112,13 +112,30 @@ def _prime_factors(n):
 
 
 @memo
+def _held_primes(zz):
+    """The primes of at least _TRIAL_BOUND that trial division left of nZ literals."""
+    return set()
+
+
+def _cannot_factor(n):
+    shown = n if n < 10 ** 40 else f"a {_digits(n)}-digit integer"
+    return InvalidSpecError(f"cannot factor {shown}: trial division by the primes "
+                            f"below 10^6 leaves a part of at least 10^12")
+
+
+@memo
 def _int_prime_factors(zz, n):
-    """Trial division by the primes below _TRIAL_BOUND, then by every integer
-    from it on.  Every nZ has an n the primes factor (``_int_ideal``); the
-    integers past them are reached only by the ZZ profile's test points, which
-    are powers of its parameters' primes."""
-    out, rest = _trial_division(n, chain(_trial_primes(), count(_TRIAL_BOUND)))
-    return out + [rest] if rest > 1 else out
+    """Division by ZZ's held primes, then by the primes below _TRIAL_BOUND; a part
+    left of at least _TRIAL_BOUND ** 2 is refused.  Every prime of an nZ is below
+    _TRIAL_BOUND or held, as a closed form's primes divide its operands' or parameters'."""
+    held, rest = [q for q in _held_primes(zz) if n % q == 0], n
+    for q in held:
+        while rest % q == 0:
+            rest //= q
+    out, rest = _trial_division(rest, _trial_primes())
+    if rest >= _TRIAL_BOUND ** 2:
+        raise _cannot_factor(n)
+    return sorted(out + held + [rest] if rest > 1 else out + held)
 
 
 def _radical_of_int(n):
@@ -225,27 +242,8 @@ def _mk_ideal(ring, mask):
 
 @memo
 def _int_ideal(ring, n):
-    """nZ, for an n that trial division by the primes below _TRIAL_BOUND factors,
-    or one whose primes are already known (``_int_result``), so that the flags,
-    the radical and the expansions of nZ factor n at once; any other n is
-    refused here."""
-    if (n not in _int_prime_factors.table(ring)
-            and _trial_division(n or 1, _trial_primes())[1] >= _TRIAL_BOUND ** 2):
-        shown = n if n < 10 ** 40 else f"a {_digits(n)}-digit integer"
-        raise InvalidSpecError(f"cannot factor {shown}: trial division by the primes "
-                               f"below 10^6 leaves a part of at least 10^12")
+    """nZ, interned: literals pass ``integer_ideal`` first, operator results come here."""
     return Ideal(ring, n=n)
-
-
-def _int_result(ring, n, *operands):
-    """nZ for an n that a product, lcm, gcd, colon or radical made from the
-    ideals mZ, m in ``operands``: every prime of n divides some m, whose primes
-    are known, so n's are read off theirs and seeded in ``_int_prime_factors``
-    instead of trial-dividing n, which may leave a part above 10^12."""
-    known = _int_prime_factors.table(ring)
-    if n > 1 and n not in known:
-        known[n] = sorted({p for m in operands if m for p in _prime_factors(m) if n % p == 0})
-    return _int_ideal(ring, n)
 
 
 def zero_ideal(ring):
@@ -261,9 +259,17 @@ def unit_ideal(ring):
 
 
 def integer_ideal(ring, n):
-    """nZ, an ideal of the integer ring ``ring``."""
+    """nZ in the integer ring, the door of every literal n: an n not yet interned must
+    leave 1 or a prime below _TRIAL_BOUND ** 2 by trial division, held if >= _TRIAL_BOUND."""
     _same_ring(ring, integers(), "integer ideal")
-    return _int_ideal(ring, abs(int(n)))
+    n = abs(int(n))
+    if n not in _int_ideal.table(ring):
+        rest = _trial_division(n or 1, _trial_primes())[1]
+        if rest >= _TRIAL_BOUND ** 2:
+            raise _cannot_factor(n)
+        if rest >= _TRIAL_BOUND:
+            _held_primes(ring).add(rest)
+    return _int_ideal(ring, n)
 
 
 def ideal_from_generators(ring, gens):
@@ -301,7 +307,7 @@ def ideal_combine(op, I, J):
     ring = I.ring
     if not ring.is_finite:  # nZ + mZ, nZ mZ and nZ & mZ are gcd(n, m), nm and lcm(n, m) Z
         combine = {"sum": gcd, "product": int.__mul__, "intersect": lcm}[op]
-        return _int_result(ring, combine(I.n, J.n), I.n, J.n)
+        return _int_ideal(ring, combine(I.n, J.n))
     if op == "sum":
         return _mk_ideal(ring, _sum_mask(ring, I.mask, J.mask))
     if op == "product":
@@ -352,7 +358,7 @@ def colon(I, divisor):
     is_ideal = isinstance(divisor, Ideal)
     _same_ring(ring, divisor.ring, "divisor")
     if not ring.is_finite:
-        return _int_result(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx), I.n)
+        return _int_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
     gens = divisor.gens if is_ideal else (divisor,)
     return _mk_ideal(ring, _colon_meet(ring, I.mask, gens))
 
@@ -391,7 +397,7 @@ def radical(I):
     """
     ring = I.ring
     if not ring.is_finite:
-        return _int_result(ring, _radical_of_int(I.n), I.n)
+        return _int_ideal(ring, _radical_of_int(I.n))
     return _mk_ideal(ring, _radical_mask(ring, I.mask))
 
 

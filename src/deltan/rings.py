@@ -189,6 +189,11 @@ def _bracketed(kind, key):
     return f"({key})" if kind in ("product", "idealization") else key
 
 
+def _product_key(left, right_kind, right):
+    """``L x R``, the product of the rings named ``left`` and ``right``, of kind ``right_kind``."""
+    return f"{left} x {_bracketed(right_kind, right)}"
+
+
 def _gens_text(I):
     """The greedy generators of the finite ideal I, comma-separated."""
     return ",".join(I.ring.element_repr(g.idx) for g in I.gens)
@@ -211,7 +216,7 @@ def ring_key(origin):
         return "ZZ"
     _, base, operand = origin
     if kind == "product":
-        return f"{base.key} x {_bracketed(operand.origin[0], operand.key)}"
+        return _product_key(base.key, operand.origin[0], operand.key)
     if kind == "quotient":
         return f"quot({base.key},({_gens_text(operand)}))"
     if kind == "idealization":

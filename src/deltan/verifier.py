@@ -13,11 +13,11 @@ import functools
 import json
 from collections import namedtuple
 
-from .claims import CHECKERS, CLAIMS, CLAIMS_BY_ID, HOLDS, SKIP
+from .claims import CHECKERS, CLAIMS, HOLDS, SKIP, _claim_of
 from .constructions import (Homomorphism, MultiplicativeSet, idealization,
                             make_module, mult_closure, quotient_ring)
 from .dsl import bind_ring, parse_spec
-from .errors import DeltanError, InfiniteRingError, UnknownClaimError
+from .errors import DeltanError, InfiniteRingError
 from .expansions import catalog, derive_quotient_expansion
 from .ideals import _bits, _nil_mask, _unit_mask, enumerate_ideals, ideal_from_generators
 from .rings import _proved, integers, memo, modular, poly_quotient, product
@@ -173,15 +173,8 @@ def run_claims(corpus=None, claim_ids=None, witness_cap=5):
     """Evaluate claims over the corpus; self-tests run only when named explicitly."""
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
-    if claim_ids is None:
-        selected = [c for c in CLAIMS if not c.self_test]
-    else:
-        selected = []
-        for cid in claim_ids:
-            claim = CLAIMS_BY_ID.get(cid)
-            if claim is None:
-                raise UnknownClaimError(f"unknown claim id {cid!r}")
-            selected.append(claim)
+    selected = ([c for c in CLAIMS if not c.self_test] if claim_ids is None
+                else [_claim_of(cid) for cid in claim_ids])
     ctx = Context(corpus if corpus is not None else builtin_corpus())
     reports = []
     for claim in selected:
@@ -205,8 +198,7 @@ def run_claims(corpus=None, claim_ids=None, witness_cap=5):
 
 def find_counterexample(claim_id, corpus=None):
     """First failure witness of one claim in deterministic order, or None."""
-    if claim_id not in CLAIMS_BY_ID:
-        raise UnknownClaimError(f"unknown claim id {claim_id!r}")
+    _claim_of(claim_id)
     ctx = Context(corpus if corpus is not None else builtin_corpus())
     return next((v for v in CHECKERS[claim_id](ctx) if v is not HOLDS and v is not SKIP), None)
 

@@ -1,6 +1,8 @@
 """Command-line behavior: output, exit codes, report files."""
 
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -124,12 +126,13 @@ def test_classify_integer_example(capsys):
 
 def test_classify_improper_ideal(capsys):
     """The whole ring gets its five flag rows, then one refusal on stderr."""
-    assert main(["classify", "Z6", "(1)"]) == 2
-    captured = capsys.readouterr()
-    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
-        "ring", "ideal", "proper", "prime", "maximal", "primary", "superfluous"]
-    assert captured.err == ("error: this ideal class is defined for proper ideals only; "
-                            "got the whole ring\n")
+    for ring in ("Z6", "ZZ"):
+        assert main(["classify", ring, "(1)"]) == 2
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+            "ring", "ideal", "proper", "prime", "maximal", "primary", "superfluous"]
+        assert captured.err == ("error: this ideal class is defined for proper ideals only; "
+                                "got the whole ring\n")
 
 
 def test_classify_bad_delta_prints_no_half_report(capsys):
@@ -154,6 +157,16 @@ def test_explain(capsys):
     out = capsys.readouterr().out
     assert "claim: rem-product-obstruction" in out
     assert "statement:" in out
+
+
+def test_explain_prints_the_kind_of_a_self_test_and_the_notes_of_a_claim(capsys):
+    assert main(["explain", "selftest-z6-all-n-ideals"]) == 0
+    out = capsys.readouterr().out
+    assert "\nkind: deliberately inverted self-test of the witness machinery\n" in out
+    assert main(["explain", "audit-example-unit-ideal"]) == 0
+    out = capsys.readouterr().out
+    assert "\nnote: flagged: the motivating example of a delta-n-but-not-n" in out
+    assert "kind:" not in out
 
 
 def test_verify_subset_and_json(tmp_path, capsys):
@@ -238,6 +251,20 @@ def test_closed_stdout_exits_141_without_a_message():
     _, err = proc.communicate(timeout=120)
     assert first == b"ideal lattice of Z2 x Z2 x Z2 x Z2 x Z2 x Z2 (64 ideals):\n"
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_a_closed_stdout_in_this_process_exits_141_and_points_stdout_at_devnull(
+        monkeypatch, capsys):
+    """The same contract through ``main`` in this process: the reader of the
+    pipe is gone before the first row, so the flush that ends the command fails."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    stdout = os.fdopen(write_fd, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["ideals", "Z4096"]) == 141
+    monkeypatch.undo()
+    stdout.close()  # its descriptor is devnull now, so the unwritten rows go there
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("name, reason", [("missing.txt", "No such file or directory"),

@@ -1,11 +1,15 @@
 """Expansion catalog, derivation rules, the expansion axioms, and profiles."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from functools import lru_cache, reduce
 from itertools import count
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +19,12 @@ from deltan import (CrossRingError, apply_expansion, compose_expansions, delta0,
                     delta1, delta_plus, delta_star, derive_idealization_expansion,
                     derive_localized_expansion, derive_product_expansion,
                     derive_quotient_expansion, enumerate_ideals, full_expansion,
-                    ideal_from_generators, integer_ideal, integers, make_expansion,
-                    modular, mult_closure, nilradical, product, profile_expansion,
-                    radical, zero_ideal)
+                    ideal_combine, ideal_from_generators, integer_ideal, integers,
+                    make_expansion, modular, mult_closure, nilradical, product,
+                    profile_expansion, radical, zero_ideal)
 from deltan.constructions import (MultiplicativeSet, idealization, localize,
                                   make_module, quotient_ring)
-from deltan.expansions import (ExpansionProfile, _colon_violation, _int_test_points,
-                               _radical_over)
+from deltan.expansions import ExpansionProfile, _colon_violation
 from deltan.ideals import _prime_factors, _radical_of_int
 from deltan.verifier import Context, builtin_corpus
 from deltan.verifier import catalog as corpus_catalog
@@ -250,19 +253,32 @@ def test_integer_profile_of_a_parameter_prime_above_the_trial_bound_factors_noth
         ("colon_condition", "delta(J:x) is the whole ring for J=(2), x=1")))
 
 
-def test_integer_profile_radicals_equal_factoring_ones_on_its_test_points():
-    """The profile takes radicals over its test points' primes, without
-    factoring; on the catalog kinds over the ZZ parameters of the default
-    claims (the primes up to 100) and a parameter prime above 10^6 they equal
-    ``_radical_of_int`` at every test point and at its image."""
-    params = [p for p in range(2, 101) if _prime_factors(p) == [p]] + [1000003]
-    deltas = [_zz("delta0"), _zz("delta1"), _zz("full"),
-              _chain(_zz("delta1"), _zz("delta_plus", 0))]
-    deltas += [_zz(kind, q) for kind in ("delta_plus", "delta_star") for q in params]
-    for delta in deltas:
-        primes, points = _int_test_points(delta)
-        for n in points + [delta.int_fn(n) for n in points]:
-            assert _radical_over(primes, n) == _radical_of_int(n), (delta.name(), n)
+# P is a prime above 10^6, so trial division leaves P^2 above 10^12; (P) held
+# P when it was admitted, and a closed form's primes divide its operands'
+HELD_PRIME_SQUARE = """
+from deltan import compose_expansions, delta1, delta_plus, ideal_combine, integer_ideal, integers
+zz, P = integers(), 999999999989
+I = ideal_combine("product", integer_ideal(zz, P), integer_ideal(zz, 2 * P))
+J = ideal_combine("product", integer_ideal(zz, P), integer_ideal(zz, 3 * P))
+print(compose_expansions(delta1(zz), delta_plus(zz, J)).int_fn(I.n))
+"""
+
+
+def test_a_zz_expansion_value_is_an_ideal_though_trial_division_leaves_its_n():
+    zz, P = integers(), 999999999989
+    I = ideal_combine("product", integer_ideal(zz, P), integer_ideal(zz, 2 * P))
+    J = ideal_combine("product", integer_ideal(zz, P), integer_ideal(zz, 3 * P))
+    assert apply_expansion(delta_plus(zz, J), I).n == P * P  # refused as a literal
+
+
+def test_the_radical_of_a_held_prime_square_factors_by_the_prime():
+    """In a fresh interpreter, with a timeout, so that a division past the
+    primes below 10^6 (towards P, about 10^12 steps) fails instead of hanging."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", HELD_PRIME_SQUARE], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "999999999989\n"
 
 
 def _former_closed_form(kind, q):

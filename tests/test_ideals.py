@@ -276,6 +276,7 @@ def test_special_sets_integers():
     assert zz.el(4) in rec.z_i and zz.el(5) not in rec.z_i
     assert zz.el(3) in rec.z_i
     assert zz.el(7) in rec.regular_elements and zz.el(0) not in rec.regular_elements
+    assert special_sets(zz, integer_ideal(zz, 1)).z_i == frozenset()  # no s outside ZZ
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +614,14 @@ def test_trial_division_factors_below_its_bound_and_refuses_above_it():
             ideal_from_generators(zz, [-n])
     with pytest.raises(InvalidSpecError, match="cannot factor a 4300-digit integer"):
         integer_ideal(zz, 10 ** 4299 + 1)
-    # past the primes below 10^6, every integer divides: the ZZ profile's test
-    # points are powers of its parameters' primes, which may lie above 10^6
+    # the primes above 10^6 that divide are those the literals left, held by ZZ;
+    # no integer past the primes below 10^6 is tried
+    for q in (1000003, 1000033):
+        integer_ideal(zz, q)
     assert _prime_factors(1000003 ** 5 * 1000033) == [1000003, 1000033]
-    assert _prime_factors(1000000000039) == [1000000000039]
+    for n in (1000000000039, 1000037 * 1000039):  # no literal left these primes
+        with pytest.raises(InvalidSpecError, match=f"cannot factor {n}: trial division"):
+            _prime_factors(n)
 
 
 def test_a_zz_ideal_built_from_accepted_ones_is_accepted():
