@@ -10,8 +10,9 @@ ring), with closed-form arithmetic.  Each ideal is one interned object (see
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
-from itertools import compress, count
+from itertools import chain, compress, count, islice, takewhile
 from math import gcd, lcm, prod
 
 from .errors import InfiniteRingError, InvalidSpecError
@@ -79,15 +80,21 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SMALL_PRIMES += tuple(_sieved(32, 1000, _SMALL_PRIMES))
 
 
+# the primes below _TRIAL_BOUND sieved so far, ascending (an array('I'), 314 KB once
+# full, against 2.8 MB as a tuple of ints), and the blocks [lo, 2 lo) of the rest
+_PRIMES = array("I", _SMALL_PRIMES)
+_BLOCKS = (_sieved(lo, min(2 * lo, _TRIAL_BOUND), _SMALL_PRIMES)
+           for lo in takewhile(_TRIAL_BOUND.__gt__, (1000 << k for k in count())))
+
+
 def _trial_primes():
-    """The primes below _TRIAL_BOUND, ascending: those below 1000, then each
-    block [lo, 2 lo) sieved by them, a block only once the one before is read."""
-    yield from _SMALL_PRIMES
-    lo = 1000
-    while lo < _TRIAL_BOUND:
-        hi = min(2 * lo, _TRIAL_BOUND)
-        yield from _sieved(lo, hi, _SMALL_PRIMES)
-        lo = hi
+    """The primes below _TRIAL_BOUND, ascending: _PRIMES, grown by the next of
+    _BLOCKS, sieved once, only when a division reads past the primes before it."""
+    read = 0
+    for block in chain([()], _BLOCKS):
+        _PRIMES.extend(block)
+        yield from islice(_PRIMES, read, None)
+        read = len(_PRIMES)
 
 
 def _trial_division(n, divisors):
@@ -260,12 +267,15 @@ def unit_ideal(ring):
 
 def integer_ideal(ring, n):
     """nZ in the integer ring, the door of every literal n: an n not yet interned must
-    leave 1 or a prime below _TRIAL_BOUND ** 2 by trial division, held if >= _TRIAL_BOUND."""
+    leave 1 or a prime below _TRIAL_BOUND ** 2 by trial division, held if >= _TRIAL_BOUND.
+    A held q | n is divided out once first, as n leaves q iff n / q leaves a part below
+    _TRIAL_BOUND (q^2 | n leaves one of at least q), so n / q is divided, not n."""
     _same_ring(ring, integers(), "integer ideal")
     n = abs(int(n))
     if n not in _int_ideal.table(ring):
-        rest = _trial_division(n or 1, _trial_primes())[1]
-        if rest >= _TRIAL_BOUND ** 2:
+        q = next((q for q in _held_primes(ring) if n % q == 0), 1) if n else 1
+        rest = _trial_division((n or 1) // q, _trial_primes())[1]
+        if rest >= (_TRIAL_BOUND if q > 1 else _TRIAL_BOUND ** 2):
             raise _cannot_factor(n)
         if rest >= _TRIAL_BOUND:
             _held_primes(ring).add(rest)

@@ -4,11 +4,11 @@ Finite rings carry a stable element enumeration (index 0 .. size-1), dense
 addition/multiplication tables over indices, and canonical element payloads
 (residues, coefficient tuples, pairs, ...); a table row is a list on rings of
 at most 256 elements, above it 2-byte cells, a quarter of the memory at half the
-read speed: an array('H'), or a read-only memoryview of a run that rows share,
-on Z_n and in the sum of a product Z_n x R (``_join_tables``).  Readers index,
-slice and iterate a row, whatever its type.  The integer
-ring is symbolic: its "indices" are the integer values themselves and
-enumeration is refused.
+read speed: an array('H'), or a read-only memoryview, on Z_n of the one run that
+all rows of both its tables share (a product row read forward or backward), and
+in the sum of a product Z_n x R of one run per row of R (``_join_tables``).
+Readers index, slice and iterate a row, whatever its type.  The integer ring is
+symbolic: its "indices" are the integer values themselves and enumeration is refused.
 
 Every finite ring's tables are proved to be a commutative ring, once.  A
 ring that deltan builds itself is proved by its recipe: each builder
@@ -42,8 +42,8 @@ _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by de
 
 # tables on at most this many elements keep list rows, read twice as fast; above
 # it a row holds 2-byte 'H' cells against a list's 8-byte slots (MAX_RING_SIZE <
-# 2^16): an array('H'), or a read-only memoryview of a shared run, on Z_n and in
-# the sum of Z_n x R
+# 2^16): an array('H'), or a read-only memoryview of a shared run: on Z_n one run
+# of n(n // 2 + 2) cells for both tables, in the sum of Z_n x R one per row of R
 _LIST_ROWS_MAX = 256
 
 
@@ -483,20 +483,24 @@ def _table(size, rows):
 
 
 def _build_modular(n):
-    """Z/nZ on the residues 0..n-1, -x being n - x.  Every row slices a run of
-    ``base``, the residues in the row type of n, whose cell p is p mod n: row i
-    of the sum is twice[i:i + n], cell j being (i + j) mod n as i + j < 2n, and
-    row i of the product runs[0:m*n:m], m = i or n, n cells whose j-th is
-    runs[jm] = ij mod n, as jm <= (n-1)n < n^2.  Above _LIST_ROWS_MAX the rows
-    are views into the runs, read-only as each run is every row's: the sum
-    holds 4n bytes, the product one repeat of n^2 cells."""
-    elems = list(range(n))
-    base = elems if n <= _LIST_ROWS_MAX else array("H", elems)
-    twice, runs = base * 2, base * n
+    """Z/nZ on the residues 0..n-1, -x being n - x.  Every row slices one run, the
+    residues in the row type of n written h + 2 times, h = n // 2, the last n cells
+    then set to 0: cell p < (h+1)n is p mod n.  Sum row i is run[i:i + n], as
+    i + j < 2n <= (h+1)n, n >= 2.  Product row 0 is the zero block run[-n:], row
+    i <= h is run[0:i*n:i], cell j at ij <= (n-1)h < (h+1)n, and row i > h,
+    m = n - i, is run[mn:0:-m], read backwards: cell j at m(n - j) = -mj = ij
+    (mod n), from mn down to m > 0, mn < (h+1)n as m <= h.  So the run holds
+    n(h + 2) cells, not n^2 + 2n: row n - i is row i backwards.  Above
+    _LIST_ROWS_MAX every row of both tables is a view of the run, read-only as
+    the run is every row's."""
+    elems, h = list(range(n)), n // 2
+    run = (elems if n <= _LIST_ROWS_MAX else array("H", elems)) * (h + 2)
+    run[-n:] = run[:1] * n  # as many zeros as cells they replace: written in place
     if n > _LIST_ROWS_MAX:
-        twice, runs = memoryview(twice).toreadonly(), memoryview(runs).toreadonly()
-    add = [twice[i:i + n] for i in elems]
-    mul = [runs[0:(i or n) * n:i or n] for i in elems]
+        run = memoryview(run).toreadonly()
+    add = [run[i:i + n] for i in elems]
+    mul = [run[-n:]] + [run[0:i * n:i] if i <= h else run[(n - i) * n:0:i - n]
+                        for i in elems[1:]]
     return _proved(Ring, ("modular", n), elems, add, mul, 0, 1 % n, str,
                    neg=elems[:1] + elems[:0:-1])
 

@@ -14,7 +14,9 @@ Every one of them exits 0, so the lines after them are written by hand: one
 query per kind of refusal (exit 2), so that a changed message moves the lock,
 then one query per parsing defect mended later, appended in that order, and
 then two products too large to build, refused before either factor is built,
-and a generator of ZZ that trial division cannot factor.
+a generator of ZZ that trial division cannot factor, and five queries on Z_n
+above 256 elements (Z1021, Z512, Z4096, Z1000 and a localization of Z4096),
+which print a lattice or a classification read off Z_n's views of 2-byte cells.
 
 ``data/cli_queries.sha256`` holds, line for line, the first 16 hex digits of
 the SHA-256 of (exit code, stdout, stderr) of each query, all run in one

@@ -1,5 +1,10 @@
 """Ideal arithmetic, lattices, classification, and the independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -622,6 +627,52 @@ def test_trial_division_factors_below_its_bound_and_refuses_above_it():
     for n in (1000000000039, 1000037 * 1000039):  # no literal left these primes
         with pytest.raises(InvalidSpecError, match=f"cannot factor {n}: trial division"):
             _prime_factors(n)
+
+
+# the literal (P) reads every prime below 10^6; (2P) and (3P) then divide out the
+# held P and read only the primes up to sqrt(3); (Q) reads every prime again
+SIEVE_ONCE = """
+import time
+from deltan import ideals, integer_ideal, integers
+sieved, sieve = [], ideals._sieved
+ideals._sieved = lambda lo, hi, primes: sieved.append(lo) or sieve(lo, hi, primes)
+zz, P, Q = integers(), 999999999989, 999999999959
+for n in (P, 2 * P, 3 * P, Q):
+    start = time.perf_counter()
+    integer_ideal(zz, n)
+    print(time.perf_counter() - start, *sieved)
+"""
+
+
+def test_the_primes_below_10_6_are_sieved_once_a_process():
+    """In a fresh interpreter, which has sieved nothing yet: each block [lo, 2 lo)
+    from 1000 up is sieved once, by the first literal, though a later one reads
+    them all again, and two literals of the held P take under 1 ms each."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", SIEVE_ONCE], cwd=root,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                          capture_output=True, text=True, check=True, timeout=60)
+    blocks = [str(1000 << k) for k in range(10)]  # 1000 * 2^9 < 10^6 <= 1000 * 2^10
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[1:] for line in lines] == [blocks] * 4
+    assert all(float(line[0]) < 0.001 for line in lines[1:3]), lines
+
+
+def test_a_held_prime_divided_out_first_admits_what_trial_division_admits():
+    """A literal that a held prime Q divides is read as n / Q, and is admitted iff
+    trial division by every prime below 10^6 leaves less than 10^12 of n."""
+    from deltan.ideals import _held_primes, _trial_division, _trial_primes
+    zz, Q = integers(), 1000000007
+    integer_ideal(zz, Q)
+    admitted = (7 * Q, 997 ** 3 * Q, 2 ** 40 * Q)
+    for n in admitted + (Q * Q, 7 * Q * Q, 1000003 * Q, 1000000009 * Q):
+        assert (_trial_division(n, _trial_primes())[1] < 10 ** 12) == (n in admitted), n
+        if n in admitted:
+            assert integer_ideal(zz, n).n == n
+        else:
+            with pytest.raises(InvalidSpecError, match=f"cannot factor {n}: trial division"):
+                integer_ideal(zz, n)
+    assert Q in _held_primes(zz) and not _held_primes(zz) & {7 * Q, 1000000009}
 
 
 def test_a_zz_ideal_built_from_accepted_ones_is_accepted():

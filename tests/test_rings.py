@@ -730,14 +730,16 @@ def _cell_layout(row):
 
 
 @pytest.mark.parametrize("n", [257, 300, 1021])
-def test_modular_rows_are_read_only_views_of_two_shared_runs(n):
-    # every row aliases its run, so a write through one row would change many
+def test_modular_rows_are_read_only_views_of_one_shared_run(n):
+    # every row of both tables aliases one run of n(n // 2 + 2) cells, product row
+    # n - i being row i read backwards, so a write through one row would change many
     ring = _build_modular(n)  # not interned
-    for table, cells in ((ring.add, 2 * n), (ring.mul, n * n)):
-        run = table[0].obj
-        assert len(run) == cells
+    run = ring.add[0].obj
+    assert len(run) == n * (n // 2 + 2)
+    for table, cell in ((ring.add, int.__add__), (ring.mul, int.__mul__)):
         for i, row in enumerate(table):
             assert type(row) is memoryview and row.readonly and row.obj is run
+            assert list(row) == [cell(i, j) % n for j in range(n)], i
             with pytest.raises(TypeError):
                 row[i % n] = 0
 
@@ -774,13 +776,13 @@ def test_table_rows_are_lists_up_to_256_elements_and_arrays_above():
 
 
 @pytest.mark.parametrize("build, bound", [
-    (lambda: _build_modular(1009), 2_700_000),
+    (lambda: _build_modular(1009), 1_600_000),
     (lambda: _product.__wrapped__(modular(31), modular(31)), 3_000_000),
 ], ids=["Z1009", "Z31 x Z31"])
 def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build, bound):
     # two 1009^2 tables of 8-byte list slots would hold 16 MB, of 2-byte cells
-    # 4 MB; Z1009's rows are views of one 1009^2-cell run (2.04 MB) and one of
-    # 2018 cells, about 0.4 MB of view objects on top.  Z31 x Z31's product
+    # 4 MB; Z1009's rows are views of one run of 1009 * 506 cells (1.02 MB), with
+    # about 0.4 MB of view objects on top (1.51 MB held).  Z31 x Z31's product
     # rows hold 1.85 MB, its sum 31 runs of 2 * 961 cells (0.12 MB in all) and
     # 961 views
     modular(31)  # the factors are built before the count starts
