@@ -10,7 +10,7 @@ from collections import namedtuple
 from operator import getitem, itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
-from .ideals import (Ideal, _bits, _generated_mask, _lattice, _mask_of, _meet_mask, _mk_ideal,
+from .ideals import (Ideal, _bits, _colon_union, _generated_mask, _lattice, _mask_of, _mk_ideal,
                      _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
@@ -579,7 +579,8 @@ class LocalizationRecord(namedtuple("LocalizationRecord", "ring base sset canoni
 
 @memo
 def localize(ring, sset):
-    """S^{-1}R as R/ker, ker the saturation kernel {a : ua = 0 for some u in S}.
+    """S^{-1}R as R/ker, ker the saturation kernel {a : ua = 0 for some u in S}, the
+    union of the annihilators (0 : u) over u in S.
 
     (r,s) ~ (r',s') iff u(rs' - r's) = 0 for some u in S, that is, iff
     rs' - r's lies in ker.  Each s in S is a unit mod ker: sa in ker gives
@@ -598,6 +599,6 @@ def localize(ring, sset):
     zero = ring.zero_idx
     if zero in sset.indices:
         raise ConstructionError("0 in S collapses the localization to the zero ring")
-    ker = _meet_mask(ring, 1 << zero, sset.indices)
+    ker = _colon_union(ring, 1 << zero, sset.indices)
     lring, canonical = _coset_ring(ring, ("localization", ring, sset), ker)
     return LocalizationRecord(lring, ring, sset, canonical, _mk_ideal(ring, ker))

@@ -35,11 +35,13 @@ def _mask_of(size, indices):
 
 
 def _add_close(ring, a_mask, b_mask):
-    """A + B for a subgroup A and any set B of a ring or module, as the union of
-    the cosets b + A.  A b already covered lies in an earlier coset b' + A, and
-    then b + A = b' + A because A is a subgroup, so it is skipped: the cost is
-    |A + B| lookups plus one pass over B, not |A| * |B|.
+    """A + B for subgroups A and B of a ring or module: the larger, A | B, when one
+    holds the other, else the union of the cosets b + A.  A b already covered lies
+    in an earlier coset b' + A, and then b + A = b' + A because A is a subgroup, so
+    it is skipped: the cost is |A + B| lookups plus one pass over B, not |A| * |B|.
     """
+    if a_mask & ~b_mask == 0 or b_mask & ~a_mask == 0:
+        return a_mask | b_mask
     add = ring.add
     a_bits = _bits(a_mask)
     covered = set()
@@ -350,10 +352,22 @@ def _product_pair(ring, a, b):
     return _generated_mask(ring, prods)
 
 
+def _column_preimage(ring, imask, seq):
+    """{r : seq[r] in I} as the union of the principal columns Ra with seq[a] in I,
+    for a ``seq`` whose preimage of I is a proper ideal, with seq[ua] in I iff seq[a]
+    is for every unit u: the ideal is the union of the Rb over its members b, and
+    Rb is the column of its least member a, b = ua (``_principal_columns``)."""
+    out = 0
+    for p, a in _principal_columns(ring).items():
+        if imask >> seq[a] & 1:
+            out |= p
+    return out
+
+
 @memo
 def _colon_mask(ring, imask, x):
-    # rx = xr, so (I : x) is the preimage of I under the row of x
-    return _preimage_mask(imask, ring.mul[x])
+    """(I : x) = {b : xb in I}: R when x is in I, else a proper ideal, x(ua) in I iff xa is."""
+    return ring.full_mask if imask >> x & 1 else _column_preimage(ring, imask, ring.mul[x])
 
 
 def _int_colon(n, m):
@@ -383,18 +397,19 @@ def _colon_meet(ring, imask, gens):
 
 @memo
 def _power_map(ring):
-    """r -> r^(2^k) for every element r, by k = (n - 1).bit_length() squarings,
-    the least k with 2^k >= n."""
-    mul = ring.mul
-    powers = list(range(ring.size))
-    for _ in range((ring.size - 1).bit_length()):
-        powers = [mul[r][r] for r in powers]
+    """r -> r^(2^k) for every element r, k = (n - 1).bit_length() the least k with
+    2^k >= n: the list of squares, built once, composed with itself k times."""
+    powers = squares = [row[r] for r, row in enumerate(ring.mul)]
+    for _ in range((ring.size - 1).bit_length() - 1):
+        powers = list(map(squares.__getitem__, powers))
     return powers
 
 
 @memo
 def _radical_mask(ring, imask):
-    return _preimage_mask(imask, _power_map(ring))
+    """sqrt(I): R when I = R, else a proper ideal, with (ua)^(2^k) = u^(2^k) a^(2^k)
+    in I iff a^(2^k) is (k as in ``radical``)."""
+    return imask if imask == ring.full_mask else _column_preimage(ring, imask, _power_map(ring))
 
 
 def radical(I):
@@ -442,18 +457,31 @@ def _principal_columns(ring):
     return columns
 
 
+@memo
 def _columns_outside(ring, xmask):
-    """One column per principal ideal not inside the ideal X, and 1 for the units.
+    """The least generators of the minimal principal ideals not inside the ideal X,
+    by increasing size; 1 for the units when no non-unit one is outside a proper X.
 
-    A meet over the a outside X needs only these.  (I : a) depends on Ra
-    alone: b = ta puts (I : a) inside (I : b), and a = t'b the reverse.  And a
-    lies outside X exactly when Ra does, since X is an ideal.  Every unit
-    generates R, which lies outside X unless X = R, and 1 stands for them all.
+    A union of the (I : a) over the a outside X needs only these: a is outside X
+    iff Ra is, and such an Ra holds a minimal one, Rb; b = ta puts (I : a) inside
+    (I : b).  R, which every unit generates, holds every column.  Taken by size,
+    a column is minimal iff it holds none kept before it.
     """
-    cols = [a for p, a in _principal_columns(ring).items() if p & ~xmask]
-    if not xmask >> ring.one_idx & 1:
-        cols.append(ring.one_idx)
-    return cols
+    kept = {}
+    for p, a in sorted(_principal_columns(ring).items(), key=lambda pa: pa[0].bit_count()):
+        if p & ~xmask and all(k & ~p for k in kept):
+            kept[p] = a
+    if not kept and not xmask >> ring.one_idx & 1:
+        return [ring.one_idx]
+    return list(kept.values())
+
+
+def _colon_union(ring, imask, elements):
+    """The union of the (I : a) over the a in ``elements``."""
+    colons, out = _colon_mask.table(ring, imask), 0
+    for a in elements:
+        out |= colons[a]
+    return out
 
 
 def _sum_closure(owner, seeds, gens):
@@ -576,20 +604,10 @@ class IntegerSet:
         return f"IntegerSet({self.description})"
 
 
-def _meet_mask(ring, imask, cols):
-    """Mask of the r with rs in I for some s in cols."""
-    members = set(_bits(imask))
-    out = 0
-    for r, row in enumerate(ring.mul):
-        if not members.isdisjoint(map(row.__getitem__, cols)):
-            out |= 1 << r
-    return out
-
-
 @memo
 def _z_i_mask(ring, imask):
     """Z_I = {r : rs in I for some s outside I}, memoised per ring."""
-    return _meet_mask(ring, imask, _columns_outside(ring, imask))
+    return _colon_union(ring, imask, _columns_outside(ring, imask))
 
 
 # the two radicals are ideals

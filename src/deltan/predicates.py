@@ -3,19 +3,20 @@
 A proper ideal I is delta-n when ab in I with a outside the nilradical forces
 b into delta(I).  The production test is the paper's colon characterization:
 I is delta-n iff U(I) = union of (I:a) over a outside the nilradical lies in
-delta(I).  U(I) depends on the ring and I alone, so it is computed once per
-ideal and each (I, delta) decision is one mask AND; witnesses are extracted
-by the definition scan only when that AND fails.  ``_delta_n_set`` makes that
-AND once per proper ideal, against a per-ring {I: U(I)} table, over an
-expansion's table (``delta_n_masks``) or a one-shot map's; loops and the
-spectrum read membership in the set.  Three independent decision
-methods (the colon criterion ((I:a) inside the nilradical for a outside
-delta(I)), the element/ideal form, and the ideal-pair form) are cross-checked
-against it by the verifier; their verdicts are memoised per (ring, I, delta(I),
-method), so each distinct input is scanned once.  delta-primary is decided the
-same way: the b that some a outside I sends into I form Z_I, so I is
-delta-primary iff Z_I <= delta(I), one AND against the memoised Z_I.  All
-finite decisions are exhaustive; the integer backend uses the exact closed
+delta(I).  (I : a) shrinks as Ra grows, so that union runs over the a of the
+minimal principal ideals outside the nilradical (``_columns_outside``: two
+on Z64 x Z64, in place of its 3072 elements outside the nilradical).  U(I) is computed once
+per ideal and each (I, delta) decision is one mask AND; witnesses are
+extracted by the definition scan only when that AND fails.  ``_delta_n_set``
+makes that AND once per proper ideal, against a per-ring {I: U(I)} table,
+over an expansion's table (``delta_n_masks``) or a one-shot map's.  Three
+independent decision methods (the colon criterion ((I:a) inside the
+nilradical for a outside delta(I)), the element/ideal form, and the
+ideal-pair form) are cross-checked against it by the verifier; their
+verdicts are memoised per (ring, I, delta(I), method).  delta-primary is
+decided the same way: Z_I, the b that some a outside I sends into I, is the
+same union over the minimal principal ideals outside I, and I is
+delta-primary iff Z_I <= delta(I).  The integer backend uses the exact closed
 criterion (nZ is delta-n iff n = 0 or delta(nZ) = ZZ, since n*1 lands in nZ
 with n outside the nilradical).
 """
@@ -26,8 +27,8 @@ from collections import namedtuple
 
 from .constructions import localize
 from .errors import ImproperIdealError, InfiniteRingError
-from .ideals import (IntegerSet, _bits, _colon_mask, _columns_outside, _lattice, _mask_of,
-                     _meet_mask, _mk_ideal, _nil_mask, _prime_factors, _product_mask, _z_i_mask,
+from .ideals import (IntegerSet, _bits, _colon_mask, _colon_union, _columns_outside, _lattice,
+                     _mask_of, _mk_ideal, _nil_mask, _prime_factors, _product_mask, _z_i_mask,
                      zero_ideal)
 from .expansions import _pushforward, apply_expansion, delta0, delta1
 from .rings import _same_ring, memo
@@ -46,7 +47,7 @@ def _guard(I, delta=None):
 @memo
 def _u_mask(ring, imask):
     """U(I) = {b : ab in I for some a outside the nilradical}, memoised per ring."""
-    return _meet_mask(ring, imask, _columns_outside(ring, _nil_mask(ring)))
+    return _colon_union(ring, imask, _columns_outside(ring, _nil_mask(ring)))
 
 
 @memo

@@ -18,6 +18,7 @@ from deltan import (ConstructionError, HomomorphismError, InfiniteRingError, Inv
 from deltan.constructions import (Homomorphism, MultiplicativeSet, _coset_quotient,
                                   enumerate_submodules, idealization, product_projections)
 from deltan.verifier import Context, builtin_corpus
+from test_ideals import _boolean_and_idealization_rings
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,20 @@ def test_homogeneous_ideal_requires_im_in_n():
     zero_sub = enumerate_submodules(module)[0]
     with pytest.raises(ConstructionError):
         rec.homogeneous_ideal(two, zero_sub)
+
+
+def test_the_localization_kernel_is_the_saturation_of_zero():
+    # ker(R -> S^-1 R) = {a : ua = 0 for some u in S}, by a scan of every pair,
+    # on the corpus, on Z2^k for k <= 6 and on Z4 (+) Z4
+    ctx, checked = Context(builtin_corpus()), 0
+    for ring in [entry.ring for entry in ctx.entries] + _boolean_and_idealization_rings():
+        zero = ring.zero_idx
+        for sset in ctx.mult_sets(ring):
+            kernel = {a for a in range(ring.size)
+                      if any(ring.mul[u][a] == zero for u in sset.indices)}
+            assert {e.idx for e in localize(ring, sset).kernel.elements()} == kernel
+            checked += 1
+    assert checked == 257
 
 
 def test_idealization_has_non_homogeneous_ideals():

@@ -378,6 +378,16 @@ def _corpus_rings():
     return [entry.ring for entry in builtin_corpus().entries]
 
 
+def _boolean_and_idealization_rings():
+    """Z2^k for k <= 6, whose ideals are all principal and whose one unit is 1,
+    and Z4 (+) Z4, a local ring whose principal ideals are not a chain."""
+    rings = [modular(2)]
+    for _ in range(5):
+        rings.append(product(rings[-1], modular(2)))
+    z4 = modular(4)
+    return rings + [idealization(z4, make_module(z4, "regular")).ring]
+
+
 def test_sum_and_product_kernels_match_the_pair_loop_on_the_corpus():
     from deltan.ideals import _product_mask, _sum_mask
     pairs = 0
@@ -396,7 +406,7 @@ def test_sum_and_product_kernels_match_the_pair_loop_on_the_corpus():
 def test_radical_kernel_matches_the_power_scan():
     from deltan.ideals import _radical_mask
     rings = _corpus_rings() + [modular(1024), poly_quotient(2, [0] * 9 + [1])]
-    for ring in rings:
+    for ring in rings + _boolean_and_idealization_rings():
         for I in enumerate_ideals(ring):
             assert _index_set(ring, _radical_mask(ring, I.mask)) == \
                 radical_reference(ring, _index_set(ring, I.mask))
@@ -456,7 +466,7 @@ def test_u_and_z_i_masks_match_the_full_column_meet():
     from deltan.predicates import _nil_mask, _u_mask
     from deltan.verifier import catalog
     checked = 0
-    for ring in _corpus_rings() + _small_ladder_rings():
+    for ring in _corpus_rings() + _small_ladder_rings() + _boolean_and_idealization_rings():
         masks = {I.mask for I in enumerate_ideals(ring)}
         # every delta(I) is an ideal, R included, so the lattice holds them all
         assert ring.full_mask in masks
@@ -466,27 +476,43 @@ def test_u_and_z_i_masks_match_the_full_column_meet():
             assert _index_set(ring, _z_i_mask(ring, mask)) == full_column_meet(ring, mask, mask)
             assert _index_set(ring, _u_mask(ring, mask)) == full_column_meet(ring, mask, nil)
             checked += 1
-    assert checked == 210
+    assert checked == 343
 
 
-def test_one_column_per_principal_ideal_outside_the_ideal():
+def test_one_column_per_minimal_principal_ideal_outside_the_ideal():
     from deltan.ideals import _columns_outside
-    for ring in _corpus_rings() + [product(modular(8), modular(9))]:
+    rings = _corpus_rings() + [product(modular(8), modular(9))]
+    for ring in rings + _boolean_and_idealization_rings():
         one = ring.one_idx
         principal = [frozenset(ring.mul[g]) for g in range(ring.size)]
-        for I in enumerate_ideals(ring):
-            members = _index_set(ring, I.mask)
-            cols = _columns_outside(ring, I.mask)
-            # the units are all stood for by 1, which is there iff I is proper
-            assert (one in cols) == I.is_proper
-            non_units = [a for a in cols if one not in principal[a]]
-            assert len(non_units) + (one in cols) == len(cols)
-            # each principal ideal not inside I once, by its least generator
-            expected = {}
+        for X in enumerate_ideals(ring):
+            members = _index_set(ring, X.mask)
+            # each non-unit principal ideal not inside X, by its least generator
+            outside = {}
             for g in range(ring.size):
                 if one not in principal[g] and not principal[g] <= members:
-                    expected.setdefault(principal[g], g)
-            assert sorted(non_units) == sorted(expected.values())
+                    outside.setdefault(principal[g], g)
+            minimal = [g for P, g in outside.items() if not any(Q < P for Q in outside)]
+            # 1 stands for the units only when no non-unit one lies outside a proper X
+            expected = minimal or ([one] if X.is_proper else [])
+            cols = _columns_outside(ring, X.mask)
+            assert sorted(cols) == sorted(expected), (ring.key, X)
+            sizes = [len(principal[a]) for a in cols]
+            assert sizes == sorted(sizes)
+
+
+def test_the_minimal_columns_of_z2_8_at_0_and_of_z64_x_z64_at_the_nilradical():
+    from deltan.ideals import _columns_outside, _nil_mask
+    ring = modular(2)
+    for _ in range(7):
+        ring = product(ring, modular(2))
+    # the minimal nonzero ideals of Z2^8 are its 8 atoms, not its 255 nonzero ideals
+    cols = _columns_outside(ring, 1 << ring.zero_idx)
+    assert len(cols) == 8 and all(len(set(ring.mul[a])) == 2 for a in cols)
+    big = product(modular(64), modular(64))
+    # each principal ideal outside sqrt(0) = (2) x (2) holds R(1, 0) or R(0, 1)
+    cols = _columns_outside(big, _nil_mask(big))
+    assert sorted(big.element_repr(a) for a in cols) == ["(0,1)", "(1,0)"]
 
 
 def test_zero_divisors_are_z_of_zero():

@@ -24,6 +24,7 @@ from deltan.ideals import (_bits, _colon_mask, _preimage_mask, _product_pair, _s
 from deltan.predicates import _aj_mask
 from deltan.rings import _build_modular, memo
 from deltan.verifier import Context, builtin_corpus, run_claims
+from test_ideals import _boolean_and_idealization_rings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -110,8 +111,7 @@ def test_a_value_of_the_owner_alone_is_stored_under_the_function():
 
 def test_colon_tables_are_the_preimages_under_multiplication(verified):
     corpus, _ = verified
-    for entry in corpus.entries:
-        ring = entry.ring
+    for ring in [entry.ring for entry in corpus.entries] + _boolean_and_idealization_rings():
         for prefix, table in _stored(ring, _colon_mask):
             for x, value in table.items():
                 assert value == _preimage_mask(prefix[0], ring.mul[x]), (ring.key, prefix, x)
