@@ -77,6 +77,10 @@ def _cmd_classify(args):
     return 0
 
 
+def _unwritable(path, exc):
+    return DeltanError(f"cannot write report file {path}: {exc.strerror}")
+
+
 def _cmd_verify(args):
     corpus = builtin_corpus() if args.corpus == "default" else load_corpus(args.corpus)
     claim_ids = args.claims.split(",") if args.claims else None
@@ -85,13 +89,17 @@ def _cmd_verify(args):
     try:  # before the run, so an unwritable report path fails fast
         json_out = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
     except OSError as exc:
-        raise DeltanError(f"cannot write report file {args.json}: {exc.strerror}") from None
+        raise _unwritable(args.json, exc) from None
     with json_out:
         reports = run_claims(corpus=corpus, claim_ids=claim_ids,
                              witness_cap=args.witness_cap)
         sys.stdout.write(render_text(reports))
         if args.json:
-            json_out.write(render_json(reports))
+            try:  # a full disk fails the write or the flush at close; a second close is a no-op
+                json_out.write(render_json(reports))
+                json_out.close()
+            except OSError as exc:
+                raise _unwritable(args.json, exc) from None
     return 1 if any(rep.failed for rep in reports) else 0
 
 

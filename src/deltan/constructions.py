@@ -15,8 +15,8 @@ from .ideals import (Ideal, _bits, _colon_union, _generated_mask, _lattice, _mas
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
                     _bracketed, _check_index, _check_size, _checked_table, _gens_text,
-                    _group_failure, _join_tables, _negation, _pair_repr, _proved, _same_ring,
-                    _table, memo, modular, ring_key)
+                    _group_failure, _join_tables, _negation, _own_element, _pair_repr, _proved,
+                    _same_ring, _table, memo, modular, ring_key)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def _coset_ring(ring, origin, mask):
     if len(reps) < ring.size:
         elems = [elems[r] for r in reps]
         get = itemgetter(*reps)  # row c is q(row reps[c] at reps), gathered in C
-        add, mul = (_table(len(reps), (list(itemgetter(*get(row))(q))
+        add, mul = (_table(len(reps), (itemgetter(*get(row))(q)
                                        for row in map(table.__getitem__, reps)))
                     for table in (add, mul))
     qring = _proved(Ring, origin, elems, add, mul, q[ring.zero_idx], q[ring.one_idx],
@@ -500,7 +500,7 @@ def idealization(ring, module):
     left = [[a * msize + x for a in rmul[r] for x in act[r]] for r in range(rsize)]
     right = [[add[ring.zero_idx * msize + act[r2][m]] for r2 in range(rsize)
               for _ in range(msize)] for m in range(msize)]
-    mul = _table(size, (list(map(getitem, right[m], left[r]))
+    mul = _table(size, (map(getitem, right[m], left[r])
                         for r in range(rsize) for m in range(msize)))
     izr = _proved(Ring, origin, elems, add, mul,
                   ring.zero_idx * msize + module.zero_idx,
@@ -544,16 +544,21 @@ class MultiplicativeSet(namedtuple("MultiplicativeSet", "ring indices")):
         return "{" + elems + "}"
 
 
+def _set_indices(ring, elems):
+    """The indices of ``elems``, elements of the finite ``ring`` or payloads; ZZ is
+    refused before any table is read."""
+    if not ring.is_finite:
+        raise InfiniteRingError("multiplicative sets are finite-ring data here")
+    return {_own_element(ring, e, "element").idx for e in elems}
+
+
 def mult_set(ring, elems):
-    idx = [e.idx if isinstance(e, Element) else ring.from_payload(e).idx for e in elems]
-    return MultiplicativeSet(ring, tuple(sorted(set(idx) | {ring.one_idx})))
+    return MultiplicativeSet(ring, tuple(sorted(_set_indices(ring, elems) | {ring.one_idx})))
 
 
 def mult_closure(ring, elems):
     """Smallest multiplicative set containing 1 and the given elements."""
-    idx = {ring.one_idx}
-    idx.update(e.idx if isinstance(e, Element) else ring.from_payload(e).idx
-               for e in elems)
+    idx = _set_indices(ring, elems) | {ring.one_idx}
     while True:
         fresh = {ring.mul[a][b] for a in idx for b in idx} - idx
         if not fresh:

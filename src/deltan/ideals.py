@@ -16,7 +16,7 @@ from itertools import chain, compress, count, islice, takewhile
 from math import gcd, lcm, prod
 
 from .errors import InfiniteRingError, InvalidSpecError
-from .rings import Element, _digits, _same_ring, integers, memo
+from .rings import Element, _digits, _own_element, _same_ring, integers, memo
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -273,7 +273,9 @@ def integer_ideal(ring, n):
     A held q | n is divided out once first, as n leaves q iff n / q leaves a part below
     _TRIAL_BOUND (q^2 | n leaves one of at least q), so n / q is divided, not n."""
     _same_ring(ring, integers(), "integer ideal")
-    n = abs(int(n))
+    if type(n) is not int:  # no bool, float or str: int() would round or parse them
+        raise InvalidSpecError(f"integer ideal generator {n!r} is not an int")
+    n = abs(n)
     if n not in _int_ideal.table(ring):
         q = next((q for q in _held_primes(ring) if n % q == 0), 1) if n else 1
         rest = _trial_division((n or 1) // q, _trial_primes())[1]
@@ -286,13 +288,7 @@ def integer_ideal(ring, n):
 
 def ideal_from_generators(ring, gens):
     """Smallest ideal containing the generators (gcd on the integer backend)."""
-    elems = []
-    for g in gens:
-        if isinstance(g, Element):
-            _same_ring(ring, g.ring, "generator")
-            elems.append(g)
-        else:
-            elems.append(ring.from_payload(g))
+    elems = [_own_element(ring, g, "generator") for g in gens]
     if not ring.is_finite:
         return integer_ideal(ring, gcd(*(g.idx for g in elems)))
     return _mk_ideal(ring, _generated_mask(ring, [g.idx for g in elems]))

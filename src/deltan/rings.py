@@ -2,13 +2,13 @@
 
 Finite rings carry a stable element enumeration (index 0 .. size-1), dense
 addition/multiplication tables over indices, and canonical element payloads
-(residues, coefficient tuples, pairs, ...); a table row is a list on rings of
-at most 256 elements, above it 2-byte cells, a quarter of the memory at half the
-read speed: an array('H'), or a read-only memoryview, on Z_n of the one run that
-all rows of both its tables share (a product row read forward or backward), and
-in the sum of a product Z_n x R of one run per row of R (``_join_tables``).
-Readers index, slice and iterate a row, whatever its type.  The integer ring is
-symbolic: its "indices" are the integer values themselves and enumeration is refused.
+(residues, coefficient tuples, pairs, ...); every table row holds 2-byte 'H'
+cells (MAX_RING_SIZE < 2^16): an array('H'), or a read-only memoryview, on Z_n
+of the one run that all rows of both its tables share (a product row read
+forward or backward), and in the sum of a product Z_n x R of one run per row of
+R (``_join_tables``).  Readers index, slice and iterate a row, whatever its
+type.  The integer ring is symbolic: its "indices" are the integer values
+themselves and enumeration is refused.
 
 Every finite ring's tables are proved to be a commutative ring, once.  A
 ring that deltan builds itself is proved by its recipe: each builder
@@ -16,11 +16,10 @@ ring that deltan builds itself is proved by its recipe: each builder
 ``constructions`` the quotients, localizations and idealizations) gives the
 proof in its docstring and hands its tables, with the negation table its recipe
 gives, to ``_proved``, which runs no axiom pass.  Tables that a caller hands to
-``Ring(...)`` are checked for shape and stored in the row type of their size,
-then take the exact check ``check_ring_axioms``, whatever their origin says, in
-O(n^2 k), k the size of a greedy additive generating set.  Table builders
-refuse, before allocating anything, a ring or module of more than
-``MAX_RING_SIZE`` elements.
+``Ring(...)`` are checked for shape and stored in 2-byte cells, then take the
+exact check ``check_ring_axioms``, whatever their origin says, in O(n^2 k), k
+the size of a greedy additive generating set.  Table builders refuse, before
+allocating anything, a ring or module of more than ``MAX_RING_SIZE`` elements.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import weakref
 from array import array
 from collections import namedtuple
 from itertools import count
-from operator import iadd, indexOf, itemgetter
+from operator import indexOf, itemgetter
 
 from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 
@@ -39,12 +38,6 @@ from .errors import CrossRingError, InfiniteRingError, InvalidSpecError
 MAX_RING_SIZE = 4096
 
 _MAX_DIGITS = 4300  # the longest int CPython converts to or from a string by default
-
-# tables on at most this many elements keep list rows, read twice as fast; above
-# it a row holds 2-byte 'H' cells against a list's 8-byte slots (MAX_RING_SIZE <
-# 2^16): an array('H'), or a read-only memoryview of a shared run: on Z_n one run
-# of n(n // 2 + 2) cells for both tables, in the sum of Z_n x R one per row of R
-_LIST_ROWS_MAX = 256
 
 
 class _Table(dict):
@@ -282,14 +275,16 @@ class Ring:
     # -- elements --------------------------------------------------------
 
     def el(self, idx):
-        """Element from its index (finite) or integer value (ZZ)."""
+        """Element from its index (finite) or integer value (ZZ), an int (not a bool)."""
+        if type(idx) is not int:
+            raise InvalidSpecError(f"element index {idx!r} of {self.key} is not an int")
         if self.is_finite and not (0 <= idx < len(self.elements)):
             raise InvalidSpecError(f"element index {idx} out of range for {self.key}")
         return Element(self, idx)
 
     def from_payload(self, payload):
-        if not self.is_finite:
-            return Element(self, int(payload))
+        if not self.is_finite:  # a payload of ZZ is its value, an int
+            return self.el(payload)
         try:
             return Element(self, self._index[payload])
         except (KeyError, TypeError):
@@ -389,6 +384,15 @@ class Element:
         return self.ring.element_repr(self.idx)
 
 
+def _own_element(ring, x, what):
+    """``x``, an element of ``ring`` or a payload of one, as an element of ``ring``;
+    an element of another ring is refused as the operand ``what``."""
+    if isinstance(x, Element):
+        _same_ring(ring, x.ring, what)
+        return x
+    return ring.from_payload(x)
+
+
 def arithmetic(ring, op, a, b=None):
     """Apply ``add``/``mul``/``neg`` to elements of ``ring`` (contract form)."""
     _same_ring(ring, a.ring, "operand")  # the operators check b against a
@@ -474,30 +478,26 @@ def _proved(cls, *fields, **checked):
 
 
 def _table(size, rows):
-    """The table of ``rows``, lists of ``size`` indices: the lists up to
-    _LIST_ROWS_MAX, above it each packed into an array('H') as it comes."""
-    if size <= _LIST_ROWS_MAX:
-        return list(rows)
+    """The table of ``rows``, each ``size`` indices, packed into an array('H')
+    as it comes."""
     pack = struct.Struct(f"{size}H").pack  # 2.5 times as fast as array("H", row)
     return [array("H", pack(*row))[:] for row in rows]  # [:] drops frombytes' slack
 
 
 def _build_modular(n):
     """Z/nZ on the residues 0..n-1, -x being n - x.  Every row slices one run, the
-    residues in the row type of n written h + 2 times, h = n // 2, the last n cells
-    then set to 0: cell p < (h+1)n is p mod n.  Sum row i is run[i:i + n], as
+    residues in 'H' cells written h + 2 times, h = n // 2, the last n cells then
+    set to 0: cell p < (h+1)n is p mod n.  Sum row i is run[i:i + n], as
     i + j < 2n <= (h+1)n, n >= 2.  Product row 0 is the zero block run[-n:], row
     i <= h is run[0:i*n:i], cell j at ij <= (n-1)h < (h+1)n, and row i > h,
     m = n - i, is run[mn:0:-m], read backwards: cell j at m(n - j) = -mj = ij
     (mod n), from mn down to m > 0, mn < (h+1)n as m <= h.  So the run holds
-    n(h + 2) cells, not n^2 + 2n: row n - i is row i backwards.  Above
-    _LIST_ROWS_MAX every row of both tables is a view of the run, read-only as
-    the run is every row's."""
+    n(h + 2) cells, not n^2 + 2n: row n - i is row i backwards.  Every row of
+    both tables is a view of the run, read-only as the run is every row's."""
     elems, h = list(range(n)), n // 2
-    run = (elems if n <= _LIST_ROWS_MAX else array("H", elems)) * (h + 2)
+    run = array("H", elems) * (h + 2)
     run[-n:] = run[:1] * n  # as many zeros as cells they replace: written in place
-    if n > _LIST_ROWS_MAX:
-        run = memoryview(run).toreadonly()
+    run = memoryview(run).toreadonly()
     add = [run[i:i + n] for i in elems]
     mul = [run[-n:]] + [run[0:i * n:i] if i <= h else run[(n - i) * n:0:i - n]
                         for i in elems[1:]]
@@ -545,8 +545,8 @@ def _build_poly_quotient(n, modulus):
     digit_neg = digit[:1] + digit[:0:-1]
 
     def sums(k):  # the table of (Z_n)^k: its k - k // 2 high digits joined to the rest
-        if k == 1:  # Z_n's, list slices of the digits written twice: d >= 2 here,
-            twice = digit * 2  # so n^d <= MAX_RING_SIZE gives n <= 64 <= _LIST_ROWS_MAX
+        if k == 1:  # Z_n's, slices of the digits written twice, read only by the joins
+            twice = digit * 2
             return [twice[i:i + n] for i in digit]
         return _join_tables(sums(k - k // 2), sums(k // 2))
     add, neg = sums(d), digit_neg
@@ -586,30 +586,20 @@ def _blocks(right, count):
 
 
 def _join_tables(left, right, cyclic=False):
-    """The table of a product of two factor tables, index a * sr + b for (a, b),
-    in the row type of its size: cell c * sr + e of row (a, b) is
-    left[a][c] * sr + right[b][e], so row (a, b) is the blocks B[b][c] of
-    ``_blocks``, c running over left row a.
-
-    Up to _LIST_ROWS_MAX a row grows from an empty list by row += block, one
-    extend per c, and is then copied, which drops the slack the extends leave.
-    Above it the row is one bytes join of its blocks, read into an array('H')
-    and copied likewise.  ``cyclic`` says that ``left`` is Z_n's sum table,
-    cell c of row a being (a + c) mod n: then cell c * sr + e of row (a, b) is
+    """The table of a product of two factor tables, index a * sr + b for (a, b):
+    cell c * sr + e of row (a, b) is left[a][c] * sr + right[b][e], so row
+    (a, b) is the blocks B[b][c] of ``_blocks``, c running over left row a,
+    one bytes join read into an array('H') and copied, which drops the slack.
+    ``cyclic`` says that ``left`` is Z_n's sum table, cell c of row a being
+    (a + c) mod n: then cell c * sr + e of row (a, b) is
     ((a + c) mod n) * sr + right[b][e], which is cell (a + c) * sr + e of
     run_b, the n blocks B[b][0..n) written twice, as (a + c) < 2n.  So row
-    (a, b) is the window [a * sr, a * sr + n * sr) of run_b: above
-    _LIST_ROWS_MAX it is that slice of a memoryview of run_b cast to 'H',
-    read-only as bytes are, and the sr runs hold 2 * size * sr cells, not size^2.
+    (a, b) is the window [a * sr, a * sr + n * sr) of a memoryview of run_b
+    cast to 'H', read-only as bytes are, and the sr runs hold 2 * size * sr
+    cells, not size^2.
     """
     sr = len(right)
     size = len(left) * sr
-    if size <= _LIST_ROWS_MAX:
-        idx = list(range(size))
-        segments = [idx[c:c + sr] for c in range(0, size, sr)]
-        blocks = [[list(map(seg.__getitem__, rrow)) for seg in segments] for rrow in right]
-        return [functools.reduce(iadd, map(block.__getitem__, lrow), [])[:]
-                for lrow in left for block in blocks]
     blocks = _blocks(right, len(left))
     if cyclic:
         runs = [memoryview(b"".join(block) * 2).cast("H") for block in blocks]
@@ -657,7 +647,7 @@ def _pair_repr(left_fn, right_fn):
 # ---------------------------------------------------------------------------
 
 def _checked_table(table, length, size, what, error=InvalidSpecError):
-    """A caller's ``table`` in the row type of its size, once it is ``length`` rows of
+    """A caller's ``table`` in 2-byte cells, once it is ``length`` rows of
     ``size`` ints (not bools) in 0..size-1; else raise ``error`` at the first bad one."""
     if len(table) != length or any(len(row) != size for row in table):
         raise error(f"{what} is not {length} rows of {size} cells")
@@ -666,7 +656,7 @@ def _checked_table(table, length, size, what, error=InvalidSpecError):
         if not {int}.issuperset(map(type, row)) or not indices.issuperset(row):
             j = next(j for j, c in enumerate(row) if type(c) is not int or c not in indices)
             raise error(f"{what}[{i}][{j}] is {row[j]!r}, not an element index 0..{size - 1}")
-    return _table(size, map(list, table))
+    return _table(size, table)
 
 
 def _check_index(value, size, what, error=InvalidSpecError):

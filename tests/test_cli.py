@@ -313,6 +313,17 @@ def test_unwritable_json_report_fails_before_the_claims_run(tmp_path, monkeypatc
     assert not target.parent.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_file_that_fails_its_write_exits_2(capsys):
+    # /dev/full opens but refuses every write: the error surfaces at the flush on
+    # close, after the run, and is refused as an unwritable path is
+    assert main(["verify", "--claims", "thm-existence", "--json", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert "thm-existence" in captured.out
+    assert captured.err == ("error: cannot write report file /dev/full: "
+                            "No space left on device\n")
+
+
 @pytest.mark.parametrize("value, message", [("-3", "must be at least 0, got -3"),
                                             ("x", "invalid count value: 'x'")])
 def test_witness_cap_must_be_a_count(monkeypatch, capsys, value, message):

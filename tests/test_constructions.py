@@ -1,12 +1,14 @@
 """Quotients, modules, idealizations, localizations, homomorphisms."""
 
 from math import gcd
+from operator import indexOf
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltan import (ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError,
+from deltan import (ConstructionError, CrossRingError, HomomorphismError, InfiniteRingError,
+                    InvalidSpecError,
                     apply_expansion, classify_ring, delta0, delta1,
                     derive_quotient_expansion, enumerate_ideals,
                     full_expansion, ideal_from_generators, image_ideal,
@@ -391,6 +393,18 @@ def test_mult_set_constructor():
     assert set(s.indices) == {1, 4}
 
 
+@pytest.mark.parametrize("build", [mult_set, mult_closure])
+def test_a_multiplicative_set_refuses_a_foreign_element_and_the_integers(build):
+    # an element of Z4 was read by its index in Z6 ({1, 3}), one of Z6 past Z4's
+    # rows (an IndexError); ZZ has no table to close a set in (a TypeError)
+    with pytest.raises(CrossRingError, match=r"element lives in another ring \(Z4\) than Z6"):
+        build(modular(6), [modular(4).el(3)])
+    with pytest.raises(CrossRingError, match=r"element lives in another ring \(Z6\) than Z4"):
+        build(modular(4), [modular(6).el(5)])
+    with pytest.raises(InfiniteRingError, match="finite-ring data"):
+        build(integers(), [3])
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms
 # ---------------------------------------------------------------------------
@@ -592,7 +606,7 @@ def _assert_same_localization(ring, sset):
     rec = localize(ring, sset)
     class_of, reps, addq, mulq = _partition_localization(ring, sset)
     q, mul, one = rec.canonical.mapping, rec.ring.mul, rec.ring.one_idx
-    index = {(r, s): mul[q[r]][mul[q[s]].index(one)] for r, s in class_of}
+    index = {(r, s): mul[q[r]][indexOf(mul[q[s]], one)] for r, s in class_of}
     to_loc = [index[pair] for pair in reps]
     assert {pair: to_loc[c] for pair, c in class_of.items()} == index, (ring, sset)
     assert sorted(to_loc) == list(range(rec.ring.size)), (ring, sset)

@@ -11,7 +11,7 @@ from deltan import (DELTA_N_METHODS, CrossRingError, apply_expansion, arithmetic
                     ideal_combine, ideal_contains, ideal_from_generators, idealization,
                     image_ideal, integer_ideal, integers, is_delta_gamma_homomorphism,
                     is_delta_n_ideal, is_delta_primary, localize, make_homomorphism,
-                    make_module, modular, mult_closure, poly_quotient, preimage_ideal,
+                    make_module, modular, mult_closure, mult_set, poly_quotient, preimage_ideal,
                     product, quotient_ring, special_sets)
 from deltan.constructions import product_projections
 from deltan.predicates import delta_primary_witness
@@ -77,6 +77,8 @@ GUARDED = {
     "extend": lambda: LOC.extend(IT),
     "contract": lambda: LOC.contract(_twin_localization_ideal()),
     "localize": lambda: localize(Z6, mult_closure(TWIN, [TWIN.el(5)])),
+    "mult_set": lambda: mult_set(Z6, [TWIN.el(5)]),
+    "mult_closure": lambda: mult_closure(Z6, [TWIN.el(5)]),
     **{f"is_delta_n_ideal {method}":
        (lambda method=method: is_delta_n_ideal(IT, delta0(Z6), method=method))
        for method in DELTA_N_METHODS},

@@ -1,7 +1,6 @@
 """Ring construction, arithmetic, enumeration, and classification."""
 
 import gc
-import operator
 import random
 import tracemalloc
 import weakref
@@ -13,11 +12,12 @@ from hypothesis import strategies as st
 
 from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingError,
                     InvalidSpecError, arithmetic, check_ring_axioms,
-                    classify_element, classify_ring, integers, localize, modular,
+                    classify_element, classify_ring, integer_ideal, integers, localize, modular,
                     mult_closure, poly_quotient, product)
 from deltan.ideals import (_lattice, _product_mask, _product_pair, _sum_mask, _sum_pair,
                            enumerate_ideals, ideal_from_generators)
-from deltan.rings import Ring, _additive_generators, _build_modular, _product, memo, ring_key
+from deltan.rings import (Ring, _additive_generators, _build_modular, _build_poly_quotient,
+                          _product, memo, ring_key)
 from deltan.constructions import Module, idealization, make_module, quotient_ring
 from deltan.dsl import bind_ring, parse_spec
 
@@ -212,6 +212,18 @@ def test_invalid_specs():
         poly_quotient(4, [3])             # degree 0
     with pytest.raises(InvalidSpecError):
         poly_quotient(product(modular(2), modular(2)), [0, 1, 1])
+    # an element index or a ZZ generator is an int, not a bool, float or str:
+    # Z6's 1.5 made an Element whose repr raised, and int() read 2.5 and "12"
+    zz = integers()
+    for call, bad in [(modular(6).el, 1.5), (modular(6).el, "2"), (modular(6).el, True),
+                      (zz.el, 2.5), (zz.el, True)]:
+        with pytest.raises(InvalidSpecError, match=f"element index {bad!r} of .* is not an int"):
+            call(bad)
+    for bad in (2.5, "12", True, 12.0):
+        with pytest.raises(InvalidSpecError, match=f"generator {bad!r} is not an int"):
+            integer_ideal(zz, bad)
+        with pytest.raises(InvalidSpecError, match=f"element index {bad!r} of ZZ is not an int"):
+            ideal_from_generators(zz, [bad])  # a payload of ZZ is its value
 
 
 def test_size_guard_on_a_modulus_of_large_degree():
@@ -610,15 +622,15 @@ def test_poly_quotient_tables_match_coefficient_arithmetic():
         _, n, modulus = ring.origin
         index = {p: i for i, p in enumerate(ring.elements)}
         for i, a in enumerate(ring.elements):
-            assert ring.add[i] == [index[tuple((x + y) % n for x, y in zip(a, b))]
-                                   for b in ring.elements]
-            assert ring.mul[i] == [index[_poly_mul_reduce(a, b, n, modulus)]
-                                   for b in ring.elements]
+            assert list(ring.add[i]) == [index[tuple((x + y) % n for x, y in zip(a, b))]
+                                         for b in ring.elements]
+            assert list(ring.mul[i]) == [index[_poly_mul_reduce(a, b, n, modulus)]
+                                         for b in ring.elements]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 11, 13, 300])
 def test_modular_tables_match_the_residue_formulas(n):
-    ring = modular(n)  # rows are arrays above 256 elements: compared as lists
+    ring = modular(n)  # rows are views of 'H' cells: compared as lists
     assert [list(row) for row in ring.add] == [[(i + j) % n for j in range(n)] for i in range(n)]
     assert [list(row) for row in ring.mul] == [[(i * j) % n for j in range(n)] for i in range(n)]
 
@@ -626,18 +638,15 @@ def test_modular_tables_match_the_residue_formulas(n):
 @pytest.mark.parametrize("sizes", [range(2, 301), [1009, 1021], [4096]],
                          ids=["2-300", "1009,1021", "4096"])
 def test_modular_cells_and_negation_are_the_residues_themselves(sizes):
-    # up to 256 elements every cell is the element int, not an equal copy: `is`,
-    # not ==; above, a row is a view of 'H' cells and holds no int object to compare
+    # a row is a view of 'H' cells and holds no int object: compared cell for cell
     for n in sizes:
         ring = _build_modular(n)  # not interned
         elems = ring.elements
         assert elems == list(range(n))
         assert len(ring.add) == len(ring.mul) == n
-        same = operator.is_ if n <= 256 else operator.eq
         for i, add_row, mul_row in zip(elems, ring.add, ring.mul):
-            assert len(add_row) == len(mul_row) == n
-            assert all(map(same, add_row, [elems[(i + j) % n] for j in elems]))
-            assert all(map(same, mul_row, [elems[i * j % n] for j in elems]))
+            assert list(add_row) == [elems[(i + j) % n] for j in elems]
+            assert list(mul_row) == [elems[i * j % n] for j in elems]
         assert ring.neg == [-i % n for i in elems]
 
 
@@ -668,10 +677,10 @@ def test_product_tables_match_the_pair_formula(build_left, build_right):
     index = {p: i for i, p in enumerate(ring.elements)}
     pairs = [(left.from_payload(x), right.from_payload(y)) for x, y in ring.elements]
     for i, (x1, y1) in enumerate(pairs):
-        assert ring.add[i] == [index[((x1 + x2).payload, (y1 + y2).payload)]
-                               for x2, y2 in pairs]
-        assert ring.mul[i] == [index[((x1 * x2).payload, (y1 * y2).payload)]
-                               for x2, y2 in pairs]
+        assert list(ring.add[i]) == [index[((x1 + x2).payload, (y1 + y2).payload)]
+                                     for x2, y2 in pairs]
+        assert list(ring.mul[i]) == [index[((x1 * x2).payload, (y1 * y2).payload)]
+                                     for x2, y2 in pairs]
     assert ring.elements[ring.zero_idx] == (left.zero.payload, right.zero.payload)
     assert ring.elements[ring.one_idx] == (left.one.payload, right.one.payload)
     # -(x, y) = (-x, -y), and it is the inverse that the table holds
@@ -713,14 +722,11 @@ def test_a_product_origin_over_other_tables_takes_the_full_check():
     lambda: poly_quotient(16, [0, 0, 1]),
 ], ids=["Z300", "Z17 x Z19", "Z17[x]/(x^2)", "Z256", "Z13 x Z19", "Z16[x]/(x^2)"])
 def test_table_cells_share_one_int_per_element(build):
-    # list rows, up to 256 elements, share one int object per element; above,
-    # rows of 2-byte 'H' cells (arrays, or Z_n's views) hold no int object at all
+    # rows of 2-byte 'H' cells (arrays, or Z_n's views) hold no int object at all,
+    # so no cell holds a copy of an element's int, at 256 elements and above
     ring = build()
     for table in (ring.add, ring.mul):
-        if ring.size <= 256:
-            assert len({id(cell) for row in table for cell in row}) <= ring.size
-        else:
-            assert set(map(_cell_layout, table)) == {("H", 2, ring.size)}
+        assert set(map(_cell_layout, table)) == {("H", 2, ring.size)}
 
 
 def _cell_layout(row):
@@ -762,37 +768,45 @@ def _cut_pairs():
     }
 
 
-def test_table_rows_are_lists_up_to_256_elements_and_arrays_above():
+def test_table_rows_hold_2_byte_cells_on_both_sides_of_256_elements():
+    # one layout at every size: each builder's rows, and a product module's, are
+    # 'H' cells of full length at 256 elements and above
     for name, (small, large) in _cut_pairs().items():
         assert small.size == 256 and 256 < large.size <= 600, name
-        for table in (small.add, small.mul):
-            assert all(type(row) is list for row in table), name
-        for table in (large.add, large.mul):
-            assert set(map(_cell_layout, table)) == {("H", 2, large.size)}, name
-    for ring, module_type in ((modular(16), list), (modular(17), array)):
+        for ring in (small, large):
+            for table in (ring.add, ring.mul):
+                assert set(map(_cell_layout, table)) == {("H", 2, ring.size)}, name
+    for ring in (modular(16), modular(17)):
         module = make_module(ring, ("product", "regular", "regular"))
         assert module.size == ring.size ** 2
-        assert all(type(row) is module_type for row in module.add + module.action)
+        for table, length in ((module.add, module.size), (module.action, ring.size)):
+            assert len(table) == length
+            assert set(map(_cell_layout, table)) == {("H", 2, module.size)}
 
 
-@pytest.mark.parametrize("build, bound", [
-    (lambda: _build_modular(1009), 1_600_000),
-    (lambda: _product.__wrapped__(modular(31), modular(31)), 3_000_000),
-], ids=["Z1009", "Z31 x Z31"])
-def test_a_ring_above_256_elements_holds_its_tables_in_2_byte_cells(build, bound):
+@pytest.mark.parametrize("build, size, bound", [
+    (lambda: _build_modular(1009), 1009, 1_600_000),
+    (lambda: _product.__wrapped__(modular(31), modular(31)), 961, 3_000_000),
+    (lambda: _product.__wrapped__(modular(16), modular(16)), 256, 300_000),
+    (lambda: _build_poly_quotient(2, (0,) * 8 + (1,)), 256, 400_000),
+], ids=["Z1009", "Z31 x Z31", "Z16 x Z16", "Z2[x]/(x^8)"])
+def test_a_ring_holds_its_tables_in_2_byte_cells(build, size, bound):
     # two 1009^2 tables of 8-byte list slots would hold 16 MB, of 2-byte cells
     # 4 MB; Z1009's rows are views of one run of 1009 * 506 cells (1.02 MB), with
     # about 0.4 MB of view objects on top (1.51 MB held).  Z31 x Z31's product
     # rows hold 1.85 MB, its sum 31 runs of 2 * 961 cells (0.12 MB in all) and
-    # 961 views
-    modular(31)  # the factors are built before the count starts
+    # 961 views.  At 256 elements, two tables of list rows hold about 1.1 MB and
+    # of 'H' cells about 0.3 MB: Z16 x Z16 holds 0.24 MB (its sum 16 runs and
+    # 256 views), Z2[x]/(x^8) 0.35 MB (256 arrays a table, and 256 8-tuples)
+    for n in (31, 16, 2):  # the factors are built before the count starts
+        modular(n)
     tracemalloc.start()
     try:
         ring = build()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ring.size in (1009, 961)
+    assert ring.size == size
     assert held <= bound, held
 
 
@@ -807,7 +821,7 @@ def _pair_oracle(table, left, right):
              for rrow in right]
     assert len(table) == len(left) * s
     for i, row in enumerate(table):
-        cells = array("H", row).tobytes() if type(row) is list else bytes(row)
+        cells = bytes(row)
         a, b = divmod(i, s)
         assert cells == b"".join(pairs[b][x] for x in left[a]), i
 
@@ -836,7 +850,7 @@ def test_product_tables_equal_the_pair_oracle(name):
     assert ring.key == name
     _pair_oracle(ring.add, left.add, right.add)
     _pair_oracle(ring.mul, left.mul, right.mul)
-    if ring.size > 256 and left.origin[0] != "modular":
+    if left.origin[0] != "modular":
         assert all(type(row) is array for row in ring.add + ring.mul)
 
 
@@ -1058,7 +1072,7 @@ FORGED_ORIGINS = {
 @pytest.mark.parametrize("build, a, b", FORGED_ORIGINS.values(), ids=FORGED_ORIGINS)
 def test_forged_tables_under_a_builder_origin_are_refused(build, a, b, table):
     ring = build()
-    tables = {"add": [row[:] for row in ring.add], "mul": [row[:] for row in ring.mul]}
+    tables = {"add": [list(row) for row in ring.add], "mul": [list(row) for row in ring.mul]}
     cells = tables[table]
     cells[a][b] = cells[b][a] = (cells[a][b] + 1) % ring.size
     with pytest.raises(InvalidSpecError):
@@ -1108,13 +1122,16 @@ def test_module_refuses_a_cell_outside_its_elements():
 
 
 def test_a_callers_tables_are_stored_in_the_builders_row_type():
-    z300 = modular(300)
-    ring = Ring(z300.origin, elements=z300.elements, add=[list(row) for row in z300.add],
-                mul=[list(row) for row in z300.mul])
-    assert all(type(row) is array and row.typecode == "H" for row in ring.add + ring.mul)
-    assert ring.add == z300.add and ring.mul == z300.mul
+    # 2-byte 'H' cells on both sides of 256 elements, as every builder stores them
+    for z in (modular(300), modular(256), modular(2)):
+        ring = Ring(z.origin, elements=z.elements, add=[list(row) for row in z.add],
+                    mul=[list(row) for row in z.mul])
+        assert all(type(row) is array and row.typecode == "H" for row in ring.add + ring.mul)
+        assert ring.add == [array("H", row) for row in z.add]
+        assert ring.mul == [array("H", row) for row in z.mul]
     small = Ring(("modular", 2), elements=[0, 1], add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)))
-    assert small.add == [[0, 1], [1, 0]] and small.mul == [[0, 0], [0, 1]]
+    assert small.add == [array("H", [0, 1]), array("H", [1, 0])]
+    assert small.mul == [array("H", [0, 0]), array("H", [0, 1])]
 
 
 # ---------------------------------------------------------------------------
