@@ -15,10 +15,11 @@ Checkers over pairs, chains, maps and constructions keep their own loops.
 
 Checkers work on masks: an ideal is its mask in the one lattice,
 ``ideals._lattice``, and ``_proper`` drops R.  A loop over one (ring, delta)
-reads its delta-n set ``dn`` once and tests ``m in dn``: a catalog expansion's
-is built once per run, in the scopes of its corpus entry, and a derived
-expansion's where it is used, straight off the base tables for a composition
-or a localization, for which no expansion is interned
+reads its delta-n set ``dn`` once and tests ``m in dn``.  The set of an
+interned expansion, a catalog one or one derived to a quotient, a product or
+an idealization, is built once per run, in the run's one table ``_dn``; a
+composition's or a localization's, for which no expansion is interned, is
+built where it is used, straight off the base tables
 (``predicates._composed_dn``, ``_localized_dn``).  Values come from the
 expansion tables, and colons, images, preimages and extensions from the
 kernels' memo tables (``fn.table``), bound once per loop; a rule that a public
@@ -118,25 +119,20 @@ _Scope = namedtuple("_Scope", "ring delta dn proper table full nil n_masks")
 
 
 @memo
-def _scopes(ctx, entry):
-    """The scope of each catalog expansion of one corpus entry, built once per
-    run; ``n_masks``, the proper n-ideals, is the delta-n set of delta0's scope."""
-    ring = entry.ring
-    nil, dns = _nil_mask(ring), [delta_n_masks(d) for d in entry.expansions]
-    n_masks = dns[entry.expansions.index(delta0(ring))]
-    return [_Scope(ring, d, dn, _proper(ring), d.table, ring.full_mask, nil, n_masks)
-            for d, dn in zip(entry.expansions, dns)]
+def _dn(ctx, delta):
+    """The delta-n set of an interned expansion, built once per run: the one
+    place a checker gets it from."""
+    return delta_n_masks(delta)
 
 
 @memo
-def _catalog_dns(ctx):
-    """{catalog expansion: its delta-n set}, from the scopes."""
-    return {s.delta: s.dn for s in _by_expansion(ctx)}
-
-
-def _dn_set(dns, delta):
-    """The delta-n set of delta: its scope's in ``dns`` for a catalog expansion, else built."""
-    return dns[delta] if delta in dns else delta_n_masks(delta)
+def _scopes(ctx, entry):
+    """The scope of each catalog expansion of one corpus entry, built once per
+    run; ``n_masks``, the proper n-ideals, is the delta-n set of delta0."""
+    ring = entry.ring
+    nil, n_masks = _nil_mask(ring), _dn(ctx, delta0(ring))
+    return [_Scope(ring, d, _dn(ctx, d), _proper(ring), d.table, ring.full_mask, nil, n_masks)
+            for d in entry.expansions]
 
 
 def _ideals(ctx):
@@ -528,9 +524,9 @@ def _check_expansion_value_n(ctx):
 def _check_radical_value_n_iff(ctx):
     for entry in ctx.entries:
         ring, d1 = entry.ring, delta1(entry.ring)
-        scope = next(s for s in _scopes(ctx, entry) if s.delta is d1)
+        dn, n_masks = _dn(ctx, d1), _dn(ctx, delta0(ring))
         for m in _proper(ring):
-            if (m in scope.dn) == (d1.table[m] in scope.n_masks):
+            if (m in dn) == (d1.table[m] in n_masks):
                 yield HOLDS
             else:
                 yield _wit(ring, d1, m, detail=_named(ring, ("sqrt(I)", d1.table[m])))
@@ -705,7 +701,7 @@ def _quotient_groups(ctx):
             J = _mk_ideal(ring, j)  # for the quotient's API
             images = Homomorphism.image_mask.table(quotient_ring(ring, J).projection)
             above = [(i, images[i]) for i in proper if j & ~i == 0]
-            out += [(s, j, above, delta_n_masks(derive_quotient_expansion(s.delta, J)))
+            out += [(s, j, above, _dn(ctx, derive_quotient_expansion(s.delta, J)))
                     for s in scopes]
     return out
 
@@ -762,7 +758,6 @@ def _check_quotient_back_delta_n(ctx):
         "gamma-n-ideal is a delta-n-ideal.",
         "every (family hom, expansion pair, target proper ideal)")
 def _check_hom_preimage(ctx):
-    dns = _catalog_dns(ctx)
     for f, pairs in ctx.hom_instances():
         if not f.is_injective():
             continue
@@ -771,7 +766,7 @@ def _check_hom_preimage(ctx):
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP
                 continue
-            dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
+            dn, dn_g = _dn(ctx, delta), _dn(ctx, gamma)
             for k in proper:
                 if k not in dn_g:
                     yield SKIP
@@ -788,7 +783,6 @@ def _check_hom_preimage(ctx):
         "delta-n, the image f(I) is a gamma-n-ideal.",
         "every (family epimorphism, expansion pair, source proper ideal)")
 def _check_hom_image(ctx):
-    dns = _catalog_dns(ctx)
     for f, pairs in ctx.hom_instances():
         if not f.is_surjective():
             continue
@@ -798,7 +792,7 @@ def _check_hom_image(ctx):
             if not is_delta_gamma_homomorphism(f, delta, gamma):
                 yield SKIP
                 continue
-            dn, dn_g = _dn_set(dns, delta), _dn_set(dns, gamma)
+            dn, dn_g = _dn(ctx, delta), _dn(ctx, gamma)
             for m in proper:
                 if ker & ~m or m not in dn:
                     yield SKIP
@@ -871,7 +865,7 @@ def _check_product_obstruction(ctx):
         for d1 in catalog(left):
             for d2 in catalog(right):
                 dx = derive_product_expansion(d1, d2)
-                dn = delta_n_masks(dx)
+                dn = _dn(ctx, dx)
                 for m in _proper(ring):
                     if d1.table[p1[m]] == left.full_mask and d2.table[p2[m]] == right.full_mask:
                         yield SKIP
@@ -895,11 +889,10 @@ def _homogeneous_pairs(rec, masks):
         "For IM <= N: I is delta-n in R iff I(+)N is delta_(+)-n in R(+)M.",
         "every (idealization, base expansion, homogeneous pair)")
 def _check_idealization_transfer(ctx):
-    dns = _catalog_dns(ctx)
     for rec, base_catalog in ctx.idealization_instances():
         for delta in base_catalog:
-            dn = _dn_set(dns, delta)
-            dn_plus = delta_n_masks(derive_idealization_expansion(delta, rec.module))
+            dn = _dn(ctx, delta)
+            dn_plus = _dn(ctx, derive_idealization_expansion(delta, rec.module))
             for i, N, w in _homogeneous_pairs(rec, _proper(rec.base)):
                 if (i in dn) == (w in dn_plus):
                     yield HOLDS

@@ -22,7 +22,8 @@ from .ideals import classify_ideal, enumerate_ideals
 from .expansions import apply_expansion
 from .predicates import (DELTA_N_METHODS, delta_n_witness, delta_primary_witness,
                          is_delta_n_ideal, n_ideal_witness, quasi_n_witness)
-from .verifier import builtin_corpus, load_corpus, render_json, render_text, run_claims
+from .verifier import (_selected_claims, builtin_corpus, load_corpus, render_json, render_text,
+                       run_claims)
 
 
 def _bool_row(label, value, witness=None):
@@ -83,9 +84,8 @@ def _unwritable(path, exc):
 
 def _cmd_verify(args):
     corpus = builtin_corpus() if args.corpus == "default" else load_corpus(args.corpus)
-    claim_ids = args.claims.split(",") if args.claims else None
-    for cid in claim_ids or ():  # before the report file is opened
-        _claim_of(cid)
+    claim_ids = args.claims.split(",") if args.claims is not None else None
+    _selected_claims(claim_ids)  # before the report file is opened
     try:  # before the run, so an unwritable report path fails fast
         json_out = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
     except OSError as exc:
@@ -124,8 +124,16 @@ def count(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors print one ``error: ...`` line, as every other
+    refusal does, and not the usage lines; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltan",
         description="Finite commutative rings, ideal expansions, and the "
                     "delta-n-ideal verifier.")

@@ -7,6 +7,7 @@ and validated ring homomorphisms with ideal image/preimage transport.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from operator import getitem, itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
@@ -140,12 +141,12 @@ def _module_recipe(ring, spec):
         return ("regular",)
     if isinstance(spec, tuple) and spec and spec[0] == "quotient":
         ideal = spec[1]
-        if isinstance(ideal, Ideal):
-            _same_ring(ring, ideal.ring, "quotient-module ideal")
+        if not isinstance(ideal, Iterable):  # an Ideal, or no indices: that lives in no ring
+            _same_ring(ring, ideal if isinstance(ideal, Ideal) else None, "quotient-module ideal")
             return ("quotient", ideal)
         # checked before it is interned, so a non-ideal leaves no Ideal behind
-        if not all(0 <= i < ring.size for i in ideal):
-            raise InvalidSpecError(f"quotient-module indices {sorted(ideal)} "
+        if not all(type(i) is int and 0 <= i < ring.size for i in ideal):  # no bool
+            raise InvalidSpecError(f"quotient-module indices {list(ideal)} "
                                    f"are not elements of {ring.key}")
         mask = _mask_of(ring.size, ideal)
         if _generated_mask(ring, _bits(mask)) != mask:
@@ -258,7 +259,7 @@ class Homomorphism:
             raise HomomorphismError("map does not preserve multiplication")
 
     def apply(self, a):
-        _same_ring(self.source, a.ring, "element")
+        _same_ring(self.source, a, "element")
         if self.mapping is not None:
             return Element(self.target, self.mapping[a.idx])
         return Element(self.target, self.int_fn(a.idx))
@@ -320,14 +321,14 @@ def make_homomorphism(source, target, mapping):
         raise HomomorphismError("map must be total on the source elements")
     for v in mapping:
         if isinstance(v, Element):
-            _same_ring(target, v.ring, "an image of the map")
+            _same_ring(target, v, "an image of the map")
     table = [v.idx if isinstance(v, Element) else v for v in mapping]
     return Homomorphism(source, target, mapping=table)
 
 
 def image_ideal(f, I):
     """f(I) as an ideal of the target, f surjective; on ZZ, the ideal f(n) generates."""
-    _same_ring(f.source, I.ring, "ideal")
+    _same_ring(f.source, I, "ideal")
     if not f.is_surjective():
         raise HomomorphismError("image_ideal requires a surjective homomorphism")
     if f.mapping is None:
@@ -337,7 +338,7 @@ def image_ideal(f, I):
 
 def preimage_ideal(f, K):
     """f^{-1}(K) as an ideal of the source (always an ideal)."""
-    _same_ring(f.target, K.ring, "ideal")
+    _same_ring(f.target, K, "ideal")
     if f.mapping is not None:
         return _mk_ideal(f.source, f.preimage_mask(K.mask))
     if not f.target.is_finite:
@@ -354,8 +355,8 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
     A table-backed map compares the masks, its verdicts one memo table keyed
     by the pair (delta, gamma); a mod-n reduction compares generators n of ZZ.
     """
-    _same_ring(f.source, delta.ring, "source expansion")
-    _same_ring(f.target, gamma.ring, "target expansion")
+    _same_ring(f.source, delta, "source expansion")
+    _same_ring(f.target, gamma, "target expansion")
     if f.mapping is not None:
         return _mask_verdict(f, (delta, gamma))
     return all(delta.int_fn(preimage_ideal(f, _mk_ideal(f.target, k)).n)
@@ -378,7 +379,7 @@ QuotientRecord = namedtuple("QuotientRecord", "ring projection")
 
 def quotient_ring(ring, J):
     """R/J with the canonical projection; coset reps are least in base order."""
-    _same_ring(ring, J.ring, "ideal")
+    _same_ring(ring, J, "ideal")
     if not J.is_proper:
         raise ConstructionError("cannot quotient by the whole ring")
     if not ring.is_finite:
@@ -446,8 +447,8 @@ class IdealizationRecord:
 
     def homogeneous_ideal(self, I, N):
         """The ideal I(+)N of R(+)M; valid exactly when I*M lies inside N."""
-        _same_ring(self.base, I.ring, "ideal")
-        _same_ring(self.module, N.module, "submodule")
+        _same_ring(self.base, I, "ideal")
+        _same_ring(self.module, N, "submodule", "module")
         if not self.im_inside(I.mask, N.mask):
             raise ConstructionError("I(+)N is an ideal of R(+)M only when IM lies inside N")
         return _mk_ideal(self.ring, self.homogeneous_mask(I.mask, N.mask))
@@ -463,7 +464,7 @@ class IdealizationRecord:
     def split(self, W):
         """(is_homogeneous, I, N) for an ideal W of R(+)M: I = pi(W), N the block
         of W at 0 ({m : (0, m) in W}), and W homogeneous iff W = I(+)N."""
-        _same_ring(self.ring, W.ring, "ideal")
+        _same_ring(self.ring, W, "ideal")
         msize = self.module.size
         imask = self.projection.image_mask(W.mask)
         nmask = W.mask >> (self.base.zero_idx * msize) & ((1 << msize) - 1)
@@ -487,7 +488,7 @@ def idealization(ring, module):
     holds the index of the first term and right[m1] the row of the second."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
-    _same_ring(ring, module.ring, "module")
+    _same_ring(ring, module, "module")
     msize = module.size
     size = ring.size * msize
     origin = ("idealization", ring, module)
@@ -574,11 +575,11 @@ class LocalizationRecord(namedtuple("LocalizationRecord", "ring base sset canoni
     def extend(self, I):
         """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker: the
         canonical image of I."""
-        _same_ring(self.base, I.ring, "ideal")
+        _same_ring(self.base, I, "ideal")
         return _mk_ideal(self.ring, self.canonical.image_mask(I.mask))
 
     def contract(self, K):
-        _same_ring(self.ring, K.ring, "ideal")
+        _same_ring(self.ring, K, "ideal")
         return _mk_ideal(self.base, self.canonical.preimage_mask(K.mask))
 
 
@@ -600,7 +601,7 @@ def localize(ring, sset):
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
-    _same_ring(ring, sset.ring, "multiplicative set")
+    _same_ring(ring, sset, "multiplicative set")
     zero = ring.zero_idx
     if zero in sset.indices:
         raise ConstructionError("0 in S collapses the localization to the zero ring")

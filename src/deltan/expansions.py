@@ -100,7 +100,7 @@ def make_expansion(ring, kind, param=None):
 
 
 def _check_param(ring, J):
-    _same_ring(ring, J.ring if isinstance(J, Ideal) else None, "parameter ideal")
+    _same_ring(ring, J if isinstance(J, Ideal) else None, "parameter ideal")
 
 
 def _catalog_kind(ring, recipe, value, int_fn):
@@ -156,7 +156,7 @@ def compose_expansions(outer, inner):
     """(outer o inner)(I) = outer(inner(I)), an expansion: I <= inner(I) <=
     outer(inner(I)), and I <= J gives inner(I) <= inner(J), so outer(inner(I))
     <= outer(inner(J))."""
-    _same_ring(outer.ring, inner.ring, "inner expansion")
+    _same_ring(outer.ring, inner, "inner expansion")
     ring = outer.ring
     if not ring.is_finite:
         fo, fi = outer.int_fn, inner.int_fn
@@ -166,7 +166,7 @@ def compose_expansions(outer, inner):
 
 
 def apply_expansion(delta, I):
-    _same_ring(delta.ring, I.ring, "ideal")
+    _same_ring(delta.ring, I, "ideal")
     if not delta.ring.is_finite:
         return _int_ideal(delta.ring, delta.int_fn(I.n))
     return _mk_ideal(delta.ring, delta.table[I.mask])

@@ -213,13 +213,13 @@ class Ideal:
         return [Element(self.ring, i) for i in _bits(self.mask)]
 
     def contains(self, a):
-        _same_ring(self.ring, a.ring, "element")
+        _same_ring(self.ring, a, "element")
         if self.is_finite:
             return bool(self.mask >> a.idx & 1)
         return self.n == 0 and a.idx == 0 or self.n != 0 and a.idx % self.n == 0
 
     def issubset(self, other):
-        _same_ring(self.ring, other.ring, "ideal")
+        _same_ring(self.ring, other, "ideal")
         if self.is_finite:
             return self.mask & ~other.mask == 0
         if self.n == 0:
@@ -272,7 +272,7 @@ def integer_ideal(ring, n):
     leave 1 or a prime below _TRIAL_BOUND ** 2 by trial division, held if >= _TRIAL_BOUND.
     A held q | n is divided out once first, as n leaves q iff n / q leaves a part below
     _TRIAL_BOUND (q^2 | n leaves one of at least q), so n / q is divided, not n."""
-    _same_ring(ring, integers(), "integer ideal")
+    _same_ring(ring, integers().zero, "integer ideal")  # it lives in ZZ, as its elements do
     if type(n) is not int:  # no bool, float or str: int() would round or parse them
         raise InvalidSpecError(f"integer ideal generator {n!r} is not an int")
     n = abs(n)
@@ -309,7 +309,7 @@ def ideal_contains(I, a):
 
 def ideal_combine(op, I, J):
     """sum / product / intersect of two ideals of the same ring."""
-    _same_ring(I.ring, J.ring, "ideal")
+    _same_ring(I.ring, J, "ideal")
     if op not in ("sum", "product", "intersect"):
         raise ValueError(f"unknown ideal operation {op!r}")
     ring = I.ring
@@ -376,7 +376,7 @@ def colon(I, divisor):
     (I : g) over the generators g of J."""
     ring = I.ring
     is_ideal = isinstance(divisor, Ideal)
-    _same_ring(ring, divisor.ring, "divisor")
+    _same_ring(ring, divisor, "divisor")
     if not ring.is_finite:
         return _int_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
     gens = divisor.gens if is_ideal else (divisor,)
@@ -619,7 +619,7 @@ def special_sets(ring, I=None):
     """
     if I is None:
         I = zero_ideal(ring)
-    _same_ring(ring, I.ring, "ideal")
+    _same_ring(ring, I, "ideal")
     if not ring.is_finite:
         n = I.n
         if n == 1:

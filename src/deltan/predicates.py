@@ -38,7 +38,7 @@ DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pair
 
 def _guard(I, delta=None):
     if delta is not None:
-        _same_ring(I.ring, delta.ring, "expansion")
+        _same_ring(I.ring, delta, "expansion")
     if not I.is_proper:
         raise ImproperIdealError(
             "this ideal class is defined for proper ideals only; got the whole ring")
@@ -215,9 +215,10 @@ def _localized_dn(delta, sset):
 
 def delta_n_masks(delta):
     """The masks of the proper delta-n ideals of a finite ring, ``_delta_n_set``
-    over the expansion's table.  Not memoised: a set kept per expansion costs
-    more memory than its rebuild costs time, so a loop over (ring, delta) builds
-    it once, outside its instance loop, and tests ``m in dn`` (m of ``_lattice``)."""
+    over the expansion's table.  Not memoised here, as a set kept per expansion
+    for the process would outlive its use: the claims keep one per expansion for
+    a run, in their per-run table ``claims._dn``, and test ``m in dn`` (m of
+    ``_lattice``)."""
     if not delta.ring.is_finite:
         raise InfiniteRingError("delta-n sets are enumerated on finite rings only")
     return _delta_n_set(delta.ring, delta.table)
@@ -257,7 +258,7 @@ def delta_n_spectrum(ring, delta):
     """All proper delta-n ideals and the maximal ones: ``_spectrum``'s masks as ideals."""
     if not ring.is_finite:
         raise InfiniteRingError("spectra are enumerated on finite rings only")
-    _same_ring(ring, delta.ring, "expansion")
+    _same_ring(ring, delta, "expansion")
     return DeltaNSpectrum(*(tuple(_mk_ideal(ring, m) for m in masks)
                             for masks in _spectrum(ring, delta_n_masks(delta))))
 
@@ -271,7 +272,7 @@ def _spectrum(ring, dn):
 
 def delta_nilpotents(ring, delta):
     """The element set of delta(zero ideal)."""
-    _same_ring(ring, delta.ring, "expansion")
+    _same_ring(ring, delta, "expansion")
     value = apply_expansion(delta, zero_ideal(ring))
     if ring.is_finite:
         return frozenset(value.elements())

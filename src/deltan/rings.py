@@ -286,9 +286,13 @@ class Ring:
         if not self.is_finite:  # a payload of ZZ is its value, an int
             return self.el(payload)
         try:
-            return Element(self, self._index[payload])
+            idx = self._index[payload]
         except (KeyError, TypeError):
+            idx = None
+        # a dict finds True or 1.0 under the payload 1: only a payload of the same types is one
+        if idx is None or not _alike(payload, self.elements[idx]):
             raise InvalidSpecError(f"{payload!r} is not a canonical element of {self.key}")
+        return Element(self, idx)
 
     @property
     def zero(self):
@@ -323,9 +327,16 @@ class Ring:
         return self.neg[i] if self.is_finite else -i
 
 
-def _same_ring(ring, other, what):
-    """Refuse the operand ``what``, which lives in ``other`` (None: in no ring),
-    unless ``other`` is ``ring``: rings and modules are told apart by identity."""
+def _alike(x, y):
+    """Whether the equal values x and y are of the same types all through."""
+    return type(x) is type(y) and (type(x) is not tuple or all(map(_alike, x, y)))
+
+
+def _same_ring(ring, operand, what, attr="ring"):
+    """Refuse the operand ``what`` unless it lives in ``ring``, its ``attr`` (a
+    submodule's is ``module``): rings and modules are told apart by identity.
+    An operand that is no deltan object, or None, lives in no ring."""
+    other = getattr(operand, attr, None)
     if other is not ring:
         where = "no ring" if other is None else other.key
         raise CrossRingError(f"{what} lives in another ring ({where}) than {ring.key}")
@@ -345,7 +356,7 @@ class Element:
         return self.ring.elements[self.idx] if self.ring.is_finite else self.idx
 
     def _operand(self, other):
-        _same_ring(self.ring, other.ring if isinstance(other, Element) else None, "operand")
+        _same_ring(self.ring, other if isinstance(other, Element) else None, "operand")
         return other
 
     def __add__(self, other):
@@ -388,14 +399,14 @@ def _own_element(ring, x, what):
     """``x``, an element of ``ring`` or a payload of one, as an element of ``ring``;
     an element of another ring is refused as the operand ``what``."""
     if isinstance(x, Element):
-        _same_ring(ring, x.ring, what)
+        _same_ring(ring, x, what)
         return x
     return ring.from_payload(x)
 
 
 def arithmetic(ring, op, a, b=None):
     """Apply ``add``/``mul``/``neg`` to elements of ``ring`` (contract form)."""
-    _same_ring(ring, a.ring, "operand")  # the operators check b against a
+    _same_ring(ring, a, "operand")  # the operators check b against a
     if op == "add":
         return a + b
     if op == "mul":
@@ -771,7 +782,7 @@ def classify_element(ring, a):
     On a finite ring a is a unit iff it lies in ``ideals._unit_mask``, a zero divisor iff a != 0
     lies in Z_(0) = {r : rs = 0 for some s != 0}, and regular iff a is not in
     Z_(0), which holds 0 as 0 != 1."""
-    _same_ring(ring, a.ring, "element")
+    _same_ring(ring, a, "element")
     if not ring.is_finite:
         v = a.idx
         return ElementClass(

@@ -169,12 +169,25 @@ def claim_ids(include_self_tests=False):
     return [c.id for c in CLAIMS if include_self_tests or not c.self_test]
 
 
+def _selected_claims(claim_ids):
+    """The claims ``claim_ids`` names, every one but the self-tests for None; an
+    unknown id or one listed twice is refused."""
+    if claim_ids is None:
+        return [c for c in CLAIMS if not c.self_test]
+    selected = []
+    for cid in claim_ids:
+        claim = _claim_of(cid)
+        if claim in selected:
+            raise DeltanError(f"claim id {cid!r} is listed twice")
+        selected.append(claim)
+    return selected
+
+
 def run_claims(corpus=None, claim_ids=None, witness_cap=5):
     """Evaluate claims over the corpus; self-tests run only when named explicitly."""
     if witness_cap < 0:
         raise ValueError(f"witness_cap must be at least 0, got {witness_cap}")
-    selected = ([c for c in CLAIMS if not c.self_test] if claim_ids is None
-                else [_claim_of(cid) for cid in claim_ids])
+    selected = _selected_claims(claim_ids)
     ctx = Context(corpus if corpus is not None else builtin_corpus())
     reports = []
     for claim in selected:

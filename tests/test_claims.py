@@ -16,7 +16,7 @@ lambda of every checker runs, but those ``UNREACHED`` lists with a reason.
 import ast
 import re
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import product as pairs_of
 from pathlib import Path
 from types import SimpleNamespace
@@ -288,22 +288,21 @@ def test_verdict_kernel_keeps_skips_apart_from_holds_and_failures():
     assert built == [4]
 
 
-def test_one_run_builds_each_catalog_delta_n_set_once(monkeypatch):
-    """The scopes of a corpus entry are built once per run and every checker,
-    the spectrum and the n-ideal sets included, reads the catalog sets from
-    them; only derived expansions build their own."""
+def test_one_run_builds_each_interned_delta_n_set_once(monkeypatch):
+    """Every checker, the spectrum and the n-ideal sets included, reads the
+    delta-n set of an interned expansion from the run's one table, so a run
+    builds each once: the 376 of the catalog and 2,148 derived ones.  Before
+    that table, the homomorphism claims rebuilt the quotient-derived sets."""
     from deltan import predicates
-    built = []
+    built = Counter()  # expansions compare by identity
     for module in (claims, predicates):
         monkeypatch.setattr(module, "delta_n_masks",
-                            lambda delta: built.append(delta) or REAL(delta))
-    catalog_ids = {id(d) for entry in builtin_corpus().entries for d in entry.expansions}
+                            lambda delta: built.update([delta]) or REAL(delta))
+    catalog = {d for entry in builtin_corpus().entries for d in entry.expansions}
     run_claims()
-    from_catalog = [d for d in built if id(d) in catalog_ids]
-    assert len(catalog_ids) == len(from_catalog) == 376
-    assert {id(d) for d in from_catalog} == catalog_ids
-    assert all(d.kind.endswith("_derived") or d.kind == "compose"
-               for d in built if id(d) not in catalog_ids)
+    assert len(built) == 2524 and set(built.values()) == {1}
+    assert len(catalog) == 376 and catalog <= built.keys()
+    assert all(d.kind.endswith("_derived") for d in built.keys() - catalog)
 
 
 # ---------------------------------------------------------------------------

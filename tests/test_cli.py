@@ -349,6 +349,41 @@ def test_unknown_claim_id_leaves_the_report_file_alone(tmp_path, monkeypatch, ca
     assert target.read_text() == "old report\n"
 
 
+@pytest.mark.parametrize("claims, message", [
+    ("", "unknown claim id ''"),
+    ("thm-existence,thm-existence", "claim id 'thm-existence' is listed twice"),
+    ("thm-existence,ex-z6-zero-not-n,thm-existence", "claim id 'thm-existence' is listed twice")])
+def test_an_empty_or_repeated_claim_id_exits_2_and_leaves_the_report_file_alone(
+        tmp_path, monkeypatch, capsys, claims, message):
+    # "" ran every claim, and a repeated id was reported twice
+    from deltan.errors import DeltanError
+    from deltan.verifier import run_claims
+    with pytest.raises(DeltanError, match=f"^{message}$"):
+        run_claims(claim_ids=claims.split(","))
+    _no_run(monkeypatch)
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    assert main(["verify", "--claims", claims, "--json", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert target.read_text() == "old report\n"
+
+
+def test_every_refusal_of_the_cli_lock_writes_one_stderr_line(monkeypatch, capsys):
+    """The hand-written queries of the lock, lines 913-942, all but line 935
+    refusals, and an argument that begins with '-': argparse's own errors wrote
+    their usage lines too."""
+    from test_cli_lock import _queries
+    monkeypatch.setenv("COLUMNS", "80")
+    refused = 0
+    for argv in _queries()[912:942] + [["classify", "Z9", "-x)"]]:
+        code, err = main(argv), capsys.readouterr().err
+        if code != 0:
+            refused += 1
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, argv
+            assert err.endswith("\n"), argv
+    assert refused == 30
+
+
 def test_the_process_parser_answers_after_an_argparse_error(monkeypatch, capsys):
     # main builds its parser once per process, so a usage error must leave it
     # answering the next query as a fresh process does

@@ -1,5 +1,6 @@
 """Quotients, modules, idealizations, localizations, homomorphisms."""
 
+import re
 from math import gcd
 from operator import indexOf
 
@@ -116,6 +117,10 @@ def test_quotient_module_by_a_non_ideal_is_refused_before_any_ideal_is_interned(
         make_module(z8, ("quotient", (0, 3)))
     with pytest.raises(InvalidSpecError, match=r"indices \[0, 8\] are not elements of Z8"):
         make_module(z8, ("quotient", (0, 8)))
+    # indices are ints: 1.0 raised a bare TypeError and True read as the index 1
+    for bad in ([1.0], [True], [0, 4.0]):
+        with pytest.raises(InvalidSpecError, match=re.escape(f"indices {bad} are not elements")):
+            make_module(z8, ("quotient", bad))
     assert snapshot() == before
     assert 0b1001 not in _mk_ideal.table(z8)
     assert make_module(z8, ("quotient", (4, 0))).name == "Z8/(4)"

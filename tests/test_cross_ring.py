@@ -85,9 +85,58 @@ GUARDED = {
 }
 
 
+# the same guards, each with the int 3 as its operand, which lives in no ring;
+# the calls that take payloads (ideal_from_generators, mult_set, mult_closure),
+# of which 3 is one, are left out, and so is is_delta_n_ideal's fast path
+NO_RING = {
+    "element +": lambda: Z6.el(1) + 3,
+    "element -": lambda: Z6.el(1) - 3,
+    "element *": lambda: Z6.el(1) * 3,
+    "arithmetic": lambda: arithmetic(Z6, "add", 3, Z6.el(1)),
+    "classify_element": lambda: classify_element(Z6, 3),
+    "ideal_contains": lambda: ideal_contains(I6, 3),
+    "issubset": lambda: I6.issubset(3),
+    "ideal_combine": lambda: ideal_combine("sum", I6, 3),
+    "colon": lambda: colon(I6, 3),
+    "special_sets": lambda: special_sets(Z6, 3),
+    "delta_plus": lambda: delta_plus(Z6, 3),
+    "delta_star": lambda: delta_star(Z6, 3),
+    "compose_expansions": lambda: compose_expansions(delta1(Z6), 3),
+    "apply_expansion": lambda: apply_expansion(delta0(Z6), 3),
+    "is_delta_primary": lambda: is_delta_primary(I6, 3),
+    "delta_primary_witness": lambda: delta_primary_witness(I6, 3),
+    "delta_n_witness": lambda: delta_n_witness(I6, 3),
+    "delta_n_spectrum": lambda: delta_n_spectrum(Z6, 3),
+    "delta_nilpotents": lambda: delta_nilpotents(Z6, 3),
+    "make_module": lambda: make_module(Z6, ("quotient", 3)),
+    "Homomorphism.apply": lambda: IDENTITY(3),
+    "image_ideal": lambda: image_ideal(IDENTITY, 3),
+    "preimage_ideal": lambda: preimage_ideal(IDENTITY, 3),
+    "is_delta_gamma_homomorphism source":
+        lambda: is_delta_gamma_homomorphism(IDENTITY, 3, delta0(Z6)),
+    "is_delta_gamma_homomorphism target":
+        lambda: is_delta_gamma_homomorphism(IDENTITY, delta0(Z6), 3),
+    "quotient_ring": lambda: quotient_ring(Z6, 3),
+    "homogeneous_ideal ideal":
+        lambda: IZR.homogeneous_ideal(3, enumerate_submodules(IZR.module)[-1]),
+    "homogeneous_ideal submodule": lambda: IZR.homogeneous_ideal(I6, 3),
+    "split": lambda: IZR.split(3),
+    "idealization": lambda: idealization(Z6, 3),
+    "extend": lambda: LOC.extend(3),
+    "contract": lambda: LOC.contract(3),
+    "localize": lambda: localize(Z6, 3),
+}
+
+
 @pytest.mark.parametrize("call", GUARDED.values(), ids=GUARDED.keys())
 def test_every_guard_refuses_an_operand_of_a_twin_ring(call):
     with pytest.raises(CrossRingError, match=r"lives in another ring \((.+)\) than \1$"):
+        call()
+
+
+@pytest.mark.parametrize("call", NO_RING.values(), ids=NO_RING.keys())
+def test_every_guard_refuses_an_operand_that_is_no_deltan_object(call):
+    with pytest.raises(CrossRingError, match=r"lives in another ring \(no ring\) than "):
         call()
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from deltan import (ConstructionError, CrossRingError, DslError, InfiniteRingError,
                     InvalidSpecError, arithmetic, check_ring_axioms,
                     classify_element, classify_ring, integer_ideal, integers, localize, modular,
-                    mult_closure, poly_quotient, product)
+                    mult_closure, mult_set, poly_quotient, product)
 from deltan.ideals import (_lattice, _product_mask, _product_pair, _sum_mask, _sum_pair,
                            enumerate_ideals, ideal_from_generators)
 from deltan.rings import (Ring, _additive_generators, _build_modular, _build_poly_quotient,
@@ -284,6 +284,14 @@ def test_element_payloads_are_canonical():
     assert a.payload == (2, 1, 3)
     with pytest.raises(InvalidSpecError):
         ring.from_payload((4, 0, 0))      # not reduced mod 4
+    # a dict lookup finds True and 1.0 under the payload 1; neither is a payload
+    z6, z2xz3 = modular(6), product(modular(2), modular(3))
+    for call, bad in [(z6.from_payload, True), (z2xz3.from_payload, (1.0, 0)),
+                      (z2xz3.from_payload, (1, False)), (ring.from_payload, (2, 1, 3.0)),
+                      (lambda b: ideal_from_generators(z6, [b]), True),
+                      (lambda b: mult_set(z6, [b]), 1.0)]:
+        with pytest.raises(InvalidSpecError, match=r"is not a canonical element of"):
+            call(bad)
 
 
 # ---------------------------------------------------------------------------
