@@ -24,10 +24,10 @@ built where it is used, straight off the base tables
 expansion tables, and colons, images, preimages and extensions from the
 kernels' memo tables (``fn.table``), bound once per loop; a rule that a public
 predicate states is read through the mask helper it calls, such as
-``predicates._delta_primary``.  An ``Ideal`` is built only for the witness of a
-failure, for an API that takes one (``quotient_ring``), and where a claim
-cross-checks the public predicates on purpose (``thm-four-equivalents``,
-``ex-z6-zero-not-n``, the claims on ZZ, the self-tests).
+``predicates._delta_primary`` or ``constructions._mask_verdict``.  An ``Ideal``
+is built only for a failure's witness, for an API that takes one
+(``quotient_ring``), and where a claim cross-checks the public predicates on
+purpose (``thm-four-equivalents``, ``ex-z6-zero-not-n``, the ZZ claims, the self-tests).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import constructions, predicates
-from .constructions import (Homomorphism, enumerate_submodules, is_delta_gamma_homomorphism,
-                            localize, product_projections, quotient_ring)
+from .constructions import (Homomorphism, _mask_verdict, enumerate_submodules, localize,
+                            product_projections, quotient_ring)
 from .errors import UnknownClaimError
 from .expansions import (_colon_violation, catalog, compose_expansions, delta0, delta1,
                          delta_plus, derive_idealization_expansion, derive_product_expansion,
@@ -763,7 +763,7 @@ def _check_hom_preimage(ctx):
             continue
         preimages, proper = Homomorphism.preimage_mask.table(f), _proper(f.target)
         for delta, gamma in pairs:
-            if not is_delta_gamma_homomorphism(f, delta, gamma):
+            if not _mask_verdict(f, (delta, gamma)):
                 yield SKIP
                 continue
             dn, dn_g = _dn(ctx, delta), _dn(ctx, gamma)
@@ -789,7 +789,7 @@ def _check_hom_image(ctx):
         ker, full = f.kernel.mask, f.target.full_mask
         images, proper = Homomorphism.image_mask.table(f), _proper(f.source)
         for delta, gamma in pairs:
-            if not is_delta_gamma_homomorphism(f, delta, gamma):
+            if not _mask_verdict(f, (delta, gamma)):
                 yield SKIP
                 continue
             dn, dn_g = _dn(ctx, delta), _dn(ctx, gamma)
@@ -818,7 +818,7 @@ def _check_hom_epi_pushforward(ctx):
         ker, images = f.kernel.mask, Homomorphism.image_mask.table(f)
         lattice = _lattice(f.source)
         for delta, gamma in pairs:
-            if not is_delta_gamma_homomorphism(f, delta, gamma):
+            if not _mask_verdict(f, (delta, gamma)):
                 yield SKIP
                 continue
             for m in lattice:
@@ -841,7 +841,7 @@ def _check_hom_epi_pushforward(ctx):
         "every family homomorphism")
 def _check_radical_hom(ctx):
     for f, _pairs in ctx.hom_instances():
-        if is_delta_gamma_homomorphism(f, delta1(f.source), delta1(f.target)):
+        if _mask_verdict(f, (delta1(f.source), delta1(f.target))):
             yield HOLDS
         else:
             yield _wit(f.source, detail=f"radical expansions along {f!r}")

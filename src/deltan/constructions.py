@@ -11,8 +11,8 @@ from collections.abc import Iterable
 from operator import getitem, itemgetter
 
 from .errors import ConstructionError, HomomorphismError, InfiniteRingError, InvalidSpecError
-from .ideals import (Ideal, _bits, _colon_union, _generated_mask, _lattice, _mask_of, _mk_ideal,
-                     _preimage_mask, _sum_closure, enumerate_ideals, ideal_from_generators,
+from .ideals import (Ideal, _bits, _colon_union, _column_preimage, _generated_mask, _lattice,
+                     _mask_of, _mk_ideal, _sum_closure, enumerate_ideals, ideal_from_generators,
                      integer_ideal)
 from .rings import (Element, Ring, _additive_generators, _additive_on, _associative_on,
                     _bracketed, _check_index, _check_size, _checked_table, _gens_text,
@@ -141,16 +141,17 @@ def _module_recipe(ring, spec):
         return ("regular",)
     if isinstance(spec, tuple) and spec and spec[0] == "quotient":
         ideal = spec[1]
-        if not isinstance(ideal, Iterable):  # an Ideal, or no indices: that lives in no ring
-            _same_ring(ring, ideal if isinstance(ideal, Ideal) else None, "quotient-module ideal")
+        if hasattr(ideal, "ring") or not isinstance(ideal, Iterable):  # an object, not indices
+            _same_ring(ring, ideal, Ideal, "quotient-module ideal")
             return ("quotient", ideal)
         # checked before it is interned, so a non-ideal leaves no Ideal behind
-        if not all(type(i) is int and 0 <= i < ring.size for i in ideal):  # no bool
-            raise InvalidSpecError(f"quotient-module indices {list(ideal)} "
+        indices = tuple(ideal)  # read once: one pass spends a generator
+        if not all(type(i) is int and 0 <= i < ring.size for i in indices):  # no bool
+            raise InvalidSpecError(f"quotient-module indices {list(indices)} "
                                    f"are not elements of {ring.key}")
-        mask = _mask_of(ring.size, ideal)
+        mask = _mask_of(ring.size, indices)
         if _generated_mask(ring, _bits(mask)) != mask:
-            raise InvalidSpecError(f"quotient-module indices {sorted(ideal)} "
+            raise InvalidSpecError(f"quotient-module indices {sorted(indices)} "
                                    f"are not an ideal of {ring.key}")
         return ("quotient", _mk_ideal(ring, mask))
     if isinstance(spec, tuple) and spec and spec[0] == "product":
@@ -259,7 +260,7 @@ class Homomorphism:
             raise HomomorphismError("map does not preserve multiplication")
 
     def apply(self, a):
-        _same_ring(self.source, a, "element")
+        _same_ring(self.source, a, Element, "element")
         if self.mapping is not None:
             return Element(self.target, self.mapping[a.idx])
         return Element(self.target, self.int_fn(a.idx))
@@ -288,7 +289,12 @@ class Homomorphism:
 
     @memo
     def preimage_mask(self, tgt_mask):
-        return _preimage_mask(tgt_mask, self.mapping)
+        """f^-1(K) for an ideal mask K: R for K = R, and for a proper K the proper ideal
+        of the columns Ra with f(a) in K (``ideals._column_preimage``): f(ua) = f(u)f(a)
+        with f(u) a unit, so f(ua) is in K iff f(a) is, and f(1) = 1 is outside K."""
+        if tgt_mask == self.target.full_mask:
+            return self.source.full_mask
+        return _column_preimage(self.source, tgt_mask, self.mapping)
 
     def __repr__(self):
         return f"Homomorphism({self.source.key} -> {self.target.key})"
@@ -321,14 +327,14 @@ def make_homomorphism(source, target, mapping):
         raise HomomorphismError("map must be total on the source elements")
     for v in mapping:
         if isinstance(v, Element):
-            _same_ring(target, v, "an image of the map")
+            _same_ring(target, v, Element, "an image of the map")
     table = [v.idx if isinstance(v, Element) else v for v in mapping]
     return Homomorphism(source, target, mapping=table)
 
 
 def image_ideal(f, I):
     """f(I) as an ideal of the target, f surjective; on ZZ, the ideal f(n) generates."""
-    _same_ring(f.source, I, "ideal")
+    _same_ring(f.source, I, Ideal, "ideal")
     if not f.is_surjective():
         raise HomomorphismError("image_ideal requires a surjective homomorphism")
     if f.mapping is None:
@@ -338,7 +344,7 @@ def image_ideal(f, I):
 
 def preimage_ideal(f, K):
     """f^{-1}(K) as an ideal of the source (always an ideal)."""
-    _same_ring(f.target, K, "ideal")
+    _same_ring(f.target, K, Ideal, "ideal")
     if f.mapping is not None:
         return _mk_ideal(f.source, f.preimage_mask(K.mask))
     if not f.target.is_finite:
@@ -355,8 +361,9 @@ def is_delta_gamma_homomorphism(f, delta, gamma):
     A table-backed map compares the masks, its verdicts one memo table keyed
     by the pair (delta, gamma); a mod-n reduction compares generators n of ZZ.
     """
-    _same_ring(f.source, delta, "source expansion")
-    _same_ring(f.target, gamma, "target expansion")
+    from .expansions import Expansion  # expansions imports this module
+    _same_ring(f.source, delta, Expansion, "source expansion")
+    _same_ring(f.target, gamma, Expansion, "target expansion")
     if f.mapping is not None:
         return _mask_verdict(f, (delta, gamma))
     return all(delta.int_fn(preimage_ideal(f, _mk_ideal(f.target, k)).n)
@@ -379,7 +386,7 @@ QuotientRecord = namedtuple("QuotientRecord", "ring projection")
 
 def quotient_ring(ring, J):
     """R/J with the canonical projection; coset reps are least in base order."""
-    _same_ring(ring, J, "ideal")
+    _same_ring(ring, J, Ideal, "ideal")
     if not J.is_proper:
         raise ConstructionError("cannot quotient by the whole ring")
     if not ring.is_finite:
@@ -447,8 +454,8 @@ class IdealizationRecord:
 
     def homogeneous_ideal(self, I, N):
         """The ideal I(+)N of R(+)M; valid exactly when I*M lies inside N."""
-        _same_ring(self.base, I, "ideal")
-        _same_ring(self.module, N, "submodule", "module")
+        _same_ring(self.base, I, Ideal, "ideal")
+        _same_ring(self.module, N, Submodule, "submodule", "module")
         if not self.im_inside(I.mask, N.mask):
             raise ConstructionError("I(+)N is an ideal of R(+)M only when IM lies inside N")
         return _mk_ideal(self.ring, self.homogeneous_mask(I.mask, N.mask))
@@ -464,7 +471,7 @@ class IdealizationRecord:
     def split(self, W):
         """(is_homogeneous, I, N) for an ideal W of R(+)M: I = pi(W), N the block
         of W at 0 ({m : (0, m) in W}), and W homogeneous iff W = I(+)N."""
-        _same_ring(self.ring, W, "ideal")
+        _same_ring(self.ring, W, Ideal, "ideal")
         msize = self.module.size
         imask = self.projection.image_mask(W.mask)
         nmask = W.mask >> (self.base.zero_idx * msize) & ((1 << msize) - 1)
@@ -488,7 +495,7 @@ def idealization(ring, module):
     holds the index of the first term and right[m1] the row of the second."""
     if not ring.is_finite:
         raise InfiniteRingError("idealization is supported over finite rings only")
-    _same_ring(ring, module, "module")
+    _same_ring(ring, module, Module, "module")
     msize = module.size
     size = ring.size * msize
     origin = ("idealization", ring, module)
@@ -575,11 +582,11 @@ class LocalizationRecord(namedtuple("LocalizationRecord", "ring base sset canoni
     def extend(self, I):
         """S^-1 I = {i/s} = {(it)/1 : i in I}, t an inverse of s mod ker: the
         canonical image of I."""
-        _same_ring(self.base, I, "ideal")
+        _same_ring(self.base, I, Ideal, "ideal")
         return _mk_ideal(self.ring, self.canonical.image_mask(I.mask))
 
     def contract(self, K):
-        _same_ring(self.ring, K, "ideal")
+        _same_ring(self.ring, K, Ideal, "ideal")
         return _mk_ideal(self.base, self.canonical.preimage_mask(K.mask))
 
 
@@ -601,7 +608,7 @@ def localize(ring, sset):
     """
     if not ring.is_finite:
         raise InfiniteRingError("localization is supported over finite rings only")
-    _same_ring(ring, sset, "multiplicative set")
+    _same_ring(ring, sset, MultiplicativeSet, "multiplicative set")
     zero = ring.zero_idx
     if zero in sset.indices:
         raise ConstructionError("0 in S collapses the localization to the zero ring")

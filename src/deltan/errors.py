@@ -10,7 +10,7 @@ class InvalidSpecError(DeltanError):
 
 
 class CrossRingError(DeltanError):
-    """Operands belong to different rings."""
+    """An operand of another ring, or not of the kind the call takes."""
 
 
 class InfiniteRingError(DeltanError):

@@ -99,10 +99,6 @@ def make_expansion(ring, kind, param=None):
     raise ValueError(f"unknown expansion kind {kind!r}")
 
 
-def _check_param(ring, J):
-    _same_ring(ring, J if isinstance(J, Ideal) else None, "parameter ideal")
-
-
 def _catalog_kind(ring, recipe, value, int_fn):
     """The catalog expansion ``recipe``: the closed form ``int_fn`` on ZZ, and on
     a finite ring the table {m: value(m)} over the masks of its ideal lattice."""
@@ -128,14 +124,14 @@ def full_expansion(ring):
 
 @memo
 def delta_plus(ring, J):
-    _check_param(ring, J)
+    _same_ring(ring, J, Ideal, "parameter ideal")
     return _catalog_kind(ring, ("delta_plus", J), lambda m: _sum_mask(ring, m, J.mask),
                          lambda n, q=J.n: gcd(n, q))
 
 
 @memo
 def delta_star(ring, P):
-    _check_param(ring, P)
+    _same_ring(ring, P, Ideal, "parameter ideal")
     return _catalog_kind(ring, ("delta_star", P), lambda m: _colon_meet(ring, m, P.gens),
                          lambda n, m=P.n: _int_colon(n, m))
 
@@ -156,7 +152,7 @@ def compose_expansions(outer, inner):
     """(outer o inner)(I) = outer(inner(I)), an expansion: I <= inner(I) <=
     outer(inner(I)), and I <= J gives inner(I) <= inner(J), so outer(inner(I))
     <= outer(inner(J))."""
-    _same_ring(outer.ring, inner, "inner expansion")
+    _same_ring(outer.ring, inner, Expansion, "inner expansion")
     ring = outer.ring
     if not ring.is_finite:
         fo, fi = outer.int_fn, inner.int_fn
@@ -166,7 +162,8 @@ def compose_expansions(outer, inner):
 
 
 def apply_expansion(delta, I):
-    _same_ring(delta.ring, I, "ideal")
+    _same_ring(None, delta, Expansion, "expansion")
+    _same_ring(delta.ring, I, Ideal, "ideal")
     if not delta.ring.is_finite:
         return _int_ideal(delta.ring, delta.int_fn(I.n))
     return _mk_ideal(delta.ring, delta.table[I.mask])

@@ -55,12 +55,6 @@ def _principal_mask(ring, g):
     return _mask_of(ring.size, set(ring.mul[g]))
 
 
-def _preimage_mask(imask, seq):
-    """Mask of the positions r with ``seq[r]`` in the set ``imask``."""
-    members = set(_bits(imask))
-    return _mask_of(len(seq), compress(count(), map(members.__contains__, seq)))
-
-
 # trial division by the primes below _TRIAL_BOUND factors every n whose part free
 # of them is below _TRIAL_BOUND ** 2: that part has no prime factor below its
 # square root, so it is 1 or a prime
@@ -213,13 +207,13 @@ class Ideal:
         return [Element(self.ring, i) for i in _bits(self.mask)]
 
     def contains(self, a):
-        _same_ring(self.ring, a, "element")
+        _same_ring(self.ring, a, Element, "element")
         if self.is_finite:
             return bool(self.mask >> a.idx & 1)
         return self.n == 0 and a.idx == 0 or self.n != 0 and a.idx % self.n == 0
 
     def issubset(self, other):
-        _same_ring(self.ring, other, "ideal")
+        _same_ring(self.ring, other, Ideal, "ideal")
         if self.is_finite:
             return self.mask & ~other.mask == 0
         if self.n == 0:
@@ -272,7 +266,7 @@ def integer_ideal(ring, n):
     leave 1 or a prime below _TRIAL_BOUND ** 2 by trial division, held if >= _TRIAL_BOUND.
     A held q | n is divided out once first, as n leaves q iff n / q leaves a part below
     _TRIAL_BOUND (q^2 | n leaves one of at least q), so n / q is divided, not n."""
-    _same_ring(ring, integers().zero, "integer ideal")  # it lives in ZZ, as its elements do
+    _same_ring(ring, integers().zero, Element, "integer ideal")  # it lives in ZZ with its elements
     if type(n) is not int:  # no bool, float or str: int() would round or parse them
         raise InvalidSpecError(f"integer ideal generator {n!r} is not an int")
     n = abs(n)
@@ -309,7 +303,8 @@ def ideal_contains(I, a):
 
 def ideal_combine(op, I, J):
     """sum / product / intersect of two ideals of the same ring."""
-    _same_ring(I.ring, J, "ideal")
+    _same_ring(None, I, Ideal, "ideal")
+    _same_ring(I.ring, J, Ideal, "ideal")
     if op not in ("sum", "product", "intersect"):
         raise ValueError(f"unknown ideal operation {op!r}")
     ring = I.ring
@@ -374,9 +369,10 @@ def _int_colon(n, m):
 def colon(I, divisor):
     """(I : x) for an element x, or (I : J) for an ideal J, the meet of the
     (I : g) over the generators g of J."""
+    _same_ring(None, I, Ideal, "ideal")
     ring = I.ring
     is_ideal = isinstance(divisor, Ideal)
-    _same_ring(ring, divisor, "divisor")
+    _same_ring(ring, divisor, (Ideal, Element), "divisor")
     if not ring.is_finite:
         return _int_ideal(ring, _int_colon(I.n, divisor.n if is_ideal else divisor.idx))
     gens = divisor.gens if is_ideal else (divisor,)
@@ -619,7 +615,7 @@ def special_sets(ring, I=None):
     """
     if I is None:
         I = zero_ideal(ring)
-    _same_ring(ring, I, "ideal")
+    _same_ring(ring, I, Ideal, "ideal")
     if not ring.is_finite:
         n = I.n
         if n == 1:

@@ -27,18 +27,18 @@ from collections import namedtuple
 
 from .constructions import localize
 from .errors import ImproperIdealError, InfiniteRingError
-from .ideals import (IntegerSet, _bits, _colon_mask, _colon_union, _columns_outside, _lattice,
-                     _mask_of, _mk_ideal, _nil_mask, _prime_factors, _product_mask, _z_i_mask,
-                     zero_ideal)
-from .expansions import _pushforward, apply_expansion, delta0, delta1
+from .ideals import (Ideal, IntegerSet, _bits, _colon_mask, _colon_union, _columns_outside,
+                     _lattice, _mask_of, _mk_ideal, _nil_mask, _prime_factors, _product_mask,
+                     _z_i_mask, zero_ideal)
+from .expansions import Expansion, _pushforward, apply_expansion, delta0, delta1
 from .rings import _same_ring, memo
 
 DELTA_N_METHODS = ("definition", "colon_criterion", "element_ideal", "ideal_pairs")
 
 
-def _guard(I, delta=None):
-    if delta is not None:
-        _same_ring(I.ring, delta, "expansion")
+def _guard(I, delta):
+    _same_ring(None, I, Ideal, "ideal")
+    _same_ring(I.ring, delta, Expansion, "expansion")
     if not I.is_proper:
         raise ImproperIdealError(
             "this ideal class is defined for proper ideals only; got the whole ring")
@@ -145,13 +145,16 @@ def is_delta_n_ideal(I, delta, method="definition"):
     ``definition`` (the default) is the one-AND test U(I) <= delta(I).  It is
     the hottest call of a verification, so a proper ideal of a finite ring
     in the expansion's ring takes it after one identity and one mask compare;
-    every other input goes through ``_guard`` and the method check.
+    every other input, an operand of another kind too, goes through ``_guard``
+    and the method check: the fast path reads under ``try``, free unless it raises.
     """
-    ring = I.ring
-    imask = I.mask
-    if (method == "definition" and imask is not None and imask != ring.full_mask
-            and delta.ring is ring):
-        return _u_mask(ring, imask) & ~delta.table[imask] == 0
+    try:
+        ring, imask = I.ring, I.mask
+        if (method == "definition" and imask is not None and imask != ring.full_mask
+                and delta.ring is ring):
+            return _u_mask(ring, imask) & ~delta.table[imask] == 0
+    except AttributeError:  # an operand of another kind, which ``_guard`` names
+        pass
     _guard(I, delta)
     if method not in DELTA_N_METHODS:
         raise ValueError(f"unknown decision method {method!r}")
@@ -258,7 +261,7 @@ def delta_n_spectrum(ring, delta):
     """All proper delta-n ideals and the maximal ones: ``_spectrum``'s masks as ideals."""
     if not ring.is_finite:
         raise InfiniteRingError("spectra are enumerated on finite rings only")
-    _same_ring(ring, delta, "expansion")
+    _same_ring(ring, delta, Expansion, "expansion")
     return DeltaNSpectrum(*(tuple(_mk_ideal(ring, m) for m in masks)
                             for masks in _spectrum(ring, delta_n_masks(delta))))
 
@@ -272,7 +275,7 @@ def _spectrum(ring, dn):
 
 def delta_nilpotents(ring, delta):
     """The element set of delta(zero ideal)."""
-    _same_ring(ring, delta, "expansion")
+    _same_ring(ring, delta, Expansion, "expansion")
     value = apply_expansion(delta, zero_ideal(ring))
     if ring.is_finite:
         return frozenset(value.elements())

@@ -332,14 +332,18 @@ def _alike(x, y):
     return type(x) is type(y) and (type(x) is not tuple or all(map(_alike, x, y)))
 
 
-def _same_ring(ring, operand, what, attr="ring"):
+def _same_ring(ring, operand, kind, what, attr="ring"):
     """Refuse the operand ``what`` unless it lives in ``ring``, its ``attr`` (a
-    submodule's is ``module``): rings and modules are told apart by identity.
-    An operand that is no deltan object, or None, lives in no ring."""
+    submodule's is ``module``), and is a ``kind``, a class or a tuple of classes:
+    rings and modules are told apart by identity.  An operand that is no deltan
+    object, or None, lives in no ring; ``ring`` None checks the kind alone."""
     other = getattr(operand, attr, None)
-    if other is not ring:
+    if other is not ring and ring is not None:
         where = "no ring" if other is None else other.key
         raise CrossRingError(f"{what} lives in another ring ({where}) than {ring.key}")
+    if not isinstance(operand, kind):
+        names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
+        raise CrossRingError(f"{what} must be {names}, not {type(operand).__name__}")
 
 
 class Element:
@@ -355,22 +359,19 @@ class Element:
     def payload(self):
         return self.ring.elements[self.idx] if self.ring.is_finite else self.idx
 
-    def _operand(self, other):
-        _same_ring(self.ring, other if isinstance(other, Element) else None, "operand")
-        return other
-
     def __add__(self, other):
-        other = self._operand(other)
+        _same_ring(self.ring, other, Element, "operand")
         return Element(self.ring, self.ring.add_idx(self.idx, other.idx))
 
     def __neg__(self):
         return Element(self.ring, self.ring.neg_idx(self.idx))
 
     def __sub__(self, other):
-        return self + (-self._operand(other))
+        _same_ring(self.ring, other, Element, "operand")
+        return self + (-other)
 
     def __mul__(self, other):
-        other = self._operand(other)
+        _same_ring(self.ring, other, Element, "operand")
         return Element(self.ring, self.ring.mul_idx(self.idx, other.idx))
 
     def __pow__(self, k):
@@ -399,14 +400,14 @@ def _own_element(ring, x, what):
     """``x``, an element of ``ring`` or a payload of one, as an element of ``ring``;
     an element of another ring is refused as the operand ``what``."""
     if isinstance(x, Element):
-        _same_ring(ring, x, what)
+        _same_ring(ring, x, Element, what)
         return x
     return ring.from_payload(x)
 
 
 def arithmetic(ring, op, a, b=None):
     """Apply ``add``/``mul``/``neg`` to elements of ``ring`` (contract form)."""
-    _same_ring(ring, a, "operand")  # the operators check b against a
+    _same_ring(ring, a, Element, "operand")  # the operators check b against a
     if op == "add":
         return a + b
     if op == "mul":
@@ -782,7 +783,7 @@ def classify_element(ring, a):
     On a finite ring a is a unit iff it lies in ``ideals._unit_mask``, a zero divisor iff a != 0
     lies in Z_(0) = {r : rs = 0 for some s != 0}, and regular iff a is not in
     Z_(0), which holds 0 as 0 != 1."""
-    _same_ring(ring, a, "element")
+    _same_ring(ring, a, Element, "element")
     if not ring.is_finite:
         v = a.idx
         return ElementClass(

@@ -133,7 +133,7 @@ def _patch_fault(m, ctx, fault):
             "inverted" if delta.kind == "delta0" else "real"](delta))
     if fault == "homs":
         m.setattr(ctx, "hom_instances", lambda: _mismatched_homs(ctx))
-        m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: True)
+        m.setattr(claims, "_mask_verdict", lambda f, pair: True)
     if fault == "radical":
         m.setattr(claims, "_radical_mask", lambda ring, imask: imask)
     if fault == "definition-only":  # the four methods disagree wherever they are asked
@@ -145,7 +145,7 @@ def _patch_fault(m, ctx, fault):
         m.setattr(claims, "Homomorphism", SimpleNamespace(
             image_mask=SimpleNamespace(table=_full_images)))
     if fault == "not-delta-gamma":
-        m.setattr(claims, "is_delta_gamma_homomorphism", lambda f, d, g: False)
+        m.setattr(claims, "_mask_verdict", lambda f, pair: False)
     if fault == "collisions":
         m.setattr(claims, "localization_value_collisions",
                   lambda delta, sset: [(zero_ideal(delta.ring), unit_ideal(delta.ring))])

@@ -124,6 +124,11 @@ def test_quotient_module_by_a_non_ideal_is_refused_before_any_ideal_is_interned(
     assert snapshot() == before
     assert 0b1001 not in _mk_ideal.table(z8)
     assert make_module(z8, ("quotient", (4, 0))).name == "Z8/(4)"
+    # the indices are read once, so a generator gives what its tuple gives
+    assert make_module(z8, ("quotient", (i for i in (0, 4)))) is make_module(
+        z8, ("quotient", (0, 4)))
+    with pytest.raises(InvalidSpecError, match=r"indices \[0, 3\] are not an ideal of Z8"):
+        make_module(z8, ("quotient", iter((0, 3))))
 
 
 def test_product_module():

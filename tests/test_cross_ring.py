@@ -1,12 +1,16 @@
 """Rings are told apart by identity: every cross-ring guard refuses an operand
 of a twin ring, one that has the key of an interned ring but is another object,
-and a ring constructed from a twin is built on that twin."""
+and a ring constructed from a twin is built on that twin.  The same guard
+refuses an operand of the right ring that is not of the kind the call takes."""
+
+import re
 
 import pytest
 
-from deltan import (DELTA_N_METHODS, CrossRingError, apply_expansion, arithmetic,
-                    classify_element, colon, compose_expansions, delta0,
-                    delta1, delta_n_spectrum, derive_product_expansion, delta_n_witness, delta_nilpotents, delta_plus,
+from deltan import (DELTA_N_METHODS, CrossRingError, Element, Expansion, Ideal, Module,
+                    MultiplicativeSet, apply_expansion, arithmetic, classify_element, colon,
+                    compose_expansions, delta0, delta1, delta_n_spectrum,
+                    derive_product_expansion, delta_n_witness, delta_nilpotents, delta_plus,
                     delta_star, enumerate_ideals, enumerate_submodules,
                     ideal_combine, ideal_contains, ideal_from_generators, idealization,
                     image_ideal, integer_ideal, integers, is_delta_gamma_homomorphism,
@@ -87,7 +91,7 @@ GUARDED = {
 
 # the same guards, each with the int 3 as its operand, which lives in no ring;
 # the calls that take payloads (ideal_from_generators, mult_set, mult_closure),
-# of which 3 is one, are left out, and so is is_delta_n_ideal's fast path
+# of which 3 is one, are left out
 NO_RING = {
     "element +": lambda: Z6.el(1) + 3,
     "element -": lambda: Z6.el(1) - 3,
@@ -125,7 +129,85 @@ NO_RING = {
     "extend": lambda: LOC.extend(3),
     "contract": lambda: LOC.contract(3),
     "localize": lambda: localize(Z6, 3),
+    "is_delta_n_ideal": lambda: is_delta_n_ideal(I6, 3),
 }
+
+
+# one object of each deltan kind that lives in a given ring
+KINDS = {Element: lambda ring: ring.one,
+         Ideal: lambda ring: enumerate_ideals(ring)[0],
+         Expansion: delta0,
+         Module: lambda ring: make_module(ring, "regular"),
+         MultiplicativeSet: lambda ring: mult_closure(ring, [ring.one])}
+
+
+# the same guards as calls of their one operand x, with the ring x must live in
+# and the kind it must be; the submodule guard is left out, as no other kind
+# lives in a module, and so are the calls that take payloads
+WRONG_KIND = {
+    "element +": (lambda x: Z6.el(1) + x, Z6, Element),
+    "element -": (lambda x: Z6.el(1) - x, Z6, Element),
+    "element *": (lambda x: Z6.el(1) * x, Z6, Element),
+    "arithmetic": (lambda x: arithmetic(Z6, "add", x, Z6.el(1)), Z6, Element),
+    "classify_element": (lambda x: classify_element(Z6, x), Z6, Element),
+    "ideal_contains": (lambda x: ideal_contains(I6, x), Z6, Element),
+    "issubset": (lambda x: I6.issubset(x), Z6, Ideal),
+    "ideal_combine": (lambda x: ideal_combine("sum", I6, x), Z6, Ideal),
+    "colon": (lambda x: colon(I6, x), Z6, (Ideal, Element)),
+    "special_sets": (lambda x: special_sets(Z6, x), Z6, Ideal),
+    "delta_plus": (lambda x: delta_plus(Z6, x), Z6, Ideal),
+    "delta_star": (lambda x: delta_star(Z6, x), Z6, Ideal),
+    "compose_expansions": (lambda x: compose_expansions(delta1(Z6), x), Z6, Expansion),
+    "apply_expansion": (lambda x: apply_expansion(delta0(Z6), x), Z6, Ideal),
+    "is_delta_primary": (lambda x: is_delta_primary(I6, x), Z6, Expansion),
+    "delta_primary_witness": (lambda x: delta_primary_witness(I6, x), Z6, Expansion),
+    "delta_n_witness": (lambda x: delta_n_witness(I6, x), Z6, Expansion),
+    "delta_n_spectrum": (lambda x: delta_n_spectrum(Z6, x), Z6, Expansion),
+    "delta_nilpotents": (lambda x: delta_nilpotents(Z6, x), Z6, Expansion),
+    "make_module": (lambda x: make_module(Z6, ("quotient", x)), Z6, Ideal),
+    "Homomorphism.apply": (lambda x: IDENTITY(x), Z6, Element),
+    "image_ideal": (lambda x: image_ideal(IDENTITY, x), Z6, Ideal),
+    "preimage_ideal": (lambda x: preimage_ideal(IDENTITY, x), Z6, Ideal),
+    "is_delta_gamma_homomorphism source":
+        (lambda x: is_delta_gamma_homomorphism(IDENTITY, x, delta0(Z6)), Z6, Expansion),
+    "is_delta_gamma_homomorphism target":
+        (lambda x: is_delta_gamma_homomorphism(IDENTITY, delta0(Z6), x), Z6, Expansion),
+    "quotient_ring": (lambda x: quotient_ring(Z6, x), Z6, Ideal),
+    "homogeneous_ideal ideal": (lambda x: IZR.homogeneous_ideal(
+        x, enumerate_submodules(IZR.module)[-1]), Z6, Ideal),
+    "split": (lambda x: IZR.split(x), IZR.ring, Ideal),
+    "idealization": (lambda x: idealization(Z6, x), Z6, Module),
+    "extend": (lambda x: LOC.extend(x), Z6, Ideal),
+    "contract": (lambda x: LOC.contract(x), LOC.ring, Ideal),
+    "localize": (lambda x: localize(Z6, x), Z6, MultiplicativeSet),
+    "is_delta_n_ideal expansion": (lambda x: is_delta_n_ideal(I6, x), Z6, Expansion),
+    **{f"is_delta_n_ideal {method}":
+       (lambda x, method=method: is_delta_n_ideal(x, delta0(Z6), method=method), Z6, Ideal)
+       for method in DELTA_N_METHODS},
+}
+
+
+# the first operand of a two-operand call, the one whose ring the guard reads,
+# as a call of that operand x and the kind it must be
+FIRST_OPERAND = {
+    "colon": (lambda x: colon(x, I6), Ideal),
+    "ideal_combine": (lambda x: ideal_combine("sum", x, I6), Ideal),
+    "apply_expansion": (lambda x: apply_expansion(x, I6), Expansion),
+    "is_delta_primary": (lambda x: is_delta_primary(x, delta0(Z6)), Ideal),
+    "delta_primary_witness": (lambda x: delta_primary_witness(x, delta0(Z6)), Ideal),
+    "delta_n_witness": (lambda x: delta_n_witness(x, delta0(Z6)), Ideal),
+    "is_delta_n_ideal": (lambda x: is_delta_n_ideal(x, delta0(Z6)), Ideal),
+}
+
+
+def _other_kinds(takes):
+    return [kind for kind in KINDS if not issubclass(kind, takes)]
+
+
+def _refusal(takes, kind):
+    """The end of the refusal of an operand of ``kind`` where ``takes`` is taken."""
+    names = " or ".join(k.__name__ for k in (takes if isinstance(takes, tuple) else (takes,)))
+    return re.escape(f" must be {names}, not {kind.__name__}") + "$"
 
 
 @pytest.mark.parametrize("call", GUARDED.values(), ids=GUARDED.keys())
@@ -138,6 +220,24 @@ def test_every_guard_refuses_an_operand_of_a_twin_ring(call):
 def test_every_guard_refuses_an_operand_that_is_no_deltan_object(call):
     with pytest.raises(CrossRingError, match=r"lives in another ring \(no ring\) than "):
         call()
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, (_, _, takes) in WRONG_KIND.items()
+                                        for kind in _other_kinds(takes)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_every_guard_refuses_an_operand_of_the_right_ring_and_another_kind(name, kind):
+    call, ring, takes = WRONG_KIND[name]
+    with pytest.raises(CrossRingError, match=_refusal(takes, kind)):
+        call(KINDS[kind](ring))
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, (_, takes) in FIRST_OPERAND.items()
+                                        for kind in [int, *_other_kinds(takes)]],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_every_first_operand_is_refused_by_kind_before_its_ring_is_read(name, kind):
+    call, takes = FIRST_OPERAND[name]
+    with pytest.raises(CrossRingError, match=_refusal(takes, kind)):
+        call(3 if kind is int else KINDS[kind](Z6))
 
 
 def test_a_twin_is_a_different_ring_with_the_same_key():

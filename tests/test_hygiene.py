@@ -102,7 +102,8 @@ def test_importing_deltan_and_its_layers_loads_no_dataclass_machinery():
 
 # the (module, function) pairs that import inside a function body: each one
 # breaks an import cycle, which its comment names
-LOCAL_IMPORTS = {("rings.py", "classify_element"), ("rings.py", "_finite_ring_class")}
+LOCAL_IMPORTS = {("rings.py", "classify_element"), ("rings.py", "_finite_ring_class"),
+                 ("constructions.py", "is_delta_gamma_homomorphism")}
 
 
 def test_imports_inside_functions_only_break_cycles():
@@ -117,6 +118,26 @@ def test_imports_inside_functions_only_break_cycles():
                         found.add((path.name, fn.name))
                         assert "# " in lines[node.lineno - 1], (path.name, node.lineno)
     assert found == LOCAL_IMPORTS
+
+
+def test_every_operand_guard_names_a_kind_of_the_package():
+    """Each ``_same_ring(ring, operand, kind, what[, attr])`` call names its kind,
+    a class of the package or a tuple of them, and passes the operand as it is,
+    so no call site checks the kind itself (``x if isinstance(x, K) else None``)."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    guards = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "_same_ring"]
+    assert len(guards) > 30
+    for call in guards:
+        where = ast.unparse(call)
+        assert 4 <= len(call.args) <= 5 and not call.keywords, where
+        kind = call.args[2]
+        names = kind.elts if isinstance(kind, ast.Tuple) else [kind]
+        assert all(isinstance(n, ast.Name) and n.id in classes for n in names), where
+        assert not any(isinstance(n, ast.Name) and n.id == "isinstance"
+                       for n in ast.walk(call)), where
 
 
 # the only functions that may call each class; identity equality of rings,

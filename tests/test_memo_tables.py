@@ -19,8 +19,7 @@ from pathlib import Path
 import pytest
 
 from deltan.constructions import Homomorphism
-from deltan.ideals import (_bits, _colon_mask, _preimage_mask, _product_pair, _sum_pair,
-                           enumerate_ideals)
+from deltan.ideals import _bits, _colon_mask, _product_pair, _sum_pair, enumerate_ideals
 from deltan.predicates import _aj_mask
 from deltan.rings import _build_modular, memo
 from deltan.verifier import Context, builtin_corpus, run_claims
@@ -53,6 +52,12 @@ def _mask(indices):
     for i in indices:
         out |= 1 << i
     return out
+
+
+def _preimage_mask(imask, seq):
+    """Mask of the positions r with ``seq[r]`` in the set ``imask``, read one
+    position at a time: the oracle of the column kernel ``ideals._column_preimage``."""
+    return _mask(r for r, x in enumerate(seq) if imask >> x & 1)
 
 
 def _subgroup(ring, gens):
@@ -131,12 +136,12 @@ def test_image_and_preimage_tables_of_every_family_map(verified):
         for mask, value in list(images.items()):  # stored by the checkers
             assert value == _mask(mapping[i] for i in _bits(mask)), (f, mask)
         for mask, value in list(preimages.items()):
-            assert value == _mask(i for i in range(src.size) if mask >> mapping[i] & 1), mask
+            assert value == _preimage_mask(mask, mapping), mask
         for mask in [0, src.full_mask] + [I.mask for I in enumerate_ideals(src)]:
             want = _mask(mapping[i] for i in _bits(mask))
             assert images[mask] == want == f.image_mask(mask), (f, mask)
         for mask in [0, tgt.full_mask] + [K.mask for K in enumerate_ideals(tgt)]:
-            want = _mask(i for i in range(src.size) if mask >> mapping[i] & 1)
+            want = _preimage_mask(mask, mapping)
             assert preimages[mask] == want == f.preimage_mask(mask), (f, mask)
         assert images[0] == 0 and preimages[0] == 0
 
